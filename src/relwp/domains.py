@@ -9,7 +9,7 @@ checkers enumerate everything they quantify over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,22 @@ def domain(name: str, size: int, labels: Optional[Tuple[str, ...]] = None) -> Fi
     return FiniteDomain(name, size, labels)
 
 
+# Built domains by operands, so labels are formatted once per pair; plain
+# dicts, not a caching decorator, keep both builders ordinary functions.
+_PRODUCTS: Dict[Tuple[FiniteDomain, FiniteDomain], FiniteDomain] = {}
+_SUMS: Dict[Tuple[FiniteDomain, FiniteDomain], FiniteDomain] = {}
+
+
 def product_domain(d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
     """Domain of pairs, indexed row-major: (i, j) |-> i * |d2| + j."""
-    labels = tuple(
-        f"({d1.label_of(i)},{d2.label_of(j)})" for i in range(d1.size) for j in range(d2.size)
-    )
-    return FiniteDomain(f"({d1.name}*{d2.name})", d1.size * d2.size, labels)
+    out = _PRODUCTS.get((d1, d2))
+    if out is None:
+        labels = tuple(
+            f"({d1.label_of(i)},{d2.label_of(j)})" for i in range(d1.size) for j in range(d2.size)
+        )
+        out = FiniteDomain(f"({d1.name}*{d2.name})", d1.size * d2.size, labels)
+        _PRODUCTS[(d1, d2)] = out
+    return out
 
 
 def pair_index(d1: FiniteDomain, d2: FiniteDomain, i: int, j: int) -> int:
@@ -85,10 +95,14 @@ def unpair_index(d1: FiniteDomain, d2: FiniteDomain, k: int) -> Tuple[int, int]:
 
 def sum_domain(d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
     """Domain of tagged alternatives; left injections first."""
-    labels = tuple(f"inl {d1.label_of(i)}" for i in range(d1.size)) + tuple(
-        f"inr {d2.label_of(j)}" for j in range(d2.size)
-    )
-    return FiniteDomain(f"({d1.name}+{d2.name})", d1.size + d2.size, labels)
+    out = _SUMS.get((d1, d2))
+    if out is None:
+        labels = tuple(f"inl {d1.label_of(i)}" for i in range(d1.size)) + tuple(
+            f"inr {d2.label_of(j)}" for j in range(d2.size)
+        )
+        out = FiniteDomain(f"({d1.name}+{d2.name})", d1.size + d2.size, labels)
+        _SUMS[(d1, d2)] = out
+    return out
 
 
 def inl_index(d1: FiniteDomain, d2: FiniteDomain, i: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .domains import BOOL, FiniteDomain
 from . import programs as P
@@ -227,8 +227,3 @@ def random_program(rng: random.Random, sig: Signature, result: FiniteDomain, dep
 
     return go(depth, result)
 
-
-def random_table(rng: random.Random, sig: Signature, arg: FiniteDomain, result: FiniteDomain,
-                 depth: int, **kw) -> Tuple[Program, ...]:
-    """A random total continuation table arg -> Program."""
-    return tuple(random_program(rng, sig, result, depth, **kw) for _ in range(arg.size))

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import lp
 from . import programs as P
 from .domains import BOOL, UNIT, FiniteDomain, Value, boolv
-from .genprog import enumerate_classes, enumerate_programs
+from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
     DEFAULT_CAP,
@@ -115,18 +115,28 @@ def _expect_effect(c: Program, allowed, who: str):
 # State
 
 
+def _pair_runs(c1: Program, c2: Program, run, diverged) -> RelSpec:
+    """Run each side once per initial state, then pair the runs: a point's
+    demand is the single joint outcome, or `diverged` if a side has none."""
+    space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
+    left = [run(c1, s) for s in space.s1.values()]
+    right = [run(c2, s) for s in space.s2.values()]
+    table = []
+    for r1 in left:
+        for r2 in right:
+            if r1 is None or r2 is None:
+                table.append(diverged)
+            else:
+                (v1, t1), (v2, t2) = r1, r2
+                table.append(frozenset({space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
+    return demonic_spec(space, table)
+
+
 def theta_st(c1: Program, c2: Program) -> RelSpec:
     """Run both sides and demand the postcondition of the single outcome pair."""
     _expect_effect(c1, (P.STATE, P.IMP), "theta_st")
     _expect_effect(c2, (P.STATE, P.IMP), "theta_st")
-    space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
-    table = []
-    for pt in space.points():
-        s1i, s2i = space.point_split(pt)
-        v1, t1 = P.run_state(c1, Value(space.s1, s1i))
-        v2, t2 = P.run_state(c2, Value(space.s2, s2i))
-        table.append(frozenset({space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
-    return demonic_spec(space, table)
+    return _pair_runs(c1, c2, P.run_state, None)
 
 
 def _theta_st_unary_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
@@ -336,18 +346,7 @@ def theta_part(c1: Program, c2: Program) -> RelSpec:
     """
     _expect_effect(c1, (P.IMP, P.STATE), "theta_part")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_part")
-    space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
-    table = []
-    for pt in space.points():
-        s1i, s2i = space.point_split(pt)
-        r1 = P.run_imp(c1, Value(space.s1, s1i))
-        r2 = P.run_imp(c2, Value(space.s2, s2i))
-        if r1 is None or r2 is None:
-            table.append(frozenset())
-        else:
-            (v1, t1), (v2, t2) = r1, r2
-            table.append(frozenset({space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
-    return demonic_spec(space, table)
+    return _pair_runs(c1, c2, P.run_imp, frozenset())
 
 
 def theta_tot(c1: Program, c2: Program) -> RelSpec:
@@ -356,18 +355,7 @@ def theta_tot(c1: Program, c2: Program) -> RelSpec:
     This variant is our reconstruction; `theta_part` is the primary one."""
     _expect_effect(c1, (P.IMP, P.STATE), "theta_tot")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_tot")
-    space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
-    table = []
-    for pt in space.points():
-        s1i, s2i = space.point_split(pt)
-        r1 = P.run_imp(c1, Value(space.s1, s1i))
-        r2 = P.run_imp(c2, Value(space.s2, s2i))
-        if r1 is None or r2 is None:
-            table.append(VIOLATED)
-        else:
-            (v1, t1), (v2, t2) = r1, r2
-            table.append(frozenset({space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
-    return demonic_spec(space, table)
+    return _pair_runs(c1, c2, P.run_imp, VIOLATED)
 
 
 def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
@@ -873,14 +861,6 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
 
 # ---------------------------------------------------------------------------
 # Battery builders
-
-
-def dedupe_programs(progs: Sequence[Program]) -> List[Program]:
-    """First representative of each evaluator-fingerprint class, in order."""
-    seen: Dict[object, Program] = {}
-    for p in progs:
-        seen.setdefault(semantic_key(p), p)
-    return list(seen.values())
 
 
 def _tables(pool: Sequence[Program], arity: int, limit: int) -> List[Tuple[Program, ...]]:

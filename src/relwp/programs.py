@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Optional, Sequence, Tuple, Union
 
 from .domains import BOOL, FiniteDomain, Value, boolv
 

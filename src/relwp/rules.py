@@ -57,7 +57,7 @@ from .specmonads import (
     closure_spec,
     demonic_spec,
     err_space,
-    from_prepost,
+    from_final_post,
     io_demonic_spec,
     io_space,
     linear_spec,
@@ -216,13 +216,17 @@ def _same_observation(o1: EffectObservation, o2: EffectObservation) -> bool:
 class RuleInstance:
     rule: str
     params: Dict[str, object] = field(default_factory=dict)
+    # keys read through need/get, so apply_rule can reject the others
+    _read: set = field(default_factory=set, init=False, repr=False)
 
     def need(self, key: str):
+        self._read.add(key)
         if key not in self.params:
             raise RuleError(f"{self.rule}: missing parameter {key!r}")
         return self.params[key]
 
     def get(self, key: str, default=None):
+        self._read.add(key)
         return self.params.get(key, default)
 
 
@@ -263,9 +267,10 @@ def rule_names() -> Tuple[str, ...]:
 def apply_rule(inst: RuleInstance, premises: Sequence[Judgment]) -> Judgment:
     """Compute a rule's conclusion judgment from premise judgments.
 
-    Raises RuleError when premise shapes disagree with the rule or a side
-    condition fails; side conditions involving spec comparisons must be
-    confirmed, an Unknown verdict also rejects.
+    Raises RuleError when premise shapes disagree with the rule, a side
+    condition fails, or a parameter is one the rule never reads; side
+    conditions involving spec comparisons must be confirmed, an Unknown
+    verdict also rejects.
     """
     build = _RULES.get(inst.rule)
     if build is None:
@@ -274,7 +279,12 @@ def apply_rule(inst: RuleInstance, premises: Sequence[Judgment]) -> Judgment:
     premises = tuple(premises)
     if arity is not None and len(premises) != arity:
         raise RuleError(f"{inst.rule} takes {arity} premises, got {len(premises)}")
-    return build(inst, premises)
+    reading = RuleInstance(inst.rule, inst.params)
+    concl = build(reading, premises)
+    unread = sorted(set(inst.params) - reading._read)
+    if unread:
+        raise RuleError(f"{inst.rule} does not take a parameter {unread[0]!r}")
+    return concl
 
 
 def _shared_env(premises: Sequence[Judgment], who: str) -> Env:
@@ -1043,28 +1053,24 @@ def _norm_inv(inv, s1: FiniteDomain, s2: FiniteDomain):
     return out
 
 
-def _pp_table(space: OutcomeSpace, fn) -> List[bool]:
-    n = (space.s1.size ** 2 * space.a1.size) * (space.s2.size ** 2 * space.a2.size)
-    return [bool(fn(*space.pp_post_split(o))) for o in range(n)]
+def _loop_spec(inv, a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain,
+               post: Callable[[int, int, int, int], bool]) -> RelSpec:
+    """From invariant states with both guards pending, `post` of the final
+    (value, state) pairs; loop posts never read the initial states."""
+    space = state_space(a1, s1, a2, s2)
+    pre = [inv[1][1][i][j] for i in range(s1.size) for j in range(s2.size)]
+    return from_final_post(space, pre, [post(*space.st_split(o)) for o in space.outcomes()])
 
 
 def loop_premise_spec(inv, s1: FiniteDomain, s2: FiniteDomain) -> RelSpec:
     """Body obligation: from invariant states with both guards pending, the
     guards agree and the invariant indexed by them holds of the new states."""
-    space = state_space(BOOL, s1, BOOL, s2)
-    pre = [inv[1][1][space.point_split(pt)[0]][space.point_split(pt)[1]]
-           for pt in space.points()]
-    post = _pp_table(space, lambda _i1, b1, f1, _i2, b2, f2:
-                     b1 == b2 and inv[b1][b2][f1][f2])
-    return from_prepost(space, pre, post)
+    return _loop_spec(inv, BOOL, s1, BOOL, s2,
+                      lambda b1, f1, b2, f2: b1 == b2 and inv[b1][b2][f1][f2])
 
 
 def loop_conclusion_spec(inv, s1: FiniteDomain, s2: FiniteDomain) -> RelSpec:
-    space = state_space(UNIT, s1, UNIT, s2)
-    pre = [inv[1][1][space.point_split(pt)[0]][space.point_split(pt)[1]]
-           for pt in space.points()]
-    post = _pp_table(space, lambda _i1, _a1, f1, _i2, _a2, f2: inv[0][0][f1][f2])
-    return from_prepost(space, pre, post)
+    return _loop_spec(inv, UNIT, s1, UNIT, s2, lambda _a1, f1, _a2, f2: inv[0][0][f1][f2])
 
 
 @_rule("DoWhileInv", 1)

@@ -28,6 +28,13 @@ closures fall back to postcondition enumeration with an honest Unknown
 verdict past the cap.  The quantitative carrier stores a minimum of
 affine pieces with rational coefficients where it can and compares
 exactly by linear programming.
+
+Pre/post pairs become demonic tables in two ways.  `from_prepost` embeds
+a PPrelSt pair whose post may read the initial states, at the price of a
+post table over |S1|^2 |S2|^2 |A1| |A2| triples.  `from_final_post` takes
+a post over the carrier's own outcomes, which is all that noninterference,
+relational Hoare triples and loop invariants need: one satisfying set,
+shared by every point where the precondition holds.
 """
 
 from __future__ import annotations
@@ -858,22 +865,34 @@ def _bind_pp_state(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
 # Pre/post embeddings
 
 
+def from_final_post(space: OutcomeSpace, pre, post) -> RelSpec:
+    """Backward transformer of a pre/post pair whose post reads only outcomes.
+
+    `pre` indexes the carrier's precondition points and `post` its own
+    outcomes (value pairs, with final states on the stateful carrier).
+    The satisfying outcome set is built once and shared by every point
+    where `pre` holds; the other points are VIOLATED.
+    """
+    if space.tag not in ("WrelPure", "WrelSt"):
+        raise ValueError("pre/post embeddings target the pure or stateful carrier")
+    pre_t, post_t = tuple(map(bool, pre)), tuple(map(bool, post))
+    if len(pre_t) != space.point_count or len(post_t) != space.size:
+        raise ValueError("pre/post tables must cover every point and every outcome")
+    sat = frozenset(o for o, ok in enumerate(post_t) if ok)
+    return RelSpec(space.tag, space, table=tuple(sat if ok else VIOLATED for ok in pre_t))
+
+
 def from_prepost(space: OutcomeSpace, pre, post) -> RelSpec:
     """Backward transformer of a pre/post pair.
 
     For the stateful carrier, `pre` indexes initial state pairs and
     `post` indexes (initial, value, final) triples per side via
     pp_post_index; at precondition-violating points the spec is marked
-    VIOLATED rather than silently weakened.
+    VIOLATED rather than silently weakened.  The pure carrier has no
+    initial states, so its post reads value pairs only.
     """
     if space.tag == "WrelPure":
-        pre_t = tuple(bool(v) for v in pre)
-        if len(pre_t) != 1:
-            raise ValueError("the pure carrier has a single precondition point")
-        if not pre_t[0]:
-            return demonic_spec(space, [VIOLATED])
-        sat = frozenset(o for o in space.outcomes() if post[o])
-        return demonic_spec(space, [sat])
+        return from_final_post(space, pre, post)
     if space.tag != "WrelSt":
         raise ValueError("pre/post embeddings target the pure or stateful carrier")
     pre_t = tuple(bool(v) for v in pre)

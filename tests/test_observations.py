@@ -293,6 +293,97 @@ def test_theta_part_fast_equals_fixpoint_random(seed):
 
 
 # ---------------------------------------------------------------------------
+# Unequal state domains
+#
+# The pair observations run each side once per initial state and pair the
+# runs; with a two-state left and a three-state right, a slip in the order
+# of points shows as a wrong entry.
+
+S3SIG = P.state_sig(Z3)
+I3SIG = P.imp_sig(Z3)
+
+
+def _stuck_at(sig, k):
+    """Loops forever from state k, returns the state from anywhere else."""
+    body = P.get(sig, lambda s: P.ret(sig, boolv(s.index == k)))
+    return P.do_while(body, P.get_state(sig))
+
+
+def _unequal_pairs(sig1, sig2, seed, n):
+    rng = random.Random(seed)
+    pairs = [(_stuck_at(sig1, 0), _stuck_at(sig2, 1))] if sig1.effect == P.IMP else []
+    while len(pairs) < n:
+        c1 = random_program(rng, sig1, sig1.state, 3)
+        c2 = random_program(rng, sig2, sig2.state, 3)
+        if P.count_loops(c1) + P.count_loops(c2) <= 2:
+            pairs.append((c1, c2))
+    return pairs
+
+
+def test_theta_st_on_unequal_state_domains_is_the_commuting_pair():
+    obs = O.from_commuting_pair(O.unary_theta_st(1, Z2, Z3), O.unary_theta_st(2, Z2, Z3))
+    for c1, c2 in _unequal_pairs(SSIG, S3SIG, 11, 40):
+        w = O.theta_st(c1, c2)
+        sp = w.space
+        assert (sp.s1, sp.s2, sp.point_count) == (Z2, Z3, 6)
+        assert_equiv(w, obs.map(c1, c2))
+        for s1, s2 in product(range(2), range(3)):
+            v1, t1 = P.run_state(c1, Value(Z2, s1))
+            v2, t2 = P.run_state(c2, Value(Z3, s2))
+            assert w.demonic_at(s1 * 3 + s2) == \
+                frozenset({sp.st_outcome(v1.index, t1.index, v2.index, t2.index)})
+
+
+def test_theta_part_and_tot_on_unequal_state_domains():
+    pairs = _unequal_pairs(ISIG, I3SIG, 12, 30)
+    assert any(P.count_loops(c1) and P.count_loops(c2) for c1, c2 in pairs)
+    for c1, c2 in pairs:
+        wp, wt = O.theta_part(c1, c2), O.theta_tot(c1, c2)
+        assert_equiv(wp, O.theta_part_slow(c1, c2))
+        for s1, s2 in product(range(2), range(3)):
+            pt = s1 * 3 + s2
+            diverges = (P.run_imp(c1, Value(Z2, s1)) is None
+                        or P.run_imp(c2, Value(Z3, s2)) is None)
+            if diverges:
+                assert wp.demonic_at(pt) == frozenset()
+                assert wt.demonic_at(pt) is sm.VIOLATED
+            else:
+                assert wt.demonic_at(pt) == wp.demonic_at(pt)
+                assert len(wp.demonic_at(pt)) == 1
+    # the looping pair diverges exactly from left state 0 or right state 1
+    wt = O.theta_tot(*pairs[0])
+    assert [wt.demonic_at(pt) is sm.VIOLATED for pt in wt.space.points()] == \
+        [s1 == 0 or s2 == 1 for s1 in range(2) for s2 in range(3)]
+
+
+def _count_runs(monkeypatch):
+    """Count outermost evaluator calls; nested ones recurse through the
+    patched module names and are not counted."""
+    seen = {"runs": 0, "depth": 0}
+    for name in ("run_state", "run_imp"):
+        def counted(*args, _run=getattr(P, name), **kw):
+            seen["runs"] += seen["depth"] == 0
+            seen["depth"] += 1
+            try:
+                return _run(*args, **kw)
+            finally:
+                seen["depth"] -= 1
+        monkeypatch.setattr(P, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("theta,sig1,sig2", [
+    (O.theta_st, SSIG, S3SIG), (O.theta_part, ISIG, I3SIG), (O.theta_tot, ISIG, I3SIG)])
+def test_pair_observations_run_each_side_once_per_initial_state(monkeypatch, theta, sig1, sig2):
+    pairs = _unequal_pairs(sig1, sig2, 13, 8)
+    seen = _count_runs(monkeypatch)
+    for c1, c2 in pairs:
+        before = seen["runs"]
+        theta(c1, c2)
+        assert seen["runs"] - before == 2 + 3
+
+
+# ---------------------------------------------------------------------------
 # Probability
 
 

@@ -186,6 +186,26 @@ def test_apply_rule_rejects_unknown_rule_and_bad_arity():
                      (R.derive("GetSync", sig1=SSIG, sig2=SSIG).conclusion,))
 
 
+def test_rules_reject_parameters_they_never_read():
+    ret = dict(observation=O.observation_st(), sig1=SSIG, sig2=SSIG,
+               a1=Z2.value(0), a2=Z2.value(0))
+    with pytest.raises(R.RuleError, match="Ret does not take a parameter 'pionts'"):
+        R.derive("Ret", pionts=(), **ret)
+    # an optional parameter the rule reads is accepted even where it is moot
+    d = R.derive("Ret", points=O.IO_ROOT, **ret)
+    with pytest.raises(R.RuleError, match="'cpa'"):
+        R.derive("Weaken", (d,), w=d.conclusion.w, cpa=4)
+    with pytest.raises(R.RuleError, match="'b'"):
+        R.derive("Bind", (d, R.derive("Ret", env=R.EMPTY_ENV.extend(("x", Z2), ("y", Z2)),
+                                      **ret)), b=True)
+    with pytest.raises(R.RuleError, match="'observation'"):
+        R.derive("DemonicPickLeft", observation=O.observation_ndet(O.FORALL), a2=Z2.value(0))
+    # replay applies the same check to a stored instance
+    stray = R.Derivation(d.conclusion, R.rule("Ret", extra=1, **ret))
+    res = R.check_derivation(stray)
+    assert not res.ok and "'extra'" in res.message
+
+
 # ---------------------------------------------------------------------------
 # Axiom specs against the observations
 

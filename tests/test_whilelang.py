@@ -1,0 +1,331 @@
+"""The While front end: noninterference and RHL judgments.
+
+Noninterference verdicts are checked against a brute force over `run_stmt`
+on low-equal store pairs, with store digits decoded here rather than through
+the store helpers.  The specs the front end builds are checked entry by
+entry against the long way round: a post table over (initial, value, final)
+triples per side, |S|^4 entries for unit-valued runs, read back point by
+point.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from relwp import domains as D
+from relwp import programs as P
+from relwp import rules as R
+from relwp import specmonads as sm
+from relwp import whilelang as W
+from relwp.domains import BOOL, UNIT, domain
+
+LOW_LOCATIONS = ("l", "m")
+
+# Explicit flow, implicit flow through if and while, and secure overwrites,
+# each with its verdict on every store below.
+NI_CORPUS = (
+    ("l := h", False),
+    ("if h then l := 1 else l := 0", False),
+    ("while h do (h := h - 1; l := l + 1)", False),
+    ("if h then l := 1 else l := 1", True),
+    ("l := h; l := 0", True),
+    ("h := l + 1", True),
+    ("while h do h := h - 1", True),
+    ("if l then h := 1 else skip", True),
+)
+
+STORES = {
+    "2x2": (("l", "h"), 2),
+    "3x3": (("l", "h", "m"), 3),
+    "4x3": (("l", "h", "m", "k"), 3),   # 81 stores
+}
+
+
+def _store(locations, values, name=None):
+    labels = {loc: W.LOW if loc in LOW_LOCATIONS else W.HIGH for loc in locations}
+    return W.store_signature(locations, domain(name or f"V{values}", values), labels)
+
+
+def _digits(sig, store):
+    """Location values of a packed store, first location most significant."""
+    out = []
+    for _ in sig.locations:
+        store, d = divmod(store, sig.values.size)
+        out.append(d)
+    return out[::-1]
+
+
+def _low_view(sig, store):
+    return tuple(d for loc, d in zip(sig.locations, _digits(sig, store))
+                 if loc in LOW_LOCATIONS)
+
+
+def ni_brute_force(sig, ast) -> bool:
+    """Every pair of low-equal stores whose runs both end ends low-equal."""
+    n = sig.values.size ** len(sig.locations)
+    finals = [W.run_stmt(sig, ast, s) for s in range(n)]
+    for s1, s2 in product(range(n), repeat=2):
+        f1, f2 = finals[s1], finals[s2]
+        if (_low_view(sig, s1) == _low_view(sig, s2) and f1 is not None and f2 is not None
+                and _low_view(sig, f1) != _low_view(sig, f2)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Noninterference verdicts
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("text,secure", NI_CORPUS)
+def test_ni_corpus_verdicts_match_brute_force(store, text, secure):
+    sig = _store(*STORES[store])
+    ast = W.parse_while(text)
+    assert ni_brute_force(sig, ast) == secure
+    v = R.oracle_check(W.ni_judgment(ast, sig))
+    assert (v.kind, v.checked) == ("holds" if secure else "fails", 1)
+
+
+def _random_statement(rng, locations, values, depth=3) -> str:
+    def expr(d):
+        if d <= 0 or rng.random() < 0.5:
+            return rng.choice(locations) if rng.random() < 0.6 else str(rng.randrange(values))
+        op = rng.choice(("+", "-", "*", "=", "<", "&&", "||"))
+        return f"({expr(d - 1)} {op} {expr(d - 1)})"
+
+    def stmt(d):
+        r = rng.random()
+        if d <= 0 or r < 0.35:
+            return f"{rng.choice(locations)} := {expr(1)}"
+        if r < 0.6:
+            return f"({stmt(d - 1)}; {stmt(d - 1)})"
+        if r < 0.85:
+            return f"(if {expr(1)} then {stmt(d - 1)} else {stmt(d - 1)})"
+        return f"(while {expr(1)} do {stmt(d - 1)})"
+
+    return stmt(depth)
+
+
+@pytest.mark.parametrize("store", [(("l", "h"), 3), (("l", "h", "m"), 2)])
+def test_ni_random_statements_match_brute_force(store):
+    sig = _store(*store)
+    rng = random.Random(len(store[0]) * 10 + store[1])
+    verdicts = set()
+    for _ in range(40):
+        ast = W.parse_while(_random_statement(rng, store[0], store[1]))
+        v = R.oracle_check(W.ni_judgment(ast, sig))
+        assert v.holds == ni_brute_force(sig, ast) and v.holds != v.failed
+        verdicts.add(v.kind)
+    assert verdicts == {"holds", "fails"}
+
+
+def test_ni_needs_labels():
+    sig = W.store_signature(("l", "h"), domain("V2", 2))
+    with pytest.raises(ValueError, match="labelled"):
+        W.ni_judgment(W.parse_while("l := h"), sig)
+
+
+# ---------------------------------------------------------------------------
+# The final-state embedding against the quadruple table
+
+
+def reference_table(space, pre, post6):
+    """Demonic entries of {pre} _ ~ _ {post6}, where post6 reads the initial
+    state, value and final state of each side: the post is tabulated over
+    every (initial, value, final) pair of triples, then each point where pre
+    holds collects the outcomes its row of the table accepts."""
+    pp = sm.pp_state_space(space.a1, space.s1, space.a2, space.s2)
+    quad = [False] * pp.size
+    for si1, a1, sf1, si2, a2, sf2 in product(
+            range(space.s1.size), range(space.a1.size), range(space.s1.size),
+            range(space.s2.size), range(space.a2.size), range(space.s2.size)):
+        quad[pp.pp_post_index(si1, a1, sf1, si2, a2, sf2)] = bool(post6(si1, a1, sf1, si2, a2, sf2))
+    entries = []
+    for pt in space.points():
+        si1, si2 = space.point_split(pt)
+        if not pre[pt]:
+            entries.append(sm.VIOLATED)
+            continue
+        entries.append(frozenset(
+            space.st_outcome(a1, sf1, a2, sf2)
+            for a1, sf1, a2, sf2 in product(range(space.a1.size), range(space.s1.size),
+                                            range(space.a2.size), range(space.s2.size))
+            if quad[pp.pp_post_index(si1, a1, sf1, si2, a2, sf2)]))
+    # the general embedding reads the same table the same way
+    assert sm.from_prepost(space, pre, quad).table == tuple(entries)
+    return tuple(entries)
+
+
+SMALL_STORES = [(("l", "h"), 2), (("l", "h", "m"), 2), (("l", "h"), 3)]   # 4, 8, 9 states
+
+
+@pytest.mark.parametrize("store", SMALL_STORES)
+def test_ni_spec_is_the_quadruple_table_embedding(store):
+    sig = _store(*store)
+    w = W.ni_judgment(W.parse_while("l := h"), sig).spec()
+    n = w.space.s1.size
+    low_eq = [_low_view(sig, s1) == _low_view(sig, s2) for s1 in range(n) for s2 in range(n)]
+    ref = reference_table(w.space, low_eq,
+                          lambda _i1, _a1, f1, _i2, _a2, f2: low_eq[f1 * n + f2])
+    assert w.table == ref
+    # one satisfying set, shared by every low-equal point
+    assert len({id(e) for e in w.table if e is not sm.VIOLATED}) == 1
+
+
+@pytest.mark.parametrize("store", SMALL_STORES)
+def test_rhl_spec_is_the_quadruple_table_embedding(store):
+    sig = _store(*store)
+    n = sig.values.size ** len(sig.locations)
+    rng = random.Random(n)
+    ast = W.parse_while("l := h + 1")
+    for _ in range(5):
+        pre = tuple(rng.random() < 0.5 for _ in range(n * n))
+        post = tuple(rng.random() < 0.5 for _ in range(n * n))
+        w = W.RHLInstance(sig, ast, ast, pre, post).judgment().spec()
+        assert w.table == reference_table(
+            w.space, pre, lambda _i1, _a1, f1, _i2, _a2, f2: post[f1 * n + f2])
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 2)])
+def test_loop_specs_are_the_quadruple_table_embedding(sizes):
+    s1, s2 = domain("A", sizes[0]), domain("B", sizes[1])
+    rng = random.Random(sum(sizes))
+    for _ in range(4):
+        inv = tuple(tuple(tuple(tuple(rng.random() < 0.5 for _ in range(s2.size))
+                                for _ in range(s1.size)) for _ in range(2)) for _ in range(2))
+        pre = [inv[1][1][i][j] for i in range(s1.size) for j in range(s2.size)]
+        prem = R.loop_premise_spec(inv, s1, s2)
+        assert (prem.space.a1, prem.space.a2) == (BOOL, BOOL)
+        assert prem.table == reference_table(
+            prem.space, pre, lambda _i1, b1, f1, _i2, b2, f2: b1 == b2 and inv[b1][b2][f1][f2])
+        concl = R.loop_conclusion_spec(inv, s1, s2)
+        assert (concl.space.a1, concl.space.a2) == (UNIT, UNIT)
+        assert concl.table == reference_table(
+            concl.space, pre, lambda _i1, _a1, f1, _i2, _a2, f2: inv[0][0][f1][f2])
+
+
+def test_final_post_checks_its_tables():
+    space = sm.state_space(UNIT, BOOL, UNIT, BOOL)
+    with pytest.raises(ValueError, match="cover every point"):
+        sm.from_final_post(space, [True] * 3, [True] * 4)
+    with pytest.raises(ValueError, match="every outcome"):
+        sm.from_final_post(space, [True] * 4, [True] * 5)
+    with pytest.raises(ValueError, match="pure or stateful"):
+        sm.from_final_post(sm.err_space(UNIT, UNIT), [True], [True] * 2)
+
+
+def test_ni_judgment_builds_nothing_quartic(monkeypatch):
+    # Every table and domain built while judging stays within |S|^2 entries
+    # (points and outcomes are store pairs), and each side runs once per
+    # initial store.
+    sig = _store(("l", "h"), 2, name="Vcost")   # a fresh domain: no memoised products
+    n = 4
+    sizes = []
+    init = sm.RelSpec.__init__
+
+    def recording_init(self, *args, **kw):
+        init(self, *args, **kw)
+        sizes.extend(len(t) for t in (self.table, self.pre, self.post) if isinstance(t, tuple))
+
+    post_init = D.FiniteDomain.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        sizes.append(self.size)
+
+    monkeypatch.setattr(sm.RelSpec, "__init__", recording_init)
+    monkeypatch.setattr(D.FiniteDomain, "__post_init__", recording_post_init)
+    seen = {"runs": 0, "depth": 0}
+    run_imp = P.run_imp
+
+    def counted(c, s):
+        # the evaluator recurses through its module name: count outermost calls
+        seen["runs"] += seen["depth"] == 0
+        seen["depth"] += 1
+        try:
+            return run_imp(c, s)
+        finally:
+            seen["depth"] -= 1
+
+    monkeypatch.setattr(P, "run_imp", counted)
+    for text, secure in NI_CORPUS:
+        assert R.oracle_check(W.ni_judgment(W.parse_while(text), sig)).holds == secure
+    assert sizes and max(sizes) <= n * n
+    assert seen["runs"] == 2 * n * len(NI_CORPUS)
+
+
+# ---------------------------------------------------------------------------
+# RHL instances through the oracle
+
+SIG = _store(("l", "h"), 2)
+N = 4
+
+
+def _lo(s):
+    return _digits(SIG, s)[0]
+
+
+LOW_EQ = W.rel_table(SIG, lambda i, j: _lo(i) == _lo(j))
+
+
+def _expr(text):
+    return W.parse_while("x := " + text).expr
+
+
+def _guarded(pre, g, want):
+    return tuple(pre[k] and g[k // N] == want and g[k % N] == want for k in range(N * N))
+
+
+def _rhl_instances():
+    g = _expr("l")
+    gt = W.guard_table(SIG, g)
+    out = {
+        "assign": W.apply_rhl_rule("Assign", sig=SIG, loc1="l", expr1=_expr("h"),
+                                   loc2="l", expr2=_expr("h"), post=LOW_EQ),
+        "assign-two-locations": W.apply_rhl_rule(
+            "Assign", sig=SIG, loc1="l", expr1=_expr("l + 1"), loc2="h", expr2=_expr("l"),
+            post=W.rel_table(SIG, lambda i, j: _lo(i) == _digits(SIG, j)[1] + 1 or _lo(i) == 0)),
+        "assign-leak": W.RHLInstance(SIG, W.Assign("l", _expr("h")), W.Assign("l", _expr("h")),
+                                     LOW_EQ, LOW_EQ),
+    }
+    one = W.apply_rhl_rule("Assign", sig=SIG, loc1="l", expr1=_expr("1"),
+                           loc2="l", expr2=_expr("1"), post=LOW_EQ)
+    jt = W.apply_rhl_rule("Consequence", [one], pre=_guarded(LOW_EQ, gt, True), post=LOW_EQ)
+    skip = W.apply_rhl_rule("Skip", sig=SIG, pre=_guarded(LOW_EQ, gt, False))
+    jf = W.apply_rhl_rule("Consequence", [skip], pre=_guarded(LOW_EQ, gt, False), post=LOW_EQ)
+    out["if-sync"] = W.apply_rhl_rule("IfSync", [jt, jf], cond1=g, cond2=g, pre=LOW_EQ)
+    high_if = W.parse_while("if h then l := 1 else skip")
+    out["if-leak"] = W.RHLInstance(SIG, high_if, high_if, LOW_EQ, LOW_EQ)
+    dec = W.apply_rhl_rule("Assign", sig=SIG, loc1="l", expr1=_expr("l - 1"),
+                           loc2="l", expr2=_expr("l - 1"), post=LOW_EQ)
+    jb = W.apply_rhl_rule("Consequence", [dec], pre=_guarded(LOW_EQ, gt, True), post=LOW_EQ)
+    out["while-sync"] = W.apply_rhl_rule("WhileSync", [jb], cond1=g, cond2=g, inv=LOW_EQ)
+    loop = out["while-sync"].left
+    out["while-wrong-post"] = W.RHLInstance(
+        SIG, loop, loop, LOW_EQ, W.rel_table(SIG, lambda i, j: _lo(i) == 1 and _lo(j) == 1))
+    return out
+
+
+# Verdicts, and the point of the first refutation, as the quadruple-table
+# embedding decided them.
+ADMISSIBLE = {
+    "assign": ("holds", None),
+    "assign-two-locations": ("holds", None),
+    "assign-leak": ("fails", 1),
+    "if-sync": ("holds", None),
+    "if-leak": ("fails", 1),
+    "while-sync": ("holds", None),
+    "while-wrong-post": ("fails", 0),
+}
+
+
+def test_admissible_verdicts_of_rule_built_and_hand_made_instances():
+    insts = _rhl_instances()
+    assert set(insts) == set(ADMISSIBLE)
+    assert W.show_stmt(insts["if-sync"].left) == "if l then l := 1 else skip"
+    assert W.show_stmt(insts["while-sync"].left) == "while l do l := l - 1"
+    for name, inst in insts.items():
+        v = W.admissible(inst)
+        point = v.inner.point if v.failed else None
+        assert (v.kind, point) == ADMISSIBLE[name], name
