@@ -8,7 +8,7 @@ checkers enumerate everything they quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 
@@ -17,12 +17,24 @@ class FiniteDomain:
     name: str
     size: int
     labels: Optional[Tuple[str, ...]] = None
+    # Domains key every memo table, and a generated hash would rehash the
+    # label tuple on each lookup; it is taken once here instead.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"domain {self.name!r} must be inhabited, got size {self.size}")
         if self.labels is not None and len(self.labels) != self.size:
             raise ValueError(f"domain {self.name!r}: {len(self.labels)} labels for size {self.size}")
+        object.__setattr__(self, "_hash", hash((self.name, self.size, self.labels)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild through the
+        # constructor rather than carry the stored hash
+        return FiniteDomain, (self.name, self.size, self.labels)
 
     def value(self, index: int) -> "Value":
         if not 0 <= index < self.size:

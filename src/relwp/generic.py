@@ -153,7 +153,9 @@ def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
     A demand of the result picks one demand from each continuation named by
     a demand of `w` and unions them.  Partial unions are pruned to minimal
     ones as the product unrolls; a superset at any stage stays a superset
-    under every completion, so the pruning loses nothing.
+    under every completion, so the pruning loses nothing.  A deterministic
+    `w`, whose one demand is a single outcome, yields that outcome's
+    continuation as it stands: it is already an antichain.
     """
     table = tuple(table)
     if len(table) != w.dom.size:
@@ -163,6 +165,11 @@ def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
     for t in table:
         if t.dom != rdom:
             raise ValueError("continuation table mixes outcome domains")
+    if len(w.demands) == 1:
+        (d,) = w.demands
+        if len(d) == 1:
+            (o,) = d
+            return table[o]
     fams = set()
     for d in w.demands:
         pools = [table[o].demands for o in sorted(d)]
@@ -375,9 +382,23 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     case (wrapped side raised, other side returned) through the other
     side's continuation via its tau embedding, then pins the pair of a
     rethrown exception with that continuation's result.
+
+    The continuation tables made only of inner units (the units appended
+    for raised exceptions, and the tables that pin one side's result while
+    the other side's continuation runs, in rethrows and in tau) depend on
+    result domains alone, never on the payloads, so the carrier builds each
+    one once per domain signature and keeps it for every later call.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    tables = {}
+
+    def once(key, build):
+        out = tables.get(key)
+        if out is None:
+            out = tables[key] = build()
+        return out
 
     def sdom(a: FiniteDomain) -> FiniteDomain:
         return sum_domain(a, e)
@@ -389,44 +410,42 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         return Value(sdom(adom), inr_index(adom, e, j))
 
     if side == "left":
+        unit1 = inner.ret1(UNIT_VAL)
+
         def ret1(a: Value):
             return inner.ret1(inl(a))
 
-        def bind1(w, table, bdom):
-            table = tuple(table)
-            full = table + tuple(inner.ret1(inr(bdom, j)) for j in range(e.size))
-            return inner.bind1(w, full, sdom(bdom))
+        def raises(bdom):
+            # the unit at each exception, appended to a continuation table
+            return once(("raises", bdom),
+                        lambda: tuple(inner.ret1(inr(bdom, j)) for j in range(e.size)))
 
-        def rethrow(w2, b1dom, j, b2dom):
-            # pair a rethrown left exception with whatever the right
-            # continuation produces, keeping its effect on the right spec
-            bsum = sdom(b1dom)
-            f1t = (inner.ret1(Value(bsum, inr_index(b1dom, e, j))),)
-            f2t = tuple(inner.ret2(v) for v in b2dom.values())
-            frelt = ((tuple(inner.ret_rel(Value(bsum, inr_index(b1dom, e, j)), v)
-                            for v in b2dom.values())),)
-            return inner.bind_rel(inner.ret1(UNIT_VAL), w2, inner.tau2(w2, b2dom),
-                                  f1t, f2t, frelt, bsum, b2dom)
+        def bind1(w, table, bdom):
+            return inner.bind1(w, tuple(table) + raises(bdom), sdom(bdom))
+
+        def pin(w2, b1val, b2dom):
+            # pair a fixed left result with whatever the right continuation
+            # produces, keeping its effect on the right spec
+            f1t, f2t, frelt = once(("pin", b1val, b2dom), lambda: (
+                (inner.ret1(b1val),),
+                tuple(inner.ret2(v) for v in b2dom.values()),
+                (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
+            ))
+            return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
+                                  b1val.domain, b2dom)
 
         def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
             f1 = tuple(f1)
             f2 = tuple(f2)
-            bsum = sdom(b1dom)
-            f1x = f1 + tuple(inner.ret1(Value(bsum, inr_index(b1dom, e, j)))
-                             for j in range(e.size))
             frelx = [tuple(frel[a1][a2] for a2 in range(len(f2))) for a1 in range(len(f1))]
             for j in range(e.size):
-                frelx.append(tuple(rethrow(f2[a2], b1dom, j, b2dom)
-                                   for a2 in range(len(f2))))
-            return inner.bind_rel(m1, m2, mrel, f1x, f2, tuple(frelx), bsum, b2dom)
+                thrown = inr(b1dom, j)
+                frelx.append(tuple(pin(w2, thrown, b2dom) for w2 in f2))
+            return inner.bind_rel(m1, m2, mrel, f1 + raises(b1dom), f2, tuple(frelx),
+                                  sdom(b1dom), b2dom)
 
         def tau2(w2, a2dom):
-            usum = sdom(UNIT)
-            f1t = (inner.ret1(Value(usum, 0)),)
-            f2t = tuple(inner.ret2(v) for v in a2dom.values())
-            frelt = (tuple(inner.ret_rel(Value(usum, 0), v) for v in a2dom.values()),)
-            return inner.bind_rel(inner.ret1(UNIT_VAL), w2, inner.tau2(w2, a2dom),
-                                  f1t, f2t, frelt, usum, a2dom)
+            return pin(w2, Value(sdom(UNIT), 0), a2dom)
 
         return FullSpecMonad(
             name=f"exct-left[{e.name}]({inner.name})",
@@ -448,43 +467,41 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
             gen_rel=lambda rng, a1, a2: inner.gen_rel(rng, sdom(a1), a2),
         )
 
+    unit2 = inner.ret2(UNIT_VAL)
+
     def ret2(a: Value):
         return inner.ret2(inl(a))
 
-    def bind2(w, table, bdom):
-        table = tuple(table)
-        full = table + tuple(inner.ret2(inr(bdom, j)) for j in range(e.size))
-        return inner.bind2(w, full, sdom(bdom))
+    def raises(bdom):
+        return once(("raises", bdom),
+                    lambda: tuple(inner.ret2(inr(bdom, j)) for j in range(e.size)))
 
-    def rethrow(w1, b1dom, j, b2dom):
-        bsum = sdom(b2dom)
-        f1t = tuple(inner.ret1(v) for v in b1dom.values())
-        f2t = (inner.ret2(Value(bsum, inr_index(b2dom, e, j))),)
-        frelt = tuple((inner.ret_rel(v, Value(bsum, inr_index(b2dom, e, j))),)
-                      for v in b1dom.values())
-        return inner.bind_rel(w1, inner.ret2(UNIT_VAL), inner.tau1(w1, b1dom),
-                              f1t, f2t, frelt, b1dom, bsum)
+    def bind2(w, table, bdom):
+        return inner.bind2(w, tuple(table) + raises(bdom), sdom(bdom))
+
+    def pin(w1, b1dom, b2val):
+        f1t, f2t, frelt = once(("pin", b1dom, b2val), lambda: (
+            tuple(inner.ret1(v) for v in b1dom.values()),
+            (inner.ret2(b2val),),
+            tuple((inner.ret_rel(v, b2val),) for v in b1dom.values()),
+        ))
+        return inner.bind_rel(w1, unit2, inner.tau1(w1, b1dom), f1t, f2t, frelt,
+                              b1dom, b2val.domain)
 
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
         f1 = tuple(f1)
         f2 = tuple(f2)
-        bsum = sdom(b2dom)
-        f2x = f2 + tuple(inner.ret2(Value(bsum, inr_index(b2dom, e, j)))
-                         for j in range(e.size))
+        thrown = tuple(inr(b2dom, j) for j in range(e.size))
         frelx = []
         for a1 in range(len(f1)):
             row = tuple(frel[a1][a2] for a2 in range(len(f2)))
-            row += tuple(rethrow(f1[a1], b1dom, j, b2dom) for j in range(e.size))
+            row += tuple(pin(f1[a1], b1dom, b2val) for b2val in thrown)
             frelx.append(row)
-        return inner.bind_rel(m1, m2, mrel, f1, f2x, tuple(frelx), b1dom, bsum)
+        return inner.bind_rel(m1, m2, mrel, f1, f2 + raises(b2dom), tuple(frelx),
+                              b1dom, sdom(b2dom))
 
     def tau1(w1, a1dom):
-        usum = sdom(UNIT)
-        f1t = tuple(inner.ret1(v) for v in a1dom.values())
-        f2t = (inner.ret2(Value(usum, 0)),)
-        frelt = tuple((inner.ret_rel(v, Value(usum, 0)),) for v in a1dom.values())
-        return inner.bind_rel(w1, inner.ret2(UNIT_VAL), inner.tau1(w1, a1dom),
-                              f1t, f2t, frelt, a1dom, usum)
+        return pin(w1, a1dom, Value(sdom(UNIT), 0))
 
     return FullSpecMonad(
         name=f"exct-right[{e.name}]({inner.name})",
@@ -1434,29 +1451,30 @@ def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
     tables1 = list(product(pool1, repeat=a.size))[:table_limit]
     tables2 = list(product(pool2, repeat=a.size))[:table_limit]
 
-    for m1 in ms1:
-        for f1 in tables1:
-            run.equiv(monad.leq1,
-                      th.theta1(P.bind(m1, tuple(f1))),
-                      monad.bind1(th.theta1(m1), tuple(th.theta1(p) for p in f1), a),
+    # observations of table entries, of entry pairs and of bound programs
+    # do not depend on the instance that uses them: take each one once
+    thf1 = [tuple(th.theta1(p) for p in f1) for f1 in tables1]
+    thf2 = [tuple(th.theta2(p) for p in f2) for f2 in tables2]
+    thfrel = [[tuple(tuple(th.theta_rel(p1, p2) for p2 in f2) for p1 in f1)
+               for f2 in tables2] for f1 in tables1]
+    bound1 = [[P.bind(m1, tuple(f1)) for f1 in tables1] for m1 in ms1]
+    bound2 = [[P.bind(m2, tuple(f2)) for f2 in tables2] for m2 in ms2]
+
+    for m1, binds1 in zip(ms1, bound1):
+        for c1, thf in zip(binds1, thf1):
+            run.equiv(monad.leq1, th.theta1(c1), monad.bind1(th.theta1(m1), thf, a),
                       "bind", "left")
-    for m2 in ms2:
-        for f2 in tables2:
-            run.equiv(monad.leq2,
-                      th.theta2(P.bind(m2, tuple(f2))),
-                      monad.bind2(th.theta2(m2), tuple(th.theta2(p) for p in f2), a),
+    for m2, binds2 in zip(ms2, bound2):
+        for c2, thf in zip(binds2, thf2):
+            run.equiv(monad.leq2, th.theta2(c2), monad.bind2(th.theta2(m2), thf, a),
                       "bind", "right")
-    for m1 in ms1:
-        for m2 in ms2:
-            for f1 in tables1:
-                for f2 in tables2:
-                    frel = tuple(tuple(th.theta_rel(p1, p2) for p2 in f2) for p1 in f1)
+    for m1, binds1 in zip(ms1, bound1):
+        for m2, binds2 in zip(ms2, bound2):
+            thm1, thm2, thmrel = th.theta1(m1), th.theta2(m2), th.theta_rel(m1, m2)
+            for c1, f1, frels in zip(binds1, thf1, thfrel):
+                for c2, f2, frel in zip(binds2, thf2, frels):
                     run.equiv(monad.leq_rel,
-                              th.theta_rel(P.bind(m1, tuple(f1)), P.bind(m2, tuple(f2))),
-                              monad.bind_rel(th.theta1(m1), th.theta2(m2),
-                                             th.theta_rel(m1, m2),
-                                             tuple(th.theta1(p) for p in f1),
-                                             tuple(th.theta2(p) for p in f2),
-                                             frel, a, a),
+                              th.theta_rel(c1, c2),
+                              monad.bind_rel(thm1, thm2, thmrel, f1, f2, frel, a, a),
                               "bind", "relational")
     return run.report()

@@ -92,14 +92,22 @@ def store_signature(locations: Sequence[str], values: FiniteDomain,
     return StoreSignature(locs, values, lab)
 
 
+# Built store domains by signature, so labels are formatted once; a plain
+# dict keeps store_domain an ordinary function, as in `domains`.
+_STORE_DOMAINS: Dict[StoreSignature, FiniteDomain] = {}
+
+
 def store_domain(sig: StoreSignature) -> FiniteDomain:
-    size = sig.values.size ** len(sig.locations)
-    name = "store[" + ",".join(sig.locations) + f":{sig.values.size}]"
-    labels = None
-    if size <= 64:
-        labels = tuple(",".join(f"{l}={v}" for l, v in zip(sig.locations, _digits(sig, i)))
-                       for i in range(size))
-    return domain(name, size, labels)
+    out = _STORE_DOMAINS.get(sig)
+    if out is None:
+        size = sig.values.size ** len(sig.locations)
+        name = "store[" + ",".join(sig.locations) + f":{sig.values.size}]"
+        labels = None
+        if size <= 64:
+            labels = tuple(",".join(f"{l}={v}" for l, v in zip(sig.locations, _digits(sig, i)))
+                           for i in range(size))
+        out = _STORE_DOMAINS[sig] = domain(name, size, labels)
+    return out
 
 
 def _digits(sig: StoreSignature, idx: int) -> Tuple[int, ...]:

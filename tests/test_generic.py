@@ -181,10 +181,26 @@ def test_map_agrees_with_postcondition_composition(seed):
 
 def test_bind_rejects_short_tables_and_mixed_domains():
     d = domain("D", 3)
-    with pytest.raises(ValueError, match="must cover"):
-        G.wp_bind(G.wp_weakest(d), [G.wp_weakest(d)])
-    with pytest.raises(ValueError, match="mixes"):
-        G.wp_bind(G.wp_weakest(d), [G.wp_weakest(d), G.wp_weakest(Z2), G.wp_weakest(d)])
+    # a deterministic middle spec takes the same checks before its shortcut
+    for w in (G.wp_weakest(d), G.wp_ret(d, 0)):
+        with pytest.raises(ValueError, match="must cover"):
+            G.wp_bind(w, [G.wp_weakest(d)])
+        with pytest.raises(ValueError, match="mixes"):
+            G.wp_bind(w, [G.wp_weakest(d), G.wp_weakest(Z2), G.wp_weakest(d)])
+
+
+def test_deterministic_bind_matches_the_pruning_path():
+    # {{o}, {o, p}} is the same transformer as {{o}} but, with two demands,
+    # is composed by the general product-and-prune path
+    rng = random.Random(2024)
+    d, r = domain("D", 4), domain("R", 5)
+    for _ in range(200):
+        table = [G.random_wp(rng, r) for _ in range(d.size)]
+        o, p = rng.sample(range(d.size), 2)
+        got = G.wp_bind(G.wp_ret(d, o), table)
+        slow = G.wp_bind(G.Wp(d, frozenset({frozenset({o}), frozenset({o, p})})), table)
+        assert got is table[o]
+        assert got == slow, (o, table)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +329,39 @@ def test_exception_binds_agree_with_the_hand_written_carrier():
         assert_wp_equiv(hand, built)
 
 
+def _wide_wp(rng, dom):
+    """A random transformer whose demands all name two outcomes or more, so
+    no bind through it takes the deterministic shortcut."""
+    return G.wp(dom, [rng.sample(range(dom.size), rng.randint(2, dom.size))
+                      for _ in range(rng.randint(1, 3))])
+
+
+def test_one_carrier_serves_continuations_over_several_domains():
+    # the carrier keeps unit tables by domain signature; alternating the
+    # domains through one carrier catches a key that leaves one out
+    monad = G.wrelexc_monad(EL, ER)
+    rng = random.Random(7)
+    for _ in range(3):
+        for a1d, a2d, b1d, b2d in product((Z2, Z3), repeat=4):
+            s1b, s2b = sum_domain(b1d, EL), sum_domain(b2d, ER)
+            wm = _wide_wp(rng, product_domain(sum_domain(a1d, EL), sum_domain(a2d, ER)))
+            f1 = [_wide_wp(rng, s1b) for _ in range(a1d.size)]
+            f2 = [_wide_wp(rng, s2b) for _ in range(a2d.size)]
+            frel = [[_wide_wp(rng, product_domain(s1b, s2b)) for _ in range(a2d.size)]
+                    for _ in range(a1d.size)]
+            hand = G.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
+            built = monad.bind_rel(monad.gen1(rng, a1d), monad.gen2(rng, a2d), wm,
+                                   [_pad1(x) for x in f1], [_pad2(x) for x in f2],
+                                   frel, b1d, b2d)
+            assert_wp_equiv(hand, built)
+            # unary: raised exceptions pass through as units of the new domain
+            m1 = _wide_wp(rng, product_domain(sum_domain(a1d, EL), UNIT))
+            raises = [G.wp_ret(product_domain(s1b, UNIT), b1d.size + j)
+                      for j in range(EL.size)]
+            assert_wp_equiv(monad.bind1(m1, [_pad1(x) for x in f1], b1d),
+                            G.wp_bind(m1, [_pad1(x) for x in f1] + raises))
+
+
 def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
     # left already raised e0, right still runs: the raise is pinned while
     # the right continuation picks its result
@@ -384,6 +433,17 @@ def test_observation_is_strict_for_unit_and_sequencing():
     rep = G.check_exc_strictness(EL, ER, Z2, depth=3)
     assert rep.ok, rep.failures[:5]
     assert rep.checked > 4000
+
+
+def test_strictness_builds_each_unit_once(monkeypatch):
+    # units come from per-carrier tables and each program is observed once
+    # (852,752 wp_ret calls before either)
+    calls = []
+    real = G.wp_ret
+    monkeypatch.setattr(G, "wp_ret", lambda *a: calls.append(a) or real(*a))
+    rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
+    assert rep.ok and rep.checked == 4232
+    assert len(calls) <= 5538
 
 
 def test_observation_rejects_foreign_signatures():

@@ -126,6 +126,18 @@ def test_ni_needs_labels():
         W.ni_judgment(W.parse_while("l := h"), sig)
 
 
+def test_store_domain_is_built_once_per_signature():
+    sig = _store(("l", "h"), 2)
+    dom = W.store_domain(sig)
+    assert W.store_domain(sig) is dom
+    assert W.store_domain(_store(("l", "h"), 2)) is dom
+    assert dom.name == "store[l,h:2]"
+    assert dom.labels == ("l=0,h=0", "l=0,h=1", "l=1,h=0", "l=1,h=1")
+    # past 64 stores no labels are formatted
+    assert W.store_domain(_store(("l", "h", "m", "k"), 3)).labels is None
+    assert W.store_domain(_store(("l", "h"), 3)) is not dom
+
+
 # ---------------------------------------------------------------------------
 # The final-state embedding against the quadruple table
 
