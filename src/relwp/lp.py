@@ -77,6 +77,13 @@ def max_min_affine(pieces: Sequence[Tuple[Fraction, Sequence[Fraction]]], dim: i
     """
     if not pieces:
         raise ValueError("need at least one affine piece")
+    if len(pieces) == 1:
+        # The vertex Bland's rule reaches: each coordinate with a positive
+        # coefficient at 1, the rest at 0.
+        k, coeffs = pieces[0]
+        cs = [Fraction(c) for c in coeffs]
+        phi = tuple(ONE if c > 0 else ZERO for c in cs)
+        return Fraction(k) + sum(c for c in cs if c > 0), phi
     # Shift t so the start t' = t + shift is feasible and nonnegative at phi = 0.
     low = min(Fraction(k) for k, _ in pieces)
     shift = ONE - min(ZERO, low)
@@ -90,6 +97,19 @@ def max_min_affine(pieces: Sequence[Tuple[Fraction, Sequence[Fraction]]], dim: i
         rhs.append(ONE)
     value, x = simplex_max([ONE] + [ZERO] * dim, rows, rhs)
     return value - shift, tuple(x[1:])
+
+
+def box_upper_bound(pieces: Sequence[Tuple[Fraction, Sequence[Fraction]]]) -> Fraction:
+    """An upper bound on `max_min_affine(pieces, dim)`, without an LP.
+
+    Each piece alone peaks over the box at k_i + sum_j max(c_ij, 0), and a
+    minimum never exceeds any of its terms.  The bound is exact for a
+    single piece; a caller that only needs to know whether the maximum is
+    <= 0 can skip the LP whenever this already is.
+    """
+    if not pieces:
+        raise ValueError("need at least one affine piece")
+    return min(k + sum(c for c in coeffs if c > 0) for k, coeffs in pieces)
 
 
 def _solve_tree(p: Sequence[Fraction], q: Sequence[Fraction], cells) -> Optional[Tuple[Fraction, ...]]:

@@ -25,6 +25,7 @@ conclusion would eventually flunk its oracle.
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -154,29 +155,67 @@ def _effect_matches(effect: str, declared: str) -> bool:
     return effect in _EFFECT_KIN.get(declared, (declared,))
 
 
+# The memo of the check in progress, (family, valuation) -> value; None
+# while no `check_derivation` or `oracle_check` runs.
+_MEMO: ContextVar[Optional[dict]] = ContextVar("relwp_rules_memo", default=None)
+
+
+_MISSING = object()
+
+
+class _EvaluationScope:
+    """While open, every judgment family is evaluated once per valuation.
+    A nested scope reuses the open one, and the memo goes when the
+    outermost scope closes."""
+
+    __slots__ = ("token",)
+
+    def __enter__(self):
+        self.token = _MEMO.set({}) if _MEMO.get() is None else None
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _MEMO.reset(self.token)
+
+
+def _read(family, g: Valuation):
+    memo = _MEMO.get()
+    if memo is None:
+        return family(g)
+    key = (family, g)
+    out = memo.get(key, _MISSING)
+    if out is _MISSING:
+        out = memo[key] = family(g)
+    return out
+
+
 @dataclass(frozen=True)
 class Judgment:
     """c1 ~ c2 {w} under an observation, over a context of free variables.
 
-    c1, c2, w are families: callables from context valuations to Program,
-    Program, and RelSpec.  Closed judgments use the empty context, whose
-    single valuation is ().
+    The families are callables from context valuations to Program, Program,
+    and RelSpec; they must be pure, since a check evaluates each of them
+    once per valuation and reuses the result.  Read them through `c1`, `c2`
+    and `w`.  Closed judgments use the empty context, whose single
+    valuation is ().
     """
 
     env: Env
-    c1: Callable[[Valuation], Program]
-    c2: Callable[[Valuation], Program]
-    w: Callable[[Valuation], RelSpec]
+    c1_family: Callable[[Valuation], Program]
+    c2_family: Callable[[Valuation], Program]
+    w_family: Callable[[Valuation], RelSpec]
     observation: EffectObservation
 
-    def left(self, g: Valuation = ()) -> Program:
-        return self.c1(g)
+    def c1(self, g: Valuation = ()) -> Program:
+        return _read(self.c1_family, g)
 
-    def right(self, g: Valuation = ()) -> Program:
-        return self.c2(g)
+    def c2(self, g: Valuation = ()) -> Program:
+        return _read(self.c2_family, g)
 
-    def spec(self, g: Valuation = ()) -> RelSpec:
-        return self.w(g)
+    def w(self, g: Valuation = ()) -> RelSpec:
+        return _read(self.w_family, g)
+
+    left, right, spec = c1, c2, w
 
 
 def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) -> Judgment:
@@ -1245,7 +1284,8 @@ def check_derivation(d: Derivation, cap: int = DEFAULT_CAP, seed: int = 0) -> Ch
                                                 f"differs at {where} ({v.kind})")
         return _OK
 
-    return walk(d, ())
+    with _EvaluationScope():
+        return walk(d, ())
 
 
 # ---------------------------------------------------------------------------
@@ -1281,14 +1321,15 @@ def oracle_check(j: Judgment, cap: int = DEFAULT_CAP, seed: int = 0) -> OracleVe
     """Decide the judgment semantically at every context valuation."""
     first_unknown = None
     n = 0
-    for g in j.env.valuations():
-        n += 1
-        theta = j.observation(j.c1(g), j.c2(g))
-        v = spec_leq(theta, j.w(g), cap, seed)
-        if v.failed:
-            return OracleVerdict("fails", n, g, v)
-        if v.is_unknown and first_unknown is None:
-            first_unknown = (g, v)
+    with _EvaluationScope():
+        for g in j.env.valuations():
+            n += 1
+            theta = j.observation(j.c1(g), j.c2(g))
+            v = spec_leq(theta, j.w(g), cap, seed)
+            if v.failed:
+                return OracleVerdict("fails", n, g, v)
+            if v.is_unknown and first_unknown is None:
+                first_unknown = (g, v)
     if first_unknown is not None:
         return OracleVerdict("unknown", n, first_unknown[0], first_unknown[1])
     return OracleVerdict("holds", n)

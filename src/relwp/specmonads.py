@@ -23,11 +23,12 @@ Propositional transformer bodies come in two interchangeable shapes: a
 demonic table mapping each precondition point to either VIOLATED or the
 set of outcomes that must all satisfy the postcondition, and a bare
 closure.  Operations preserve the demonic shape whenever their inputs
-carry it, comparisons of demonic specs are exact set inclusions, and
-closures fall back to postcondition enumeration with an honest Unknown
-verdict past the cap.  The quantitative carrier stores a minimum of
-affine pieces with rational coefficients where it can and compares
-exactly by linear programming.
+carry it, comparisons against a demonic spec are exact (set inclusion,
+or one probe of the monotone left side per point), and closure pairs fall
+back to postcondition enumeration with an honest Unknown verdict past the
+cap.  The quantitative carrier stores a minimum of affine pieces with
+rational coefficients where it can and compares exactly by linear
+programming.
 
 Pre/post pairs become demonic tables in two ways.  `from_prepost` embeds
 a PPrelSt pair whose post may read the initial states, at the price of a
@@ -510,6 +511,13 @@ def demonic_spec(space: OutcomeSpace, table) -> RelSpec:
 
 
 def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
+    """Spec from a closure (postcondition, point) -> bool.
+
+    The closure must be monotone in the postcondition: if it accepts phi at
+    a point it accepts every phi' containing phi there.  Every operation
+    here preserves that, and `spec_leq` relies on it to decide a closure
+    against a demonic spec with one probe per point.
+    """
     if space.tag not in PROPOSITIONAL_TAGS or space.tag == "WrelIO":
         raise ValueError(f"closures need a fixed propositional carrier, not {space.tag}")
     return RelSpec(space.tag, space, closure=fn)
@@ -600,8 +608,7 @@ def prune_pieces(pieces: List[Tuple[Fraction, Tuple[Fraction, ...]]], exact: boo
         others = work[:i] + work[i + 1:]
         k_i, c_i = work[i]
         diff = [(k - k_i, tuple(a - b for a, b in zip(cs, c_i))) for k, cs in others]
-        val, _ = lp.max_min_affine(diff, dim)
-        if val <= 0:
+        if lp.box_upper_bound(diff) <= 0 or lp.max_min_affine(diff, dim)[0] <= 0:
             work.pop(i)
         else:
             i += 1
@@ -1007,13 +1014,22 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
 def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> LeqVerdict:
     """Decide w <= w2.
 
-    Demonic pairs compare exactly by per-point set inclusion.  Otherwise
-    propositional carriers enumerate every postcondition while the
-    outcome space stays within log2(cap), then fall back to constants,
-    singletons, co-singletons and cap-many seeded random tables,
-    answering Unknown when nothing refutes.  Quantitative pairs with
-    explicit pieces compare exactly by linear programming; quantitative
-    closures are only ever refuted, never confirmed.
+    The propositional carriers take the first path that applies:
+
+      demonic pair     exact, per-point set inclusion;
+      demonic right    exact, one probe per point: w evaluated at w2's
+                       entry there (VIOLATED points skipped), which decides
+                       the point because every transformer is monotone;
+      enumeration      every postcondition, while the outcome space stays
+                       within log2(cap);
+      sampling         constants, singletons, co-singletons and cap-many
+                       seeded random tables, answering Unknown when nothing
+                       refutes.
+
+    Quantitative pairs with explicit pieces compare exactly: per piece of
+    w2, a box bound settles the difference family without an LP when it
+    is already <= 0, and linear programming decides the rest.
+    Quantitative closures are only ever refuted, never confirmed.
     """
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
@@ -1055,6 +1071,8 @@ def _leq_prob(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
     if w.pieces is not None and w2.pieces is not None:
         for k2, c2 in w2.pieces:
             diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]
+            if lp.box_upper_bound(diff) <= 0:
+                continue
             val, phi = lp.max_min_affine(diff, n)
             if val > 0:
                 return _fails(phi, note="left exceeds right at this table")
@@ -1106,7 +1124,19 @@ def _leq_fixed(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
                 return _fails(frozenset(r2), point=pt,
                               note="right holds but left does not at this point")
         return HOLDS
-    ev1, ev2 = _fast_eval(w), _fast_eval(w2)
+    ev1 = _fast_eval(w)
+    if w2.is_demonic:
+        # w2 accepts exactly the supersets of its entry at each point, and w
+        # is monotone, so w fails on one of them iff it fails on the entry
+        # itself, the smallest such superset and the one enumeration meets
+        # first.
+        for pt in space.points():
+            m2 = w2.mask_at(pt)
+            if m2 != -1 and not ev1(m2, pt):
+                return _fails(frozenset(w2.demonic_at(pt)), point=pt,
+                              note="right holds but left does not at this point")
+        return HOLDS
+    ev2 = _fast_eval(w2)
     if 2 ** n <= cap:
         full = range(2 ** n)
         for pt in space.points():

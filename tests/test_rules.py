@@ -799,3 +799,102 @@ def test_differential_reports_an_unsound_sampler():
     assert rep.fails == 3 and not rep.clean
     node, verdict = rep.failures[0]
     assert node is bad and verdict.failed
+
+
+# ---------------------------------------------------------------------------
+# One evaluation of each judgment family per valuation per check
+
+
+class _Counted:
+    """A judgment family that counts its calls per valuation."""
+
+    def __init__(self, family):
+        self.family = family
+        self.calls = {}
+
+    def __call__(self, g):
+        self.calls[g] = self.calls.get(g, 0) + 1
+        return self.family(g)
+
+
+def _counted_leaf(d, counters):
+    j = d.conclusion
+    fams = [_Counted(lambda g, f=f: f(g)) for f in (j.c1, j.c2, j.w)]
+    counters.extend(fams)
+    return R.Derivation(R.Judgment(j.env, *fams, j.observation), d.rule, ())
+
+
+def _depth3_with_counted_leaves():
+    """Weaken(Bind(GetR, GetL)), both leaves read through counting families;
+    the GetL leaf has two valuations."""
+    counters = []
+    jm = R.derive("GetR", sig1=SSIG, sig2=SSIG, a1=UNIT_VAL)
+    env2 = R.EMPTY_ENV.extend(("u", UNIT), ("s2", Z2))
+    jf = R.derive("GetL", sig1=SSIG, sig2=SSIG, env=env2, a2=lambda g: g[1])
+    bind = R.derive("Bind", (_counted_leaf(jm, counters), _counted_leaf(jf, counters)))
+    root = R.derive("Weaken", (bind,), w=bind.conclusion.w)
+    for c in counters:
+        c.calls.clear()
+    return root, counters
+
+
+def test_check_derivation_evaluates_each_family_once_per_valuation():
+    root, counters = _depth3_with_counted_leaves()
+    assert R.check_derivation(root).ok
+    for c in counters:
+        assert c.calls and set(c.calls.values()) == {1}, c.calls
+    assert len(counters[3].calls) == 2    # both valuations of the GetL leaf
+    for c in counters:
+        c.calls.clear()
+    assert R.oracle_check(root.conclusion).holds
+    leaf_w = counters[5]
+    assert set(leaf_w.calls.values()) == {1}
+
+
+def test_no_memo_outlives_a_check():
+    root, counters = _depth3_with_counted_leaves()
+    assert R.check_derivation(root).ok and R.oracle_check(root.conclusion).holds
+    assert R._MEMO.get() is None
+    leaf = root.premises[0].premises[0].conclusion
+    leaf_w = counters[2]
+    leaf_w.calls.clear()
+    leaf.w(())
+    leaf.w(())
+    assert leaf_w.calls[()] == 2
+    # nested checks share the scope that is open
+    leaf_w.calls.clear()
+    with R._EvaluationScope():
+        R.oracle_check(leaf)
+        R.oracle_check(leaf)
+        assert R._MEMO.get() is not None
+    assert leaf_w.calls[()] == 1 and R._MEMO.get() is None
+
+    def broken(_g):
+        raise RuntimeError("family failed")
+    bad = R.Judgment(leaf.env, leaf.c1, leaf.c2, broken, leaf.observation)
+    with pytest.raises(RuntimeError):
+        R.oracle_check(bad)
+    assert R._MEMO.get() is None
+
+
+def test_corrupted_inner_conclusions_fail_where_they_did():
+    root, _ = _depth3_with_counted_leaves()
+    bind = root.premises[0]
+    jb = bind.conclusion
+    fake = R.judgment(jb.observation, jb.c1, jb.c2, sm.weakest(jb.spec().space))
+    tampered = R.Derivation(root.conclusion, root.rule,
+                            (R.Derivation(fake, bind.rule, bind.premises),))
+    res = R.check_derivation(tampered)
+    assert (res.ok, res.path, res.message) == (
+        False, (0,), "Bind: conclusion spec differs at the empty context (fails)")
+
+    leaf = bind.premises[1]
+    jl = leaf.conclusion
+    other = P.ret(SSIG, Z2.value(0))
+    bad_c2 = lambda g: other if g[1].index == 1 else jl.c2(g)
+    bad_leaf = R.Derivation(R.judgment(jl.observation, jl.c1, bad_c2, jl.w, jl.env),
+                            leaf.rule, ())
+    bad_bind = R.derive("Bind", (bind.premises[0], bad_leaf))
+    res = R.check_derivation(R.derive("Weaken", (bad_bind,), w=bad_bind.conclusion.w))
+    assert (res.ok, res.path, res.message) == (
+        False, (0, 1), "GetL: right program differs at u=(), s2=1")

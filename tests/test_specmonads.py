@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relwp import lp
+from relwp import observations as O
 from relwp import specmonads as sm
 from relwp.domains import BOOL, UNIT, Value, domain
-from relwp.programs import IN, OUT, bind, get, get_state, put, ret, run_state, state_sig
+from relwp.genprog import random_program
+from relwp.programs import (IN, OUT, bind, choice, get, get_state, ndet_sig, put, ret,
+                            run_state, state_sig)
 
 Z2 = domain("Z2", 2)
 Z3 = domain("Z3", 3)
@@ -703,3 +706,185 @@ def test_leq_prob_matches_grid_sampling(seed):
             assert w1.at(phi) <= w2.at(phi)
     else:
         assert w1.at(v.phi) > w2.at(v.phi)
+
+
+# ---------------------------------------------------------------------------
+# The box bound and the single-piece closed form against the simplex
+
+
+def _lp_max_min_affine(pieces, dim):
+    # The box LP written out here and always solved: maximize t subject to
+    # t <= k_i + <c_i, phi> and 0 <= phi <= 1, with t shifted nonnegative.
+    shift = 1 - min(F(0), min(F(k) for k, _ in pieces))
+    rows = [[F(1)] + [-F(c) for c in cs] for _, cs in pieces]
+    rows += [[F(0)] * (j + 1) + [F(1)] + [F(0)] * (dim - j - 1) for j in range(dim)]
+    rhs = [F(k) + shift for k, _ in pieces] + [F(1)] * dim
+    value, x = lp.simplex_max([F(1)] + [F(0)] * dim, rows, rhs)
+    return value - shift, tuple(x[1:])
+
+
+def _random_family(rng, dim, count):
+    # Signed coefficients: difference families are what the bound meets.
+    return [(F(rng.randrange(-4, 5), 4), tuple(F(rng.randrange(-4, 5), 4) for _ in range(dim)))
+            for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10 ** 9))
+def test_box_upper_bound_dominates_the_box_maximum(seed):
+    rng = random.Random(seed)
+    dim = rng.randrange(1, 5)
+    pieces = _random_family(rng, dim, rng.randrange(1, 5))
+    value, phi = lp.max_min_affine(pieces, dim)
+    bound = lp.box_upper_bound(pieces)
+    assert bound >= value
+    assert min(k + sum(c * p for c, p in zip(cs, phi)) for k, cs in pieces) == value
+    if len(pieces) == 1:
+        assert bound == value
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10 ** 9))
+def test_single_piece_closed_form_is_the_simplex_vertex(seed):
+    rng = random.Random(seed)
+    dim = rng.randrange(1, 6)
+    piece = _random_family(rng, dim, 1)
+    assert lp.max_min_affine(piece, dim) == _lp_max_min_affine(piece, dim)
+
+
+def test_single_piece_closed_form_leaves_flat_coordinates_at_zero():
+    value, phi = lp.max_min_affine([(F(-1, 2), (F(1, 4), F(0), F(-1)))], 3)
+    assert value == F(-1, 4)
+    assert phi == (F(1), F(0), F(0))
+    assert all(isinstance(p, F) for p in phi)
+
+
+def _leq_prob_reference(w1, w2):
+    for k2, c2 in w2.pieces:
+        diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w1.pieces]
+        val, phi = _lp_max_min_affine(diff, w1.space.size)
+        if val > 0:
+            return "fails", phi
+    return "holds", None
+
+
+def _prune_reference(pieces):
+    uniq = sorted(set(pieces))
+    if len(uniq) > sm._PIECE_DOMINANCE_LIMIT:
+        return tuple(uniq)
+    kept = [(k, cs) for k, cs in uniq
+            if not any(k2 <= k and all(a <= b for a, b in zip(cs2, cs)) and (k2, cs2) != (k, cs)
+                       for k2, cs2 in uniq)]
+    if len(kept) <= 1 or len(kept) > sm._PIECE_LP_PRUNE_LIMIT:
+        return tuple(kept)
+    work, i = list(kept), 0
+    while i < len(work) and len(work) > 1:
+        k_i, c_i = work[i]
+        diff = [(k - k_i, tuple(a - b for a, b in zip(cs, c_i)))
+                for k, cs in work[:i] + work[i + 1:]]
+        if _lp_max_min_affine(diff, len(c_i))[0] <= 0:
+            work.pop(i)
+        else:
+            i += 1
+    return tuple(work)
+
+
+def _random_monotone_pieces(rng, size, count):
+    return [(F(rng.randrange(4), 4), tuple(F(rng.randrange(3), 4) for _ in range(size)))
+            for _ in range(count)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10 ** 9))
+def test_leq_prob_and_prune_match_an_always_lp_reference(seed):
+    rng = random.Random(seed)
+    space = sm.prob_space(Z2, Z2)
+    raw1 = _random_monotone_pieces(rng, space.size, rng.randrange(1, 6))
+    raw2 = _random_monotone_pieces(rng, space.size, rng.randrange(1, 6))
+    for raw in (raw1, raw2):
+        assert sm.prune_pieces(raw) == _prune_reference(raw)
+    w1, w2 = sm.linear_spec(space, raw1), sm.linear_spec(space, raw2)
+    for lo, hi in ((w1, w2), (w2, w1), (w1, w1)):
+        v = sm.spec_leq(lo, hi)
+        assert (v.kind, v.phi) == _leq_prob_reference(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# A closure against a demonic spec: one probe per point
+
+
+def _random_up_closure(rng, space):
+    # The general monotone transformer: at each point, a union of demands.
+    demands = [[frozenset(o for o in space.outcomes() if rng.random() < 0.3)
+                for _ in range(rng.randrange(0, 3))] for _ in space.points()]
+    return sm.closure_spec(space, lambda f, pt: any(all(f(o) for o in d) for d in demands[pt]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10 ** 9))
+def test_demonic_right_probe_matches_enumeration(seed):
+    rng = random.Random(seed)
+    spaces = [sm.pure_space(Z2, Z3), sm.state_space(Z2, Z2, UNIT, Z2), sm.err_space(Z2, Z2)]
+    space = spaces[rng.randrange(len(spaces))]
+    demonic = _random_demonic(rng, space)
+    lefts = [_random_up_closure(rng, space), sm.drop_fast_form(_random_demonic(rng, space))]
+    for w in lefts:
+        fast = sm.spec_leq(w, demonic)
+        slow = sm.spec_leq(w, sm.drop_fast_form(demonic))
+        assert slow.kind in ("holds", "fails")
+        assert (fast.kind, fast.point, fast.phi) == (slow.kind, slow.point, slow.phi)
+        if fast.failed:
+            assert demonic.at(fast.phi, fast.point) and not w.at(fast.phi, fast.point)
+
+
+def test_exists_claim_on_d4_is_decided_past_the_cap():
+    d4 = domain("D4", 4)
+    sig = ndet_sig()
+
+    def rets(*idx):
+        out = ret(sig, d4.value(idx[0]))
+        for i in idx[1:]:
+            out = choice(out, ret(sig, d4.value(i)))
+        return out
+
+    space = sm.pure_space(d4, d4)
+    assert 2 ** space.size > sm.DEFAULT_CAP
+    diagonal = sm.demonic_spec(space, [frozenset(i * 4 + i for i in range(4))])
+    # {1, 3} and {0, 3} share 3: some run pair ends on the diagonal.
+    assert sm.spec_leq(O.theta_ndet(O.EXISTS, rets(1, 3), rets(0, 3)), diagonal).holds
+    w = O.theta_ndet(O.EXISTS, rets(1, 2), rets(0, 3))
+    v = sm.spec_leq(w, diagonal)
+    assert v.failed and v.point == 0
+    assert diagonal.at(v.phi, v.point) and not w.at(v.phi, v.point)
+
+
+def _masks_below(n):
+    # Every pair mask <= mask' of an n-outcome space.
+    full = range(2 ** n)
+    return [(m, m2) for m in full for m2 in full if m & m2 == m]
+
+
+def _assert_monotone(w):
+    pairs = _masks_below(w.space.size)
+    for pt in w.space.points():
+        for m, m2 in pairs:
+            assert not w.at(m, pt) or w.at(m2, pt), (pt, m, m2)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10 ** 9))
+def test_built_closures_are_monotone(seed):
+    rng = random.Random(seed)
+    sig = ndet_sig()
+    c1, c2 = random_program(rng, sig, Z2, 2), random_program(rng, sig, Z2, 2)
+    for mode in O.NDET_MODES:
+        _assert_monotone(O.theta_ndet(mode, c1, c2))
+    space = sm.pure_space(Z2, Z2)
+    wm = _random_up_closure(rng, space)
+    conts = {(i1, i2): (_random_up_closure(rng, space) if rng.random() < 0.5
+                        else _random_demonic(rng, space))
+             for i1 in range(2) for i2 in range(2)}
+    bound = sm.spec_bind(wm, lambda i1, i2: conts[(i1, i2)])
+    assert not bound.is_demonic
+    _assert_monotone(bound)
+    _assert_monotone(sm.drop_fast_form(_random_demonic(rng, sm.state_space(Z2, Z2, UNIT, Z2))))

@@ -12,6 +12,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relwp import domains as D
 from relwp import programs as P
@@ -341,3 +342,49 @@ def test_admissible_verdicts_of_rule_built_and_hand_made_instances():
         v = W.admissible(inst)
         point = v.inner.point if v.failed else None
         assert (v.kind, point) == ADMISSIBLE[name], name
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax and the translation, against the direct interpreter
+
+
+_ops = st.sampled_from(("+", "-", "*", "=", "<", "<=", "&&", "||"))
+_exprs = st.recursive(
+    st.one_of(st.integers(0, 12).map(W.Lit), st.sampled_from(("l", "h", "m")).map(W.Loc)),
+    lambda sub: st.one_of(
+        sub.map(W.Not),
+        st.builds(W.BinOp, _ops, sub, sub)),
+    max_leaves=6)
+
+_stmts = st.recursive(
+    st.one_of(st.just(W.Skip()), st.builds(W.Assign, st.sampled_from(("l", "h", "m")), _exprs)),
+    lambda sub: st.one_of(
+        st.builds(W.Seq, sub, sub),
+        st.builds(W.If, _exprs, sub, sub),
+        st.builds(W.While, _exprs, sub)),
+    max_leaves=8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_stmts)
+def test_show_then_parse_is_the_identity(ast):
+    assert W.parse_while(W.show_stmt(ast)) == ast
+
+
+@pytest.mark.parametrize("values", [2, 3])
+def test_run_stmt_matches_the_translated_program(values):
+    sig = _store(("l", "h"), values)
+    sdom = W.store_domain(sig)
+    rng = random.Random(values)
+    texts = [text for text, _ in NI_CORPUS]
+    texts += [_random_statement(rng, ("l", "h"), values) for _ in range(60)]
+    outcomes = set()
+    for text in texts:
+        ast = W.parse_while(text)
+        prog = W.translate(ast, sig)
+        for store in range(sdom.size):
+            want = W.run_stmt(sig, ast, store)
+            got = P.run_imp(prog, sdom.value(store))
+            assert (None if got is None else got[1].index) == want, (text, store)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}    # both divergence and termination occur
