@@ -25,7 +25,7 @@ battery builders rely on that to dedupe enumerated programs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -48,6 +48,7 @@ from .specmonads import (
     io_demonic_spec,
     io_space,
     linear_spec,
+    outcome_space,
     prob_space,
     pure_space,
     spec_bind,
@@ -512,7 +513,8 @@ def _pair_space(sp1: OutcomeSpace, sp2: OutcomeSpace) -> OutcomeSpace:
     for f in ("s1", "s2", "i1", "o1", "i2", "o2"):
         if getattr(sp1, f) != getattr(sp2, f):
             raise ValueError("one-sided specs disagree on the ambient carrier")
-    return replace(sp1, a2=sp2.a2)
+    return outcome_space(sp1.tag, sp1.a1, sp2.a2, sp1.s1, sp1.s2,
+                         sp1.i1, sp1.o1, sp1.i2, sp1.o2)
 
 
 def _sequence(w1: RelSpec, w2: RelSpec) -> RelSpec:
@@ -760,8 +762,11 @@ def _classify(lhs: RelSpec, rhs: RelSpec, cap: int, seed: int,
     """(kind, phi, point, definite) for lhs vs rhs under the spec preorder."""
     if lhs.tag == "WrelProb" and (lhs.pieces is None or rhs.pieces is None):
         n = lhs.space.size
-        pool = phi_pool.setdefault(n, _prob_phi_pool(n, seed)) if phi_pool is not None \
-            else _prob_phi_pool(n, seed)
+        pool = phi_pool.get(n) if phi_pool is not None else None
+        if pool is None:
+            pool = _prob_phi_pool(n, seed)
+            if phi_pool is not None:
+                phi_pool[n] = pool
         strict_phi = None
         for vec in pool:
             l, r = lhs.at(vec), rhs.at(vec)
@@ -843,6 +848,19 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
     def bind_instances():
         wms = [obs.map(m1, m2) for m1, m2 in battery.ms]
         cont_cache: Dict[Tuple[Program, Program], RelSpec] = {}
+        # Each side's bound program, built once per (m, f): keyed by object
+        # identity, which is safe because the battery keeps every key alive
+        # for the whole call.
+        bound1: Dict[Tuple[int, int], Program] = {}
+        bound2: Dict[Tuple[int, int], Program] = {}
+
+        def bound(memo, m, f):
+            key = (id(m), id(f))
+            b = memo.get(key)
+            if b is None:
+                b = memo[key] = P.bind(m, f)
+            return b
+
         for f1, f2 in battery.fs:
             conts = {}
             for i in range(len(f1)):
@@ -852,7 +870,7 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
                         cont_cache[key] = obs.map(*key)
                     conts[(i, j)] = cont_cache[key]
             for (m1, m2), wm in zip(battery.ms, wms):
-                lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
+                lhs = obs.map(bound(bound1, m1, f1), bound(bound2, m2, f2))
                 rhs = spec_bind(wm, lambda i, j, _c=conts: _c[(i, j)])
                 yield "bind", (m1, m2, f1, f2), lhs, rhs
 

@@ -30,6 +30,11 @@ cap.  The quantitative carrier stores a minimum of affine pieces with
 rational coefficients where it can and compares exactly by linear
 programming.
 
+Outcome spaces are interned: each constructor below returns one shared
+`OutcomeSpace` per field tuple, so the shape checks in bind and comparison
+try identity first and fall back to field equality, which a space built
+directly or unpickled (equal but not identical) still passes.
+
 Pre/post pairs become demonic tables in two ways.  `from_prepost` embeds
 a PPrelSt pair whose post may read the initial states, at the price of a
 post table over |S1|^2 |S2|^2 |A1| |A2| triples.  `from_final_post` takes
@@ -144,13 +149,19 @@ class OutcomeSpace:
             return product_domain(self.s1, self.s2)
         return UNIT
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.outcome_dom.size
 
-    @property
+    @cached_property
     def point_count(self) -> int:
         return self.point_dom.size
+
+    @cached_property
+    def cont_points(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """Per outcome of a pure or state space: the value pair and the
+        continuation point it carries into a bind (see `_cont_point`)."""
+        return tuple(_cont_point(self, self, o) for o in self.outcomes())
 
     def outcomes(self) -> range:
         return range(self.size)
@@ -244,33 +255,56 @@ def _extensions(events, horizon: int) -> List[History]:
     return layers
 
 
+# Built spaces by field tuple, the way `domains.product_domain` memoises
+# its domains: a space's cached outcome and point domains are then computed
+# once, and equal spaces are usually the same object.
+_SPACES: Dict[tuple, OutcomeSpace] = {}
+
+
+def _interned(key: tuple) -> OutcomeSpace:
+    sp = _SPACES.get(key)
+    if sp is None:
+        sp = _SPACES[key] = OutcomeSpace(*key)
+    return sp
+
+
+def outcome_space(tag: str, a1: FiniteDomain, a2: FiniteDomain,
+                  s1: Optional[FiniteDomain] = None, s2: Optional[FiniteDomain] = None,
+                  i1: Optional[FiniteDomain] = None, o1: Optional[FiniteDomain] = None,
+                  i2: Optional[FiniteDomain] = None, o2: Optional[FiniteDomain] = None,
+                  ) -> OutcomeSpace:
+    """The shared space with these fields, whatever the carrier; the named
+    constructors below return the same objects."""
+    return _interned((tag, a1, a2, s1, s2, i1, o1, i2, o2))
+
+
 def pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelPure", a1, a2)
+    return _interned(("WrelPure", a1, a2, None, None, None, None, None, None))
 
 
 def state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelSt", a1, a2, s1=s1, s2=s2)
+    return _interned(("WrelSt", a1, a2, s1, s2, None, None, None, None))
 
 
 def err_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelErr", a1, a2)
+    return _interned(("WrelErr", a1, a2, None, None, None, None, None, None))
 
 
 def io_space(a1: FiniteDomain, i1: FiniteDomain, o1: FiniteDomain,
              a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelIO", a1, a2, i1=i1, o1=o1, i2=i2, o2=o2)
+    return _interned(("WrelIO", a1, a2, None, None, i1, o1, i2, o2))
 
 
 def prob_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelProb", a1, a2)
+    return _interned(("WrelProb", a1, a2, None, None, None, None, None, None))
 
 
 def pp_pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelPure", a1, a2)
+    return _interned(("PPrelPure", a1, a2, None, None, None, None, None, None))
 
 
 def pp_state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelSt", a1, a2, s1=s1, s2=s2)
+    return _interned(("PPrelSt", a1, a2, s1, s2, None, None, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +525,19 @@ def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
 
 
 def _norm_entry(space: OutcomeSpace, entry):
+    """VIOLATED, or the entry as a frozenset of outcomes in range(space.size).
+
+    The range check reads only the least and greatest outcome; the element
+    loop runs only to name the first offender.  A frozenset is kept as is.
+    """
     if entry is VIOLATED:
         return VIOLATED
-    outs = frozenset(entry)
-    for o in outs:
-        if not (0 <= o < space.size):
-            raise ValueError(f"outcome {o} outside space of size {space.size}")
+    outs = entry if type(entry) is frozenset else frozenset(entry)
+    n = space.size
+    if outs and (min(outs) < 0 or max(outs) >= n):
+        for o in outs:
+            if not (0 <= o < n):
+                raise ValueError(f"outcome {o} outside space of size {n}")
     return outs
 
 
@@ -678,15 +719,30 @@ def _conts(space: OutcomeSpace, wf) -> Dict[Tuple[int, int], RelSpec]:
 
 
 def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> OutcomeSpace:
-    first = next(iter(conts.values())).space
+    """The continuations' common space.
+
+    Every continuation must carry wm's tag, the first continuation's value
+    domains, and wm's ambient fields (states, alphabets).  Only the first
+    continuation's space is compared field by field; one that is that very
+    object needs only its tag checked, and any other space gets the full
+    comparison, so the errors and their order are those of checking each
+    continuation in turn.
+    """
+    first = None
     for w in conts.values():
         if w.tag != wm.tag:
             raise ValueError(f"continuation carrier {w.tag} differs from {wm.tag}")
-        if (w.space.a1, w.space.a2) != (first.a1, first.a2):
+        sp = w.space
+        if first is None:
+            first = sp
+        elif sp is first:
+            continue
+        elif (sp.a1, sp.a2) != (first.a1, first.a2):
             raise ValueError("continuations disagree on their value domains")
-        for f in ("s1", "s2", "i1", "o1", "i2", "o2"):
-            if getattr(w.space, f) != getattr(wm.space, f):
-                raise ValueError("continuations must keep the ambient carrier shape")
+        amb = wm.space
+        if (sp.s1, sp.s2, sp.i1, sp.o1, sp.i2, sp.o2) != (
+                amb.s1, amb.s2, amb.i1, amb.o1, amb.i2, amb.o2):
+            raise ValueError("continuations must keep the ambient carrier shape")
     return first
 
 
@@ -719,14 +775,26 @@ def _cont_point(space: OutcomeSpace, tspace: OutcomeSpace, o: int):
     raise AssertionError(space.tag)
 
 
+def _holds(w: RelSpec, f, pt: int) -> bool:
+    """A fixed-carrier spec at predicate f and an in-range point: what
+    `RelSpec.at` answers, without normalising the postcondition and point."""
+    table = w.table
+    if table is not None:
+        entry = table[pt]
+        return entry is not VIOLATED and all(f(o) for o in entry)
+    return bool(w.closure(f, pt))
+
+
 def _bind_fixed(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
     space = wm.space
     tspace = cspace
     is_err = space.tag == "WrelErr"
+    # Continuation points follow wm's ambient states, which every
+    # continuation shares, so wm's own decode table serves tspace too.
+    decode = None if is_err else space.cont_points
     if wm.is_demonic and all(w.is_demonic for w in conts.values()):
         table = []
-        for pt in space.points():
-            r = wm.demonic_at(pt)
+        for r in wm.table:
             if r is VIOLATED:
                 table.append(VIOLATED)
                 continue
@@ -738,10 +806,10 @@ def _bind_fixed(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
                     if split is None:
                         acc.add(tspace.err_bad())
                         continue
-                    sub = conts[split].demonic_at(0)
+                    sub = conts[split].table[0]
                 else:
-                    pair, cpt = _cont_point(space, tspace, o)
-                    sub = conts[pair].demonic_at(cpt)
+                    pair, cpt = decode[o]
+                    sub = conts[pair].table[cpt]
                 if sub is VIOLATED:
                     broken = True
                     break
@@ -755,12 +823,12 @@ def _bind_fixed(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
                 split = space.err_split(o)
                 if split is None:
                     return f(tspace.err_bad())
-                return _conts[split].at(f, 0)
+                return _holds(_conts[split], f, 0)
         else:
             def psi(o):
-                pair, cpt = _cont_point(space, tspace, o)
-                return _conts[pair].at(f, cpt)
-        return _wm.at(psi, pt)
+                pair, cpt = decode[o]
+                return _holds(_conts[pair], f, cpt)
+        return _holds(_wm, psi, pt)
 
     return closure_spec(tspace, body)
 
@@ -1033,7 +1101,7 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     """
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
-    if (w.space.a1, w.space.a2, w.space.s1, w.space.s2,
+    if w.space is not w2.space and (w.space.a1, w.space.a2, w.space.s1, w.space.s2,
             w.space.i1, w.space.o1, w.space.i2, w.space.o2) != (
             w2.space.a1, w2.space.a2, w2.space.s1, w2.space.s2,
             w2.space.i1, w2.space.o1, w2.space.i2, w2.space.o2):
@@ -1108,18 +1176,16 @@ def _fast_eval(w: RelSpec):
                 return False
             return (mask & m) == m
         return ev
-    return lambda mask, pt, _w=w: _w.at(mask, pt)
+    return lambda mask, pt, _w=w: _holds(_w, lambda o: bool(mask >> o & 1), pt)
 
 
 def _leq_fixed(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
     space = w.space
     n = space.size
     if w.is_demonic and w2.is_demonic:
-        for pt in space.points():
-            r2 = w2.demonic_at(pt)
+        for pt, (r, r2) in enumerate(zip(w.table, w2.table)):
             if r2 is VIOLATED:
                 continue
-            r = w.demonic_at(pt)
             if r is VIOLATED or not r <= r2:
                 return _fails(frozenset(r2), point=pt,
                               note="right holds but left does not at this point")

@@ -589,6 +589,59 @@ def test_law_checker_flags_a_broken_observation():
     assert O.recheck_witness(rep.bind_law.witness)
 
 
+def test_pair_space_returns_the_interned_space():
+    left = sm.state_space(Z2, Z2, UNIT, Z3)
+    right = sm.state_space(UNIT, Z2, Z3, Z3)
+    paired = O._pair_space(left, right)
+    assert paired is O._pair_space(left, right) is sm.state_space(Z2, Z2, Z3, Z3)
+    io_left, io_right = sm.io_space(Z2, Z2, Z3, UNIT, Z3, Z2), sm.io_space(UNIT, Z2, Z3, Z3, Z3, Z2)
+    assert O._pair_space(io_left, io_right) is sm.io_space(Z2, Z2, Z3, Z3, Z3, Z2)
+    with pytest.raises(ValueError, match="ambient"):
+        O._pair_space(left, sm.state_space(UNIT, Z3, Z3, Z3))
+
+
+def test_quantitative_pool_is_built_once_per_outcome_size(monkeypatch):
+    # Closure wrappers hide the pieces, so every comparison samples the pool.
+    def wrapped(c1, c2):
+        w = O.theta_prob(c1, c2)
+        return sm.quant_closure_spec(w.space, lambda vec, _w=w: _w.at(vec))
+
+    builds = []
+    pool = O._prob_phi_pool
+
+    def counted(n, seed, *args, **kw):
+        builds.append(n)
+        return pool(n, seed, *args, **kw)
+
+    monkeypatch.setattr(O, "_prob_phi_pool", counted)
+    obs = O.EffectObservation("theta-prob-closures", P.PROB, P.PROB, "WrelProb", wrapped, O.LAX)
+    rep = O.check_morphism_laws(obs, O.battery_prob(Z2, depth=2, table_limit=2, m_limit=3))
+    assert rep.ret_law.equal and rep.bind_law.kind in ("equal", "strictly-less")
+    assert rep.ret_law.checked + rep.bind_law.checked > 1
+    assert sorted(builds) == [4]
+
+
+def test_law_check_binds_each_side_once_per_middle_and_table(monkeypatch):
+    battery = O.battery_state(Z2, Z2, depth=2, table_limit=4)
+    calls = []
+    bind = P.bind
+
+    def counted(m, f):
+        calls.append((id(m), id(f)))
+        return bind(m, f)
+
+    monkeypatch.setattr(P, "bind", counted)
+    rep = O.check_morphism_laws(O.observation_st(), battery)
+    assert rep.bind_law.equal
+    left = {(id(m1), id(f1)) for m1, _ in battery.ms for f1, _ in battery.fs}
+    right = {(id(m2), id(f2)) for _, m2 in battery.ms for _, f2 in battery.fs}
+    assert set(calls) == left | right
+    # one build per distinct (m, f) on each side; a pair used on both sides
+    # (the two signatures are equal here) is built once for each
+    assert len(calls) == len(left) + len(right)
+    assert rep.bind_law.checked == len(battery.ms) * len(battery.fs) > len(calls)
+
+
 def test_battery_shapes():
     bat = O.battery_state(Z2, Z2)
     assert len(bat.ms) == 16 * 16  # every state transformer class, both sides

@@ -5,6 +5,7 @@ formulas, independently of the library's fast forms, so every check
 pins behaviour rather than echoing the implementation.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -888,3 +889,229 @@ def test_built_closures_are_monotone(seed):
     assert not bound.is_demonic
     _assert_monotone(bound)
     _assert_monotone(sm.drop_fast_form(_random_demonic(rng, sm.state_space(Z2, Z2, UNIT, Z2))))
+
+
+# ---------------------------------------------------------------------------
+# Interned spaces, and the shape checks that try identity first
+
+SPACE_BUILDERS = {
+    "pure": lambda d: sm.pure_space(d, Z3),
+    "state": lambda d: sm.state_space(d, Z2, Z3, d),
+    "err": lambda d: sm.err_space(d, Z3),
+    "io": lambda d: sm.io_space(d, Z2, Z2, Z3, d, Z2),
+    "prob": lambda d: sm.prob_space(d, Z3),
+    "pp-pure": lambda d: sm.pp_pure_space(d, Z3),
+    "pp-state": lambda d: sm.pp_state_space(d, Z2, Z3, d),
+}
+
+
+def _fields(space):
+    return (space.tag, space.a1, space.a2, space.s1, space.s2,
+            space.i1, space.o1, space.i2, space.o2)
+
+
+def _twin_direct(space):
+    return sm.OutcomeSpace(*_fields(space))
+
+
+def _twin_pickled(space):
+    return pickle.loads(pickle.dumps(space))
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_BUILDERS))
+def test_space_constructors_return_one_object_per_field_tuple(name):
+    build = SPACE_BUILDERS[name]
+    space = build(Z2)
+    assert build(Z2) is space
+    assert build(domain("Z2", 2)) is space      # equal domains, fresh objects
+    assert build(Z4) is build(Z4) and build(Z4) is not space
+    assert sm.outcome_space(*_fields(space)) is space
+    others = {n: b(Z2) for n, b in SPACE_BUILDERS.items() if n != name}
+    assert all(o is not space for o in others.values())
+    for twin in (_twin_direct(space), _twin_pickled(space)):
+        assert twin == space and twin is not space
+        assert twin.point_count == space.point_count
+        if name != "io":      # interactive outcomes are enumerated per point
+            assert twin.size == space.size
+
+
+def _rekeyed(space, other, tables, flip):
+    """Demonic specs from `tables`, over `other` and `space` in turn."""
+    return {k: sm.demonic_spec(other if (n % 2 == 0) == flip else space, t)
+            for n, (k, t) in enumerate(tables.items())}
+
+
+def _verdict(v):
+    return v.kind, v.point, v.phi
+
+
+@pytest.mark.parametrize("twin", [_twin_direct, _twin_pickled], ids=["direct", "pickled"])
+def test_equal_but_not_identical_spaces_bind_and_compare_alike(twin):
+    rng = random.Random(11)
+    for space in (sm.pure_space(Z2, Z3), sm.err_space(Z2, Z3), sm.state_space(Z2, Z2, Z3, Z3)):
+        other = twin(space)
+        assert other == space and other is not space
+        keys = [(i1, i2) for i1 in range(space.a1.size) for i2 in range(space.a2.size)]
+        small = space.tag != "WrelSt"     # closures on the right need enumeration
+        for _ in range(10):
+            wm = _random_demonic(rng, space)
+            tables = {k: _random_demonic(rng, space).table for k in keys}
+            plain = {k: sm.demonic_spec(space, t) for k, t in tables.items()}
+            mixed = _rekeyed(space, other, tables, rng.random() < 0.5)
+            want = sm.spec_bind(wm, plain)
+            got = sm.spec_bind(sm.demonic_spec(other, wm.table), mixed)
+            assert got.table == want.table
+            want_c = sm.spec_bind(sm.drop_fast_form(wm), plain)
+            got_c = sm.spec_bind(sm.drop_fast_form(wm),
+                                 {k: sm.drop_fast_form(w) for k, w in mixed.items()})
+            claim = _random_demonic(rng, space)
+            claim_twin = sm.demonic_spec(other, claim.table)
+            base = _verdict(sm.spec_leq(want, claim))
+            assert _verdict(sm.spec_leq(got, claim)) == base
+            assert _verdict(sm.spec_leq(want, claim_twin)) == base
+            assert _verdict(sm.spec_leq(got_c, claim_twin)) == base
+            assert _verdict(sm.spec_leq(want_c, claim)) == base
+            if small:
+                back = _verdict(sm.spec_leq(claim, want_c))
+                assert _verdict(sm.spec_leq(claim_twin, got_c)) == back
+                assert _verdict(sm.spec_leq(claim, want)) == back
+
+
+def test_common_cont_space_keeps_its_three_errors():
+    space = sm.state_space(Z2, Z2, Z2, Z3)
+    wm = sm.weakest(space)
+    good = sm.weakest(space)
+
+    def bind_with(odd, at):
+        return sm.spec_bind(wm, lambda i1, i2: odd if (i1, i2) == at else good)
+
+    tag = sm.weakest(sm.pure_space(Z2, Z2))
+    values = sm.weakest(sm.state_space(Z3, Z2, Z2, Z3))
+    ambient = sm.weakest(sm.state_space(Z2, Z3, Z2, Z3))
+    both = sm.weakest(sm.state_space(Z3, Z3, Z2, Z3))
+    for at in ((0, 0), (1, 1)):
+        with pytest.raises(ValueError, match="continuation carrier WrelPure differs from WrelSt"):
+            bind_with(tag, at)
+        # the first continuation sets the value domains the others must share
+        with pytest.raises(ValueError, match="continuations disagree on their value domains"):
+            bind_with(values, at)
+        with pytest.raises(ValueError, match="continuations must keep the ambient carrier shape"):
+            bind_with(ambient, at)
+    # value domains are checked before the ambient shape
+    with pytest.raises(ValueError, match="value domains"):
+        bind_with(both, (1, 1))
+    with pytest.raises(ValueError, match="ambient carrier shape"):
+        bind_with(both, (0, 0))
+    for twin in (_twin_direct(space), _twin_pickled(space)):
+        for at in ((0, 0), (1, 1)):
+            assert bind_with(sm.weakest(twin), at).table == bind_with(good, at).table
+
+
+def test_demonic_entries_keep_their_range_check():
+    space = sm.pure_space(Z2, Z3)
+    entry = frozenset({0, 5})
+    assert sm.demonic_spec(space, [entry]).table[0] is entry     # kept, not copied
+    assert sm.demonic_spec(space, [[5, 0, 5]]).table[0] == entry
+    for bad, named in (({0, 6}, 6), ({-1, 2}, -1), (frozenset({7}), 7)):
+        with pytest.raises(ValueError, match=f"outcome {named} outside space of size 6"):
+            sm.demonic_spec(space, [bad])
+
+
+def _bind_by_cont_point(wm, conts, tspace):
+    """Demonic bind table decoded outcome by outcome through `_cont_point`."""
+    table = []
+    for pt in wm.space.points():
+        r = wm.demonic_at(pt)
+        acc = set()
+        if r is not sm.VIOLATED:
+            for o in r:
+                pair, cpt = sm._cont_point(wm.space, tspace, o)
+                sub = conts[pair].demonic_at(cpt)
+                if sub is sm.VIOLATED:
+                    r = sm.VIOLATED
+                    break
+                acc |= sub
+        table.append(sm.VIOLATED if r is sm.VIOLATED else frozenset(acc))
+    return tuple(table)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10 ** 9))
+def test_bind_fixed_tables_match_cont_point_decoding(seed):
+    rng = random.Random(seed)
+    # Z2 states against Z3 states, and value domains that change across the bind
+    cases = [(sm.state_space(Z2, Z2, Z3, Z3), sm.state_space(Z3, Z2, Z2, Z3)),
+             (sm.state_space(UNIT, Z3, Z2, Z2), sm.state_space(Z2, Z3, Z3, Z2)),
+             (sm.pure_space(Z2, Z3), sm.pure_space(Z3, Z2))]
+    for space, tspace in cases:
+        wm = _random_demonic(rng, space)
+        conts = {(i1, i2): _random_demonic(rng, tspace)
+                 for i1 in range(space.a1.size) for i2 in range(space.a2.size)}
+        got = sm.spec_bind(wm, conts)
+        assert got.space is tspace
+        assert got.table == _bind_by_cont_point(wm, conts, tspace)
+        closed = sm.spec_bind(sm.drop_fast_form(wm), conts)
+        for pt in tspace.points():
+            for _ in range(6):
+                phi = frozenset(o for o in tspace.outcomes() if rng.random() < 0.7)
+                assert closed.at(phi, pt) == got.at(phi, pt)
+
+
+def _pred(phi):
+    return phi.__contains__ if isinstance(phi, frozenset) else phi
+
+
+def _random_term(rng, space, depth):
+    """A library spec built by binds of random leaves, and a reference
+    evaluator (phi, pt) -> bool for it that goes through `RelSpec.at` on
+    the leaves and spells each bind out longhand."""
+    if depth == 0 or rng.random() < 0.3:
+        leaf = (_random_up_closure(rng, space) if rng.random() < 0.6
+                else _random_demonic(rng, space))
+        return leaf, leaf.at
+    wm, wm_at = _random_term(rng, space, depth - 1)
+    conts = {(i1, i2): _random_term(rng, space, depth - 1)
+             for i1 in range(space.a1.size) for i2 in range(space.a2.size)}
+    spec = sm.spec_bind(wm, {k: c[0] for k, c in conts.items()})
+
+    def ref(phi, pt):
+        f = _pred(phi)
+
+        def psi(o):
+            if space.tag == "WrelErr":
+                split = space.err_split(o)
+                return f(space.err_bad()) if split is None else conts[split][1](f, 0)
+            if space.tag == "WrelPure":
+                return conts[divmod(o, space.a2.size)][1](f, 0)
+            a1, s1, a2, s2 = space.st_split(o)
+            return conts[(a1, a2)][1](f, space.point(s1, s2))
+
+        return wm_at(psi, pt)
+
+    return spec, ref
+
+
+def _leq_by_enumeration(space, w_at, w2_at):
+    n = space.size
+    for pt in space.points():
+        for mask in range(2 ** n):
+            phi = frozenset(o for o in range(n) if mask >> o & 1)
+            if w2_at(phi, pt) and not w_at(phi, pt):
+                return "fails", pt, phi
+    return "holds", None, None
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10 ** 9))
+def test_closure_comparisons_match_evaluation_through_at(seed):
+    rng = random.Random(seed)
+    spaces = [sm.pure_space(Z2, Z2), sm.err_space(Z2, Z2), sm.state_space(Z2, Z2, UNIT, Z2)]
+    space = spaces[rng.randrange(len(spaces))]
+    w, w_at = _random_term(rng, space, 2)
+    w2, w2_at = _random_term(rng, space, 2)
+    demonic = _random_demonic(rng, space)
+    pairs = [((w, w_at), (w2, w2_at)), ((w, w_at), (demonic, demonic.at)),
+             ((demonic, demonic.at), (w2, w2_at))]
+    for (a, a_at), (b, b_at) in pairs:
+        want = _leq_by_enumeration(space, a_at, b_at)
+        assert _verdict(sm.spec_leq(a, b)) == want

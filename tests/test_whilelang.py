@@ -388,3 +388,153 @@ def test_run_stmt_matches_the_translated_program(values):
             assert (None if got is None else got[1].index) == want, (text, store)
             outcomes.add(want is None)
     assert outcomes == {True, False}    # both divergence and termination occur
+
+
+# ---------------------------------------------------------------------------
+# RHL soundness: every rule maps admissible premises to an admissible
+# conclusion.  Premises are built semantically, with postconditions that
+# contain every pair of final stores the runs reach, so the oracle accepts
+# them by construction; the rule under test is then the only thing left to
+# go wrong.
+
+_GUARDS = ("l", "h", "l = h", "l < h", "1 - l", "l && h", "l || h", "0", "1")
+_SOUNDNESS_TRIALS = 20
+
+
+def _run_pairs(pre, c1, c2):
+    """Pairs of final stores reached from the pairs in `pre` (both runs
+    terminating), as a set of pair indices."""
+    out = set()
+    for k in range(N * N):
+        if pre[k]:
+            f1, f2 = W.run_stmt(SIG, c1, k // N), W.run_stmt(SIG, c2, k % N)
+            if f1 is not None and f2 is not None:
+                out.add(f1 * N + f2)
+    return out
+
+
+def _table(pairs):
+    return tuple(k in pairs for k in range(N * N))
+
+
+def _random_table(rng):
+    return tuple(rng.random() < 0.5 for _ in range(N * N))
+
+
+def _widen(rng, table):
+    return tuple(v or rng.random() < 0.2 for v in table)
+
+
+def _narrow(rng, table):
+    return tuple(v and rng.random() < 0.8 for v in table)
+
+
+def _stmt(rng):
+    return W.parse_while(_random_statement(rng, ("l", "h"), 2, depth=2))
+
+
+def _valid(rng, pre, c1, c2, post=None):
+    """{pre} c1 ~ c2 {post}, where post defaults to the reached pairs
+    widened at random; the oracle must accept it."""
+    if post is None:
+        post = _widen(rng, _table(_run_pairs(pre, c1, c2)))
+    inst = W.RHLInstance(SIG, c1, c2, tuple(pre), tuple(post))
+    assert W.admissible(inst).holds
+    return inst
+
+
+def _branch_post(rng, parts):
+    reached = set()
+    for pre, c1, c2 in parts:
+        reached |= _run_pairs(pre, c1, c2)
+    return _widen(rng, _table(reached))
+
+
+def _invariant(rng, g1, g2, b1, b2):
+    """A random set of store pairs on which the guards agree, closed under
+    running both bodies from its guard-true pairs; None when the closure
+    reaches a pair where the guards disagree."""
+    inv = {k for k in range(N * N) if g1[k // N] == g2[k % N] and rng.random() < 0.4}
+    todo = list(inv)
+    while todo:
+        k = todo.pop()
+        i, j = divmod(k, N)
+        if g1[i] != g2[j]:
+            return None
+        if g1[i]:
+            f1, f2 = W.run_stmt(SIG, b1, i), W.run_stmt(SIG, b2, j)
+            if f1 is not None and f2 is not None and f1 * N + f2 not in inv:
+                inv.add(f1 * N + f2)
+                todo.append(f1 * N + f2)
+    return _table(inv)
+
+
+def _rhl_case(name, rng):
+    """Premises the oracle accepts and the parameters that make `name`
+    apply to them."""
+    if name == "Skip":
+        return [], dict(sig=SIG, pre=_random_table(rng))
+    if name in ("Assign", "AssignL", "AssignR"):
+        params = dict(sig=SIG, post=_random_table(rng))
+        for side in ("1", "2"):
+            if name != ("AssignR" if side == "1" else "AssignL"):
+                params["loc" + side] = rng.choice(("l", "h"))
+                params["expr" + side] = _expr(rng.choice(_GUARDS))
+        return [], params
+    if name == "Seq":
+        j1 = _valid(rng, _random_table(rng), _stmt(rng), _stmt(rng))
+        return [j1, _valid(rng, j1.post, _stmt(rng), _stmt(rng))], {}
+    if name == "Consequence":
+        j = _valid(rng, _random_table(rng), _stmt(rng), _stmt(rng))
+        return [j], dict(pre=_narrow(rng, j.pre), post=_widen(rng, j.post))
+    e1, e2, g1, g2 = _guard_pair(rng)
+    if name == "IfSync":
+        pre = tuple(v and g1[k // N] == g2[k % N] for k, v in enumerate(_random_table(rng)))
+        pt, pf = _guarded_both(pre, g1, g2, True), _guarded_both(pre, g1, g2, False)
+        ct, cf = (_stmt(rng), _stmt(rng)), (_stmt(rng), _stmt(rng))
+        post = _branch_post(rng, [(pt, *ct), (pf, *cf)])
+        return ([_valid(rng, pt, *ct, post), _valid(rng, pf, *cf, post)],
+                dict(cond1=e1, cond2=e2, pre=pre))
+    if name in ("IfL", "IfR"):
+        pre = _random_table(rng)
+        g, left = (g1, True) if name == "IfL" else (g2, False)
+        on = lambda k: g[k // N] if left else g[k % N]
+        pt = tuple(v and on(k) for k, v in enumerate(pre))
+        pf = tuple(v and not on(k) for k, v in enumerate(pre))
+        shared = _stmt(rng)
+        branches = [(_stmt(rng), shared) if left else (shared, _stmt(rng)) for _ in range(2)]
+        post = _branch_post(rng, [(pt, *branches[0]), (pf, *branches[1])])
+        params = dict(cond1=e1) if left else dict(cond2=e2)
+        params["pre"] = pre
+        return [_valid(rng, pt, *branches[0], post), _valid(rng, pf, *branches[1], post)], params
+    assert name == "WhileSync", name
+    for _ in range(100):
+        e1, e2, g1, g2 = _guard_pair(rng)
+        b1, b2 = _stmt(rng), _stmt(rng)
+        inv = _invariant(rng, g1, g2, b1, b2)
+        if inv is not None:
+            jb = _valid(rng, _guarded_both(inv, g1, g2, True), b1, b2, inv)
+            return [jb], dict(cond1=e1, cond2=e2, inv=inv)
+    raise AssertionError("no invariant found")
+
+
+def _guard_pair(rng):
+    e1, e2 = _expr(rng.choice(_GUARDS)), _expr(rng.choice(_GUARDS))
+    return e1, e2, W.guard_table(SIG, e1), W.guard_table(SIG, e2)
+
+
+def _guarded_both(pre, g1, g2, want):
+    return tuple(pre[k] and g1[k // N] == want and g2[k % N] == want for k in range(N * N))
+
+
+def test_rhl_rules_preserve_admissibility():
+    rng = random.Random(2019)
+    assert set(W.rhl_rule_names()) == {
+        "Assign", "AssignL", "AssignR", "Consequence", "IfL", "IfR", "IfSync",
+        "Seq", "Skip", "WhileSync"}
+    for name in W.rhl_rule_names():
+        for trial in range(_SOUNDNESS_TRIALS):
+            premises, params = _rhl_case(name, rng)
+            concl = W.apply_rhl_rule(name, premises, **params)
+            v = W.admissible(concl)
+            assert v.holds, (name, trial, W.show_stmt(concl.left), W.show_stmt(concl.right), v)
