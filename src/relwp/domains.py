@@ -97,14 +97,6 @@ def product_domain(d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
     return out
 
 
-def pair_index(d1: FiniteDomain, d2: FiniteDomain, i: int, j: int) -> int:
-    return i * d2.size + j
-
-
-def unpair_index(d1: FiniteDomain, d2: FiniteDomain, k: int) -> Tuple[int, int]:
-    return divmod(k, d2.size)
-
-
 def sum_domain(d1: FiniteDomain, d2: FiniteDomain) -> FiniteDomain:
     """Domain of tagged alternatives; left injections first."""
     out = _SUMS.get((d1, d2))

@@ -143,10 +143,6 @@ def wp_leq(w: Wp, w2: Wp) -> OrderVerdict:
     return OrderVerdict(True)
 
 
-def wp_equiv(w: Wp, w2: Wp) -> bool:
-    return wp_leq(w, w2).holds and wp_leq(w2, w).holds
-
-
 def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
     """Sequential composition against a total continuation table.
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import chain, product
+from typing import Iterator, List, Sequence
 
 from .domains import BOOL, FiniteDomain
 from . import programs as P
@@ -19,68 +20,75 @@ from .programs import Program, Signature
 DEFAULT_FLIPS = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 
 
-def enumerate_programs(sig: Signature, result: FiniteDomain, depth: int,
-                       flip_params: Sequence[Fraction] = DEFAULT_FLIPS,
-                       pick_sizes: Sequence[int] = (2,)) -> List[Program]:
-    """All bind-free trees of the given effect with depth <= depth."""
-    if depth < 1:
-        return []
-    eff = sig.effect
+def _leaves(sig: Signature, result: FiniteDomain) -> List[Program]:
     rets = [P.ret(sig, v) for v in result.values()]
-    if eff == P.EXC:
-        leaves = rets + [P.throw(sig, e, result) for e in sig.exc.values()]
-    elif eff == P.NDET:
-        leaves = rets + [P.fail(sig, result)]
-    else:
-        leaves = list(rets)
-    if depth == 1:
-        return leaves
+    if sig.effect == P.EXC:
+        return rets + [P.throw(sig, e, result) for e in sig.exc.values()]
+    if sig.effect == P.NDET:
+        return rets + [P.fail(sig, result)]
+    return rets
 
-    prev = enumerate_programs(sig, result, depth - 1, flip_params, pick_sizes)
-    out = list(prev)
-    seen = set(prev)
 
-    def add(p: Program):
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-
-    import itertools
-
+def _grow(sig: Signature, prev: Sequence[Program], bools: Sequence[Program],
+          flip_params: Sequence[Fraction], pick_sizes: Sequence[int]) -> Iterator[Program]:
+    """Every tree one operation above the pool `prev`, in a fixed order;
+    `bools` is the pool of loop bodies (read only under imp)."""
+    eff = sig.effect
     if eff in (P.STATE, P.IMP):
-        for tbl in itertools.product(prev, repeat=sig.state.size):
-            add(P.get(sig, tbl))
+        for tbl in product(prev, repeat=sig.state.size):
+            yield P.get(sig, tbl)
         for s in sig.state.values():
             for t in prev:
-                add(P.put(sig, s, t))
+                yield P.put(sig, s, t)
         if eff == P.IMP:
-            bodies = enumerate_programs(sig, BOOL, depth - 1, flip_params, pick_sizes)
-            for b in bodies:
+            for b in bools:
                 for t in prev:
-                    add(P.do_while(b, t))
+                    yield P.do_while(b, t)
     elif eff == P.EXC:
         for body in prev:
-            for tbl in itertools.product(prev, repeat=sig.exc.size):
-                add(P.catch(body, tbl))
+            for tbl in product(prev, repeat=sig.exc.size):
+                yield P.catch(body, tbl)
     elif eff == P.NDET:
         for l in prev:
             for r in prev:
-                add(P.choice(l, r))
+                yield P.choice(l, r)
         for n in pick_sizes:
-            for tbl in itertools.product(prev, repeat=n):
-                add(P.pick_fin(tbl))
+            for tbl in product(prev, repeat=n):
+                yield P.pick_fin(tbl)
     elif eff == P.IO:
-        for tbl in itertools.product(prev, repeat=sig.inp.size):
-            add(P.inp(sig, tbl))
+        for tbl in product(prev, repeat=sig.inp.size):
+            yield P.inp(sig, tbl)
         for o in sig.out.values():
             for t in prev:
-                add(P.output(sig, o, t))
+                yield P.output(sig, o, t)
     elif eff == P.PROB:
         for p in flip_params:
             for f in prev:
                 for t in prev:
-                    add(P.flip(sig, p, f, t))
-    return out
+                    yield P.flip(sig, p, f, t)
+
+
+def _levels(sig: Signature, result: FiniteDomain, depth: int, flip_params: Sequence[Fraction],
+            pick_sizes: Sequence[int], keep) -> List[Program]:
+    """Trees with depth <= depth, grown one level at a time from the leaves;
+    `keep` picks, in order, the trees of each level to grow the next from."""
+    if depth < 1:
+        return []
+    doms = [result]
+    if sig.effect == P.IMP and BOOL not in doms:
+        doms.append(BOOL)
+    cur = {res: keep(_leaves(sig, res)) for res in doms}
+    for _ in range(depth - 1):
+        cur = {res: keep(chain(prev, _grow(sig, prev, cur.get(BOOL, ()), flip_params, pick_sizes)))
+               for res, prev in cur.items()}
+    return cur[result]
+
+
+def enumerate_programs(sig: Signature, result: FiniteDomain, depth: int,
+                       flip_params: Sequence[Fraction] = DEFAULT_FLIPS,
+                       pick_sizes: Sequence[int] = (2,)) -> List[Program]:
+    """All bind-free trees of the given effect with depth <= depth."""
+    return _levels(sig, result, depth, flip_params, pick_sizes, lambda ps: list(dict.fromkeys(ps)))
 
 
 def enumerate_classes(sig: Signature, result: FiniteDomain, depth: int,
@@ -95,69 +103,13 @@ def enumerate_classes(sig: Signature, result: FiniteDomain, depth: int,
     no classes while sidestepping the syntactic blowup of full enumeration.
     Order is deterministic: shallower representatives come first.
     """
-    if depth < 1:
-        return []
-    eff = sig.effect
-    doms = [result]
-    if eff == P.IMP and BOOL not in doms:
-        doms.append(BOOL)
-
-    def leaves(res: FiniteDomain) -> List[Program]:
-        rets = [P.ret(sig, v) for v in res.values()]
-        if eff == P.EXC:
-            return rets + [P.throw(sig, e, res) for e in sig.exc.values()]
-        if eff == P.NDET:
-            return rets + [P.fail(sig, res)]
-        return rets
-
-    def dedupe(ps: List[Program]) -> List[Program]:
+    def dedupe(ps) -> List[Program]:
         seen = {}
         for p in ps:
             seen.setdefault(P.semantic_key(p), p)
         return list(seen.values())
 
-    import itertools
-
-    cur = {res: dedupe(leaves(res)) for res in doms}
-    for _ in range(depth - 1):
-        nxt = {}
-        for res, prev in cur.items():
-            new = list(prev)
-            if eff in (P.STATE, P.IMP):
-                for tbl in itertools.product(prev, repeat=sig.state.size):
-                    new.append(P.get(sig, tbl))
-                for s in sig.state.values():
-                    for t in prev:
-                        new.append(P.put(sig, s, t))
-                if eff == P.IMP:
-                    for b in cur[BOOL]:
-                        for t in prev:
-                            new.append(P.do_while(b, t))
-            elif eff == P.EXC:
-                for body in prev:
-                    for tbl in itertools.product(prev, repeat=sig.exc.size):
-                        new.append(P.catch(body, tbl))
-            elif eff == P.NDET:
-                for l in prev:
-                    for r in prev:
-                        new.append(P.choice(l, r))
-                for n in pick_sizes:
-                    for tbl in itertools.product(prev, repeat=n):
-                        new.append(P.pick_fin(tbl))
-            elif eff == P.IO:
-                for tbl in itertools.product(prev, repeat=sig.inp.size):
-                    new.append(P.inp(sig, tbl))
-                for o in sig.out.values():
-                    for t in prev:
-                        new.append(P.output(sig, o, t))
-            elif eff == P.PROB:
-                for p in flip_params:
-                    for f in prev:
-                        for t in prev:
-                            new.append(P.flip(sig, p, f, t))
-            nxt[res] = dedupe(new)
-        cur = nxt
-    return cur[result]
+    return _levels(sig, result, depth, flip_params, pick_sizes, dedupe)
 
 
 def random_program(rng: random.Random, sig: Signature, result: FiniteDomain, depth: int,

@@ -5,7 +5,7 @@ Each observation maps two programs of a fixed effect into one carrier:
     theta_st    state pairs        -> WrelSt    (runs both sides, singleton demand)
     theta_ndet  nondeterminism     -> WrelPure  (forall / exists / forall-exists)
     theta_err   exceptions         -> WrelErr   (collapse every raise to one outcome)
-    theta_io    interactive pairs  -> WrelIO    (event histories, per-side recursion)
+    theta_io    interactive pairs  -> WrelIO    (event histories, per-side tree walk)
     theta_part  loops, partial     -> WrelSt    (divergence satisfies everything)
     theta_tot   loops, total       -> WrelSt    (divergence satisfies nothing)
     theta_prob  probabilistic      -> WrelProb  (infimum over couplings, exact LP)
@@ -232,70 +232,48 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
 # Interaction
 
 
-def _event_depth(p: Program) -> int:
-    n = p.node
-    if isinstance(n, P.Ret):
-        return 0
-    if isinstance(n, P.Bind):
-        return _event_depth(n.inner) + max(_event_depth(c) for c in n.cont)
-    if isinstance(n, P.Input):
-        return 1 + max(_event_depth(c) for c in n.cont)
-    if isinstance(n, P.Output):
-        return 1 + _event_depth(n.then)
-    raise TypeError(f"{n.__class__.__name__} under io")
-
-
 @lru_cache(maxsize=None)
 def _one_sided_io_space(dom: FiniteDomain, side: int, i1, o1, i2, o2) -> OutcomeSpace:
     return io_space(dom if side == 1 else UNIT, i1, o1,
                     dom if side == 2 else UNIT, i2, o2)
 
 
+def _prepend(side: int, ev, pt):
+    """The history pair at pt with ev prepended to the given side's history."""
+    h1, h2 = pt
+    return ((ev,) + h1, h2) if side == 1 else (h1, (ev,) + h2)
+
+
 def _theta_io_spec(c: Program, space: OutcomeSpace, side: int, points) -> RelSpec:
-    """Tree recursion: each event node prepends to its own history component."""
+    """Each event node prepends to its own history component; subtrees are
+    embedded in `P._postorder`, so every node finds its kids' specs ready."""
     alph = (space.i1, space.o1, space.i2, space.o2)
-
-    def rec(q: Program) -> RelSpec:
+    spec = {}
+    for q in P._postorder(c):
         n = q.node
-        sp = _one_sided_io_space(q.result, side, *alph)
-        if isinstance(n, P.Ret):
+        t = type(n)
+        if t is P.Ret:
             pair = (n.value, Value(UNIT, 0)) if side == 1 else (Value(UNIT, 0), n.value)
-            return spec_ret(sp, pair[0], pair[1], points=points, horizon=0)
-        if isinstance(n, P.Bind):
-            wm = rec(n.inner)
-            subs = {v: rec(k) for v, k in enumerate(n.cont)}
+            w = spec_ret(_one_sided_io_space(q.result, side, *alph), *pair, points=points, horizon=0)
+        elif t is P.Output:
+            write = lambda pt, _ev=(P.OUT, n.value): {(0,) + _prepend(side, _ev, pt)}
+            prim = io_demonic_spec(_one_sided_io_space(UNIT, side, *alph), write, points, 1)
+            w = spec_bind(prim, lambda _i, _j, _sub=spec[id(n.then)]: _sub)
+        elif t is P.Bind or t is P.Input:
+            if t is P.Bind:
+                prim = spec[id(n.inner)]
+            else:
+                d = q.sig.inp
+                read = lambda pt, _d=d: {(i,) + _prepend(side, (P.IN, Value(_d, i)), pt)
+                                         for i in range(_d.size)}
+                prim = io_demonic_spec(_one_sided_io_space(d, side, *alph), read, points, 1)
+            subs = [spec[id(k)] for k in n.cont]
             key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
-            return spec_bind(wm, key)
-        if isinstance(n, P.Input):
-            idom = q.sig.inp
-            isp = _one_sided_io_space(idom, side, *alph)
-
-            def read(pt, _d=idom):
-                h1, h2 = pt
-                if side == 1:
-                    return {(i, ((P.IN, Value(_d, i)),) + h1, h2) for i in range(_d.size)}
-                return {(i, h1, ((P.IN, Value(_d, i)),) + h2) for i in range(_d.size)}
-
-            prim = io_demonic_spec(isp, read, points, 1)
-            subs = {v: rec(k) for v, k in enumerate(n.cont)}
-            key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
-            return spec_bind(prim, key)
-        if isinstance(n, P.Output):
-            usp = _one_sided_io_space(UNIT, side, *alph)
-            ev = (P.OUT, n.value)
-
-            def write(pt, _ev=ev):
-                h1, h2 = pt
-                if side == 1:
-                    return {(0, (_ev,) + h1, h2)}
-                return {(0, h1, (_ev,) + h2)}
-
-            prim = io_demonic_spec(usp, write, points, 1)
-            sub = rec(n.then)
-            return spec_bind(prim, lambda _i, _j: sub)
-        raise TypeError(f"{n.__class__.__name__} under io")
-
-    return rec(c)
+            w = spec_bind(prim, key)
+        else:
+            raise TypeError(f"{t.__name__} under io")
+        spec[id(q)] = w
+    return spec[id(c)]
 
 
 def unary_theta_io(side: int, i1: FiniteDomain, o1: FiniteDomain,
@@ -361,7 +339,7 @@ def theta_tot(c1: Program, c2: Program) -> RelSpec:
 
 def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
                     side: int, comp: int) -> RelSpec:
-    """Unary partial-correctness transformer by tree recursion.
+    """Unary partial-correctness transformer, node by node in `P._postorder`.
 
     Loops take the least fixpoint of w -> bind (body) (continue ? w : done),
     computed by iterating from the everywhere-trivial spec until the demonic
@@ -376,37 +354,34 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
         return state_space(dom if side == 1 else UNIT, s1,
                            dom if side == 2 else UNIT, s2)
 
-    def rec(q: Program) -> RelSpec:
+    spec = {}
+    for q in P._postorder(c):
         n = q.node
+        t = type(n)
         space = sp_for(q.result)
-        if isinstance(n, P.Ret):
+        if t is P.Ret:
             u = Value(UNIT, 0)
             a1v, a2v = (n.value, u) if side == 1 else (u, n.value)
-            return spec_ret(space, a1v, a2v)
-        if isinstance(n, P.Bind):
-            wm = rec(n.inner)
-            subs = {v: rec(k) for v, k in enumerate(n.cont)}
+            w = spec_ret(space, a1v, a2v)
+        elif t is P.Bind:
+            subs = [spec[id(k)] for k in n.cont]
             key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
-            return spec_bind(wm, key)
-        if isinstance(n, P.Get):
-            subs = [rec(k) for k in n.cont]
-            table = []
-            for pt in space.points():
-                s1i, s2i = space.point_split(pt)
-                cur = s1i if comp == 1 else s2i
-                table.append(subs[cur].demonic_at(pt))
-            return demonic_spec(space, table)
-        if isinstance(n, P.Put):
-            sub = rec(n.then)
+            w = spec_bind(spec[id(n.inner)], key)
+        elif t is P.Get:
+            # each point goes on with the entry for its own state component
+            w = demonic_spec(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].demonic_at(pt)
+                                     for pt in space.points()])
+        elif t is P.Put:
+            sub = spec[id(n.then)]
             table = []
             for pt in space.points():
                 s1i, s2i = space.point_split(pt)
                 npt = (space.point(n.state.index, s2i) if comp == 1
                        else space.point(s1i, n.state.index))
                 table.append(sub.demonic_at(npt))
-            return demonic_spec(space, table)
-        if isinstance(n, P.DoWhile):
-            wbody = rec(n.body)
+            w = demonic_spec(space, table)
+        elif t is P.DoWhile:
+            wbody = spec[id(n.body)]
             bsp = sp_for(BOOL)
             u = Value(UNIT, 0)
             fv = boolv(False)
@@ -414,20 +389,21 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
             w = weakest(bsp)
             limit = bsp.point_count * (bsp.size + 2) + 4
             for _ in range(limit):
-                def step(i1, i2, _w=w):
+                def step(i1, i2, _w=w, _done=done):
                     b = i1 if side == 1 else i2
-                    return _w if b == 1 else done
+                    return _w if b == 1 else _done
                 nxt = spec_bind(wbody, step)
                 if nxt.table == w.table:
                     break
                 w = nxt
             else:
                 raise RuntimeError("loop fixpoint failed to converge")
-            sub = rec(n.then)
-            return spec_bind(w, lambda _i, _j: sub)
-        raise TypeError(f"{n.__class__.__name__} under imp")
-
-    return rec(c)
+            sub = spec[id(n.then)]
+            w = spec_bind(w, lambda _i, _j: sub)
+        else:
+            raise TypeError(f"{t.__name__} under imp")
+        spec[id(q)] = w
+    return spec[id(c)]
 
 
 def theta_part_unary(c: Program) -> RelSpec:
@@ -450,16 +426,6 @@ def unary_theta_part(side: int, s1: FiniteDomain, s2: FiniteDomain,
         target="WrelSt",
         embed=lambda c: _theta_imp_spec(c, s1, s2, side, comp),
     )
-
-
-def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
-    """Fixpoint-based cross check of theta_part (pairing of the two
-    one-sided transformers)."""
-    _expect_effect(c1, (P.IMP, P.STATE), "theta_part_slow")
-    _expect_effect(c2, (P.IMP, P.STATE), "theta_part_slow")
-    u1 = unary_theta_part(1, c1.sig.state, c2.sig.state)
-    u2 = unary_theta_part(2, c1.sig.state, c2.sig.state)
-    return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)
 
 
 # ---------------------------------------------------------------------------

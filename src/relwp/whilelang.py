@@ -28,6 +28,7 @@ so every expression denotes a total function on stores.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -35,7 +36,7 @@ from . import observations as O
 from . import programs as P
 from . import rules as R
 from . import specmonads as sm
-from .domains import UNIT, UNIT_VAL, FiniteDomain, Value, boolv, domain
+from .domains import UNIT, UNIT_VAL, FiniteDomain, boolv, domain
 from .rules import RuleError
 
 LOW, HIGH = "low", "high"
@@ -131,17 +132,6 @@ def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
     return out
 
 
-def store_of(sig: StoreSignature, **values: int) -> int:
-    """Pack named location values into a store index; unnamed ones are 0."""
-    extra = sorted(set(values) - set(sig.locations))
-    if extra:
-        raise ValueError(f"undeclared location {extra[0]!r}")
-    idx = 0
-    for loc in sig.locations:
-        idx = idx * sig.values.size + values.get(loc, 0) % sig.values.size
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Syntax
 
@@ -203,33 +193,53 @@ class While:
 
 Stmt = Union[Skip, Assign, Seq, If, While]
 
-_BINOPS = ("+", "-", "*", "=", "<", "<=", "&&", "||")
+# Arithmetic wraps modulo the value-domain size; comparisons and the
+# connectives return 0 or 1, and any nonzero value counts as true.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "=": operator.eq, "<": operator.lt, "<=": operator.le,
+        "&&": lambda a, b: bool(a and b), "||": lambda a, b: bool(a or b)}
 
 
 def expr_locations(e: Expr) -> frozenset:
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Loc):
-        return frozenset((e.name,))
-    if isinstance(e, Not):
-        return expr_locations(e.arg)
-    if isinstance(e, BinOp):
-        return expr_locations(e.left) | expr_locations(e.right)
-    raise TypeError(f"not an expression: {e!r}")
+    out, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Loc):
+            out.add(x.name)
+        elif isinstance(x, Not):
+            todo.append(x.arg)
+        elif isinstance(x, BinOp):
+            todo += (x.left, x.right)
+        elif not isinstance(x, Lit):
+            raise TypeError(f"not an expression: {x!r}")
+    return frozenset(out)
+
+
+def _statements(s: Stmt) -> List[Stmt]:
+    """s and every statement inside it, each listed after its parent."""
+    out, todo = [], [s]
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if isinstance(x, Seq):
+            todo += (x.first, x.second)
+        elif isinstance(x, If):
+            todo += (x.then, x.els)
+        elif isinstance(x, While):
+            todo.append(x.body)
+        elif not isinstance(x, (Skip, Assign)):
+            raise TypeError(f"not a statement: {x!r}")
+    return out
 
 
 def stmt_locations(s: Stmt) -> frozenset:
-    if isinstance(s, Skip):
-        return frozenset()
-    if isinstance(s, Assign):
-        return frozenset((s.loc,)) | expr_locations(s.expr)
-    if isinstance(s, Seq):
-        return stmt_locations(s.first) | stmt_locations(s.second)
-    if isinstance(s, If):
-        return expr_locations(s.cond) | stmt_locations(s.then) | stmt_locations(s.els)
-    if isinstance(s, While):
-        return expr_locations(s.cond) | stmt_locations(s.body)
-    raise TypeError(f"not a statement: {s!r}")
+    out = set()
+    for x in _statements(s):
+        if isinstance(x, Assign):
+            out |= {x.loc} | expr_locations(x.expr)
+        elif isinstance(x, (If, While)):
+            out |= expr_locations(x.cond)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +253,12 @@ def stmt_locations(s: Stmt) -> frozenset:
 # ";" binds loosest and associates right; if/while bodies extend as far
 # right as possible.  Operator precedence, tightest first:
 # "!", "*", "+"/"-", comparisons (non-associative), "&&", "||".
+#
+# The parser recurses once per level of "(", "if" and "while" nesting, so
+# that nesting is capped; ";" chains and operator chains are read in loops
+# and may be as long as memory allows.
+
+_MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -317,6 +333,7 @@ class _Parser:
     def __init__(self, toks: List[_Tok]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # open "(", "if" and "while" levels
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -326,79 +343,80 @@ class _Parser:
         self.pos += 1
         return t
 
-    def at_sym(self, text: str) -> bool:
+    def at(self, text: str) -> bool:
+        """At the keyword or symbol `text` (their spellings never overlap)."""
         t = self.peek()
-        return t.kind == "sym" and t.text == text
+        return t.kind in ("kw", "sym") and t.text == text
 
-    def at_kw(self, word: str) -> bool:
+    def expect(self, text: str) -> None:
         t = self.peek()
-        return t.kind == "kw" and t.text == word
-
-    def expect_sym(self, text: str) -> None:
-        t = self.peek()
-        if not self.at_sym(text):
+        if not self.at(text):
             raise ParseError(t.line, t.col, f"expected {text!r}, found {self._show(t)}")
-        self.take()
-
-    def expect_kw(self, word: str) -> None:
-        t = self.peek()
-        if not self.at_kw(word):
-            raise ParseError(t.line, t.col, f"expected {word!r}, found {self._show(t)}")
         self.take()
 
     @staticmethod
     def _show(t: _Tok) -> str:
         return "end of input" if t.kind == "eof" else repr(t.text)
 
+    def enter(self) -> None:
+        """Take an opening "(", "if" or "while": one more level of nesting."""
+        t = self.take()
+        if self.depth == _MAX_NESTING:
+            raise ParseError(t.line, t.col, f"nesting deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+
     # statements
 
     def stmt(self) -> Stmt:
-        first = self.stmt_atom()
-        if self.at_sym(";"):
+        items = [self.stmt_atom()]
+        while self.at(";"):
             self.take()
-            return Seq(first, self.stmt())
-        return first
+            items.append(self.stmt_atom())
+        out = items.pop()
+        while items:
+            out = Seq(items.pop(), out)
+        return out
 
     def stmt_atom(self) -> Stmt:
         t = self.peek()
-        if self.at_kw("skip"):
+        if self.at("skip"):
             self.take()
             return Skip()
-        if self.at_kw("if"):
-            self.take()
-            cond = self.expr()
-            self.expect_kw("then")
-            then = self.stmt()
-            self.expect_kw("else")
-            return If(cond, then, self.stmt())
-        if self.at_kw("while"):
-            self.take()
-            cond = self.expr()
-            self.expect_kw("do")
-            return While(cond, self.stmt())
-        if self.at_sym("("):
-            self.take()
-            inner = self.stmt()
-            self.expect_sym(")")
-            return inner
         if t.kind == "ident":
             self.take()
-            self.expect_sym(":=")
+            self.expect(":=")
             return Assign(t.text, self.expr())
-        raise ParseError(t.line, t.col, f"expected a statement, found {self._show(t)}")
+        if not (self.at("if") or self.at("while") or self.at("(")):
+            raise ParseError(t.line, t.col, f"expected a statement, found {self._show(t)}")
+        self.enter()
+        if t.text == "if":
+            cond = self.expr()
+            self.expect("then")
+            then = self.stmt()
+            self.expect("else")
+            out = If(cond, then, self.stmt())
+        elif t.text == "while":
+            cond = self.expr()
+            self.expect("do")
+            out = While(cond, self.stmt())
+        else:
+            out = self.stmt()
+            self.expect(")")
+        self.depth -= 1
+        return out
 
     # expressions, loosest first
 
     def expr(self) -> Expr:
         left = self.expr_and()
-        while self.at_sym("||"):
+        while self.at("||"):
             self.take()
             left = BinOp("||", left, self.expr_and())
         return left
 
     def expr_and(self) -> Expr:
         left = self.expr_cmp()
-        while self.at_sym("&&"):
+        while self.at("&&"):
             self.take()
             left = BinOp("&&", left, self.expr_cmp())
         return left
@@ -406,30 +424,34 @@ class _Parser:
     def expr_cmp(self) -> Expr:
         left = self.expr_add()
         for op in ("<=", "<", "="):
-            if self.at_sym(op):
+            if self.at(op):
                 self.take()
                 return BinOp(op, left, self.expr_add())
         return left
 
     def expr_add(self) -> Expr:
         left = self.expr_mul()
-        while self.at_sym("+") or self.at_sym("-"):
+        while self.at("+") or self.at("-"):
             op = self.take().text
             left = BinOp(op, left, self.expr_mul())
         return left
 
     def expr_mul(self) -> Expr:
         left = self.expr_unary()
-        while self.at_sym("*"):
+        while self.at("*"):
             self.take()
             left = BinOp("*", left, self.expr_unary())
         return left
 
     def expr_unary(self) -> Expr:
-        if self.at_sym("!"):
+        nots = 0
+        while self.at("!"):
             self.take()
-            return Not(self.expr_unary())
-        return self.expr_primary()
+            nots += 1
+        out = self.expr_primary()
+        for _ in range(nots):
+            out = Not(out)
+        return out
 
     def expr_primary(self) -> Expr:
         t = self.peek()
@@ -439,10 +461,11 @@ class _Parser:
         if t.kind == "ident":
             self.take()
             return Loc(t.text)
-        if self.at_sym("("):
-            self.take()
+        if self.at("("):
+            self.enter()
             inner = self.expr()
-            self.expect_sym(")")
+            self.expect(")")
+            self.depth -= 1
             return inner
         raise ParseError(t.line, t.col, f"expected an expression, found {self._show(t)}")
 
@@ -460,75 +483,82 @@ _PREC = {"||": 1, "&&": 2, "=": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
 
 
 def show_expr(e: Expr, at: int = 0) -> str:
-    if isinstance(e, Lit):
-        return str(e.value)
-    if isinstance(e, Loc):
-        return e.name
-    if isinstance(e, Not):
-        return "!" + show_expr(e.arg, 6)
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        # comparisons are non-associative, so both sides render one level up
-        lk = p if e.op not in ("=", "<", "<=") else p + 1
-        body = f"{show_expr(e.left, lk)} {e.op} {show_expr(e.right, p + 1)}"
-        return f"({body})" if p < at else body
-    raise TypeError(f"not an expression: {e!r}")
+    out = []
+    todo = [(e, at)]  # (expression or text, precedence it is shown at)
+    while todo:
+        x, at = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Lit):
+            out.append(str(x.value))
+        elif isinstance(x, Loc):
+            out.append(x.name)
+        elif isinstance(x, Not):
+            todo += ((x.arg, 6), ("!", 0))
+        elif isinstance(x, BinOp):
+            p = _PREC[x.op]
+            # comparisons are non-associative, so both sides render one level up
+            lk = p if x.op not in ("=", "<", "<=") else p + 1
+            parts = [(x.left, lk), (f" {x.op} ", 0), (x.right, p + 1)]
+            if p < at:
+                parts = [("(", 0)] + parts + [(")", 0)]
+            todo += reversed(parts)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return "".join(out)
 
 
 def show_stmt(s: Stmt) -> str:
-    if isinstance(s, Skip):
-        return "skip"
-    if isinstance(s, Assign):
-        return f"{s.loc} := {show_expr(s.expr)}"
-    if isinstance(s, Seq):
-        # the left of a ";" must stop there, so compound heads get parens
-        head = show_stmt(s.first)
-        if isinstance(s.first, (Seq, If, While)):
-            head = f"({head})"
-        return f"{head}; {show_stmt(s.second)}"
-    if isinstance(s, If):
-        return (f"if {show_expr(s.cond)} then {show_stmt(s.then)} "
-                f"else {show_stmt(s.els)}")
-    if isinstance(s, While):
-        return f"while {show_expr(s.cond)} do {show_stmt(s.body)}"
-    raise TypeError(f"not a statement: {s!r}")
+    out = []
+    todo = [s]  # statements still to show, or text, the next one last
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Skip):
+            out.append("skip")
+        elif isinstance(x, Assign):
+            out.append(f"{x.loc} := {show_expr(x.expr)}")
+        elif isinstance(x, Seq):
+            # the left of a ";" must stop there, so compound heads get parens
+            head = [x.first]
+            if isinstance(x.first, (Seq, If, While)):
+                head = ["(", x.first, ")"]
+            todo += reversed(head + ["; ", x.second])
+        elif isinstance(x, If):
+            todo += (x.els, " else ", x.then, f"if {show_expr(x.cond)} then ")
+        elif isinstance(x, While):
+            todo += (x.body, f"while {show_expr(x.cond)} do ")
+        else:
+            raise TypeError(f"not a statement: {x!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Expression evaluation
 
-# Arithmetic wraps modulo the value-domain size; comparisons and the
-# connectives return 0 or 1, and any nonzero value counts as true.
-
 
 def eval_expr(sig: StoreSignature, e: Expr, store: int) -> int:
     m = sig.values.size
-    if isinstance(e, Lit):
-        return e.value % m
-    if isinstance(e, Loc):
-        return store_read(sig, store, e.name)
-    if isinstance(e, Not):
-        return (0 if eval_expr(sig, e.arg, store) else 1) % m
-    if isinstance(e, BinOp):
-        a = eval_expr(sig, e.left, store)
-        b = eval_expr(sig, e.right, store)
-        if e.op == "+":
-            return (a + b) % m
-        if e.op == "-":
-            return (a - b) % m
-        if e.op == "*":
-            return (a * b) % m
-        if e.op == "=":
-            return (1 if a == b else 0) % m
-        if e.op == "<":
-            return (1 if a < b else 0) % m
-        if e.op == "<=":
-            return (1 if a <= b else 0) % m
-        if e.op == "&&":
-            return (1 if a and b else 0) % m
-        if e.op == "||":
-            return (1 if a or b else 0) % m
-    raise TypeError(f"not an expression: {e!r}")
+    vals = []
+    todo = [e]  # expressions still to evaluate, and operators waiting for their operands
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is str:
+            b = vals.pop()
+            vals.append((0 if b else 1) % m if x == "!" else _OPS[x](vals.pop(), b) % m)
+        elif t is Lit:
+            vals.append(x.value % m)
+        elif t is Loc:
+            vals.append(store_read(sig, store, x.name))
+        elif t is Not:
+            todo += ("!", x.arg)
+        elif t is BinOp and x.op in _OPS:
+            todo += (x.op, x.right, x.left)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return vals.pop()
 
 
 def truthy(v: int) -> bool:
@@ -552,35 +582,33 @@ def translate(ast: Stmt, sig: StoreSignature) -> P.Program:
         raise ValueError(f"undeclared location {missing[0]!r}")
     sdom = store_domain(sig)
     isig = P.imp_sig(sdom)
+    # the leaves every statement shares, built once
     unit = P.ret(isig, UNIT_VAL)
+    read = P.get_state(isig)
+    writes = [P.put_unit(isig, st, UNIT_VAL) for st in sdom.values()]
+    bools = [P.ret(isig, boolv(False)), P.ret(isig, boolv(True))]
 
-    def go(s: Stmt) -> P.Program:
+    # read backwards, every statement comes after those inside it, whose
+    # translations are then the last ones on `done`
+    done: List[P.Program] = []
+    for s in reversed(_statements(ast)):
         if isinstance(s, Skip):
-            return unit
-        if isinstance(s, Assign):
-            def write(st: Value) -> P.Program:
-                v = eval_expr(sig, s.expr, st.index)
-                nxt = Value(sdom, store_write(sig, st.index, s.loc, v))
-                return P.put_unit(isig, nxt, UNIT_VAL)
-            return P.bind(P.get_state(isig), write)
-        if isinstance(s, Seq):
-            first, second = go(s.first), go(s.second)
-            return P.bind(first, lambda _u: second)
-        if isinstance(s, If):
-            then, els = go(s.then), go(s.els)
-            return P.bind(P.get_state(isig),
-                          lambda st: then if truthy(eval_expr(sig, s.cond, st.index)) else els)
-        if isinstance(s, While):
-            body = go(s.body)
-            guard = P.bind(P.get_state(isig),
-                           lambda st: P.ret(isig, boolv(truthy(eval_expr(sig, s.cond, st.index)))))
-            once = P.bind(guard,
-                          lambda b: P.bind(body, lambda _u: P.ret(isig, boolv(True)))
-                          if b.index else P.ret(isig, boolv(False)))
-            return P.do_while(once, unit)
-        raise TypeError(f"not a statement: {s!r}")
-
-    return go(ast)
+            r = unit
+        elif isinstance(s, Assign):
+            r = P.bind(read, lambda st: writes[
+                store_write(sig, st.index, s.loc, eval_expr(sig, s.expr, st.index))])
+        elif isinstance(s, Seq):
+            second, first = done.pop(), done.pop()
+            r = P.bind(first, lambda _u: second)
+        elif isinstance(s, If):
+            els, then = done.pop(), done.pop()
+            r = P.bind(read, lambda st: then if truthy(eval_expr(sig, s.cond, st.index)) else els)
+        else:
+            body = P.bind(done.pop(), lambda _u: bools[True])
+            guard = P.bind(read, lambda st: bools[truthy(eval_expr(sig, s.cond, st.index))])
+            r = P.do_while(P.bind(guard, lambda b: body if b.index else bools[False]), unit)
+        done.append(r)
+    return done.pop()
 
 
 def run_stmt(sig: StoreSignature, ast: Stmt, store: int) -> Optional[int]:
@@ -590,26 +618,29 @@ def run_stmt(sig: StoreSignature, ast: Stmt, store: int) -> Optional[int]:
     exactly when a store repeats while its guard still holds; this decides
     termination without fuel.
     """
-    if isinstance(ast, Skip):
-        return store
-    if isinstance(ast, Assign):
-        return store_write(sig, store, ast.loc, eval_expr(sig, ast.expr, store))
-    if isinstance(ast, Seq):
-        mid = run_stmt(sig, ast.first, store)
-        return None if mid is None else run_stmt(sig, ast.second, mid)
-    if isinstance(ast, If):
-        branch = ast.then if truthy(eval_expr(sig, ast.cond, store)) else ast.els
-        return run_stmt(sig, branch, store)
-    if isinstance(ast, While):
-        seen = set()
-        cur: Optional[int] = store
-        while cur is not None and truthy(eval_expr(sig, ast.cond, cur)):
-            if cur in seen:
-                return None
-            seen.add(cur)
-            cur = run_stmt(sig, ast.body, cur)
-        return cur
-    raise TypeError(f"not a statement: {ast!r}")
+    # statements still to run, the next one last; a running loop is
+    # (loop, stores seen at its head)
+    todo = [ast]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, tuple):
+            loop, seen = s
+            if truthy(eval_expr(sig, loop.cond, store)):
+                if store in seen:
+                    return None
+                seen.add(store)
+                todo += (s, loop.body)
+        elif isinstance(s, Seq):
+            todo += (s.second, s.first)
+        elif isinstance(s, Assign):
+            store = store_write(sig, store, s.loc, eval_expr(sig, s.expr, store))
+        elif isinstance(s, If):
+            todo.append(s.then if truthy(eval_expr(sig, s.cond, store)) else s.els)
+        elif isinstance(s, While):
+            todo.append((s, set()))
+        elif not isinstance(s, Skip):
+            raise TypeError(f"not a statement: {s!r}")
+    return store
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""Independent references the tests check the package against.
+
+Each is a direct recursive transcription of its definition, kept apart from
+`relwp` on purpose: `normalize` is the structural normal form the iterative
+one in `programs` must reproduce node for node, `run_imp_fuel` cross-checks
+`run_imp`'s divergence verdicts, and `theta_part_slow` cross-checks
+`theta_part` through the fixpoint of the one-sided transformers.  They
+recurse once per tree level, so keep their inputs shallow.
+"""
+
+from typing import Tuple
+
+from relwp import observations as O
+from relwp import programs as P
+from relwp.domains import FiniteDomain, Value
+from relwp.observations import from_commuting_pair, unary_theta_part
+from relwp.programs import (Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input, Output,
+                            PickFin, Program, Put, Ret, Throw)
+from relwp.specmonads import RelSpec
+
+
+def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
+    return Program(sig, result, node, depth)
+
+
+def _throws(p: Program) -> bool:
+    n = p.node
+    if isinstance(n, Throw):
+        return True
+    if isinstance(n, Ret):
+        return False
+    if isinstance(n, Bind):
+        return _throws(n.inner) or any(_throws(c) for c in n.cont)
+    if isinstance(n, Catch):
+        # a catch can still rethrow from its handler
+        return any(_throws(h) for h in n.handler)
+    return False
+
+
+def _graft(p: Program, cont: Tuple[Program, ...], result: FiniteDomain) -> Program:
+    """Replace every Ret leaf of normal-form p with the matching table entry.
+
+    catch is not algebraic: pushing a continuation that may throw inside the
+    catch would let the handler capture the continuation's exceptions.  In
+    that case the bind stays at the spine, which is the normal form here.
+    """
+    n = p.node
+    if isinstance(n, Ret):
+        return cont[n.value.index]
+    if isinstance(n, Bind):
+        # p was normal, so this bind sits over a catch: reassociate rightward
+        sub = tuple(_graft(c, cont, result) for c in n.cont)
+        depth = n.inner.depth + max(s.depth for s in sub) - 1
+        return _mk(p.sig, result, Bind(n.inner, sub), max(depth, 1))
+    if isinstance(n, Get):
+        sub = tuple(_graft(c, cont, result) for c in n.cont)
+        return _mk(p.sig, result, Get(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Put):
+        t = _graft(n.then, cont, result)
+        return _mk(p.sig, result, Put(n.state, t), 1 + t.depth)
+    if isinstance(n, Throw):
+        return _mk(p.sig, result, Throw(n.exc), 1)
+    if isinstance(n, Catch):
+        if any(_throws(c) for c in cont):
+            depth = p.depth + max(c.depth for c in cont) - 1
+            return _mk(p.sig, result, Bind(p, cont), max(depth, 1))
+        body = _graft(n.body, cont, result)
+        handler = tuple(_graft(h, cont, result) for h in n.handler)
+        return _mk(p.sig, result, Catch(body, handler),
+                   1 + max(body.depth, max(h.depth for h in handler)))
+    if isinstance(n, Choice):
+        l, r = _graft(n.left, cont, result), _graft(n.right, cont, result)
+        return _mk(p.sig, result, Choice(l, r), 1 + max(l.depth, r.depth))
+    if isinstance(n, Fail):
+        return _mk(p.sig, result, Fail(), 1)
+    if isinstance(n, PickFin):
+        sub = tuple(_graft(c, cont, result) for c in n.cont)
+        return _mk(p.sig, result, PickFin(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Input):
+        sub = tuple(_graft(c, cont, result) for c in n.cont)
+        return _mk(p.sig, result, Input(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Output):
+        t = _graft(n.then, cont, result)
+        return _mk(p.sig, result, Output(n.value, t), 1 + t.depth)
+    if isinstance(n, Flip):
+        f, t = _graft(n.cont[0], cont, result), _graft(n.cont[1], cont, result)
+        return _mk(p.sig, result, Flip(n.p, (f, t)), 1 + max(f.depth, t.depth))
+    if isinstance(n, DoWhile):
+        # the loop body result stays bool; only the continuation is grafted
+        t = _graft(n.then, cont, result)
+        return _mk(p.sig, result, DoWhile(n.body, t), 1 + max(n.body.depth, t.depth))
+    raise TypeError(f"unexpected node {n!r}")
+
+
+def normalize(p: Program) -> Program:
+    """Bind-free normal form: unit laws applied, binds pushed into continuations."""
+    n = p.node
+    if isinstance(n, Ret):
+        return p
+    if isinstance(n, Bind):
+        m = normalize(n.inner)
+        cont = tuple(normalize(c) for c in n.cont)
+        return _graft(m, cont, p.result)
+    if isinstance(n, Get):
+        sub = tuple(normalize(c) for c in n.cont)
+        return _mk(p.sig, p.result, Get(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Put):
+        t = normalize(n.then)
+        return _mk(p.sig, p.result, Put(n.state, t), 1 + t.depth)
+    if isinstance(n, Throw):
+        return p
+    if isinstance(n, Catch):
+        body = normalize(n.body)
+        handler = tuple(normalize(h) for h in n.handler)
+        return _mk(p.sig, p.result, Catch(body, handler),
+                   1 + max(body.depth, max(h.depth for h in handler)))
+    if isinstance(n, Choice):
+        l, r = normalize(n.left), normalize(n.right)
+        return _mk(p.sig, p.result, Choice(l, r), 1 + max(l.depth, r.depth))
+    if isinstance(n, Fail):
+        return p
+    if isinstance(n, PickFin):
+        sub = tuple(normalize(c) for c in n.cont)
+        return _mk(p.sig, p.result, PickFin(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Input):
+        sub = tuple(normalize(c) for c in n.cont)
+        return _mk(p.sig, p.result, Input(sub), 1 + max(s.depth for s in sub))
+    if isinstance(n, Output):
+        t = normalize(n.then)
+        return _mk(p.sig, p.result, Output(n.value, t), 1 + t.depth)
+    if isinstance(n, Flip):
+        f, t = normalize(n.cont[0]), normalize(n.cont[1])
+        return _mk(p.sig, p.result, Flip(n.p, (f, t)), 1 + max(f.depth, t.depth))
+    if isinstance(n, DoWhile):
+        body, t = normalize(n.body), normalize(n.then)
+        return _mk(p.sig, p.result, DoWhile(body, t), 1 + max(body.depth, t.depth))
+    raise TypeError(f"unexpected node {n!r}")
+
+
+def run_imp_fuel(p: Program, s: Value, fuel: int):
+    """Fuel-bounded reference: every loop iteration costs one unit.
+
+    Returns (value, state) on termination within fuel, the string "fuel" on
+    exhaustion.  Used only to cross-check run_imp's divergence verdicts.
+    """
+
+    def go(q: Program, st: Value, gas: int):
+        n = q.node
+        if isinstance(n, Ret):
+            return (n.value, st), gas
+        if isinstance(n, Bind):
+            r, gas = go(n.inner, st, gas)
+            if r == "fuel":
+                return "fuel", gas
+            a, s1 = r
+            return go(n.cont[a.index], s1, gas)
+        if isinstance(n, Get):
+            return go(n.cont[st.index], st, gas)
+        if isinstance(n, Put):
+            return go(n.then, n.state, gas)
+        if isinstance(n, DoWhile):
+            cur = st
+            while True:
+                if gas <= 0:
+                    return "fuel", gas
+                gas -= 1
+                r, gas = go(n.body, cur, gas)
+                if r == "fuel":
+                    return "fuel", gas
+                b, cur = r
+                if b.index == 0:
+                    return go(n.then, cur, gas)
+        raise TypeError(f"{n.__class__.__name__} under imp")
+
+    r, _ = go(p, s, fuel)
+    return r
+
+
+def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
+    """Fixpoint-based cross check of theta_part (pairing of the two
+    one-sided transformers)."""
+    O._expect_effect(c1, (P.IMP, P.STATE), "theta_part_slow")
+    O._expect_effect(c2, (P.IMP, P.STATE), "theta_part_slow")
+    u1 = unary_theta_part(1, c1.sig.state, c2.sig.state)
+    u2 = unary_theta_part(2, c1.sig.state, c2.sig.state)
+    return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)

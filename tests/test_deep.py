@@ -1,0 +1,311 @@
+"""Long programs: every walker answers without a RecursionError.
+
+Chains of 10^4 operations, nested to the right (each operation's
+continuation is the rest of the chain) and to the left (a bind whose inner
+program is the chain so far), go through normalisation, equality, hashing,
+the evaluators, `semantic_key`, `count_loops` and the observations.  The
+While front end gets 10^4-statement programs and long expressions.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from relwp import observations as O
+from relwp import programs as P
+from relwp import rules as R
+from relwp import whilelang as W
+from relwp.domains import UNIT_VAL, boolv, domain
+
+N = 10 ** 4
+
+Z2 = domain("Z2", 2)
+Z3 = domain("Z3", 3)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+
+
+def _bottom(sig, last):
+    # a bind at the bottom, so that normalising grafts it and rebuilds the
+    # whole spine above it
+    return P.bind(P.ret(sig, UNIT_VAL), lambda _u: last)
+
+
+def state_chain(sig):
+    """get and put alternately, the last put writing 1; returns the state."""
+    p = _bottom(sig, P.get_state(sig))
+    for i in reversed(range(N)):
+        if i % 2:
+            p = P.get(sig, lambda _s, rest=p: rest)
+        else:
+            p = P.put(sig, Z2.value((i // 2) % 2), p)
+    return p
+
+
+def imp_chain():
+    """Puts, the last one writing 1, with a loop that runs its body once in
+    every tenth place; returns the state."""
+    sig = P.imp_sig(Z2)
+    p = _bottom(sig, P.get_state(sig))
+    for i in reversed(range(N)):
+        if i % 10 == 9:
+            p = P.do_while(P.ret(sig, boolv(False)), p)
+        else:
+            p = P.put(sig, Z2.value((i // 2) % 2), p)
+    return p
+
+
+def exc_chain():
+    """Each throw is caught by a handler that runs the rest; returns 1."""
+    sig = P.exc_sig(Z2)
+    p = _bottom(sig, P.ret(sig, Z2.value(1)))
+    for i in range(N):
+        p = P.catch(P.throw(sig, Z2.value(i % 2), Z2), lambda _e, rest=p: rest)
+    return p
+
+
+def ndet_chain():
+    """Returns any value of Z3, or fails at the end."""
+    sig = P.ndet_sig()
+    p = _bottom(sig, P.fail(sig, Z3))
+    for i in range(N):
+        p = P.choice(P.ret(sig, Z3.value(i % 3)), p)
+    return p
+
+
+def io_chain():
+    """Outputs 0, 1, 0, 1, ... in that order, then returns unit."""
+    sig = P.io_sig(Z2, Z2)
+    p = _bottom(sig, P.ret(sig, UNIT_VAL))
+    for i in reversed(range(N)):
+        p = P.output(sig, Z2.value(i % 2), p)
+    return p
+
+
+def prob_chain():
+    """Goes on with certainty, except at four fair coins that return 0."""
+    sig = P.prob_sig()
+    p = _bottom(sig, P.ret(sig, Z2.value(1)))
+    for i in range(N):
+        p = P.flip(sig, Fraction(1, 2) if i % 2500 == 0 else 1, P.ret(sig, Z2.value(0)), p)
+    return p
+
+
+BUILD = {
+    "state": lambda: state_chain(P.state_sig(Z2)),
+    "imp": imp_chain,
+    "exc": exc_chain,
+    "ndet": ndet_chain,
+    "io": io_chain,
+    "prob": prob_chain,
+}
+
+LAST_PUT = Z2.value(((N - 2) // 2) % 2)
+KEYS = {
+    "state": tuple((LAST_PUT, LAST_PUT) for _ in range(2)),
+    "imp": tuple((LAST_PUT, LAST_PUT) for _ in range(2)),
+    "exc": (P.OK, Z2.value(1)),
+    "ndet": frozenset(Z3.values()),
+    "io": frozenset({(UNIT_VAL, tuple((P.OUT, Z2.value(i % 2)) for i in reversed(range(N))))}),
+    "prob": (Fraction(15, 16), Fraction(1, 16)),
+}
+
+
+def _final_pairs(w):
+    # every point of a two-state chain pair ends with both sides at LAST_PUT
+    i = LAST_PUT.index
+    return all(w.demonic_at(pt) == frozenset({w.space.st_outcome(i, i, i, i)})
+               for pt in w.space.points())
+
+
+def _both_return_1(w):
+    return w.demonic_at(0) == frozenset({w.space.err_ok(1, 1)})
+
+
+def _io_run(p):
+    v, h = P.run_io(p, [])
+    return v == UNIT_VAL and h == next(iter(KEYS["io"]))[1]
+
+
+# what `semantic_key` does not already run: the observations, and run_io
+CHECKS = {
+    "state": lambda p: _final_pairs(O.theta_st(p, p)),
+    "imp": lambda p: _final_pairs(O.theta_part(p, p)) and _final_pairs(O.theta_tot(p, p)),
+    "exc": lambda p: _both_return_1(O.theta_err(p, p)),
+    "ndet": lambda p: len(O.theta_ndet(O.FORALL, p, p).demonic_at(0)) == 9,
+    "io": _io_run,
+    # the least chance that the two sides agree, over all couplings
+    "prob": lambda p: O.theta_prob(p, p).at((1, 0, 0, 1)) == Fraction(7, 8),
+}
+
+
+@pytest.mark.parametrize("effect", sorted(BUILD))
+def test_right_nested_chain(effect):
+    p = BUILD[effect]()
+    assert p.depth > N
+    q = P.normalize(p)
+    assert P.normalize(q) is q  # bind-free: its own normal form
+    assert q != p and q.depth == p.depth
+    assert isinstance(hash(p), int)
+    # the effect's evaluator, from every initial state where there is one
+    assert P.semantic_key(p) == KEYS[effect]
+    assert P.count_loops(p) == (N // 10 if effect == "imp" else 0)
+    assert CHECKS[effect](q)
+
+
+@pytest.mark.parametrize("effect", ["state", "exc"])
+def test_deep_programs_built_apart_compare_and_hash_equal(effect):
+    p, twin = BUILD[effect](), BUILD[effect]()
+    assert p == twin and p is not twin
+    assert hash(p) == hash(twin)
+
+
+def test_one_sided_embeddings_of_long_chains():
+    # the one-sided embeddings build a spec per node, so a shorter chain
+    # keeps this quick; it is still deeper than Python's default stack
+    sig = P.imp_sig(Z2)
+    p = P.get_state(sig)
+    for i in range(1500):
+        p = P.put(sig, Z2.value(i % 2), p)
+    w = O.theta_part_unary(p)
+    assert all(w.demonic_at(pt) == frozenset({w.space.st_outcome(0, 0, 0, 0)})
+               for pt in w.space.points())
+    io = P.io_sig(Z2, Z2)
+    q = P.ret(io, UNIT_VAL)
+    for i in range(1500):
+        q = P.output(io, Z2.value(0), q)
+    # reading this spec goes through one lazy table per output, each calling
+    # the next, so only its construction is checked at this length
+    assert O.unary_theta_io(1, Z2, Z2, Z2, Z2).embed(q).tag == "WrelIO"
+
+
+def _left_chain(first, table, n=N):
+    p = first
+    for _ in range(n):
+        p = P.bind(p, table)
+    return p
+
+
+def test_left_nested_binds_through_the_evaluators():
+    st, imp = P.state_sig(Z2), P.imp_sig(Z2)
+    s1 = Z2.value(1)
+
+    def toggle(sig):
+        # write the other state, then read it back
+        return [P.put(sig, v, P.get_state(sig)) for v in reversed(list(Z2.values()))]
+
+    p = _left_chain(P.get_state(st), toggle(st))
+    assert P.run_state(p, s1) == (s1, s1)
+    assert P.semantic_key(p) == ((Z2.value(0), Z2.value(0)), (s1, s1))
+    q = _left_chain(P.get_state(imp), toggle(imp))
+    assert P.run_imp(q, s1) == (s1, s1)
+    w = O.theta_part(q, q)
+    assert w.demonic_at(w.space.point(1, 1)) == frozenset({w.space.st_outcome(1, 1, 1, 1)})
+
+    exc = P.exc_sig(Z2)
+    e = _left_chain(P.ret(exc, Z2.value(0)), [P.ret(exc, v) for v in reversed(list(Z2.values()))])
+    assert P.run_exc(e) == P.semantic_key(e) == (P.OK, Z2.value(0))
+    nd = P.ndet_sig()
+    both = P.choice(P.ret(nd, Z2.value(0)), P.ret(nd, Z2.value(1)))
+    assert P.run_ndet(_left_chain(both, [both, both])) == frozenset(Z2.values())
+    io = P.io_sig(Z2, Z2)
+    out = P.output(io, Z2.value(1), P.ret(io, UNIT_VAL))
+    o = _left_chain(out, [out])
+    assert len(P.run_io(o, [])[1]) == N + 1
+    assert len(next(iter(P.io_outcomes(o)))[1]) == N + 1
+    pr = P.prob_sig()
+    coin = P.flip_bool(pr, Fraction(1, 2))
+    assert P.run_prob(_left_chain(coin, [coin, coin])).weights == (Fraction(1, 2),) * 2
+
+
+def test_normalize_left_nested_binds():
+    # each bind grafts onto the normal form of the chain below it, so the
+    # cost is quadratic in the chain length; left as it is, since a chain
+    # this long is already far past the programs the checkers enumerate
+    sig = P.state_sig(Z2)
+    write = P.put_unit(sig, Z2.value(1), UNIT_VAL)
+    p = _left_chain(write, [write], 600)
+    q = P.normalize(p)
+    assert P.normalize(q) is q and q.depth == 602
+    assert P.semantic_key(q) == P.semantic_key(p)
+
+
+def test_a_program_pickled_under_another_string_hash_seed_hashes_here():
+    # the cached hash is never pickled: string hashes differ by process
+    code = ("import pickle, sys; from relwp import programs as P; "
+            "from relwp.domains import domain; d = domain('A', 2, ('x', 'y')); "
+            "sig = P.state_sig(d); p = P.put(sig, d.value(1), P.get_state(sig)); hash(p); "
+            "sys.stdout.write(pickle.dumps(p).hex())")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    there = pickle.loads(bytes.fromhex(out))
+    d = domain("A", 2, ("x", "y"))
+    sig = P.state_sig(d)
+    here = P.put(sig, d.value(1), P.get_state(sig))
+    assert there == here and hash(there) == hash(here)
+    assert {here: 1}[there] == 1
+
+
+# ---------------------------------------------------------------------------
+# While programs
+
+SIG = W.store_signature(("l", "h"), domain("V", 2), {"l": "low", "h": "high"})
+
+
+def _low_equal_runs_agree(ast) -> bool:
+    # brute force: low-equal initial stores end low-equal whenever both stop
+    size = W.store_domain(SIG).size
+    ends = [W.run_stmt(SIG, ast, s) for s in range(size)]
+    low = lambda s: W.store_read(SIG, s, "l")
+    return all(ends[a] is None or ends[b] is None or low(ends[a]) == low(ends[b])
+               for a in range(size) for b in range(size) if low(a) == low(b))
+
+
+def test_long_while_program():
+    text = "; ".join("l := l + 1" if i % 3 else "h := h + l" for i in range(N))
+    ast = W.parse_while(text)
+    assert W.show_stmt(ast) == text
+    assert W.stmt_locations(ast) == {"l", "h"}
+    j = W.ni_judgment(ast, SIG)
+    prog, sdom = j.c1(), W.store_domain(SIG)
+    for s in range(sdom.size):
+        assert P.run_imp(prog, sdom.value(s))[1].index == W.run_stmt(SIG, ast, s)
+    assert R.oracle_check(j).holds and _low_equal_runs_agree(ast)
+
+
+def test_left_nested_seq():
+    n = 3000
+    ast = W.Assign("l", W.Lit(1))
+    for _ in range(n):
+        ast = W.Seq(ast, W.Assign("h", W.Loc("l")))
+    assert W.run_stmt(SIG, ast, 0) == W.run_stmt(SIG, W.parse_while("l := 1; h := l"), 0)
+    prog = W.translate(ast, SIG)
+    assert P.run_imp(prog, W.store_domain(SIG).value(0))[1].index == W.run_stmt(SIG, ast, 0)
+    assert W.show_stmt(ast).startswith("(" * (n - 1) + "l := 1; h := l); h := l")
+    assert W.stmt_locations(ast) == {"l", "h"}
+
+
+def test_long_expressions():
+    text = "l := " + " + ".join(["1"] * 3000) + " - h"
+    ast = W.parse_while(text)
+    assert W.show_stmt(ast) == text
+    assert W.expr_locations(ast.expr) == {"h"}
+    assert W.eval_expr(SIG, ast.expr, 0) == 3000 % 2
+    assert W.show_expr(W.parse_while("l := " + "!" * 3000 + "h").expr) == "!" * 3000 + "h"
+
+
+@pytest.mark.parametrize("prefix, opening, inner, closing", [
+    ("", "(", "skip", ")"),
+    ("", "if l then ", "skip", " else skip"),
+    ("", "while l do ", "skip", ""),
+    ("l := ", "(", "1", ")"),
+])
+def test_nesting_past_the_parser_limit_is_a_parse_error(prefix, opening, inner, closing):
+    with pytest.raises(W.ParseError, match="nesting deeper than 100 levels"):
+        W.parse_while(prefix + opening * 5000 + inner + closing * 5000)
+    W.parse_while(prefix + opening * 100 + inner + closing * 100)

@@ -1,5 +1,6 @@
 """Program trees and reference evaluators."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from relwp.domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, boolv, domain
 from relwp import programs as P
 from relwp.genprog import enumerate_programs, random_program
+
+import reference
 
 Z8 = domain("Z8", 8)
 Z3 = domain("Z3", 3)
@@ -248,6 +251,42 @@ def _children(n):
     raise TypeError(n)
 
 
+def _tree(p):
+    """p as nested tuples, read off the dataclass fields of its nodes rather
+    than through the node-shape table under test."""
+    def field(v):
+        if isinstance(v, P.Program):
+            return _tree(v)
+        if isinstance(v, tuple):
+            return tuple(field(x) for x in v)
+        return v
+    n = p.node
+    return (type(n).__name__, p.sig, p.result, p.depth) + tuple(
+        field(getattr(n, f.name)) for f in dataclasses.fields(n))
+
+
+@pytest.mark.parametrize("sig,res", SIGS, ids=[s.effect for s, _ in SIGS])
+def test_normalize_matches_the_recursive_reference(sig, res):
+    rng = random.Random(sig.effect)
+    for _ in range(150):
+        p = random_program(rng, sig, res, 5)
+        got, want = P.normalize(p), reference.normalize(p)
+        assert _tree(got) == _tree(want)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_normalize_keeps_a_bind_over_a_catch_whose_continuation_may_throw():
+    sig = P.exc_sig(E2)
+    body = P.catch(P.throw(sig, E2.value(0), Z3), lambda e: P.ret(sig, Z3.value(e.index)))
+    rethrow = P.bind(body, lambda v: P.throw(sig, E2.value(1), Z3) if v.index == 0
+                     else P.ret(sig, v))
+    q = P.normalize(rethrow)
+    assert isinstance(q.node, P.Bind) and isinstance(q.node.inner.node, P.Catch)
+    assert _tree(q) == _tree(reference.normalize(rethrow))
+    # a continuation that cannot throw goes inside the catch
+    assert isinstance(P.normalize(P.bind(body, lambda v: P.ret(sig, v))).node, P.Catch)
+
+
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_prob_mass_is_one(seed):
@@ -265,7 +304,7 @@ def test_divergence_agrees_with_fueled_reference(seed):
     fuel = Z4.size * (P.count_loops(p) + 1) + p.depth
     for s in Z4.values():
         outs, div = P.reachable_outcomes(p, s)
-        ref = P.run_imp_fuel(p, s, fuel)
+        ref = reference.run_imp_fuel(p, s, fuel)
         if div:
             assert ref == "fuel"
             assert outs == frozenset()
