@@ -16,10 +16,11 @@ one side at a time.  The canonical exception carrier is the base lift with
 an exception transformer applied to each side, and a hand-written version of
 the same carrier is kept alongside as an oracle for it.
 
-Transformers over finite outcome domains live in demand normal form: a
-monotone map (outcomes -> Prop) -> Prop is the upward closure of finitely
-many demand sets, so bind, the precision order, and equality are all exact
-finite set computations with no postcondition enumeration.
+Payloads over finite outcome domains are `specmonads.Wp`: one demand family
+(the minimal accepted postconditions, as outcome bitmasks), the same exact
+form and the same unit, bind, map and order that the fixed carriers of
+`specmonads` use per point.  This module defines no demand-set algorithm of
+its own; the state lift's payloads are `RelSpec`s of the stateful carrier.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import programs as P
 from . import specmonads as sm
@@ -44,150 +45,7 @@ from .domains import (
 )
 from .programs import Program
 from .rules import EMPTY_ENV, Env, RuleError, Valuation
-
-
-# ---------------------------------------------------------------------------
-# Demand normal form
-
-
-def _phi_set(dom: FiniteDomain, phi) -> FrozenSet[int]:
-    if callable(phi):
-        return frozenset(o for o in range(dom.size) if phi(o))
-    if isinstance(phi, int):
-        return frozenset(o for o in range(dom.size) if phi >> o & 1)
-    return frozenset(int(o) for o in phi)
-
-
-def _min_antichain(sets) -> FrozenSet[FrozenSet[int]]:
-    sets = list(sets)
-    return frozenset(s for s in sets if not any(t < s for t in sets))
-
-
-@dataclass(frozen=True)
-class Wp:
-    """Monotone predicate transformer over one finite outcome domain.
-
-    `demands` is an antichain of outcome-index sets: the transformer accepts
-    a postcondition exactly when some demand set lies inside it.  Every
-    monotone transformer over a finite domain has exactly one such form (its
-    minimal accepted postconditions), so comparing demand families compares
-    transformers.  The empty family accepts nothing and is the top of the
-    precision order; the family containing only the empty set accepts
-    everything and is the bottom.
-    """
-
-    dom: FiniteDomain
-    demands: FrozenSet[FrozenSet[int]]
-
-    def at(self, phi) -> bool:
-        """Evaluate at a postcondition given as a callable on outcome
-        indices, an int bitmask, or an iterable of indices."""
-        s = _phi_set(self.dom, phi)
-        return any(d <= s for d in self.demands)
-
-    def __repr__(self):
-        shown = sorted(tuple(sorted(d)) for d in self.demands)
-        return f"Wp({self.dom.name}, {shown})"
-
-
-def wp(dom: FiniteDomain, demands) -> Wp:
-    """Normalize a demand family to its minimal antichain."""
-    sets = []
-    for d in demands:
-        s = frozenset(int(o) for o in d)
-        for o in s:
-            if not 0 <= o < dom.size:
-                raise ValueError(f"outcome {o} out of range for domain {dom.name!r}")
-        sets.append(s)
-    return Wp(dom, _min_antichain(sets))
-
-
-def wp_ret(dom: FiniteDomain, outcome: int) -> Wp:
-    if not 0 <= outcome < dom.size:
-        raise ValueError(f"outcome {outcome} out of range for domain {dom.name!r}")
-    return Wp(dom, frozenset({frozenset({outcome})}))
-
-
-def wp_weakest(dom: FiniteDomain) -> Wp:
-    return Wp(dom, frozenset({frozenset()}))
-
-
-def wp_unsat(dom: FiniteDomain) -> Wp:
-    """The spec that accepts no postcondition; everything sits below it."""
-    return Wp(dom, frozenset())
-
-
-@dataclass(frozen=True)
-class OrderVerdict:
-    """Outcome of a payload comparison.  `phi` is a separating demand set
-    (a postcondition the right spec accepts and the left does not) and
-    `where` locates it inside structured carriers such as state tables."""
-
-    holds: bool
-    phi: object = None
-    where: Tuple = ()
-
-
-def wp_leq(w: Wp, w2: Wp) -> OrderVerdict:
-    """Decide w <= w2: every postcondition w2 accepts, w accepts.
-
-    It is enough to test w at the minimal postconditions of w2, which are
-    its demand sets, so the check is exact and never enumerates.
-    """
-    if w.dom != w2.dom:
-        raise ValueError(f"cannot compare transformers over {w.dom.name!r} "
-                         f"and {w2.dom.name!r}")
-    for d in sorted(w2.demands, key=lambda s: (len(s), sorted(s))):
-        if not w.at(d):
-            return OrderVerdict(False, phi=d)
-    return OrderVerdict(True)
-
-
-def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
-    """Sequential composition against a total continuation table.
-
-    A demand of the result picks one demand from each continuation named by
-    a demand of `w` and unions them.  Partial unions are pruned to minimal
-    ones as the product unrolls; a superset at any stage stays a superset
-    under every completion, so the pruning loses nothing.  A deterministic
-    `w`, whose one demand is a single outcome, yields that outcome's
-    continuation as it stands: it is already an antichain.
-    """
-    table = tuple(table)
-    if len(table) != w.dom.size:
-        raise ValueError(f"continuation table must cover {w.dom.name!r} "
-                         f"({w.dom.size} outcomes, got {len(table)})")
-    rdom = table[0].dom
-    for t in table:
-        if t.dom != rdom:
-            raise ValueError("continuation table mixes outcome domains")
-    if len(w.demands) == 1:
-        (d,) = w.demands
-        if len(d) == 1:
-            (o,) = d
-            return table[o]
-    fams = set()
-    for d in w.demands:
-        pools = [table[o].demands for o in sorted(d)]
-        if any(not pool for pool in pools):
-            continue
-        partial = {frozenset()}
-        for pool in pools:
-            partial = _min_antichain({u | extra for u in partial for extra in pool})
-        fams |= partial
-    return Wp(rdom, _min_antichain(fams))
-
-
-def wp_map(w: Wp, rdom: FiniteDomain, f: Callable[[int], int]) -> Wp:
-    """Reindex outcomes: the result accepts phi iff w accepts phi . f."""
-    moved = []
-    for d in w.demands:
-        s = frozenset(f(o) for o in d)
-        for o in s:
-            if not 0 <= o < rdom.size:
-                raise ValueError(f"outcome map leaves domain {rdom.name!r}")
-        moved.append(s)
-    return Wp(rdom, _min_antichain(moved))
+from .specmonads import OrderVerdict, Wp, wp, wp_bind, wp_leq, wp_map, wp_ret, wp_unsat, wp_weakest
 
 
 def random_wp(rng: random.Random, dom: FiniteDomain, max_demands: int = 3) -> Wp:
@@ -285,14 +143,6 @@ def pure_ops() -> SimpleMonadOps:
     )
 
 
-def _order_from_leq(v: sm.LeqVerdict) -> OrderVerdict:
-    if v.holds:
-        return OrderVerdict(True)
-    if v.failed:
-        return OrderVerdict(False, phi=v.phi, where=("point", v.point))
-    return OrderVerdict(False, where=("unknown",))
-
-
 def state_ops(s1: FiniteDomain, s2: FiniteDomain) -> SimpleMonadOps:
     def gen(rng: random.Random, d1: FiniteDomain, d2: FiniteDomain):
         space = sm.state_space(d1, s1, d2, s2)
@@ -308,7 +158,7 @@ def state_ops(s1: FiniteDomain, s2: FiniteDomain) -> SimpleMonadOps:
         name=f"state[{s1.name},{s2.name}]",
         ret=lambda a1, a2: sm.spec_ret(sm.state_space(a1.domain, s1, a2.domain, s2), a1, a2),
         bind=lambda w, fn, _a1n, _a2n: sm.spec_bind(w, fn),
-        leq=lambda w, w2: _order_from_leq(sm.spec_leq(w, w2)),
+        leq=sm.spec_leq,
         unsat=lambda d1, d2: sm.unsatisfiable(sm.state_space(d1, s1, d2, s2)),
         gen=gen,
     )

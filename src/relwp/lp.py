@@ -165,26 +165,3 @@ def coupling_vertices(p: Sequence, q: Sequence) -> List[Tuple[Fraction, ...]]:
         if d is not None:
             seen.add(d)
     return sorted(seen)
-
-
-def is_coupling(p: Sequence, q: Sequence, d: Sequence) -> bool:
-    p = [Fraction(v) for v in p]
-    q = [Fraction(v) for v in q]
-    m, n = len(p), len(q)
-    if len(d) != m * n or any(Fraction(v) < 0 for v in d):
-        return False
-    rows_ok = all(sum(Fraction(d[i * n + j]) for j in range(n)) == p[i] for i in range(m))
-    cols_ok = all(sum(Fraction(d[i * n + j]) for i in range(m)) == q[j] for j in range(n))
-    return rows_ok and cols_ok
-
-
-def min_coupling_value(p: Sequence, q: Sequence, phi: Sequence) -> Fraction:
-    """inf over couplings d of sum d(i,j) * phi(i,j), attained at a vertex."""
-    best = None
-    for d in coupling_vertices(p, q):
-        v = sum(a * Fraction(b) for a, b in zip(d, phi))
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("empty transportation polytope")
-    return best

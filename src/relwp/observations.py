@@ -38,12 +38,11 @@ from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
     DEFAULT_CAP,
-    VIOLATED,
     LeqVerdict,
     OutcomeSpace,
     RelSpec,
     closure_spec,
-    demonic_spec,
+    demand_spec,
     err_space,
     io_demonic_spec,
     io_space,
@@ -118,25 +117,30 @@ def _expect_effect(c: Program, allowed, who: str):
 
 def _pair_runs(c1: Program, c2: Program, run, diverged) -> RelSpec:
     """Run each side once per initial state, then pair the runs: a point's
-    demand is the single joint outcome, or `diverged` if a side has none."""
+    demand is the single joint outcome, or its family is `diverged` if a
+    side has none."""
     space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
     left = [run(c1, s) for s in space.s1.values()]
     right = [run(c2, s) for s in space.s2.values()]
-    table = []
+    fams = []
     for r1 in left:
         for r2 in right:
             if r1 is None or r2 is None:
-                table.append(diverged)
+                fams.append(diverged)
             else:
                 (v1, t1), (v2, t2) = r1, r2
-                table.append(frozenset({space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
-    return demonic_spec(space, table)
+                fams.append(frozenset({1 << space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
+    return demand_spec(space, fams)
 
 
 def theta_st(c1: Program, c2: Program) -> RelSpec:
-    """Run both sides and demand the postcondition of the single outcome pair."""
+    """Run both sides and demand the postcondition of the single outcome
+    pair.  Imp programs with a loop need `theta_part` or `theta_tot`."""
     _expect_effect(c1, (P.STATE, P.IMP), "theta_st")
     _expect_effect(c2, (P.STATE, P.IMP), "theta_st")
+    if any(c.sig.effect == P.IMP and P.count_loops(c) for c in (c1, c2)):
+        raise ValueError("theta_st runs programs without loops; "
+                         "observe loops with theta_part or theta_tot")
     return _pair_runs(c1, c2, P.run_state, None)
 
 
@@ -155,8 +159,8 @@ def _theta_st_unary_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
         n1, n2 = (t.index, s2i) if comp == 1 else (s1i, t.index)
         o = space.st_outcome(v.index if side == 1 else 0, n1,
                              v.index if side == 2 else 0, n2)
-        table.append(frozenset({o}))
-    return demonic_spec(space, table)
+        table.append(frozenset({1 << o}))
+    return demand_spec(space, table)
 
 
 def unary_theta_st(side: int, s1: FiniteDomain, s2: FiniteDomain,
@@ -182,10 +186,13 @@ def unary_theta_st(side: int, s1: FiniteDomain, s2: FiniteDomain,
 
 
 def theta_ndet(mode: str, c1: Program, c2: Program) -> RelSpec:
-    """Quantified transformer over the two outcome sets.
+    """Quantified transformer over the two outcome sets, as demands.
 
-    forall demands the postcondition on every pair, exists on at least one,
-    and forall-exists asks every left outcome to find some right partner.
+    forall demands the postcondition on every pair (one demand), exists on
+    at least one (one singleton demand per pair), and forall-exists asks
+    every left outcome to find some right partner: forall over the left
+    outcomes bound to exists over each one's pairs, one demand per choice
+    of partners (a bind, so past its demand limit this raises SpecTooLarge).
     Empty sets behave accordingly: forall of nothing is trivially met.
     """
     _expect_effect(c1, P.NDET, "theta_ndet")
@@ -193,22 +200,18 @@ def theta_ndet(mode: str, c1: Program, c2: Program) -> RelSpec:
     if mode not in NDET_MODES:
         raise ValueError(f"mode must be one of {NDET_MODES}, got {mode!r}")
     space = pure_space(c1.result, c2.result)
-    r1, r2 = P.run_ndet(c1), P.run_ndet(c2)
-    width = space.a2.size
-    pairs1 = sorted(v.index for v in r1)
-    pairs2 = sorted(v.index for v in r2)
+    r1 = {v.index for v in P.run_ndet(c1)}
+    r2 = {v.index for v in P.run_ndet(c2)}
+
+    def pairs(i1):
+        return [1 << (i1 * space.a2.size + i2) for i2 in r2]
+
     if mode == FORALL:
-        allp = frozenset(i1 * width + i2 for i1 in pairs1 for i2 in pairs2)
-        return demonic_spec(space, [allp])
-
+        return demand_spec(space, [[sum(b for i1 in r1 for b in pairs(i1))]])
     if mode == EXISTS:
-        def ex(f, _pt):
-            return any(f(i1 * width + i2) for i1 in pairs1 for i2 in pairs2)
-        return closure_spec(space, ex)
-
-    def fe(f, _pt):
-        return all(any(f(i1 * width + i2) for i2 in pairs2) for i1 in pairs1)
-    return closure_spec(space, fe)
+        return demand_spec(space, [[b for i1 in r1 for b in pairs(i1)]])
+    each_left = demand_spec(pure_space(c1.result, UNIT), [[sum(1 << i1 for i1 in r1)]])
+    return spec_bind(each_left, lambda i1, _u: demand_spec(space, [pairs(i1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +227,8 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
     t1, v1 = P.run_exc(c1)
     t2, v2 = P.run_exc(c2)
     if t1 == P.OK and t2 == P.OK:
-        return demonic_spec(space, [frozenset({space.err_ok(v1.index, v2.index)})])
-    return demonic_spec(space, [frozenset({space.err_bad()})])
+        return demand_spec(space, [(1 << space.err_ok(v1.index, v2.index),)])
+    return demand_spec(space, [(1 << space.err_bad(),)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def theta_part(c1: Program, c2: Program) -> RelSpec:
     """
     _expect_effect(c1, (P.IMP, P.STATE), "theta_part")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_part")
-    return _pair_runs(c1, c2, P.run_imp, frozenset())
+    return _pair_runs(c1, c2, P.run_imp, frozenset({0}))
 
 
 def theta_tot(c1: Program, c2: Program) -> RelSpec:
@@ -334,7 +337,7 @@ def theta_tot(c1: Program, c2: Program) -> RelSpec:
     This variant is our reconstruction; `theta_part` is the primary one."""
     _expect_effect(c1, (P.IMP, P.STATE), "theta_tot")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_tot")
-    return _pair_runs(c1, c2, P.run_imp, VIOLATED)
+    return _pair_runs(c1, c2, P.run_imp, frozenset())
 
 
 def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
@@ -342,8 +345,8 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
     """Unary partial-correctness transformer, node by node in `P._postorder`.
 
     Loops take the least fixpoint of w -> bind (body) (continue ? w : done),
-    computed by iterating from the everywhere-trivial spec until the demonic
-    tables stop changing; the chain only grows, and the lattice of entries is
+    computed by iterating from the everywhere-trivial spec until the demand
+    families stop changing; the chain only grows, and the lattice of entries is
     finite, so this terminates.
     """
     own = s1 if comp == 1 else s2
@@ -368,9 +371,9 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
             key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
             w = spec_bind(spec[id(n.inner)], key)
         elif t is P.Get:
-            # each point goes on with the entry for its own state component
-            w = demonic_spec(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].demonic_at(pt)
-                                     for pt in space.points()])
+            # each point goes on with the family for its own state component
+            w = demand_spec(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].fams[pt]
+                                    for pt in space.points()])
         elif t is P.Put:
             sub = spec[id(n.then)]
             table = []
@@ -378,8 +381,8 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
                 s1i, s2i = space.point_split(pt)
                 npt = (space.point(n.state.index, s2i) if comp == 1
                        else space.point(s1i, n.state.index))
-                table.append(sub.demonic_at(npt))
-            w = demonic_spec(space, table)
+                table.append(sub.fams[npt])
+            w = demand_spec(space, table)
         elif t is P.DoWhile:
             wbody = spec[id(n.body)]
             bsp = sp_for(BOOL)
@@ -393,7 +396,7 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
                     b = i1 if side == 1 else i2
                     return _w if b == 1 else _done
                 nxt = spec_bind(wbody, step)
-                if nxt.table == w.table:
+                if nxt.fams == w.fams:
                     break
                 w = nxt
             else:

@@ -28,7 +28,9 @@ import random
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import programs as P
@@ -55,7 +57,8 @@ from .specmonads import (
     LeqVerdict,
     OutcomeSpace,
     RelSpec,
-    closure_spec,
+    _fam_bind,
+    demand_spec,
     demonic_spec,
     err_space,
     from_final_post,
@@ -808,7 +811,7 @@ def _angelic(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     sig = P.ndet_sig()
     sp = pure_space(BOOL, BOOL)
-    w = closure_spec(sp, lambda f, _pt: any(f(o) for o in range(4)))
+    w = demand_spec(sp, [[1 << o for o in range(4)]])
     return judgment(obs, lambda g: _bool_choice(sig), lambda g: _bool_choice(sig), w, env)
 
 
@@ -883,35 +886,20 @@ def catch_spec(w: RelSpec, w_exc: RelSpec) -> RelSpec:
 
     The result transforms a postcondition phi by running w on a new
     postcondition that keeps phi on value pairs and asks w_exc phi of the
-    exceptional outcome.
+    exceptional outcome: per point, w's family bound against the unit on
+    value pairs and w_exc's family at the exceptional outcome.
     """
     space = w.space
     if w.tag != "WrelErr" or w_exc.tag != "WrelErr":
         raise ValueError("catch_spec needs errorful specs")
     if (space.a1, space.a2) != (w_exc.space.a1, w_exc.space.a2):
         raise ValueError("handler spec must keep the body's value domains")
-    bad = space.err_bad()
-    if w.is_demonic and w_exc.is_demonic:
-        table = []
-        for pt in space.points():
-            entry = w.demonic_at(pt)
-            if entry is VIOLATED:
-                table.append(VIOLATED)
-                continue
-            acc = set(o for o in entry if o != bad)
-            if bad in entry:
-                ex = w_exc.demonic_at(pt)
-                if ex is VIOLATED:
-                    table.append(VIOLATED)
-                    continue
-                acc |= ex
-            table.append(frozenset(acc))
-        return demonic_spec(space, table)
-
-    def body(f, pt, _w=w, _wx=w_exc):
-        return _w.at(lambda o: _wx.at(f, pt) if o == bad else f(o), pt)
-
-    return closure_spec(space, body)
+    subs = [frozenset({1 << o}) for o in space.outcomes()]
+    fams = []
+    for fam, handler in zip(w.fams, w_exc.fams):
+        subs[space.err_bad()] = handler
+        fams.append(_fam_bind(fam, subs))
+    return demand_spec(space, fams)
 
 
 @_rule("Catch", 4)
@@ -1796,16 +1784,6 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
 
 def _union_demands(specs: Sequence[RelSpec]) -> RelSpec:
     """Least spec above every given demonic spec: pointwise union of demands."""
-    space = specs[0].space
-    table = []
-    for pt in space.points():
-        acc = set()
-        broken = False
-        for w in specs:
-            entry = w.demonic_at(pt)
-            if entry is VIOLATED:
-                broken = True
-                break
-            acc |= entry
-        table.append(VIOLATED if broken else frozenset(acc))
-    return demonic_spec(space, table)
+    fams = [[reduce(or_, (d for fam in at for d in fam))] if all(at) else []
+            for at in zip(*(w.fams for w in specs))]
+    return demand_spec(specs[0].space, fams)

@@ -19,23 +19,28 @@ Seven carriers share the RelSpec container:
   PPrelPure  Prop x ((A1 x A2) -> Prop)
   PPrelSt    (S1 x S2 -> Prop) x ((S1 x A1 x S1) x (S2 x A2 x S2) -> Prop)
 
-Propositional transformer bodies come in two interchangeable shapes: a
-demonic table mapping each precondition point to either VIOLATED or the
-set of outcomes that must all satisfy the postcondition, and a bare
-closure.  Operations preserve the demonic shape whenever their inputs
-carry it, comparisons against a demonic spec are exact (set inclusion,
-or one probe of the monotone left side per point), and closure pairs fall
-back to postcondition enumeration with an honest Unknown verdict past the
-cap.  The quantitative carrier stores a minimum of affine pieces with
-rational coefficients where it can and compares exactly by linear
-programming.
+The fixed propositional carriers (WrelPure, WrelSt, WrelErr) have one
+body, their exact normal form: per point, the antichain of minimal accepted
+postconditions, each an int bitmask of outcomes (a demand family).  The
+spec accepts phi at the point exactly when some demand lies inside phi; the
+empty family is VIOLATED.  Unit, bind, reindexing and the order are set
+operations on families, shared with the split-context carriers through
+`Wp`, one family over one outcome domain.  No postcondition is enumerated or
+sampled for these carriers, `spec_leq` decides them exactly, and a family
+past a documented size raises `SpecTooLarge`.
+
+Two carriers keep other bodies.  The interactive carrier computes demonic
+entries lazily per history point (or keeps a closure) and compares by
+enumerating the outcomes reachable within its horizon.  The quantitative
+carrier keeps a minimum of affine pieces with rational coefficients where it
+can, compared exactly by linear programming, and a closure elsewhere.
 
 Outcome spaces are interned: each constructor below returns one shared
 `OutcomeSpace` per field tuple, so the shape checks in bind and comparison
 try identity first and fall back to field equality, which a space built
 directly or unpickled (equal but not identical) still passes.
 
-Pre/post pairs become demonic tables in two ways.  `from_prepost` embeds
+Pre/post pairs become demonic specs in two ways.  `from_prepost` embeds
 a PPrelSt pair whose post may read the initial states, at the price of a
 post table over |S1|^2 |S2|^2 |A1| |A2| triples.  `from_final_post` takes
 a post over the carrier's own outcomes, which is all that noninterference,
@@ -48,16 +53,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from operator import or_
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
 from .domains import UNIT, FiniteDomain, Value, product_domain, sum_domain
 from .programs import IN, OUT, History
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
-PROPOSITIONAL_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr", "WrelIO"})
+_FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
 PP_TAGS = frozenset({"PPrelPure", "PPrelSt"})
 
 DEFAULT_CAP = 2 ** 14
@@ -66,6 +72,13 @@ _PIECE_SELECTION_LIMIT = 4096
 _PIECE_LP_PRUNE_LIMIT = 160
 _PIECE_DOMINANCE_LIMIT = 48
 _PROB_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+# `closure_spec` tabulates a predicate over at most this many outcomes, and
+# one step of a bind (a partial family times the next outcome's family) may
+# form at most this many demands; the forall-exists observation is such a
+# bind, with one demand per choice function.
+_CLOSURE_OUTCOME_LIMIT = 16
+_DEMAND_LIMIT = 4096
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,6 +99,10 @@ class _Violated:
 
 
 VIOLATED = _Violated()
+
+
+class SpecTooLarge(ValueError):
+    """The exact demand form of a spec would pass a documented size limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +388,11 @@ class LeqVerdict:
     def is_unknown(self) -> bool:
         return self.kind == "unknown"
 
+    @property
+    def where(self) -> tuple:
+        """The witness's location as the split-context carriers report it."""
+        return () if self.point is None else ("point", self.point)
+
 
 HOLDS = LeqVerdict("holds")
 
@@ -384,6 +406,249 @@ def _unknown(note: str) -> LeqVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Demand families
+#
+# A family is a frozenset of int bitmasks, bit o standing for outcome o, and
+# every function below returns an antichain (no demand inside another).
+
+_NONE: FrozenSet[int] = frozenset()          # accepts nothing: VIOLATED
+_ANY: FrozenSet[int] = frozenset({0})        # accepts everything
+
+
+def _bits(m: int):
+    """The outcomes of a mask, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _mask(outs: Iterable[int]) -> int:
+    m = 0
+    for o in outs:
+        m |= 1 << o
+    return m
+
+
+def _minimise(masks) -> FrozenSet[int]:
+    """The minimal masks among `masks`.  A mask can only lie inside one
+    with more outcomes, so each is checked against the kept ones with fewer."""
+    kept: List[int] = []
+    fewer, count = 0, -1
+    for m in sorted(set(masks), key=int.bit_count):
+        if m.bit_count() != count:
+            fewer, count = len(kept), m.bit_count()
+        for k in kept[:fewer]:
+            if not k & ~m:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
+
+
+def _fam_bind(fam: FrozenSet[int], subs: Sequence[FrozenSet[int]]) -> FrozenSet[int]:
+    """Sequential composition: a demand of the result picks one demand of
+    subs[o] for every outcome o of one demand of `fam`, and unions them.
+
+    Outcomes whose family has one demand are ORed in; only the others make
+    a product, pruned to its minimal unions as it unrolls (a superset at
+    any stage stays a superset under every completion, so the pruning loses
+    nothing).  A demonic spec therefore binds as a plain OR of masks.
+    """
+    out: List[int] = []
+    for d in fam:
+        acc, partial = 0, None
+        while d:
+            low = d & -d
+            d ^= low
+            pool = subs[low.bit_length() - 1]
+            if len(pool) == 1:
+                (m,) = pool
+                acc |= m
+            elif not pool:
+                break
+            elif partial is None:
+                partial = list(pool)
+            else:
+                if len(partial) * len(pool) > _DEMAND_LIMIT:
+                    raise SpecTooLarge(f"bind step forms {len(partial) * len(pool)} demands, "
+                                       f"past the limit of {_DEMAND_LIMIT}")
+                partial = list(_minimise([u | m for u in partial for m in pool]))
+        else:
+            out += [acc] if partial is None else [u | acc for u in partial]
+    return frozenset(out) if len(out) <= 1 else _minimise(out)
+
+
+def _fam_map(fam: FrozenSet[int], f: Callable[[int], int]) -> FrozenSet[int]:
+    """Reindex outcomes: the result accepts phi iff `fam` accepts phi . f."""
+    return _minimise(_mask(f(o) for o in _bits(d)) for d in fam)
+
+
+def _uncovered(fam: FrozenSet[int], fam2: FrozenSet[int]) -> Optional[int]:
+    """The least demand of fam2 with no demand of fam inside it, or None.
+
+    fam2's demands are its minimal accepted postconditions and fam is
+    monotone, so fam <= fam2 exactly when there is none; and the least such
+    demand is the first postcondition a numeric enumeration would find.
+    """
+    if fam is fam2:
+        return None
+    for d2 in (sorted(fam2) if len(fam2) > 1 else fam2):
+        for d in fam:
+            if not d & ~d2:
+                break
+        else:
+            return d2
+    return None
+
+
+def _accepts(fam: FrozenSet[int], phi) -> bool:
+    m = _phi_mask(phi, reduce(or_, fam, 0))
+    return any(not d & ~m for d in fam)
+
+
+def _phi_mask(phi, relevant: int) -> int:
+    """A propositional postcondition as a mask.  A callable is asked only
+    about the outcomes in `relevant`; a tuple or list is a truth table; any
+    other iterable lists the outcomes that hold."""
+    if isinstance(phi, int):
+        return phi
+    if callable(phi):
+        return _mask(o for o in _bits(relevant) if phi(o))
+    if isinstance(phi, (tuple, list)):
+        return _mask(o for o, v in enumerate(phi) if v)
+    if isinstance(phi, Iterable):
+        return _mask(phi)
+    raise TypeError(f"cannot read {type(phi).__name__} as a postcondition")
+
+
+def _minimal_accepted(accepts: Callable[[int], bool], full: int) -> FrozenSet[int]:
+    """The minimal masks within `full` that a monotone predicate accepts.
+
+    Each step shrinks an accepted mask greedily to a minimal one and splits
+    on one of its outcomes (demands without it, demands with it), so only
+    outcomes the predicate actually reads are ever split on.
+    """
+    found = []
+    todo = [(0, full)]           # (outcomes forced in, outcomes still free)
+    while todo:
+        on, free = todo.pop()
+        if not accepts(on | free):
+            continue
+        if accepts(on):
+            found.append(on)
+            continue
+        d = on | free
+        for o in _bits(free):
+            if accepts(d & ~(1 << o)):
+                d &= ~(1 << o)
+        rest = d & ~on
+        low = rest & -rest
+        todo.append((on, free & ~low))
+        todo.append((on | low, free & ~low))
+    return _minimise(found)
+
+
+# ---------------------------------------------------------------------------
+# One family over one outcome domain
+
+
+@dataclass(frozen=True)
+class Wp:
+    """Monotone predicate transformer over one finite outcome domain, as
+    its one demand family: it accepts a postcondition exactly when some
+    demand (an outcome bitmask) lies inside it.  The empty family is the top
+    of the precision order, the family {0} the bottom."""
+
+    dom: FiniteDomain
+    demands: FrozenSet[int]
+
+    def at(self, phi) -> bool:
+        """Evaluate at a postcondition given as a callable on outcome
+        indices, an int bitmask, or an iterable of indices."""
+        if not (callable(phi) or isinstance(phi, int)):
+            phi = frozenset(phi)
+        return _accepts(self.demands, phi)
+
+    def __repr__(self):
+        shown = sorted(tuple(_bits(d)) for d in self.demands)
+        return f"Wp({self.dom.name}, {shown})"
+
+
+@dataclass(frozen=True)
+class OrderVerdict:
+    """A payload comparison: `phi` separates the two sides (the right one
+    accepts it), and `where` locates it inside structured payloads."""
+
+    holds: bool
+    phi: object = None
+    where: Tuple = ()
+
+
+def wp(dom: FiniteDomain, demands) -> Wp:
+    """Normalize a family of outcome sets to its minimal antichain."""
+    masks = [_mask(d) for d in demands]
+    for m in masks:
+        if m >> dom.size:
+            raise ValueError(f"outcome {m.bit_length() - 1} out of range for domain {dom.name!r}")
+    return Wp(dom, _minimise(masks))
+
+
+def wp_ret(dom: FiniteDomain, outcome: int) -> Wp:
+    if not 0 <= outcome < dom.size:
+        raise ValueError(f"outcome {outcome} out of range for domain {dom.name!r}")
+    return Wp(dom, frozenset({1 << outcome}))
+
+
+def wp_weakest(dom: FiniteDomain) -> Wp:
+    return Wp(dom, _ANY)
+
+
+def wp_unsat(dom: FiniteDomain) -> Wp:
+    """The spec that accepts no postcondition; everything sits below it."""
+    return Wp(dom, _NONE)
+
+
+def wp_leq(w: Wp, w2: Wp) -> OrderVerdict:
+    """Decide w <= w2: every postcondition w2 accepts, w accepts.  It is
+    enough to test w at w2's demands, so the check never enumerates."""
+    if w.dom != w2.dom:
+        raise ValueError(f"cannot compare transformers over {w.dom.name!r} "
+                         f"and {w2.dom.name!r}")
+    d2 = _uncovered(w.demands, w2.demands)
+    if d2 is None:
+        return OrderVerdict(True)
+    return OrderVerdict(False, phi=frozenset(_bits(d2)))
+
+
+def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
+    """Sequential composition against a total continuation table.  A
+    deterministic `w`, whose one demand is a single outcome, yields that
+    outcome's continuation as it stands."""
+    table = tuple(table)
+    if len(table) != w.dom.size:
+        raise ValueError(f"continuation table must cover {w.dom.name!r} "
+                         f"({w.dom.size} outcomes, got {len(table)})")
+    rdom = table[0].dom
+    for t in table:
+        if t.dom != rdom:
+            raise ValueError("continuation table mixes outcome domains")
+    if len(w.demands) == 1:
+        (d,) = w.demands
+        if d and not d & (d - 1):
+            return table[d.bit_length() - 1]
+    return Wp(rdom, _fam_bind(w.demands, [t.demands for t in table]))
+
+
+def wp_map(w: Wp, rdom: FiniteDomain, f: Callable[[int], int]) -> Wp:
+    """Reindex outcomes: the result accepts phi iff w accepts phi . f."""
+    moved = _fam_map(w.demands, f)
+    if any(m >> rdom.size for m in moved):
+        raise ValueError(f"outcome map leaves domain {rdom.name!r}")
+    return Wp(rdom, moved)
+
+
+# ---------------------------------------------------------------------------
 # The spec container
 
 
@@ -391,23 +656,25 @@ class RelSpec:
     """One inhabitant of a relational specification monad.
 
     Exactly one body is populated:
-      table    demonic entries, indexed by point (or a memoized function
-               of history points for the interactive carrier)
-      closure  (phi, point) -> bool
+      fams     fixed propositional carriers: one demand family per point
+      table    interactive carrier: demonic entries, a memoized function of
+               history points
+      closure  interactive carrier: (phi, point) -> bool
       pieces   min-of-affine pieces (constant, coefficient row)
       qclosure phi-vector -> Fraction
       pre/post explicit tables for the pre-/postcondition carriers
     """
 
     __slots__ = (
-        "tag", "space", "table", "closure", "pieces", "qclosure",
-        "pre", "post", "io_points", "horizon", "_mask_cache", "_io_cache",
+        "tag", "space", "fams", "table", "closure", "pieces", "qclosure",
+        "pre", "post", "io_points", "horizon", "_io_cache",
     )
 
-    def __init__(self, tag, space, table=None, closure=None, pieces=None,
+    def __init__(self, tag, space, fams=None, table=None, closure=None, pieces=None,
                  qclosure=None, pre=None, post=None, io_points=None, horizon=None):
         self.tag = tag
         self.space = space
+        self.fams = fams
         self.table = table
         self.closure = closure
         self.pieces = pieces
@@ -416,28 +683,31 @@ class RelSpec:
         self.post = post
         self.io_points = io_points
         self.horizon = horizon
-        self._mask_cache: Dict[int, int] = {}
         self._io_cache: Dict[Tuple[History, History], object] = {}
 
     # -- basic queries
 
     @property
     def is_demonic(self) -> bool:
+        """At most one demand per point (interactive: entries, not a closure)."""
+        if self.fams is not None:
+            return all(len(f) <= 1 for f in self.fams)
         return self.table is not None
 
-    @property
-    def is_explicit(self) -> bool:
-        return self.pieces is not None
-
     def demonic_at(self, pt):
-        """The demonic entry at a point, or None when only a closure exists."""
+        """The demonic entry at a point: its one demand's outcomes, VIOLATED,
+        or None for several demands (or an interactive closure)."""
+        if self.fams is not None:
+            fam = self.fams[pt]
+            if len(fam) != 1:
+                return None if fam else VIOLATED
+            (d,) = fam
+            return frozenset(_bits(d))
         if self.table is None:
             return None
-        if self.tag == "WrelIO":
-            if pt not in self._io_cache:
-                self._io_cache[pt] = self.table(pt)
-            return self._io_cache[pt]
-        return self.table[pt]
+        if pt not in self._io_cache:
+            self._io_cache[pt] = self.table(pt)
+        return self._io_cache[pt]
 
     def at(self, phi, point=None) -> object:
         """Evaluate the transformer at one postcondition and point."""
@@ -449,21 +719,13 @@ class RelSpec:
                 return min(k + sum(c * v for c, v in zip(cs, vec) if c) for k, cs in self.pieces)
             return self.qclosure(vec)
         pt = self._norm_point(point)
-        f = _phi_func(phi)
+        if self.fams is not None:
+            return _accepts(self.fams[pt], phi)
+        f = phi.__contains__ if isinstance(phi, (set, frozenset)) else phi
         entry = self.demonic_at(pt)
         if entry is not None:
-            if entry is VIOLATED:
-                return False
-            return all(f(o) for o in entry)
+            return entry is not VIOLATED and all(f(o) for o in entry)
         return bool(self.closure(f, pt))
-
-    def apply(self, phi):
-        """Evaluate at every point; returns a tuple aligned with points."""
-        if self.tag == "WrelProb":
-            return self.at(phi)
-        if self.tag == "WrelIO":
-            return tuple(self.at(phi, pt) for pt in self.io_points)
-        return tuple(self.at(phi, pt) for pt in self.space.points())
 
     def _norm_point(self, point):
         if self.tag == "WrelIO":
@@ -476,34 +738,12 @@ class RelSpec:
             raise ValueError(f"point {point} outside {self.space.point_count} points")
         return point
 
-    def mask_at(self, pt: int) -> int:
-        """Demonic entry as a bitmask; -1 encodes VIOLATED (fixed carriers)."""
-        m = self._mask_cache.get(pt)
-        if m is None:
-            entry = self.table[pt]
-            m = -1 if entry is VIOLATED else sum(1 << o for o in entry)
-            self._mask_cache[pt] = m
-        return m
-
     def __repr__(self):
-        body = ("demonic" if self.is_demonic else
+        body = ("demands" if self.fams is not None else
+                "demonic" if self.table is not None else
                 "pieces" if self.pieces is not None else
                 "pre/post" if self.pre is not None else "closure")
         return f"<RelSpec {self.tag} {body}>"
-
-
-def _phi_func(phi) -> Callable[[object], bool]:
-    if isinstance(phi, Postcondition):
-        phi = phi.table
-    if isinstance(phi, int):
-        return lambda o: bool((phi >> o) & 1)
-    if isinstance(phi, (set, frozenset)):
-        return lambda o: o in phi
-    if isinstance(phi, (tuple, list)):
-        return lambda o: bool(phi[o])
-    if callable(phi):
-        return phi
-    raise TypeError(f"cannot read {type(phi).__name__} as a postcondition")
 
 
 def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
@@ -524,44 +764,63 @@ def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
 # Constructors
 
 
-def _norm_entry(space: OutcomeSpace, entry):
-    """VIOLATED, or the entry as a frozenset of outcomes in range(space.size).
+def _fixed(space: OutcomeSpace, fams) -> RelSpec:
+    return RelSpec(space.tag, space, fams=tuple(fams))
 
-    The range check reads only the least and greatest outcome; the element
-    loop runs only to name the first offender.  A frozenset is kept as is.
-    """
-    if entry is VIOLATED:
-        return VIOLATED
-    outs = entry if type(entry) is frozenset else frozenset(entry)
-    n = space.size
-    if outs and (min(outs) < 0 or max(outs) >= n):
-        for o in outs:
-            if not (0 <= o < n):
-                raise ValueError(f"outcome {o} outside space of size {n}")
-    return outs
+
+def _entry_mask(space: OutcomeSpace, entry) -> int:
+    m = 0
+    for o in entry:
+        if not 0 <= o < space.size:
+            raise ValueError(f"outcome {o} outside space of size {space.size}")
+        m |= 1 << o
+    return m
 
 
 def demonic_spec(space: OutcomeSpace, table) -> RelSpec:
-    """Spec from per-point demonic entries (fixed carriers only)."""
-    if space.tag not in PROPOSITIONAL_TAGS or space.tag == "WrelIO":
-        raise ValueError(f"demonic tables need a fixed propositional carrier, not {space.tag}")
-    entries = tuple(_norm_entry(space, e) for e in table)
-    if len(entries) != space.point_count:
-        raise ValueError("demonic table must cover every precondition point")
-    return RelSpec(space.tag, space, table=entries)
+    """Spec from per-point demonic entries: VIOLATED, or the set of outcomes
+    that must all satisfy the postcondition (one demand)."""
+    return demand_spec(space, [e if e is VIOLATED else (_entry_mask(space, e),) for e in table])
+
+
+def demand_spec(space: OutcomeSpace, fams) -> RelSpec:
+    """Spec from per-point demand families: each an iterable of int bitmasks
+    (bit o for outcome o), or VIOLATED for the empty family.  The spec
+    accepts phi at a point when some demand there lies inside phi."""
+    if space.tag not in _FIXED_TAGS:
+        raise ValueError(f"demand families need a fixed propositional carrier, not {space.tag}")
+    out = []
+    used = 0
+    for fam in fams:
+        if type(fam) is not frozenset:
+            fam = _NONE if fam is VIOLATED else frozenset(fam)
+        for m in fam:
+            used |= m
+        out.append(fam if len(fam) <= 1 else _minimise(fam))
+    if used < 0 or used >> space.size:
+        raise ValueError(f"demand outside space of size {space.size}")
+    if len(out) != space.point_count:
+        raise ValueError("a spec's table must cover every precondition point")
+    return _fixed(space, out)
 
 
 def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
-    """Spec from a closure (postcondition, point) -> bool.
-
-    The closure must be monotone in the postcondition: if it accepts phi at
-    a point it accepts every phi' containing phi there.  Every operation
-    here preserves that, and `spec_leq` relies on it to decide a closure
-    against a demonic spec with one probe per point.
-    """
-    if space.tag not in PROPOSITIONAL_TAGS or space.tag == "WrelIO":
+    """Spec from an opaque predicate (postcondition, point) -> bool, which
+    must be monotone in the postcondition.  It is tabulated once into its
+    minimal accepted postconditions per point; spaces of more than
+    `_CLOSURE_OUTCOME_LIMIT` (16) outcomes raise SpecTooLarge."""
+    if space.tag not in _FIXED_TAGS:
         raise ValueError(f"closures need a fixed propositional carrier, not {space.tag}")
-    return RelSpec(space.tag, space, closure=fn)
+    n = space.size
+    if n > _CLOSURE_OUTCOME_LIMIT:
+        raise SpecTooLarge(f"closure over {n} outcomes; tabulation stops at "
+                           f"{_CLOSURE_OUTCOME_LIMIT}")
+    fams = []
+    for pt in space.points():
+        def accepts(m, _pt=pt):
+            return bool(fn(lambda o: bool(m >> o & 1), _pt))
+        fams.append(_minimal_accepted(accepts, (1 << n) - 1))
+    return _fixed(space, fams)
 
 
 def io_demonic_spec(space: OutcomeSpace, fn, points, horizon: int) -> RelSpec:
@@ -672,15 +931,15 @@ def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None, horizon: in
     i1, i2 = a1.index, a2.index
     tag = space.tag
     if tag == "WrelPure":
-        return demonic_spec(space, [frozenset({i1 * space.a2.size + i2})])
+        return _fixed(space, [frozenset({1 << (i1 * space.a2.size + i2)})])
     if tag == "WrelSt":
-        table = []
+        fams = []
         for pt in space.points():
             s1i, s2i = space.point_split(pt)
-            table.append(frozenset({space.st_outcome(i1, s1i, i2, s2i)}))
-        return demonic_spec(space, table)
+            fams.append(frozenset({1 << space.st_outcome(i1, s1i, i2, s2i)}))
+        return _fixed(space, fams)
     if tag == "WrelErr":
-        return demonic_spec(space, [frozenset({space.err_ok(i1, i2)})])
+        return _fixed(space, [frozenset({1 << space.err_ok(i1, i2)})])
     if tag == "WrelIO":
         pts = tuple(points) if points is not None else (((), ()),)
         v = i1 * space.a2.size + i2
@@ -747,12 +1006,12 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
 
 
 def spec_bind(wm: RelSpec, wf) -> RelSpec:
-    """Sequential composition of specs, preserving fast forms when possible."""
+    """Sequential composition of specs."""
     space = wm.space
     conts = _conts(space, wf)
     cspace = _common_cont_space(wm, conts)
     tag = wm.tag
-    if tag in ("WrelPure", "WrelSt", "WrelErr"):
+    if tag in _FIXED_TAGS:
         return _bind_fixed(wm, conts, cspace)
     if tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
@@ -775,62 +1034,19 @@ def _cont_point(space: OutcomeSpace, tspace: OutcomeSpace, o: int):
     raise AssertionError(space.tag)
 
 
-def _holds(w: RelSpec, f, pt: int) -> bool:
-    """A fixed-carrier spec at predicate f and an in-range point: what
-    `RelSpec.at` answers, without normalising the postcondition and point."""
-    table = w.table
-    if table is not None:
-        entry = table[pt]
-        return entry is not VIOLATED and all(f(o) for o in entry)
-    return bool(w.closure(f, pt))
-
-
-def _bind_fixed(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
+def _bind_fixed(wm: RelSpec, conts, tspace: OutcomeSpace) -> RelSpec:
+    """Per point, wm's family bound to the family each outcome leads to: its
+    continuation's at the point it carries, or the raised outcome again."""
     space = wm.space
-    tspace = cspace
-    is_err = space.tag == "WrelErr"
-    # Continuation points follow wm's ambient states, which every
-    # continuation shares, so wm's own decode table serves tspace too.
-    decode = None if is_err else space.cont_points
-    if wm.is_demonic and all(w.is_demonic for w in conts.values()):
-        table = []
-        for r in wm.table:
-            if r is VIOLATED:
-                table.append(VIOLATED)
-                continue
-            acc = set()
-            broken = False
-            for o in r:
-                if is_err:
-                    split = space.err_split(o)
-                    if split is None:
-                        acc.add(tspace.err_bad())
-                        continue
-                    sub = conts[split].table[0]
-                else:
-                    pair, cpt = decode[o]
-                    sub = conts[pair].table[cpt]
-                if sub is VIOLATED:
-                    broken = True
-                    break
-                acc |= sub
-            table.append(VIOLATED if broken else frozenset(acc))
-        return demonic_spec(tspace, table)
-
-    def body(f, pt, _wm=wm, _conts=conts):
-        if is_err:
-            def psi(o):
-                split = space.err_split(o)
-                if split is None:
-                    return f(tspace.err_bad())
-                return _holds(_conts[split], f, 0)
-        else:
-            def psi(o):
-                pair, cpt = decode[o]
-                return _holds(_conts[pair], f, cpt)
-        return _holds(_wm, psi, pt)
-
-    return closure_spec(tspace, body)
+    if space.tag == "WrelErr":
+        a2n = space.a2.size
+        subs = [conts[divmod(o, a2n)].fams[0] for o in range(space.err_bad())]
+        subs.append(frozenset({1 << tspace.err_bad()}))
+    else:
+        # Continuation points follow wm's ambient states, which every
+        # continuation shares, so wm's own decode table serves tspace too.
+        subs = [conts[pair].fams[cpt] for pair, cpt in space.cont_points]
+    return _fixed(tspace, [_fam_bind(fam, subs) for fam in wm.fams])
 
 
 def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -953,8 +1169,8 @@ def from_final_post(space: OutcomeSpace, pre, post) -> RelSpec:
     pre_t, post_t = tuple(map(bool, pre)), tuple(map(bool, post))
     if len(pre_t) != space.point_count or len(post_t) != space.size:
         raise ValueError("pre/post tables must cover every point and every outcome")
-    sat = frozenset(o for o, ok in enumerate(post_t) if ok)
-    return RelSpec(space.tag, space, table=tuple(sat if ok else VIOLATED for ok in pre_t))
+    sat = frozenset({_mask(o for o, ok in enumerate(post_t) if ok)})
+    return _fixed(space, (sat if ok else _NONE for ok in pre_t))
 
 
 def from_prepost(space: OutcomeSpace, pre, post) -> RelSpec:
@@ -973,21 +1189,21 @@ def from_prepost(space: OutcomeSpace, pre, post) -> RelSpec:
     pre_t = tuple(bool(v) for v in pre)
     if len(pre_t) != space.point_count:
         raise ValueError("precondition table must cover every initial state pair")
-    table = []
+    fams = []
     for pt in space.points():
         if not pre_t[pt]:
-            table.append(VIOLATED)
+            fams.append(_NONE)
             continue
         si1, si2 = space.point_split(pt)
-        sat = set()
+        sat = 0
         for a1i in range(space.a1.size):
             for sf1 in range(space.s1.size):
                 for a2i in range(space.a2.size):
                     for sf2 in range(space.s2.size):
                         if post[space.pp_post_index(si1, a1i, sf1, si2, a2i, sf2)]:
-                            sat.add(space.st_outcome(a1i, sf1, a2i, sf2))
-        table.append(frozenset(sat))
-    return demonic_spec(space, table)
+                            sat |= 1 << space.st_outcome(a1i, sf1, a2i, sf2)
+        fams.append(frozenset({sat}))
+    return _fixed(space, fams)
 
 
 def embed_pp_in_wp(w: RelSpec) -> RelSpec:
@@ -1015,7 +1231,7 @@ def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
         return linear_spec(space, [(ONE, [ZERO] * space.size)])
     if tag in PP_TAGS:
         return pp_spec(space, [False] * space.point_count, [True] * space.size)
-    return demonic_spec(space, [VIOLATED] * space.point_count)
+    return _fixed(space, [_NONE] * space.point_count)
 
 
 def weakest(space: OutcomeSpace, points=None) -> RelSpec:
@@ -1028,26 +1244,14 @@ def weakest(space: OutcomeSpace, points=None) -> RelSpec:
         return linear_spec(space, [(ZERO, [ZERO] * space.size)])
     if tag in PP_TAGS:
         return pp_spec(space, [True] * space.point_count, [False] * space.size)
-    return demonic_spec(space, [frozenset()] * space.point_count)
-
-
-def drop_fast_form(w: RelSpec) -> RelSpec:
-    """Same transformer, fast forms forgotten.  Exists so the demonic and
-    piece paths can be tested against plain enumeration."""
-    if w.tag == "WrelProb":
-        return quant_closure_spec(w.space, lambda vec, _w=w: _w.at(vec))
-    if w.tag == "WrelIO":
-        return io_closure_spec(w.space, lambda f, pt, _w=w: _w.at(f, pt), w.io_points, w.horizon)
-    if w.tag in PP_TAGS:
-        raise ValueError("pre/post pairs have no fast form to drop")
-    return closure_spec(w.space, lambda f, pt, _w=w: _w.at(f, pt))
+    return _fixed(space, [_ANY] * space.point_count)
 
 
 def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
     """Push a spec along an outcome translation (same carrier and points).
 
-    `fn` maps source outcomes to target outcomes; demonic sets map
-    through it, closures precompose the postcondition with it.
+    `fn` maps source outcomes to target outcomes; demands map through it,
+    and quantitative pieces add up their coefficients.
     """
     if w.tag != target.tag or w.tag == "WrelIO" or w.tag in PP_TAGS:
         raise ValueError("outcome translation is for fixed transformer carriers")
@@ -1066,13 +1270,7 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
                     acc[fn(o)] += c
             pieces.append((k, tuple(acc)))
         return linear_spec(target, pieces)
-    if w.is_demonic:
-        table = []
-        for pt in range(w.space.point_count):
-            entry = w.demonic_at(pt)
-            table.append(VIOLATED if entry is VIOLATED else frozenset(fn(o) for o in entry))
-        return demonic_spec(target, table)
-    return closure_spec(target, lambda f, pt, _w=w: _w.at(lambda o: f(fn(o)), pt))
+    return demand_spec(target, [_fam_map(fam, fn) for fam in w.fams])
 
 
 # ---------------------------------------------------------------------------
@@ -1082,22 +1280,20 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
 def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> LeqVerdict:
     """Decide w <= w2.
 
-    The propositional carriers take the first path that applies:
+    The fixed propositional carriers compare exactly: w2's demands are its
+    minimal accepted postconditions and w is monotone, so w <= w2 exactly
+    when, at every point, each demand of w2 contains one of w.  A failure
+    names the first failing point and its least uncovered demand, as a
+    frozenset `phi` of outcomes: the first failing postcondition a numeric
+    enumeration would meet.  `cap` and `seed` do not reach these carriers.
 
-      demonic pair     exact, per-point set inclusion;
-      demonic right    exact, one probe per point: w evaluated at w2's
-                       entry there (VIOLATED points skipped), which decides
-                       the point because every transformer is monotone;
-      enumeration      every postcondition, while the outcome space stays
-                       within log2(cap);
-      sampling         constants, singletons, co-singletons and cap-many
-                       seeded random tables, answering Unknown when nothing
-                       refutes.
-
-    Quantitative pairs with explicit pieces compare exactly: per piece of
-    w2, a box bound settles the difference family without an LP when it
-    is already <= 0, and linear programming decides the rest.
-    Quantitative closures are only ever refuted, never confirmed.
+    Interactive specs compare as set inclusion when both are demonic, else
+    by enumerating postconditions over the reachable outcomes up to `cap`,
+    then sampling with `seed`, answering Unknown when nothing refutes.
+    Quantitative pieces compare exactly: per piece of w2, a box bound
+    settles the difference family when it is already <= 0, and linear
+    programming decides the rest.  Quantitative closures are only ever
+    refuted, never confirmed.
     """
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
@@ -1112,7 +1308,12 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
         return _leq_prob(w, w2, cap, seed)
     if w.tag == "WrelIO":
         return _leq_io(w, w2, cap, seed)
-    return _leq_fixed(w, w2, cap, seed)
+    for pt, (fam, fam2) in enumerate(zip(w.fams, w2.fams)):
+        d2 = _uncovered(fam, fam2)
+        if d2 is not None:
+            return _fails(frozenset(_bits(d2)), point=pt,
+                          note="right holds but left does not at this point")
+    return HOLDS
 
 
 def spec_equiv(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> LeqVerdict:
@@ -1166,62 +1367,6 @@ def _leq_prob(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
             return _fails(vec, note="left exceeds right at this table")
     return _unknown(f"no refutation among {tried} quantitative tables; "
                     "confirmation needs explicit pieces on both sides")
-
-
-def _fast_eval(w: RelSpec):
-    if w.is_demonic:
-        def ev(mask, pt, _w=w):
-            m = _w.mask_at(pt)
-            if m == -1:
-                return False
-            return (mask & m) == m
-        return ev
-    return lambda mask, pt, _w=w: _holds(_w, lambda o: bool(mask >> o & 1), pt)
-
-
-def _leq_fixed(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
-    space = w.space
-    n = space.size
-    if w.is_demonic and w2.is_demonic:
-        for pt, (r, r2) in enumerate(zip(w.table, w2.table)):
-            if r2 is VIOLATED:
-                continue
-            if r is VIOLATED or not r <= r2:
-                return _fails(frozenset(r2), point=pt,
-                              note="right holds but left does not at this point")
-        return HOLDS
-    ev1 = _fast_eval(w)
-    if w2.is_demonic:
-        # w2 accepts exactly the supersets of its entry at each point, and w
-        # is monotone, so w fails on one of them iff it fails on the entry
-        # itself, the smallest such superset and the one enumeration meets
-        # first.
-        for pt in space.points():
-            m2 = w2.mask_at(pt)
-            if m2 != -1 and not ev1(m2, pt):
-                return _fails(frozenset(w2.demonic_at(pt)), point=pt,
-                              note="right holds but left does not at this point")
-        return HOLDS
-    ev2 = _fast_eval(w2)
-    if 2 ** n <= cap:
-        full = range(2 ** n)
-        for pt in space.points():
-            for mask in full:
-                if ev2(mask, pt) and not ev1(mask, pt):
-                    return _fails(frozenset(o for o in range(n) if mask >> o & 1), point=pt,
-                                  note="right holds but left does not at this point")
-        return HOLDS
-    rng = random.Random(seed)
-    masks = [0, (1 << n) - 1]
-    masks += [1 << o for o in range(n)]
-    masks += [((1 << n) - 1) ^ (1 << o) for o in range(n)]
-    masks += [rng.getrandbits(n) for _ in range(cap)]
-    for pt in space.points():
-        for mask in masks:
-            if ev2(mask, pt) and not ev1(mask, pt):
-                return _fails(frozenset(o for o in range(n) if mask >> o & 1), point=pt,
-                              note="right holds but left does not at this point")
-    return _unknown(f"outcome space of size {n} exceeds the enumeration cap")
 
 
 def _leq_io(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:

@@ -136,6 +136,50 @@ def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
 # Syntax
 
 
+class _Tree:
+    """A statement or expression with subtrees.  These compare and hash by
+    their `_shape`, so a long `;` chain or a deep expression never recurses;
+    the leaves keep their generated methods."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(_shape(self))
+
+
+def _kids(t: _Tree):
+    return iter([v for v in vars(t).values() if isinstance(v, _Tree)])
+
+
+def _shape(t: _Tree) -> Tuple[tuple, ...]:
+    """t's distinct subtrees by structure, in the order an explicit-stack
+    postorder walk first meets them (the walk `programs._postorder` makes
+    over program trees), each as its type and fields with every subtree
+    replaced by its position here.  Equal trees, and only they, have equal
+    shapes, whatever subtrees they share."""
+    keys: Dict[tuple, int] = {}
+    pos: Dict[int, int] = {}
+    seen = {id(t)}
+    path, left = [t], [_kids(t)]  # the subtrees being walked, and the kids each has left
+    while left:
+        for k in left[-1]:
+            if id(k) not in seen:
+                seen.add(id(k))
+                path.append(k)
+                left.append(_kids(k))
+                break
+        else:
+            left.pop()
+            u = path.pop()
+            key = (type(u),) + tuple(pos[id(v)] if isinstance(v, _Tree) else v
+                                     for v in vars(u).values())
+            pos[id(u)] = keys.setdefault(key, len(keys))
+    return tuple(keys)
+
+
 @dataclass(frozen=True)
 class Lit:
     value: int
@@ -146,13 +190,13 @@ class Loc:
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Tree):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(_Tree):
     op: str
     left: "Expr"
     right: "Expr"
@@ -172,21 +216,21 @@ class Assign:
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False)
+class Seq(_Tree):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
-class If:
+@dataclass(frozen=True, eq=False)
+class If(_Tree):
     cond: Expr
     then: "Stmt"
     els: "Stmt"
 
 
-@dataclass(frozen=True)
-class While:
+@dataclass(frozen=True, eq=False)
+class While(_Tree):
     cond: Expr
     body: "Stmt"
 

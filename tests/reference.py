@@ -1,18 +1,26 @@
 """Independent references the tests check the package against.
 
-Each is a direct recursive transcription of its definition, kept apart from
-`relwp` on purpose: `normalize` is the structural normal form the iterative
-one in `programs` must reproduce node for node, `run_imp_fuel` cross-checks
+Each is a direct transcription of its definition, kept apart from `relwp`
+on purpose: `normalize` is the structural normal form the iterative one in
+`programs` must reproduce node for node, `run_imp_fuel` cross-checks
 `run_imp`'s divergence verdicts, and `theta_part_slow` cross-checks
-`theta_part` through the fixpoint of the one-sided transformers.  They
+`theta_part` through the fixpoint of the one-sided transformers.  Those
 recurse once per tree level, so keep their inputs shallow.
+
+`leq_by_enumeration` and `bind_by_evaluation` read specs of the fixed
+propositional carriers only through `RelSpec.at`: the first tries every
+postcondition at every point, the second evaluates a bind from its
+definition.  `is_coupling` and `min_coupling_value` check the coupling
+vertices behind `theta_prob`.
 """
 
-from typing import Tuple
+from fractions import Fraction
+from typing import Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
 from relwp.domains import FiniteDomain, Value
+from relwp.lp import coupling_vertices
 from relwp.observations import from_commuting_pair, unary_theta_part
 from relwp.programs import (Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input, Output,
                             PickFin, Program, Put, Ret, Throw)
@@ -184,3 +192,49 @@ def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
     u1 = unary_theta_part(1, c1.sig.state, c2.sig.state)
     u2 = unary_theta_part(2, c1.sig.state, c2.sig.state)
     return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)
+
+
+def is_coupling(p: Sequence, q: Sequence, d: Sequence) -> bool:
+    p = [Fraction(v) for v in p]
+    q = [Fraction(v) for v in q]
+    m, n = len(p), len(q)
+    if len(d) != m * n or any(Fraction(v) < 0 for v in d):
+        return False
+    rows_ok = all(sum(Fraction(d[i * n + j]) for j in range(n)) == p[i] for i in range(m))
+    cols_ok = all(sum(Fraction(d[i * n + j]) for i in range(m)) == q[j] for j in range(n))
+    return rows_ok and cols_ok
+
+
+def min_coupling_value(p: Sequence, q: Sequence, phi: Sequence) -> Fraction:
+    """inf over couplings d of sum d(i,j) * phi(i,j), attained at a vertex."""
+    best = None
+    for d in coupling_vertices(p, q):
+        v = sum(a * Fraction(b) for a, b in zip(d, phi))
+        if best is None or v < best:
+            best = v
+    if best is None:
+        raise ValueError("empty transportation polytope")
+    return best
+
+
+def leq_by_enumeration(w: RelSpec, w2: RelSpec):
+    """("holds", None, None), or ("fails", point, phi) for the first point and,
+    in numeric order of masks, the first postcondition phi that w2 accepts
+    there and w does not."""
+    n = w.space.size
+    for pt in w.space.points():
+        for mask in range(2 ** n):
+            phi = frozenset(o for o in range(n) if mask >> o & 1)
+            if w2.at(phi, pt) and not w.at(phi, pt):
+                return "fails", pt, phi
+    return "holds", None, None
+
+
+def bind_by_evaluation(wm: RelSpec, cont, phi, pt) -> bool:
+    """wm bound to a continuation, at postcondition phi and point pt: wm at
+    psi(o) = c.at(phi, cpt), where (c, cpt) = cont(o, pt) is the spec that
+    outcome o of wm leads to and the point it is read at."""
+    def psi(o):
+        c, cpt = cont(o, pt)
+        return c.at(phi, cpt)
+    return wm.at(psi, pt)

@@ -278,6 +278,33 @@ def test_long_while_program():
     assert R.oracle_check(j).holds and _low_equal_runs_agree(ast)
 
 
+def test_parses_of_a_long_chain_compare_and_hash_equal():
+    text = "; ".join("l := l + 1" if i % 3 else "h := h + l" for i in range(N))
+    a, b = W.parse_while(text), W.parse_while(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert W.Seq(a.first, W.Seq(W.Skip(), a.second)) != b
+
+
+def test_if_left_over_long_right_programs():
+    # the rule compares the premises' right programs, two parses of one text
+    n = W.store_domain(SIG).size
+    text = "; ".join(["l := l + h"] * 2000)
+    cond = W.parse_while("if h then skip else skip").cond
+    guard = W.guard_table(SIG, cond)
+    pre = (True,) * (n * n)
+    post = tuple(k % 3 == 0 for k in range(n * n))
+
+    def premise(want):
+        return W.RHLInstance(SIG, W.Skip(), W.parse_while(text),
+                             tuple(pre[k] and guard[k // n] == want for k in range(n * n)), post)
+
+    jt, jf = premise(True), premise(False)
+    assert jt.right is not jf.right
+    concl = W.apply_rhl_rule("IfL", (jt, jf), cond1=cond, pre=pre)
+    assert concl.left == W.If(cond, W.Skip(), W.Skip()) and concl.right == jt.right
+
+
 def test_left_nested_seq():
     n = 3000
     ast = W.Assign("l", W.Lit(1))

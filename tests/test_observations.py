@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relwp import lp
 from relwp import observations as O
 from relwp import programs as P
 from relwp import specmonads as sm
@@ -70,6 +69,18 @@ def test_theta_st_ret_is_unit():
 def test_theta_st_rejects_other_effects():
     with pytest.raises(ValueError):
         O.theta_st(P.ret(NSIG, Value(Z2, 0)), P.ret(NSIG, Value(Z2, 0)))
+
+
+def test_theta_st_refuses_imp_programs_with_loops():
+    loop = P.do_while(P.ret(ISIG, boolv(False)), P.ret(ISIG, UNIT_VAL))
+    with pytest.raises(ValueError, match="theta_part or theta_tot"):
+        O.theta_st(loop, loop)
+    with pytest.raises(ValueError, match="theta_part or theta_tot"):
+        O.theta_st(P.put(ISIG, Z2.value(1), P.ret(ISIG, UNIT_VAL)), loop)
+    # an imp program without a loop still runs as a state program
+    straight = P.put(ISIG, Z2.value(1), P.ret(ISIG, UNIT_VAL))
+    assert_equiv(O.theta_st(straight, straight), O.theta_part(straight, straight))
+    assert_equiv(O.theta_part(loop, loop), O.theta_part(P.ret(ISIG, UNIT_VAL), P.ret(ISIG, UNIT_VAL)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +426,7 @@ def test_theta_prob_pieces_are_couplings():
         for k, coeffs in w.pieces:
             assert k == 0
             flat = [coeffs[i * 2 + j] for i in range(2) for j in range(2)]
-            assert lp.is_coupling(list(p), list(q), flat)
+            assert reference.is_coupling(list(p), list(q), flat)
 
 
 def test_theta_prob_matches_direct_coupling_minimum():
@@ -430,7 +441,7 @@ def test_theta_prob_matches_direct_coupling_minimum():
         q = list(P.run_prob(c2).weights)
         for _ in range(6):
             phi = [rng.choice(grid) for _ in range(4)]
-            assert w.at(tuple(phi)) == lp.min_coupling_value(p, q, phi)
+            assert w.at(tuple(phi)) == reference.min_coupling_value(p, q, phi)
 
 
 @settings(deadline=None, max_examples=60)

@@ -14,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from relwp import lp
 from relwp import observations as O
+from relwp import rules as R
 from relwp import specmonads as sm
 from relwp.domains import BOOL, UNIT, Value, domain
 from relwp.genprog import random_program
-from relwp.programs import (IN, OUT, bind, choice, get, get_state, ndet_sig, put, ret,
+from relwp.programs import (IN, OUT, bind, choice, get, get_state, ndet_sig, pick_fin, put, ret,
                             run_state, state_sig)
+
+import reference
 
 Z2 = domain("Z2", 2)
 Z3 = domain("Z3", 3)
@@ -215,6 +218,16 @@ def test_bind_io_threads_histories():
 # Monad laws, checked extensionally on small spaces
 
 
+def _table(w):
+    """A demonic spec's entry at every point."""
+    return tuple(w.demonic_at(pt) for pt in w.space.points())
+
+
+def _rebuilt(w):
+    """The same transformer, rebuilt from its demand families."""
+    return sm.demand_spec(w.space, w.fams)
+
+
 def _random_demonic(rng, space):
     table = []
     for _ in range(space.point_count):
@@ -364,9 +377,8 @@ def test_leq_demonic_subset_example():
     # witness is re-checkable: the second spec guarantees phi, the first does not
     assert w1.at(v.phi, v.point) and not w2.at(v.phi, v.point)
     # and the full enumeration agrees in both directions
-    g1, g2 = sm.drop_fast_form(w1), sm.drop_fast_form(w2)
-    assert sm.spec_leq(g1, g2).holds
-    assert sm.spec_leq(g2, g1).failed
+    assert reference.leq_by_enumeration(w1, w2)[0] == "holds"
+    assert reference.leq_by_enumeration(w2, w1) == ("fails", v.point, v.phi)
 
 
 def test_leq_violated_points():
@@ -384,7 +396,7 @@ def test_leq_unknown_without_refutation():
     space = sm.pure_space(big, big)  # 16 outcomes, past the default cap
     w1 = sm.closure_spec(space, lambda f, pt: any(f(o) for o in space.outcomes()))
     w2 = sm.closure_spec(space, lambda f, pt: any(f(o) for o in space.outcomes()))
-    assert sm.spec_leq(w1, w2).is_unknown
+    assert sm.spec_leq(w1, w2).holds  # both tabulate to the 16 singleton demands
     demonic_all = sm.demonic_spec(space, [frozenset(space.outcomes())])
     v = sm.spec_leq(demonic_all, w1)  # needs "exists" to imply "forall": false
     assert v.failed
@@ -629,16 +641,16 @@ def test_reindex_outcomes_state():
     w = sm.demonic_spec(small, [frozenset({0, 3})])
     out = sm.reindex_outcomes(w, big, fn)
     assert out.demonic_at(0) == frozenset({fn(0), fn(3)})
-    wc = sm.drop_fast_form(w)
-    outc = sm.reindex_outcomes(wc, big, fn)
-    assert sm.spec_equiv(out, outc, cap=2 ** 10).holds
+    for mask in range(2 ** big.size):
+        assert out.at(mask) == w.at(lambda o: mask >> fn(o) & 1)
 
 
-def test_drop_fast_form_preserves_meaning():
+def test_closure_spec_tabulates_the_same_transformer():
     rng = random.Random(5)
     space = sm.state_space(Z2, Z2, Z2, Z2)
     w = _random_demonic(rng, space)
-    g = sm.drop_fast_form(w)
+    g = sm.closure_spec(space, w.at)
+    assert g.fams == w.fams
     for pt in space.points():
         for _ in range(30):
             phi = frozenset(o for o in space.outcomes() if rng.random() < 0.5)
@@ -681,14 +693,14 @@ def test_lp_coupling_vertices_frozen_cases():
         (F(0), F(1, 4), F(1, 2), F(1, 4)),
     ])
     eq_table = (F(1), F(0), F(0), F(1))
-    assert lp.min_coupling_value(half, half, eq_table) == F(0)
-    assert lp.min_coupling_value((F(1, 4), F(3, 4)), half, eq_table) == F(1, 4)
+    assert reference.min_coupling_value(half, half, eq_table) == F(0)
+    assert reference.min_coupling_value((F(1, 4), F(3, 4)), half, eq_table) == F(1, 4)
 
 
 def test_lp_is_coupling():
     half = (F(1, 2), F(1, 2))
-    assert lp.is_coupling(half, half, (F(1, 2), F(0), F(0), F(1, 2)))
-    assert not lp.is_coupling(half, half, (F(1), F(0), F(0), F(0)))
+    assert reference.is_coupling(half, half, (F(1, 2), F(0), F(0), F(1, 2)))
+    assert not reference.is_coupling(half, half, (F(1), F(0), F(0), F(0)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -828,12 +840,11 @@ def test_demonic_right_probe_matches_enumeration(seed):
     spaces = [sm.pure_space(Z2, Z3), sm.state_space(Z2, Z2, UNIT, Z2), sm.err_space(Z2, Z2)]
     space = spaces[rng.randrange(len(spaces))]
     demonic = _random_demonic(rng, space)
-    lefts = [_random_up_closure(rng, space), sm.drop_fast_form(_random_demonic(rng, space))]
+    lefts = [_random_up_closure(rng, space), _random_demonic(rng, space)]
     for w in lefts:
         fast = sm.spec_leq(w, demonic)
-        slow = sm.spec_leq(w, sm.drop_fast_form(demonic))
-        assert slow.kind in ("holds", "fails")
-        assert (fast.kind, fast.point, fast.phi) == (slow.kind, slow.point, slow.phi)
+        slow = reference.leq_by_enumeration(w, demonic)
+        assert (fast.kind, fast.point, fast.phi) == slow
         if fast.failed:
             assert demonic.at(fast.phi, fast.point) and not w.at(fast.phi, fast.point)
 
@@ -886,9 +897,8 @@ def test_built_closures_are_monotone(seed):
                         else _random_demonic(rng, space))
              for i1 in range(2) for i2 in range(2)}
     bound = sm.spec_bind(wm, lambda i1, i2: conts[(i1, i2)])
-    assert not bound.is_demonic
     _assert_monotone(bound)
-    _assert_monotone(sm.drop_fast_form(_random_demonic(rng, sm.state_space(Z2, Z2, UNIT, Z2))))
+    _assert_monotone(_random_demonic(rng, sm.state_space(Z2, Z2, UNIT, Z2)))
 
 
 # ---------------------------------------------------------------------------
@@ -955,17 +965,17 @@ def test_equal_but_not_identical_spaces_bind_and_compare_alike(twin):
         small = space.tag != "WrelSt"     # closures on the right need enumeration
         for _ in range(10):
             wm = _random_demonic(rng, space)
-            tables = {k: _random_demonic(rng, space).table for k in keys}
+            tables = {k: _table(_random_demonic(rng, space)) for k in keys}
             plain = {k: sm.demonic_spec(space, t) for k, t in tables.items()}
             mixed = _rekeyed(space, other, tables, rng.random() < 0.5)
             want = sm.spec_bind(wm, plain)
-            got = sm.spec_bind(sm.demonic_spec(other, wm.table), mixed)
-            assert got.table == want.table
-            want_c = sm.spec_bind(sm.drop_fast_form(wm), plain)
-            got_c = sm.spec_bind(sm.drop_fast_form(wm),
-                                 {k: sm.drop_fast_form(w) for k, w in mixed.items()})
+            got = sm.spec_bind(sm.demonic_spec(other, _table(wm)), mixed)
+            assert got.fams == want.fams
+            want_c = sm.spec_bind(_rebuilt(wm), plain)
+            got_c = sm.spec_bind(_rebuilt(wm),
+                                 {k: _rebuilt(w) for k, w in mixed.items()})
             claim = _random_demonic(rng, space)
-            claim_twin = sm.demonic_spec(other, claim.table)
+            claim_twin = sm.demonic_spec(other, _table(claim))
             base = _verdict(sm.spec_leq(want, claim))
             assert _verdict(sm.spec_leq(got, claim)) == base
             assert _verdict(sm.spec_leq(want, claim_twin)) == base
@@ -1004,14 +1014,14 @@ def test_common_cont_space_keeps_its_three_errors():
         bind_with(both, (0, 0))
     for twin in (_twin_direct(space), _twin_pickled(space)):
         for at in ((0, 0), (1, 1)):
-            assert bind_with(sm.weakest(twin), at).table == bind_with(good, at).table
+            assert bind_with(sm.weakest(twin), at).fams == bind_with(good, at).fams
 
 
 def test_demonic_entries_keep_their_range_check():
     space = sm.pure_space(Z2, Z3)
     entry = frozenset({0, 5})
-    assert sm.demonic_spec(space, [entry]).table[0] is entry     # kept, not copied
-    assert sm.demonic_spec(space, [[5, 0, 5]]).table[0] == entry
+    assert sm.demonic_spec(space, [entry]).demonic_at(0) == entry
+    assert sm.demonic_spec(space, [[5, 0, 5]]).demonic_at(0) == entry
     for bad, named in (({0, 6}, 6), ({-1, 2}, -1), (frozenset({7}), 7)):
         with pytest.raises(ValueError, match=f"outcome {named} outside space of size 6"):
             sm.demonic_spec(space, [bad])
@@ -1049,8 +1059,8 @@ def test_bind_fixed_tables_match_cont_point_decoding(seed):
                  for i1 in range(space.a1.size) for i2 in range(space.a2.size)}
         got = sm.spec_bind(wm, conts)
         assert got.space is tspace
-        assert got.table == _bind_by_cont_point(wm, conts, tspace)
-        closed = sm.spec_bind(sm.drop_fast_form(wm), conts)
+        assert _table(got) == _bind_by_cont_point(wm, conts, tspace)
+        closed = sm.spec_bind(_rebuilt(wm), conts)
         for pt in tspace.points():
             for _ in range(6):
                 phi = frozenset(o for o in tspace.outcomes() if rng.random() < 0.7)
@@ -1115,3 +1125,122 @@ def test_closure_comparisons_match_evaluation_through_at(seed):
     for (a, a_at), (b, b_at) in pairs:
         want = _leq_by_enumeration(space, a_at, b_at)
         assert _verdict(sm.spec_leq(a, b)) == want
+
+
+# ---------------------------------------------------------------------------
+# Demand families against references that read specs only through `at`
+
+# (space, bind target): pure, state and err, 4 to 8 outcomes each
+FAMILY_SPACES = [
+    (sm.pure_space(Z2, Z2), sm.pure_space(Z2, Z3)),
+    (sm.state_space(Z2, Z2, UNIT, Z2), sm.state_space(UNIT, Z2, Z2, Z2)),
+    (sm.err_space(Z2, Z2), sm.err_space(Z2, Z3)),
+]
+
+
+def _random_families(rng, space):
+    """Zero to three random demands per point, about a quarter of the
+    outcomes each."""
+    return sm.demand_spec(space, [[rng.getrandbits(space.size) & rng.getrandbits(space.size)
+                                   for _ in range(rng.randrange(4))]
+                                  for _ in space.points()])
+
+
+def _ret_at(space, o):
+    return sm.demonic_spec(space, [{o}] * space.point_count)
+
+
+def _bind_cont(space, tspace, conts):
+    """The spec each outcome of `space` leads to in a bind, and its point."""
+    def cont(o, pt):
+        if space.tag == "WrelErr":
+            if o == space.err_bad():
+                return _ret_at(tspace, tspace.err_bad()), 0
+            return conts[divmod(o, space.a2.size)], 0
+        if space.tag == "WrelPure":
+            return conts[divmod(o, space.a2.size)], 0
+        a1, s1, a2, s2 = space.st_split(o)
+        return conts[(a1, a2)], tspace.point(s1, s2)
+    return cont
+
+
+def _assert_is_bind(got, wm, cont):
+    for pt in got.space.points():
+        for mask in range(2 ** got.space.size):
+            phi = frozenset(o for o in got.space.outcomes() if mask >> o & 1)
+            assert got.at(phi, pt) == reference.bind_by_evaluation(wm, cont, phi, pt), (pt, phi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10 ** 9))
+def test_demand_families_match_the_references(seed):
+    rng = random.Random(seed)
+    space, tspace = FAMILY_SPACES[rng.randrange(len(FAMILY_SPACES))]
+    w, w2 = _random_families(rng, space), _random_families(rng, space)
+    conts = {(i1, i2): _random_families(rng, tspace)
+             for i1 in range(space.a1.size) for i2 in range(space.a2.size)}
+    bound = sm.spec_bind(w, conts)
+    _assert_is_bind(bound, w, _bind_cont(space, tspace, conts))
+    fn = [rng.randrange(tspace.size) for _ in space.outcomes()]
+    moved = sm.reindex_outcomes(w, tspace, fn.__getitem__)
+    _assert_is_bind(moved, w, lambda o, pt: (_ret_at(tspace, fn[o]), pt))
+    pairs = [(w, w2), (w2, w), (w, w), (bound, moved), (moved, bound)]
+    if space.tag == "WrelErr":
+        caught = R.catch_spec(w, w2)
+        _assert_is_bind(caught, w, lambda o, pt: (w2 if o == space.err_bad()
+                                                  else _ret_at(space, o), pt))
+        pairs += [(caught, w), (w, caught)]
+    for a, b in pairs:
+        assert _verdict(sm.spec_leq(a, b)) == reference.leq_by_enumeration(a, b)
+
+
+def test_fixed_leq_is_exact_at_cap_one_on_16_outcome_spaces():
+    rng = random.Random(16)
+    d4 = domain("D4", 4)
+    spaces = [sm.pure_space(d4, d4), sm.state_space(Z2, Z2, Z2, Z2),
+              sm.err_space(Z3, domain("Z5", 5))]
+    kinds = set()
+    for space in spaces:
+        assert space.size == 16
+        for _ in range(20):
+            w, w2 = _random_families(rng, space), _random_families(rng, space)
+            for a, b in ((w, w2), (w, sm.unsatisfiable(space)), (sm.weakest(space), w)):
+                v = sm.spec_leq(a, b, cap=1)
+                kinds.add(v.kind)
+                if v.failed:
+                    assert b.at(v.phi, v.point) and not a.at(v.phi, v.point)
+                else:
+                    for _ in range(20):
+                        phi = rng.getrandbits(16)
+                        for pt in space.points():
+                            assert a.at(phi, pt) or not b.at(phi, pt)
+    assert kinds == {"holds", "fails"}
+
+
+def test_spec_too_large_fires_at_each_documented_limit():
+    # closure_spec tabulates spaces of up to 16 outcomes
+    d4 = domain("D4", 4)
+    assert sm.closure_spec(sm.pure_space(d4, d4), lambda f, pt: f(5)).fams == (frozenset({1 << 5}),)
+    with pytest.raises(sm.SpecTooLarge, match="17 outcomes"):
+        sm.closure_spec(sm.pure_space(domain("D17", 17), UNIT), lambda f, pt: f(5))
+    # one bind step may form up to 4096 demands
+    assert sm._DEMAND_LIMIT == 4096
+    far = domain("Far", 130)
+
+    def bind_pools(k):
+        table = [sm.wp(far, [{i} for i in range(k)]), sm.wp(far, [{65 + i} for i in range(k)])]
+        return sm.wp_bind(sm.wp(Z2, [{0, 1}]), table)
+
+    assert len(bind_pools(64).demands) == 4096
+    with pytest.raises(sm.SpecTooLarge, match="4225 demands"):
+        bind_pools(65)
+    # forall-exists has one demand per choice of partners: 4 ** 6 is fine, 4 ** 7 is not
+    sig = ndet_sig()
+
+    def all_of(d):
+        return pick_fin([ret(sig, v) for v in d.values()])
+
+    w = O.theta_ndet(O.FORALL_EXISTS, all_of(domain("D6", 6)), all_of(d4))
+    assert len(w.fams[0]) == 4096
+    with pytest.raises(sm.SpecTooLarge, match="16384 demands"):
+        O.theta_ndet(O.FORALL_EXISTS, all_of(domain("D7", 7)), all_of(d4))
