@@ -59,6 +59,11 @@ class Value:
     domain: FiniteDomain
     index: int
 
+    # Values key memo tables inside long tuples (interactive histories), so
+    # the hash reuses the domain's stored one rather than hash a new pair.
+    def __hash__(self):
+        return self.domain._hash ^ self.index
+
     def __repr__(self):
         return f"<{self.domain.name}:{self.domain.label_of(self.index)}>"
 

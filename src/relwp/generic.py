@@ -229,11 +229,17 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     side's continuation via its tau embedding, then pins the pair of a
     rethrown exception with that continuation's result.
 
-    The continuation tables made only of inner units (the units appended
-    for raised exceptions, and the tables that pin one side's result while
-    the other side's continuation runs, in rethrows and in tau) depend on
-    result domains alone, never on the payloads, so the carrier builds each
-    one once per domain signature and keeps it for every later call.
+    The carrier keeps one table of what it has built.  Per result domain it
+    holds the tagged sum domain with its normal and raised values, and the
+    units appended for raised exceptions.  Per fixed result and other side's
+    domain it holds the unit tables of a pin, and per (other side's payload,
+    fixed result, other side's domain) the pinned bind itself.  Rethrows in
+    bind_rel and both tau embeddings go through the pin.  The domain is part
+    of the keys because payloads need not record it.
+    Reusing an entry is sound because every `inner` operation is a pure
+    function of its arguments and payloads are frozen and hashable (`Wp`,
+    or tuples of `Wp` under `stt_rel_transform`), so an equal key always
+    builds an equal result.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -246,14 +252,20 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
             out = tables[key] = build()
         return out
 
+    def tagged(adom: FiniteDomain):
+        # the sum domain over adom, its normal values by index, its raised values
+        def build():
+            s = sum_domain(adom, e)
+            return (s,
+                    tuple(Value(s, inl_index(adom, e, i)) for i in range(adom.size)),
+                    tuple(Value(s, inr_index(adom, e, j)) for j in range(e.size)))
+        return once(("tagged", adom), build)
+
     def sdom(a: FiniteDomain) -> FiniteDomain:
-        return sum_domain(a, e)
+        return tagged(a)[0]
 
     def inl(a: Value) -> Value:
-        return Value(sdom(a.domain), inl_index(a.domain, e, a.index))
-
-    def inr(adom: FiniteDomain, j: int) -> Value:
-        return Value(sdom(adom), inr_index(adom, e, j))
+        return tagged(a.domain)[1][a.index]
 
     if side == "left":
         unit1 = inner.ret1(UNIT_VAL)
@@ -264,7 +276,7 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         def raises(bdom):
             # the unit at each exception, appended to a continuation table
             return once(("raises", bdom),
-                        lambda: tuple(inner.ret1(inr(bdom, j)) for j in range(e.size)))
+                        lambda: tuple(inner.ret1(v) for v in tagged(bdom)[2]))
 
         def bind1(w, table, bdom):
             return inner.bind1(w, tuple(table) + raises(bdom), sdom(bdom))
@@ -272,26 +284,27 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         def pin(w2, b1val, b2dom):
             # pair a fixed left result with whatever the right continuation
             # produces, keeping its effect on the right spec
-            f1t, f2t, frelt = once(("pin", b1val, b2dom), lambda: (
-                (inner.ret1(b1val),),
-                tuple(inner.ret2(v) for v in b2dom.values()),
-                (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
-            ))
-            return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
-                                  b1val.domain, b2dom)
+            def build():
+                f1t, f2t, frelt = once(("units", b1val, b2dom), lambda: (
+                    (inner.ret1(b1val),),
+                    tuple(inner.ret2(v) for v in b2dom.values()),
+                    (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
+                ))
+                return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
+                                      b1val.domain, b2dom)
+            return once(("pin", w2, b1val, b2dom), build)
 
         def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
             f1 = tuple(f1)
             f2 = tuple(f2)
             frelx = [tuple(frel[a1][a2] for a2 in range(len(f2))) for a1 in range(len(f1))]
-            for j in range(e.size):
-                thrown = inr(b1dom, j)
+            for thrown in tagged(b1dom)[2]:
                 frelx.append(tuple(pin(w2, thrown, b2dom) for w2 in f2))
             return inner.bind_rel(m1, m2, mrel, f1 + raises(b1dom), f2, tuple(frelx),
                                   sdom(b1dom), b2dom)
 
         def tau2(w2, a2dom):
-            return pin(w2, Value(sdom(UNIT), 0), a2dom)
+            return pin(w2, inl(UNIT_VAL), a2dom)
 
         return FullSpecMonad(
             name=f"exct-left[{e.name}]({inner.name})",
@@ -320,24 +333,26 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
 
     def raises(bdom):
         return once(("raises", bdom),
-                    lambda: tuple(inner.ret2(inr(bdom, j)) for j in range(e.size)))
+                    lambda: tuple(inner.ret2(v) for v in tagged(bdom)[2]))
 
     def bind2(w, table, bdom):
         return inner.bind2(w, tuple(table) + raises(bdom), sdom(bdom))
 
     def pin(w1, b1dom, b2val):
-        f1t, f2t, frelt = once(("pin", b1dom, b2val), lambda: (
-            tuple(inner.ret1(v) for v in b1dom.values()),
-            (inner.ret2(b2val),),
-            tuple((inner.ret_rel(v, b2val),) for v in b1dom.values()),
-        ))
-        return inner.bind_rel(w1, unit2, inner.tau1(w1, b1dom), f1t, f2t, frelt,
-                              b1dom, b2val.domain)
+        def build():
+            f1t, f2t, frelt = once(("units", b1dom, b2val), lambda: (
+                tuple(inner.ret1(v) for v in b1dom.values()),
+                (inner.ret2(b2val),),
+                tuple((inner.ret_rel(v, b2val),) for v in b1dom.values()),
+            ))
+            return inner.bind_rel(w1, unit2, inner.tau1(w1, b1dom), f1t, f2t, frelt,
+                                  b1dom, b2val.domain)
+        return once(("pin", w1, b1dom, b2val), build)
 
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
         f1 = tuple(f1)
         f2 = tuple(f2)
-        thrown = tuple(inr(b2dom, j) for j in range(e.size))
+        thrown = tagged(b2dom)[2]
         frelx = []
         for a1 in range(len(f1)):
             row = tuple(frel[a1][a2] for a2 in range(len(f2)))
@@ -347,7 +362,7 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
                               b1dom, sdom(b2dom))
 
     def tau1(w1, a1dom):
-        return pin(w1, a1dom, Value(sdom(UNIT), 0))
+        return pin(w1, a1dom, inl(UNIT_VAL))
 
     return FullSpecMonad(
         name=f"exct-right[{e.name}]({inner.name})",

@@ -706,7 +706,7 @@ class RelSpec:
         if self.table is None:
             return None
         if pt not in self._io_cache:
-            self._io_cache[pt] = self.table(pt)
+            _fill_io_entries(self, pt)
         return self._io_cache[pt]
 
     def at(self, phi, point=None) -> object:
@@ -744,6 +744,27 @@ class RelSpec:
                 "pieces" if self.pieces is not None else
                 "pre/post" if self.pre is not None else "closure")
         return f"<RelSpec {self.tag} {body}>"
+
+
+def _fill_io_entries(w: RelSpec, pt) -> None:
+    """Cache w's demonic entry at pt and every entry it depends on.
+
+    A table returns an entry, or a (spec, point) pair whose entry it needs
+    first: binds of demonic interactive specs do.  The needed entries are
+    filled from an explicit stack rather than by recursion, so reading a
+    chain of binds of any length takes constant Python stack depth.  A pair
+    is pushed only when its entry is missing, and each push fills it before
+    the table that asked is called again.
+    """
+    stack = [(w, pt)]
+    while stack:
+        s, p = stack[-1]
+        got = s.table(p)
+        if type(got) is tuple:
+            stack.append(got)
+        else:
+            s._io_cache[p] = got
+            stack.pop()
 
 
 def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
@@ -1054,18 +1075,26 @@ def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
     horizon = (wm.horizon or 0) + max((w.horizon or 0) for w in conts.values())
     pair = lambda v: divmod(v, space.a2.size)
     if wm.is_demonic and all(w.is_demonic for w in conts.values()):
-        def fn(pt, _wm=wm, _conts=conts):
-            r = _wm.demonic_at(pt)
+        def entry(pt, _wm=wm, _conts=conts):
+            # the entry, or the first part entry still missing: parts are
+            # read in order and the first VIOLATED one ends the reading
+            r = _wm._io_cache.get(pt)
+            if r is None:
+                return (_wm, pt)
             if r is VIOLATED:
                 return VIOLATED
             acc = set()
             for (v, h1, h2) in r:
-                sub = _conts[pair(v)].demonic_at((h1, h2))
+                sw, spt = _conts[pair(v)], (h1, h2)
+                sub = sw._io_cache.get(spt)
+                if sub is None:
+                    return (sw, spt)
                 if sub is VIOLATED:
                     return VIOLATED
                 acc |= sub
             return frozenset(acc)
-        return io_demonic_spec(cspace, fn, wm.io_points, horizon)
+        return RelSpec("WrelIO", cspace, table=entry, io_points=wm.io_points,
+                       horizon=horizon)
 
     def body(f, pt, _wm=wm, _conts=conts):
         def psi(o):

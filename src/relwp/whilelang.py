@@ -139,7 +139,11 @@ def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
 class _Tree:
     """A statement or expression with subtrees.  These compare and hash by
     their `_shape`, so a long `;` chain or a deep expression never recurses;
-    the leaves keep their generated methods."""
+    the leaves keep their generated methods.  A node's hash is taken on
+    first use and kept in a slot, out of the fields that `vars` lists; it
+    is never pickled."""
+
+    __slots__ = ("_hash",)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -147,7 +151,17 @@ class _Tree:
         return self is other or _shape(self) == _shape(other)
 
     def __hash__(self):
-        return hash(_shape(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_shape(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild through the
+        # constructor rather than carry the stored hash
+        return type(self), tuple(vars(self).values())
 
 
 def _kids(t: _Tree):

@@ -177,9 +177,10 @@ def test_one_sided_embeddings_of_long_chains():
     q = P.ret(io, UNIT_VAL)
     for i in range(1500):
         q = P.output(io, Z2.value(0), q)
-    # reading this spec goes through one lazy table per output, each calling
-    # the next, so only its construction is checked at this length
-    assert O.unary_theta_io(1, Z2, Z2, Z2, Z2).embed(q).tag == "WrelIO"
+    # each output's entry needs the next one's, 1500 binds down
+    w = O.unary_theta_io(1, Z2, Z2, Z2, Z2).embed(q)
+    history = ((P.OUT, Z2.value(0)),) * 1500
+    assert w.demonic_at(((), ())) == frozenset({(0, history, ())})
 
 
 def _left_chain(first, table, n=N):
@@ -284,6 +285,31 @@ def test_parses_of_a_long_chain_compare_and_hash_equal():
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
     assert W.Seq(a.first, W.Seq(W.Skip(), a.second)) != b
+
+
+def test_a_statement_is_walked_for_its_hash_once(monkeypatch):
+    a = W.parse_while("; ".join(["l := l + 1"] * 100))
+    h = hash(a)
+    walks = []
+    real = W._shape
+    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
+    assert hash(a) == h and not walks
+
+
+def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
+    # the cached hash is never pickled: string hashes differ by process
+    text = "l := h; while l < 1 do l := l + 1"
+    code = ("import pickle, sys; from relwp import whilelang as W; "
+            f"s = W.parse_while({text!r}); hash(s); "
+            "sys.stdout.write(pickle.dumps(s).hex())")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    there = pickle.loads(bytes.fromhex(out))
+    here = W.parse_while(text)
+    assert there == here and hash(there) == hash(here)
+    assert {here: 1}[there] == 1
 
 
 def test_if_left_over_long_right_programs():

@@ -10,6 +10,7 @@ the three-clause semantic oracle, including a seeded sweep of random
 derivations.
 """
 
+import dataclasses
 import random
 from itertools import product
 
@@ -20,7 +21,7 @@ from relwp import generic as G
 from relwp import programs as P
 from relwp import rules as R
 from relwp import specmonads as sm
-from relwp.domains import UNIT, UNIT_VAL, Value, domain, product_domain, sum_domain
+from relwp.domains import BOOL, UNIT, UNIT_VAL, Value, domain, product_domain, sum_domain
 
 Z2 = domain("Z2", 2)
 Z3 = domain("Z3", 3)
@@ -362,6 +363,48 @@ def test_one_carrier_serves_continuations_over_several_domains():
                             G.wp_bind(m1, [_pad1(x) for x in f1] + raises))
 
 
+# Exception carriers built fresh: pins memoise `Wp` payloads in the canonical
+# carrier and tuple payloads where the other side threads state.
+EXC_CARRIERS = {
+    "wrelexc": lambda: G.wrelexc_monad(EL, ER),
+    "exct-right over stt-left": lambda: G.exct_rel_transform(
+        G.stt_rel_transform(G.lift_pure(), Z2, "left"), ER, "right"),
+    "exct-left over stt-right": lambda: G.exct_rel_transform(
+        G.stt_rel_transform(G.lift_pure(), Z2, "right"), EL, "left"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXC_CARRIERS))
+def test_pins_kept_across_calls_match_a_fresh_carrier(name):
+    # continuations come from a small pool, so one carrier meets the same
+    # payload again, over Z2 and Z3 and under BOOL, a relabelled Z2 that the
+    # payloads themselves do not name
+    build = EXC_CARRIERS[name]
+    monad = build()
+    rng = random.Random(31)
+    pool1 = {d: [monad.gen1(rng, d) for _ in range(2)] for d in (Z2, Z3)}
+    pool2 = {d: [monad.gen2(rng, d) for _ in range(2)] for d in (Z2, Z3)}
+    for _ in range(2):
+        for a1d, a2d, b1d, b2d in product((Z2, Z3), repeat=4):
+            m1, m2 = monad.gen1(rng, a1d), monad.gen2(rng, a2d)
+            mrel = monad.gen_rel(rng, a1d, a2d)
+            f1 = [rng.choice(pool1[b1d]) for _ in range(a1d.size)]
+            f2 = [rng.choice(pool2[b2d]) for _ in range(a2d.size)]
+            frel = [[monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size)]
+                    for _ in range(a1d.size)]
+            got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
+            assert got == build().bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
+            if name == "wrelexc":
+                hand = G.wrelexc_bind(mrel, [G.Wp(sum_domain(b1d, EL), w.demands) for w in f1],
+                                      [G.Wp(sum_domain(b2d, ER), w.demands) for w in f2],
+                                      frel, EL, ER, b1d, b2d)
+                assert_wp_equiv(hand, got)
+    for d, told in ((Z2, Z2), (Z2, BOOL), (Z3, Z3)):
+        for w1, w2 in zip(pool1[d], pool2[d]):
+            assert monad.tau1(w1, told) == build().tau1(w1, told)
+            assert monad.tau2(w2, told) == build().tau2(w2, told)
+
+
 def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
     # left already raised e0, right still runs: the raise is pinned while
     # the right continuation picks its result
@@ -444,6 +487,27 @@ def test_strictness_builds_each_unit_once(monkeypatch):
     rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
     assert rep.ok and rep.checked == 4232
     assert len(calls) <= 5538
+
+
+def test_strictness_pins_each_payload_once(monkeypatch):
+    # pins are kept per (payload, fixed result, domain), so the pure carrier
+    # under both exception layers binds 4,112 times (86,016 with every pin
+    # rebuilt)
+    calls = [0]
+    real = G.lift_pure
+
+    def counted():
+        m = real()
+
+        def bind_rel(*a):
+            calls[0] += 1
+            return m.bind_rel(*a)
+        return dataclasses.replace(m, bind_rel=bind_rel)
+
+    monkeypatch.setattr(G, "lift_pure", counted)
+    rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
+    assert rep.ok and rep.checked == 4232
+    assert calls[0] <= 4112
 
 
 def test_observation_rejects_foreign_signatures():
