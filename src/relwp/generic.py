@@ -235,11 +235,11 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     domain it holds the unit tables of a pin, and per (other side's payload,
     fixed result, other side's domain) the pinned bind itself.  Rethrows in
     bind_rel and both tau embeddings go through the pin.  The domain is part
-    of the keys because payloads need not record it.
-    Reusing an entry is sound because every `inner` operation is a pure
-    function of its arguments and payloads are frozen and hashable (`Wp`,
-    or tuples of `Wp` under `stt_rel_transform`), so an equal key always
-    builds an equal result.
+    of the keys because payloads need not record it.  Reusing an entry is
+    sound because every `inner` operation is a pure function of its
+    arguments and payloads are frozen and hashable (`Wp`, or tuples of `Wp`
+    under `stt_rel_transform`), so an equal key always builds an equal
+    result.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
