@@ -648,23 +648,30 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
     run both and demand exactly the joint outcome.  Nothing about the
     carrier forces that choice; the strictness battery is what justifies it
     after the fact, by showing it maps unit to unit and sequencing to
-    sequencing on the nose.
+    sequencing on the nose.  Each outcome domain is built once per pair of
+    result domains, None standing for a side the unary parts leave out.
     """
+    doms = {}
+
+    def dom(a1: Optional[FiniteDomain], a2: Optional[FiniteDomain]) -> FiniteDomain:
+        d = doms.get((a1, a2))
+        if d is None:
+            d = doms[(a1, a2)] = product_domain(UNIT if a1 is None else sum_domain(a1, e1),
+                                                UNIT if a2 is None else sum_domain(a2, e2))
+        return d
 
     def theta1(c: Program) -> Wp:
         o = _exc_outcome(c, e1)
-        return wp_ret(product_domain(sum_domain(c.result, e1), UNIT), o)
+        return wp_ret(dom(c.result, None), o)
 
     def theta2(c: Program) -> Wp:
         o = _exc_outcome(c, e2)
-        return wp_ret(product_domain(UNIT, sum_domain(c.result, e2)), o)
+        return wp_ret(dom(None, c.result), o)
 
     def theta_rel(c1: Program, c2: Program) -> Wp:
         o1 = _exc_outcome(c1, e1)
         o2 = _exc_outcome(c2, e2)
-        s2 = sum_domain(c2.result, e2)
-        dom = product_domain(sum_domain(c1.result, e1), s2)
-        return wp_ret(dom, o1 * s2.size + o2)
+        return wp_ret(dom(c1.result, c2.result), o1 * (c2.result.size + e2.size) + o2)
 
     return ThetaTriple(f"exc-run[{e1.name},{e2.name}]", theta1, theta2, theta_rel)
 

@@ -38,9 +38,11 @@ from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
     DEFAULT_CAP,
+    ContTable,
     LeqVerdict,
     OutcomeSpace,
     RelSpec,
+    _fixed,
     closure_spec,
     demand_spec,
     err_space,
@@ -115,22 +117,29 @@ def _expect_effect(c: Program, allowed, who: str):
 # State
 
 
+def _runs(c: Program, run) -> tuple:
+    """c's run from each initial state, as its local outcome index
+    a * |S| + t (value a, final state t), or None where it diverges.  Kept
+    on the program: the evaluators agree wherever both apply (`run_state`
+    takes no loops), so one table serves every pair observation."""
+    t = c._runs
+    if t is None:
+        n = c.sig.state.size
+        t = tuple(None if r is None else r[0].index * n + r[1].index
+                  for r in (run(c, s) for s in c.sig.state.values()))
+        object.__setattr__(c, "_runs", t)
+    return t
+
+
 def _pair_runs(c1: Program, c2: Program, run, diverged) -> RelSpec:
-    """Run each side once per initial state, then pair the runs: a point's
-    demand is the single joint outcome, or its family is `diverged` if a
-    side has none."""
+    """Pair each side's runs: a point's demand is the single joint outcome,
+    or its family is `diverged` if a side has none.  A joint outcome is the
+    left local outcome times the right side's count, plus the right one."""
     space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
-    left = [run(c1, s) for s in space.s1.values()]
-    right = [run(c2, s) for s in space.s2.values()]
-    fams = []
-    for r1 in left:
-        for r2 in right:
-            if r1 is None or r2 is None:
-                fams.append(diverged)
-            else:
-                (v1, t1), (v2, t2) = r1, r2
-                fams.append(frozenset({1 << space.st_outcome(v1.index, t1.index, v2.index, t2.index)}))
-    return demand_spec(space, fams)
+    k = c2.result.size * c2.sig.state.size
+    right = _runs(c2, run)
+    return _fixed(space, [diverged if l is None or r is None else frozenset({1 << (l * k + r)})
+                          for l in _runs(c1, run) for r in right])
 
 
 def theta_st(c1: Program, c2: Program) -> RelSpec:
@@ -160,7 +169,7 @@ def _theta_st_unary_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
         o = space.st_outcome(v.index if side == 1 else 0, n1,
                              v.index if side == 2 else 0, n2)
         table.append(frozenset({1 << o}))
-    return demand_spec(space, table)
+    return _fixed(space, table)
 
 
 def unary_theta_st(side: int, s1: FiniteDomain, s2: FiniteDomain,
@@ -372,8 +381,8 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
             w = spec_bind(spec[id(n.inner)], key)
         elif t is P.Get:
             # each point goes on with the family for its own state component
-            w = demand_spec(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].fams[pt]
-                                    for pt in space.points()])
+            w = _fixed(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].fams[pt]
+                               for pt in space.points()])
         elif t is P.Put:
             sub = spec[id(n.then)]
             table = []
@@ -382,7 +391,7 @@ def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
                 npt = (space.point(n.state.index, s2i) if comp == 1
                        else space.point(s1i, n.state.index))
                 table.append(sub.fams[npt])
-            w = demand_spec(space, table)
+            w = _fixed(space, table)
         elif t is P.DoWhile:
             wbody = spec[id(n.body)]
             bsp = sp_for(BOOL)
@@ -759,15 +768,27 @@ def _classify(lhs: RelSpec, rhs: RelSpec, cap: int, seed: int,
     return "equal", None, None, True
 
 
+def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Program],
+                observed: Dict[Tuple[Program, Program], RelSpec]) -> ContTable:
+    """The bind law's continuation table for (f1, f2), each entry observed
+    once per program pair through `observed`."""
+    conts = {}
+    for i, c1 in enumerate(f1):
+        for j, c2 in enumerate(f2):
+            w = observed.get((c1, c2))
+            if w is None:
+                w = observed[(c1, c2)] = obs.map(c1, c2)
+            conts[(i, j)] = w
+    return ContTable(conts)
+
+
 def classify_bind_instance(obs: EffectObservation, m1: Program, m2: Program,
                            f1: Sequence[Program], f2: Sequence[Program],
                            cap: int = DEFAULT_CAP, seed: int = 0):
     """Classify one bind-law instance; returns (kind, LawWitness or None)."""
     f1, f2 = tuple(f1), tuple(f2)
     lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
-    wm = obs.map(m1, m2)
-    conts = {(i, j): obs.map(f1[i], f2[j]) for i in range(len(f1)) for j in range(len(f2))}
-    rhs = spec_bind(wm, lambda i, j: conts[(i, j)])
+    rhs = spec_bind(obs.map(m1, m2), _cont_table(obs, f1, f2, {}))
     kind, phi, point, _definite = _classify(lhs, rhs, cap, seed)
     if kind in ("strictly-less", "violation"):
         return kind, LawWitness("bind", kind, (m1, m2, f1, f2), lhs, rhs, phi, point)
@@ -782,6 +803,12 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
     relation wins (any strict instance makes the law strictly-less).  The
     verdict is definite when every comparison along the way was decided
     exactly rather than sampled.
+
+    A bind instance compares theta(bind m1 f1, bind m2 f2) with spec_bind
+    of theta(m1, m2) to the table of theta(f1[i], f2[j]), built as in
+    `classify_bind_instance`.  What depends on one side or one table is
+    done once: each bound program per (m, f), theta per middle pair and per
+    continuation pair, and each table's checks and decoding (`ContTable`).
     """
     phi_pool: Dict[int, List] = {}
 
@@ -816,7 +843,7 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
 
     def bind_instances():
         wms = [obs.map(m1, m2) for m1, m2 in battery.ms]
-        cont_cache: Dict[Tuple[Program, Program], RelSpec] = {}
+        observed: Dict[Tuple[Program, Program], RelSpec] = {}
         # Each side's bound program, built once per (m, f): keyed by object
         # identity, which is safe because the battery keeps every key alive
         # for the whole call.
@@ -831,17 +858,10 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
             return b
 
         for f1, f2 in battery.fs:
-            conts = {}
-            for i in range(len(f1)):
-                for j in range(len(f2)):
-                    key = (f1[i], f2[j])
-                    if key not in cont_cache:
-                        cont_cache[key] = obs.map(*key)
-                    conts[(i, j)] = cont_cache[key]
+            table = _cont_table(obs, f1, f2, observed)
             for (m1, m2), wm in zip(battery.ms, wms):
                 lhs = obs.map(bound(bound1, m1, f1), bound(bound2, m2, f2))
-                rhs = spec_bind(wm, lambda i, j, _c=conts: _c[(i, j)])
-                yield "bind", (m1, m2, f1, f2), lhs, rhs
+                yield "bind", (m1, m2, f1, f2), lhs, spec_bind(wm, table)
 
     return MorphismReport(obs.name, obs.strictness, run(ret_instances()), run(bind_instances()))
 

@@ -227,6 +227,9 @@ class Program:
     # Whether the tree holds no bind, and so is its own normal form; `_mk`
     # finds that out, and a program made another way is not assumed to.
     _bind_free: ClassVar[bool] = False
+    # The run from each initial state, taken once by `observations._runs`:
+    # programs never change and the evaluators are pure.  Never pickled.
+    _runs: ClassVar[Optional[tuple]] = None
 
     def __repr__(self):
         return f"Program[{self.sig.effect}:{self.result.name}]({self.node.__class__.__name__}, d={self.depth})"

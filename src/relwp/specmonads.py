@@ -1026,14 +1026,42 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
     return first
 
 
+class ContTable:
+    """A continuation table for `spec_bind`: `wf` maps each middle value
+    pair (i1, i2) to a spec, as a callable, a dict keyed by the pair, or a
+    sequence indexed i1 * |a2| + i2.  The first bind over a middle space
+    reads and checks the entries and decodes them for that space; later
+    binds over it reuse that work, so a callable must be a fixed function.
+    A bind over another space checks afresh and raises as a first bind would.
+    """
+
+    __slots__ = ("wf", "_prepared")
+
+    def __init__(self, wf):
+        self.wf = wf
+        self._prepared: Dict[OutcomeSpace, tuple] = {}
+
+    def prepare(self, wm: RelSpec) -> tuple:
+        """(conts, cspace, subs) for binds over wm's space: the entries by
+        value pair, their common space, and the family each outcome leads
+        to on the fixed carriers (None on the others)."""
+        got = self._prepared.get(wm.space)
+        if got is None:
+            conts = _conts(wm.space, self.wf)
+            cspace = _common_cont_space(wm, conts)
+            subs = _fixed_subs(wm.space, conts, cspace) if wm.tag in _FIXED_TAGS else None
+            got = self._prepared[wm.space] = (conts, cspace, subs)
+        return got
+
+
 def spec_bind(wm: RelSpec, wf) -> RelSpec:
-    """Sequential composition of specs."""
-    space = wm.space
-    conts = _conts(space, wf)
-    cspace = _common_cont_space(wm, conts)
+    """Sequential composition of specs.  `wf` is a `ContTable`, or what one
+    is built from: binding many middles to one table prepares it once."""
+    table = wf if isinstance(wf, ContTable) else ContTable(wf)
+    conts, cspace, subs = table.prepare(wm)
     tag = wm.tag
-    if tag in _FIXED_TAGS:
-        return _bind_fixed(wm, conts, cspace)
+    if subs is not None:
+        return _fixed(cspace, [_fam_bind(fam, subs) for fam in wm.fams])
     if tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
     if tag == "WrelProb":
@@ -1055,19 +1083,17 @@ def _cont_point(space: OutcomeSpace, tspace: OutcomeSpace, o: int):
     raise AssertionError(space.tag)
 
 
-def _bind_fixed(wm: RelSpec, conts, tspace: OutcomeSpace) -> RelSpec:
-    """Per point, wm's family bound to the family each outcome leads to: its
+def _fixed_subs(space: OutcomeSpace, conts, tspace: OutcomeSpace) -> List[FrozenSet[int]]:
+    """Per outcome of a fixed middle space, the family it leads to: its
     continuation's at the point it carries, or the raised outcome again."""
-    space = wm.space
     if space.tag == "WrelErr":
         a2n = space.a2.size
         subs = [conts[divmod(o, a2n)].fams[0] for o in range(space.err_bad())]
         subs.append(frozenset({1 << tspace.err_bad()}))
-    else:
-        # Continuation points follow wm's ambient states, which every
-        # continuation shares, so wm's own decode table serves tspace too.
-        subs = [conts[pair].fams[cpt] for pair, cpt in space.cont_points]
-    return _fixed(tspace, [_fam_bind(fam, subs) for fam in wm.fams])
+        return subs
+    # Continuation points follow wm's ambient states, which every
+    # continuation shares, so wm's own decode table serves tspace too.
+    return [conts[pair].fams[cpt] for pair, cpt in space.cont_points]
 
 
 def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -1314,7 +1340,9 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     when, at every point, each demand of w2 contains one of w.  A failure
     names the first failing point and its least uncovered demand, as a
     frozenset `phi` of outcomes: the first failing postcondition a numeric
-    enumeration would meet.  `cap` and `seed` do not reach these carriers.
+    enumeration would meet.  Families are minimal antichains, so equal
+    families are equal specs and hold at once.  `cap` and `seed` do not
+    reach these carriers.
 
     Interactive specs compare as set inclusion when both are demonic, else
     by enumerating postconditions over the reachable outcomes up to `cap`,
@@ -1337,6 +1365,8 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
         return _leq_prob(w, w2, cap, seed)
     if w.tag == "WrelIO":
         return _leq_io(w, w2, cap, seed)
+    if w.fams == w2.fams:
+        return HOLDS
     for pt, (fam, fam2) in enumerate(zip(w.fams, w2.fams)):
         d2 = _uncovered(fam, fam2)
         if d2 is not None:

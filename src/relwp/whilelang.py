@@ -148,7 +148,14 @@ class _Tree:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or _shape(self) == _shape(other)
+        if self is other:
+            return True
+        try:
+            if self._hash != other._hash:
+                return False  # both hashes taken: unequal hashes, unequal trees
+        except AttributeError:
+            pass
+        return _shape(self) == _shape(other)
 
     def __hash__(self):
         try:

@@ -11,7 +11,9 @@ recurse once per tree level, so keep their inputs shallow.
 propositional carriers only through `RelSpec.at`: the first tries every
 postcondition at every point, the second evaluates a bind from its
 definition.  `is_coupling` and `min_coupling_value` check the coupling
-vertices behind `theta_prob`.
+vertices behind `theta_prob`.  `morphism_laws_by_instance` spells out
+`check_morphism_laws` one instance at a time, with nothing shared between
+instances.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from relwp.lp import coupling_vertices
 from relwp.observations import from_commuting_pair, unary_theta_part
 from relwp.programs import (Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input, Output,
                             PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import RelSpec
+from relwp.specmonads import RelSpec, spec_bind, spec_leq, spec_ret
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -238,3 +240,54 @@ def bind_by_evaluation(wm: RelSpec, cont, phi, pt) -> bool:
         c, cpt = cont(o, pt)
         return c.at(phi, cpt)
     return wm.at(psi, pt)
+
+
+def _law_kind(lhs: RelSpec, rhs: RelSpec) -> str:
+    fwd, back = spec_leq(lhs, rhs), spec_leq(rhs, lhs)
+    if fwd.failed:
+        return "violation"
+    if fwd.is_unknown:
+        return "unknown"
+    if back.failed:
+        return "strictly-less"
+    return "unknown" if back.is_unknown else "equal"
+
+
+def _law_scan(instances):
+    """(kind, checked, witness programs): a violation ends the scan, else
+    the first strictly-less instance is the witness."""
+    checked, strict, unknown = 0, None, False
+    for progs, lhs, rhs in instances:
+        checked += 1
+        kind = _law_kind(lhs, rhs)
+        if kind == "violation":
+            return kind, checked, progs
+        if kind == "strictly-less" and strict is None:
+            strict = progs
+        unknown = unknown or kind == "unknown"
+    if strict is not None:
+        return "strictly-less", checked, strict
+    return ("unknown" if unknown else "equal"), checked, None
+
+
+def morphism_laws_by_instance(obs, battery):
+    """The ret and bind laws of `obs` over `battery`, each as (kind, checked,
+    witness programs).  Every bind instance binds its programs afresh and
+    binds the middle spec to a lambda that observes each continuation pair
+    when asked."""
+
+    def rets():
+        for a1, a2 in battery.rets:
+            lhs = obs.map(P.ret(battery.sig1, a1), P.ret(battery.sig2, a2))
+            kw = dict(points=lhs.io_points) if lhs.tag == "WrelIO" else {}
+            yield (a1, a2), lhs, spec_ret(lhs.space, a1, a2, **kw)
+
+    def binds():
+        for f1, f2 in battery.fs:
+            for m1, m2 in battery.ms:
+                lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
+                rhs = spec_bind(obs.map(m1, m2),
+                                lambda i, j, _f1=f1, _f2=f2: obs.map(_f1[i], _f2[j]))
+                yield (m1, m2, f1, f2), lhs, rhs
+
+    return _law_scan(rets()), _law_scan(binds())

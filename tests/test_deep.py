@@ -296,6 +296,24 @@ def test_a_statement_is_walked_for_its_hash_once(monkeypatch):
     assert hash(a) == h and not walks
 
 
+def _increments_then(last, n=N):
+    s = last
+    for _ in range(n - 1):
+        s = W.Seq(W.Assign("l", W.BinOp("+", W.Loc("l"), W.Lit(1))), s)
+    return s
+
+
+def test_unequal_chains_with_their_hashes_taken_compare_without_a_walk(monkeypatch):
+    a, b = _increments_then(W.Skip()), _increments_then(W.Assign("h", W.Loc("l")))
+    assert hash(a) != hash(b)
+    twin = _increments_then(W.Skip())  # no hash taken: equality must walk
+    walks = []
+    real = W._shape
+    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
+    assert a != b and b != a and not walks
+    assert a == twin and walks
+
+
 def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
     # the cached hash is never pickled: string hashes differ by process
     text = "l := h; while l < 1 do l := l + 1"

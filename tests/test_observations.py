@@ -5,6 +5,7 @@ pairs, each-left-finds-right, couplings, ...) using only the reference
 evaluators, never the observation code under test.
 """
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -396,6 +397,46 @@ def test_pair_observations_run_each_side_once_per_initial_state(monkeypatch, the
         assert seen["runs"] - before == 2 + 3
 
 
+def test_a_program_runs_once_whatever_it_is_paired_with(monkeypatch):
+    pairs = _unequal_pairs(ISIG, I3SIG, 14, 6)
+    lefts, rights = [c1 for c1, _ in pairs], [c2 for _, c2 in pairs]
+    assert len({id(c) for c in lefts + rights}) == 12
+    seen = _count_runs(monkeypatch)
+    for c1 in lefts:
+        for c2 in rights:
+            O.theta_part(c1, c2)
+            O.theta_tot(c1, c2)
+    assert seen["runs"] == 2 * len(lefts) + 3 * len(rights)
+    # a copy is another program, which keeps no runs of its own
+    copy = pickle.loads(pickle.dumps(lefts[0]))
+    assert copy == lefts[0] and copy._runs is None
+    assert O.theta_part(copy, rights[0]).fams == O.theta_part(lefts[0], rights[0]).fams
+
+
+def test_state_and_imp_specs_are_what_demand_spec_builds():
+    # These builders skip demand_spec's checks, since they make one in-range
+    # demand per point or reuse families already built; the checks must agree.
+    for battery, thetas in ((O.battery_state(Z2, Z2, depth=2), (O.theta_st,)),
+                            (O.battery_imp(Z2, Z2, depth=2), (O.theta_part, O.theta_tot))):
+        sig = battery.sig1
+        pool = sorted({c for f1, _ in battery.fs for c in f1} | {m for m, _ in battery.ms},
+                      key=repr)
+        pairs = list(battery.ms) + [(c1, c2) for c1 in pool for c2 in pool]
+        pairs += [(P.bind(m1, f1), P.bind(m2, f2))
+                  for (m1, m2), (f1, f2) in zip(battery.ms[::16], battery.fs[::16])]
+        specs = [theta(c1, c2) for theta in thetas for c1, c2 in pairs]
+        for side in (1, 2):
+            for comp in (1, 2):
+                for unary in (O.unary_theta_st, O.unary_theta_part):
+                    if unary is O.unary_theta_st and sig.effect == P.IMP:
+                        continue
+                    embed = unary(side, Z2, Z2, comp).embed
+                    specs += [embed(c) for c in pool]
+        specs += [O.theta_part_unary(c) for c in pool]
+        for w in specs:
+            assert sm.demand_spec(w.space, w.fams).fams == w.fams
+
+
 # ---------------------------------------------------------------------------
 # Probability
 
@@ -580,26 +621,65 @@ def test_prob_laws_never_violated_on_shallow_battery():
         assert O.recheck_witness(rep.bind_law.witness)
 
 
-def test_law_checker_flags_a_broken_observation():
-    # deliberately wrong: final states swapped between the sides
-    def swapped(c1, c2):
-        w = O.theta_st(c1, c2)
-        sp = w.space
-        table = []
-        for pt in sp.points():
-            out = []
-            for o in w.demonic_at(pt):
-                a1, s1, a2, s2 = sp.st_split(o)
-                out.append(sp.st_outcome(a1, s2, a2, s1))
-            table.append(frozenset(out))
-        return sm.demonic_spec(sp, table)
+def _swapped_st(c1, c2):
+    """Deliberately wrong: final states swapped between the sides."""
+    w = O.theta_st(c1, c2)
+    sp = w.space
+    table = []
+    for pt in sp.points():
+        out = []
+        for o in w.demonic_at(pt):
+            a1, s1, a2, s2 = sp.st_split(o)
+            out.append(sp.st_outcome(a1, s2, a2, s1))
+        table.append(frozenset(out))
+    return sm.demonic_spec(sp, table)
 
-    broken = O.EffectObservation("swapped-st", P.STATE, P.STATE, "WrelSt",
-                                 swapped, O.STRICT)
-    rep = _laws(broken, O.battery_state(Z2, Z2, depth=2, table_limit=8))
+
+BROKEN_ST = O.EffectObservation("swapped-st", P.STATE, P.STATE, "WrelSt", _swapped_st, O.STRICT)
+
+# Wrong only on programs of depth 3 and more: on a depth-2 battery, only
+# some bound programs, so the ret law holds and the bind law fails mid-scan.
+DEEP_BROKEN_ST = O.EffectObservation(
+    "swapped-deep-st", P.STATE, P.STATE, "WrelSt",
+    lambda c1, c2: (_swapped_st if c1.depth >= 3 else O.theta_st)(c1, c2), O.STRICT)
+
+
+def test_law_checker_flags_a_broken_observation():
+    rep = _laws(BROKEN_ST, O.battery_state(Z2, Z2, depth=2, table_limit=8))
     assert rep.bind_law.kind == "violation"
     assert not rep.consistent
     assert O.recheck_witness(rep.bind_law.witness)
+
+
+# Small batteries of every law observation, and a broken one, with the
+# bind-law kind each gives.
+_SMALL_LAW_CASES = [
+    (O.observation_st(), lambda: O.battery_state(Z2, Z2, depth=2, table_limit=4, m_limit=5), "equal"),
+    (O.observation_part(), lambda: O.battery_imp(Z2, Z2, depth=2, table_limit=4, m_limit=5), "equal"),
+    (O.observation_tot(), lambda: O.battery_imp(Z2, Z2, depth=2, table_limit=4, m_limit=5), "equal"),
+    (O.observation_ndet(O.FORALL), lambda: O.battery_ndet(Z2, depth=2, table_limit=8), "equal"),
+    (O.observation_ndet(O.EXISTS), lambda: O.battery_ndet(Z2, depth=2, table_limit=8), "equal"),
+    (O.observation_ndet(O.FORALL_EXISTS), lambda: O.battery_ndet(Z2, depth=3, table_limit=8),
+     "strictly-less"),
+    (O.observation_err(), lambda: O.battery_exc(Z2, Z2, depth=2, table_limit=8), "equal"),
+    (O.observation_io(Z2, Z2, Z2, Z2), lambda: O.battery_io(Z2, Z2, Z2, depth=2, m_limit=3), "equal"),
+    (O.observation_prob(), lambda: O.battery_prob(Z2, depth=2, table_limit=3, m_limit=4), "equal"),
+    (DEEP_BROKEN_ST, lambda: O.battery_state(Z2, Z2, depth=2, table_limit=4, m_limit=5),
+     "violation"),
+]
+
+
+@pytest.mark.parametrize("obs,make,bind_kind", _SMALL_LAW_CASES,
+                         ids=[c[0].name for c in _SMALL_LAW_CASES])
+def test_law_check_matches_the_per_instance_reference(obs, make, bind_kind):
+    battery = make()
+    want_ret, want_bind = reference.morphism_laws_by_instance(obs, battery)
+    rep = O.check_morphism_laws(obs, battery)
+    for law, want in ((rep.ret_law, want_ret), (rep.bind_law, want_bind)):
+        progs = law.witness.programs if law.witness is not None else None
+        assert (law.kind, law.checked, progs) == want
+    assert rep.ret_law.kind == "equal" and rep.bind_law.kind == bind_kind
+    assert rep.bind_law.checked > 1
 
 
 def test_pair_space_returns_the_interned_space():

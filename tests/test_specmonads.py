@@ -1017,6 +1017,41 @@ def test_common_cont_space_keeps_its_three_errors():
             assert bind_with(sm.weakest(twin), at).fams == bind_with(good, at).fams
 
 
+def test_a_table_prepared_for_one_middle_space_checks_another_afresh():
+    cspace = sm.state_space(Z2, Z2, Z2, Z3)
+    entries = {(i1, i2): sm.weakest(cspace) for i1 in range(2) for i2 in range(2)}
+    good = sm.weakest(cspace)
+    for wm, named in ((sm.weakest(sm.pure_space(Z2, Z2)), "carrier WrelSt differs from WrelPure"),
+                      (sm.weakest(sm.state_space(Z2, Z3, Z2, Z3)), "ambient carrier shape")):
+        with pytest.raises(ValueError, match=named) as first:
+            sm.spec_bind(wm, sm.ContTable(entries))
+        table = sm.ContTable(entries)
+        assert sm.spec_bind(good, table).space is cspace
+        for _ in range(2):  # a failed check leaves nothing prepared behind
+            with pytest.raises(ValueError) as later:
+                sm.spec_bind(wm, table)
+            assert str(later.value) == str(first.value)
+        assert sm.spec_bind(good, table).fams == sm.spec_bind(good, entries).fams
+
+
+def test_a_table_reads_its_entries_once_per_middle_space():
+    cspace = sm.state_space(Z2, Z2, Z2, Z3)
+    reads = []
+
+    def entry(i1, i2):
+        reads.append((i1, i2))
+        return sm.spec_ret(cspace, Value(Z2, (i1 + i2) % 2), Value(Z2, i1 % 2))
+
+    table = sm.ContTable(entry)
+    rng = random.Random(5)
+    for space in (sm.state_space(Z2, Z2, Z2, Z3), sm.state_space(Z3, Z2, UNIT, Z3)):
+        for _ in range(5):
+            wm = _random_demonic(rng, space)
+            assert sm.spec_bind(wm, table).fams == sm.spec_bind(wm, entry).fams
+    # the fresh tables of the plain binds read every entry each time
+    assert len(reads) == (4 + 5 * 4) + (3 + 5 * 3)
+
+
 def test_demonic_entries_keep_their_range_check():
     space = sm.pure_space(Z2, Z3)
     entry = frozenset({0, 5})

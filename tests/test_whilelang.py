@@ -235,8 +235,8 @@ def test_final_post_checks_its_tables():
 
 def test_ni_judgment_builds_nothing_quartic(monkeypatch):
     # Every table and domain built while judging stays within |S|^2 entries
-    # (points and outcomes are store pairs), and each side runs once per
-    # initial store.
+    # (points and outcomes are store pairs).  Both sides are one program,
+    # which runs once per initial store: its runs are kept on the program.
     sig = _store(("l", "h"), 2, name="Vcost")   # a fresh domain: no memoised products
     n = 4
     sizes = []
@@ -270,7 +270,7 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
     for text, secure in NI_CORPUS:
         assert R.oracle_check(W.ni_judgment(W.parse_while(text), sig)).holds == secure
     assert sizes and max(sizes) <= n * n
-    assert seen["runs"] == 2 * n * len(NI_CORPUS)
+    assert seen["runs"] == n * len(NI_CORPUS)
 
 
 # ---------------------------------------------------------------------------
