@@ -21,6 +21,11 @@ Payloads over finite outcome domains are `specmonads.Wp`: one demand family
 form and the same unit, bind, map and order that the fixed carriers of
 `specmonads` use per point.  This module defines no demand-set algorithm of
 its own; the state lift's payloads are `RelSpec`s of the stateful carrier.
+
+The rules form `SPLIT`, a catalogue of the one rule engine in `rules`, and
+`FullJudgment` names it: `rules.check_derivation` replays split-context
+derivations and `rules.oracle_check` decides their judgments clause by
+clause.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
 from . import programs as P
 from . import specmonads as sm
@@ -44,7 +49,16 @@ from .domains import (
     sum_domain,
 )
 from .programs import Program
-from .rules import EMPTY_ENV, Env, RuleError, Valuation
+from .rules import (
+    EMPTY_ENV,
+    Catalogue,
+    Env,
+    OracleVerdict,
+    RuleError,
+    RuleInstance,
+    Valuation,
+    _show_valuation,
+)
 from .specmonads import OrderVerdict, Wp, wp, wp_bind, wp_leq, wp_map, wp_ret, wp_unsat, wp_weakest
 
 
@@ -692,6 +706,17 @@ class SplitContext:
 EMPTY_SPLIT = SplitContext()
 
 
+SPLIT = Catalogue()
+
+
+def full_rule_names() -> Tuple[str, ...]:
+    return SPLIT.names()
+
+
+def apply_full_rule(name: str, premises: Sequence["FullJudgment"] = (), **params) -> "FullJudgment":
+    return SPLIT.apply(RuleInstance(name, params), premises)
+
+
 def _fam(x):
     return x if callable(x) else (lambda _g, _x=x: _x)
 
@@ -726,6 +751,63 @@ class FullJudgment:
                           self.theta.theta2(self.c2(g2)),
                           self.theta.theta_rel(self.c1(g1), self.c2(g2)))
 
+    catalogue: ClassVar[Catalogue] = SPLIT
+
+    def mismatch(self, computed: "FullJudgment", cap: int, seed: int) -> Optional[str]:
+        """How this stated conclusion differs from the rule's own: programs
+        up to normalization per valuation, and each clause's spec in both
+        directions.  None when they agree."""
+        if self.ctx != computed.ctx:
+            return "stated context differs from the rule's conclusion context"
+        if self.monad.shape != computed.monad.shape or self.theta.name != computed.theta.name:
+            return "stated carrier or observation differs from the rule's"
+        m, left, right = self.monad, self.ctx.left, self.ctx.right
+        for g1 in left.valuations():
+            if not P.programs_equal(self.c1(g1), computed.c1(g1)):
+                return f"left program differs at {_show_valuation(left, g1)}"
+            if not _equal(m.leq1, self.w1(g1), computed.w1(g1)):
+                return f"left spec differs at {_show_valuation(left, g1)}"
+        for g2 in right.valuations():
+            if not P.programs_equal(self.c2(g2), computed.c2(g2)):
+                return f"right program differs at {_show_valuation(right, g2)}"
+            if not _equal(m.leq2, self.w2(g2), computed.w2(g2)):
+                return f"right spec differs at {_show_valuation(right, g2)}"
+        for g1 in left.valuations():
+            for g2 in right.valuations():
+                if not _equal(m.leq_rel, self.wrel(g1, g2), computed.wrel(g1, g2)):
+                    return (f"relational spec differs at {_show_valuation(left, g1)} "
+                            f"and {_show_valuation(right, g2)}")
+        return None
+
+    def oracle(self, cap: int, seed: int) -> OracleVerdict:
+        """Clause by clause: the left unary claim over left valuations, the
+        right one over right valuations, the relational one over pairs.
+        Payloads are exact, so no verdict is unknown and cap and seed go
+        unused."""
+        checked = 0
+        m, th = self.monad, self.theta
+        for g1 in self.ctx.left.valuations():
+            checked += 1
+            v = m.leq1(th.theta1(self.c1(g1)), self.w1(g1))
+            if not v.holds:
+                return OracleVerdict("fails", checked, (g1,), v, "left")
+        for g2 in self.ctx.right.valuations():
+            checked += 1
+            v = m.leq2(th.theta2(self.c2(g2)), self.w2(g2))
+            if not v.holds:
+                return OracleVerdict("fails", checked, (g2,), v, "right")
+        for g1 in self.ctx.left.valuations():
+            for g2 in self.ctx.right.valuations():
+                checked += 1
+                v = m.leq_rel(th.theta_rel(self.c1(g1), self.c2(g2)), self.wrel(g1, g2))
+                if not v.holds:
+                    return OracleVerdict("fails", checked, (g1, g2), v, "relational")
+        return OracleVerdict("holds", checked)
+
+
+def _equal(leq, a, b) -> bool:
+    return leq(a, b).holds and leq(b, a).holds
+
 
 def full_judgment(monad: FullSpecMonad, theta: ThetaTriple, c1, c2, w1, w2, wrel,
                   ctx: SplitContext = EMPTY_SPLIT) -> FullJudgment:
@@ -741,93 +823,14 @@ def full_judgment(monad: FullSpecMonad, theta: ThetaTriple, c1, c2, w1, w2, wrel
     return j
 
 
-@dataclass(frozen=True)
-class FullVerdict:
-    """Semantic check of one judgment, clause by clause: the left unary
-    claim over left valuations, the right one over right valuations, the
-    relational one over pairs."""
-
-    kind: str                            # "holds" | "fails"
-    checked: int
-    clause: Optional[str] = None         # "left" | "right" | "relational"
-    valuation: Optional[tuple] = None
-    order: Optional[OrderVerdict] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.kind == "holds"
-
-
-def full_oracle_check(j: FullJudgment) -> FullVerdict:
-    checked = 0
-    for g1 in j.ctx.left.valuations():
-        checked += 1
-        v = j.monad.leq1(j.theta.theta1(j.c1(g1)), j.w1(g1))
-        if not v.holds:
-            return FullVerdict("fails", checked, "left", (g1,), v)
-    for g2 in j.ctx.right.valuations():
-        checked += 1
-        v = j.monad.leq2(j.theta.theta2(j.c2(g2)), j.w2(g2))
-        if not v.holds:
-            return FullVerdict("fails", checked, "right", (g2,), v)
-    for g1 in j.ctx.left.valuations():
-        for g2 in j.ctx.right.valuations():
-            checked += 1
-            v = j.monad.leq_rel(j.theta.theta_rel(j.c1(g1), j.c2(g2)), j.wrel(g1, g2))
-            if not v.holds:
-                return FullVerdict("fails", checked, "relational", (g1, g2), v)
-    return FullVerdict("holds", checked)
-
-
 # ---------------------------------------------------------------------------
 # Rules
 
 
-_FULL_RULES = {}
-_FULL_ARITY = {}
-
-
-def _full_rule(name: str, arity: int):
-    def deco(fn):
-        _FULL_RULES[name] = fn
-        _FULL_ARITY[name] = arity
-        return fn
-    return deco
-
-
-def full_rule_names() -> Tuple[str, ...]:
-    return tuple(sorted(_FULL_RULES))
-
-
-def apply_full_rule(name: str, premises: Sequence[FullJudgment] = (), **params) -> FullJudgment:
-    """Compute a rule's conclusion judgment, or raise RuleError when the
-    premise shapes disagree with the rule or a side condition fails."""
-    fn = _FULL_RULES.get(name)
-    if fn is None:
-        raise RuleError(f"unknown rule {name!r}")
-    premises = tuple(premises)
-    if len(premises) != _FULL_ARITY[name]:
-        raise RuleError(f"{name} takes {_FULL_ARITY[name]} premises, got {len(premises)}")
-    params = dict(params)
-    concl = fn(premises, params)
-    if params:
-        raise RuleError(f"{name}: unknown parameter(s) {', '.join(sorted(params))}")
-    return concl
-
-
-def _need(params: dict, who: str, key: str):
-    if key not in params:
-        raise RuleError(f"{who}: missing parameter {key!r}")
-    return params.pop(key)
-
-
-def _same_carrier(a: FullSpecMonad, b: FullSpecMonad, who: str) -> None:
-    if a.shape != b.shape:
+def _same_kind(a: FullJudgment, b: FullJudgment, who: str) -> None:
+    if a.monad.shape != b.monad.shape:
         raise RuleError(f"{who}: premises use different spec carriers")
-
-
-def _same_triple(a: ThetaTriple, b: ThetaTriple, who: str) -> None:
-    if a.name != b.name:
+    if a.theta.name != b.theta.name:
         raise RuleError(f"{who}: premises use different observations")
 
 
@@ -838,18 +841,17 @@ def _env_extension(base: Env, ext: Env, who: str, side: str) -> Tuple[str, Finit
     return ext.vars[-1]
 
 
-@_full_rule("Ret", 0)
-def _full_ret(_prem, params) -> FullJudgment:
-    who = "Ret"
-    monad = _need(params, who, "monad")
-    theta = _need(params, who, "theta")
-    sig1, sig2 = _need(params, who, "sig1"), _need(params, who, "sig2")
-    a1f, a2f = _fam(_need(params, who, "a1")), _fam(_need(params, who, "a2"))
-    ctx = params.pop("ctx", EMPTY_SPLIT)
+@SPLIT.rule("Ret", arity=0)
+def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
+    monad = r.need("monad")
+    theta = r.need("theta")
+    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    a1f, a2f = _fam(r.need("a1")), _fam(r.need("a2"))
+    ctx = r.get("ctx", EMPTY_SPLIT)
     if monad.shape[0] == "exct":
-        e1, e2 = _exc_carrier(monad, who)
+        e1, e2 = _exc_carrier(monad, r.rule)
         if sig1.effect != P.EXC or sig1.exc != e1 or sig2.effect != P.EXC or sig2.exc != e2:
-            raise RuleError(f"{who}: signatures do not raise the carrier's exceptions")
+            raise RuleError(f"{r.rule}: signatures do not raise the carrier's exceptions")
     return full_judgment(
         monad, theta,
         lambda g1: P.ret(sig1, a1f(g1)),
@@ -861,51 +863,48 @@ def _full_ret(_prem, params) -> FullJudgment:
     )
 
 
-@_full_rule("Weaken", 1)
-def _full_weaken(prem, params) -> FullJudgment:
-    who = "Weaken"
+@SPLIT.rule("Weaken", arity=1)
+def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     (j,) = prem
-    w1f = _fam(params.pop("w1", j.w1))
-    w2f = _fam(params.pop("w2", j.w2))
-    wrelf = _fam2(params.pop("wrel", j.wrel))
+    w1f = _fam(r.get("w1", j.w1))
+    w2f = _fam(r.get("w2", j.w2))
+    wrelf = _fam2(r.get("wrel", j.wrel))
     for g1 in j.ctx.left.valuations():
         if not j.monad.leq1(j.w1(g1), w1f(g1)).holds:
-            raise RuleError(f"{who}: left target is not above the premise spec")
+            raise RuleError(f"{r.rule}: left target is not above the premise spec")
     for g2 in j.ctx.right.valuations():
         if not j.monad.leq2(j.w2(g2), w2f(g2)).holds:
-            raise RuleError(f"{who}: right target is not above the premise spec")
+            raise RuleError(f"{r.rule}: right target is not above the premise spec")
     for g1 in j.ctx.left.valuations():
         for g2 in j.ctx.right.valuations():
             if not j.monad.leq_rel(j.wrel(g1, g2), wrelf(g1, g2)).holds:
-                raise RuleError(f"{who}: relational target is not above the premise spec")
+                raise RuleError(f"{r.rule}: relational target is not above the premise spec")
     return FullJudgment(j.ctx, j.monad, j.theta, j.c1, j.c2, w1f, w2f, wrelf)
 
 
-@_full_rule("Bind", 2)
-def _full_bind(prem, params) -> FullJudgment:
-    who = "Bind"
+@SPLIT.rule("Bind", arity=2)
+def _full_bind(r: RuleInstance, prem) -> FullJudgment:
     jm, jf = prem
-    _same_carrier(jm.monad, jf.monad, who)
-    _same_triple(jm.theta, jf.theta, who)
+    _same_kind(jm, jf, r.rule)
     monad = jm.monad
-    x1, d1 = _env_extension(jm.ctx.left, jf.ctx.left, who, "left")
-    x2, d2 = _env_extension(jm.ctx.right, jf.ctx.right, who, "right")
+    x1, d1 = _env_extension(jm.ctx.left, jf.ctx.left, r.rule, "left")
+    x2, d2 = _env_extension(jm.ctx.right, jf.ctx.right, r.rule, "right")
     for g1 in jm.ctx.left.valuations():
         if jm.c1(g1).result != d1:
-            raise RuleError(f"{who}: left results do not match the bound variable {x1!r}")
+            raise RuleError(f"{r.rule}: left results do not match the bound variable {x1!r}")
     for g2 in jm.ctx.right.valuations():
         if jm.c2(g2).result != d2:
-            raise RuleError(f"{who}: right results do not match the bound variable {x2!r}")
+            raise RuleError(f"{r.rule}: right results do not match the bound variable {x2!r}")
     g1x = next(iter(jf.ctx.left.valuations()))
     g2x = next(iter(jf.ctx.right.valuations()))
     b1dom = jf.c1(g1x).result
     b2dom = jf.c2(g2x).result
     for g1 in jf.ctx.left.valuations():
         if jf.c1(g1).result != b1dom:
-            raise RuleError(f"{who}: left continuation changes its result domain")
+            raise RuleError(f"{r.rule}: left continuation changes its result domain")
     for g2 in jf.ctx.right.valuations():
         if jf.c2(g2).result != b2dom:
-            raise RuleError(f"{who}: right continuation changes its result domain")
+            raise RuleError(f"{r.rule}: right continuation changes its result domain")
 
     def c1(g1):
         return P.bind(jm.c1(g1), lambda v: jf.c1(g1 + (v,)))
@@ -930,30 +929,29 @@ def _full_bind(prem, params) -> FullJudgment:
     return FullJudgment(jm.ctx, monad, jm.theta, c1, c2, w1, w2, wrel)
 
 
-def _throw_params(params, who):
-    monad = _need(params, who, "monad")
-    theta = _need(params, who, "theta")
-    sig1, sig2 = _need(params, who, "sig1"), _need(params, who, "sig2")
-    ctx = params.pop("ctx", EMPTY_SPLIT)
-    e1, e2 = _exc_carrier(monad, who)
+def _throw_params(r: RuleInstance):
+    monad = r.need("monad")
+    theta = r.need("theta")
+    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    ctx = r.get("ctx", EMPTY_SPLIT)
+    e1, e2 = _exc_carrier(monad, r.rule)
     if sig1.effect != P.EXC or sig1.exc != e1 or sig2.effect != P.EXC or sig2.exc != e2:
-        raise RuleError(f"{who}: signatures do not raise the carrier's exceptions")
+        raise RuleError(f"{r.rule}: signatures do not raise the carrier's exceptions")
     return monad, theta, sig1, sig2, ctx, e1, e2
 
 
-@_full_rule("ThrowL", 0)
-def _full_throw_l(_prem, params) -> FullJudgment:
-    who = "ThrowL"
-    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(params, who)
-    excf = _fam(_need(params, who, "exc"))
-    a2f = _fam(_need(params, who, "a2"))
-    result1 = _need(params, who, "result1")
+@SPLIT.rule("ThrowL", arity=0)
+def _full_throw_l(r: RuleInstance, _prem) -> FullJudgment:
+    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(r)
+    excf = _fam(r.need("exc"))
+    a2f = _fam(r.need("a2"))
+    result1 = r.need("result1")
     s1 = sum_domain(result1, e1)
 
     def w1(g1):
         e = excf(g1)
         if e.domain != e1:
-            raise RuleError(f"{who}: exception value lives in {e.domain.name!r}")
+            raise RuleError(f"{r.rule}: exception value lives in {e.domain.name!r}")
         return wp_ret(product_domain(s1, UNIT), inr_index(result1, e1, e.index))
 
     def wrel(g1, g2):
@@ -974,19 +972,18 @@ def _full_throw_l(_prem, params) -> FullJudgment:
     )
 
 
-@_full_rule("ThrowR", 0)
-def _full_throw_r(_prem, params) -> FullJudgment:
-    who = "ThrowR"
-    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(params, who)
-    excf = _fam(_need(params, who, "exc"))
-    a1f = _fam(_need(params, who, "a1"))
-    result2 = _need(params, who, "result2")
+@SPLIT.rule("ThrowR", arity=0)
+def _full_throw_r(r: RuleInstance, _prem) -> FullJudgment:
+    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(r)
+    excf = _fam(r.need("exc"))
+    a1f = _fam(r.need("a1"))
+    result2 = r.need("result2")
     s2 = sum_domain(result2, e2)
 
     def w2(g2):
         e = excf(g2)
         if e.domain != e2:
-            raise RuleError(f"{who}: exception value lives in {e.domain.name!r}")
+            raise RuleError(f"{r.rule}: exception value lives in {e.domain.name!r}")
         return wp_ret(product_domain(UNIT, s2), inr_index(result2, e2, e.index))
 
     def wrel(g1, g2):
@@ -1034,18 +1031,16 @@ def _catch_rel(wrel: Wp, h1: Sequence[Wp], h2: Sequence[Wp], hrel,
     return wp_bind(wrel, table)
 
 
-@_full_rule("Catch", 2)
-def _full_catch(prem, params) -> FullJudgment:
-    who = "Catch"
+@SPLIT.rule("Catch", arity=2)
+def _full_catch(r: RuleInstance, prem) -> FullJudgment:
     j, jerr = prem
-    _same_carrier(j.monad, jerr.monad, who)
-    _same_triple(j.theta, jerr.theta, who)
+    _same_kind(j, jerr, r.rule)
     monad = j.monad
-    e1, e2 = _exc_carrier(monad, who)
-    _x1, d1 = _env_extension(j.ctx.left, jerr.ctx.left, who, "left")
-    _x2, d2 = _env_extension(j.ctx.right, jerr.ctx.right, who, "right")
+    e1, e2 = _exc_carrier(monad, r.rule)
+    _x1, d1 = _env_extension(j.ctx.left, jerr.ctx.left, r.rule, "left")
+    _x2, d2 = _env_extension(j.ctx.right, jerr.ctx.right, r.rule, "right")
     if d1 != e1 or d2 != e2:
-        raise RuleError(f"{who}: handler premise must bind one exception per side")
+        raise RuleError(f"{r.rule}: handler premise must bind one exception per side")
     g1x = next(iter(j.ctx.left.valuations()))
     g2x = next(iter(j.ctx.right.valuations()))
     a1dom = j.c1(g1x).result
@@ -1053,11 +1048,11 @@ def _full_catch(prem, params) -> FullJudgment:
     for g1 in j.ctx.left.valuations():
         for e in e1.values():
             if jerr.c1(g1 + (e,)).result != a1dom:
-                raise RuleError(f"{who}: left handler result domain differs from the body")
+                raise RuleError(f"{r.rule}: left handler result domain differs from the body")
     for g2 in j.ctx.right.valuations():
         for e in e2.values():
             if jerr.c2(g2 + (e,)).result != a2dom:
-                raise RuleError(f"{who}: right handler result domain differs from the body")
+                raise RuleError(f"{r.rule}: right handler result domain differs from the body")
 
     def c1(g1):
         return P.catch(j.c1(g1), lambda e: jerr.c1(g1 + (e,)))
@@ -1086,20 +1081,18 @@ def _full_catch(prem, params) -> FullJudgment:
     return FullJudgment(j.ctx, monad, j.theta, c1, c2, w1, w2, wrel)
 
 
-@_full_rule("Case", 2)
-def _full_case(prem, params) -> FullJudgment:
-    who = "Case"
+@SPLIT.rule("Case", arity=2)
+def _full_case(r: RuleInstance, prem) -> FullJudgment:
     jl, jr = prem
-    _same_carrier(jl.monad, jr.monad, who)
-    _same_triple(jl.theta, jr.theta, who)
-    x1 = _need(params, who, "x1")
-    x2 = _need(params, who, "x2")
+    _same_kind(jl, jr, r.rule)
+    x1 = r.need("x1")
+    x2 = r.need("x2")
     base = SplitContext(Env(jl.ctx.left.vars[:-1]), Env(jl.ctx.right.vars[:-1]))
     # both premises must extend the same base, each binding one component
-    _al, dal = _env_extension(base.left, jl.ctx.left, who, "left")
-    _ar, dar = _env_extension(base.right, jl.ctx.right, who, "right")
-    _bl, dbl = _env_extension(base.left, jr.ctx.left, who, "left")
-    _br, dbr = _env_extension(base.right, jr.ctx.right, who, "right")
+    _al, dal = _env_extension(base.left, jl.ctx.left, r.rule, "left")
+    _ar, dar = _env_extension(base.right, jl.ctx.right, r.rule, "right")
+    _bl, dbl = _env_extension(base.left, jr.ctx.left, r.rule, "left")
+    _br, dbr = _env_extension(base.right, jr.ctx.right, r.rule, "right")
     sum1 = sum_domain(dal, dbl)
     sum2 = sum_domain(dar, dbr)
     g1x = next(iter(jl.ctx.left.valuations()))
@@ -1108,12 +1101,12 @@ def _full_case(prem, params) -> FullJudgment:
     h1x = next(iter(jr.ctx.left.valuations()))
     h2x = next(iter(jr.ctx.right.valuations()))
     if jr.c1(h1x).result != r1 or jr.c2(h2x).result != r2:
-        raise RuleError(f"{who}: branch result domains differ")
+        raise RuleError(f"{r.rule}: branch result domains differ")
     monad = jl.monad
     names1 = {n for n, _ in base.left.vars}
     names2 = {n for n, _ in base.right.vars}
     if x1 in names1 or x2 in names2:
-        raise RuleError(f"{who}: scrutinee name already bound")
+        raise RuleError(f"{r.rule}: scrutinee name already bound")
     ctx = SplitContext(base.left.extend((x1, sum1)), base.right.extend((x2, sum2)))
 
     def split1(g1):

@@ -7,11 +7,16 @@ specs are tables over context valuations, so a single derivation node covers
 every instantiation of its free variables.  Every rule in the catalog is
 pointwise in the valuation, which is what makes that representation sound.
 
-Three checkers operate on this material:
+One rule engine serves three catalogues: the core rules here (`CORE`), the
+split-context rules of `generic` (`SPLIT`) and the relational Hoare rules of
+`whilelang` (`RHL`).  A `Catalogue` maps rule names to bodies and arities,
+and its `apply` words alike an unknown rule, a wrong arity, and a missing or
+unread parameter.  A judgment type names its catalogue and gives `mismatch`
+and `oracle`, so one `Derivation` tree and three checkers serve all three:
 
-    apply_rule        computes a rule's conclusion, enforcing side conditions
+    apply_rule        computes a core rule's conclusion, enforcing side conditions
     check_derivation  replays a tree bottom-up, reporting the first bad node
-    oracle_check      decides theta(c1, c2) <= w directly at every valuation
+    oracle_check      decides a judgment directly at every valuation
 
 The catalog covers the generic monadic rules (Ret, Bind, Weaken), the pure
 eliminators (BoolElim, ZeroElim, NatElim, the if variants), derived
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import or_
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import programs as P
 from .domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, Value, boolv, domain
@@ -54,7 +59,6 @@ from .programs import Program, Signature
 from .specmonads import (
     DEFAULT_CAP,
     VIOLATED,
-    LeqVerdict,
     OutcomeSpace,
     RelSpec,
     _fam_bind,
@@ -192,6 +196,113 @@ def _read(family, g: Valuation):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Rule instances, catalogues and derivations
+
+
+@dataclass(frozen=True, eq=False)
+class RuleInstance:
+    rule: str
+    params: Dict[str, object] = field(default_factory=dict)
+    # keys read through need/get, so Catalogue.apply can reject the others
+    _read: set = field(default_factory=set, init=False, repr=False)
+
+    def need(self, key: str):
+        self._read.add(key)
+        if key not in self.params:
+            raise RuleError(f"{self.rule}: missing parameter {key!r}")
+        return self.params[key]
+
+    def get(self, key: str, default=None):
+        self._read.add(key)
+        return self.params.get(key, default)
+
+
+def rule(name: str, **params) -> RuleInstance:
+    return RuleInstance(name, params)
+
+
+@dataclass(frozen=True, eq=False)
+class Derivation:
+    """A rule applied to sub-derivations.  The conclusion is a judgment of
+    any kind whose type names the catalogue it replays through."""
+
+    conclusion: object
+    rule: RuleInstance
+    premises: Tuple["Derivation", ...] = ()
+
+
+class Catalogue:
+    """Named rules over one kind of judgment: each name maps to its body and
+    its number of premises (None for any number).  A body takes the rule
+    instance, whose parameters it reads through `need` and `get`, and the
+    premise judgments, and returns the conclusion.  The core rules below,
+    the split-context rules of `generic` and the relational Hoare rules of
+    `whilelang` are its three instances."""
+
+    def __init__(self):
+        self._rules: Dict[str, Tuple[Callable, Optional[int]]] = {}
+
+    def rule(self, *names: str, arity: Optional[int]):
+        """Register the decorated body under each of `names`."""
+        def deco(fn):
+            for name in names:
+                self._rules[name] = (fn, arity)
+            return fn
+        return deco
+
+    def names(self) -> Tuple[str, ...]:
+        return tuple(sorted(self._rules))
+
+    def apply(self, inst: RuleInstance, premises: Sequence):
+        """Compute a rule's conclusion from premise judgments.
+
+        Raises RuleError for an unknown rule, a wrong number of premises, a
+        missing parameter or one the rule never reads, and when premise
+        shapes disagree with the rule or a side condition fails; side
+        conditions involving spec comparisons must be confirmed, so an
+        Unknown verdict also rejects.
+        """
+        entry = self._rules.get(inst.rule)
+        if entry is None:
+            raise RuleError(f"unknown rule {inst.rule!r}")
+        build, arity = entry
+        premises = tuple(premises)
+        if arity is not None and len(premises) != arity:
+            raise RuleError(f"{inst.rule} takes {arity} premises, got {len(premises)}")
+        reading = RuleInstance(inst.rule, inst.params)
+        concl = build(reading, premises)
+        unread = sorted(set(inst.params) - reading._read)
+        if unread:
+            raise RuleError(f"{inst.rule} does not take a parameter {unread[0]!r}")
+        return concl
+
+    def derive(self, name: str, premises: Sequence[Derivation] = (), **params) -> Derivation:
+        """Apply a rule to sub-derivations, computing the conclusion."""
+        inst = RuleInstance(name, params)
+        return Derivation(self.apply(inst, [d.conclusion for d in premises]), inst,
+                          tuple(premises))
+
+
+CORE = Catalogue()
+
+
+def rule_names() -> Tuple[str, ...]:
+    return CORE.names()
+
+
+def apply_rule(inst: RuleInstance, premises: Sequence["Judgment"]) -> "Judgment":
+    """Compute a core rule's conclusion judgment (see `Catalogue.apply`)."""
+    return CORE.apply(inst, premises)
+
+
+def derive(name: str, premises: Sequence[Derivation] = (), **params) -> Derivation:
+    """Apply a core rule to sub-derivations, computing the conclusion."""
+    inst = RuleInstance(name, params)
+    concl = apply_rule(inst, tuple(d.conclusion for d in premises))
+    return Derivation(concl, inst, tuple(premises))
+
+
 @dataclass(frozen=True)
 class Judgment:
     """c1 ~ c2 {w} under an observation, over a context of free variables.
@@ -219,6 +330,44 @@ class Judgment:
         return _read(self.w_family, g)
 
     left, right, spec = c1, c2, w
+
+    catalogue: ClassVar[Catalogue] = CORE
+
+    def mismatch(self, computed: "Judgment", cap: int, seed: int) -> Optional[str]:
+        """How this stated conclusion differs from the rule's own: programs
+        up to normalization, specs extensionally in both directions, per
+        valuation.  None when they agree."""
+        if self.env != computed.env:
+            return "stated context differs from the rule's conclusion context"
+        if not _same_observation(self.observation, computed.observation):
+            return (f"stated observation {self.observation.name} differs from "
+                    f"{computed.observation.name}")
+        for g in self.env.valuations():
+            if not P.programs_equal(self.c1(g), computed.c1(g)):
+                return f"left program differs at {_show_valuation(self.env, g)}"
+            if not P.programs_equal(self.c2(g), computed.c2(g)):
+                return f"right program differs at {_show_valuation(self.env, g)}"
+            v = spec_equiv(self.w(g), computed.w(g), cap, seed)
+            if not v.holds:
+                return f"conclusion spec differs at {_show_valuation(self.env, g)} ({v.kind})"
+        return None
+
+    def oracle(self, cap: int, seed: int) -> "OracleVerdict":
+        """theta(c1, c2) <= w at every valuation.  Fails dominates Unknown
+        dominates Holds."""
+        first_unknown = None
+        n = 0
+        for g in self.env.valuations():
+            n += 1
+            theta = self.observation(self.c1(g), self.c2(g))
+            v = spec_leq(theta, self.w(g), cap, seed)
+            if v.failed:
+                return OracleVerdict("fails", n, g, v)
+            if v.is_unknown and first_unknown is None:
+                first_unknown = (g, v)
+        if first_unknown is not None:
+            return OracleVerdict("unknown", n, first_unknown[0], first_unknown[1])
+        return OracleVerdict("holds", n)
 
 
 def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) -> Judgment:
@@ -248,85 +397,6 @@ def _same_observation(o1: EffectObservation, o2: EffectObservation) -> bool:
     # are enough, and deeper mismatches surface as carrier errors later.
     return (o1.name, o1.left_effect, o1.right_effect, o1.target, o1.strictness) == \
            (o2.name, o2.left_effect, o2.right_effect, o2.target, o2.strictness)
-
-
-# ---------------------------------------------------------------------------
-# Rule instances and derivations
-
-
-@dataclass(frozen=True, eq=False)
-class RuleInstance:
-    rule: str
-    params: Dict[str, object] = field(default_factory=dict)
-    # keys read through need/get, so apply_rule can reject the others
-    _read: set = field(default_factory=set, init=False, repr=False)
-
-    def need(self, key: str):
-        self._read.add(key)
-        if key not in self.params:
-            raise RuleError(f"{self.rule}: missing parameter {key!r}")
-        return self.params[key]
-
-    def get(self, key: str, default=None):
-        self._read.add(key)
-        return self.params.get(key, default)
-
-
-def rule(name: str, **params) -> RuleInstance:
-    return RuleInstance(name, params)
-
-
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    conclusion: Judgment
-    rule: RuleInstance
-    premises: Tuple["Derivation", ...] = ()
-
-
-def derive(name: str, premises: Sequence[Derivation] = (), **params) -> Derivation:
-    """Apply a rule to sub-derivations, computing the conclusion."""
-    inst = RuleInstance(name, params)
-    concl = apply_rule(inst, tuple(d.conclusion for d in premises))
-    return Derivation(concl, inst, tuple(premises))
-
-
-_RULES: Dict[str, Callable[[RuleInstance, Tuple[Judgment, ...]], Judgment]] = {}
-_ARITY: Dict[str, Optional[int]] = {}
-
-
-def _rule(name: str, arity: Optional[int]):
-    def deco(fn):
-        _RULES[name] = fn
-        _ARITY[name] = arity
-        return fn
-    return deco
-
-
-def rule_names() -> Tuple[str, ...]:
-    return tuple(sorted(_RULES))
-
-
-def apply_rule(inst: RuleInstance, premises: Sequence[Judgment]) -> Judgment:
-    """Compute a rule's conclusion judgment from premise judgments.
-
-    Raises RuleError when premise shapes disagree with the rule, a side
-    condition fails, or a parameter is one the rule never reads; side
-    conditions involving spec comparisons must be confirmed, an Unknown
-    verdict also rejects.
-    """
-    build = _RULES.get(inst.rule)
-    if build is None:
-        raise RuleError(f"unknown rule {inst.rule!r}")
-    arity = _ARITY[inst.rule]
-    premises = tuple(premises)
-    if arity is not None and len(premises) != arity:
-        raise RuleError(f"{inst.rule} takes {arity} premises, got {len(premises)}")
-    reading = RuleInstance(inst.rule, inst.params)
-    concl = build(reading, premises)
-    unread = sorted(set(inst.params) - reading._read)
-    if unread:
-        raise RuleError(f"{inst.rule} does not take a parameter {unread[0]!r}")
-    return concl
 
 
 def _shared_env(premises: Sequence[Judgment], who: str) -> Env:
@@ -381,7 +451,7 @@ def _ret_space(target: str, sig1: Signature, sig2: Signature,
     raise RuleError(f"no unit spec for carrier {target!r}")
 
 
-@_rule("Ret", 0)
+@CORE.rule("Ret", arity=0)
 def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -397,7 +467,7 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("Bind", 2)
+@CORE.rule("Bind", arity=2)
 def _bind_rule(r: RuleInstance, prem) -> Judgment:
     jm, jf = prem
     obs = _shared_obs(prem, "Bind")
@@ -432,7 +502,7 @@ def _bind_rule(r: RuleInstance, prem) -> Judgment:
     return judgment(obs, c1, c2, w, env)
 
 
-@_rule("Weaken", 1)
+@CORE.rule("Weaken", arity=1)
 def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
     wf = _family(r.need("w"))
@@ -444,7 +514,7 @@ def _weaken_rule(r: RuleInstance, prem) -> Judgment:
                             f"at {_show_valuation(j.env, g)}: {v.note}")
         if v.is_unknown:
             raise RuleError(f"Weaken: ordering side condition undecided: {v.note}")
-    return judgment(j.observation, j.c1, j.c2, wf, j.env)
+    return judgment(j.observation, j.c1_family, j.c2_family, wf, j.env)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +525,7 @@ def _weaken_rule(r: RuleInstance, prem) -> Judgment:
 # one-sided conditional rules fall out as special cases.
 
 
-@_rule("BoolElim", 2)
+@CORE.rule("BoolElim", arity=2)
 def _bool_elim(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
     b = _family(r.need("b"))
@@ -469,7 +539,7 @@ def _bool_elim(r: RuleInstance, prem) -> Judgment:
                     lambda g: pick(g).w(g), env)
 
 
-@_rule("ZeroElim", 0)
+@CORE.rule("ZeroElim", arity=0)
 def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     env = r.get("env", EMPTY_ENV)
@@ -484,7 +554,7 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, c1f, c2f, wf, env)
 
 
-@_rule("NatElim", None)
+@CORE.rule("NatElim", arity=None)
 def _nat_elim(r: RuleInstance, prem) -> Judgment:
     env: Env = r.need("env")
     var: str = r.need("var")
@@ -510,41 +580,32 @@ def _nat_elim(r: RuleInstance, prem) -> Judgment:
                     lambda g: at(g).w(strip(g)), env)
 
 
-@_rule("IfLeft", 2)
-def _if_left(r: RuleInstance, prem) -> Judgment:
+@CORE.rule("IfLeft", "IfRight", arity=2)
+def _if_one_side(r: RuleInstance, prem) -> Judgment:
+    # IfLeft branches on the left over one right program; IfRight mirrors it
     jt, jf = prem
     b = _family(r.need("b"))
-    env = _shared_env(prem, "IfLeft")
-    obs = _shared_obs(prem, "IfLeft")
+    env = _shared_env(prem, r.rule)
+    obs = _shared_obs(prem, r.rule)
+    left = r.rule == "IfLeft"
+    shared, kept = ("right", jt.c2_family) if left else ("left", jt.c1_family)
     for g in env.valuations():
-        if not P.programs_equal(jt.c2(g), jf.c2(g)):
-            raise RuleError(f"IfLeft: premises must share the right program, "
+        if not (P.programs_equal(jt.c2(g), jf.c2(g)) if left
+                else P.programs_equal(jt.c1(g), jf.c1(g))):
+            raise RuleError(f"{r.rule}: premises must share the {shared} program, "
                             f"differ at {_show_valuation(env, g)}")
 
     def pick(g):
         return jt if b(g) else jf
 
-    return judgment(obs, lambda g: pick(g).c1(g), jt.c2, lambda g: pick(g).w(g), env)
+    def branch(g):
+        return pick(g).c1(g) if left else pick(g).c2(g)
+
+    c1, c2 = (branch, kept) if left else (kept, branch)
+    return judgment(obs, c1, c2, lambda g: pick(g).w(g), env)
 
 
-@_rule("IfRight", 2)
-def _if_right(r: RuleInstance, prem) -> Judgment:
-    jt, jf = prem
-    b = _family(r.need("b"))
-    env = _shared_env(prem, "IfRight")
-    obs = _shared_obs(prem, "IfRight")
-    for g in env.valuations():
-        if not P.programs_equal(jt.c1(g), jf.c1(g)):
-            raise RuleError(f"IfRight: premises must share the left program, "
-                            f"differ at {_show_valuation(env, g)}")
-
-    def pick(g):
-        return jt if b(g) else jf
-
-    return judgment(obs, jt.c1, lambda g: pick(g).c2(g), lambda g: pick(g).w(g), env)
-
-
-@_rule("IfSync", 2)
+@CORE.rule("IfSync", arity=2)
 def _if_sync(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
     b1, b2 = _family(r.need("b1")), _family(r.need("b2"))
@@ -579,63 +640,42 @@ def _is_unit_ret(p: Program) -> bool:
     return isinstance(n, P.Ret) and n.value.domain == UNIT
 
 
-@_rule("BindLeft", 2)
-def _bind_left(r: RuleInstance, prem) -> Judgment:
+@CORE.rule("BindLeft", "BindRight", arity=2)
+def _bind_one_side(r: RuleInstance, prem) -> Judgment:
+    # BindLeft binds the left program against a unit return on the right,
+    # which the continuation's right program, free of the bound variable,
+    # replaces; BindRight mirrors it
     jm, jf = prem
-    obs = _shared_obs(prem, "BindLeft")
+    obs = _shared_obs(prem, r.rule)
     env = jm.env
+    left = r.rule == "BindLeft"
+    side, other = ("left", "right") if left else ("right", "left")
     if len(jf.env.vars) != len(env.vars) + 1 or jf.env.vars[:len(env.vars)] != env.vars:
-        raise RuleError("BindLeft: second premise context must bind exactly the left result")
-    x1, dom1 = jf.env.vars[-1]
+        raise RuleError(f"{r.rule}: second premise context must bind exactly the {side} result")
+    x, dom = jf.env.vars[-1]
+    bound, unit = (jm.c1, jm.c2) if left else (jm.c2, jm.c1)
+    cont, kept = (jf.c1, jf.c2) if left else (jf.c2, jf.c1)
     for g in env.valuations():
-        if not _is_unit_ret(jm.c2(g)):
-            raise RuleError("BindLeft: first premise right side must be the unit return")
-        if jm.c1(g).result != dom1:
-            raise RuleError("BindLeft: first premise left result does not match the bound variable")
-        base = jf.c2(g + (dom1.value(0),))
-        for v1 in dom1.values():
-            if not P.programs_equal(jf.c2(g + (v1,)), base):
-                raise RuleError(f"BindLeft: right program depends on {x1!r}")
+        if not _is_unit_ret(unit(g)):
+            raise RuleError(f"{r.rule}: first premise {other} side must be the unit return")
+        if bound(g).result != dom:
+            raise RuleError(f"{r.rule}: first premise {side} result does not match "
+                            f"the bound variable")
+        base = kept(g + (dom.value(0),))
+        for v in dom.values():
+            if not P.programs_equal(kept(g + (v,)), base):
+                raise RuleError(f"{r.rule}: {other} program depends on {x!r}")
 
-    def c1(g):
-        return P.bind(jm.c1(g), lambda v: jf.c1(g + (v,)))
+    def seq(g):
+        return P.bind(bound(g), lambda v: cont(g + (v,)))
 
-    def c2(g):
-        return jf.c2(g + (dom1.value(0),))
+    def rest(g):
+        return kept(g + (dom.value(0),))
 
     def w(g):
-        return spec_bind(jm.w(g), lambda i1, _i2: jf.w(g + (dom1.value(i1),)))
+        return spec_bind(jm.w(g), lambda i1, i2: jf.w(g + (dom.value(i1 if left else i2),)))
 
-    return judgment(obs, c1, c2, w, env)
-
-
-@_rule("BindRight", 2)
-def _bind_right(r: RuleInstance, prem) -> Judgment:
-    jm, jf = prem
-    obs = _shared_obs(prem, "BindRight")
-    env = jm.env
-    if len(jf.env.vars) != len(env.vars) + 1 or jf.env.vars[:len(env.vars)] != env.vars:
-        raise RuleError("BindRight: second premise context must bind exactly the right result")
-    x2, dom2 = jf.env.vars[-1]
-    for g in env.valuations():
-        if not _is_unit_ret(jm.c1(g)):
-            raise RuleError("BindRight: first premise left side must be the unit return")
-        if jm.c2(g).result != dom2:
-            raise RuleError("BindRight: first premise right result does not match the bound variable")
-        base = jf.c1(g + (dom2.value(0),))
-        for v2 in dom2.values():
-            if not P.programs_equal(jf.c1(g + (v2,)), base):
-                raise RuleError(f"BindRight: left program depends on {x2!r}")
-
-    def c1(g):
-        return jf.c1(g + (dom2.value(0),))
-
-    def c2(g):
-        return P.bind(jm.c2(g), lambda v: jf.c2(g + (v,)))
-
-    def w(g):
-        return spec_bind(jm.w(g), lambda _i1, i2: jf.w(g + (dom2.value(i2),)))
-
+    c1, c2 = (seq, rest) if left else (rest, seq)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -664,7 +704,7 @@ def _state_obs(r: RuleInstance, who: str) -> EffectObservation:
     return obs
 
 
-@_rule("GetL", 0)
+@CORE.rule("GetL", arity=0)
 def _get_l(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "GetL")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -679,7 +719,7 @@ def _get_l(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.get_state(sig1), lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("GetR", 0)
+@CORE.rule("GetR", arity=0)
 def _get_r(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "GetR")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -694,7 +734,7 @@ def _get_r(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.get_state(sig2), w, env)
 
 
-@_rule("PutL", 0)
+@CORE.rule("PutL", arity=0)
 def _put_l(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutL")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -710,7 +750,7 @@ def _put_l(r: RuleInstance, _prem) -> Judgment:
                     lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("PutR", 0)
+@CORE.rule("PutR", arity=0)
 def _put_r(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutR")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -726,7 +766,7 @@ def _put_r(r: RuleInstance, _prem) -> Judgment:
                     lambda g: P.put_unit(sig2, sf(g), UNIT_VAL), w, env)
 
 
-@_rule("GetSync", 0)
+@CORE.rule("GetSync", arity=0)
 def _get_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "GetSync")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -736,7 +776,7 @@ def _get_sync(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.get_state(sig1), lambda g: P.get_state(sig2), w, env)
 
 
-@_rule("PutSync", 0)
+@CORE.rule("PutSync", arity=0)
 def _put_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutSync")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -761,7 +801,7 @@ def _bool_choice(sig: Signature) -> Program:
     return P.choice(P.ret(sig, boolv(True)), P.ret(sig, boolv(False)))
 
 
-@_rule("DemonicPickLeft", 0)
+@CORE.rule("DemonicPickLeft", arity=0)
 def _demonic_pick_left(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
@@ -776,7 +816,7 @@ def _demonic_pick_left(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: _bool_choice(sig), lambda g: P.ret(sig, a2f(g)), w, env)
 
 
-@_rule("DemonicPickRight", 0)
+@CORE.rule("DemonicPickRight", arity=0)
 def _demonic_pick_right(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
@@ -791,7 +831,7 @@ def _demonic_pick_right(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.ret(sig, a1f(g)), lambda g: _bool_choice(sig), w, env)
 
 
-@_rule("DemonicFailLeft", 0)
+@CORE.rule("DemonicFailLeft", arity=0)
 def _demonic_fail_left(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
@@ -805,7 +845,7 @@ def _demonic_fail_left(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.fail(sig, result), lambda g: P.ret(sig, a2f(g)), w, env)
 
 
-@_rule("Angelic", 0)
+@CORE.rule("Angelic", arity=0)
 def _angelic(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(EXISTS)
     env = r.get("env", EMPTY_ENV)
@@ -815,7 +855,7 @@ def _angelic(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: _bool_choice(sig), lambda g: _bool_choice(sig), w, env)
 
 
-@_rule("Refinement", 0)
+@CORE.rule("Refinement", arity=0)
 def _refinement(r: RuleInstance, _prem) -> Judgment:
     # The selection h names, for each left alternative, the right alternative
     # that answers it; the spec demands the postcondition only on those
@@ -847,7 +887,7 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
 # Exception axioms and the handler rule
 
 
-@_rule("ThrowL", 0)
+@CORE.rule("ThrowL", arity=0)
 def _throw_l(r: RuleInstance, _prem) -> Judgment:
     obs = observation_err()
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -864,7 +904,7 @@ def _throw_l(r: RuleInstance, _prem) -> Judgment:
                     lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("ThrowR", 0)
+@CORE.rule("ThrowR", arity=0)
 def _throw_r(r: RuleInstance, _prem) -> Judgment:
     obs = observation_err()
     sig1, sig2 = r.need("sig1"), r.need("sig2")
@@ -902,7 +942,7 @@ def catch_spec(w: RelSpec, w_exc: RelSpec) -> RelSpec:
     return demand_spec(space, fams)
 
 
-@_rule("Catch", 4)
+@CORE.rule("Catch", arity=4)
 def _catch_rule(r: RuleInstance, prem) -> Judgment:
     # One premise for the double-success case and three sharing the handler
     # spec, one per way an exception can show up.  The shared spec cannot
@@ -973,7 +1013,7 @@ def _io_obs(sig1: Signature, sig2: Signature, points) -> EffectObservation:
     return observation_io(sig1.inp, sig1.out, sig2.inp, sig2.out, points)
 
 
-@_rule("InputL", 0)
+@CORE.rule("InputL", arity=0)
 def _input_l(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
@@ -995,7 +1035,7 @@ def _input_l(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.read_input(sig1), lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("InputR", 0)
+@CORE.rule("InputR", arity=0)
 def _input_r(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
@@ -1017,7 +1057,7 @@ def _input_r(r: RuleInstance, _prem) -> Judgment:
     return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.read_input(sig2), w, env)
 
 
-@_rule("OutputL", 0)
+@CORE.rule("OutputL", arity=0)
 def _output_l(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
@@ -1039,7 +1079,7 @@ def _output_l(r: RuleInstance, _prem) -> Judgment:
                     lambda g: P.ret(sig2, a2f(g)), w, env)
 
 
-@_rule("OutputR", 0)
+@CORE.rule("OutputR", arity=0)
 def _output_r(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
@@ -1100,7 +1140,7 @@ def loop_conclusion_spec(inv, s1: FiniteDomain, s2: FiniteDomain) -> RelSpec:
     return _loop_spec(inv, UNIT, s1, UNIT, s2, lambda _a1, f1, _a2, f2: inv[0][0][f1][f2])
 
 
-@_rule("DoWhileInv", 1)
+@CORE.rule("DoWhileInv", arity=1)
 def _do_while_inv(r: RuleInstance, prem) -> Judgment:
     (jb,) = prem
     obs = jb.observation
@@ -1184,7 +1224,7 @@ def loop_invariant(body1: Program, body2: Program):
 # Coupled sampling
 
 
-@_rule("FlipCoupling", 0)
+@CORE.rule("FlipCoupling", arity=0)
 def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     obs = observation_prob()
     env = r.get("env", EMPTY_ENV)
@@ -1238,42 +1278,35 @@ _OK = CheckResult(True)
 
 
 def check_derivation(d: Derivation, cap: int = DEFAULT_CAP, seed: int = 0) -> CheckResult:
-    """Replay every node through apply_rule and compare with the stated
-    conclusion: programs up to normalization, specs extensionally in both
-    directions, per valuation.  Reports the first failing node by its path
-    of child indices from the root."""
-
-    def walk(node: Derivation, path: Tuple[int, ...]) -> CheckResult:
-        for i, sub in enumerate(node.premises):
-            res = walk(sub, path + (i,))
-            if not res.ok:
-                return res
-        try:
-            computed = apply_rule(node.rule, tuple(s.conclusion for s in node.premises))
-        except RuleError as e:
-            return CheckResult(False, path, f"{node.rule.rule}: {e}")
-        stated = node.conclusion
-        if stated.env != computed.env:
-            return CheckResult(False, path, f"{node.rule.rule}: stated context differs "
-                                            f"from the rule's conclusion context")
-        if not _same_observation(stated.observation, computed.observation):
-            return CheckResult(False, path, f"{node.rule.rule}: stated observation "
-                                            f"{stated.observation.name} differs from "
-                                            f"{computed.observation.name}")
-        for g in stated.env.valuations():
-            where = _show_valuation(stated.env, g)
-            if not P.programs_equal(stated.c1(g), computed.c1(g)):
-                return CheckResult(False, path, f"{node.rule.rule}: left program differs at {where}")
-            if not P.programs_equal(stated.c2(g), computed.c2(g)):
-                return CheckResult(False, path, f"{node.rule.rule}: right program differs at {where}")
-            v = spec_equiv(stated.w(g), computed.w(g), cap, seed)
-            if not v.holds:
-                return CheckResult(False, path, f"{node.rule.rule}: conclusion spec "
-                                                f"differs at {where} ({v.kind})")
-        return _OK
-
+    """Replay every node through the catalogue its conclusion's type names
+    and compare with the stated conclusion (`mismatch` of that type).
+    Premises replay before their node, from an explicit stack, so a tree of
+    any depth replays.  Reports the first failing node by its path of child
+    indices from the root."""
+    stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     with _EvaluationScope():
-        return walk(d, ())
+        while stack:
+            node, i = stack[-1]
+            if i < len(node.premises):
+                stack[-1] = (node, i + 1)
+                stack.append((node.premises[i], 0))
+                path.append(i)
+                continue
+            stack.pop()
+            stated = node.conclusion
+            catalogue = type(stated).catalogue
+            # core nodes replay through apply_rule, the entry point the bench times
+            apply = apply_rule if catalogue is CORE else catalogue.apply
+            try:
+                computed = apply(node.rule, tuple(s.conclusion for s in node.premises))
+            except RuleError as e:
+                return CheckResult(False, tuple(path), f"{node.rule.rule}: {e}")
+            bad = stated.mismatch(computed, cap, seed)
+            if bad is not None:
+                return CheckResult(False, tuple(path), f"{node.rule.rule}: {bad}")
+            if path:
+                path.pop()
+    return _OK
 
 
 # ---------------------------------------------------------------------------
@@ -1285,12 +1318,15 @@ class OracleVerdict:
     """Aggregated theta(c1,c2) <= w over all valuations.
 
     Fails dominates Unknown dominates Holds; the valuation and inner verdict
-    point at the first refutation (or the first undecided comparison)."""
+    point at the first refutation (or the first undecided comparison).  A
+    split-context verdict also names the failing clause: "left", "right" or
+    "relational"."""
 
     kind: str
     checked: int
-    valuation: Optional[Valuation] = None
-    inner: Optional[LeqVerdict] = None
+    valuation: Optional[tuple] = None
+    inner: Optional[object] = None
+    clause: Optional[str] = None
 
     @property
     def holds(self) -> bool:
@@ -1305,31 +1341,23 @@ class OracleVerdict:
         return self.kind == "unknown"
 
 
-def oracle_check(j: Judgment, cap: int = DEFAULT_CAP, seed: int = 0) -> OracleVerdict:
-    """Decide the judgment semantically at every context valuation."""
-    first_unknown = None
-    n = 0
+def oracle_check(j, cap: int = DEFAULT_CAP, seed: int = 0) -> OracleVerdict:
+    """Decide a judgment of any kind semantically, at every valuation (the
+    `oracle` of its type)."""
     with _EvaluationScope():
-        for g in j.env.valuations():
-            n += 1
-            theta = j.observation(j.c1(g), j.c2(g))
-            v = spec_leq(theta, j.w(g), cap, seed)
-            if v.failed:
-                return OracleVerdict("fails", n, g, v)
-            if v.is_unknown and first_unknown is None:
-                first_unknown = (g, v)
-    if first_unknown is not None:
-        return OracleVerdict("unknown", n, first_unknown[0], first_unknown[1])
-    return OracleVerdict("holds", n)
+        return j.oracle(cap, seed)
 
 
 def minimize_failure(d: Derivation, cap: int = DEFAULT_CAP, seed: int = 0
                      ) -> Tuple[Derivation, OracleVerdict]:
     """Smallest subderivation whose conclusion already fails the oracle."""
-    for sub in d.premises:
-        if oracle_check(sub.conclusion, cap, seed).failed:
-            return minimize_failure(sub, cap, seed)
-    return d, oracle_check(d.conclusion, cap, seed)
+    while True:
+        for sub in d.premises:
+            if oracle_check(sub.conclusion, cap, seed).failed:
+                d = sub
+                break
+        else:
+            return d, oracle_check(d.conclusion, cap, seed)
 
 
 @dataclass

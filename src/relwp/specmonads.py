@@ -683,7 +683,9 @@ class RelSpec:
         self.post = post
         self.io_points = io_points
         self.horizon = horizon
-        self._io_cache: Dict[Tuple[History, History], object] = {}
+        # entries read so far; only interactive table specs have any
+        self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
+            {} if table is not None else None)
 
     # -- basic queries
 

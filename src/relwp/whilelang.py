@@ -17,11 +17,13 @@ so divergence is owned by the program carrier, not by the translator.
 On top of the translation sit two relational front ends.  `ni_judgment`
 states noninterference of a command against itself: stores that agree on the
 low-labelled locations lead to final stores that again agree on them, under
-the partial-correctness observation.  `rhl_rules` is a syntax-directed proof
-system whose judgments `{pre} c1 ~ c2 {post}` speak only about store pairs;
-conclusions are built by `apply_rhl_rule`, which enforces each rule's shape
-and side conditions, and any structurally accepted instance can be handed to
-the semantic oracle through `RHLInstance.judgment`.  Arithmetic wraps
+the partial-correctness observation.  `RHL` is a syntax-directed proof
+system whose judgments `{pre} c1 ~ c2 {post}` speak only about store pairs.
+It is a catalogue of the one rule engine in `rules`: `apply_rhl_rule` and
+`RHL.derive` build conclusions, enforcing each rule's shape and side
+conditions, `rules.check_derivation` replays RHL derivations, and
+`rules.oracle_check` decides any instance through its translated judgment
+(`RHLInstance.judgment`).  Arithmetic wraps
 modulo the value-domain size, and comparisons and connectives yield 0 or 1,
 so every expression denotes a total function on stores.
 """
@@ -29,8 +31,8 @@ so every expression denotes a total function on stores.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import observations as O
 from . import programs as P
@@ -155,6 +157,9 @@ class _Tree:
                 return False  # both hashes taken: unequal hashes, unequal trees
         except AttributeError:
             pass
+        if all(a is b or (not isinstance(a, _Tree) and a == b)
+               for a, b in zip(vars(self).values(), vars(other).values())):
+            return True  # the same subtrees and equal leaves: no walk needed
         return _shape(self) == _shape(other)
 
     def __hash__(self):
@@ -750,6 +755,17 @@ def guard_table(sig: StoreSignature, e: Expr) -> Tuple[bool, ...]:
     return tuple(truthy(eval_expr(sig, e, i)) for i in range(n))
 
 
+RHL = R.Catalogue()
+
+
+def rhl_rule_names() -> Tuple[str, ...]:
+    return RHL.names()
+
+
+def apply_rhl_rule(name: str, premises: Sequence["RHLInstance"] = (), **params) -> "RHLInstance":
+    return RHL.apply(R.RuleInstance(name, params), premises)
+
+
 @dataclass(frozen=True)
 class RHLInstance:
     """One judgment {pre} left ~ right {post} over a shared store signature."""
@@ -759,6 +775,8 @@ class RHLInstance:
     right: Stmt
     pre: Tuple[bool, ...]
     post: Tuple[bool, ...]
+
+    catalogue: ClassVar[R.Catalogue] = RHL
 
     def __post_init__(self):
         n = store_domain(self.sig).size
@@ -773,6 +791,18 @@ class RHLInstance:
         return R.judgment(O.observation_part(), c1, c2,
                           _store_pair_spec(self.sig, self.pre, self.post))
 
+    def mismatch(self, computed: "RHLInstance", cap: int, seed: int) -> Optional[str]:
+        """The first field in which this stated conclusion differs from the
+        rule's own, or None."""
+        for f in fields(self):
+            if getattr(self, f.name) != getattr(computed, f.name):
+                return f"stated {f.name} differs from the rule's conclusion"
+        return None
+
+    def oracle(self, cap: int, seed: int) -> R.OracleVerdict:
+        """The oracle's verdict on the translated judgment."""
+        return self.judgment().oracle(cap, seed)
+
 
 def _store_pair_spec(sig: StoreSignature, pre: Sequence[bool],
                      post: Sequence[bool]) -> sm.RelSpec:
@@ -782,61 +812,22 @@ def _store_pair_spec(sig: StoreSignature, pre: Sequence[bool],
     return sm.from_final_post(sm.state_space(UNIT, sdom, UNIT, sdom), pre, post)
 
 
-def admissible(inst: RHLInstance, cap: int = sm.DEFAULT_CAP, seed: int = 0):
-    """Semantic check of an instance: the oracle decides its judgment."""
-    return R.oracle_check(inst.judgment(), cap, seed)
-
-
 # ---------------------------------------------------------------------------
 # The rule catalog
 
-_RHL_RULES: Dict[str, Callable] = {}
-_RHL_ARITY: Dict[str, int] = {}
 
-
-def _rhl_rule(name: str, arity: int):
-    def deco(fn):
-        _RHL_RULES[name] = fn
-        _RHL_ARITY[name] = arity
-        return fn
-    return deco
-
-
-def rhl_rule_names() -> Tuple[str, ...]:
-    return tuple(sorted(_RHL_RULES))
-
-
-def apply_rhl_rule(name: str, premises: Sequence[RHLInstance] = (), **params) -> RHLInstance:
-    if name not in _RHL_RULES:
-        raise RuleError(f"unknown relational rule {name!r}")
-    if len(premises) != _RHL_ARITY[name]:
-        raise RuleError(f"{name} takes {_RHL_ARITY[name]} premise(s), got {len(premises)}")
-    box = dict(params)
-    out = _RHL_RULES[name](box, tuple(premises))
-    if box:
-        extra = sorted(box)[0]
-        raise RuleError(f"{name} does not take a parameter {extra!r}")
-    return out
-
-
-def _need(box: Dict, rule: str, key: str):
-    if key not in box:
-        raise RuleError(f"{rule} is missing parameter {key!r}")
-    return box.pop(key)
-
-
-def _table_param(box: Dict, rule: str, key: str, n: int) -> Tuple[bool, ...]:
-    t = tuple(bool(v) for v in _need(box, rule, key))
+def _table_param(r: R.RuleInstance, key: str, n: int) -> Tuple[bool, ...]:
+    t = tuple(bool(v) for v in r.need(key))
     if len(t) != n * n:
-        raise RuleError(f"{rule}: {key!r} must cover every store pair")
+        raise RuleError(f"{r.rule}: {key!r} must cover every store pair")
     return t
 
 
-def _expr_param(box: Dict, rule: str, key: str, sig: StoreSignature) -> Expr:
-    e = _need(box, rule, key)
+def _expr_param(r: R.RuleInstance, key: str, sig: StoreSignature) -> Expr:
+    e = r.need(key)
     missing = sorted(expr_locations(e) - set(sig.locations))
     if missing:
-        raise RuleError(f"{rule}: {key!r} reads undeclared location {missing[0]!r}")
+        raise RuleError(f"{r.rule}: {key!r} reads undeclared location {missing[0]!r}")
     return e
 
 
@@ -848,19 +839,11 @@ def _same_sig(rule: str, premises: Sequence[RHLInstance]) -> StoreSignature:
 
 
 def _and_guards(pre: Sequence[bool], g1: Sequence[bool], g2: Sequence[bool],
-                n: int, want1: bool, want2: bool) -> Tuple[bool, ...]:
-    return tuple(pre[k] and g1[k // n] == want1 and g2[k % n] == want2
-                 for k in range(n * n))
-
-
-def _and_guard_left(pre: Sequence[bool], g1: Sequence[bool],
-                    n: int, want: bool) -> Tuple[bool, ...]:
-    return tuple(pre[k] and g1[k // n] == want for k in range(n * n))
-
-
-def _and_guard_right(pre: Sequence[bool], g2: Sequence[bool],
-                     n: int, want: bool) -> Tuple[bool, ...]:
-    return tuple(pre[k] and g2[k % n] == want for k in range(n * n))
+                n: int, want1: Optional[bool], want2: Optional[bool]) -> Tuple[bool, ...]:
+    """pre, with each side's guard at its want; a None want leaves that
+    side's guard untested."""
+    return tuple(pre[k] and (want1 is None or g1[k // n] == want1)
+                 and (want2 is None or g2[k % n] == want2) for k in range(n * n))
 
 
 def _guards_agree(rule: str, sig: StoreSignature, pre: Sequence[bool],
@@ -884,57 +867,41 @@ def _updater(sig: StoreSignature, loc: str, e: Expr):
     return lambda s: store_write(sig, s, loc, eval_expr(sig, e, s))
 
 
-def _assign_param(box: Dict, rule: str, sig: StoreSignature, loc_key: str, expr_key: str):
-    loc = _need(box, rule, loc_key)
+def _assign_param(r: R.RuleInstance, sig: StoreSignature, loc_key: str, expr_key: str):
+    loc = r.need(loc_key)
     if loc not in sig.locations:
-        raise RuleError(f"{rule}: assignment to undeclared location {loc!r}")
-    e = _expr_param(box, rule, expr_key, sig)
+        raise RuleError(f"{r.rule}: assignment to undeclared location {loc!r}")
+    e = _expr_param(r, expr_key, sig)
     return loc, e
 
 
-@_rhl_rule("Skip", 0)
-def _rhl_skip(box: Dict, _prem) -> RHLInstance:
-    sig = _need(box, "Skip", "sig")
-    n = store_domain(sig).size
-    pre = _table_param(box, "Skip", "pre", n)
+@RHL.rule("Skip", arity=0)
+def _rhl_skip(r: R.RuleInstance, _prem) -> RHLInstance:
+    sig = r.need("sig")
+    pre = _table_param(r, "pre", store_domain(sig).size)
     return RHLInstance(sig, Skip(), Skip(), pre, pre)
 
 
-@_rhl_rule("Assign", 0)
-def _rhl_assign(box: Dict, _prem) -> RHLInstance:
-    sig = _need(box, "Assign", "sig")
-    n = store_domain(sig).size
-    loc1, e1 = _assign_param(box, "Assign", sig, "loc1", "expr1")
-    loc2, e2 = _assign_param(box, "Assign", sig, "loc2", "expr2")
-    post = _table_param(box, "Assign", "post", n)
-    pre = _assign_pre(sig, _updater(sig, loc1, e1), _updater(sig, loc2, e2), post)
-    return RHLInstance(sig, Assign(loc1, e1), Assign(loc2, e2), pre, post)
+@RHL.rule("Assign", "AssignL", "AssignR", arity=0)
+def _rhl_assign(r: R.RuleInstance, _prem) -> RHLInstance:
+    # Assign updates both sides; AssignL and AssignR one side, the other skips
+    sig = r.need("sig")
+    sides = []
+    for k, skipped in (("1", "AssignR"), ("2", "AssignL")):
+        if r.rule == skipped:
+            sides.append((Skip(), lambda s: s))
+        else:
+            loc, e = _assign_param(r, sig, "loc" + k, "expr" + k)
+            sides.append((Assign(loc, e), _updater(sig, loc, e)))
+    (c1, upd1), (c2, upd2) = sides
+    post = _table_param(r, "post", store_domain(sig).size)
+    return RHLInstance(sig, c1, c2, _assign_pre(sig, upd1, upd2, post), post)
 
 
-@_rhl_rule("AssignL", 0)
-def _rhl_assign_l(box: Dict, _prem) -> RHLInstance:
-    sig = _need(box, "AssignL", "sig")
-    n = store_domain(sig).size
-    loc1, e1 = _assign_param(box, "AssignL", sig, "loc1", "expr1")
-    post = _table_param(box, "AssignL", "post", n)
-    pre = _assign_pre(sig, _updater(sig, loc1, e1), lambda s: s, post)
-    return RHLInstance(sig, Assign(loc1, e1), Skip(), pre, post)
-
-
-@_rhl_rule("AssignR", 0)
-def _rhl_assign_r(box: Dict, _prem) -> RHLInstance:
-    sig = _need(box, "AssignR", "sig")
-    n = store_domain(sig).size
-    loc2, e2 = _assign_param(box, "AssignR", sig, "loc2", "expr2")
-    post = _table_param(box, "AssignR", "post", n)
-    pre = _assign_pre(sig, lambda s: s, _updater(sig, loc2, e2), post)
-    return RHLInstance(sig, Skip(), Assign(loc2, e2), pre, post)
-
-
-@_rhl_rule("Seq", 2)
-def _rhl_seq(box: Dict, prem) -> RHLInstance:
+@RHL.rule("Seq", arity=2)
+def _rhl_seq(r: R.RuleInstance, prem) -> RHLInstance:
     j1, j2 = prem
-    sig = _same_sig("Seq", prem)
+    sig = _same_sig(r.rule, prem)
     if j1.post != j2.pre:
         raise RuleError("Seq: the first postcondition must be exactly the second "
                         "precondition; adapt with Consequence first")
@@ -942,14 +909,14 @@ def _rhl_seq(box: Dict, prem) -> RHLInstance:
                        j1.pre, j2.post)
 
 
-@_rhl_rule("IfSync", 2)
-def _rhl_if_sync(box: Dict, prem) -> RHLInstance:
+@RHL.rule("IfSync", arity=2)
+def _rhl_if_sync(r: R.RuleInstance, prem) -> RHLInstance:
     jt, jf = prem
-    sig = _same_sig("IfSync", prem)
+    sig = _same_sig(r.rule, prem)
     n = store_domain(sig).size
-    cond1 = _expr_param(box, "IfSync", "cond1", sig)
-    cond2 = _expr_param(box, "IfSync", "cond2", sig)
-    pre = _table_param(box, "IfSync", "pre", n)
+    cond1 = _expr_param(r, "cond1", sig)
+    cond2 = _expr_param(r, "cond2", sig)
+    pre = _table_param(r, "pre", n)
     g1, g2 = guard_table(sig, cond1), guard_table(sig, cond2)
     _guards_agree("IfSync", sig, pre, g1, g2)
     if jt.pre != _and_guards(pre, g1, g2, n, True, True):
@@ -964,56 +931,39 @@ def _rhl_if_sync(box: Dict, prem) -> RHLInstance:
                        pre, jt.post)
 
 
-@_rhl_rule("IfL", 2)
-def _rhl_if_l(box: Dict, prem) -> RHLInstance:
+@RHL.rule("IfL", "IfR", arity=2)
+def _rhl_if_one_side(r: R.RuleInstance, prem) -> RHLInstance:
+    # IfL branches on the left guard over a shared right program; IfR mirrors it
     jt, jf = prem
-    sig = _same_sig("IfL", prem)
+    sig = _same_sig(r.rule, prem)
     n = store_domain(sig).size
-    cond1 = _expr_param(box, "IfL", "cond1", sig)
-    pre = _table_param(box, "IfL", "pre", n)
-    if jt.right != jf.right:
-        raise RuleError("IfL: the premises must share the right program")
-    g1 = guard_table(sig, cond1)
-    if jt.pre != _and_guard_left(pre, g1, n, True):
-        raise RuleError("IfL: the first premise must assume the precondition "
-                        "with the guard true")
-    if jf.pre != _and_guard_left(pre, g1, n, False):
-        raise RuleError("IfL: the second premise must assume the precondition "
-                        "with the guard false")
+    left = r.rule == "IfL"
+    cond = _expr_param(r, "cond1" if left else "cond2", sig)
+    pre = _table_param(r, "pre", n)
+    shared = "right" if left else "left"
+    if getattr(jt, shared) != getattr(jf, shared):
+        raise RuleError(f"{r.rule}: the premises must share the {shared} program")
+    g = guard_table(sig, cond)
+    for j, want, which in ((jt, True, "first"), (jf, False, "second")):
+        wants = (want, None) if left else (None, want)
+        if j.pre != _and_guards(pre, g, g, n, *wants):
+            raise RuleError(f"{r.rule}: the {which} premise must assume the precondition "
+                            f"with the guard {str(want).lower()}")
     if jt.post != jf.post:
-        raise RuleError("IfL: the branch postconditions must agree")
-    return RHLInstance(sig, If(cond1, jt.left, jf.left), jt.right, pre, jt.post)
+        raise RuleError(f"{r.rule}: the branch postconditions must agree")
+    if left:
+        return RHLInstance(sig, If(cond, jt.left, jf.left), jt.right, pre, jt.post)
+    return RHLInstance(sig, jt.left, If(cond, jt.right, jf.right), pre, jt.post)
 
 
-@_rhl_rule("IfR", 2)
-def _rhl_if_r(box: Dict, prem) -> RHLInstance:
-    jt, jf = prem
-    sig = _same_sig("IfR", prem)
-    n = store_domain(sig).size
-    cond2 = _expr_param(box, "IfR", "cond2", sig)
-    pre = _table_param(box, "IfR", "pre", n)
-    if jt.left != jf.left:
-        raise RuleError("IfR: the premises must share the left program")
-    g2 = guard_table(sig, cond2)
-    if jt.pre != _and_guard_right(pre, g2, n, True):
-        raise RuleError("IfR: the first premise must assume the precondition "
-                        "with the guard true")
-    if jf.pre != _and_guard_right(pre, g2, n, False):
-        raise RuleError("IfR: the second premise must assume the precondition "
-                        "with the guard false")
-    if jt.post != jf.post:
-        raise RuleError("IfR: the branch postconditions must agree")
-    return RHLInstance(sig, jt.left, If(cond2, jt.right, jf.right), pre, jt.post)
-
-
-@_rhl_rule("WhileSync", 1)
-def _rhl_while_sync(box: Dict, prem) -> RHLInstance:
+@RHL.rule("WhileSync", arity=1)
+def _rhl_while_sync(r: R.RuleInstance, prem) -> RHLInstance:
     (jb,) = prem
     sig = jb.sig
     n = store_domain(sig).size
-    cond1 = _expr_param(box, "WhileSync", "cond1", sig)
-    cond2 = _expr_param(box, "WhileSync", "cond2", sig)
-    inv = _table_param(box, "WhileSync", "inv", n)
+    cond1 = _expr_param(r, "cond1", sig)
+    cond2 = _expr_param(r, "cond2", sig)
+    inv = _table_param(r, "inv", n)
     g1, g2 = guard_table(sig, cond1), guard_table(sig, cond2)
     _guards_agree("WhileSync", sig, inv, g1, g2)
     if jb.pre != _and_guards(inv, g1, g2, n, True, True):
@@ -1025,12 +975,12 @@ def _rhl_while_sync(box: Dict, prem) -> RHLInstance:
                        inv, _and_guards(inv, g1, g2, n, False, False))
 
 
-@_rhl_rule("Consequence", 1)
-def _rhl_consequence(box: Dict, prem) -> RHLInstance:
+@RHL.rule("Consequence", arity=1)
+def _rhl_consequence(r: R.RuleInstance, prem) -> RHLInstance:
     (j,) = prem
     n = store_domain(j.sig).size
-    pre = _table_param(box, "Consequence", "pre", n)
-    post = _table_param(box, "Consequence", "post", n)
+    pre = _table_param(r, "pre", n)
+    post = _table_param(r, "post", n)
     for k in range(n * n):
         if pre[k] and not j.pre[k]:
             raise RuleError("Consequence: the new precondition must entail the "

@@ -314,6 +314,18 @@ def test_unequal_chains_with_their_hashes_taken_compare_without_a_walk(monkeypat
     assert a == twin and walks
 
 
+def test_nodes_over_the_same_subtrees_compare_without_a_walk(monkeypatch):
+    a = _increments_then(W.Skip(), 2000)
+    cond = W.parse_while("if l then skip else skip").cond
+    walks = []
+    real = W._shape
+    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
+    # built twice from the same parts, as a rule replay builds a conclusion
+    assert W.Seq(a, a.second) == W.Seq(a, a.second)
+    assert W.If(cond, a, W.Skip()) == W.If(cond, a, W.Skip()) and not walks
+    assert W.Seq(a, a.second) != W.Seq(a.second, a) and walks
+
+
 def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
     # the cached hash is never pickled: string hashes differ by process
     text = "l := h; while l < 1 do l := l + 1"
@@ -380,3 +392,33 @@ def test_nesting_past_the_parser_limit_is_a_parse_error(prefix, opening, inner, 
     with pytest.raises(W.ParseError, match="nesting deeper than 100 levels"):
         W.parse_while(prefix + opening * 5000 + inner + closing * 5000)
     W.parse_while(prefix + opening * 100 + inner + closing * 100)
+
+
+# ---------------------------------------------------------------------------
+# Long derivations build, replay and pass the oracle
+
+
+def test_a_long_weaken_chain():
+    sig = P.state_sig(Z2)
+    d = R.derive("Ret", observation=O.observation_st(), sig1=sig, sig2=sig,
+                 a1=Z2.value(0), a2=Z2.value(1))
+    w = d.conclusion.w()
+    for _ in range(10 ** 3):
+        d = R.derive("Weaken", (d,), w=w)
+    assert R.check_derivation(d).ok
+    assert R.oracle_check(d.conclusion).holds
+
+
+def test_a_long_rhl_seq_chain():
+    n = W.store_domain(SIG).size
+    low_eq = W.rel_table(SIG, lambda i, j: i // 2 == j // 2)
+    step = W.RHL.derive("Assign", sig=SIG, loc1="h", expr1=W.Loc("l"),
+                        loc2="h", expr2=W.Loc("l"), post=low_eq)
+    assert step.conclusion.pre == low_eq and len(low_eq) == n * n
+    d = step
+    for _ in range(N):
+        d = W.RHL.derive("Seq", (d, step))
+    assert W.stmt_locations(d.conclusion.left) == {"l", "h"}
+    assert R.check_derivation(d).ok
+    assert R.oracle_check(d.conclusion).holds
+

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relwp import generic as G
+from relwp import observations as O
 from relwp import programs as P
 from relwp import rules as R
 from relwp import specmonads as sm
+from relwp import whilelang as W
 from relwp.domains import BOOL, UNIT, UNIT_VAL, Value, domain, product_domain, sum_domain
 
 Z2 = domain("Z2", 2)
@@ -551,16 +553,16 @@ def test_oracle_reports_the_failing_clause_and_valuation():
         lambda g1, g2: G.wp_unsat(PAIR),
         ctx,
     )
-    v = G.full_oracle_check(j)
+    v = R.oracle_check(j)
     assert not v.holds
     assert v.clause == "right"
     assert v.valuation == ((Z2.value(1),),)
-    assert v.order is not None and not v.order.holds
+    assert v.inner is not None and not v.inner.holds
 
 
 def test_oracle_passes_exact_specs():
     j = _ret_judgment(0, 1)
-    v = G.full_oracle_check(j)
+    v = R.oracle_check(j)
     assert v.holds and v.checked == 3
     assert_triple_theta_equal(j)
 
@@ -580,7 +582,7 @@ def test_parts_and_observed_agree_on_axioms():
 def test_ret_rule_is_the_observation():
     for a1, a2 in product(range(2), range(2)):
         j = _ret_judgment(a1, a2)
-        assert G.full_oracle_check(j).holds
+        assert R.oracle_check(j).holds
         assert_triple_theta_equal(j)
 
 
@@ -594,7 +596,7 @@ def test_throw_left_rule_is_the_observation():
     for e, a2 in product(range(EL.size), range(Z2.size)):
         j = G.apply_full_rule("ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                               exc=EL.value(e), a2=Z2.value(a2), result1=Z2)
-        assert G.full_oracle_check(j).holds
+        assert R.oracle_check(j).holds
         assert_triple_theta_equal(j)
 
 
@@ -602,7 +604,7 @@ def test_throw_right_rule_is_the_observation():
     for e, a1 in product(range(ER.size), range(Z2.size)):
         j = G.apply_full_rule("ThrowR", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                               exc=ER.value(e), a1=Z2.value(a1), result2=Z2)
-        assert G.full_oracle_check(j).holds
+        assert R.oracle_check(j).holds
         assert_triple_theta_equal(j)
 
 
@@ -611,7 +613,7 @@ def test_throw_rules_run_under_a_context():
     j = G.apply_full_rule("ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                           exc=lambda g1: g1[0], a2=lambda g2: g2[0],
                           result1=Z2, ctx=ctx)
-    assert G.full_oracle_check(j).holds
+    assert R.oracle_check(j).holds
     assert_triple_theta_equal(j)
 
 
@@ -631,14 +633,14 @@ def test_weaken_raises_all_three_components():
                            w1=G.wp_unsat(product_domain(SUM1, UNIT)),
                            w2=G.wp_unsat(product_domain(UNIT, SUM2)),
                            wrel=G.wp_unsat(PAIR))
-    v = G.full_oracle_check(jw)
+    v = R.oracle_check(jw)
     assert v.holds
 
 
 def test_weaken_to_the_simulation_spec():
     j = _ret_judgment(0, 1)
     jw = G.apply_full_rule("Weaken", (j,), wrel=G.simulation_spec(Z2, EL, Z2, ER))
-    assert G.full_oracle_check(jw).holds
+    assert R.oracle_check(jw).holds
 
 
 def test_weaken_rejects_a_non_simulable_premise():
@@ -676,7 +678,7 @@ def test_bind_rule_after_a_left_throw():
     jm = G.apply_full_rule("ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                            exc=EL.value(1), a2=Z2.value(0), result1=Z2)
     jb = G.apply_full_rule("Bind", (jm, _cont_judgment()))
-    assert G.full_oracle_check(jb).holds
+    assert R.oracle_check(jb).holds
     assert_triple_theta_equal(jb)
     # the raise skips the left continuation: outcome stays (raise 1, return 0)
     k = G.inr_index(Z2, EL, 1) * SUM2.size + G.inl_index(Z2, ER, 0)
@@ -686,7 +688,7 @@ def test_bind_rule_after_a_left_throw():
 def test_bind_rule_composes_rets():
     jm = _ret_judgment(1, 0)
     jb = G.apply_full_rule("Bind", (jm, _cont_judgment()))
-    assert G.full_oracle_check(jb).holds
+    assert R.oracle_check(jb).holds
     assert_triple_theta_equal(jb)
     k = G.inl_index(Z2, EL, 1) * SUM2.size + G.inl_index(Z2, ER, 0)
     assert jb.wrel((), ()).demands == frozenset({1 << k})
@@ -759,7 +761,7 @@ def test_catch_rule_substitutes_handlers_for_raises():
     body = G.apply_full_rule("ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                              exc=EL.value(1), a2=Z2.value(0), result1=Z2)
     jc = G.apply_full_rule("Catch", (body, _handler_judgment()))
-    assert G.full_oracle_check(jc).holds
+    assert R.oracle_check(jc).holds
     assert_triple_theta_equal(jc)
     # handler turned (raise 1, return 0) into (return 1, return 0)
     tag, val = P.run_exc(jc.c1(()))
@@ -771,7 +773,7 @@ def test_catch_rule_substitutes_handlers_for_raises():
 def test_catch_rule_passes_normal_results_through():
     body = _ret_judgment(0, 1)
     jc = G.apply_full_rule("Catch", (body, _handler_judgment()))
-    assert G.full_oracle_check(jc).holds
+    assert R.oracle_check(jc).holds
     assert_triple_theta_equal(jc)
 
 
@@ -786,7 +788,7 @@ def test_catch_with_a_double_raise_pairs_both_handlers():
         ctx,
     )
     jc = G.apply_full_rule("Catch", (body, _handler_judgment()))
-    assert G.full_oracle_check(jc).holds
+    assert R.oracle_check(jc).holds
     assert_triple_theta_equal(jc)
     k = G.inl_index(Z2, EL, 0) * SUM2.size + G.inl_index(Z2, ER, 0)
     assert jc.wrel((), ()).demands == frozenset({1 << k})
@@ -843,7 +845,7 @@ def test_case_rule_dispatches_on_matching_tags():
     jr = _branch_judgment(Z3, Z3, (lambda g1: P.throw(XSIG, EL.value(0), Z2),
                                    lambda g2: P.throw(YSIG, ER.value(0), Z2)))
     jc = G.apply_full_rule("Case", (jl, jr), x1="s1", x2="s2")
-    v = G.full_oracle_check(jc)
+    v = R.oracle_check(jc)
     assert v.holds
     scr1 = sum_domain(Z2, Z3)
     assert jc.ctx.left.vars == (("s1", scr1),)
@@ -864,7 +866,7 @@ def test_case_rule_claims_nothing_across_tags():
     g2 = (Value(scr, G.inr_index(Z2, Z3, 2)),)
     assert_wp_equiv(jc.wrel(g1, g2), MONAD.unsat_rel(Z2, Z2))
     # vacuous points cannot fail the oracle
-    assert G.full_oracle_check(jc).holds
+    assert R.oracle_check(jc).holds
 
 
 def test_case_over_a_unit_sum_is_branch_relabeling():
@@ -875,7 +877,7 @@ def test_case_over_a_unit_sum_is_branch_relabeling():
     jr = _branch_judgment(UNIT, UNIT, (lambda g1: P.throw(XSIG, EL.value(1), Z2),
                                        lambda g2: P.throw(YSIG, ER.value(1), Z2)))
     jc = G.apply_full_rule("Case", (jl, jr), x1="b1", x2="b2")
-    assert G.full_oracle_check(jc).holds
+    assert R.oracle_check(jc).holds
     two = sum_domain(UNIT, UNIT)
     for tag in range(2):
         g = (Value(two, tag),)
@@ -907,20 +909,83 @@ def test_case_rejects_shadowed_scrutinee_names():
 
 
 # ---------------------------------------------------------------------------
+# Derivations replay through the shared engine
+
+
+def _ret_derivation(ctx, a1, a2):
+    return G.SPLIT.derive("Ret", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
+                          a1=a1, a2=a2, ctx=ctx)
+
+
+def _throw_left_derivation():
+    return G.SPLIT.derive("ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
+                          exc=EL.value(1), a2=Z2.value(0), result1=Z2)
+
+
+def _bind_derivation():
+    ctx = G.SplitContext(R.Env((("x1", Z2),)), R.Env((("x2", Z2),)))
+    cont = _ret_derivation(ctx, lambda g1: g1[0], lambda g2: g2[0])
+    return G.SPLIT.derive("Bind", (_throw_left_derivation(), cont))
+
+
+def _catch_derivation():
+    ctx = G.SplitContext(R.Env((("e1", EL),)), R.Env((("e2", ER),)))
+    handler = _ret_derivation(ctx, lambda g1: Z2.value(g1[0].index),
+                              lambda g2: Z2.value(1 - g2[0].index))
+    return G.SPLIT.derive("Catch", (_throw_left_derivation(), handler))
+
+
+@pytest.mark.parametrize("build", [_bind_derivation, _catch_derivation], ids=["bind", "catch"])
+def test_split_context_derivations_replay_and_hold(build):
+    d = build()
+    assert R.check_derivation(d).ok
+    v = R.oracle_check(d.conclusion)
+    assert v.holds and v.checked == 3
+    assert_triple_theta_equal(d.conclusion)
+
+
+def test_a_tampered_split_context_node_is_reported_at_its_path():
+    d = _catch_derivation()
+    body, handler = d.premises
+    # the handler's stated relational spec claims nothing, which Ret does not say
+    wrong = dataclasses.replace(handler.conclusion, wrel=lambda g1, g2: G.wp_weakest(PAIR))
+    tampered = dataclasses.replace(d, premises=(body, dataclasses.replace(handler, conclusion=wrong)))
+    res = R.check_derivation(tampered)
+    assert (res.ok, res.path) == (False, (1,))
+    assert res.message == "Ret: relational spec differs at e1=0 and e2=0"
+
+
+# ---------------------------------------------------------------------------
 # Registry plumbing
 
 
-def test_rule_registry_rejects_unknown_names_arity_and_params():
-    with pytest.raises(R.RuleError, match="unknown rule"):
-        G.apply_full_rule("Frobnicate")
-    with pytest.raises(R.RuleError, match="premises"):
-        G.apply_full_rule("Bind", (_ret_judgment(0, 0),))
-    with pytest.raises(R.RuleError, match="missing parameter"):
-        G.apply_full_rule("Ret", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
-                          a1=Z2.value(0))
-    with pytest.raises(R.RuleError, match="unknown parameter"):
-        G.apply_full_rule("Ret", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
-                          a1=Z2.value(0), a2=Z2.value(0), horizon=3)
+def _registry_case(kind):
+    """A catalogue's entry point, one of its zero-premise rules with every
+    parameter it needs and the last one it reads, and a two-premise rule."""
+    if kind == "core":
+        sig = P.state_sig(Z2)
+        return ((lambda name, prem=(), **kw: R.apply_rule(R.rule(name, **kw), prem)), "Ret",
+                dict(observation=O.observation_st(), sig1=sig, sig2=sig,
+                     a1=Z2.value(0), a2=Z2.value(0)), "a2", "Bind")
+    if kind == "split":
+        return (G.apply_full_rule, "Ret", dict(monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
+                                               a1=Z2.value(0), a2=Z2.value(0)), "a2", "Bind")
+    sig = W.store_signature(("l",), Z2)
+    return W.apply_rhl_rule, "Skip", dict(sig=sig, pre=(True,) * 4), "pre", "Seq"
+
+
+@pytest.mark.parametrize("kind", ["core", "split", "rhl"])
+def test_rule_registry_rejects_unknown_names_arity_and_params(kind):
+    apply, axiom, params, last, binary = _registry_case(kind)
+    one = apply(axiom, **params)
+    with pytest.raises(R.RuleError, match="^unknown rule 'Frobnicate'$"):
+        apply("Frobnicate")
+    with pytest.raises(R.RuleError, match=f"^{binary} takes 2 premises, got 1$"):
+        apply(binary, (one,))
+    with pytest.raises(R.RuleError, match=f"^{axiom}: missing parameter '{last}'$"):
+        apply(axiom, **{k: v for k, v in params.items() if k != last})
+    with pytest.raises(R.RuleError, match=f"^{axiom} does not take a parameter 'horizon'$"):
+        apply(axiom, horizon=3, **params)
 
 
 def test_rule_names_are_stable():
@@ -990,5 +1055,5 @@ def _random_full_derivation(rng, ctx, depth):
 def test_random_derivations_are_sound(seed):
     rng = random.Random(seed)
     j = _random_full_derivation(rng, G.EMPTY_SPLIT, rng.choice((1, 2, 2)))
-    v = G.full_oracle_check(j)
+    v = R.oracle_check(j)
     assert v.holds, (seed, v)

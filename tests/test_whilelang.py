@@ -8,6 +8,7 @@ triples per side, |S|^4 entries for unit-valued runs, read back point by
 point.
 """
 
+import dataclasses
 import random
 from itertools import product
 
@@ -344,7 +345,7 @@ def test_admissible_verdicts_of_rule_built_and_hand_made_instances():
     assert W.show_stmt(insts["if-sync"].left) == "if l then l := 1 else skip"
     assert W.show_stmt(insts["while-sync"].left) == "while l do l := l - 1"
     for name, inst in insts.items():
-        v = W.admissible(inst)
+        v = R.oracle_check(inst)
         point = v.inner.point if v.failed else None
         assert (v.kind, point) == ADMISSIBLE[name], name
 
@@ -444,7 +445,7 @@ def _valid(rng, pre, c1, c2, post=None):
     if post is None:
         post = _widen(rng, _table(_run_pairs(pre, c1, c2)))
     inst = W.RHLInstance(SIG, c1, c2, tuple(pre), tuple(post))
-    assert W.admissible(inst).holds
+    assert R.oracle_check(inst).holds
     return inst
 
 
@@ -532,6 +533,25 @@ def _guarded_both(pre, g1, g2, want):
     return tuple(pre[k] and g1[k // N] == want and g2[k % N] == want for k in range(N * N))
 
 
+# Premises the oracle accepts enter a derivation as hypotheses: instances of
+# a type whose catalogue has one rule, restating the instance it is given.
+_HYPOTHESES = R.Catalogue()
+
+
+class _Hypothesis(W.RHLInstance):
+    catalogue = _HYPOTHESES
+
+
+@_HYPOTHESES.rule("Hypothesis", arity=0)
+def _restate(r, _prem):
+    return r.need("inst")
+
+
+def _hypothesis(inst):
+    h = _Hypothesis(inst.sig, inst.left, inst.right, inst.pre, inst.post)
+    return R.Derivation(h, R.rule("Hypothesis", inst=h))
+
+
 def test_rhl_rules_preserve_admissibility():
     rng = random.Random(2019)
     assert set(W.rhl_rule_names()) == {
@@ -541,5 +561,24 @@ def test_rhl_rules_preserve_admissibility():
         for trial in range(_SOUNDNESS_TRIALS):
             premises, params = _rhl_case(name, rng)
             concl = W.apply_rhl_rule(name, premises, **params)
-            v = W.admissible(concl)
+            v = R.oracle_check(concl)
             assert v.holds, (name, trial, W.show_stmt(concl.left), W.show_stmt(concl.right), v)
+            # the same step as a derivation over its premises replays
+            d = W.RHL.derive(name, [_hypothesis(p) for p in premises], **params)
+            assert R.check_derivation(d).ok, (name, trial, R.check_derivation(d))
+            assert d.conclusion == concl and R.oracle_check(d.conclusion).holds
+
+
+def test_a_tampered_rhl_node_is_reported_at_its_path():
+    one = W.RHL.derive("Assign", sig=SIG, loc1="l", expr1=_expr("1"),
+                       loc2="l", expr2=_expr("1"), post=LOW_EQ)
+    skip = W.RHL.derive("Skip", sig=SIG, pre=LOW_EQ)
+    d = W.RHL.derive("Seq", (one, W.RHL.derive("Seq", (skip, skip))))
+    assert R.check_derivation(d).ok and R.oracle_check(d.conclusion).holds
+    inner = d.premises[1]
+    wrong = dataclasses.replace(skip, conclusion=dataclasses.replace(
+        skip.conclusion, right=W.parse_while("l := 0")))
+    tampered = dataclasses.replace(d, premises=(one, dataclasses.replace(inner, premises=(skip, wrong))))
+    res = R.check_derivation(tampered)
+    assert (res.ok, res.path) == (False, (1, 1))
+    assert res.message == "Skip: stated right differs from the rule's conclusion"
