@@ -5,7 +5,7 @@ Each observation maps two programs of a fixed effect into one carrier:
     theta_st    state pairs        -> WrelSt    (runs both sides, singleton demand)
     theta_ndet  nondeterminism     -> WrelPure  (forall / exists / forall-exists)
     theta_err   exceptions         -> WrelErr   (collapse every raise to one outcome)
-    theta_io    interactive pairs  -> WrelIO    (event histories, per-side tree walk)
+    theta_io    interactive pairs  -> WrelIO    (runs each side from its history)
     theta_part  loops, partial     -> WrelSt    (divergence satisfies everything)
     theta_tot   loops, total       -> WrelSt    (divergence satisfies nothing)
     theta_prob  probabilistic      -> WrelProb  (infimum over couplings, exact LP)
@@ -244,48 +244,17 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
 # Interaction
 
 
-@lru_cache(maxsize=None)
-def _one_sided_io_space(dom: FiniteDomain, side: int, i1, o1, i2, o2) -> OutcomeSpace:
-    return io_space(dom if side == 1 else UNIT, i1, o1,
-                    dom if side == 2 else UNIT, i2, o2)
-
-
-def _prepend(side: int, ev, pt):
-    """The history pair at pt with ev prepended to the given side's history."""
-    h1, h2 = pt
-    return ((ev,) + h1, h2) if side == 1 else (h1, (ev,) + h2)
-
-
 def _theta_io_spec(c: Program, space: OutcomeSpace, side: int, points) -> RelSpec:
-    """Each event node prepends to its own history component; subtrees are
-    embedded in `P._postorder`, so every node finds its kids' specs ready."""
-    alph = (space.i1, space.o1, space.i2, space.o2)
-    spec = {}
-    for q in P._postorder(c):
-        n = q.node
-        t = type(n)
-        if t is P.Ret:
-            pair = (n.value, Value(UNIT, 0)) if side == 1 else (Value(UNIT, 0), n.value)
-            w = spec_ret(_one_sided_io_space(q.result, side, *alph), *pair, points=points, horizon=0)
-        elif t is P.Output:
-            write = lambda pt, _ev=(P.OUT, n.value): {(0,) + _prepend(side, _ev, pt)}
-            prim = io_demonic_spec(_one_sided_io_space(UNIT, side, *alph), write, points, 1)
-            w = spec_bind(prim, lambda _i, _j, _sub=spec[id(n.then)]: _sub)
-        elif t is P.Bind or t is P.Input:
-            if t is P.Bind:
-                prim = spec[id(n.inner)]
-            else:
-                d = q.sig.inp
-                read = lambda pt, _d=d: {(i,) + _prepend(side, (P.IN, Value(_d, i)), pt)
-                                         for i in range(_d.size)}
-                prim = io_demonic_spec(_one_sided_io_space(d, side, *alph), read, points, 1)
-            subs = [spec[id(k)] for k in n.cont]
-            key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
-            w = spec_bind(prim, key)
-        else:
-            raise TypeError(f"{t.__name__} under io")
-        spec[id(q)] = w
-    return spec[id(c)]
+    """Run the program from its side's history at each point: the entry
+    holds every (result, final history) an input choice reaches, beside the
+    other side's history."""
+    def entry(pt):
+        h1, h2 = pt
+        if side == 1:
+            return {(v.index, h, h2) for v, h in P.io_outcomes(c, h1)}
+        return {(v.index, h1, h) for v, h in P.io_outcomes(c, h2)}
+
+    return io_demonic_spec(space, entry, points)
 
 
 def unary_theta_io(side: int, i1: FiniteDomain, o1: FiniteDomain,
@@ -501,7 +470,7 @@ def _sequence(w1: RelSpec, w2: RelSpec) -> RelSpec:
     a1d, a2d = tspace.a1, tspace.a2
     kw = {}
     if tspace.tag == "WrelIO":
-        kw = dict(points=w1.io_points, horizon=0)
+        kw = dict(points=w1.io_points)
 
     def outer(i1, _u):
         def inner(_v, i2):
@@ -517,7 +486,7 @@ def _sequence_flipped(w1: RelSpec, w2: RelSpec) -> RelSpec:
     a1d, a2d = tspace.a1, tspace.a2
     kw = {}
     if tspace.tag == "WrelIO":
-        kw = dict(points=w2.io_points, horizon=0)
+        kw = dict(points=w2.io_points)
 
     def outer(_u, i2):
         def inner(i1, _v):

@@ -1013,92 +1013,69 @@ def _io_obs(sig1: Signature, sig2: Signature, points) -> EffectObservation:
     return observation_io(sig1.inp, sig1.out, sig2.inp, sig2.out, points)
 
 
-@CORE.rule("InputL", arity=0)
-def _input_l(r: RuleInstance, _prem) -> Judgment:
+def _one_event_spec(sig1: Signature, sig2: Signature, points, left: bool, other: Value,
+                    steps, rdom: FiniteDomain) -> RelSpec:
+    """One side takes one of `steps`, (result, event) pairs, beside a
+    return of `other` on the other side: the event goes on the acting
+    side's history."""
+    if left:
+        sp = io_space(rdom, sig1.inp, sig1.out, other.domain, sig2.inp, sig2.out)
+
+        def fn(pt):
+            h1, h2 = pt
+            return {(x.index * other.domain.size + other.index, (ev,) + h1, h2)
+                    for x, ev in steps}
+    else:
+        sp = io_space(other.domain, sig1.inp, sig1.out, rdom, sig2.inp, sig2.out)
+
+        def fn(pt):
+            h1, h2 = pt
+            return {(other.index * rdom.size + x.index, h1, (ev,) + h2) for x, ev in steps}
+
+    return io_demonic_spec(sp, fn, points)
+
+
+@CORE.rule("InputL", "InputR", arity=0)
+def _input(r: RuleInstance, _prem) -> Judgment:
+    # InputL reads on the left beside a right return; InputR mirrors it
+    left = r.rule == "InputL"
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    a2f = _family(r.need("a2"))
+    af = _family(r.need("a2" if left else "a1"))
     points = tuple(r.get("points", IO_ROOT))
-    obs = _io_obs(sig1, sig2, points)
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
+    steps = tuple((i, (P.IN, i)) for i in sig.inp.values())
 
     def w(g):
-        a2 = a2f(g)
-        sp = io_space(sig1.inp, sig1.inp, sig1.out, a2.domain, sig2.inp, sig2.out)
+        return _one_event_spec(sig1, sig2, points, left, af(g), steps, sig.inp)
 
-        def fn(pt, _a=a2):
-            h1, h2 = pt
-            return {(i.index * _a.domain.size + _a.index, ((P.IN, i),) + h1, h2)
-                    for i in sig1.inp.values()}
-
-        return io_demonic_spec(sp, fn, points, 1)
-
-    return judgment(obs, lambda g: P.read_input(sig1), lambda g: P.ret(sig2, a2f(g)), w, env)
+    read = lambda g: P.read_input(sig)
+    other = lambda g: P.ret(other_sig, af(g))
+    c1, c2 = (read, other) if left else (other, read)
+    return judgment(_io_obs(sig1, sig2, points), c1, c2, w, env)
 
 
-@CORE.rule("InputR", arity=0)
-def _input_r(r: RuleInstance, _prem) -> Judgment:
+@CORE.rule("OutputL", "OutputR", arity=0)
+def _output(r: RuleInstance, _prem) -> Judgment:
+    # OutputL writes on the left beside a right return; OutputR mirrors it
+    left = r.rule == "OutputL"
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    a1f = _family(r.need("a1"))
+    if left:
+        of, af = _family(r.need("o1")), _family(r.need("a2"))
+    else:
+        af, of = _family(r.need("a1")), _family(r.need("o2"))
     points = tuple(r.get("points", IO_ROOT))
-    obs = _io_obs(sig1, sig2, points)
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(g):
-        a1 = a1f(g)
-        sp = io_space(a1.domain, sig1.inp, sig1.out, sig2.inp, sig2.inp, sig2.out)
+        return _one_event_spec(sig1, sig2, points, left, af(g),
+                               ((UNIT_VAL, (P.OUT, of(g))),), UNIT)
 
-        def fn(pt, _a=a1):
-            h1, h2 = pt
-            return {(_a.index * sig2.inp.size + i.index, h1, ((P.IN, i),) + h2)
-                    for i in sig2.inp.values()}
-
-        return io_demonic_spec(sp, fn, points, 1)
-
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.read_input(sig2), w, env)
-
-
-@CORE.rule("OutputL", arity=0)
-def _output_l(r: RuleInstance, _prem) -> Judgment:
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
-    env = r.get("env", EMPTY_ENV)
-    o1f, a2f = _family(r.need("o1")), _family(r.need("a2"))
-    points = tuple(r.get("points", IO_ROOT))
-    obs = _io_obs(sig1, sig2, points)
-
-    def w(g):
-        o1, a2 = o1f(g), a2f(g)
-        sp = io_space(UNIT, sig1.inp, sig1.out, a2.domain, sig2.inp, sig2.out)
-
-        def fn(pt, _o=o1, _a=a2):
-            h1, h2 = pt
-            return {(_a.index, ((P.OUT, _o),) + h1, h2)}
-
-        return io_demonic_spec(sp, fn, points, 1)
-
-    return judgment(obs, lambda g: P.output(sig1, o1f(g), P.ret(sig1, UNIT_VAL)),
-                    lambda g: P.ret(sig2, a2f(g)), w, env)
-
-
-@CORE.rule("OutputR", arity=0)
-def _output_r(r: RuleInstance, _prem) -> Judgment:
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
-    env = r.get("env", EMPTY_ENV)
-    a1f, o2f = _family(r.need("a1")), _family(r.need("o2"))
-    points = tuple(r.get("points", IO_ROOT))
-    obs = _io_obs(sig1, sig2, points)
-
-    def w(g):
-        a1, o2 = a1f(g), o2f(g)
-        sp = io_space(a1.domain, sig1.inp, sig1.out, UNIT, sig2.inp, sig2.out)
-
-        def fn(pt, _o=o2, _a=a1):
-            h1, h2 = pt
-            return {(_a.index, h1, ((P.OUT, _o),) + h2)}
-
-        return io_demonic_spec(sp, fn, points, 1)
-
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)),
-                    lambda g: P.output(sig2, o2f(g), P.ret(sig2, UNIT_VAL)), w, env)
+    write = lambda g: P.output(sig, of(g), P.ret(sig, UNIT_VAL))
+    other = lambda g: P.ret(other_sig, af(g))
+    c1, c2 = (write, other) if left else (other, write)
+    return judgment(_io_obs(sig1, sig2, points), c1, c2, w, env)
 
 
 # ---------------------------------------------------------------------------
@@ -1281,16 +1258,19 @@ def check_derivation(d: Derivation, cap: int = DEFAULT_CAP, seed: int = 0) -> Ch
     """Replay every node through the catalogue its conclusion's type names
     and compare with the stated conclusion (`mismatch` of that type).
     Premises replay before their node, from an explicit stack, so a tree of
-    any depth replays.  Reports the first failing node by its path of child
+    any depth replays.  A node the tree shares replays once per call, at its
+    first occurrence.  Reports the first failing node by its path of child
     indices from the root."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
+    done = set()                   # ids of the nodes replayed so far
     with _EvaluationScope():
         while stack:
             node, i = stack[-1]
             if i < len(node.premises):
                 stack[-1] = (node, i + 1)
-                stack.append((node.premises[i], 0))
-                path.append(i)
+                if id(node.premises[i]) not in done:
+                    stack.append((node.premises[i], 0))
+                    path.append(i)
                 continue
             stack.pop()
             stated = node.conclusion
@@ -1304,6 +1284,7 @@ def check_derivation(d: Derivation, cap: int = DEFAULT_CAP, seed: int = 0) -> Ch
             bad = stated.mismatch(computed, cap, seed)
             if bad is not None:
                 return CheckResult(False, tuple(path), f"{node.rule.rule}: {bad}")
+            done.add(id(node))
             if path:
                 path.pop()
     return _OK
@@ -1463,13 +1444,11 @@ def _grow_demonic(rng: random.Random, w: RelSpec) -> RelSpec:
 
 
 def _grow_io(rng: random.Random, w: RelSpec) -> RelSpec:
-    if not w.is_demonic:
-        return w
     doomed = frozenset(pt for pt in w.io_points if rng.random() < 0.2)
     if not doomed:
         return w
     return io_demonic_spec(w.space, lambda pt, _w=w: VIOLATED if pt in doomed
-                           else _w.demonic_at(pt), w.io_points, w.horizon or 0)
+                           else _w.demonic_at(pt), w.io_points)
 
 
 def _raise_prob(rng: random.Random, w: RelSpec) -> RelSpec:

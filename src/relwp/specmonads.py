@@ -29,9 +29,11 @@ operations on families, shared with the split-context carriers through
 sampled for these carriers, `spec_leq` decides them exactly, and a family
 past a documented size raises `SpecTooLarge`.
 
-Two carriers keep other bodies.  The interactive carrier computes demonic
-entries lazily per history point (or keeps a closure) and compares by
-enumerating the outcomes reachable within its horizon.  The quantitative
+The interactive carrier has one body too: a demonic entry per history
+point, the set of (value pair, history, history) outcomes that must all
+satisfy the postcondition, or VIOLATED.  Entries are computed lazily and
+kept once read; bind threads histories through them and `spec_leq`
+compares them by set inclusion at every declared point.  The quantitative
 carrier keeps a minimum of affine pieces with rational coefficients where it
 can, compared exactly by linear programming, and a closure elsewhere.
 
@@ -60,14 +62,13 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from . import lp
 from .domains import UNIT, FiniteDomain, Value, product_domain, sum_domain
-from .programs import IN, OUT, History
+from .programs import History
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
 _FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
 PP_TAGS = frozenset({"PPrelPure", "PPrelSt"})
 
 DEFAULT_CAP = 2 ** 14
-_IO_ENUM_LIMIT = 4096
 _PIECE_SELECTION_LIMIT = 4096
 _PIECE_LP_PRUNE_LIMIT = 160
 _PIECE_DOMINANCE_LIMIT = 48
@@ -115,9 +116,9 @@ class OutcomeSpace:
 
     The value domains a1/a2 are always present.  State carriers add
     s1/s2, interactive carriers add per-side input and output alphabets.
-    For the fixed carriers `size` counts outcomes exactly; interactive
-    outcome sets depend on a history point and an event horizon and are
-    enumerated per point instead.
+    For the fixed carriers `size` counts outcomes exactly.  Interactive
+    outcomes are (value pair, history, history) triples and form no finite
+    domain: each spec lists the ones it demands per history point.
     """
 
     tag: str
@@ -154,7 +155,7 @@ class OutcomeSpace:
             return sum_domain(self.pair_values, UNIT)
         if self.tag == "PPrelSt":
             return product_domain(self._pp_triple(self.s1, self.a1), self._pp_triple(self.s2, self.a2))
-        raise ValueError("interactive outcomes are enumerated per point")
+        raise ValueError("interactive outcomes are listed per history point")
 
     @staticmethod
     def _pp_triple(s: FiniteDomain, a: FiniteDomain) -> FiniteDomain:
@@ -232,44 +233,6 @@ class OutcomeSpace:
         si2, r2 = divmod(t2, self.a2.size * self.s2.size)
         a2i, sf2 = divmod(r2, self.s2.size)
         return si1, a1i, sf1, si2, a2i, sf2
-
-    # -- interactive carrier enumeration
-
-    @cached_property
-    def io_events1(self) -> Tuple[Tuple[str, Value], ...]:
-        return self._events(self.i1, self.o1)
-
-    @cached_property
-    def io_events2(self) -> Tuple[Tuple[str, Value], ...]:
-        return self._events(self.i2, self.o2)
-
-    @staticmethod
-    def _events(i: FiniteDomain, o: FiniteDomain) -> Tuple[Tuple[str, Value], ...]:
-        ins = tuple((IN, Value(i, k)) for k in range(i.size))
-        outs = tuple((OUT, Value(o, k)) for k in range(o.size))
-        return ins + outs
-
-    def io_outcomes_at(self, pt: Tuple[History, History], horizon: int) -> List[Tuple[int, History, History]]:
-        """Outcomes reachable from pt: value pairs with histories that
-        extend pt by at most `horizon` events per side (newest first)."""
-        h1, h2 = pt
-        exts1 = _extensions(self.io_events1, horizon)
-        exts2 = _extensions(self.io_events2, horizon)
-        out = []
-        for v in range(self.pair_values.size):
-            for e1 in exts1:
-                for e2 in exts2:
-                    out.append((v, e1 + h1, e2 + h2))
-        return out
-
-
-def _extensions(events, horizon: int) -> List[History]:
-    layers: List[History] = [()]
-    frontier: List[History] = [()]
-    for _ in range(horizon):
-        frontier = [(e,) + h for h in frontier for e in events]
-        layers.extend(frontier)
-    return layers
 
 
 # Built spaces by field tuple, the way `domains.product_domain` memoises
@@ -657,32 +620,29 @@ class RelSpec:
 
     Exactly one body is populated:
       fams     fixed propositional carriers: one demand family per point
-      table    interactive carrier: demonic entries, a memoized function of
-               history points
-      closure  interactive carrier: (phi, point) -> bool
+      table    interactive carrier: a demonic entry per history point, a
+               function of the point whose answers are kept once read
       pieces   min-of-affine pieces (constant, coefficient row)
       qclosure phi-vector -> Fraction
       pre/post explicit tables for the pre-/postcondition carriers
     """
 
     __slots__ = (
-        "tag", "space", "fams", "table", "closure", "pieces", "qclosure",
-        "pre", "post", "io_points", "horizon", "_io_cache",
+        "tag", "space", "fams", "table", "pieces", "qclosure",
+        "pre", "post", "io_points", "_io_cache",
     )
 
-    def __init__(self, tag, space, fams=None, table=None, closure=None, pieces=None,
-                 qclosure=None, pre=None, post=None, io_points=None, horizon=None):
+    def __init__(self, tag, space, fams=None, table=None, pieces=None,
+                 qclosure=None, pre=None, post=None, io_points=None):
         self.tag = tag
         self.space = space
         self.fams = fams
         self.table = table
-        self.closure = closure
         self.pieces = pieces
         self.qclosure = qclosure
         self.pre = pre
         self.post = post
         self.io_points = io_points
-        self.horizon = horizon
         # entries read so far; only interactive table specs have any
         self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
             {} if table is not None else None)
@@ -691,14 +651,16 @@ class RelSpec:
 
     @property
     def is_demonic(self) -> bool:
-        """At most one demand per point (interactive: entries, not a closure)."""
+        """At most one demand per point.  Interactive specs always are: their
+        one body is a demonic entry per history point."""
         if self.fams is not None:
             return all(len(f) <= 1 for f in self.fams)
         return self.table is not None
 
     def demonic_at(self, pt):
         """The demonic entry at a point: its one demand's outcomes, VIOLATED,
-        or None for several demands (or an interactive closure)."""
+        or None for several demands (and on the quantitative and pre/post
+        carriers)."""
         if self.fams is not None:
             fam = self.fams[pt]
             if len(fam) != 1:
@@ -725,9 +687,7 @@ class RelSpec:
             return _accepts(self.fams[pt], phi)
         f = phi.__contains__ if isinstance(phi, (set, frozenset)) else phi
         entry = self.demonic_at(pt)
-        if entry is not None:
-            return entry is not VIOLATED and all(f(o) for o in entry)
-        return bool(self.closure(f, pt))
+        return entry is not VIOLATED and all(f(o) for o in entry)
 
     def _norm_point(self, point):
         if self.tag == "WrelIO":
@@ -846,28 +806,22 @@ def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
     return _fixed(space, fams)
 
 
-def io_demonic_spec(space: OutcomeSpace, fn, points, horizon: int) -> RelSpec:
-    """Interactive spec with lazily computed demonic entries.
+def io_demonic_spec(space: OutcomeSpace, fn, points) -> RelSpec:
+    """Interactive spec from its demonic entries, the one body of the
+    interactive carrier.
 
     `fn` maps a history pair to VIOLATED or a set of (value, h1, h2)
-    outcomes; `points` declares where comparisons happen; `horizon`
-    bounds how far outcomes extend the evaluation point.
+    outcomes, where value indexes the value pair; it is called at most once
+    per point.  `points` declares where comparisons happen.
     """
     if space.tag != "WrelIO":
         raise ValueError("io_demonic_spec needs the interactive carrier")
     pts = tuple(points)
-    return RelSpec("WrelIO", space, table=lambda pt: _norm_io_entry(fn(pt)),
-                   io_points=pts, horizon=horizon)
+    return RelSpec("WrelIO", space, table=lambda pt: _norm_io_entry(fn(pt)), io_points=pts)
 
 
 def _norm_io_entry(entry):
     return VIOLATED if entry is VIOLATED else frozenset(entry)
-
-
-def io_closure_spec(space: OutcomeSpace, fn, points, horizon: int) -> RelSpec:
-    if space.tag != "WrelIO":
-        raise ValueError("io_closure_spec needs the interactive carrier")
-    return RelSpec("WrelIO", space, closure=fn, io_points=tuple(points), horizon=horizon)
 
 
 def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpec:
@@ -947,7 +901,7 @@ def _check_value(v: Value, dom: FiniteDomain, side: str):
         raise ValueError(f"{side} value from domain {v.domain.name!r}, expected {dom.name!r}")
 
 
-def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None, horizon: int = 0) -> RelSpec:
+def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None) -> RelSpec:
     """The unit: demand the postcondition exactly at the given value pair."""
     _check_value(a1, space.a1, "left")
     _check_value(a2, space.a2, "right")
@@ -966,7 +920,7 @@ def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None, horizon: in
     if tag == "WrelIO":
         pts = tuple(points) if points is not None else (((), ()),)
         v = i1 * space.a2.size + i2
-        return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])}, pts, horizon)
+        return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])}, pts)
     if tag == "WrelProb":
         coeffs = [ZERO] * space.size
         coeffs[i1 * space.a2.size + i2] = ONE
@@ -1099,38 +1053,30 @@ def _fixed_subs(space: OutcomeSpace, conts, tspace: OutcomeSpace) -> List[Frozen
 
 
 def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
-    space = wm.space
-    horizon = (wm.horizon or 0) + max((w.horizon or 0) for w in conts.values())
-    pair = lambda v: divmod(v, space.a2.size)
-    if wm.is_demonic and all(w.is_demonic for w in conts.values()):
-        def entry(pt, _wm=wm, _conts=conts):
-            # the entry, or the first part entry still missing: parts are
-            # read in order and the first VIOLATED one ends the reading
-            r = _wm._io_cache.get(pt)
-            if r is None:
-                return (_wm, pt)
-            if r is VIOLATED:
+    """Each outcome of wm's entry continues from the histories it carries;
+    the bound entry is the union of the continuations' entries there."""
+    width = wm.space.a2.size
+
+    def entry(pt):
+        # the entry, or the first part entry still missing: parts are
+        # read in order and the first VIOLATED one ends the reading
+        r = wm._io_cache.get(pt)
+        if r is None:
+            return (wm, pt)
+        if r is VIOLATED:
+            return VIOLATED
+        acc = set()
+        for (v, h1, h2) in r:
+            sw, spt = conts[divmod(v, width)], (h1, h2)
+            sub = sw._io_cache.get(spt)
+            if sub is None:
+                return (sw, spt)
+            if sub is VIOLATED:
                 return VIOLATED
-            acc = set()
-            for (v, h1, h2) in r:
-                sw, spt = _conts[pair(v)], (h1, h2)
-                sub = sw._io_cache.get(spt)
-                if sub is None:
-                    return (sw, spt)
-                if sub is VIOLATED:
-                    return VIOLATED
-                acc |= sub
-            return frozenset(acc)
-        return RelSpec("WrelIO", cspace, table=entry, io_points=wm.io_points,
-                       horizon=horizon)
+            acc |= sub
+        return frozenset(acc)
 
-    def body(f, pt, _wm=wm, _conts=conts):
-        def psi(o):
-            v, h1, h2 = o
-            return _conts[pair(v)].at(f, (h1, h2))
-        return _wm.at(psi, pt)
-
-    return io_closure_spec(cspace, body, wm.io_points, horizon)
+    return RelSpec("WrelIO", cspace, table=entry, io_points=wm.io_points)
 
 
 def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -1283,7 +1229,7 @@ def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
     tag = space.tag
     if tag == "WrelIO":
         pts = tuple(points) if points is not None else (((), ()),)
-        return io_demonic_spec(space, lambda pt: VIOLATED, pts, 0)
+        return io_demonic_spec(space, lambda pt: VIOLATED, pts)
     if tag == "WrelProb":
         return linear_spec(space, [(ONE, [ZERO] * space.size)])
     if tag in PP_TAGS:
@@ -1296,7 +1242,7 @@ def weakest(space: OutcomeSpace, points=None) -> RelSpec:
     tag = space.tag
     if tag == "WrelIO":
         pts = tuple(points) if points is not None else (((), ()),)
-        return io_demonic_spec(space, lambda pt: frozenset(), pts, 0)
+        return io_demonic_spec(space, lambda pt: frozenset(), pts)
     if tag == "WrelProb":
         return linear_spec(space, [(ZERO, [ZERO] * space.size)])
     if tag in PP_TAGS:
@@ -1346,10 +1292,11 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     families are equal specs and hold at once.  `cap` and `seed` do not
     reach these carriers.
 
-    Interactive specs compare as set inclusion when both are demonic, else
-    by enumerating postconditions over the reachable outcomes up to `cap`,
-    then sampling with `seed`, answering Unknown when nothing refutes.
-    Quantitative pieces compare exactly: per piece of w2, a box bound
+    Interactive specs have one body, a demonic entry per history point, and
+    compare exactly by set inclusion at every declared point: w <= w2 fails
+    at the first point where w2's entry is satisfiable and w's is VIOLATED
+    or not inside it, with w2's entry as the witness `phi`.  `cap` and
+    `seed` do not reach them either.  Quantitative pieces compare exactly: per piece of w2, a box bound
     settles the difference family when it is already <= 0, and linear
     programming decides the rest.  Quantitative closures are only ever
     refuted, never confirmed.
@@ -1366,7 +1313,7 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     if w.tag == "WrelProb":
         return _leq_prob(w, w2, cap, seed)
     if w.tag == "WrelIO":
-        return _leq_io(w, w2, cap, seed)
+        return _leq_io(w, w2)
     if w.fams == w2.fams:
         return HOLDS
     for pt, (fam, fam2) in enumerate(zip(w.fams, w2.fams)):
@@ -1430,44 +1377,14 @@ def _leq_prob(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
                     "confirmation needs explicit pieces on both sides")
 
 
-def _leq_io(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
+def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     if set(w.io_points) != set(w2.io_points):
         raise ValueError("cannot compare interactive specs with different declared points")
-    if w.is_demonic and w2.is_demonic:
-        for pt in w.io_points:
-            r2 = w2.demonic_at(pt)
-            if r2 is VIOLATED:
-                continue
-            r = w.demonic_at(pt)
-            if r is VIOLATED or not r <= r2:
-                return _fails(frozenset(r2), point=pt,
-                              note="right holds but left does not at this point")
-        return HOLDS
-    horizon = max(w.horizon or 0, w2.horizon or 0)
-    rng = random.Random(seed)
     for pt in w.io_points:
-        outs = w.space.io_outcomes_at(pt, horizon)
-        for side in (w, w2):
-            entry = side.demonic_at(pt) if side.is_demonic else None
-            if entry is not None and entry is not VIOLATED and not entry <= set(outs):
-                raise ValueError("demonic outcomes exceed the declared horizon")
-        n = len(outs)
-        if n > _IO_ENUM_LIMIT:
-            return _unknown(f"{n} reachable outcomes at {pt} is past the enumeration limit")
-        if 2 ** n <= cap:
-            subsets: Iterable = (frozenset(o for i, o in enumerate(outs) if mask >> i & 1)
-                                 for mask in range(2 ** n))
-        else:
-            pool = [frozenset(), frozenset(outs)]
-            pool += [frozenset({o}) for o in outs]
-            pool += [frozenset(outs) - {o} for o in outs]
-            pool += [frozenset(o for o in outs if rng.random() < 0.5) for _ in range(cap)]
-            subsets = pool
-        exhaustive = 2 ** n <= cap
-        for phi in subsets:
-            if w2.at(phi, pt) and not w.at(phi, pt):
-                return _fails(phi, point=pt,
-                              note="right holds but left does not at this point")
-        if not exhaustive:
-            return _unknown(f"{n} reachable outcomes at {pt} exceed the enumeration cap")
+        r2 = w2.demonic_at(pt)
+        if r2 is VIOLATED:
+            continue
+        r = w.demonic_at(pt)
+        if r is VIOLATED or not r <= r2:
+            return _fails(r2, point=pt, note="right holds but left does not at this point")
     return HOLDS

@@ -4,8 +4,10 @@ Each is a direct transcription of its definition, kept apart from `relwp`
 on purpose: `normalize` is the structural normal form the iterative one in
 `programs` must reproduce node for node, `run_imp_fuel` cross-checks
 `run_imp`'s divergence verdicts, and `theta_part_slow` cross-checks
-`theta_part` through the fixpoint of the one-sided transformers.  Those
-recurse once per tree level, so keep their inputs shallow.
+`theta_part` through the fixpoint of the one-sided transformers, and
+`theta_io_walk` builds θ_io node by node from spec units and binds where
+`theta_io` runs the evaluator.  Those recurse once per tree level, so keep
+their inputs shallow.
 
 `leq_by_enumeration` and `bind_by_evaluation` read specs of the fixed
 propositional carriers only through `RelSpec.at`: the first tries every
@@ -21,12 +23,12 @@ from typing import Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
-from relwp.domains import FiniteDomain, Value
+from relwp.domains import UNIT, FiniteDomain, Value
 from relwp.lp import coupling_vertices
-from relwp.observations import from_commuting_pair, unary_theta_part
-from relwp.programs import (Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input, Output,
-                            PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import RelSpec, spec_bind, spec_leq, spec_ret
+from relwp.observations import UnaryObservation, from_commuting_pair, unary_theta_part
+from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
+                            Output, PickFin, Program, Put, Ret, Throw)
+from relwp.specmonads import RelSpec, io_demonic_spec, io_space, spec_bind, spec_leq, spec_ret
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -194,6 +196,54 @@ def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
     u1 = unary_theta_part(1, c1.sig.state, c2.sig.state)
     u2 = unary_theta_part(2, c1.sig.state, c2.sig.state)
     return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)
+
+
+def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
+    """One-sided θ_io on the given side, built on the tree: a return is the
+    unit, an output the one outcome with its event put on the side's
+    history, an input one outcome per value read; event nodes and binds
+    bind into their subtrees' specs.  `alph` is (i1, o1, i2, o2)."""
+    i1, o1, i2, o2 = alph
+
+    def space(dom):
+        return io_space(dom if side == 1 else UNIT, i1, o1, dom if side == 2 else UNIT, i2, o2)
+
+    def push(ev, pt):
+        h1, h2 = pt
+        return ((ev,) + h1, h2) if side == 1 else (h1, (ev,) + h2)
+
+    def then(prim, kids):
+        specs = [walk(k) for k in kids]
+        return spec_bind(prim, lambda j1, j2: specs[j1 if side == 1 else j2])
+
+    def walk(q: Program) -> RelSpec:
+        n = q.node
+        if isinstance(n, Ret):
+            u = Value(UNIT, 0)
+            pair = (n.value, u) if side == 1 else (u, n.value)
+            return spec_ret(space(q.result), *pair, points=points)
+        if isinstance(n, Output):
+            ev = (OUT, n.value)
+            return then(io_demonic_spec(space(UNIT), lambda pt: {(0,) + push(ev, pt)}, points),
+                        [n.then])
+        if isinstance(n, Input):
+            d = q.sig.inp
+            read = lambda pt: {(v.index,) + push((IN, v), pt) for v in d.values()}
+            return then(io_demonic_spec(space(d), read, points), n.cont)
+        if isinstance(n, Bind):
+            return then(walk(n.inner), n.cont)
+        raise TypeError(f"{n.__class__.__name__} under io")
+
+    return walk(c)
+
+
+def theta_io_by_walks(c1: Program, c2: Program, points) -> RelSpec:
+    """θ_io paired from the two one-sided walks."""
+    alph = (c1.sig.inp, c1.sig.out, c2.sig.inp, c2.sig.out)
+    u1, u2 = (UnaryObservation(f"theta-io-walk/{side}", P.IO, side, "WrelIO",
+                               lambda c, _s=side: theta_io_walk(c, _s, alph, points))
+              for side in (1, 2))
+    return from_commuting_pair(u1, u2, name="theta-io").map(c1, c2)
 
 
 def is_coupling(p: Sequence, q: Sequence, d: Sequence) -> bool:

@@ -164,8 +164,8 @@ def test_deep_programs_built_apart_compare_and_hash_equal(effect):
 
 
 def test_one_sided_embeddings_of_long_chains():
-    # the one-sided embeddings build a spec per node, so a shorter chain
-    # keeps this quick; it is still deeper than Python's default stack
+    # θ_part's one-sided embedding builds a spec per node, so its chain is
+    # shorter; it is still deeper than Python's default stack
     sig = P.imp_sig(Z2)
     p = P.get_state(sig)
     for i in range(1500):
@@ -175,12 +175,13 @@ def test_one_sided_embeddings_of_long_chains():
                for pt in w.space.points())
     io = P.io_sig(Z2, Z2)
     q = P.ret(io, UNIT_VAL)
-    for i in range(1500):
+    for i in range(N):
         q = P.output(io, Z2.value(0), q)
-    # each output's entry needs the next one's, 1500 binds down
+    history = ((P.OUT, Z2.value(0)),) * N
     w = O.unary_theta_io(1, Z2, Z2, Z2, Z2).embed(q)
-    history = ((P.OUT, Z2.value(0)),) * 1500
     assert w.demonic_at(((), ())) == frozenset({(0, history, ())})
+    # the pair reads the left entry, then the right one from its end point
+    assert O.theta_io(q, q).demonic_at(((), ())) == frozenset({(0, history, history)})
 
 
 def _left_chain(first, table, n=N):
@@ -409,16 +410,48 @@ def test_a_long_weaken_chain():
     assert R.oracle_check(d.conclusion).holds
 
 
-def test_a_long_rhl_seq_chain():
+def _assign_h(expr, post):
+    return W.RHL.derive("Assign", sig=SIG, loc1="h", expr1=expr,
+                        loc2="h", expr2=expr, post=post)
+
+
+def _count_assign_bodies(monkeypatch) -> list:
+    """Count the Assign rule bodies run from here on, in a one-item list."""
+    body, arity = W.RHL._rules["Assign"]
+    runs = [0]
+
+    def counted(*args):
+        runs[0] += 1
+        return body(*args)
+
+    monkeypatch.setitem(W.RHL._rules, "Assign", (counted, arity))
+    return runs
+
+
+def test_a_long_rhl_seq_chain(monkeypatch):
     n = W.store_domain(SIG).size
     low_eq = W.rel_table(SIG, lambda i, j: i // 2 == j // 2)
-    step = W.RHL.derive("Assign", sig=SIG, loc1="h", expr1=W.Loc("l"),
-                        loc2="h", expr2=W.Loc("l"), post=low_eq)
+    step = _assign_h(W.Loc("l"), low_eq)
     assert step.conclusion.pre == low_eq and len(low_eq) == n * n
     d = step
     for _ in range(N):
         d = W.RHL.derive("Seq", (d, step))
     assert W.stmt_locations(d.conclusion.left) == {"l", "h"}
+    runs = _count_assign_bodies(monkeypatch)
     assert R.check_derivation(d).ok
+    assert runs == [1]        # the leaf is shared N + 1 times, and replays once
     assert R.oracle_check(d.conclusion).holds
+
+
+def test_a_failing_shared_node_reports_its_first_occurrence(monkeypatch):
+    low_eq = W.rel_table(SIG, lambda i, j: i // 2 == j // 2)
+    step = _assign_h(W.Loc("l"), low_eq)
+    # states `h := h` while its rule assigns `h := l`
+    bad = R.Derivation(_assign_h(W.Loc("h"), low_eq).conclusion, step.rule)
+    d = W.RHL.derive("Seq", (W.RHL.derive("Seq", (step, bad)), bad))
+    runs = _count_assign_bodies(monkeypatch)
+    res = R.check_derivation(d)
+    assert not res.ok and res.path == (0, 1)
+    assert res.message.startswith("Assign: stated left differs")
+    assert runs == [2]        # step, then bad's first occurrence
 

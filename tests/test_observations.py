@@ -219,6 +219,25 @@ def test_theta_io_prepend_equivariance():
     assert w.demonic_at((h1, h2)) == shifted
 
 
+def test_theta_io_matches_the_reference_walk():
+    # θ_io runs the evaluator; the reference binds one spec per tree node
+    battery = O.battery_io(Z2, Z2, Z2, depth=3)
+    pool = sorted({c for f1, _ in battery.fs for c in f1} | {m for m, _ in battery.ms},
+                  key=repr)
+    pool += [P.bind(m1, f1) for (m1, _), (f1, _) in zip(battery.ms[::997], battery.fs)]
+    v0, v1 = Z2.value(0), Z2.value(1)
+    pts = (ROOT, (((P.OUT, v0),), ()), (((P.IN, v1),), ((P.OUT, v1), (P.IN, v0))))
+    alph = (Z2, Z2, Z2, Z2)
+    for side in (1, 2):
+        embed = O.unary_theta_io(side, *alph, points=pts).embed
+        for c in pool:
+            w, ref = embed(c), reference.theta_io_walk(c, side, alph, pts)
+            assert all(w.demonic_at(pt) == ref.demonic_at(pt) for pt in pts), (side, c)
+    for c1, c2 in list(battery.ms[::61]) + list(zip(pool[::7], pool[::-5])):
+        w, ref = O.theta_io(c1, c2, points=pts), reference.theta_io_by_walks(c1, c2, pts)
+        assert all(w.demonic_at(pt) == ref.demonic_at(pt) for pt in pts), (c1, c2)
+
+
 def test_io_unary_pair_commutes_on_enumeration():
     u1 = O.unary_theta_io(1, Z2, Z2, Z2, Z2)
     u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2)

@@ -43,13 +43,6 @@ def test_space_size_arithmetic():
     assert sm.pp_state_space(Z2, Z2, Z2, Z2).size == 64  # (2*2*2) squared
 
 
-def test_io_outcome_enumeration_counts():
-    space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
-    # per side: one empty extension plus 4 one-event extensions
-    assert len(space.io_outcomes_at(((), ()), 0)) == 4
-    assert len(space.io_outcomes_at(((), ()), 1)) == 4 * 5 * 5
-
-
 def test_state_outcome_roundtrip():
     space = sm.state_space(Z3, Z2, Z4, Z2)
     for a1 in range(3):
@@ -207,10 +200,9 @@ def test_bind_io_threads_histories():
     space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     pts = (((), ()),)
     ev = (OUT, Z2.value(1))
-    wm = sm.io_demonic_spec(space, lambda pt: {(3, (ev,) + pt[0], pt[1])}, pts, 1)
+    wm = sm.io_demonic_spec(space, lambda pt: {(3, (ev,) + pt[0], pt[1])}, pts)
     wf = lambda i1, i2: sm.spec_ret(space, Z2.value(1 - i1), Z2.value(i2), points=pts)
     out = sm.spec_bind(wm, wf)
-    assert out.horizon == 1
     assert out.demonic_at(((), ())) == frozenset({(0 * 2 + 1, (ev,), ())})
 
 
@@ -263,15 +255,23 @@ def _random_pieces(rng, space):
     return sm.linear_spec(space, pieces)
 
 
-def _random_io(rng, space, points, horizon):
+def _io_outcomes_near(space, pt):
+    """The outcomes that extend each history of pt by at most one event."""
+    def steps(i, o, h):
+        return [h] + [((IN, v),) + h for v in i.values()] + [((OUT, v),) + h for v in o.values()]
+    h1, h2 = pt
+    return [(v, e1, e2) for v in range(space.a1.size * space.a2.size)
+            for e1 in steps(space.i1, space.o1, h1) for e2 in steps(space.i2, space.o2, h2)]
+
+
+def _random_io(rng, space, points):
     seed = rng.randrange(10 ** 9)
     def fn(pt):
         local = random.Random(f"{seed}:{pt!r}")
         if local.random() < 0.1:
             return sm.VIOLATED
-        outs = space.io_outcomes_at(pt, horizon)
-        return frozenset(o for o in outs if local.random() < 0.3)
-    return sm.io_demonic_spec(space, fn, points, horizon)
+        return frozenset(o for o in _io_outcomes_near(space, pt) if local.random() < 0.3)
+    return sm.io_demonic_spec(space, fn, points)
 
 
 def _spaces_for_laws():
@@ -318,8 +318,8 @@ def test_monad_laws_io(seed):
     space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     pts = (((), ()), (((IN, Z2.value(0)),), ((OUT, Z2.value(1)),)))
     a1, a2 = Z2.value(rng.randrange(2)), Z2.value(rng.randrange(2))
-    wm = _random_io(rng, space, pts, 1)
-    f_table = {(i1, i2): _random_io(rng, space, pts, 1) for i1 in range(2) for i2 in range(2)}
+    wm = _random_io(rng, space, pts)
+    f_table = {(i1, i2): _random_io(rng, space, pts) for i1 in range(2) for i2 in range(2)}
     f = lambda i1, i2: f_table[(i1, i2)]
 
     left = sm.spec_bind(sm.spec_ret(space, a1, a2, points=pts), f)
@@ -328,11 +328,53 @@ def test_monad_laws_io(seed):
     unit = lambda i1, i2: sm.spec_ret(space, Z2.value(i1), Z2.value(i2), points=pts)
     assert sm.spec_equiv(sm.spec_bind(wm, unit), wm).holds
 
-    g_table = {(i1, i2): _random_io(rng, space, pts, 1) for i1 in range(2) for i2 in range(2)}
+    g_table = {(i1, i2): _random_io(rng, space, pts) for i1 in range(2) for i2 in range(2)}
     g = lambda i1, i2: g_table[(i1, i2)]
     lhs = sm.spec_bind(sm.spec_bind(wm, f), g)
     rhs = sm.spec_bind(wm, lambda i1, i2: sm.spec_bind(f(i1, i2), g))
     assert sm.spec_equiv(lhs, rhs).holds
+
+
+def _io_leq_by_enumeration(w, w2) -> bool:
+    """w <= w2 by trying, at every declared point, each postcondition over
+    the outcomes the two entries name; the others change neither side."""
+    for pt in w.io_points:
+        named = set()
+        for e in (w.demonic_at(pt), w2.demonic_at(pt)):
+            named |= set() if e is sm.VIOLATED else e
+        named = sorted(named, key=repr)
+        for mask in range(2 ** len(named)):
+            phi = frozenset(o for k, o in enumerate(named) if mask >> k & 1)
+            if w2.at(phi, pt) and not w.at(phi, pt):
+                return False
+    return True
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10 ** 9))
+def test_io_comparison_is_always_decided(seed):
+    # random interactive specs and one above the first, each compared with
+    # each in both directions: only holds or fails, as enumeration says
+    rng = random.Random(seed)
+    space = sm.io_space(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT)
+    u = Value(UNIT, 0)
+    pts = (((), ()), (((IN, u),), ((OUT, u), (IN, u))))
+    w = _random_io(rng, space, pts)
+    above = {}
+    for pt in pts:
+        e = w.demonic_at(pt)
+        grow = frozenset(o for o in _io_outcomes_near(space, pt) if rng.random() < 0.2)
+        above[pt] = sm.VIOLATED if e is sm.VIOLATED or rng.random() < 0.2 else e | grow
+    specs = [w, sm.io_demonic_spec(space, above.__getitem__, pts),
+             _random_io(rng, space, pts), sm.weakest(space, pts), sm.unsatisfiable(space, pts)]
+    assert sm.spec_leq(w, specs[1]).holds
+    for a in specs:
+        for b in specs:
+            v = sm.spec_leq(a, b)
+            assert v.kind in ("holds", "fails")
+            assert v.holds == _io_leq_by_enumeration(a, b)
+            if v.failed:
+                assert b.at(v.phi, v.point) and not a.at(v.phi, v.point)
 
 
 @settings(deadline=None, max_examples=25)
@@ -941,7 +983,7 @@ def test_space_constructors_return_one_object_per_field_tuple(name):
     for twin in (_twin_direct(space), _twin_pickled(space)):
         assert twin == space and twin is not space
         assert twin.point_count == space.point_count
-        if name != "io":      # interactive outcomes are enumerated per point
+        if name != "io":      # interactive outcomes form no finite domain
             assert twin.size == space.size
 
 
