@@ -13,8 +13,8 @@ Carriers are assembled rather than hard-coded.  A base lift turns a simple
 relational carrier into a triple whose unary parts run against a unit result
 on the opposite side; transformers then add exception or state structure to
 one side at a time.  The canonical exception carrier is the base lift with
-an exception transformer applied to each side, and a hand-written version of
-the same carrier is kept alongside as an oracle for it.
+an exception transformer applied to each side; the tests pin it against a
+hand-written version of the same carrier.
 
 Payloads over finite outcome domains are `specmonads.Wp`: one demand family
 (the minimal accepted postconditions, as outcome bitmasks), the same exact
@@ -560,59 +560,6 @@ def _exc_carrier(monad: FullSpecMonad, who: str) -> Tuple[FiniteDomain, FiniteDo
     raise RuleError(f"{who}: needs the canonical exception carrier, got {monad.name}")
 
 
-# ---------------------------------------------------------------------------
-# Hand-written exception carrier
-#
-# The same transformer the assembled carrier is expected to produce, written
-# out as one four-way case split.  It exists to pin the assembled version
-# down: the two are compared extensionally in the tests.
-
-
-def wrelexc_ret(a1: Value, e1: FiniteDomain, a2: Value, e2: FiniteDomain) -> Wp:
-    s1 = sum_domain(a1.domain, e1)
-    s2 = sum_domain(a2.domain, e2)
-    return wp_ret(product_domain(s1, s2),
-                  inl_index(a1.domain, e1, a1.index) * s2.size
-                  + inl_index(a2.domain, e2, a2.index))
-
-
-def wrelexc_bind(wm: Wp, f1: Sequence[Wp], f2: Sequence[Wp], frel,
-                 e1: FiniteDomain, e2: FiniteDomain,
-                 b1dom: FiniteDomain, b2dom: FiniteDomain) -> Wp:
-    """Sequencing over pairs of tagged outcomes.
-
-    Both normal: the relational continuation.  One side raised: that
-    exception is pinned while the other side's unary continuation fills in
-    its half of the pair.  Both raised: the exception pair is final.
-    """
-    f1 = tuple(f1)
-    f2 = tuple(f2)
-    a1n, a2n = len(f1), len(f2)
-    s1 = sum_domain(b1dom, e1)
-    s2 = sum_domain(b2dom, e2)
-    rdom = product_domain(s1, s2)
-    arg2n = a2n + e2.size
-    if wm.dom.size != (a1n + e1.size) * arg2n:
-        raise ValueError("middle spec does not cover the stated outcome pairs")
-    table = []
-    for k in range(wm.dom.size):
-        ae1, ae2 = divmod(k, arg2n)
-        if ae1 < a1n and ae2 < a2n:
-            t = frel[ae1][ae2]
-        elif ae1 < a1n:
-            err2 = b2dom.size + (ae2 - a2n)
-            t = wp_map(f1[ae1], rdom, lambda be1, j=err2: be1 * s2.size + j)
-        elif ae2 < a2n:
-            err1 = b1dom.size + (ae1 - a1n)
-            t = wp_map(f2[ae2], rdom, lambda be2, i=err1: i * s2.size + be2)
-        else:
-            err1 = b1dom.size + (ae1 - a1n)
-            err2 = b2dom.size + (ae2 - a2n)
-            t = wp_ret(rdom, err1 * s2.size + err2)
-        table.append(t)
-    return wp_bind(wm, table)
-
-
 def simulation_spec(a1: FiniteDomain, e1: FiniteDomain,
                     a2: FiniteDomain, e2: FiniteDomain) -> Wp:
     """Accepts postconditions that hold everywhere except where the left
@@ -753,7 +700,7 @@ class FullJudgment:
 
     catalogue: ClassVar[Catalogue] = SPLIT
 
-    def mismatch(self, computed: "FullJudgment", cap: int, seed: int) -> Optional[str]:
+    def mismatch(self, computed: "FullJudgment") -> Optional[str]:
         """How this stated conclusion differs from the rule's own: programs
         up to normalization per valuation, and each clause's spec in both
         directions.  None when they agree."""
@@ -779,11 +726,10 @@ class FullJudgment:
                             f"and {_show_valuation(right, g2)}")
         return None
 
-    def oracle(self, cap: int, seed: int) -> OracleVerdict:
+    def oracle(self) -> OracleVerdict:
         """Clause by clause: the left unary claim over left valuations, the
-        right one over right valuations, the relational one over pairs.
-        Payloads are exact, so no verdict is unknown and cap and seed go
-        unused."""
+        right one over right valuations, the relational one over pairs; the
+        first clause that fails names the verdict, else it holds."""
         checked = 0
         m, th = self.monad, self.theta
         for g1 in self.ctx.left.valuations():

@@ -24,7 +24,6 @@ battery builders rely on that to dedupe enumerated programs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +36,6 @@ from .domains import BOOL, UNIT, FiniteDomain, Value, boolv
 from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
-    DEFAULT_CAP,
     ContTable,
     LeqVerdict,
     OutcomeSpace,
@@ -53,6 +51,7 @@ from .specmonads import (
     prob_space,
     pure_space,
     spec_bind,
+    spec_equiv,
     spec_leq,
     spec_ret,
     state_space,
@@ -66,7 +65,7 @@ STRICT, LAX = "strict", "lax"
 
 IO_ROOT = (((), ()),)
 
-ZERO, ONE = Fraction(0), Fraction(1)
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -523,7 +522,7 @@ def from_commuting_pair(u1: UnaryObservation, u2: UnaryObservation,
 
 @dataclass(frozen=True)
 class CommuteVerdict:
-    kind: str  # "commutes" | "fails" | "unknown"
+    kind: str  # "commutes" | "fails"
     checked: int
     witness: Optional[Tuple[Program, Program, LeqVerdict]] = None
 
@@ -533,23 +532,15 @@ class CommuteVerdict:
 
 
 def check_commute(u1: UnaryObservation, u2: UnaryObservation,
-                  pairs: Sequence[Tuple[Program, Program]],
-                  cap: int = DEFAULT_CAP, seed: int = 0) -> CommuteVerdict:
+                  pairs: Sequence[Tuple[Program, Program]]) -> CommuteVerdict:
     """Compare both sequencing orders extensionally on the given pairs."""
     checked = 0
     for c1, c2 in pairs:
         w1, w2 = u1.embed(c1), u2.embed(c2)
-        lhs = _sequence(w1, w2)
-        rhs = _sequence_flipped(w1, w2)
-        fwd = spec_leq(lhs, rhs, cap, seed)
-        back = spec_leq(rhs, lhs, cap, seed) if fwd.holds else fwd
+        v = spec_equiv(_sequence(w1, w2), _sequence_flipped(w1, w2))
         checked += 1
-        if fwd.failed or back.failed:
-            bad = fwd if fwd.failed else back
-            return CommuteVerdict("fails", checked, (c1, c2, bad))
-        if fwd.is_unknown or back.is_unknown:
-            bad = fwd if fwd.is_unknown else back
-            return CommuteVerdict("unknown", checked, (c1, c2, bad))
+        if v.failed:
+            return CommuteVerdict("fails", checked, (c1, c2, v))
     return CommuteVerdict("commutes", checked)
 
 
@@ -651,10 +642,10 @@ def recheck_witness(w: LawWitness) -> bool:
 
 @dataclass(frozen=True)
 class LawVerdict:
-    kind: str                      # "equal" | "strictly-less" | "violation" | "unknown"
+    kind: str                      # "equal" | "strictly-less" | "violation"
     checked: int
     witness: Optional[LawWitness] = None
-    definite: bool = True          # False when some comparison was sampled, not decided
+    definite: bool = True          # always: every comparison is decided (read by the bench)
 
     @property
     def equal(self) -> bool:
@@ -691,50 +682,15 @@ class ProgramBattery:
     fs: Tuple[Tuple[Tuple[Program, ...], Tuple[Program, ...]], ...]
 
 
-def _prob_phi_pool(n: int, seed: int, extra: int = 12) -> List[Tuple[Fraction, ...]]:
-    rng = random.Random(seed)
-    pool = [tuple([ZERO] * n), tuple([ONE] * n)]
-    for o in range(n):
-        row = [ZERO] * n
-        row[o] = ONE
-        pool.append(tuple(row))
-    grid = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
-    for _ in range(extra):
-        pool.append(tuple(rng.choice(grid) for _ in range(n)))
-    return pool
-
-
-def _classify(lhs: RelSpec, rhs: RelSpec, cap: int, seed: int,
-              phi_pool: Optional[Dict[int, List]] = None):
-    """(kind, phi, point, definite) for lhs vs rhs under the spec preorder."""
-    if lhs.tag == "WrelProb" and (lhs.pieces is None or rhs.pieces is None):
-        n = lhs.space.size
-        pool = phi_pool.get(n) if phi_pool is not None else None
-        if pool is None:
-            pool = _prob_phi_pool(n, seed)
-            if phi_pool is not None:
-                phi_pool[n] = pool
-        strict_phi = None
-        for vec in pool:
-            l, r = lhs.at(vec), rhs.at(vec)
-            if l > r:
-                return "violation", vec, None, True
-            if l < r and strict_phi is None:
-                strict_phi = vec
-        if strict_phi is not None:
-            return "strictly-less", strict_phi, None, True
-        return "equal", None, None, False
-    fwd = spec_leq(lhs, rhs, cap, seed)
+def _classify(lhs: RelSpec, rhs: RelSpec):
+    """(kind, phi, point) for lhs vs rhs under the spec preorder."""
+    fwd = spec_leq(lhs, rhs)
     if fwd.failed:
-        return "violation", fwd.phi, fwd.point, True
-    if fwd.is_unknown:
-        return "unknown", None, None, False
-    back = spec_leq(rhs, lhs, cap, seed)
+        return "violation", fwd.phi, fwd.point
+    back = spec_leq(rhs, lhs)
     if back.failed:
-        return "strictly-less", back.phi, back.point, True
-    if back.is_unknown:
-        return "unknown", None, None, False
-    return "equal", None, None, True
+        return "strictly-less", back.phi, back.point
+    return "equal", None, None
 
 
 def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Program],
@@ -752,26 +708,23 @@ def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Prog
 
 
 def classify_bind_instance(obs: EffectObservation, m1: Program, m2: Program,
-                           f1: Sequence[Program], f2: Sequence[Program],
-                           cap: int = DEFAULT_CAP, seed: int = 0):
+                           f1: Sequence[Program], f2: Sequence[Program]):
     """Classify one bind-law instance; returns (kind, LawWitness or None)."""
     f1, f2 = tuple(f1), tuple(f2)
     lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
     rhs = spec_bind(obs.map(m1, m2), _cont_table(obs, f1, f2, {}))
-    kind, phi, point, _definite = _classify(lhs, rhs, cap, seed)
+    kind, phi, point = _classify(lhs, rhs)
     if kind in ("strictly-less", "violation"):
         return kind, LawWitness("bind", kind, (m1, m2, f1, f2), lhs, rhs, phi, point)
     return kind, None
 
 
-def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
-                        cap: int = DEFAULT_CAP, seed: int = 0) -> MorphismReport:
+def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> MorphismReport:
     """Classify the ret and bind laws over a battery of instances.
 
     A violation ends the scan immediately; otherwise the strictest observed
-    relation wins (any strict instance makes the law strictly-less).  The
-    verdict is definite when every comparison along the way was decided
-    exactly rather than sampled.
+    relation wins (any strict instance makes the law strictly-less).  Every
+    comparison is decided exactly, so every verdict is definite.
 
     A bind instance compares theta(bind m1 f1, bind m2 f2) with spec_bind
     of theta(m1, m2) to the table of theta(f1[i], f2[j]), built as in
@@ -779,29 +732,20 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery,
     done once: each bound program per (m, f), theta per middle pair and per
     continuation pair, and each table's checks and decoding (`ContTable`).
     """
-    phi_pool: Dict[int, List] = {}
-
     def run(instances) -> LawVerdict:
         checked = 0
         strict_witness = None
-        unknown = False
-        definite = True
         for law, progs, lhs, rhs in instances:
             checked += 1
-            kind, phi, point, dfn = _classify(lhs, rhs, cap, seed, phi_pool)
-            definite = definite and dfn
+            kind, phi, point = _classify(lhs, rhs)
             if kind == "violation":
                 return LawVerdict("violation", checked,
-                                  LawWitness(law, kind, progs, lhs, rhs, phi, point), definite)
+                                  LawWitness(law, kind, progs, lhs, rhs, phi, point))
             if kind == "strictly-less" and strict_witness is None:
                 strict_witness = LawWitness(law, kind, progs, lhs, rhs, phi, point)
-            if kind == "unknown":
-                unknown = True
         if strict_witness is not None:
-            return LawVerdict("strictly-less", checked, strict_witness, definite)
-        if unknown:
-            return LawVerdict("unknown", checked, None, False)
-        return LawVerdict("equal", checked, None, definite)
+            return LawVerdict("strictly-less", checked, strict_witness)
+        return LawVerdict("equal", checked)
 
     def ret_instances():
         for a1, a2 in battery.rets:

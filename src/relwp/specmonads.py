@@ -34,8 +34,10 @@ point, the set of (value pair, history, history) outcomes that must all
 satisfy the postcondition, or VIOLATED.  Entries are computed lazily and
 kept once read; bind threads histories through them and `spec_leq`
 compares them by set inclusion at every declared point.  The quantitative
-carrier keeps a minimum of affine pieces with rational coefficients where it
-can, compared exactly by linear programming, and a closure elsewhere.
+carrier's one body is a minimum of affine pieces with rational
+coefficients: bind expands the pieces exactly, pruning as it goes, and
+past a documented size raises `SpecTooLarge`; `spec_leq` compares pieces
+exactly by linear programming.
 
 Outcome spaces are interned: each constructor below returns one shared
 `OutcomeSpace` per field tuple, so the shape checks in bind and comparison
@@ -52,11 +54,9 @@ shared by every point where the precondition holds.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import product
 from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,15 +69,13 @@ _FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
 PP_TAGS = frozenset({"PPrelPure", "PPrelSt"})
 
 DEFAULT_CAP = 2 ** 14
-_PIECE_SELECTION_LIMIT = 4096
 _PIECE_LP_PRUNE_LIMIT = 160
 _PIECE_DOMINANCE_LIMIT = 48
-_PROB_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
 # `closure_spec` tabulates a predicate over at most this many outcomes, and
-# one step of a bind (a partial family times the next outcome's family) may
-# form at most this many demands; the forall-exists observation is such a
-# bind, with one demand per choice function.
+# one step of a bind (partial demands or piece sums times the next outcome's
+# family or pieces) may form at most this many; the forall-exists
+# observation is such a bind, with one demand per choice function.
 _CLOSURE_OUTCOME_LIMIT = 16
 _DEMAND_LIMIT = 4096
 
@@ -103,7 +101,12 @@ VIOLATED = _Violated()
 
 
 class SpecTooLarge(ValueError):
-    """The exact demand form of a spec would pass a documented size limit."""
+    """The exact form of a spec would pass a documented size limit."""
+
+
+def _bind_step(count: int, what: str) -> None:
+    if count > _DEMAND_LIMIT:
+        raise SpecTooLarge(f"bind step forms {count} {what}, past the limit of {_DEMAND_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,9 @@ class OutcomeSpace:
     o1: Optional[FiniteDomain] = None
     i2: Optional[FiniteDomain] = None
     o2: Optional[FiniteDomain] = None
+    # Spaces key the continuation tables' memos, and a generated hash would
+    # rehash all nine fields on each lookup; it is taken once here instead.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -139,6 +145,18 @@ class OutcomeSpace:
             raise ValueError(f"{self.tag} needs state domains on both sides")
         if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2):
             raise ValueError("WrelIO needs input and output alphabets on both sides")
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.tag, self.a1, self.a2, self.s1, self.s2, self.i1, self.o1, self.i2, self.o2)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild through the
+        # constructor rather than carry the stored hash or the cached domains
+        return OutcomeSpace, self._fields()
 
     @cached_property
     def pair_values(self) -> FiniteDomain:
@@ -327,7 +345,7 @@ def postcondition(space: OutcomeSpace, table) -> Postcondition:
 
 @dataclass(frozen=True)
 class LeqVerdict:
-    """Outcome of a spec comparison.
+    """Outcome of a spec comparison: holds or fails.
 
     Fails carries a witness postcondition (and point for pointed
     carriers) at which the right spec claims more than the left spec
@@ -349,7 +367,9 @@ class LeqVerdict:
 
     @property
     def is_unknown(self) -> bool:
-        return self.kind == "unknown"
+        """Always False: every comparison is decided.  Kept for the bench's
+        tracer, which still counts undecided comparisons."""
+        return False
 
     @property
     def where(self) -> tuple:
@@ -362,10 +382,6 @@ HOLDS = LeqVerdict("holds")
 
 def _fails(phi, point=None, note="") -> LeqVerdict:
     return LeqVerdict("fails", phi=phi, point=point, note=note)
-
-
-def _unknown(note: str) -> LeqVerdict:
-    return LeqVerdict("unknown", note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +449,7 @@ def _fam_bind(fam: FrozenSet[int], subs: Sequence[FrozenSet[int]]) -> FrozenSet[
             elif partial is None:
                 partial = list(pool)
             else:
-                if len(partial) * len(pool) > _DEMAND_LIMIT:
-                    raise SpecTooLarge(f"bind step forms {len(partial) * len(pool)} demands, "
-                                       f"past the limit of {_DEMAND_LIMIT}")
+                _bind_step(len(partial) * len(pool), "demands")
                 partial = list(_minimise([u | m for u in partial for m in pool]))
         else:
             out += [acc] if partial is None else [u | acc for u in partial]
@@ -618,28 +632,27 @@ def wp_map(w: Wp, rdom: FiniteDomain, f: Callable[[int], int]) -> Wp:
 class RelSpec:
     """One inhabitant of a relational specification monad.
 
-    Exactly one body is populated:
+    Exactly one body is populated, the one its carrier has:
       fams     fixed propositional carriers: one demand family per point
       table    interactive carrier: a demonic entry per history point, a
                function of the point whose answers are kept once read
-      pieces   min-of-affine pieces (constant, coefficient row)
-      qclosure phi-vector -> Fraction
+      pieces   quantitative carrier: min-of-affine pieces (constant,
+               coefficient row)
       pre/post explicit tables for the pre-/postcondition carriers
     """
 
     __slots__ = (
-        "tag", "space", "fams", "table", "pieces", "qclosure",
+        "tag", "space", "fams", "table", "pieces",
         "pre", "post", "io_points", "_io_cache",
     )
 
     def __init__(self, tag, space, fams=None, table=None, pieces=None,
-                 qclosure=None, pre=None, post=None, io_points=None):
+                 pre=None, post=None, io_points=None):
         self.tag = tag
         self.space = space
         self.fams = fams
         self.table = table
         self.pieces = pieces
-        self.qclosure = qclosure
         self.pre = pre
         self.post = post
         self.io_points = io_points
@@ -679,9 +692,7 @@ class RelSpec:
             raise TypeError("pre/post pairs are not transformers; embed them first")
         if self.tag == "WrelProb":
             vec = _phi_vector(self, phi)
-            if self.pieces is not None:
-                return min(k + sum(c * v for c, v in zip(cs, vec) if c) for k, cs in self.pieces)
-            return self.qclosure(vec)
+            return min(k + sum(c * v for c, v in zip(cs, vec) if c) for k, cs in self.pieces)
         pt = self._norm_point(point)
         if self.fams is not None:
             return _accepts(self.fams[pt], phi)
@@ -703,8 +714,7 @@ class RelSpec:
     def __repr__(self):
         body = ("demands" if self.fams is not None else
                 "demonic" if self.table is not None else
-                "pieces" if self.pieces is not None else
-                "pre/post" if self.pre is not None else "closure")
+                "pieces" if self.pieces is not None else "pre/post")
         return f"<RelSpec {self.tag} {body}>"
 
 
@@ -825,10 +835,12 @@ def _norm_io_entry(entry):
 
 
 def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpec:
-    """Quantitative spec as a minimum of affine pieces (const, coeffs).
+    """Quantitative spec as a minimum of affine pieces (const, coeffs), the
+    one body of the quantitative carrier.
 
     Redundant pieces never change the minimum, so `exact_prune=False` is a
-    pure speed knob for callers that mass-produce large piece families.
+    pure speed knob for callers that mass-produce large piece families: it
+    drops duplicate and dominated pieces but skips the LP filter.
     """
     if space.tag != "WrelProb":
         raise ValueError("linear specs live in the quantitative carrier")
@@ -843,12 +855,6 @@ def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpe
     if not norm:
         raise ValueError("need at least one piece")
     return RelSpec("WrelProb", space, pieces=prune_pieces(norm, exact=exact_prune))
-
-
-def quant_closure_spec(space: OutcomeSpace, fn) -> RelSpec:
-    if space.tag != "WrelProb":
-        raise ValueError("quantitative closures live in the quantitative carrier")
-    return RelSpec("WrelProb", space, qclosure=fn)
 
 
 def pp_spec(space: OutcomeSpace, pre, post) -> RelSpec:
@@ -1080,39 +1086,43 @@ def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
 
 
 def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
-    space = wm.space
-    if wm.pieces is not None and all(w.pieces is not None for w in conts.values()):
-        cont_pieces = {}
-        for (i1, i2), w in conts.items():
-            cont_pieces[i1 * space.a2.size + i2] = w.pieces
-        total = 0
-        for k, coeffs in wm.pieces:
-            sel = 1
-            for o, c in enumerate(coeffs):
-                if c:
-                    sel *= len(cont_pieces[o])
-            total += sel
-        if total <= _PIECE_SELECTION_LIMIT:
-            pieces = []
-            for k, coeffs in wm.pieces:
-                live = [o for o, c in enumerate(coeffs) if c]
-                for choice in product(*(cont_pieces[o] for o in live)):
-                    kk = k
-                    acc = [ZERO] * cspace.size
-                    for o, (ck, ccs) in zip(live, choice):
-                        w_o = coeffs[o]
-                        kk += w_o * ck
-                        for t, cv in enumerate(ccs):
-                            if cv:
-                                acc[t] += w_o * cv
-                    pieces.append((kk, tuple(acc)))
-            return linear_spec(cspace, pieces, exact_prune=False)
+    """Per piece of wm, a bound piece picks one piece of the continuation
+    of every weighted outcome and adds them in at that weight, as
+    `_fam_bind` unions demands.
 
-    def body(vec, _wm=wm, _conts=conts):
-        psi = tuple(_conts[divmod(o, space.a2.size)].at(vec) for o in range(space.size))
-        return _wm.at(psi)
-
-    return quant_closure_spec(cspace, body)
+    Outcomes whose continuation has one piece are added in directly; only
+    the others make a product, pruned of duplicate and dominated sums as it
+    unrolls (a sum at or above another stays so under every completion, so
+    the minimum loses nothing).  A step past `_DEMAND_LIMIT` partial sums
+    raises SpecTooLarge.
+    """
+    width = wm.space.a2.size
+    subs = [conts[divmod(o, width)].pieces for o in wm.space.outcomes()]
+    pieces = []
+    for k, coeffs in wm.pieces:
+        acc, partial = [k] + [ZERO] * cspace.size, None
+        for o, c in enumerate(coeffs):
+            if not c:
+                continue
+            pool = subs[o]
+            if len(pool) == 1:
+                ((ck, ccs),) = pool
+                acc[0] += c * ck
+                for t, v in enumerate(ccs):
+                    if v:
+                        acc[t + 1] += c * v
+                continue
+            scaled = [(c * ck, tuple(c * v for v in ccs)) for ck, ccs in pool]
+            if partial is None:
+                partial = scaled
+                continue
+            _bind_step(len(partial) * len(scaled), "partial sums")
+            partial = prune_pieces([(pk + sk, tuple(a + b for a, b in zip(pcs, scs)))
+                                    for pk, pcs in partial for sk, scs in scaled], exact=False)
+        base = tuple(acc[1:])
+        pieces += [(acc[0], base)] if partial is None else [
+            (acc[0] + pk, tuple(a + b for a, b in zip(base, pcs))) for pk, pcs in partial]
+    return linear_spec(cspace, pieces, exact_prune=False)
 
 
 def _bind_pp_pure(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -1261,10 +1271,6 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
     if w.space.point_count != target.point_count:
         raise ValueError("outcome translation must preserve precondition points")
     if w.tag == "WrelProb":
-        if w.pieces is None:
-            return quant_closure_spec(
-                target,
-                lambda vec, _w=w: _w.at(tuple(vec[fn(o)] for o in range(_w.space.size))))
         pieces = []
         for k, cs in w.pieces:
             acc = [ZERO] * target.size
@@ -1280,8 +1286,8 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
 # The comparison procedure
 
 
-def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> LeqVerdict:
-    """Decide w <= w2.
+def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
+    """Decide w <= w2; the verdict holds or fails, never anything else.
 
     The fixed propositional carriers compare exactly: w2's demands are its
     minimal accepted postconditions and w is monotone, so w <= w2 exactly
@@ -1289,29 +1295,27 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     names the first failing point and its least uncovered demand, as a
     frozenset `phi` of outcomes: the first failing postcondition a numeric
     enumeration would meet.  Families are minimal antichains, so equal
-    families are equal specs and hold at once.  `cap` and `seed` do not
-    reach these carriers.
+    families are equal specs and hold at once.
 
     Interactive specs have one body, a demonic entry per history point, and
     compare exactly by set inclusion at every declared point: w <= w2 fails
     at the first point where w2's entry is satisfiable and w's is VIOLATED
-    or not inside it, with w2's entry as the witness `phi`.  `cap` and
-    `seed` do not reach them either.  Quantitative pieces compare exactly: per piece of w2, a box bound
-    settles the difference family when it is already <= 0, and linear
-    programming decides the rest.  Quantitative closures are only ever
-    refuted, never confirmed.
+    or not inside it, with w2's entry as the witness `phi`.  Quantitative
+    specs are pieces on both sides and compare exactly: per piece of w2, a
+    box bound settles the difference family when it is already <= 0, and
+    linear programming decides the rest.
+
+    `cap` is read by nothing.  It stays only because the bench's tracer
+    binds it to label each comparison, and it goes when that tracer does.
     """
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
-    if w.space is not w2.space and (w.space.a1, w.space.a2, w.space.s1, w.space.s2,
-            w.space.i1, w.space.o1, w.space.i2, w.space.o2) != (
-            w2.space.a1, w2.space.a2, w2.space.s1, w2.space.s2,
-            w2.space.i1, w2.space.o1, w2.space.i2, w2.space.o2):
+    if w.space is not w2.space and w.space._fields()[1:] != w2.space._fields()[1:]:
         raise ValueError("cannot compare specs over different outcome spaces")
     if w.tag in PP_TAGS:
         return _leq_pp(w, w2)
     if w.tag == "WrelProb":
-        return _leq_prob(w, w2, cap, seed)
+        return _leq_prob(w, w2)
     if w.tag == "WrelIO":
         return _leq_io(w, w2)
     if w.fams == w2.fams:
@@ -1324,13 +1328,12 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> 
     return HOLDS
 
 
-def spec_equiv(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP, seed: int = 0) -> LeqVerdict:
-    """Both directions of spec_leq; Holds means extensional equality
-    (up to the same caveats as spec_leq)."""
-    fwd = spec_leq(w, w2, cap, seed)
+def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
+    """Both directions of spec_leq; Holds means extensional equality."""
+    fwd = spec_leq(w, w2)
     if not fwd.holds:
         return fwd
-    return spec_leq(w2, w, cap, seed)
+    return spec_leq(w2, w)
 
 
 def _leq_pp(w: RelSpec, w2: RelSpec) -> LeqVerdict:
@@ -1343,38 +1346,16 @@ def _leq_pp(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     return HOLDS
 
 
-def _leq_prob(w: RelSpec, w2: RelSpec, cap: int, seed: int) -> LeqVerdict:
+def _leq_prob(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     n = w.space.size
-    if w.pieces is not None and w2.pieces is not None:
-        for k2, c2 in w2.pieces:
-            diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]
-            if lp.box_upper_bound(diff) <= 0:
-                continue
-            val, phi = lp.max_min_affine(diff, n)
-            if val > 0:
-                return _fails(phi, note="left exceeds right at this table")
-        return HOLDS
-    rng = random.Random(seed)
-    tried = 0
-    if len(_PROB_GRID) ** n <= cap:
-        candidates: Iterable = product(_PROB_GRID, repeat=n)
-    else:
-        def gen():
-            yield tuple([ZERO] * n)
-            yield tuple([ONE] * n)
-            for o in range(n):
-                row = [ZERO] * n
-                row[o] = ONE
-                yield tuple(row)
-            for _ in range(cap):
-                yield tuple(Fraction(rng.randrange(5), 4) for _ in range(n))
-        candidates = gen()
-    for vec in candidates:
-        tried += 1
-        if w.at(vec) > w2.at(vec):
-            return _fails(vec, note="left exceeds right at this table")
-    return _unknown(f"no refutation among {tried} quantitative tables; "
-                    "confirmation needs explicit pieces on both sides")
+    for k2, c2 in w2.pieces:
+        diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]
+        if lp.box_upper_bound(diff) <= 0:
+            continue
+        val, phi = lp.max_min_affine(diff, n)
+        if val > 0:
+            return _fails(phi, note="left exceeds right at this table")
+    return HOLDS
 
 
 def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:

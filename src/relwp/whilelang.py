@@ -791,7 +791,7 @@ class RHLInstance:
         return R.judgment(O.observation_part(), c1, c2,
                           _store_pair_spec(self.sig, self.pre, self.post))
 
-    def mismatch(self, computed: "RHLInstance", cap: int, seed: int) -> Optional[str]:
+    def mismatch(self, computed: "RHLInstance") -> Optional[str]:
         """The first field in which this stated conclusion differs from the
         rule's own, or None."""
         for f in fields(self):
@@ -799,9 +799,9 @@ class RHLInstance:
                 return f"stated {f.name} differs from the rule's conclusion"
         return None
 
-    def oracle(self, cap: int, seed: int) -> R.OracleVerdict:
+    def oracle(self) -> R.OracleVerdict:
         """The oracle's verdict on the translated judgment."""
-        return self.judgment().oracle(cap, seed)
+        return self.judgment().oracle()
 
 
 def _store_pair_spec(sig: StoreSignature, pre: Sequence[bool],

