@@ -14,6 +14,16 @@ Imp is state plus an iteration construct; do_while(body, k) repeats body while
 it returns true, then continues with k.  Divergence is decidable here because
 the state space is finite and execution is deterministic.
 
+Within one check (`_EvaluationScope`, opened by `rules.check_derivation`
+and `rules.oracle_check`), every program node is built once: `_mk` looks
+each node up in the check's table by its signature, result domain, node
+type and head by value, and its children by identity, so two equal
+constructions return the very same object and `programs_equal` answers
+them at once.  Specs share the same table (`specmonads`), and so do the
+judgment families of `rules`.  The table and all it holds go when the
+outermost check returns, so nothing shared outlives it; outside a check
+every constructor builds a new object.
+
 Only the table `_SHAPES` knows where each node keeps its subtrees:
 `_kids(node)` lists them and `_rebuild(node, kids)` puts new ones back.
 Through it, `_postorder`, `normalize`, `_graft`, `_throws`, `count_loops`,
@@ -28,9 +38,10 @@ evaluators and 0.83-0.94 s with per-effect continuation-stack loops
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from typing import ClassVar, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .domains import BOOL, FiniteDomain, Value, boolv
 
@@ -47,14 +58,29 @@ class Signature:
     exc: Optional[FiniteDomain] = None
     inp: Optional[FiniteDomain] = None
     out: Optional[FiniteDomain] = None
+    # Signatures key the construction table of a check, and a generated
+    # hash would rehash all five fields on each lookup; it is taken once here.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.effect not in EFFECTS:
             raise ValueError(f"unknown effect {self.effect!r}")
         need = {STATE: ("state",), EXC: ("exc",), IO: ("inp", "out"), IMP: ("state",)}
-        for field in need.get(self.effect, ()):
-            if getattr(self, field) is None:
-                raise ValueError(f"effect {self.effect!r} needs a {field} domain")
+        for name in need.get(self.effect, ()):
+            if getattr(self, name) is None:
+                raise ValueError(f"effect {self.effect!r} needs a {name} domain")
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.effect, self.state, self.exc, self.inp, self.out)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild through the
+        # constructor rather than carry the stored hash
+        return Signature, self._fields()
 
 
 def state_sig(s: FiniteDomain) -> Signature:
@@ -214,22 +240,33 @@ def _postorder(p: "Program", below=_kids) -> List["Program"]:
     return order
 
 
-@dataclass(frozen=True, eq=False)
 class Program:
-    sig: Signature
-    result: FiniteDomain
-    node: Node
-    depth: int
+    """A program tree: its signature, result domain, root node and depth.
+    Programs never change, so a check may share one between every place
+    that builds it (see `_mk`)."""
 
-    # Structural hash, taken on first use.  It is never pickled: domains
-    # hash their name strings, which differ between processes.
-    _hash: ClassVar[Optional[int]] = None
-    # Whether the tree holds no bind, and so is its own normal form; `_mk`
-    # finds that out, and a program made another way is not assumed to.
-    _bind_free: ClassVar[bool] = False
-    # The run from each initial state, taken once by `observations._runs`:
-    # programs never change and the evaluators are pure.  Never pickled.
-    _runs: ClassVar[Optional[tuple]] = None
+    __slots__ = ("sig", "result", "node", "depth", "_hash", "_bind_free", "_runs")
+
+    def __init__(self, sig: Signature, result: FiniteDomain, node: "Node", depth: int):
+        _set_sig(self, sig)
+        _set_result(self, result)
+        _set_node(self, node)
+        _set_depth(self, depth)
+        # Structural hash, taken on first use.  It is never pickled: domains
+        # hash their name strings, which differ between processes.
+        _set_hash(self, None)
+        # Whether the tree holds no bind, and so is its own normal form; `_mk`
+        # finds that out, and a program made another way is not assumed to.
+        _set_bind_free(self, False)
+        # The run from each initial state, taken once by `observations._runs`:
+        # programs never change and the evaluators are pure.  Never pickled.
+        _set_runs(self, None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         return f"Program[{self.sig.effect}:{self.result.name}]({self.node.__class__.__name__}, d={self.depth})"
@@ -244,7 +281,7 @@ class Program:
                 n = q.node
                 h = hash((q.sig, q.result, q.depth, type(n), _SHAPES[type(n)][2](n),
                           tuple(k._hash for k in _kids(n))))
-                object.__setattr__(q, "_hash", h)
+                _set_hash(q, h)
         return self._hash
 
     def __eq__(self, other):
@@ -268,21 +305,69 @@ class Program:
         return True
 
 
+# Programs refuse `__setattr__`, like frozen dataclasses; their own code sets
+# a field through its slot's descriptor, which costs less than going through
+# `object.__setattr__`.
+(_set_sig, _set_result, _set_node, _set_depth, _set_hash, _set_bind_free, _set_runs) = (
+    getattr(Program, name).__set__ for name in Program.__slots__)
+
+
+# -- the construction table of a check ---------------------------------------
+
+# The table of the check in progress, None while no check runs.  One dict
+# holds, under keys that cannot collide:
+#   (family, valuation)               judgment families read by `rules._read`
+#   ("program", sig, result, ...)     program nodes built by `_mk`
+#   ("spec-...", ...)                 specs built by the `specmonads`
+#                                     constructors that consult it
+_TABLE: ContextVar[Optional[dict]] = ContextVar("relwp_check_table", default=None)
+
+
+class _EvaluationScope:
+    """While open, a check shares what it builds: every judgment family is
+    evaluated once per valuation, and every program node (`_mk`) and every
+    spec from `spec_ret`, `spec_bind`, `linear_spec` and `demand_spec` is
+    built once per distinct construction, so an honest replay recomputes
+    the very objects that were stated.  A nested scope reuses the open one,
+    and the table goes when the outermost scope closes, with everything it
+    holds: nothing outlives the check."""
+
+    __slots__ = ("token",)
+
+    def __enter__(self):
+        self.token = _TABLE.set({}) if _TABLE.get() is None else None
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _TABLE.reset(self.token)
+
+
 def _mk(sig: Signature, result: FiniteDomain, node: Node) -> Program:
     if not isinstance(node, _ALLOWED[sig.effect]):
         raise ValueError(f"{node.__class__.__name__} node not allowed under effect {sig.effect!r}")
+    table = _TABLE.get()
+    if table is not None:
+        kids, _, head, _ = _SHAPES[type(node)]
+        # the stored program keeps its children alive, so their ids stay theirs
+        key = ("program", sig, result, type(node), head(node), tuple(map(id, kids(node))))
+        p = table.get(key)
+        if p is not None:
+            return p
     if type(node) is Bind:
         # a bind adds no level of its own: its depth is the longest path
         # through the inner program into a continuation
-        return Program(sig, result, node, max(node.inner.depth + max(c.depth for c in node.cont) - 1, 1))
-    depth, bind_free = 1, True
-    for k in _kids(node):
-        if k.depth >= depth:
-            depth = k.depth + 1
-        bind_free = bind_free and k._bind_free
-    p = Program(sig, result, node, depth)
-    if bind_free:
-        object.__setattr__(p, "_bind_free", True)
+        p = Program(sig, result, node, max(node.inner.depth + max(c.depth for c in node.cont) - 1, 1))
+    else:
+        depth, bind_free = 1, True
+        for k in _kids(node):
+            if k.depth >= depth:
+                depth = k.depth + 1
+            bind_free = bind_free and k._bind_free
+        p = Program(sig, result, node, depth)
+        if bind_free:
+            _set_bind_free(p, True)
+    if table is not None:
+        table[key] = p
     return p
 
 
@@ -467,8 +552,11 @@ def normalize(p: Program) -> Program:
 
 
 def programs_equal(p: Program, q: Program) -> bool:
-    """Structural equality modulo normalization."""
-    return normalize(p) == normalize(q)
+    """Structural equality modulo normalization.  The same object is equal
+    at once: within a check, equal constructions give one object, so an
+    honest replay's programs compare in O(1).  Other pairs are normalized
+    and walked."""
+    return p is q or normalize(p) == normalize(q)
 
 
 # -- evaluators ---------------------------------------------------------------

@@ -30,7 +30,6 @@ conclusion would eventually flunk its oracle.
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -55,7 +54,7 @@ from .observations import (
     observation_prob,
     observation_st,
 )
-from .programs import Program, Signature
+from .programs import Program, Signature, _EvaluationScope
 from .specmonads import (
     VIOLATED,
     OutcomeSpace,
@@ -161,37 +160,19 @@ def _effect_matches(effect: str, declared: str) -> bool:
     return effect in _EFFECT_KIN.get(declared, (declared,))
 
 
-# The memo of the check in progress, (family, valuation) -> value; None
-# while no `check_derivation` or `oracle_check` runs.
-_MEMO: ContextVar[Optional[dict]] = ContextVar("relwp_rules_memo", default=None)
-
-
 _MISSING = object()
 
 
-class _EvaluationScope:
-    """While open, every judgment family is evaluated once per valuation.
-    A nested scope reuses the open one, and the memo goes when the
-    outermost scope closes."""
-
-    __slots__ = ("token",)
-
-    def __enter__(self):
-        self.token = _MEMO.set({}) if _MEMO.get() is None else None
-
-    def __exit__(self, *exc):
-        if self.token is not None:
-            _MEMO.reset(self.token)
-
-
 def _read(family, g: Valuation):
-    memo = _MEMO.get()
-    if memo is None:
+    """family(g), taken once per check: the check's table (see
+    `programs._EvaluationScope`) keeps it under (family, valuation)."""
+    table = P._TABLE.get()
+    if table is None:
         return family(g)
     key = (family, g)
-    out = memo.get(key, _MISSING)
+    out = table.get(key, _MISSING)
     if out is _MISSING:
-        out = memo[key] = family(g)
+        out = table[key] = family(g)
     return out
 
 
@@ -1245,7 +1226,15 @@ def check_derivation(d: Derivation) -> CheckResult:
     Premises replay before their node, from an explicit stack, so a tree of
     any depth replays.  A node the tree shares replays once per call, at its
     first occurrence.  Reports the first failing node by its path of child
-    indices from the root."""
+    indices from the root.
+
+    The replay runs in one `_EvaluationScope`: each judgment family is read
+    once per valuation, and each program node and each spec from the
+    constructors that share (`spec_ret`, `spec_bind`, `linear_spec`,
+    `demand_spec`) is built once, so an honest node's recomputed programs
+    and specs are the stated objects themselves and compare in O(1).  Both
+    conclusions are still evaluated at every valuation.  Nothing built here
+    outlives the call."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     with _EvaluationScope():
@@ -1310,7 +1299,9 @@ class OracleVerdict:
 
 def oracle_check(j) -> OracleVerdict:
     """Decide a judgment of any kind semantically, at every valuation (the
-    `oracle` of its type)."""
+    `oracle` of its type).  Within the call, as in `check_derivation`, each
+    family is read once per valuation and equal constructions of programs
+    and specs give one object; nothing built here outlives the call."""
     with _EvaluationScope():
         return j.oracle()
 

@@ -42,7 +42,11 @@ exactly by linear programming.
 Outcome spaces are interned: each constructor below returns one shared
 `OutcomeSpace` per field tuple, so the shape checks in bind and comparison
 try identity first and fall back to field equality, which a space built
-directly or unpickled (equal but not identical) still passes.
+directly or unpickled (equal but not identical) still passes.  Within one
+check (`programs._EvaluationScope`), `spec_ret`, `spec_bind`, `linear_spec`
+and `demand_spec` build each spec once, in the check's table, so a replay
+that rebuilds a stated spec gets that very object and `spec_equiv` answers
+at once; the table goes with the check.
 
 Pre/post pairs become demonic specs in two ways.  `from_prepost` embeds
 a PPrelSt pair whose post may read the initial states, at the price of a
@@ -62,7 +66,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from . import lp
 from .domains import UNIT, FiniteDomain, Value, product_domain, sum_domain
-from .programs import History
+from .programs import _TABLE, History
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
 _FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
@@ -776,10 +780,20 @@ def demonic_spec(space: OutcomeSpace, table) -> RelSpec:
     return demand_spec(space, [e if e is VIOLATED else (_entry_mask(space, e),) for e in table])
 
 
+def _once(table: dict, key: tuple, build: Callable, *args):
+    """build(*args), the first time `key` is asked of the check's `table`;
+    the same object every later time.  Specs never change once built."""
+    w = table.get(key)
+    if w is None:
+        w = table[key] = build(*args)
+    return w
+
+
 def demand_spec(space: OutcomeSpace, fams) -> RelSpec:
     """Spec from per-point demand families: each an iterable of int bitmasks
     (bit o for outcome o), or VIOLATED for the empty family.  The spec
-    accepts phi at a point when some demand there lies inside phi."""
+    accepts phi at a point when some demand there lies inside phi.  Within
+    a check, equal families over one space give one spec."""
     if space.tag not in _FIXED_TAGS:
         raise ValueError(f"demand families need a fixed propositional carrier, not {space.tag}")
     out = []
@@ -794,7 +808,11 @@ def demand_spec(space: OutcomeSpace, fams) -> RelSpec:
         raise ValueError(f"demand outside space of size {space.size}")
     if len(out) != space.point_count:
         raise ValueError("a spec's table must cover every precondition point")
-    return _fixed(space, out)
+    table = _TABLE.get()
+    if table is None:
+        return _fixed(space, out)
+    out = tuple(out)
+    return _once(table, ("spec-demand", space, out), _fixed, space, out)
 
 
 def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
@@ -840,18 +858,29 @@ def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpe
 
     Redundant pieces never change the minimum, so `exact_prune=False` is a
     pure speed knob for callers that mass-produce large piece families: it
-    drops duplicate and dominated pieces but skips the LP filter.
+    drops duplicate and dominated pieces but skips the LP filter.  Within a
+    check, pieces equal by value over one space give one spec, pruned once.
     """
     if space.tag != "WrelProb":
         raise ValueError("linear specs live in the quantitative carrier")
+    table = _TABLE.get()
+    if table is None:
+        return _linear(space, pieces, exact_prune)
+    pieces = tuple((k, tuple(coeffs)) for k, coeffs in pieces)
+    return _once(table, ("spec-linear", space, exact_prune, pieces), _linear, space, pieces, exact_prune)
+
+
+def _linear(space: OutcomeSpace, pieces, exact_prune: bool) -> RelSpec:
     norm = []
     for k, coeffs in pieces:
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
+        if not all(type(c) is Fraction for c in cs):
+            cs = tuple(map(Fraction, cs))
         if len(cs) != space.size:
             raise ValueError("piece coefficients must cover every outcome")
         if any(c < 0 for c in cs):
             raise ValueError("piece coefficients must be nonnegative to stay monotone")
-        norm.append((Fraction(k), cs))
+        norm.append((k if type(k) is Fraction else Fraction(k), cs))
     if not norm:
         raise ValueError("need at least one piece")
     return RelSpec("WrelProb", space, pieces=prune_pieces(norm, exact=exact_prune))
@@ -908,10 +937,19 @@ def _check_value(v: Value, dom: FiniteDomain, side: str):
 
 
 def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None) -> RelSpec:
-    """The unit: demand the postcondition exactly at the given value pair."""
+    """The unit: demand the postcondition exactly at the given value pair.
+    Within a check, equal arguments give one spec."""
     _check_value(a1, space.a1, "left")
     _check_value(a2, space.a2, "right")
-    i1, i2 = a1.index, a2.index
+    table = _TABLE.get()
+    if table is None:
+        return _ret(space, a1.index, a2.index, points)
+    points = None if points is None else tuple(points)
+    return _once(table, ("spec-ret", space, a1.index, a2.index, points),
+                 _ret, space, a1.index, a2.index, points)
+
+
+def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
     tag = space.tag
     if tag == "WrelPure":
         return _fixed(space, [frozenset({1 << (i1 * space.a2.size + i2)})])
@@ -1018,9 +1056,19 @@ class ContTable:
 
 def spec_bind(wm: RelSpec, wf) -> RelSpec:
     """Sequential composition of specs.  `wf` is a `ContTable`, or what one
-    is built from: binding many middles to one table prepares it once."""
-    table = wf if isinstance(wf, ContTable) else ContTable(wf)
-    conts, cspace, subs = table.prepare(wm)
+    is built from: binding many middles to one table prepares it once.
+    Within a check, a bind of the same middle spec to the same continuation
+    specs, by identity, gives one spec."""
+    conts, cspace, subs = (wf if isinstance(wf, ContTable) else ContTable(wf)).prepare(wm)
+    table = _TABLE.get()
+    if table is None:
+        return _bind(wm, conts, cspace, subs)
+    # the entry keeps wm and the continuations alive, so their ids stay theirs
+    key = ("spec-bind", id(wm)) + tuple(map(id, conts.values()))
+    return _once(table, key, lambda: (_bind(wm, conts, cspace, subs), wm, conts))[0]
+
+
+def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
     tag = wm.tag
     if subs is not None:
         return _fixed(cspace, [_fam_bind(fam, subs) for fam in wm.fams])
@@ -1329,7 +1377,11 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
 
 
 def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
-    """Both directions of spec_leq; Holds means extensional equality."""
+    """Both directions of spec_leq; Holds means extensional equality.  The
+    same object holds at once: within a check, equal constructions give one
+    spec, so an honest replay's specs compare in O(1)."""
+    if w is w2:
+        return HOLDS
     fwd = spec_leq(w, w2)
     if not fwd.holds:
         return fwd
@@ -1347,6 +1399,8 @@ def _leq_pp(w: RelSpec, w2: RelSpec) -> LeqVerdict:
 
 
 def _leq_prob(w: RelSpec, w2: RelSpec) -> LeqVerdict:
+    if w.pieces == w2.pieces:
+        return HOLDS
     n = w.space.size
     for k2, c2 in w2.pieces:
         diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]

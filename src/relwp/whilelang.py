@@ -139,11 +139,11 @@ def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
 
 
 class _Tree:
-    """A statement or expression with subtrees.  These compare and hash by
-    their `_shape`, so a long `;` chain or a deep expression never recurses;
-    the leaves keep their generated methods.  A node's hash is taken on
-    first use and kept in a slot, out of the fields that `vars` lists; it
-    is never pickled."""
+    """A statement or expression with subtrees.  These compare by one
+    pairwise walk and hash by their `_shape`, both from explicit stacks, so
+    a long `;` chain or a deep expression never recurses; the leaves keep
+    their generated methods.  A node's hash is taken on first use and kept
+    in a slot, out of the fields that `vars` lists; it is never pickled."""
 
     __slots__ = ("_hash",)
 
@@ -160,7 +160,7 @@ class _Tree:
         if all(a is b or (not isinstance(a, _Tree) and a == b)
                for a, b in zip(vars(self).values(), vars(other).values())):
             return True  # the same subtrees and equal leaves: no walk needed
-        return _shape(self) == _shape(other)
+        return _same_tree(self, other)
 
     def __hash__(self):
         try:
@@ -178,6 +178,27 @@ class _Tree:
 
 def _kids(t: _Tree):
     return iter([v for v in vars(t).values() if isinstance(v, _Tree)])
+
+
+def _same_tree(t: _Tree, u: _Tree) -> bool:
+    """Whether t and u are equal, by one pairwise walk from an explicit
+    stack: identical subtrees and pairs met before are skipped, and the
+    first difference ends the walk."""
+    todo, seen = [(t, u)], set()
+    while todo:
+        a, b = todo.pop()
+        for x, y in zip(vars(a).values(), vars(b).values()):
+            if x is y:
+                continue
+            if not isinstance(x, _Tree):
+                if x != y:
+                    return False
+            elif type(x) is not type(y):
+                return False
+            elif (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                todo.append((x, y))
+    return True
 
 
 def _shape(t: _Tree) -> Tuple[tuple, ...]:

@@ -304,23 +304,35 @@ def _increments_then(last, n=N):
     return s
 
 
+def _spy_walks(monkeypatch):
+    """The trees walked whole from here on: for a hash or for equality."""
+    walks = []
+    shape, same = W._shape, W._same_tree
+    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or shape(t))
+    monkeypatch.setattr(W, "_same_tree", lambda t, u: walks.append(t) or same(t, u))
+    return walks
+
+
 def test_unequal_chains_with_their_hashes_taken_compare_without_a_walk(monkeypatch):
     a, b = _increments_then(W.Skip()), _increments_then(W.Assign("h", W.Loc("l")))
     assert hash(a) != hash(b)
     twin = _increments_then(W.Skip())  # no hash taken: equality must walk
-    walks = []
-    real = W._shape
-    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
+    walks = _spy_walks(monkeypatch)
     assert a != b and b != a and not walks
     assert a == twin and walks
+
+
+def test_parses_that_differ_only_at_the_end_compare_unequal():
+    text = "; ".join(["l := l + 1"] * 2000)
+    a, b = W.parse_while(text), W.parse_while(text[:-1] + "2")
+    assert a != b and b != a and a == W.parse_while(text)
+    assert W.If(W.Loc("l"), a, b) != W.If(W.Loc("l"), b, a)
 
 
 def test_nodes_over_the_same_subtrees_compare_without_a_walk(monkeypatch):
     a = _increments_then(W.Skip(), 2000)
     cond = W.parse_while("if l then skip else skip").cond
-    walks = []
-    real = W._shape
-    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
+    walks = _spy_walks(monkeypatch)
     # built twice from the same parts, as a rule replay builds a conclusion
     assert W.Seq(a, a.second) == W.Seq(a, a.second)
     assert W.If(cond, a, W.Skip()) == W.If(cond, a, W.Skip()) and not walks

@@ -1,7 +1,11 @@
 """Program trees and reference evaluators."""
 
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -330,3 +334,72 @@ def test_enumeration_counts_state_depth3():
     assert len(progs) == 122  # 2 rets, 10 at depth <=2, the rest get/put over those
     assert all(p.depth <= 3 for p in progs)
     assert len(set(progs)) == len(progs)
+
+
+def _constructions():
+    """A few programs of several shapes, built afresh (signatures too) on
+    every call."""
+    st, pr, imp = P.state_sig(Z3), P.prob_sig(), P.imp_sig(Z3)
+    return [
+        P.put(st, Z3.value(1), P.get_state(st)),
+        P.bind(P.get_state(st), lambda s: P.put_unit(st, s, UNIT_VAL)),
+        P.flip(pr, Fraction(1, 3), P.ret(pr, Z3.value(0)),
+               P.flip(pr, Fraction(1, 2), P.ret(pr, Z3.value(1)), P.ret(pr, Z3.value(2)))),
+        P.do_while(P.get(imp, lambda s: P.ret(imp, boolv(s.index == 0))), P.ret(imp, UNIT_VAL)),
+    ]
+
+
+def test_a_check_builds_each_program_once():
+    outside = _constructions()
+    assert all(a is not b and a == b for a, b in zip(outside, _constructions()))
+    with P._EvaluationScope():
+        inside = _constructions()
+        assert all(a is b for a, b in zip(inside, _constructions()))
+        st = P.state_sig(Z3)
+        put = inside[0]
+        # another head, another signature: another program
+        assert P.put(st, Z3.value(2), put.node.then) is not put
+        assert P.put(P.state_sig(Z8), Z3.value(1), put.node.then) is not put
+        pr = P.prob_sig()
+        flip = inside[2]
+        assert P.flip(pr, Fraction(1, 4), *flip.node.cont) is not flip
+        assert P.flip(pr, Fraction(1, 3), *flip.node.cont) is flip
+        assert P.ret(P.ndet_sig(), Z3.value(0)) is not flip.node.cont[0]
+        # a rejected construction is rejected before the table is read
+        with pytest.raises(ValueError, match="not allowed"):
+            P._mk(pr, Z3, P.Put(Z3.value(1), put.node.then))
+    assert P._TABLE.get() is None
+    assert all(a is not b and a == b for a, b in zip(inside, _constructions()))
+
+
+def test_programs_equal_answers_one_object_without_normalizing(monkeypatch):
+    p = _constructions()[1]
+    monkeypatch.setattr(P, "normalize", lambda q: pytest.fail("normalized"))
+    assert P.programs_equal(p, p)
+
+
+def test_a_signature_pickled_under_another_string_hash_seed_hashes_here():
+    # a stored hash carried across processes would disagree with this one
+    code = ("import pickle, sys; from relwp import programs as P; "
+            "from relwp.domains import domain; "
+            "sys.stdout.write(pickle.dumps(P.io_sig(domain('I', 2, ('a', 'b')), "
+            "domain('O', 3))).hex())")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    there = pickle.loads(bytes.fromhex(out))
+    here = P.io_sig(domain("I", 2, ("a", "b")), domain("O", 3))
+    assert there == here and hash(there) == hash(here)
+    assert {here: 1}[there] == 1
+    assert here.__reduce__() == (P.Signature, (P.IO, None, None, here.inp, here.out))
+
+
+def test_programs_keep_no_instance_dict():
+    p = _constructions()[1]
+    hash(p)
+    P.normalize(p)
+    assert not hasattr(p, "__dict__") and p._hash is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.depth = 3

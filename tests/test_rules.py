@@ -856,28 +856,36 @@ def test_check_derivation_evaluates_each_family_once_per_valuation():
 
 def test_no_memo_outlives_a_check():
     root, counters = _depth3_with_counted_leaves()
-    assert R.check_derivation(root).ok and R.oracle_check(root.conclusion).holds
-    assert R._MEMO.get() is None
+    assert R.check_derivation(root).ok
+    assert P._TABLE.get() is None
+    assert R.oracle_check(root.conclusion).holds
+    assert P._TABLE.get() is None
     leaf = root.premises[0].premises[0].conclusion
     leaf_w = counters[2]
     leaf_w.calls.clear()
     leaf.w(())
     leaf.w(())
     assert leaf_w.calls[()] == 2
-    # nested checks share the scope that is open
+    # nested checks share the table that is open
     leaf_w.calls.clear()
     with R._EvaluationScope():
+        table = P._TABLE.get()
+        assert R.check_derivation(root.premises[0].premises[0]).ok
         R.oracle_check(leaf)
         R.oracle_check(leaf)
-        assert R._MEMO.get() is not None
-    assert leaf_w.calls[()] == 1 and R._MEMO.get() is None
+        assert P._TABLE.get() is table and table
+    assert leaf_w.calls[()] == 1 and P._TABLE.get() is None
 
     def broken(_g):
         raise RuntimeError("family failed")
     bad = R.Judgment(leaf.env, leaf.c1, leaf.c2, broken, leaf.observation)
     with pytest.raises(RuntimeError):
         R.oracle_check(bad)
-    assert R._MEMO.get() is None
+    assert P._TABLE.get() is None
+    bad_leaf = R.Derivation(bad, root.premises[0].premises[0].rule, ())
+    with pytest.raises(RuntimeError):
+        R.check_derivation(bad_leaf)
+    assert P._TABLE.get() is None
 
 
 def test_corrupted_inner_conclusions_fail_where_they_did():
@@ -901,3 +909,107 @@ def test_corrupted_inner_conclusions_fail_where_they_did():
     res = R.check_derivation(R.derive("Weaken", (bad_bind,), w=bad_bind.conclusion.w))
     assert (res.ok, res.path, res.message) == (
         False, (0, 1), "GetL: right program differs at u=(), s2=1")
+
+
+# ---------------------------------------------------------------------------
+# One construction table per check
+
+
+class _Forgetful(dict):
+    """A check table that drops every program and spec construction as soon
+    as it is stored (their keys start with a tag string) and keeps only the
+    judgment families' values: a check that shares no construction."""
+
+    def __setitem__(self, key, value):
+        if type(key[0]) is not str:
+            super().__setitem__(key, value)
+
+
+def _forget_constructions(monkeypatch):
+    def enter(scope):
+        scope.token = P._TABLE.set(_Forgetful()) if P._TABLE.get() is None else None
+    monkeypatch.setattr(P._EvaluationScope, "__enter__", enter)
+
+
+def _outcome(res):
+    if isinstance(res, R.CheckResult):
+        return res.ok, res.path, res.message
+    inner = res.inner
+    return res.kind, res.checked, res.valuation, res.clause, inner and (inner.kind, inner.point)
+
+
+def _coupled_flips():
+    """Bind(FlipCoupling, FlipCoupling): each continuation flip's bias reads
+    its own side's first result, coupled independently."""
+    half = F(1, 2)
+    first = R.derive("FlipCoupling", p=half, q=half, d=((half, F(0)), (F(0), half)))
+    env = R.EMPTY_ENV.extend(("b1", BOOL), ("b2", BOOL))
+    p = lambda g: F(1, 3) if g[0].index else half
+    q = lambda g: F(1, 4) if g[1].index else half
+    d = lambda g: tuple(tuple((p(g) if i else 1 - p(g)) * (q(g) if j else 1 - q(g))
+                              for j in range(2)) for i in range(2))
+    second = R.derive("FlipCoupling", env=env, p=p, q=q, d=d)
+    return R.derive("Bind", (first, second))
+
+
+def test_an_honest_replay_recomputes_the_stated_objects(monkeypatch):
+    # the sharing guard: every comparison an honest replay makes is between
+    # one object and itself, so none of them normalizes or runs an LP
+    seen = []
+    real_equal, real_equiv = P.programs_equal, R.spec_equiv
+    monkeypatch.setattr(P, "programs_equal", lambda p, q: seen.append((p, q)) or real_equal(p, q))
+    monkeypatch.setattr(R, "spec_equiv", lambda w, w2: seen.append((w, w2)) or real_equiv(w, w2))
+    root, _ = _depth3_with_counted_leaves()
+    for d in (root, _coupled_flips()):
+        seen.clear()
+        assert R.check_derivation(d).ok
+        # at least two programs and one spec per valuation of each node
+        assert len(seen) >= 3 * 4
+        assert all(a is b for a, b in seen), [(a, b) for a, b in seen if a is not b][:3]
+
+
+def test_constructions_are_shared_only_within_a_check():
+    root, _ = _depth3_with_counted_leaves()
+    j = root.conclusion
+    outside = j.c1(()), j.w(())
+    assert j.c1(()) is not outside[0] and j.w(()) is not outside[1]
+    with R._EvaluationScope():
+        inside = j.c1(()), j.w(())
+        with R._EvaluationScope():
+            assert (j.c1(()), j.w(())) == inside
+            assert R.check_derivation(root).ok
+    assert inside[0] is not outside[0] and P.programs_equal(inside[0], outside[0])
+    assert sm.spec_equiv(inside[1], outside[1]).holds
+
+
+@pytest.mark.parametrize("effect", ALL_EFFECTS)
+def test_sharing_constructions_changes_no_result(monkeypatch, effect):
+    rng = random.Random(f"table-{effect}")
+    ds = [R.random_derivation(rng, effect, depth=3) for _ in range(100)]
+    # each root also restated with the next derivation's conclusion, so the
+    # failures are compared too
+    cases = ds + [R.Derivation(b.conclusion, a.rule, a.premises) for a, b in zip(ds, ds[1:])]
+
+    def results():
+        return ([_outcome(R.check_derivation(d)) for d in cases]
+                + [_outcome(R.oracle_check(d.conclusion)) for d in ds])
+
+    shared = results()
+    _forget_constructions(monkeypatch)
+    assert results() == shared
+    assert all(r[0] for r in shared[:len(ds)])
+    assert not all(r[0] for r in shared[len(ds):len(cases)])
+
+
+def test_a_tampered_coupling_fails_where_it_did(monkeypatch):
+    d = _coupled_flips()
+    leaf = d.premises[0]
+    j = leaf.conclusion
+    other = sm.linear_spec(j.w(()).space, [(F(0), (F(1, 4),) * 4)])
+    tampered = R.Derivation(d.conclusion, d.rule, (
+        R.Derivation(R.judgment(j.observation, j.c1, j.c2, other), leaf.rule, ()),
+        d.premises[1]))
+    want = (False, (0,), "FlipCoupling: conclusion spec differs at the empty context (fails)")
+    assert _outcome(R.check_derivation(tampered)) == want
+    _forget_constructions(monkeypatch)
+    assert _outcome(R.check_derivation(tampered)) == want

@@ -1398,3 +1398,39 @@ def test_spec_too_large_fires_at_each_documented_limit():
     with pytest.raises(sm.SpecTooLarge,
                        match="^bind step forms 6561 partial sums, past the limit of 4096$"):
         sm.spec_bind(average, conts)
+
+
+def _spec_constructions():
+    """One spec of each shared constructor, built afresh on every call."""
+    sp, pp = sm.state_space(Z2, Z2, Z2, Z2), sm.prob_space(Z2, Z2)
+    ret = sm.spec_ret(sp, Z2.value(1), Z2.value(0))
+    lin = sm.linear_spec(pp, [(0, [F(1, 2), 0, 0, F(1, 2)]), (F(1, 3), (F(1, 3),) * 4)])
+    return [
+        ret,
+        lin,
+        sm.demand_spec(sp, [[1, 2], [3], [4], [5, 6]]),
+        sm.spec_bind(ret, lambda i1, i2: sm.spec_ret(sp, Z2.value(i2), Z2.value(i1))),
+        sm.spec_bind(lin, [sm.spec_ret(pp, Z2.value(i % 2), Z2.value(0)) for i in range(4)]),
+    ]
+
+
+def test_a_check_builds_each_spec_once():
+    outside = _spec_constructions()
+    assert not any(a is b for a, b in zip(outside, _spec_constructions()))
+    with R._EvaluationScope():
+        inside = _spec_constructions()
+        assert all(a is b for a, b in zip(inside, _spec_constructions()))
+        sp = inside[0].space
+        assert sm.spec_ret(sp, Z2.value(0), Z2.value(0)) is not inside[0]
+        assert sm.linear_spec(inside[1].space, [(0, (F(1, 2),) * 4)]) is not inside[1]
+        assert sm.linear_spec(inside[1].space, inside[1].pieces, exact_prune=False) is not inside[1]
+    for a, b in zip(inside, outside):
+        assert a is not b and sm.spec_equiv(a, b).holds
+
+
+def test_equal_specs_compare_without_an_lp(monkeypatch):
+    w, w2 = _spec_constructions()[1], _spec_constructions()[1]
+    assert w is not w2 and all(type(c) is F for _, cs in w.pieces for c in cs)
+    monkeypatch.setattr(lp, "max_min_affine", lambda *a: pytest.fail("ran an LP"))
+    monkeypatch.setattr(lp, "box_upper_bound", lambda *a: pytest.fail("bounded a box"))
+    assert sm.spec_equiv(w, w2).holds and sm.spec_equiv(w, w).holds
