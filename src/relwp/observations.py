@@ -19,7 +19,10 @@ laws as equal, strictly less precise, or violated, with re-checkable witnesses.
 
 Every observation here factors through the reference evaluators in
 `programs`, so two programs with equal `semantic_key` get equal specs; the
-battery builders rely on that to dedupe enumerated programs.
+battery builders rely on that to dedupe enumerated programs.  None walks a
+program tree: the state and loop observations, paired and one-sided, read
+each program's runs from the one table `programs._runs` keeps, and a
+diverging run makes a point trivial (partial) or unsatisfiable (total).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import lp
 from . import programs as P
-from .domains import BOOL, UNIT, FiniteDomain, Value, boolv
+from .domains import UNIT, FiniteDomain, Value
 from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
@@ -55,7 +58,6 @@ from .specmonads import (
     spec_leq,
     spec_ret,
     state_space,
-    weakest,
 )
 
 FORALL, EXISTS, FORALL_EXISTS = "forall", "exists", "forall-exists"
@@ -116,29 +118,21 @@ def _expect_effect(c: Program, allowed, who: str):
 # State
 
 
-def _runs(c: Program, run) -> tuple:
-    """c's run from each initial state, as its local outcome index
-    a * |S| + t (value a, final state t), or None where it diverges.  Kept
-    on the program: the evaluators agree wherever both apply (`run_state`
-    takes no loops), so one table serves every pair observation."""
-    t = c._runs
-    if t is None:
-        n = c.sig.state.size
-        t = tuple(None if r is None else r[0].index * n + r[1].index
-                  for r in (run(c, s) for s in c.sig.state.values()))
-        object.__setattr__(c, "_runs", t)
-    return t
-
-
-def _pair_runs(c1: Program, c2: Program, run, diverged) -> RelSpec:
+def _pair_runs(c1: Program, c2: Program, diverged) -> RelSpec:
     """Pair each side's runs: a point's demand is the single joint outcome,
     or its family is `diverged` if a side has none.  A joint outcome is the
     left local outcome times the right side's count, plus the right one."""
     space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
     k = c2.result.size * c2.sig.state.size
-    right = _runs(c2, run)
+    right = P._runs(c2)
     return _fixed(space, [diverged if l is None or r is None else frozenset({1 << (l * k + r)})
-                          for l in _runs(c1, run) for r in right])
+                          for l in P._runs(c1) for r in right])
+
+
+def _refuse_loops(c: Program, who: str):
+    if c.sig.effect == P.IMP and P.count_loops(c):
+        raise ValueError(f"{who} runs programs without loops; "
+                         "observe loops with theta_part or theta_tot")
 
 
 def theta_st(c1: Program, c2: Program) -> RelSpec:
@@ -146,27 +140,33 @@ def theta_st(c1: Program, c2: Program) -> RelSpec:
     pair.  Imp programs with a loop need `theta_part` or `theta_tot`."""
     _expect_effect(c1, (P.STATE, P.IMP), "theta_st")
     _expect_effect(c2, (P.STATE, P.IMP), "theta_st")
-    if any(c.sig.effect == P.IMP and P.count_loops(c) for c in (c1, c2)):
-        raise ValueError("theta_st runs programs without loops; "
-                         "observe loops with theta_part or theta_tot")
-    return _pair_runs(c1, c2, P.run_state, None)
+    _refuse_loops(c1, "theta_st")
+    _refuse_loops(c2, "theta_st")
+    return _pair_runs(c1, c2, None)
 
 
-def _theta_st_unary_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
-                         side: int, comp: int) -> RelSpec:
-    a = c.result
-    space = state_space(a if side == 1 else UNIT, s1, a if side == 2 else UNIT, s2)
+def _one_sided_runs(c: Program, s1: FiniteDomain, s2: FiniteDomain,
+                    side: int, comp: int) -> RelSpec:
+    """c's runs in the two-component state carrier: at each point, c runs
+    from state component `comp`, its value fills the `side` slot and its
+    final state replaces that component.  A diverging run demands nothing
+    (partial correctness)."""
     own = s1 if comp == 1 else s2
     if c.sig.state != own:
         raise ValueError("program state domain does not match the chosen component")
+    a = c.result
+    space = state_space(a if side == 1 else UNIT, s1, a if side == 2 else UNIT, s2)
+    runs = P._runs(c)
     table = []
     for pt in space.points():
         s1i, s2i = space.point_split(pt)
-        cur = Value(own, s1i if comp == 1 else s2i)
-        v, t = P.run_state(c, cur)
-        n1, n2 = (t.index, s2i) if comp == 1 else (s1i, t.index)
-        o = space.st_outcome(v.index if side == 1 else 0, n1,
-                             v.index if side == 2 else 0, n2)
+        r = runs[s1i if comp == 1 else s2i]
+        if r is None:
+            table.append(frozenset({0}))
+            continue
+        v, t = divmod(r, own.size)
+        s1i, s2i = (t, s2i) if comp == 1 else (s1i, t)
+        o = space.st_outcome(v if side == 1 else 0, s1i, v if side == 2 else 0, s2i)
         table.append(frozenset({1 << o}))
     return _fixed(space, table)
 
@@ -178,14 +178,20 @@ def unary_theta_st(side: int, s1: FiniteDomain, s2: FiniteDomain,
     `component` picks which state slot the program reads and writes; it
     defaults to the value side, giving the commuting left/right pair.  Making
     both sides act on the same component breaks commutation (order shows).
+    Like `theta_st`, it refuses imp programs with a loop.
     """
     comp = side if component is None else component
+
+    def embed(c: Program) -> RelSpec:
+        _refuse_loops(c, "unary_theta_st")
+        return _one_sided_runs(c, s1, s2, side, comp)
+
     return UnaryObservation(
         name=f"theta-st/{side}@{comp}",
         effect=P.STATE,
         side=side,
         target="WrelSt",
-        embed=lambda c: _theta_st_unary_spec(c, s1, s2, side, comp),
+        embed=embed,
     )
 
 
@@ -305,7 +311,7 @@ def theta_part(c1: Program, c2: Program) -> RelSpec:
     """
     _expect_effect(c1, (P.IMP, P.STATE), "theta_part")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_part")
-    return _pair_runs(c1, c2, P.run_imp, frozenset({0}))
+    return _pair_runs(c1, c2, frozenset({0}))
 
 
 def theta_tot(c1: Program, c2: Program) -> RelSpec:
@@ -314,76 +320,7 @@ def theta_tot(c1: Program, c2: Program) -> RelSpec:
     This variant is our reconstruction; `theta_part` is the primary one."""
     _expect_effect(c1, (P.IMP, P.STATE), "theta_tot")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_tot")
-    return _pair_runs(c1, c2, P.run_imp, frozenset())
-
-
-def _theta_imp_spec(c: Program, s1: FiniteDomain, s2: FiniteDomain,
-                    side: int, comp: int) -> RelSpec:
-    """Unary partial-correctness transformer, node by node in `P._postorder`.
-
-    Loops take the least fixpoint of w -> bind (body) (continue ? w : done),
-    computed by iterating from the everywhere-trivial spec until the demand
-    families stop changing; the chain only grows, and the lattice of entries is
-    finite, so this terminates.
-    """
-    own = s1 if comp == 1 else s2
-    if c.sig.state != own:
-        raise ValueError("program state domain does not match the chosen component")
-
-    def sp_for(dom: FiniteDomain) -> OutcomeSpace:
-        return state_space(dom if side == 1 else UNIT, s1,
-                           dom if side == 2 else UNIT, s2)
-
-    spec = {}
-    for q in P._postorder(c):
-        n = q.node
-        t = type(n)
-        space = sp_for(q.result)
-        if t is P.Ret:
-            u = Value(UNIT, 0)
-            a1v, a2v = (n.value, u) if side == 1 else (u, n.value)
-            w = spec_ret(space, a1v, a2v)
-        elif t is P.Bind:
-            subs = [spec[id(k)] for k in n.cont]
-            key = (lambda i1, i2: subs[i1]) if side == 1 else (lambda i1, i2: subs[i2])
-            w = spec_bind(spec[id(n.inner)], key)
-        elif t is P.Get:
-            # each point goes on with the family for its own state component
-            w = _fixed(space, [spec[id(n.cont[space.point_split(pt)[comp - 1]])].fams[pt]
-                               for pt in space.points()])
-        elif t is P.Put:
-            sub = spec[id(n.then)]
-            table = []
-            for pt in space.points():
-                s1i, s2i = space.point_split(pt)
-                npt = (space.point(n.state.index, s2i) if comp == 1
-                       else space.point(s1i, n.state.index))
-                table.append(sub.fams[npt])
-            w = _fixed(space, table)
-        elif t is P.DoWhile:
-            wbody = spec[id(n.body)]
-            bsp = sp_for(BOOL)
-            u = Value(UNIT, 0)
-            fv = boolv(False)
-            done = spec_ret(bsp, fv if side == 1 else u, fv if side == 2 else u)
-            w = weakest(bsp)
-            limit = bsp.point_count * (bsp.size + 2) + 4
-            for _ in range(limit):
-                def step(i1, i2, _w=w, _done=done):
-                    b = i1 if side == 1 else i2
-                    return _w if b == 1 else _done
-                nxt = spec_bind(wbody, step)
-                if nxt.fams == w.fams:
-                    break
-                w = nxt
-            else:
-                raise RuntimeError("loop fixpoint failed to converge")
-            sub = spec[id(n.then)]
-            w = spec_bind(w, lambda _i, _j: sub)
-        else:
-            raise TypeError(f"{t.__name__} under imp")
-        spec[id(q)] = w
-    return spec[id(c)]
+    return _pair_runs(c1, c2, frozenset())
 
 
 def theta_part_unary(c: Program) -> RelSpec:
@@ -393,7 +330,7 @@ def theta_part_unary(c: Program) -> RelSpec:
     program's initial states and outcomes its (value, final state) pairs.
     """
     _expect_effect(c, (P.IMP, P.STATE), "theta_part_unary")
-    return _theta_imp_spec(c, c.sig.state, UNIT, side=1, comp=1)
+    return _one_sided_runs(c, c.sig.state, UNIT, side=1, comp=1)
 
 
 def unary_theta_part(side: int, s1: FiniteDomain, s2: FiniteDomain,
@@ -404,7 +341,7 @@ def unary_theta_part(side: int, s1: FiniteDomain, s2: FiniteDomain,
         effect=P.IMP,
         side=side,
         target="WrelSt",
-        embed=lambda c: _theta_imp_spec(c, s1, s2, side, comp),
+        embed=lambda c: _one_sided_runs(c, s1, s2, side, comp),
     )
 
 

@@ -29,7 +29,10 @@ Only the table `_SHAPES` knows where each node keeps its subtrees:
 Through it, `_postorder`, `normalize`, `_graft`, `_throws`, `count_loops`,
 `==` and `hash` walk trees with explicit stacks and visit a shared subtree
 once, so long programs never raise RecursionError.  The evaluators loop over
-their own effect's nodes instead.  One fold with a per-node callback would
+their own effect's nodes instead.  `run_imp` serves state and imp alike (a
+state program is an imp program without loops), and `_runs` keeps each
+program's runs from every initial state on the program, the one table every
+state and loop observation reads.  One fold with a per-node callback would
 serve them all, but replaying the 368,684 outermost evaluator calls of one
 `laws` bench pass took 6.6 s that way, against 0.93-1.09 s with recursive
 evaluators and 0.83-0.94 s with per-effect continuation-stack loops
@@ -258,8 +261,8 @@ class Program:
         # Whether the tree holds no bind, and so is its own normal form; `_mk`
         # finds that out, and a program made another way is not assumed to.
         _set_bind_free(self, False)
-        # The run from each initial state, taken once by `observations._runs`:
-        # programs never change and the evaluators are pure.  Never pickled.
+        # The run from each initial state, taken once by `_runs`: programs
+        # never change and the evaluators are pure.  Never pickled.
         _set_runs(self, None)
 
     def __setattr__(self, name, value):
@@ -561,26 +564,6 @@ def programs_equal(p: Program, q: Program) -> bool:
 
 # -- evaluators ---------------------------------------------------------------
 
-def run_state(p: Program, s: Value) -> Tuple[Value, Value]:
-    conts = []  # tables of the binds still waiting for a result, innermost last
-    while True:
-        n = p.node
-        t = type(n)
-        if t is Ret:
-            if not conts:
-                return n.value, s
-            p = conts.pop()[n.value.index]
-        elif t is Bind:
-            conts.append(n.cont)
-            p = n.inner
-        elif t is Get:
-            p = n.cont[s.index]
-        elif t is Put:
-            s, p = n.state, n.then
-        else:
-            raise TypeError(f"{t.__name__} under state")
-
-
 OK, ERR = "ok", "err"
 
 
@@ -765,7 +748,8 @@ def run_prob(p: Program) -> Distribution:
 
 
 def run_imp(p: Program, s: Value) -> Optional[Tuple[Value, Value]]:
-    """Deterministic run; None means divergence (a state repeated at a loop head)."""
+    """Deterministic run of a state or imp program; None means divergence
+    (a state repeated at a loop head)."""
     # binds still waiting for a result, and loops still running with the
     # states seen at their heads, innermost last
     frames = []
@@ -800,16 +784,18 @@ def run_imp(p: Program, s: Value) -> Optional[Tuple[Value, Value]]:
             raise TypeError(f"{t.__name__} under imp")
 
 
-def reachable_outcomes(p: Program, s: Value) -> Tuple[FrozenSet[Tuple[Value, Value]], bool]:
-    """Terminating (result, final state) outcomes from s plus a divergence flag.
-
-    Imp is deterministic, so the set is a singleton or empty; exact on finite
-    domains, no fuel parameter.
-    """
-    r = run_imp(p, s)
-    if r is None:
-        return frozenset(), True
-    return frozenset((r,)), False
+def _runs(p: Program) -> tuple:
+    """p's run from each initial state, as its local outcome index
+    a * |S| + t (value a, final state t), or None where it diverges.  Taken
+    by `run_imp` once and kept on the program, so every state and loop
+    observation reads one table."""
+    t = p._runs
+    if t is None:
+        n = p.sig.state.size
+        t = tuple(None if r is None else r[0].index * n + r[1].index
+                  for r in (run_imp(p, s) for s in p.sig.state.values()))
+        _set_runs(p, t)
+    return t
 
 
 def count_loops(p: Program) -> int:
@@ -826,8 +812,8 @@ def semantic_key(p: Program):
     by every checker in this package (each observation factors through the
     reference evaluator of its effect)."""
     eff = p.sig.effect
-    if eff == STATE:
-        return tuple(run_state(p, s) for s in p.sig.state.values())
+    if eff == STATE or eff == IMP:
+        return tuple(run_imp(p, s) for s in p.sig.state.values())
     if eff == EXC:
         return run_exc(p)
     if eff == NDET:
@@ -836,6 +822,4 @@ def semantic_key(p: Program):
         return io_outcomes(p)
     if eff == PROB:
         return run_prob(p).weights
-    if eff == IMP:
-        return tuple(run_imp(p, s) for s in p.sig.state.values())
     raise ValueError(eff)

@@ -1131,6 +1131,7 @@ def loop_invariant(body1: Program, body2: Program):
     runs keep the guards synchronized, so mixed guard pairs never arise.
     """
     s1dom, s2dom = body1.sig.state, body2.sig.state
+    runs1, runs2 = P._runs(body1), P._runs(body2)
     ok = [[False] * s2dom.size for _ in range(s1dom.size)]
     exits = set()
     for i in range(s1dom.size):
@@ -1141,18 +1142,17 @@ def loop_invariant(body1: Program, body2: Program):
             exit_pair = None
             while cur not in seen:
                 seen.add(cur)
-                r1 = P.run_imp(body1, Value(s1dom, cur[0]))
-                r2 = P.run_imp(body2, Value(s2dom, cur[1]))
+                r1, r2 = runs1[cur[0]], runs2[cur[1]]
                 if r1 is None or r2 is None:
                     break
-                (b1, t1), (b2, t2) = r1, r2
-                if b1.index != b2.index:
+                (b1, t1), (b2, t2) = divmod(r1, s1dom.size), divmod(r2, s2dom.size)
+                if b1 != b2:
                     good = False
                     break
-                if b1.index == 0:
-                    exit_pair = (t1.index, t2.index)
+                if b1 == 0:
+                    exit_pair = (t1, t2)
                     break
-                cur = (t1.index, t2.index)
+                cur = (t1, t2)
             ok[i][j] = good
             if good and exit_pair is not None:
                 exits.add(exit_pair)
@@ -1175,6 +1175,7 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     sig = P.prob_sig()
 
     def coupling_at(g):
+        """d at g, checked, as coefficients over the outcomes (b1, b2)."""
         p, q = Fraction(pf(g)), Fraction(qf(g))
         d = tuple(tuple(Fraction(x) for x in row) for row in df(g))
         if len(d) != 2 or any(len(row) != 2 for row in d):
@@ -1185,19 +1186,13 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
            (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
             raise RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
                             f"at {_show_valuation(env, g)}")
-        return p, q, d
+        return d[0] + d[1]
 
-    for g in env.valuations():
-        coupling_at(g)
+    # each valuation's table is checked once, here, and read by every w(g)
+    coeffs = {g: coupling_at(g) for g in env.valuations()}
 
     def w(g):
-        _, _, d = coupling_at(g)
-        sp = prob_space(BOOL, BOOL)
-        coeffs = [ZERO] * 4
-        for b1 in range(2):
-            for b2 in range(2):
-                coeffs[b1 * 2 + b2] = d[b1][b2]
-        return linear_spec(sp, [(ZERO, tuple(coeffs))])
+        return linear_spec(prob_space(BOOL, BOOL), [(ZERO, coeffs[g])])
 
     return judgment(obs, lambda g: P.flip_bool(sig, pf(g)),
                     lambda g: P.flip_bool(sig, qf(g)), w, env)

@@ -3,11 +3,13 @@
 Each is a direct transcription of its definition, kept apart from `relwp`
 on purpose: `normalize` is the structural normal form the iterative one in
 `programs` must reproduce node for node, `run_imp_fuel` cross-checks
-`run_imp`'s divergence verdicts, and `theta_part_slow` cross-checks
-`theta_part` through the fixpoint of the one-sided transformers, and
-`theta_io_walk` builds θ_io node by node from spec units and binds where
-`theta_io` runs the evaluator.  Those recurse once per tree level, so keep
-their inputs shallow.
+`run_imp`'s divergence verdicts, `theta_imp_walk` builds the one-sided
+state and partial-correctness transformers node by node, loops by their
+fixpoint, where the observations read the program's runs, `theta_part_slow`
+pairs two such walks to cross-check `theta_part`, and `theta_io_walk`
+builds θ_io node by node from spec units and binds where `theta_io` runs
+the evaluator.  Those recurse once per tree level, so keep their inputs
+shallow.
 
 `leq_by_enumeration` and `bind_by_evaluation` read specs of the fixed
 propositional carriers only through `RelSpec.at`: the first tries every
@@ -28,13 +30,14 @@ from typing import Optional, Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
-from relwp.domains import UNIT, FiniteDomain, Value, inl_index, product_domain, sum_domain
+from relwp.domains import (BOOL, UNIT, FiniteDomain, Value, boolv, inl_index, product_domain,
+                           sum_domain)
 from relwp.lp import coupling_vertices
-from relwp.observations import UnaryObservation, from_commuting_pair, unary_theta_part
+from relwp.observations import UnaryObservation, from_commuting_pair
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
                             Output, PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import (RelSpec, Wp, io_demonic_spec, io_space, spec_bind, spec_leq,
-                              spec_ret, wp_bind, wp_map, wp_ret)
+from relwp.specmonads import (RelSpec, Wp, demand_spec, io_demonic_spec, io_space, spec_bind,
+                              spec_leq, spec_ret, state_space, weakest, wp_bind, wp_map, wp_ret)
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -194,13 +197,74 @@ def run_imp_fuel(p: Program, s: Value, fuel: int):
     return r
 
 
+def theta_imp_walk(c: Program, s1: FiniteDomain, s2: FiniteDomain,
+                   side: int, comp: int) -> RelSpec:
+    """One-sided partial-correctness transformer of a state or imp program
+    on the given side, acting on state component `comp`, built on the
+    tree: a return is the unit, a get goes on with the spec of the point's
+    own state, a put reads its subtree's spec at the moved point, and a
+    bind binds into its table's specs.  A loop is the fixpoint of
+    w -> bind body (true ? w : done), iterated from the trivial spec until
+    its demand families stop changing; the chain only grows, and the
+    lattice of entries is finite, so this terminates."""
+    if c.sig.state != (s1 if comp == 1 else s2):
+        raise ValueError("program state domain does not match the chosen component")
+    u = Value(UNIT, 0)
+
+    def space(dom):
+        return state_space(dom if side == 1 else UNIT, s1, dom if side == 2 else UNIT, s2)
+
+    def unit(sp, v):
+        return spec_ret(sp, v, u) if side == 1 else spec_ret(sp, u, v)
+
+    def then(w, kids):
+        specs = [walk(k) for k in kids]
+        return spec_bind(w, lambda i1, i2: specs[i1 if side == 1 else i2])
+
+    def walk(q: Program) -> RelSpec:
+        n = q.node
+        sp = space(q.result)
+        if isinstance(n, Ret):
+            return unit(sp, n.value)
+        if isinstance(n, Bind):
+            return then(walk(n.inner), n.cont)
+        if isinstance(n, Get):
+            specs = [walk(k) for k in n.cont]
+            return demand_spec(sp, [specs[sp.point_split(pt)[comp - 1]].fams[pt]
+                                    for pt in sp.points()])
+        if isinstance(n, Put):
+            sub = walk(n.then)
+
+            def moved(pt):
+                s1i, s2i = sp.point_split(pt)
+                return sp.point(n.state.index, s2i) if comp == 1 else sp.point(s1i, n.state.index)
+
+            return demand_spec(sp, [sub.fams[moved(pt)] for pt in sp.points()])
+        if isinstance(n, DoWhile):
+            body, bsp = walk(n.body), space(BOOL)
+            done = unit(bsp, boolv(False))
+            w = weakest(bsp)
+            while True:
+                nxt = spec_bind(body, lambda i1, i2, _w=w: _w if (i1 if side == 1 else i2) else done)
+                if nxt.fams == w.fams:
+                    break
+                w = nxt
+            sub = walk(n.then)
+            return spec_bind(w, lambda _i1, _i2: sub)
+        raise TypeError(f"{n.__class__.__name__} under imp")
+
+    return walk(c)
+
+
 def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
-    """Fixpoint-based cross check of theta_part (pairing of the two
-    one-sided transformers)."""
+    """Fixpoint-based cross check of theta_part: the pairing of the two
+    one-sided walks."""
     O._expect_effect(c1, (P.IMP, P.STATE), "theta_part_slow")
     O._expect_effect(c2, (P.IMP, P.STATE), "theta_part_slow")
-    u1 = unary_theta_part(1, c1.sig.state, c2.sig.state)
-    u2 = unary_theta_part(2, c1.sig.state, c2.sig.state)
+    s1, s2 = c1.sig.state, c2.sig.state
+    u1, u2 = (UnaryObservation(f"theta-imp-walk/{side}", P.IMP, side, "WrelSt",
+                               lambda c, _s=side: theta_imp_walk(c, s1, s2, _s, _s))
+              for side in (1, 2))
     return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)
 
 

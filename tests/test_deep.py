@@ -164,11 +164,9 @@ def test_deep_programs_built_apart_compare_and_hash_equal(effect):
 
 
 def test_one_sided_embeddings_of_long_chains():
-    # θ_part's one-sided embedding builds a spec per node, so its chain is
-    # shorter; it is still deeper than Python's default stack
     sig = P.imp_sig(Z2)
     p = P.get_state(sig)
-    for i in range(1500):
+    for i in range(N):
         p = P.put(sig, Z2.value(i % 2), p)
     w = O.theta_part_unary(p)
     assert all(w.demonic_at(pt) == frozenset({w.space.st_outcome(0, 0, 0, 0)})
@@ -200,7 +198,7 @@ def test_left_nested_binds_through_the_evaluators():
         return [P.put(sig, v, P.get_state(sig)) for v in reversed(list(Z2.values()))]
 
     p = _left_chain(P.get_state(st), toggle(st))
-    assert P.run_state(p, s1) == (s1, s1)
+    assert P.run_imp(p, s1) == (s1, s1)
     assert P.semantic_key(p) == ((Z2.value(0), Z2.value(0)), (s1, s1))
     q = _left_chain(P.get_state(imp), toggle(imp))
     assert P.run_imp(q, s1) == (s1, s1)

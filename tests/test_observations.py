@@ -361,8 +361,8 @@ def test_theta_st_on_unequal_state_domains_is_the_commuting_pair():
         assert (sp.s1, sp.s2, sp.point_count) == (Z2, Z3, 6)
         assert_equiv(w, obs.map(c1, c2))
         for s1, s2 in product(range(2), range(3)):
-            v1, t1 = P.run_state(c1, Value(Z2, s1))
-            v2, t2 = P.run_state(c2, Value(Z3, s2))
+            v1, t1 = P.run_imp(c1, Value(Z2, s1))
+            v2, t2 = P.run_imp(c2, Value(Z3, s2))
             assert w.demonic_at(s1 * 3 + s2) == \
                 frozenset({sp.st_outcome(v1.index, t1.index, v2.index, t2.index)})
 
@@ -389,19 +389,60 @@ def test_theta_part_and_tot_on_unequal_state_domains():
         [s1 == 0 or s2 == 1 for s1 in range(2) for s2 in range(3)]
 
 
+def _walk_pool(rng, sig, n):
+    """n seeded random programs over sig with at most two loops, the state
+    as their result, after the loop that sticks at state 0 for imp."""
+    pool = [_stuck_at(sig, 0)] if sig.effect == P.IMP else []
+    while len(pool) < n:
+        c = random_program(rng, sig, sig.state, 4, allow_bind=True)
+        if P.count_loops(c) <= 2:
+            pool.append(c)
+    return pool
+
+
+def test_one_sided_embeddings_match_the_reference_walk():
+    # the embeddings read each program's runs; the reference binds one spec
+    # per tree node and takes each loop's fixpoint
+    rng = random.Random(16)
+    pools = {(eff, dom): _walk_pool(rng, sig, 12)
+             for eff, mk in ((P.STATE, P.state_sig), (P.IMP, P.imp_sig))
+             for dom in (Z2, Z3) for sig in (mk(dom),)}
+    assert any(P.run_imp(c, s) is None for c in pools[(P.IMP, Z3)] for s in Z3.values())
+    for side in (1, 2):
+        for comp, own in ((1, Z2), (2, Z3)):
+            part = O.unary_theta_part(side, Z2, Z3, comp).embed
+            st_ = O.unary_theta_st(side, Z2, Z3, comp).embed
+            for eff in (P.STATE, P.IMP):
+                for c in pools[(eff, own)]:
+                    ref = reference.theta_imp_walk(c, Z2, Z3, side, comp)
+                    assert part(c).fams == ref.fams, (side, comp, c)
+                    if not P.count_loops(c):
+                        assert st_(c).fams == ref.fams, (side, comp, c)
+    for c in pools[(P.IMP, Z2)] + pools[(P.STATE, Z3)]:
+        ref = reference.theta_imp_walk(c, c.sig.state, UNIT, 1, 1)
+        assert O.theta_part_unary(c).fams == ref.fams
+
+
+def test_unary_theta_st_refuses_loops():
+    for loop in (_forever(), _stuck_at(ISIG, 1)):
+        for side in (1, 2):
+            with pytest.raises(ValueError, match="observe loops with theta_part or theta_tot"):
+                O.unary_theta_st(side, Z2, Z2).embed(loop)
+
+
 def _count_runs(monkeypatch):
     """Count outermost evaluator calls; nested ones recurse through the
     patched module names and are not counted."""
     seen = {"runs": 0, "depth": 0}
-    for name in ("run_state", "run_imp"):
-        def counted(*args, _run=getattr(P, name), **kw):
-            seen["runs"] += seen["depth"] == 0
-            seen["depth"] += 1
-            try:
-                return _run(*args, **kw)
-            finally:
-                seen["depth"] -= 1
-        monkeypatch.setattr(P, name, counted)
+
+    def counted(*args, _run=P.run_imp, **kw):
+        seen["runs"] += seen["depth"] == 0
+        seen["depth"] += 1
+        try:
+            return _run(*args, **kw)
+        finally:
+            seen["depth"] -= 1
+    monkeypatch.setattr(P, "run_imp", counted)
     return seen
 
 

@@ -29,19 +29,19 @@ def test_run_state_increment():
     # read the state, add 2 mod 8, write it back
     p = P.bind(P.get_state(st_sig),
                lambda x: P.put_unit(st_sig, Z8.value((x.index + 2) % 8), UNIT_VAL))
-    v, s = P.run_state(p, Z8.value(3))
+    v, s = P.run_imp(p, Z8.value(3))
     assert v == UNIT_VAL
     assert s == Z8.value(5)
 
 
 def test_run_state_ret_keeps_state():
     p = P.ret(st_sig, Z8.value(4))
-    assert P.run_state(p, Z8.value(7)) == (Z8.value(4), Z8.value(7))
+    assert P.run_imp(p, Z8.value(7)) == (Z8.value(4), Z8.value(7))
 
 
 def test_run_state_put_then_get():
     p = P.bind(P.put_unit(st_sig, Z8.value(1), UNIT_VAL), lambda _: P.get_state(st_sig))
-    assert P.run_state(p, Z8.value(6)) == (Z8.value(1), Z8.value(1))
+    assert P.run_imp(p, Z8.value(6)) == (Z8.value(1), Z8.value(1))
 
 
 def test_normalize_left_unit():
@@ -63,7 +63,7 @@ def test_normalize_associates_into_get():
     q = P.normalize(p)
     assert isinstance(q.node, P.Get)
     for s in Z8.values():
-        assert P.run_state(p, s) == P.run_state(q, s)
+        assert P.run_imp(p, s) == P.run_imp(q, s)
 
 
 def test_run_exc_catch_of_throw():
@@ -153,8 +153,7 @@ def loop_forever(sig):
 
 def test_reachable_outcomes_trivial_loop_diverges():
     for s in Z3.values():
-        outs, div = P.reachable_outcomes(loop_forever(imp3), s)
-        assert outs == frozenset() and div
+        assert P.run_imp(loop_forever(imp3), s) is None
 
 
 def countdown(sig, dom):
@@ -165,14 +164,12 @@ def countdown(sig, dom):
 
 
 def test_reachable_outcomes_countdown():
-    outs, div = P.reachable_outcomes(countdown(imp3, Z3), Z3.value(2))
-    assert outs == frozenset({(UNIT_VAL, Z3.value(0))}) and not div
+    assert P.run_imp(countdown(imp3, Z3), Z3.value(2)) == (UNIT_VAL, Z3.value(0))
 
 
 def test_reachable_outcomes_ret():
     p = P.ret(imp3, Z3.value(2))
-    outs, div = P.reachable_outcomes(p, Z3.value(1))
-    assert outs == frozenset({(Z3.value(2), Z3.value(1))}) and not div
+    assert P.run_imp(p, Z3.value(1)) == (Z3.value(2), Z3.value(1))
 
 
 # -- generated-program properties ---------------------------------------------
@@ -307,14 +304,13 @@ def test_divergence_agrees_with_fueled_reference(seed):
     p = random_program(rng, sig, Z3, 5)
     fuel = Z4.size * (P.count_loops(p) + 1) + p.depth
     for s in Z4.values():
-        outs, div = P.reachable_outcomes(p, s)
+        r = P.run_imp(p, s)
         ref = reference.run_imp_fuel(p, s, fuel)
-        if div:
+        if r is None:
             assert ref == "fuel"
-            assert outs == frozenset()
         else:
             assert ref != "fuel"
-            assert outs == frozenset({ref})
+            assert r == ref
 
 
 def test_do_while_unrolling_under_evaluation():

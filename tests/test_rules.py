@@ -338,6 +338,28 @@ def test_flip_coupling_rejects_non_couplings():
                             d=((F(1), F(-1, 2)), (F(0), F(1, 2)))), ())
 
 
+def test_flip_coupling_checks_each_valuation_once_per_application():
+    half = F(1, 2)
+    env = R.EMPTY_ENV.extend(("b1", BOOL), ("b2", BOOL))
+    read = []
+
+    def d(g):
+        read.append(g)
+        return ((half, F(0)), (F(0), half))
+
+    dd = R.derive("FlipCoupling", env=env, p=half, q=half, d=d)
+    valuations = list(env.valuations())
+    assert read == valuations
+    # evaluating the spec family reads the tables the rule checked
+    j = dd.conclusion
+    assert all(j.w(g).at((1, 0, 0, 1)) == 1 for g in valuations)
+    assert R.oracle_check(j).holds
+    assert read == valuations
+    # a replay applies the rule once more, and checks each valuation once more
+    assert R.check_derivation(dd).ok
+    assert read == valuations * 2
+
+
 # ---------------------------------------------------------------------------
 # Eliminators and conditionals
 

@@ -22,7 +22,7 @@ from relwp import specmonads as sm
 from relwp.domains import BOOL, UNIT, Value, domain
 from relwp.genprog import random_program
 from relwp.programs import (IN, OUT, bind, choice, get, get_state, ndet_sig, pick_fin, put, ret,
-                            run_state, state_sig)
+                            run_imp, state_sig)
 
 import reference
 
@@ -154,8 +154,8 @@ def test_bind_state_against_program_oracle():
     def run_transformer(p1, p2):
         def body(phi, pt):
             s1, s2 = space.point_split(pt)
-            v1, f1 = run_state(p1, s_dom.value(s1))
-            v2, f2 = run_state(p2, s_dom.value(s2))
+            v1, f1 = run_imp(p1, s_dom.value(s1))
+            v2, f2 = run_imp(p2, s_dom.value(s2))
             return phi(space.st_outcome(v1.index, f1.index, v2.index, f2.index))
         return sm.closure_spec(space, body)
 
