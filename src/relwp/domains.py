@@ -8,42 +8,78 @@ checkers enumerate everything they quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class FiniteDomain:
+class _Pooled(type):
+    """Calling a canonical class looks its instance up (see `Canonical`)."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != cls._arity:
+            args = cls._full_args(args, kwargs)
+        obj = cls._pool.get(args)
+        if obj is None:
+            obj = cls._pool.setdefault(args, super().__call__(*args))  # racers keep the first
+        return obj
+
+
+class Canonical(metaclass=_Pooled):
+    """Base of the frozen dataclasses that key a check's memo tables:
+    domains, values, signatures and outcome spaces.  Canonical means one
+    live object per field tuple: building one, positionally, by keyword,
+    by pickle, copy or `dataclasses.replace`, returns the object already
+    made with those fields, validated once when first made; a failed
+    validation pools nothing.  Equality and hashing are identity, so every
+    memo key made of these objects hashes and compares in C.  Subclasses
+    are `@dataclass(frozen=True, eq=False)`; as with `_PRODUCTS`, the pools
+    live for the whole process."""
+
+    _arity = -1   # field count, set by the first call that names the fields
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._pool = {}
+
+    @classmethod
+    def _full_args(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field in order, keywords placed and defaults filled in."""
+        fs = fields(cls)
+        cls._arity = len(fs)
+        rest = tuple(kwargs.pop(f.name, f.default) for f in fs[len(args):])
+        if kwargs or len(args) > len(fs) or any(v is MISSING for v in rest):
+            raise TypeError(f"{cls.__name__} takes the fields {[f.name for f in fs]}, "
+                            f"got {len(args)} positional and the keywords {sorted(kwargs)}")
+        return args + rest
+
+    def __reduce__(self):
+        # copy and deepcopy rebuild through this too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteDomain(Canonical):
     name: str
     size: int
     labels: Optional[Tuple[str, ...]] = None
-    # Domains key every memo table, and a generated hash would rehash the
-    # label tuple on each lookup; it is taken once here instead.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"domain {self.name!r} must be inhabited, got size {self.size}")
         if self.labels is not None and len(self.labels) != self.size:
             raise ValueError(f"domain {self.name!r}: {len(self.labels)} labels for size {self.size}")
-        object.__setattr__(self, "_hash", hash((self.name, self.size, self.labels)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild through the
-        # constructor rather than carry the stored hash
-        return FiniteDomain, (self.name, self.size, self.labels)
 
     def value(self, index: int) -> "Value":
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for domain {self.name!r} (size {self.size})")
-        return Value(self, index)
+        # out of range, Value's own check raises
+        return self._values[index] if 0 <= index < self.size else Value(self, index)
 
     def values(self) -> Iterator["Value"]:
-        for i in range(self.size):
-            yield Value(self, i)
+        return iter(self._values)
+
+    @cached_property
+    def _values(self) -> Tuple["Value", ...]:
+        return tuple(Value(self, i) for i in range(self.size))
 
     def label_of(self, index: int) -> str:
         if self.labels is not None:
@@ -54,15 +90,15 @@ class FiniteDomain:
         return f"FiniteDomain({self.name!r}, {self.size})"
 
 
-@dataclass(frozen=True)
-class Value:
+@dataclass(frozen=True, eq=False)
+class Value(Canonical):
     domain: FiniteDomain
     index: int
 
-    # Values key memo tables inside long tuples (interactive histories), so
-    # the hash reuses the domain's stored one rather than hash a new pair.
-    def __hash__(self):
-        return self.domain._hash ^ self.index
+    def __post_init__(self):
+        if not 0 <= self.index < self.domain.size:
+            raise ValueError(f"index {self.index} out of range for domain "
+                             f"{self.domain.name!r} (size {self.domain.size})")
 
     def __repr__(self):
         return f"<{self.domain.name}:{self.domain.label_of(self.index)}>"

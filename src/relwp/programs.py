@@ -42,18 +42,18 @@ evaluators and 0.83-0.94 s with per-effect continuation-stack loops
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .domains import BOOL, FiniteDomain, Value, boolv
+from .domains import BOOL, Canonical, FiniteDomain, Value, boolv
 
 STATE, EXC, NDET, IO, PROB, IMP = "state", "exc", "ndet", "io", "prob", "imp"
 EFFECTS = (STATE, EXC, NDET, IO, PROB, IMP)
 
 
-@dataclass(frozen=True)
-class Signature:
+@dataclass(frozen=True, eq=False)
+class Signature(Canonical):
     """Effect tag plus the parameter domains that tag needs."""
 
     effect: str
@@ -61,9 +61,6 @@ class Signature:
     exc: Optional[FiniteDomain] = None
     inp: Optional[FiniteDomain] = None
     out: Optional[FiniteDomain] = None
-    # Signatures key the construction table of a check, and a generated
-    # hash would rehash all five fields on each lookup; it is taken once here.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.effect not in EFFECTS:
@@ -72,18 +69,6 @@ class Signature:
         for name in need.get(self.effect, ()):
             if getattr(self, name) is None:
                 raise ValueError(f"effect {self.effect!r} needs a {name} domain")
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return (self.effect, self.state, self.exc, self.inp, self.out)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild through the
-        # constructor rather than carry the stored hash
-        return Signature, self._fields()
 
 
 def state_sig(s: FiniteDomain) -> Signature:
@@ -255,8 +240,8 @@ class Program:
         _set_result(self, result)
         _set_node(self, node)
         _set_depth(self, depth)
-        # Structural hash, taken on first use.  It is never pickled: domains
-        # hash their name strings, which differ between processes.
+        # Structural hash, taken on first use.  It is never pickled: it reads
+        # identity hashes, which differ between processes.
         _set_hash(self, None)
         # Whether the tree holds no bind, and so is its own normal form; `_mk`
         # finds that out, and a program made another way is not assumed to.
@@ -466,8 +451,13 @@ def output(sig: Signature, value: Value, then: Program) -> Program:
     return _mk(sig, then.result, Output(value, then))
 
 
+def _fraction(x) -> Fraction:
+    # Fraction(x) of a Fraction still runs the numbers.Rational checks
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def flip(sig: Signature, p, if_false: Program, if_true: Program) -> Program:
-    p = Fraction(p)
+    p = _fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"flip parameter {p} outside [0,1]")
     if if_false.result != if_true.result:

@@ -1176,8 +1176,8 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
 
     def coupling_at(g):
         """d at g, checked, as coefficients over the outcomes (b1, b2)."""
-        p, q = Fraction(pf(g)), Fraction(qf(g))
-        d = tuple(tuple(Fraction(x) for x in row) for row in df(g))
+        p, q = P._fraction(pf(g)), P._fraction(qf(g))
+        d = tuple(tuple(map(P._fraction, row)) for row in df(g))
         if len(d) != 2 or any(len(row) != 2 for row in d):
             raise RuleError("FlipCoupling: d must be a 2x2 table over (left, right) guards")
         if any(x < 0 for row in d for x in row):
@@ -1188,8 +1188,10 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
                             f"at {_show_valuation(env, g)}")
         return d[0] + d[1]
 
-    # each valuation's table is checked once, here, and read by every w(g)
-    coeffs = {g: coupling_at(g) for g in env.valuations()}
+    # each valuation's table is checked once, here, and read by every w(g);
+    # valuations that state equal tables share one coefficient tuple
+    shared: Dict[tuple, tuple] = {}
+    coeffs = {g: shared.setdefault(t := coupling_at(g), t) for g in env.valuations()}
 
     def w(g):
         return linear_spec(prob_space(BOOL, BOOL), [(ZERO, coeffs[g])])

@@ -39,10 +39,9 @@ coefficients: bind expands the pieces exactly, pruning as it goes, and
 past a documented size raises `SpecTooLarge`; `spec_leq` compares pieces
 exactly by linear programming.
 
-Outcome spaces are interned: each constructor below returns one shared
-`OutcomeSpace` per field tuple, so the shape checks in bind and comparison
-try identity first and fall back to field equality, which a space built
-directly or unpickled (equal but not identical) still passes.  Within one
+Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
+per field tuple, however it is built, so the shape checks in bind and
+comparison are identity tests.  Within one
 check (`programs._EvaluationScope`), `spec_ret`, `spec_bind`, `linear_spec`
 and `demand_spec` build each spec once, in the check's table, so a replay
 that rebuilds a stated spec gets that very object and `spec_equiv` answers
@@ -58,14 +57,14 @@ shared by every point where the precondition holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
-from .domains import UNIT, FiniteDomain, Value, product_domain, sum_domain
+from .domains import UNIT, Canonical, FiniteDomain, Value, product_domain, sum_domain
 from .programs import _TABLE, History
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
@@ -117,8 +116,8 @@ def _bind_step(count: int, what: str) -> None:
 # Outcome spaces
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+@dataclass(frozen=True, eq=False)
+class OutcomeSpace(Canonical):
     """Carrier shape of a spec: which outcomes postconditions range over.
 
     The value domains a1/a2 are always present.  State carriers add
@@ -137,9 +136,6 @@ class OutcomeSpace:
     o1: Optional[FiniteDomain] = None
     i2: Optional[FiniteDomain] = None
     o2: Optional[FiniteDomain] = None
-    # Spaces key the continuation tables' memos, and a generated hash would
-    # rehash all nine fields on each lookup; it is taken once here instead.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -149,18 +145,6 @@ class OutcomeSpace:
             raise ValueError(f"{self.tag} needs state domains on both sides")
         if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2):
             raise ValueError("WrelIO needs input and output alphabets on both sides")
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return (self.tag, self.a1, self.a2, self.s1, self.s2, self.i1, self.o1, self.i2, self.o2)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild through the
-        # constructor rather than carry the stored hash or the cached domains
-        return OutcomeSpace, self._fields()
 
     @cached_property
     def pair_values(self) -> FiniteDomain:
@@ -257,56 +241,38 @@ class OutcomeSpace:
         return si1, a1i, sf1, si2, a2i, sf2
 
 
-# Built spaces by field tuple, the way `domains.product_domain` memoises
-# its domains: a space's cached outcome and point domains are then computed
-# once, and equal spaces are usually the same object.
-_SPACES: Dict[tuple, OutcomeSpace] = {}
-
-
-def _interned(key: tuple) -> OutcomeSpace:
-    sp = _SPACES.get(key)
-    if sp is None:
-        sp = _SPACES[key] = OutcomeSpace(*key)
-    return sp
-
-
-def outcome_space(tag: str, a1: FiniteDomain, a2: FiniteDomain,
-                  s1: Optional[FiniteDomain] = None, s2: Optional[FiniteDomain] = None,
-                  i1: Optional[FiniteDomain] = None, o1: Optional[FiniteDomain] = None,
-                  i2: Optional[FiniteDomain] = None, o2: Optional[FiniteDomain] = None,
-                  ) -> OutcomeSpace:
-    """The shared space with these fields, whatever the carrier; the named
-    constructors below return the same objects."""
-    return _interned((tag, a1, a2, s1, s2, i1, o1, i2, o2))
+# the space with these fields, whatever the carrier; the named constructors
+# below return the same objects
+outcome_space = OutcomeSpace
 
 
 def pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("WrelPure", a1, a2, None, None, None, None, None, None))
+    return OutcomeSpace("WrelPure", a1, a2, None, None, None, None, None, None)
 
 
 def state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("WrelSt", a1, a2, s1, s2, None, None, None, None))
+    return OutcomeSpace("WrelSt", a1, a2, s1, s2, None, None, None, None)
 
 
 def err_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("WrelErr", a1, a2, None, None, None, None, None, None))
+    return OutcomeSpace("WrelErr", a1, a2, None, None, None, None, None, None)
 
 
 def io_space(a1: FiniteDomain, i1: FiniteDomain, o1: FiniteDomain,
              a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("WrelIO", a1, a2, None, None, i1, o1, i2, o2))
+    return OutcomeSpace("WrelIO", a1, a2, None, None, i1, o1, i2, o2)
 
 
 def prob_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("WrelProb", a1, a2, None, None, None, None, None, None))
+    return OutcomeSpace("WrelProb", a1, a2, None, None, None, None, None, None)
 
 
 def pp_pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("PPrelPure", a1, a2, None, None, None, None, None, None))
+    return OutcomeSpace("PPrelPure", a1, a2, None, None, None, None, None, None)
 
 
 def pp_state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return _interned(("PPrelSt", a1, a2, s1, s2, None, None, None, None))
+    return OutcomeSpace("PPrelSt", a1, a2, s1, s2, None, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +666,7 @@ class RelSpec:
         pt = self._norm_point(point)
         if self.fams is not None:
             return _accepts(self.fams[pt], phi)
-        f = phi.__contains__ if isinstance(phi, (set, frozenset)) else phi
+        f = phi.__contains__ if isinstance(phi, (set, frozenset, tuple)) else phi
         entry = self.demonic_at(pt)
         return entry is not VIOLATED and all(f(o) for o in entry)
 
@@ -1002,11 +968,9 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
     """The continuations' common space.
 
     Every continuation must carry wm's tag, the first continuation's value
-    domains, and wm's ambient fields (states, alphabets).  Only the first
-    continuation's space is compared field by field; one that is that very
-    object needs only its tag checked, and any other space gets the full
-    comparison, so the errors and their order are those of checking each
-    continuation in turn.
+    domains, and wm's ambient fields (states, alphabets).  A space equal to
+    the first is that very object and needs only its tag checked; the
+    errors and their order are those of checking each continuation in turn.
     """
     first = None
     for w in conts.values():
@@ -1348,7 +1312,8 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     Interactive specs have one body, a demonic entry per history point, and
     compare exactly by set inclusion at every declared point: w <= w2 fails
     at the first point where w2's entry is satisfiable and w's is VIOLATED
-    or not inside it, with w2's entry as the witness `phi`.  Quantitative
+    or not inside it, with w2's entry, listed in index order, as the
+    witness `phi`.  Quantitative
     specs are pieces on both sides and compare exactly: per piece of w2, a
     box bound settles the difference family when it is already <= 0, and
     linear programming decides the rest.
@@ -1358,7 +1323,7 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     """
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
-    if w.space is not w2.space and w.space._fields()[1:] != w2.space._fields()[1:]:
+    if w.space is not w2.space:
         raise ValueError("cannot compare specs over different outcome spaces")
     if w.tag in PP_TAGS:
         return _leq_pp(w, w2)
@@ -1421,5 +1386,12 @@ def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:
             continue
         r = w.demonic_at(pt)
         if r is VIOLATED or not r <= r2:
-            return _fails(r2, point=pt, note="right holds but left does not at this point")
+            # listed in index order: a set of Values iterates in address order
+            return _fails(tuple(sorted(r2, key=_io_outcome_key)), point=pt,
+                          note="right holds but left does not at this point")
     return HOLDS
+
+
+def _io_outcome_key(o):
+    v, h1, h2 = o
+    return v, [(tag, x.index) for tag, x in h1], [(tag, x.index) for tag, x in h2]

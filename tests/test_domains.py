@@ -42,7 +42,8 @@ def test_domain_builders_stay_plain_functions():
 
 def test_equal_domains_built_apart_hash_and_compare_equal():
     a, b = domain("A", 2, ("x", "y")), domain("A", 2, ("x", "y"))
-    assert a is not b and a == b and hash(a) == hash(b)
+    # domains are canonical: built apart, they are one object
+    assert a is b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert domain("A", 2) != a and domain("A", 3) != domain("A", 2)
 

@@ -360,6 +360,22 @@ def test_flip_coupling_checks_each_valuation_once_per_application():
     assert read == valuations * 2
 
 
+def test_flip_coupling_shares_one_coefficient_tuple_between_equal_tables():
+    half, zero = F(1, 2), F(0)
+    env = R.EMPTY_ENV.extend(("x", Z3))
+
+    def d(g):
+        # a fresh table on every call; the first two valuations state equal ones
+        if g[0].index < 2:
+            return ((half, zero), (zero, half))
+        return ((zero, half), (half, zero))
+
+    j = R.derive("FlipCoupling", env=env, p=half, q=half, d=d).conclusion
+    (c0,), (c1,), (c2,) = ([cs for _, cs in j.w(g).pieces] for g in env.valuations())
+    assert c0 is c1 and c0 == (half, zero, zero, half)
+    assert c2 is not c0 and c2 == (zero, half, half, zero)
+
+
 # ---------------------------------------------------------------------------
 # Eliminators and conditionals
 

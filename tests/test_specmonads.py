@@ -1025,7 +1025,8 @@ def test_space_constructors_return_one_object_per_field_tuple(name):
     others = {n: b(Z2) for n, b in SPACE_BUILDERS.items() if n != name}
     assert all(o is not space for o in others.values())
     for twin in (_twin_direct(space), _twin_pickled(space)):
-        assert twin == space and twin is not space
+        # spaces are canonical: a direct or unpickled twin is the space itself
+        assert twin == space and twin is space
         assert twin.point_count == space.point_count
         if name != "io":      # interactive outcomes form no finite domain
             assert twin.size == space.size
@@ -1065,7 +1066,8 @@ def test_equal_but_not_identical_spaces_bind_and_compare_alike(twin):
     rng = random.Random(11)
     for space in (sm.pure_space(Z2, Z3), sm.err_space(Z2, Z3), sm.state_space(Z2, Z2, Z3, Z3)):
         other = twin(space)
-        assert other == space and other is not space
+        # spaces are canonical: the twin is the space itself
+        assert other == space and other is space
         keys = [(i1, i2) for i1 in range(space.a1.size) for i2 in range(space.a2.size)]
         small = space.tag != "WrelSt"     # closures on the right need enumeration
         for _ in range(10):
