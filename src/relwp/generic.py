@@ -12,9 +12,11 @@ regression tests for what goes wrong without it).
 Carriers are assembled rather than hard-coded.  A base lift turns a simple
 relational carrier into a triple whose unary parts run against a unit result
 on the opposite side; transformers then add exception or state structure to
-one side at a time.  The canonical exception carrier is the base lift with
-an exception transformer applied to each side; the tests pin it against a
-hand-written version of the same carrier.
+one side at a time.  Each transformer is written for the left side only: the
+right-side one is its mirror image, the left transformer over the inner
+carrier with its sides swapped, swapped back.  The canonical exception
+carrier is the base lift with an exception transformer applied to each side;
+the tests pin it against a hand-written version of the same carrier.
 
 Payloads over finite outcome domains are `specmonads.Wp`: one demand family
 (the minimal accepted postconditions, as outcome bitmasks), the same exact
@@ -226,11 +228,45 @@ def lift_state(s1: FiniteDomain, s2: FiniteDomain) -> FullSpecMonad:
 # ---------------------------------------------------------------------------
 # Transformers
 
-# Both transformers touch one side at a time.  The composite operations are
-# spelled out with explicit unit computations and tau embeddings wherever a
-# one-sided continuation has to cross to the relational component, so that
-# the assembled carrier keeps the projection discipline: the unary parts of
-# every composite are the unary binds of the inner carrier.
+# Both transformers touch one side at a time, and each is written once, for
+# the left side.  The right-side transformer is the left one applied to the
+# mirrored inner carrier and mirrored back, so its payloads keep the inner
+# carrier's layout.  The composite operations are spelled out with explicit
+# unit computations and tau embeddings wherever a one-sided continuation has
+# to cross to the relational component, so that the assembled carrier keeps
+# the projection discipline: the unary parts of every composite are the
+# unary binds of the inner carrier.
+
+
+def _mirror(m: FullSpecMonad, name: Optional[str] = None,
+            shape: Optional[tuple] = None) -> FullSpecMonad:
+    """`m` with its sides swapped: the left operations are m's right ones,
+    and the relational ones take their arguments the other way round (the
+    relational continuation table transposed).  Payloads are m's own, so
+    mirroring twice gives m's operations back."""
+
+    def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
+        return m.bind_rel(m2, m1, mrel, f2, f1, tuple(zip(*frel)), b2dom, b1dom)
+
+    return FullSpecMonad(
+        name=name or f"mirror({m.name})",
+        shape=shape or ("mirror", m.shape),
+        ret1=m.ret2,
+        ret2=m.ret1,
+        ret_rel=lambda a1, a2: m.ret_rel(a2, a1),
+        bind1=m.bind2,
+        bind2=m.bind1,
+        bind_rel=bind_rel,
+        leq1=m.leq2,
+        leq2=m.leq1,
+        leq_rel=m.leq_rel,
+        unsat_rel=lambda d1, d2: m.unsat_rel(d2, d1),
+        tau1=m.tau2,
+        tau2=m.tau1,
+        gen1=m.gen2,
+        gen2=m.gen1,
+        gen_rel=lambda rng, d1, d2: m.gen_rel(rng, d2, d1),
+    )
 
 
 def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> FullSpecMonad:
@@ -253,10 +289,14 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     sound because every `inner` operation is a pure function of its
     arguments and payloads are frozen and hashable (`Wp`, or tuples of `Wp`
     under `stt_rel_transform`), so an equal key always builds an equal
-    result.
+    result.  A right-side carrier keeps these tables, its pins included, in
+    the left instance built over the mirrored inner carrier.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "right":
+        return _mirror(exct_rel_transform(_mirror(inner), e, "left"),
+                       f"exct-right[{e.name}]({inner.name})", ("exct", "right", e, inner.shape))
 
     tables = {}
 
@@ -281,121 +321,60 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     def inl(a: Value) -> Value:
         return tagged(a.domain)[1][a.index]
 
-    if side == "left":
-        unit1 = inner.ret1(UNIT_VAL)
+    unit1 = inner.ret1(UNIT_VAL)
 
-        def ret1(a: Value):
-            return inner.ret1(inl(a))
-
-        def raises(bdom):
-            # the unit at each exception, appended to a continuation table
-            return once(("raises", bdom),
-                        lambda: tuple(inner.ret1(v) for v in tagged(bdom)[2]))
-
-        def bind1(w, table, bdom):
-            return inner.bind1(w, tuple(table) + raises(bdom), sdom(bdom))
-
-        def pin(w2, b1val, b2dom):
-            # pair a fixed left result with whatever the right continuation
-            # produces, keeping its effect on the right spec
-            def build():
-                f1t, f2t, frelt = once(("units", b1val, b2dom), lambda: (
-                    (inner.ret1(b1val),),
-                    tuple(inner.ret2(v) for v in b2dom.values()),
-                    (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
-                ))
-                return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
-                                      b1val.domain, b2dom)
-            return once(("pin", w2, b1val, b2dom), build)
-
-        def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-            f1 = tuple(f1)
-            f2 = tuple(f2)
-            frelx = [tuple(frel[a1][a2] for a2 in range(len(f2))) for a1 in range(len(f1))]
-            for thrown in tagged(b1dom)[2]:
-                frelx.append(tuple(pin(w2, thrown, b2dom) for w2 in f2))
-            return inner.bind_rel(m1, m2, mrel, f1 + raises(b1dom), f2, tuple(frelx),
-                                  sdom(b1dom), b2dom)
-
-        def tau2(w2, a2dom):
-            return pin(w2, inl(UNIT_VAL), a2dom)
-
-        return FullSpecMonad(
-            name=f"exct-left[{e.name}]({inner.name})",
-            shape=("exct", "left", e, inner.shape),
-            ret1=ret1,
-            ret2=inner.ret2,
-            ret_rel=lambda a1, a2: inner.ret_rel(inl(a1), a2),
-            bind1=bind1,
-            bind2=inner.bind2,
-            bind_rel=bind_rel,
-            leq1=inner.leq1,
-            leq2=inner.leq2,
-            leq_rel=inner.leq_rel,
-            unsat_rel=lambda d1, d2: inner.unsat_rel(sdom(d1), d2),
-            tau1=lambda w1, adom: inner.tau1(w1, sdom(adom)),
-            tau2=tau2,
-            gen1=lambda rng, a: inner.gen1(rng, sdom(a)),
-            gen2=inner.gen2,
-            gen_rel=lambda rng, a1, a2: inner.gen_rel(rng, sdom(a1), a2),
-        )
-
-    unit2 = inner.ret2(UNIT_VAL)
-
-    def ret2(a: Value):
-        return inner.ret2(inl(a))
+    def ret1(a: Value):
+        return inner.ret1(inl(a))
 
     def raises(bdom):
+        # the unit at each exception, appended to a continuation table
         return once(("raises", bdom),
-                    lambda: tuple(inner.ret2(v) for v in tagged(bdom)[2]))
+                    lambda: tuple(inner.ret1(v) for v in tagged(bdom)[2]))
 
-    def bind2(w, table, bdom):
-        return inner.bind2(w, tuple(table) + raises(bdom), sdom(bdom))
+    def bind1(w, table, bdom):
+        return inner.bind1(w, tuple(table) + raises(bdom), sdom(bdom))
 
-    def pin(w1, b1dom, b2val):
+    def pin(w2, b1val, b2dom):
+        # pair a fixed left result with whatever the right continuation
+        # produces, keeping its effect on the right spec
         def build():
-            f1t, f2t, frelt = once(("units", b1dom, b2val), lambda: (
-                tuple(inner.ret1(v) for v in b1dom.values()),
-                (inner.ret2(b2val),),
-                tuple((inner.ret_rel(v, b2val),) for v in b1dom.values()),
+            f1t, f2t, frelt = once(("units", b1val, b2dom), lambda: (
+                (inner.ret1(b1val),),
+                tuple(inner.ret2(v) for v in b2dom.values()),
+                (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
             ))
-            return inner.bind_rel(w1, unit2, inner.tau1(w1, b1dom), f1t, f2t, frelt,
-                                  b1dom, b2val.domain)
-        return once(("pin", w1, b1dom, b2val), build)
+            return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
+                                  b1val.domain, b2dom)
+        return once(("pin", w2, b1val, b2dom), build)
 
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-        f1 = tuple(f1)
-        f2 = tuple(f2)
-        thrown = tagged(b2dom)[2]
-        frelx = []
-        for a1 in range(len(f1)):
-            row = tuple(frel[a1][a2] for a2 in range(len(f2)))
-            row += tuple(pin(f1[a1], b1dom, b2val) for b2val in thrown)
-            frelx.append(row)
-        return inner.bind_rel(m1, m2, mrel, f1, f2 + raises(b2dom), tuple(frelx),
-                              b1dom, sdom(b2dom))
+        frelx = list(frel)
+        for thrown in tagged(b1dom)[2]:
+            frelx.append(tuple(pin(w2, thrown, b2dom) for w2 in f2))
+        return inner.bind_rel(m1, m2, mrel, tuple(f1) + raises(b1dom), f2, frelx,
+                              sdom(b1dom), b2dom)
 
-    def tau1(w1, a1dom):
-        return pin(w1, a1dom, inl(UNIT_VAL))
+    def tau2(w2, a2dom):
+        return pin(w2, inl(UNIT_VAL), a2dom)
 
     return FullSpecMonad(
-        name=f"exct-right[{e.name}]({inner.name})",
-        shape=("exct", "right", e, inner.shape),
-        ret1=inner.ret1,
-        ret2=ret2,
-        ret_rel=lambda a1, a2: inner.ret_rel(a1, inl(a2)),
-        bind1=inner.bind1,
-        bind2=bind2,
+        name=f"exct-left[{e.name}]({inner.name})",
+        shape=("exct", "left", e, inner.shape),
+        ret1=ret1,
+        ret2=inner.ret2,
+        ret_rel=lambda a1, a2: inner.ret_rel(inl(a1), a2),
+        bind1=bind1,
+        bind2=inner.bind2,
         bind_rel=bind_rel,
         leq1=inner.leq1,
         leq2=inner.leq2,
         leq_rel=inner.leq_rel,
-        unsat_rel=lambda d1, d2: inner.unsat_rel(d1, sdom(d2)),
-        tau1=tau1,
-        tau2=lambda w2, adom: inner.tau2(w2, sdom(adom)),
-        gen1=inner.gen1,
-        gen2=lambda rng, a: inner.gen2(rng, sdom(a)),
-        gen_rel=lambda rng, a1, a2: inner.gen_rel(rng, a1, sdom(a2)),
+        unsat_rel=lambda d1, d2: inner.unsat_rel(sdom(d1), d2),
+        tau1=lambda w1, adom: inner.tau1(w1, sdom(adom)),
+        tau2=tau2,
+        gen1=lambda rng, a: inner.gen1(rng, sdom(a)),
+        gen2=inner.gen2,
+        gen_rel=lambda rng, a1, a2: inner.gen_rel(rng, sdom(a1), a2),
     )
 
 
@@ -410,6 +389,9 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side == "right":
+        return _mirror(stt_rel_transform(_mirror(inner), s, "left"),
+                       f"stt-right[{s.name}]({inner.name})", ("stt", "right", s, inner.shape))
 
     def pdom(a: FiniteDomain) -> FiniteDomain:
         return product_domain(a, s)
@@ -428,118 +410,60 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
             return OrderVerdict(True)
         return go
 
-    if side == "left":
-        def bind1(w, table, bdom):
-            table = tuple(table)
-            def entry(si):
-                inner_table = tuple(table[k // s.size][k % s.size]
-                                    for k in range(len(table) * s.size))
-                return inner.bind1(w[si], inner_table, pdom(bdom))
-            return tuple(entry(si) for si in range(s.size))
-
-        def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-            f1 = tuple(f1)
-            f2 = tuple(f2)
-            def entry(si):
-                f1t = tuple(f1[k // s.size][k % s.size]
-                            for k in range(len(f1) * s.size))
-                frelt = tuple(tuple(frel[k // s.size][a2][k % s.size]
-                                    for a2 in range(len(f2)))
-                              for k in range(len(f1) * s.size))
-                return inner.bind_rel(m1[si], m2, mrel[si], f1t, f2, frelt,
-                                      pdom(b1dom), b2dom)
-            return tuple(entry(si) for si in range(s.size))
-
-        def tau2(w2, a2dom):
-            udom = pdom(UNIT)
-            def entry(si):
-                f1t = (inner.ret1(Value(udom, si)),)
-                f2t = tuple(inner.ret2(v) for v in a2dom.values())
-                frelt = (tuple(inner.ret_rel(Value(udom, si), v)
-                               for v in a2dom.values()),)
-                return inner.bind_rel(inner.ret1(UNIT_VAL), w2,
-                                      inner.tau2(w2, a2dom),
-                                      f1t, f2t, frelt, udom, a2dom)
-            return tuple(entry(si) for si in range(s.size))
-
-        return FullSpecMonad(
-            name=f"stt-left[{s.name}]({inner.name})",
-            shape=("stt", "left", s, inner.shape),
-            ret1=lambda a: tuple(inner.ret1(paired(a, si)) for si in range(s.size)),
-            ret2=inner.ret2,
-            ret_rel=lambda a1, a2: tuple(inner.ret_rel(paired(a1, si), a2)
-                                         for si in range(s.size)),
-            bind1=bind1,
-            bind2=inner.bind2,
-            bind_rel=bind_rel,
-            leq1=leq_table(inner.leq1),
-            leq2=inner.leq2,
-            leq_rel=leq_table(inner.leq_rel),
-            unsat_rel=lambda d1, d2: tuple(inner.unsat_rel(pdom(d1), d2)
-                                           for _ in range(s.size)),
-            tau1=lambda w1, adom: tuple(inner.tau1(w1[si], pdom(adom))
-                                        for si in range(s.size)),
-            tau2=tau2,
-            gen1=lambda rng, a: tuple(inner.gen1(rng, pdom(a)) for _ in range(s.size)),
-            gen2=inner.gen2,
-            gen_rel=lambda rng, a1, a2: tuple(inner.gen_rel(rng, pdom(a1), a2)
-                                              for _ in range(s.size)),
-        )
-
-    def bind2(w, table, bdom):
+    def bind1(w, table, bdom):
         table = tuple(table)
         def entry(si):
             inner_table = tuple(table[k // s.size][k % s.size]
                                 for k in range(len(table) * s.size))
-            return inner.bind2(w[si], inner_table, pdom(bdom))
+            return inner.bind1(w[si], inner_table, pdom(bdom))
         return tuple(entry(si) for si in range(s.size))
 
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
         f1 = tuple(f1)
         f2 = tuple(f2)
         def entry(si):
-            f2t = tuple(f2[k // s.size][k % s.size]
-                        for k in range(len(f2) * s.size))
-            frelt = tuple(tuple(frel[a1][k // s.size][k % s.size]
-                                for k in range(len(f2) * s.size))
-                          for a1 in range(len(f1)))
-            return inner.bind_rel(m1, m2[si], mrel[si], f1, f2t, frelt,
-                                  b1dom, pdom(b2dom))
+            f1t = tuple(f1[k // s.size][k % s.size]
+                        for k in range(len(f1) * s.size))
+            frelt = tuple(tuple(frel[k // s.size][a2][k % s.size]
+                                for a2 in range(len(f2)))
+                          for k in range(len(f1) * s.size))
+            return inner.bind_rel(m1[si], m2, mrel[si], f1t, f2, frelt,
+                                  pdom(b1dom), b2dom)
         return tuple(entry(si) for si in range(s.size))
 
-    def tau1(w1, a1dom):
+    def tau2(w2, a2dom):
         udom = pdom(UNIT)
         def entry(si):
-            f1t = tuple(inner.ret1(v) for v in a1dom.values())
-            f2t = (inner.ret2(Value(udom, si)),)
-            frelt = tuple((inner.ret_rel(v, Value(udom, si)),)
-                          for v in a1dom.values())
-            return inner.bind_rel(w1, inner.ret2(UNIT_VAL),
-                                  inner.tau1(w1, a1dom),
-                                  f1t, f2t, frelt, a1dom, udom)
+            f1t = (inner.ret1(Value(udom, si)),)
+            f2t = tuple(inner.ret2(v) for v in a2dom.values())
+            frelt = (tuple(inner.ret_rel(Value(udom, si), v)
+                           for v in a2dom.values()),)
+            return inner.bind_rel(inner.ret1(UNIT_VAL), w2,
+                                  inner.tau2(w2, a2dom),
+                                  f1t, f2t, frelt, udom, a2dom)
         return tuple(entry(si) for si in range(s.size))
 
     return FullSpecMonad(
-        name=f"stt-right[{s.name}]({inner.name})",
-        shape=("stt", "right", s, inner.shape),
-        ret1=inner.ret1,
-        ret2=lambda a: tuple(inner.ret2(paired(a, si)) for si in range(s.size)),
-        ret_rel=lambda a1, a2: tuple(inner.ret_rel(a1, paired(a2, si))
+        name=f"stt-left[{s.name}]({inner.name})",
+        shape=("stt", "left", s, inner.shape),
+        ret1=lambda a: tuple(inner.ret1(paired(a, si)) for si in range(s.size)),
+        ret2=inner.ret2,
+        ret_rel=lambda a1, a2: tuple(inner.ret_rel(paired(a1, si), a2)
                                      for si in range(s.size)),
-        bind1=inner.bind1,
-        bind2=bind2,
+        bind1=bind1,
+        bind2=inner.bind2,
         bind_rel=bind_rel,
-        leq1=inner.leq1,
-        leq2=leq_table(inner.leq2),
+        leq1=leq_table(inner.leq1),
+        leq2=inner.leq2,
         leq_rel=leq_table(inner.leq_rel),
-        unsat_rel=lambda d1, d2: tuple(inner.unsat_rel(d1, pdom(d2))
+        unsat_rel=lambda d1, d2: tuple(inner.unsat_rel(pdom(d1), d2)
                                        for _ in range(s.size)),
-        tau1=tau1,
-        tau2=lambda w2, adom: tuple(inner.tau2(w2[si], pdom(adom))
+        tau1=lambda w1, adom: tuple(inner.tau1(w1[si], pdom(adom))
                                     for si in range(s.size)),
-        gen1=inner.gen1,
-        gen2=lambda rng, a: tuple(inner.gen2(rng, pdom(a)) for _ in range(s.size)),
-        gen_rel=lambda rng, a1, a2: tuple(inner.gen_rel(rng, a1, pdom(a2))
+        tau2=tau2,
+        gen1=lambda rng, a: tuple(inner.gen1(rng, pdom(a)) for _ in range(s.size)),
+        gen2=inner.gen2,
+        gen_rel=lambda rng, a1, a2: tuple(inner.gen_rel(rng, pdom(a1), a2)
                                           for _ in range(s.size)),
     )
 
@@ -558,6 +482,14 @@ def _exc_carrier(monad: FullSpecMonad, who: str) -> Tuple[FiniteDomain, FiniteDo
             and shape[3][:2] == ("exct", "left") and shape[3][3] == ("lift", "pure")):
         return shape[3][2], shape[2]
     raise RuleError(f"{who}: needs the canonical exception carrier, got {monad.name}")
+
+
+def _exc_sigs(monad: FullSpecMonad, sig1, sig2, who: str) -> Tuple[FiniteDomain, FiniteDomain]:
+    """The canonical carrier's exception domains, which the signatures must raise."""
+    e1, e2 = _exc_carrier(monad, who)
+    if sig1.effect != P.EXC or sig1.exc != e1 or sig2.effect != P.EXC or sig2.exc != e2:
+        raise RuleError(f"{who}: signatures do not raise the carrier's exceptions")
+    return e1, e2
 
 
 def simulation_spec(a1: FiniteDomain, e1: FiniteDomain,
@@ -795,9 +727,7 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
     a1f, a2f = _fam(r.need("a1")), _fam(r.need("a2"))
     ctx = r.get("ctx", EMPTY_SPLIT)
     if monad.shape[0] == "exct":
-        e1, e2 = _exc_carrier(monad, r.rule)
-        if sig1.effect != P.EXC or sig1.exc != e1 or sig2.effect != P.EXC or sig2.exc != e2:
-            raise RuleError(f"{r.rule}: signatures do not raise the carrier's exceptions")
+        _exc_sigs(monad, sig1, sig2, r.rule)
     return full_judgment(
         monad, theta,
         lambda g1: P.ret(sig1, a1f(g1)),
@@ -875,79 +805,46 @@ def _full_bind(r: RuleInstance, prem) -> FullJudgment:
     return FullJudgment(jm.ctx, monad, jm.theta, c1, c2, w1, w2, wrel)
 
 
-def _throw_params(r: RuleInstance):
+@SPLIT.rule("ThrowL", "ThrowR", arity=0)
+def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
+    # ThrowL raises on the left beside a right return; ThrowR mirrors it
+    left = r.rule == "ThrowL"
     monad = r.need("monad")
     theta = r.need("theta")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     ctx = r.get("ctx", EMPTY_SPLIT)
-    e1, e2 = _exc_carrier(monad, r.rule)
-    if sig1.effect != P.EXC or sig1.exc != e1 or sig2.effect != P.EXC or sig2.exc != e2:
-        raise RuleError(f"{r.rule}: signatures do not raise the carrier's exceptions")
-    return monad, theta, sig1, sig2, ctx, e1, e2
-
-
-@SPLIT.rule("ThrowL", arity=0)
-def _full_throw_l(r: RuleInstance, _prem) -> FullJudgment:
-    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(r)
+    e1, e2 = _exc_sigs(monad, sig1, sig2, r.rule)
     excf = _fam(r.need("exc"))
-    a2f = _fam(r.need("a2"))
-    result1 = r.need("result1")
-    s1 = sum_domain(result1, e1)
+    af = _fam(r.need("a2" if left else "a1"))
+    result = r.need("result1" if left else "result2")
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
+    e, other_e = (e1, e2) if left else (e2, e1)
+    tagged = sum_domain(result, e)
 
-    def w1(g1):
-        e = excf(g1)
-        if e.domain != e1:
-            raise RuleError(f"{r.rule}: exception value lives in {e.domain.name!r}")
-        return wp_ret(product_domain(s1, UNIT), inr_index(result1, e1, e.index))
+    def exc(g):
+        x = excf(g)
+        if x.domain != e:
+            raise RuleError(f"{r.rule}: exception value lives in {x.domain.name!r}")
+        return x
+
+    def w(g):
+        return wp_ret(product_domain(tagged, UNIT) if left else product_domain(UNIT, tagged),
+                      inr_index(result, e, exc(g).index))
 
     def wrel(g1, g2):
-        e, a2 = excf(g1), a2f(g2)
-        s2 = sum_domain(a2.domain, e2)
-        return wp_ret(product_domain(s1, s2),
-                      inr_index(result1, e1, e.index) * s2.size
-                      + inl_index(a2.domain, e2, a2.index))
+        x, a = (exc(g1), af(g2)) if left else (exc(g2), af(g1))
+        other = sum_domain(a.domain, other_e)
+        o, k = inr_index(result, e, x.index), inl_index(a.domain, other_e, a.index)
+        if left:
+            return wp_ret(product_domain(tagged, other), o * other.size + k)
+        return wp_ret(product_domain(other, tagged), k * tagged.size + o)
 
-    return full_judgment(
-        monad, theta,
-        lambda g1: P.throw(sig1, excf(g1), result1),
-        lambda g2: P.ret(sig2, a2f(g2)),
-        w1,
-        lambda g2: monad.ret2(a2f(g2)),
-        wrel,
-        ctx,
-    )
-
-
-@SPLIT.rule("ThrowR", arity=0)
-def _full_throw_r(r: RuleInstance, _prem) -> FullJudgment:
-    monad, theta, sig1, sig2, ctx, e1, e2 = _throw_params(r)
-    excf = _fam(r.need("exc"))
-    a1f = _fam(r.need("a1"))
-    result2 = r.need("result2")
-    s2 = sum_domain(result2, e2)
-
-    def w2(g2):
-        e = excf(g2)
-        if e.domain != e2:
-            raise RuleError(f"{r.rule}: exception value lives in {e.domain.name!r}")
-        return wp_ret(product_domain(UNIT, s2), inr_index(result2, e2, e.index))
-
-    def wrel(g1, g2):
-        a1, e = a1f(g1), excf(g2)
-        s1 = sum_domain(a1.domain, e1)
-        return wp_ret(product_domain(s1, s2),
-                      inl_index(a1.domain, e1, a1.index) * s2.size
-                      + inr_index(result2, e2, e.index))
-
-    return full_judgment(
-        monad, theta,
-        lambda g1: P.ret(sig1, a1f(g1)),
-        lambda g2: P.throw(sig2, excf(g2), result2),
-        lambda g1: monad.ret1(a1f(g1)),
-        w2,
-        wrel,
-        ctx,
-    )
+    throw = lambda g: P.throw(sig, exc(g), result)
+    ret = lambda g: P.ret(other_sig, af(g))
+    ret_w = lambda g: (monad.ret2 if left else monad.ret1)(af(g))
+    if left:
+        return full_judgment(monad, theta, throw, ret, w, ret_w, wrel, ctx)
+    return full_judgment(monad, theta, ret, throw, ret_w, w, wrel, ctx)
 
 
 def _catch_unary(w: Wp, normal: int, handlers: Sequence[Wp]) -> Wp:
@@ -1122,10 +1019,8 @@ class _LawRun:
 
     def equiv(self, leq, x, y, law: str, part: str):
         self.checked += 1
-        fwd = leq(x, y)
-        back = leq(y, x) if fwd.holds else fwd
-        if not (fwd.holds and back.holds):
-            bad = fwd if not fwd.holds else back
+        _kind, bad = sm.order_kind(leq, x, y)
+        if bad is not None:
             self.failures.append(TripleLawCase(law, part,
                                                f"phi={bad.phi!r} where={bad.where!r}"))
 

@@ -50,6 +50,7 @@ from .specmonads import (
     io_demonic_spec,
     io_space,
     linear_spec,
+    order_kind,
     outcome_space,
     prob_space,
     pure_space,
@@ -400,36 +401,21 @@ def _pair_space(sp1: OutcomeSpace, sp2: OutcomeSpace) -> OutcomeSpace:
                          sp1.i1, sp1.o1, sp1.i2, sp1.o2)
 
 
-def _sequence(w1: RelSpec, w2: RelSpec) -> RelSpec:
-    """bind w1 (fun a1 -> bind w2 (fun a2 -> ret (a1, a2)))."""
+def _sequence(w1: RelSpec, w2: RelSpec, left_first: bool = True) -> RelSpec:
+    """bind w1 (fun a1 -> bind w2 (fun a2 -> ret (a1, a2))), or w2 bound
+    first when not `left_first`."""
     tspace = _pair_space(w1.space, w2.space)
     a1d, a2d = tspace.a1, tspace.a2
     kw = {}
     if tspace.tag == "WrelIO":
-        kw = dict(points=w1.io_points)
+        kw = dict(points=(w1 if left_first else w2).io_points)
 
-    def outer(i1, _u):
-        def inner(_v, i2):
-            return spec_ret(tspace, Value(a1d, i1), Value(a2d, i2), **kw)
-        return spec_bind(w2, inner)
+    def ret(i1, i2):
+        return spec_ret(tspace, Value(a1d, i1), Value(a2d, i2), **kw)
 
-    return spec_bind(w1, outer)
-
-
-def _sequence_flipped(w1: RelSpec, w2: RelSpec) -> RelSpec:
-    """bind w2 (fun a2 -> bind w1 (fun a1 -> ret (a1, a2)))."""
-    tspace = _pair_space(w1.space, w2.space)
-    a1d, a2d = tspace.a1, tspace.a2
-    kw = {}
-    if tspace.tag == "WrelIO":
-        kw = dict(points=w2.io_points)
-
-    def outer(_u, i2):
-        def inner(i1, _v):
-            return spec_ret(tspace, Value(a1d, i1), Value(a2d, i2), **kw)
-        return spec_bind(w1, inner)
-
-    return spec_bind(w2, outer)
+    if left_first:
+        return spec_bind(w1, lambda i1, _u: spec_bind(w2, lambda _v, i2: ret(i1, i2)))
+    return spec_bind(w2, lambda _u, i2: spec_bind(w1, lambda i1, _v: ret(i1, i2)))
 
 
 def from_commuting_pair(u1: UnaryObservation, u2: UnaryObservation,
@@ -474,7 +460,7 @@ def check_commute(u1: UnaryObservation, u2: UnaryObservation,
     checked = 0
     for c1, c2 in pairs:
         w1, w2 = u1.embed(c1), u2.embed(c2)
-        v = spec_equiv(_sequence(w1, w2), _sequence_flipped(w1, w2))
+        v = spec_equiv(_sequence(w1, w2), _sequence(w1, w2, left_first=False))
         checked += 1
         if v.failed:
             return CommuteVerdict("fails", checked, (c1, c2, v))
@@ -619,17 +605,6 @@ class ProgramBattery:
     fs: Tuple[Tuple[Tuple[Program, ...], Tuple[Program, ...]], ...]
 
 
-def _classify(lhs: RelSpec, rhs: RelSpec):
-    """(kind, phi, point) for lhs vs rhs under the spec preorder."""
-    fwd = spec_leq(lhs, rhs)
-    if fwd.failed:
-        return "violation", fwd.phi, fwd.point
-    back = spec_leq(rhs, lhs)
-    if back.failed:
-        return "strictly-less", back.phi, back.point
-    return "equal", None, None
-
-
 def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Program],
                 observed: Dict[Tuple[Program, Program], RelSpec]) -> ContTable:
     """The bind law's continuation table for (f1, f2), each entry observed
@@ -650,9 +625,9 @@ def classify_bind_instance(obs: EffectObservation, m1: Program, m2: Program,
     f1, f2 = tuple(f1), tuple(f2)
     lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
     rhs = spec_bind(obs.map(m1, m2), _cont_table(obs, f1, f2, {}))
-    kind, phi, point = _classify(lhs, rhs)
-    if kind in ("strictly-less", "violation"):
-        return kind, LawWitness("bind", kind, (m1, m2, f1, f2), lhs, rhs, phi, point)
+    kind, bad = order_kind(spec_leq, lhs, rhs)
+    if bad is not None:
+        return kind, LawWitness("bind", kind, (m1, m2, f1, f2), lhs, rhs, bad.phi, bad.point)
     return kind, None
 
 
@@ -674,12 +649,12 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> Morp
         strict_witness = None
         for law, progs, lhs, rhs in instances:
             checked += 1
-            kind, phi, point = _classify(lhs, rhs)
+            kind, bad = order_kind(spec_leq, lhs, rhs)
             if kind == "violation":
                 return LawVerdict("violation", checked,
-                                  LawWitness(law, kind, progs, lhs, rhs, phi, point))
+                                  LawWitness(law, kind, progs, lhs, rhs, bad.phi, bad.point))
             if kind == "strictly-less" and strict_witness is None:
-                strict_witness = LawWitness(law, kind, progs, lhs, rhs, phi, point)
+                strict_witness = LawWitness(law, kind, progs, lhs, rhs, bad.phi, bad.point)
         if strict_witness is not None:
             return LawVerdict("strictly-less", checked, strict_witness)
         return LawVerdict("equal", checked)

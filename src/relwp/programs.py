@@ -397,6 +397,8 @@ def get_state(sig: Signature) -> Program:
 
 
 def put(sig: Signature, state: Value, then: Program) -> Program:
+    if state.domain != sig.state:
+        raise ValueError("put state outside the state domain")
     return _mk(sig, then.result, Put(state, then))
 
 
@@ -405,6 +407,8 @@ def put_unit(sig: Signature, state: Value, unit_ret: Value) -> Program:
 
 
 def throw(sig: Signature, exc: Value, result: FiniteDomain) -> Program:
+    if exc.domain != sig.exc:
+        raise ValueError("thrown exception outside the exception domain")
     return _mk(sig, result, Throw(exc))
 
 

@@ -526,7 +526,10 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
 def _nat_elim(r: RuleInstance, prem) -> Judgment:
     env: Env = r.need("env")
     var: str = r.need("var")
-    pos = env.index(var)
+    try:
+        pos = env.index(var)
+    except KeyError:
+        raise RuleError(f"NatElim: {var!r} is not bound in the context") from None
     dom = env.vars[pos][1]
     if len(prem) != dom.size:
         raise RuleError(f"NatElim on {var!r}: needs one premise per value of "
@@ -655,6 +658,15 @@ def _bind_one_side(r: RuleInstance, prem) -> Judgment:
 # axiom programs, which is how the specs were found in the first place.
 
 
+def _beside_return(obs: EffectObservation, left: bool, act, other_sig: Signature, af, w,
+                   env: Env) -> Judgment:
+    """A one-sided axiom's conclusion: the family `act` on the left (on the
+    right when not `left`) beside a return of af(g) on the other side."""
+    ret = lambda g: P.ret(other_sig, af(g))
+    c1, c2 = (act, ret) if left else (ret, act)
+    return judgment(obs, c1, c2, w, env)
+
+
 def _st_axiom(space: OutcomeSpace, outcome_at) -> RelSpec:
     table = []
     for pt in space.points():
@@ -672,66 +684,50 @@ def _state_obs(r: RuleInstance, who: str) -> EffectObservation:
     return obs
 
 
-@CORE.rule("GetL", arity=0)
-def _get_l(r: RuleInstance, _prem) -> Judgment:
-    obs = _state_obs(r, "GetL")
+@CORE.rule("GetL", "GetR", arity=0)
+def _get_one_side(r: RuleInstance, _prem) -> Judgment:
+    # GetL reads the left state beside a right return; GetR mirrors it
+    left = r.rule == "GetL"
+    obs = _state_obs(r, r.rule)
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    a2f = _family(r.need("a2"))
+    af = _family(r.need("a2" if left else "a1"))
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(g):
-        a2 = a2f(g)
-        sp = state_space(sig1.state, sig1.state, a2.domain, sig2.state)
-        return _st_axiom(sp, lambda s1, s2, _a=a2.index: sp.st_outcome(s1, s1, _a, s2))
+        a = af(g)
+        if left:
+            sp = state_space(sig1.state, sig1.state, a.domain, sig2.state)
+            return _st_axiom(sp, lambda s1, s2, _a=a.index: sp.st_outcome(s1, s1, _a, s2))
+        sp = state_space(a.domain, sig1.state, sig2.state, sig2.state)
+        return _st_axiom(sp, lambda s1, s2, _a=a.index: sp.st_outcome(_a, s1, s2, s2))
 
-    return judgment(obs, lambda g: P.get_state(sig1), lambda g: P.ret(sig2, a2f(g)), w, env)
+    return _beside_return(obs, left, lambda g: P.get_state(sig), other_sig, af, w, env)
 
 
-@CORE.rule("GetR", arity=0)
-def _get_r(r: RuleInstance, _prem) -> Judgment:
-    obs = _state_obs(r, "GetR")
+@CORE.rule("PutL", "PutR", arity=0)
+def _put_one_side(r: RuleInstance, _prem) -> Judgment:
+    # PutL writes the left state beside a right return; PutR mirrors it
+    left = r.rule == "PutL"
+    obs = _state_obs(r, r.rule)
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    a1f = _family(r.need("a1"))
+    if left:
+        sf, af = _family(r.need("s")), _family(r.need("a2"))
+    else:
+        af, sf = _family(r.need("a1")), _family(r.need("s"))
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(g):
-        a1 = a1f(g)
-        sp = state_space(a1.domain, sig1.state, sig2.state, sig2.state)
-        return _st_axiom(sp, lambda s1, s2, _a=a1.index: sp.st_outcome(_a, s1, s2, s2))
+        s, a = sf(g), af(g)
+        if left:
+            sp = state_space(UNIT, sig1.state, a.domain, sig2.state)
+            return _st_axiom(sp, lambda _s1, s2, _t=s.index, _a=a.index: sp.st_outcome(0, _t, _a, s2))
+        sp = state_space(a.domain, sig1.state, UNIT, sig2.state)
+        return _st_axiom(sp, lambda s1, _s2, _a=a.index, _t=s.index: sp.st_outcome(_a, s1, 0, _t))
 
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.get_state(sig2), w, env)
-
-
-@CORE.rule("PutL", arity=0)
-def _put_l(r: RuleInstance, _prem) -> Judgment:
-    obs = _state_obs(r, "PutL")
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
-    env = r.get("env", EMPTY_ENV)
-    sf, a2f = _family(r.need("s")), _family(r.need("a2"))
-
-    def w(g):
-        s, a2 = sf(g), a2f(g)
-        sp = state_space(UNIT, sig1.state, a2.domain, sig2.state)
-        return _st_axiom(sp, lambda _s1, s2, _t=s.index, _a=a2.index: sp.st_outcome(0, _t, _a, s2))
-
-    return judgment(obs, lambda g: P.put_unit(sig1, sf(g), UNIT_VAL),
-                    lambda g: P.ret(sig2, a2f(g)), w, env)
-
-
-@CORE.rule("PutR", arity=0)
-def _put_r(r: RuleInstance, _prem) -> Judgment:
-    obs = _state_obs(r, "PutR")
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
-    env = r.get("env", EMPTY_ENV)
-    a1f, sf = _family(r.need("a1")), _family(r.need("s"))
-
-    def w(g):
-        a1, s = a1f(g), sf(g)
-        sp = state_space(a1.domain, sig1.state, UNIT, sig2.state)
-        return _st_axiom(sp, lambda s1, _s2, _a=a1.index, _t=s.index: sp.st_outcome(_a, s1, 0, _t))
-
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)),
-                    lambda g: P.put_unit(sig2, sf(g), UNIT_VAL), w, env)
+    put = lambda g: P.put_unit(sig, sf(g), UNIT_VAL)
+    return _beside_return(obs, left, put, other_sig, af, w, env)
 
 
 @CORE.rule("GetSync", arity=0)
@@ -769,34 +765,25 @@ def _bool_choice(sig: Signature) -> Program:
     return P.choice(P.ret(sig, boolv(True)), P.ret(sig, boolv(False)))
 
 
-@CORE.rule("DemonicPickLeft", arity=0)
-def _demonic_pick_left(r: RuleInstance, _prem) -> Judgment:
+@CORE.rule("DemonicPickLeft", "DemonicPickRight", arity=0)
+def _demonic_pick(r: RuleInstance, _prem) -> Judgment:
+    # DemonicPickLeft picks a boolean on the left beside a right return;
+    # DemonicPickRight mirrors it
+    left = r.rule == "DemonicPickLeft"
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
-    a2f = _family(r.need("a2"))
+    af = _family(r.need("a2" if left else "a1"))
     sig = P.ndet_sig()
 
     def w(g):
-        a2 = a2f(g)
-        sp = pure_space(BOOL, a2.domain)
-        return demonic_spec(sp, [frozenset({a2.index, a2.domain.size + a2.index})])
+        a = af(g)
+        if left:
+            sp = pure_space(BOOL, a.domain)
+            return demonic_spec(sp, [frozenset({a.index, a.domain.size + a.index})])
+        sp = pure_space(a.domain, BOOL)
+        return demonic_spec(sp, [frozenset({a.index * 2, a.index * 2 + 1})])
 
-    return judgment(obs, lambda g: _bool_choice(sig), lambda g: P.ret(sig, a2f(g)), w, env)
-
-
-@CORE.rule("DemonicPickRight", arity=0)
-def _demonic_pick_right(r: RuleInstance, _prem) -> Judgment:
-    obs = observation_ndet(FORALL)
-    env = r.get("env", EMPTY_ENV)
-    a1f = _family(r.need("a1"))
-    sig = P.ndet_sig()
-
-    def w(g):
-        a1 = a1f(g)
-        sp = pure_space(a1.domain, BOOL)
-        return demonic_spec(sp, [frozenset({a1.index * 2, a1.index * 2 + 1})])
-
-    return judgment(obs, lambda g: P.ret(sig, a1f(g)), lambda g: _bool_choice(sig), w, env)
+    return _beside_return(obs, left, lambda g: _bool_choice(sig), sig, af, w, env)
 
 
 @CORE.rule("DemonicFailLeft", arity=0)
@@ -855,38 +842,30 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
 # Exception axioms and the handler rule
 
 
-@CORE.rule("ThrowL", arity=0)
-def _throw_l(r: RuleInstance, _prem) -> Judgment:
+@CORE.rule("ThrowL", "ThrowR", arity=0)
+def _throw_one_side(r: RuleInstance, _prem) -> Judgment:
+    # ThrowL raises on the left beside a right return; ThrowR mirrors it
+    left = r.rule == "ThrowL"
     obs = observation_err()
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    e1f = _family(r.need("e1"))
-    result: FiniteDomain = r.need("result1")
-    a2f = _family(r.need("a2"))
+    if left:
+        ef = _family(r.need("e1"))
+        result: FiniteDomain = r.need("result1")
+        af = _family(r.need("a2"))
+    else:
+        af = _family(r.need("a1"))
+        ef = _family(r.need("e2"))
+        result = r.need("result2")
+    sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(g):
-        sp = err_space(result, a2f(g).domain)
+        a = af(g).domain
+        sp = err_space(result, a) if left else err_space(a, result)
         return demonic_spec(sp, [frozenset({sp.err_bad()})])
 
-    return judgment(obs, lambda g: P.throw(sig1, e1f(g), result),
-                    lambda g: P.ret(sig2, a2f(g)), w, env)
-
-
-@CORE.rule("ThrowR", arity=0)
-def _throw_r(r: RuleInstance, _prem) -> Judgment:
-    obs = observation_err()
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
-    env = r.get("env", EMPTY_ENV)
-    a1f = _family(r.need("a1"))
-    e2f = _family(r.need("e2"))
-    result: FiniteDomain = r.need("result2")
-
-    def w(g):
-        sp = err_space(a1f(g).domain, result)
-        return demonic_spec(sp, [frozenset({sp.err_bad()})])
-
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)),
-                    lambda g: P.throw(sig2, e2f(g), result), w, env)
+    raised = lambda g: P.throw(sig, ef(g), result)
+    return _beside_return(obs, left, raised, other_sig, af, w, env)
 
 
 def catch_spec(w: RelSpec, w_exc: RelSpec) -> RelSpec:
@@ -1017,9 +996,7 @@ def _input(r: RuleInstance, _prem) -> Judgment:
         return _one_event_spec(sig1, sig2, points, left, af(g), steps, sig.inp)
 
     read = lambda g: P.read_input(sig)
-    other = lambda g: P.ret(other_sig, af(g))
-    c1, c2 = (read, other) if left else (other, read)
-    return judgment(_io_obs(sig1, sig2, points), c1, c2, w, env)
+    return _beside_return(_io_obs(sig1, sig2, points), left, read, other_sig, af, w, env)
 
 
 @CORE.rule("OutputL", "OutputR", arity=0)
@@ -1040,28 +1017,36 @@ def _output(r: RuleInstance, _prem) -> Judgment:
                                ((UNIT_VAL, (P.OUT, of(g))),), UNIT)
 
     write = lambda g: P.output(sig, of(g), P.ret(sig, UNIT_VAL))
-    other = lambda g: P.ret(other_sig, af(g))
-    c1, c2 = (write, other) if left else (other, write)
-    return judgment(_io_obs(sig1, sig2, points), c1, c2, w, env)
+    return _beside_return(_io_obs(sig1, sig2, points), left, write, other_sig, af, w, env)
 
 
 # ---------------------------------------------------------------------------
 # Synchronized loops
 
 
+def _has_shape(t, shape: Tuple[int, ...]) -> bool:
+    """Is t nested sequences of exactly these lengths, outermost first?"""
+    if not shape:
+        return True
+    try:
+        return len(t) == shape[0] and all(_has_shape(x, shape[1:]) for x in t)
+    except TypeError:
+        return False
+
+
 def _norm_inv(inv, s1: FiniteDomain, s2: FiniteDomain):
     """Invariant table inv[b1][b2][s1][s2] from a nested sequence or a
-    four-argument callable."""
-    if callable(inv):
-        return tuple(tuple(tuple(tuple(bool(inv(b1, b2, i, j)) for j in range(s2.size))
-                                 for i in range(s1.size))
-                           for b2 in range(2))
-                     for b1 in range(2))
-    out = tuple(tuple(tuple(tuple(bool(inv[b1][b2][i][j]) for j in range(s2.size))
-                            for i in range(s1.size))
-                      for b2 in range(2))
-                for b1 in range(2))
-    return out
+    four-argument callable; RuleError for a sequence of another shape."""
+    if not callable(inv):
+        if not _has_shape(inv, (2, 2, s1.size, s2.size)):
+            raise RuleError(f"DoWhileInv: inv must be a 2x2x{s1.size}x{s2.size} table "
+                            "or a four-argument callable")
+        table = inv
+        inv = lambda b1, b2, i, j: table[b1][b2][i][j]
+    return tuple(tuple(tuple(tuple(bool(inv(b1, b2, i, j)) for j in range(s2.size))
+                             for i in range(s1.size))
+                       for b2 in range(2))
+                 for b1 in range(2))
 
 
 def _loop_spec(inv, a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain,
@@ -1223,7 +1208,8 @@ def check_derivation(d: Derivation) -> CheckResult:
     Premises replay before their node, from an explicit stack, so a tree of
     any depth replays.  A node the tree shares replays once per call, at its
     first occurrence.  Reports the first failing node by its path of child
-    indices from the root.
+    indices from the root; a node fails when its rule raises RuleError or
+    its parameters build an invalid program or spec (ValueError).
 
     The replay runs in one `_EvaluationScope`: each judgment family is read
     once per valuation, and each program node and each spec from the
@@ -1250,7 +1236,7 @@ def check_derivation(d: Derivation) -> CheckResult:
             apply = apply_rule if catalogue is CORE else catalogue.apply
             try:
                 computed = apply(node.rule, tuple(s.conclusion for s in node.premises))
-            except RuleError as e:
+            except (RuleError, ValueError) as e:
                 return CheckResult(False, tuple(path), f"{node.rule.rule}: {e}")
             bad = stated.mismatch(computed)
             if bad is not None:

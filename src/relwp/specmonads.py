@@ -1353,6 +1353,20 @@ def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     return spec_leq(w2, w)
 
 
+def order_kind(leq, lhs, rhs):
+    """(kind, failing verdict) of lhs against rhs under the order `leq`:
+    ("violation", v) when lhs is not below rhs, ("strictly-less", v) when
+    only rhs is not below lhs, else ("equal", None).  The law batteries of
+    `observations` and `generic` classify their instances with it."""
+    fwd = leq(lhs, rhs)
+    if not fwd.holds:
+        return "violation", fwd
+    back = leq(rhs, lhs)
+    if not back.holds:
+        return "strictly-less", back
+    return "equal", None
+
+
 def _leq_pp(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     for pt in range(w.space.point_count):
         if w2.pre[pt] and not w.pre[pt]:

@@ -256,6 +256,77 @@ def test_transformers_stack_across_effects():
     assert rep.ok, rep.failures
 
 
+def _swapped(x, d1, d2):
+    """A payload with its pair components swapped: a transformer over
+    d1 x d2 becomes one over d2 x d1, and a state table is swapped entry by
+    entry."""
+    if isinstance(x, tuple):
+        return tuple(_swapped(w, d1, d2) for w in x)
+    return G.wp_map(x, product_domain(d2, d1),
+                    lambda o: (o % d2.size) * d1.size + o // d2.size)
+
+
+def _assert_same(x, y):
+    if isinstance(x, tuple):
+        assert isinstance(y, tuple) and len(x) == len(y)
+        for a, b in zip(x, y):
+            _assert_same(a, b)
+    else:
+        assert_wp_equiv(x, y)
+
+
+# each transformer over the pure lift, with the result domain it gives the
+# wrapped side
+SIDED = {
+    "exct": (lambda side: G.exct_rel_transform(G.lift_pure(), EL, side),
+             lambda d: sum_domain(d, EL)),
+    "stt": (lambda side: G.stt_rel_transform(G.lift_pure(), Z2, side),
+            lambda d: product_domain(d, Z2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDED))
+def test_a_right_transformer_is_the_left_one_on_the_swapped_problem(name):
+    # every operation of the right carrier over (a1d, a2d) against the left
+    # carrier's over (a2d, a1d), payloads swapped by hand; the domains of
+    # the two sides differ so that a side mix-up shows
+    build, wrap = SIDED[name]
+    left, right = build("left"), build("right")
+    a1d, a2d, b1d, b2d = Z2, Z3, Z3, Z2
+    rng = random.Random(43)
+    for a in a2d.values():
+        _assert_same(_swapped(right.ret2(a), UNIT, wrap(a2d)), left.ret1(a))
+    for a in a1d.values():
+        _assert_same(_swapped(right.ret1(a), a1d, UNIT), left.ret2(a))
+    for a1, a2 in product(a1d.values(), a2d.values()):
+        _assert_same(_swapped(right.ret_rel(a1, a2), a1d, wrap(a2d)), left.ret_rel(a2, a1))
+    for d1, d2 in ((a1d, a2d), (b1d, b2d)):
+        _assert_same(_swapped(right.unsat_rel(d1, d2), d1, wrap(d2)), left.unsat_rel(d2, d1))
+    for _ in range(3):
+        # drawn for the left carrier, swapped for the right one
+        m2, m1 = left.gen1(rng, a2d), left.gen2(rng, a1d)
+        mrel = left.gen_rel(rng, a2d, a1d)
+        f2 = tuple(left.gen1(rng, b2d) for _ in range(a2d.size))
+        f1 = tuple(left.gen2(rng, b1d) for _ in range(a1d.size))
+        frel = tuple(tuple(left.gen_rel(rng, b2d, b1d) for _ in range(a1d.size))
+                     for _ in range(a2d.size))
+        r_m1, r_m2 = _swapped(m1, UNIT, a1d), _swapped(m2, wrap(a2d), UNIT)
+        r_f1 = tuple(_swapped(w, UNIT, b1d) for w in f1)
+        r_f2 = tuple(_swapped(w, wrap(b2d), UNIT) for w in f2)
+        r_frel = tuple(tuple(_swapped(frel[i2][i1], wrap(b2d), b1d) for i2 in range(a2d.size))
+                       for i1 in range(a1d.size))
+        _assert_same(_swapped(right.bind2(r_m2, r_f2, b2d), UNIT, wrap(b2d)),
+                     left.bind1(m2, f2, b2d))
+        _assert_same(_swapped(right.bind1(r_m1, r_f1, b1d), b1d, UNIT),
+                     left.bind2(m1, f1, b1d))
+        got = right.bind_rel(r_m1, r_m2, _swapped(mrel, wrap(a2d), a1d),
+                             r_f1, r_f2, r_frel, b1d, b2d)
+        _assert_same(_swapped(got, b1d, wrap(b2d)),
+                     left.bind_rel(m2, m1, mrel, f2, f1, frel, b2d, b1d))
+        _assert_same(_swapped(right.tau2(r_m2, a2d), UNIT, wrap(a2d)), left.tau1(m2, a2d))
+        _assert_same(_swapped(right.tau1(r_m1, a1d), a1d, wrap(UNIT)), left.tau2(m1, a1d))
+
+
 def test_transformer_rejects_unknown_side():
     with pytest.raises(ValueError, match="side"):
         G.exct_rel_transform(G.lift_pure(), EL, "middle")
@@ -617,6 +688,16 @@ def test_throw_rules_run_under_a_context():
                           result1=Z2, ctx=ctx)
     assert R.oracle_check(j).holds
     assert_triple_theta_equal(j)
+
+
+@pytest.mark.parametrize("rule, side", [("ThrowL", dict(a2=Z2.value(0), result1=Z2)),
+                                        ("ThrowR", dict(a1=Z2.value(0), result2=Z2))])
+def test_throw_rules_reject_an_exception_of_another_domain(rule, side):
+    # ER has as many values as EL; only the domain tells them apart
+    wrong = ER if rule == "ThrowL" else EL
+    with pytest.raises(R.RuleError, match="exception value lives in"):
+        G.apply_full_rule(rule, monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
+                          exc=wrong.value(0), **side)
 
 
 def test_throw_rules_need_the_canonical_carrier():

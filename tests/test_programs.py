@@ -84,6 +84,20 @@ def test_run_exc_catch_passes_normal_result():
     assert P.run_exc(p) == (P.OK, Z8.value(2))
 
 
+def test_put_and_throw_reject_values_outside_the_signature():
+    # a state or exception from another domain would be decoded as some
+    # in-domain value, or fail in the evaluator
+    E3 = domain("E3", 3)
+    with pytest.raises(ValueError, match="state domain"):
+        P.put(P.state_sig(BOOL), E3.value(2), P.ret(P.state_sig(BOOL), UNIT_VAL))
+    with pytest.raises(ValueError, match="state domain"):
+        P.put_unit(P.imp_sig(Z3), Z8.value(1), UNIT_VAL)
+    with pytest.raises(ValueError, match="exception domain"):
+        P.throw(P.exc_sig(E2), E3.value(2), Z8)
+    with pytest.raises(ValueError, match="exception domain"):
+        P.throw(P.state_sig(Z3), E2.value(0), Z8)
+
+
 def test_run_ndet_choice():
     sig = P.ndet_sig()
     c = P.choice(P.ret(sig, boolv(True)), P.ret(sig, boolv(False)))
@@ -355,7 +369,7 @@ def test_a_check_builds_each_program_once():
         put = inside[0]
         # another head, another signature: another program
         assert P.put(st, Z3.value(2), put.node.then) is not put
-        assert P.put(P.state_sig(Z8), Z3.value(1), put.node.then) is not put
+        assert P.put(P.state_sig(Z8), Z8.value(1), put.node.then) is not put
         pr = P.prob_sig()
         flip = inside[2]
         assert P.flip(pr, Fraction(1, 4), *flip.node.cont) is not flip

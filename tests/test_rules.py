@@ -427,6 +427,23 @@ def test_nat_elim_rejects_wrong_premise_contexts():
                      [p.conclusion for p in prem])
 
 
+def test_nat_elim_on_an_unbound_variable_fails_the_check():
+    env = R.Env((("k", Z3),))
+    good = R.derive("NatElim", [_state_ret(Z2.value(0), Z2.value(0)) for _ in range(3)],
+                    env=env, var="k")
+    bad = R.Derivation(good.conclusion, R.rule("NatElim", env=env, var="j"), good.premises)
+    res = R.check_derivation(bad)
+    assert not res.ok and res.path == ()
+    assert "'j' is not bound" in res.message
+
+
+def test_an_axiom_raising_a_foreign_exception_fails_the_check():
+    good = R.derive("ThrowL", sig1=ESIG, sig2=ESIG, e1=Z2.value(0), result1=Z2, a2=Z2.value(0))
+    inst = R.rule("ThrowL", sig1=ESIG, sig2=ESIG, e1=Z3.value(2), result1=Z2, a2=Z2.value(0))
+    res = R.check_derivation(R.Derivation(good.conclusion, inst))
+    assert not res.ok and "outside the exception domain" in res.message
+
+
 def test_if_left_requires_a_shared_right_program():
     jt = _state_ret(Z2.value(1), Z2.value(0))
     jf = _state_ret(Z2.value(0), Z2.value(1))
@@ -654,6 +671,29 @@ def test_do_while_rejects_a_premise_spec_that_is_not_the_obligation():
     prem = R.judgment(O.observation_part(), body, body, wrong)
     with pytest.raises(R.RuleError, match="obligation"):
         R.apply_rule(R.rule("DoWhileInv", inv=inv), (prem,))
+
+
+@pytest.mark.parametrize("inv", [
+    7,                                          # not a table at all
+    ((True,) * 3,) * 2,                         # two levels short
+    (((((True,) * 3,) * 3,) * 2,),) * 2,        # one guard slice missing
+    (((((True,) * 3,) * 2,) * 2,),) * 2,        # a state row short
+], ids=["scalar", "flat", "short-guard", "short-state"])
+def test_do_while_with_a_misshapen_invariant_fails_the_check(inv):
+    # an empty invariant makes the body obligation vacuous, so ZeroElim
+    # derives the premise
+    body = _countdown_body(P.imp_sig(Z3))
+    empty = ((((False,) * 3,) * 3,) * 2,) * 2
+    prem = R.derive("ZeroElim", observation=O.observation_part(), c1=body, c2=body,
+                    w=R.loop_premise_spec(empty, Z3, Z3))
+    good = R.derive("DoWhileInv", (prem,), inv=empty)
+    assert check_ok(good)
+    with pytest.raises(R.RuleError, match="2x2x3x3 table"):
+        R.apply_rule(R.rule("DoWhileInv", inv=inv), (prem.conclusion,))
+    res = R.check_derivation(R.Derivation(good.conclusion, R.rule("DoWhileInv", inv=inv),
+                                          (prem,)))
+    assert not res.ok and res.path == ()
+    assert "2x2x3x3 table" in res.message
 
 
 def test_do_while_rejects_total_correctness():
