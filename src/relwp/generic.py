@@ -18,11 +18,13 @@ carrier with its sides swapped, swapped back.  The canonical exception
 carrier is the base lift with an exception transformer applied to each side;
 the tests pin it against a hand-written version of the same carrier.
 
-Payloads over finite outcome domains are `specmonads.Wp`: one demand family
-(the minimal accepted postconditions, as outcome bitmasks), the same exact
-form and the same unit, bind, map and order that the fixed carriers of
-`specmonads` use per point.  This module defines no demand-set algorithm of
-its own; the state lift's payloads are `RelSpec`s of the stateful carrier.
+Payloads are `specmonads.RelSpec`s, or tables of them under the state
+transformer: the pure lift's are one-point WrelPure specs over the pair of
+result domains, the state lift's WrelSt specs.  Unit, reindexing and the
+order are those of `specmonads`, so a split-context judgment and a core one
+compare the same objects with the same `spec_leq`.  The pure lift binds one
+demand family against a table of families with the core bind's step; this
+module defines no demand-set algorithm of its own.
 
 The rules form `SPLIT`, a catalogue of the one rule engine in `rules`, and
 `FullJudgment` names it: `rules.check_derivation` replays split-context
@@ -33,7 +35,7 @@ clause.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
@@ -61,17 +63,18 @@ from .rules import (
     Valuation,
     _show_valuation,
 )
-from .specmonads import OrderVerdict, Wp, wp, wp_bind, wp_leq, wp_map, wp_ret, wp_unsat, wp_weakest
 
 
-def random_wp(rng: random.Random, dom: FiniteDomain, max_demands: int = 3) -> Wp:
-    """Random transformer, small demand sets preferred; includes the top
-    (no demands) and bottom (an empty demand) with fair probability."""
-    k = rng.randrange(max_demands + 1)
+def random_spec(rng: random.Random, space: sm.OutcomeSpace) -> sm.RelSpec:
+    """Random spec over a fixed carrier, small demand families preferred:
+    per point up to three demands, each holding every outcome with
+    probability 0.4, so the top (no demands) and the bottom (an empty
+    demand) come up with fair probability."""
     fams = []
-    for _ in range(k):
-        fams.append(frozenset(o for o in range(dom.size) if rng.random() < 0.4))
-    return wp(dom, fams)
+    for _ in space.points():
+        fams.append([sum(1 << o for o in space.outcomes() if rng.random() < 0.4)
+                     for _ in range(rng.randrange(4))])
+    return sm.demand_spec(space, fams)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,9 @@ class FullSpecMonad:
     bind1: Callable[[object, Sequence, FiniteDomain], object]
     bind2: Callable[[object, Sequence, FiniteDomain], object]
     bind_rel: Callable[..., object]
-    leq1: Callable[[object, object], OrderVerdict]
-    leq2: Callable[[object, object], OrderVerdict]
-    leq_rel: Callable[[object, object], OrderVerdict]
+    leq1: Callable[[object, object], sm.LeqVerdict]
+    leq2: Callable[[object, object], sm.LeqVerdict]
+    leq_rel: Callable[[object, object], sm.LeqVerdict]
     unsat_rel: Callable[[FiniteDomain, FiniteDomain], object]
     tau1: Callable[[object, FiniteDomain], object]
     tau2: Callable[[object, FiniteDomain], object]
@@ -125,104 +128,75 @@ class FullSpecMonad:
     gen_rel: Callable[[random.Random, FiniteDomain, FiniteDomain], object]
 
 
-@dataclass(frozen=True)
-class SimpleMonadOps:
-    """A plain relational carrier, as needed to lift it to a triple: unit,
-    sequencing (with explicit factor sizes, since payloads need not record
-    them), the precision order, a top element, and a sampler."""
-
-    name: str
-    ret: Callable[[Value, Value], object]
-    bind: Callable[[object, Callable[[int, int], object], int, int], object]
-    leq: Callable[[object, object], OrderVerdict]
-    unsat: Callable[[FiniteDomain, FiniteDomain], object]
-    gen: Callable[[random.Random, FiniteDomain, FiniteDomain], object]
-
-
-def pure_ops() -> SimpleMonadOps:
-    def ret(a1: Value, a2: Value) -> Wp:
-        dom = product_domain(a1.domain, a2.domain)
-        return wp_ret(dom, a1.index * a2.domain.size + a2.index)
-
-    def bind(w: Wp, fn, a1n: int, a2n: int) -> Wp:
-        if w.dom.size != a1n * a2n:
-            raise ValueError("middle spec does not factor over the stated pair")
-        return wp_bind(w, tuple(fn(k // a2n, k % a2n) for k in range(a1n * a2n)))
-
-    return SimpleMonadOps(
-        name="pure",
-        ret=ret,
-        bind=bind,
-        leq=wp_leq,
-        unsat=lambda d1, d2: wp_unsat(product_domain(d1, d2)),
-        gen=lambda rng, d1, d2: random_wp(rng, product_domain(d1, d2)),
-    )
-
-
-def state_ops(s1: FiniteDomain, s2: FiniteDomain) -> SimpleMonadOps:
-    def gen(rng: random.Random, d1: FiniteDomain, d2: FiniteDomain):
-        space = sm.state_space(d1, s1, d2, s2)
-        rows = []
-        for _ in range(space.point_count):
-            if rng.random() < 0.15:
-                rows.append(sm.VIOLATED)
-            else:
-                rows.append(frozenset(o for o in range(space.size) if rng.random() < 0.5))
-        return sm.demonic_spec(space, rows)
-
-    return SimpleMonadOps(
-        name=f"state[{s1.name},{s2.name}]",
-        ret=lambda a1, a2: sm.spec_ret(sm.state_space(a1.domain, s1, a2.domain, s2), a1, a2),
-        bind=lambda w, fn, _a1n, _a2n: sm.spec_bind(w, fn),
-        leq=sm.spec_leq,
-        unsat=lambda d1, d2: sm.unsatisfiable(sm.state_space(d1, s1, d2, s2)),
-        gen=gen,
-    )
-
-
-def lift_simple(ops: SimpleMonadOps) -> FullSpecMonad:
-    """Triple over a simple carrier: the unary parts are the carrier at a
+def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.OutcomeSpace],
+                bind: Callable[[sm.RelSpec, Sequence[sm.RelSpec]], sm.RelSpec]) -> FullSpecMonad:
+    """Triple over a simple carrier, given by its outcome space per pair of
+    result domains and its bind against a continuation table (one spec per
+    value pair, left index major).  The unary parts are the carrier at a
     unit result on the opposite side, and every operation simply ignores
     the pieces the simple carrier has no use for."""
 
-    def bind1(w, table, _bdom):
-        table = tuple(table)
-        return ops.bind(w, lambda i1, _i2: table[i1], len(table), 1)
+    def ret(a1: Value, a2: Value) -> sm.RelSpec:
+        return sm.spec_ret(space(a1.domain, a2.domain), a1, a2)
 
-    def bind2(w, table, _bdom):
-        table = tuple(table)
-        return ops.bind(w, lambda _i1, i2: table[i2], 1, len(table))
+    def bind_unary(w, table, _bdom):
+        return bind(w, tuple(table))
 
-    def bind_rel(_m1, _m2, mrel, f1, f2, frel, _b1dom, _b2dom):
-        return ops.bind(mrel, lambda i1, i2: frel[i1][i2], len(f1), len(f2))
+    def bind_rel(_m1, _m2, mrel, _f1, _f2, frel, _b1dom, _b2dom):
+        return bind(mrel, [w for row in frel for w in row])
+
+    def gen(rng: random.Random, d1: FiniteDomain, d2: FiniteDomain) -> sm.RelSpec:
+        return random_spec(rng, space(d1, d2))
 
     return FullSpecMonad(
-        name=f"lift({ops.name})",
-        shape=("lift", ops.name),
-        ret1=lambda a: ops.ret(a, UNIT_VAL),
-        ret2=lambda a: ops.ret(UNIT_VAL, a),
-        ret_rel=ops.ret,
-        bind1=bind1,
-        bind2=bind2,
+        name=f"lift({name})",
+        shape=("lift", name),
+        ret1=lambda a: ret(a, UNIT_VAL),
+        ret2=lambda a: ret(UNIT_VAL, a),
+        ret_rel=ret,
+        bind1=bind_unary,
+        bind2=bind_unary,
         bind_rel=bind_rel,
-        leq1=ops.leq,
-        leq2=ops.leq,
-        leq_rel=ops.leq,
-        unsat_rel=ops.unsat,
+        leq1=sm.spec_leq,
+        leq2=sm.spec_leq,
+        leq_rel=sm.spec_leq,
+        unsat_rel=lambda d1, d2: sm.unsatisfiable(space(d1, d2)),
         tau1=lambda w1, _adom: w1,
         tau2=lambda w2, _adom: w2,
-        gen1=lambda rng, a: ops.gen(rng, a, UNIT),
-        gen2=lambda rng, a: ops.gen(rng, UNIT, a),
-        gen_rel=ops.gen,
+        gen1=lambda rng, a: gen(rng, a, UNIT),
+        gen2=lambda rng, a: gen(rng, UNIT, a),
+        gen_rel=gen,
     )
 
 
+def _point_bind(w: sm.RelSpec, table: Sequence[sm.RelSpec]) -> sm.RelSpec:
+    """Sequential composition of one-point specs against a total table, one
+    entry per outcome of w.  A deterministic w, whose one demand is a single
+    outcome, yields that outcome's entry as it stands."""
+    if len(table) != w.space.size:
+        raise ValueError(f"continuation table must cover {w.space.size} outcomes, "
+                         f"got {len(table)}")
+    space = table[0].space
+    for t in table:
+        if t.space is not space:
+            raise ValueError("continuation table mixes outcome spaces")
+    (fam,) = w.fams
+    if len(fam) == 1:
+        (d,) = fam
+        if d and not d & (d - 1):
+            return table[d.bit_length() - 1]
+    return sm._fixed(space, (sm._fam_bind(fam, [t.fams[0] for t in table]),))
+
+
 def lift_pure() -> FullSpecMonad:
-    return lift_simple(pure_ops())
+    """The base lift of one-point WrelPure specs."""
+    return lift_simple("pure", sm.pure_space, _point_bind)
 
 
 def lift_state(s1: FiniteDomain, s2: FiniteDomain) -> FullSpecMonad:
-    return lift_simple(state_ops(s1, s2))
+    """The base lift of WrelSt specs over the states s1 and s2."""
+    return lift_simple(f"state[{s1.name},{s2.name}]",
+                       lambda d1, d2: sm.state_space(d1, s1, d2, s2), sm.spec_bind)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +259,12 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     domain it holds the unit tables of a pin, and per (other side's payload,
     fixed result, other side's domain) the pinned bind itself.  Rethrows in
     bind_rel and both tau embeddings go through the pin.  The domain is part
-    of the keys because payloads need not record it.  Reusing an entry is
-    sound because every `inner` operation is a pure function of its
-    arguments and payloads are frozen and hashable (`Wp`, or tuples of `Wp`
-    under `stt_rel_transform`), so an equal key always builds an equal
-    result.  A right-side carrier keeps these tables, its pins included, in
+    of the keys because payloads need not record it.  A pin is keyed by the
+    payload's exact form: a spec by its space and demand families, so equal
+    specs built apart share one pin, and a table under `stt_rel_transform`
+    by itself.  Reusing an entry is sound because every `inner` operation is
+    a pure function of its arguments and payloads never change once built,
+    so an equal key always builds an equal result.  A right-side carrier keeps these tables, its pins included, in
     the left instance built over the mirrored inner carrier.
     """
     if side not in ("left", "right"):
@@ -345,7 +320,8 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
             ))
             return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
                                   b1val.domain, b2dom)
-        return once(("pin", w2, b1val, b2dom), build)
+        key = (w2.space, w2.fams) if isinstance(w2, sm.RelSpec) else w2
+        return once(("pin", key, b1val, b2dom), build)
 
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
         frelx = list(frel)
@@ -406,8 +382,8 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
             for si, (x, y) in enumerate(zip(w, w2)):
                 v = leq(x, y)
                 if not v.holds:
-                    return OrderVerdict(False, phi=v.phi, where=(si,) + v.where)
-            return OrderVerdict(True)
+                    return replace(v, where=(si,) + v.where)
+            return sm.HOLDS
         return go
 
     def bind1(w, table, bdom):
@@ -493,19 +469,16 @@ def _exc_sigs(monad: FullSpecMonad, sig1, sig2, who: str) -> Tuple[FiniteDomain,
 
 
 def simulation_spec(a1: FiniteDomain, e1: FiniteDomain,
-                    a2: FiniteDomain, e2: FiniteDomain) -> Wp:
+                    a2: FiniteDomain, e2: FiniteDomain) -> sm.RelSpec:
     """Accepts postconditions that hold everywhere except where the left
     side raised and the right side returned normally: the right program
     raises whenever the left does."""
     s1 = sum_domain(a1, e1)
     s2 = sum_domain(a2, e2)
-    dom = product_domain(s1, s2)
-    demand = frozenset(
-        o1 * s2.size + o2
-        for o1 in range(s1.size) for o2 in range(s2.size)
-        if not (o1 >= a1.size and o2 < a2.size)
-    )
-    return wp(dom, [demand])
+    demand = [o1 * s2.size + o2
+              for o1 in range(s1.size) for o2 in range(s2.size)
+              if not (o1 >= a1.size and o2 < a2.size)]
+    return sm.demonic_spec(sm.pure_space(s1, s2), [demand])
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +514,22 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
     run both and demand exactly the joint outcome.  Nothing about the
     carrier forces that choice; the strictness battery is what justifies it
     after the fact, by showing it maps unit to unit and sequencing to
-    sequencing on the nose.  Each outcome domain is built once per pair of
-    result domains, None standing for a side the unary parts leave out.
+    sequencing on the nose.
     """
-    doms = {}
 
-    def dom(a1: Optional[FiniteDomain], a2: Optional[FiniteDomain]) -> FiniteDomain:
-        d = doms.get((a1, a2))
-        if d is None:
-            d = doms[(a1, a2)] = product_domain(UNIT if a1 is None else sum_domain(a1, e1),
-                                                UNIT if a2 is None else sum_domain(a2, e2))
-        return d
-
-    def theta1(c: Program) -> Wp:
+    def theta1(c: Program) -> sm.RelSpec:
         o = _exc_outcome(c, e1)
-        return wp_ret(dom(c.result, None), o)
+        return sm.demand_spec(sm.pure_space(sum_domain(c.result, e1), UNIT), [(1 << o,)])
 
-    def theta2(c: Program) -> Wp:
+    def theta2(c: Program) -> sm.RelSpec:
         o = _exc_outcome(c, e2)
-        return wp_ret(dom(None, c.result), o)
+        return sm.demand_spec(sm.pure_space(UNIT, sum_domain(c.result, e2)), [(1 << o,)])
 
-    def theta_rel(c1: Program, c2: Program) -> Wp:
+    def theta_rel(c1: Program, c2: Program) -> sm.RelSpec:
         o1 = _exc_outcome(c1, e1)
         o2 = _exc_outcome(c2, e2)
-        return wp_ret(dom(c1.result, c2.result), o1 * (c2.result.size + e2.size) + o2)
+        space = sm.pure_space(sum_domain(c1.result, e1), sum_domain(c2.result, e2))
+        return sm.demand_spec(space, [(1 << (o1 * space.a2.size + o2),)])
 
     return ThetaTriple(f"exc-run[{e1.name},{e2.name}]", theta1, theta2, theta_rel)
 
@@ -828,16 +793,16 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
         return x
 
     def w(g):
-        return wp_ret(product_domain(tagged, UNIT) if left else product_domain(UNIT, tagged),
-                      inr_index(result, e, exc(g).index))
+        space = sm.pure_space(tagged, UNIT) if left else sm.pure_space(UNIT, tagged)
+        return sm.demand_spec(space, [(1 << inr_index(result, e, exc(g).index),)])
 
     def wrel(g1, g2):
         x, a = (exc(g1), af(g2)) if left else (exc(g2), af(g1))
         other = sum_domain(a.domain, other_e)
         o, k = inr_index(result, e, x.index), inl_index(a.domain, other_e, a.index)
         if left:
-            return wp_ret(product_domain(tagged, other), o * other.size + k)
-        return wp_ret(product_domain(other, tagged), k * tagged.size + o)
+            return sm.demand_spec(sm.pure_space(tagged, other), [(1 << (o * other.size + k),)])
+        return sm.demand_spec(sm.pure_space(other, tagged), [(1 << (k * tagged.size + o),)])
 
     throw = lambda g: P.throw(sig, exc(g), result)
     ret = lambda g: P.ret(other_sig, af(g))
@@ -847,31 +812,33 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
     return full_judgment(monad, theta, ret, throw, ret_w, w, wrel, ctx)
 
 
-def _catch_unary(w: Wp, normal: int, handlers: Sequence[Wp]) -> Wp:
+def _catch_unary(w: sm.RelSpec, normal: int, handlers: Sequence[sm.RelSpec]) -> sm.RelSpec:
     # normal outcomes pass through; exceptional ones defer to their handler
-    table = [wp_ret(w.dom, k) for k in range(normal)]
+    table = [sm.demand_spec(w.space, [(1 << k,)]) for k in range(normal)]
     table += list(handlers)
-    return wp_bind(w, table)
+    return _point_bind(w, table)
 
 
-def _catch_rel(wrel: Wp, h1: Sequence[Wp], h2: Sequence[Wp], hrel,
-               a1n: int, a2n: int) -> Wp:
+def _catch_rel(wrel: sm.RelSpec, h1: Sequence[sm.RelSpec], h2: Sequence[sm.RelSpec], hrel,
+               a1n: int, a2n: int) -> sm.RelSpec:
+    # a unary handler's outcomes index its own side, the other side's a unit
+    space = wrel.space
     s2n = a2n + len(h2)
     table = []
-    for k in range(wrel.dom.size):
+    for k in range(space.size):
         ae1, ae2 = divmod(k, s2n)
         if ae1 < a1n and ae2 < a2n:
-            table.append(wp_ret(wrel.dom, k))
+            table.append(sm.demand_spec(space, [(1 << k,)]))
         elif ae1 >= a1n and ae2 >= a2n:
             table.append(hrel[ae1 - a1n][ae2 - a2n])
         elif ae1 >= a1n:
             # left handler runs, the right side's normal result stands
-            table.append(wp_map(h1[ae1 - a1n], wrel.dom,
-                                lambda o1, j=ae2: o1 * s2n + j))
+            table.append(sm.reindex_outcomes(h1[ae1 - a1n], space,
+                                             lambda o1, j=ae2: o1 * s2n + j))
         else:
-            table.append(wp_map(h2[ae2 - a2n], wrel.dom,
-                                lambda o2, i=ae1: i * s2n + o2))
-    return wp_bind(wrel, table)
+            table.append(sm.reindex_outcomes(h2[ae2 - a2n], space,
+                                             lambda o2, i=ae1: i * s2n + o2))
+    return _point_bind(wrel, table)
 
 
 @SPLIT.rule("Catch", arity=2)
@@ -916,9 +883,6 @@ def _full_catch(r: RuleInstance, prem) -> FullJudgment:
         h2 = tuple(jerr.w2(g2 + (e,)) for e in e2.values())
         hrel = tuple(tuple(jerr.wrel(g1 + (ea,), g2 + (eb,)) for eb in e2.values())
                      for ea in e1.values())
-        # reuse the unary payloads' pair carrier: drop the unit padding
-        h1 = tuple(wp_map(h, sum_domain(a1dom, e1), lambda o: o) for h in h1)
-        h2 = tuple(wp_map(h, sum_domain(a2dom, e2), lambda o: o) for h in h2)
         return _catch_rel(j.wrel(g1, g2), h1, h2, hrel, a1dom.size, a2dom.size)
 
     return FullJudgment(j.ctx, monad, j.theta, c1, c2, w1, w2, wrel)

@@ -1035,18 +1035,14 @@ def _has_shape(t, shape: Tuple[int, ...]) -> bool:
 
 
 def _norm_inv(inv, s1: FiniteDomain, s2: FiniteDomain):
-    """Invariant table inv[b1][b2][s1][s2] from a nested sequence or a
-    four-argument callable; RuleError for a sequence of another shape."""
-    if not callable(inv):
-        if not _has_shape(inv, (2, 2, s1.size, s2.size)):
-            raise RuleError(f"DoWhileInv: inv must be a 2x2x{s1.size}x{s2.size} table "
-                            "or a four-argument callable")
-        table = inv
-        inv = lambda b1, b2, i, j: table[b1][b2][i][j]
-    return tuple(tuple(tuple(tuple(bool(inv(b1, b2, i, j)) for j in range(s2.size))
-                             for i in range(s1.size))
-                       for b2 in range(2))
-                 for b1 in range(2))
+    """Invariant table inv[b1][b2][s1][s2] as booleans, from a nested
+    sequence of that shape (the rule's `inv` is such a table, or a
+    valuation family of them); RuleError for anything else."""
+    if not _has_shape(inv, (2, 2, s1.size, s2.size)):
+        raise RuleError(f"DoWhileInv: inv must be a 2x2x{s1.size}x{s2.size} table, "
+                        "or a valuation family of such tables")
+    return tuple(tuple(tuple(tuple(bool(v) for v in row) for row in plane) for plane in b)
+                 for b in inv)
 
 
 def _loop_spec(inv, a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain,

@@ -24,10 +24,11 @@ body, their exact normal form: per point, the antichain of minimal accepted
 postconditions, each an int bitmask of outcomes (a demand family).  The
 spec accepts phi at the point exactly when some demand lies inside phi; the
 empty family is VIOLATED.  Unit, bind, reindexing and the order are set
-operations on families, shared with the split-context carriers through
-`Wp`, one family over one outcome domain.  No postcondition is enumerated or
-sampled for these carriers, `spec_leq` decides them exactly, and a family
-past a documented size raises `SpecTooLarge`.
+operations on families.  The split-context carriers of `generic` use the
+same specs: their pure payloads are one-point WrelPure specs.  No
+postcondition is enumerated or sampled for these carriers, `spec_leq`
+decides them exactly, and a family past a documented size raises
+`SpecTooLarge`.
 
 The interactive carrier has one body too: a demonic entry per history
 point, the set of (value pair, history, history) outcomes that must all
@@ -319,13 +320,16 @@ class LeqVerdict:
 
     Fails carries a witness postcondition (and point for pointed
     carriers) at which the right spec claims more than the left spec
-    delivers; both are re-checkable by direct evaluation.
+    delivers; both are re-checkable by direct evaluation.  `where` locates
+    the witness as the split-context carriers report it: ("point", point),
+    prefixed by the entry states of any state tables around the spec.
     """
 
     kind: str
     phi: object = None
     point: object = None
     note: str = ""
+    where: tuple = ()
 
     @property
     def holds(self) -> bool:
@@ -341,17 +345,13 @@ class LeqVerdict:
         tracer, which still counts undecided comparisons."""
         return False
 
-    @property
-    def where(self) -> tuple:
-        """The witness's location as the split-context carriers report it."""
-        return () if self.point is None else ("point", self.point)
-
 
 HOLDS = LeqVerdict("holds")
 
 
 def _fails(phi, point=None, note="") -> LeqVerdict:
-    return LeqVerdict("fails", phi=phi, point=point, note=note)
+    where = () if point is None else ("point", point)
+    return LeqVerdict("fails", phi=phi, point=point, note=note, where=where)
 
 
 # ---------------------------------------------------------------------------
@@ -494,105 +494,6 @@ def _minimal_accepted(accepts: Callable[[int], bool], full: int) -> FrozenSet[in
         todo.append((on, free & ~low))
         todo.append((on | low, free & ~low))
     return _minimise(found)
-
-
-# ---------------------------------------------------------------------------
-# One family over one outcome domain
-
-
-@dataclass(frozen=True)
-class Wp:
-    """Monotone predicate transformer over one finite outcome domain, as
-    its one demand family: it accepts a postcondition exactly when some
-    demand (an outcome bitmask) lies inside it.  The empty family is the top
-    of the precision order, the family {0} the bottom."""
-
-    dom: FiniteDomain
-    demands: FrozenSet[int]
-
-    def at(self, phi) -> bool:
-        """Evaluate at a postcondition given as a callable on outcome
-        indices, an int bitmask, or an iterable of indices."""
-        if not (callable(phi) or isinstance(phi, int)):
-            phi = frozenset(phi)
-        return _accepts(self.demands, phi)
-
-    def __repr__(self):
-        shown = sorted(tuple(_bits(d)) for d in self.demands)
-        return f"Wp({self.dom.name}, {shown})"
-
-
-@dataclass(frozen=True)
-class OrderVerdict:
-    """A payload comparison: `phi` separates the two sides (the right one
-    accepts it), and `where` locates it inside structured payloads."""
-
-    holds: bool
-    phi: object = None
-    where: Tuple = ()
-
-
-def wp(dom: FiniteDomain, demands) -> Wp:
-    """Normalize a family of outcome sets to its minimal antichain."""
-    masks = [_mask(d) for d in demands]
-    for m in masks:
-        if m >> dom.size:
-            raise ValueError(f"outcome {m.bit_length() - 1} out of range for domain {dom.name!r}")
-    return Wp(dom, _minimise(masks))
-
-
-def wp_ret(dom: FiniteDomain, outcome: int) -> Wp:
-    if not 0 <= outcome < dom.size:
-        raise ValueError(f"outcome {outcome} out of range for domain {dom.name!r}")
-    return Wp(dom, frozenset({1 << outcome}))
-
-
-def wp_weakest(dom: FiniteDomain) -> Wp:
-    return Wp(dom, _ANY)
-
-
-def wp_unsat(dom: FiniteDomain) -> Wp:
-    """The spec that accepts no postcondition; everything sits below it."""
-    return Wp(dom, _NONE)
-
-
-def wp_leq(w: Wp, w2: Wp) -> OrderVerdict:
-    """Decide w <= w2: every postcondition w2 accepts, w accepts.  It is
-    enough to test w at w2's demands, so the check never enumerates."""
-    if w.dom != w2.dom:
-        raise ValueError(f"cannot compare transformers over {w.dom.name!r} "
-                         f"and {w2.dom.name!r}")
-    d2 = _uncovered(w.demands, w2.demands)
-    if d2 is None:
-        return OrderVerdict(True)
-    return OrderVerdict(False, phi=frozenset(_bits(d2)))
-
-
-def wp_bind(w: Wp, table: Sequence[Wp]) -> Wp:
-    """Sequential composition against a total continuation table.  A
-    deterministic `w`, whose one demand is a single outcome, yields that
-    outcome's continuation as it stands."""
-    table = tuple(table)
-    if len(table) != w.dom.size:
-        raise ValueError(f"continuation table must cover {w.dom.name!r} "
-                         f"({w.dom.size} outcomes, got {len(table)})")
-    rdom = table[0].dom
-    for t in table:
-        if t.dom != rdom:
-            raise ValueError("continuation table mixes outcome domains")
-    if len(w.demands) == 1:
-        (d,) = w.demands
-        if d and not d & (d - 1):
-            return table[d.bit_length() - 1]
-    return Wp(rdom, _fam_bind(w.demands, [t.demands for t in table]))
-
-
-def wp_map(w: Wp, rdom: FiniteDomain, f: Callable[[int], int]) -> Wp:
-    """Reindex outcomes: the result accepts phi iff w accepts phi . f."""
-    moved = _fam_map(w.demands, f)
-    if any(m >> rdom.size for m in moved):
-        raise ValueError(f"outcome map leaves domain {rdom.name!r}")
-    return Wp(rdom, moved)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ search of value tables on a grid for one that separates two specs.
 `theta_prob`.  `morphism_laws_by_instance` spells out `check_morphism_laws`
 one instance at a time, with nothing shared between instances.
 `wrelexc_ret` and `wrelexc_bind` write the exception carrier of `generic`
-out by hand, as one four-way case split, to pin the assembled carrier down.
+out by hand over `specmonads` alone, as one four-way case split, to pin the
+assembled carrier down.
 """
 
 from fractions import Fraction
@@ -30,14 +31,14 @@ from typing import Optional, Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
-from relwp.domains import (BOOL, UNIT, FiniteDomain, Value, boolv, inl_index, product_domain,
-                           sum_domain)
+from relwp.domains import BOOL, UNIT, FiniteDomain, Value, boolv, inl_index, sum_domain
 from relwp.lp import coupling_vertices
 from relwp.observations import UnaryObservation, from_commuting_pair
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
                             Output, PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import (RelSpec, Wp, demand_spec, io_demonic_spec, io_space, spec_bind,
-                              spec_leq, spec_ret, state_space, weakest, wp_bind, wp_map, wp_ret)
+from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, pure_space,
+                              reindex_outcomes, spec_bind, spec_leq, spec_ret, state_space,
+                              weakest)
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -427,46 +428,47 @@ def morphism_laws_by_instance(obs, battery):
     return _law_scan(rets()), _law_scan(binds())
 
 
-def wrelexc_ret(a1: Value, e1: FiniteDomain, a2: Value, e2: FiniteDomain) -> Wp:
+def wrelexc_ret(a1: Value, e1: FiniteDomain, a2: Value, e2: FiniteDomain) -> RelSpec:
     s1 = sum_domain(a1.domain, e1)
     s2 = sum_domain(a2.domain, e2)
-    return wp_ret(product_domain(s1, s2),
-                  inl_index(a1.domain, e1, a1.index) * s2.size
-                  + inl_index(a2.domain, e2, a2.index))
+    o = inl_index(a1.domain, e1, a1.index) * s2.size + inl_index(a2.domain, e2, a2.index)
+    return demand_spec(pure_space(s1, s2), [(1 << o,)])
 
 
-def wrelexc_bind(wm: Wp, f1: Sequence[Wp], f2: Sequence[Wp], frel,
+def wrelexc_bind(wm: RelSpec, f1: Sequence[RelSpec], f2: Sequence[RelSpec], frel,
                  e1: FiniteDomain, e2: FiniteDomain,
-                 b1dom: FiniteDomain, b2dom: FiniteDomain) -> Wp:
+                 b1dom: FiniteDomain, b2dom: FiniteDomain) -> RelSpec:
     """Sequencing over pairs of tagged outcomes.
 
     Both normal: the relational continuation.  One side raised: that
     exception is pinned while the other side's unary continuation fills in
-    its half of the pair.  Both raised: the exception pair is final.
+    its half of the pair.  Both raised: the exception pair is final.  The
+    unary continuations are one-point specs beside a unit result, so their
+    outcomes index their own side's tagged results.
     """
     f1 = tuple(f1)
     f2 = tuple(f2)
     a1n, a2n = len(f1), len(f2)
     s1 = sum_domain(b1dom, e1)
     s2 = sum_domain(b2dom, e2)
-    rdom = product_domain(s1, s2)
+    rspace = pure_space(s1, s2)
     arg2n = a2n + e2.size
-    if wm.dom.size != (a1n + e1.size) * arg2n:
+    if wm.space.size != (a1n + e1.size) * arg2n:
         raise ValueError("middle spec does not cover the stated outcome pairs")
     table = []
-    for k in range(wm.dom.size):
+    for k in range(wm.space.size):
         ae1, ae2 = divmod(k, arg2n)
         if ae1 < a1n and ae2 < a2n:
             t = frel[ae1][ae2]
         elif ae1 < a1n:
             err2 = b2dom.size + (ae2 - a2n)
-            t = wp_map(f1[ae1], rdom, lambda be1, j=err2: be1 * s2.size + j)
+            t = reindex_outcomes(f1[ae1], rspace, lambda be1, j=err2: be1 * s2.size + j)
         elif ae2 < a2n:
             err1 = b1dom.size + (ae1 - a1n)
-            t = wp_map(f2[ae2], rdom, lambda be2, i=err1: i * s2.size + be2)
+            t = reindex_outcomes(f2[ae2], rspace, lambda be2, i=err1: i * s2.size + be2)
         else:
             err1 = b1dom.size + (ae1 - a1n)
             err2 = b2dom.size + (ae2 - a2n)
-            t = wp_ret(rdom, err1 * s2.size + err2)
+            t = demand_spec(rspace, [(1 << (err1 * s2.size + err2),)])
         table.append(t)
-    return wp_bind(wm, table)
+    return spec_bind(wm, table)

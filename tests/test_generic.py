@@ -1,8 +1,9 @@
 """Spec triples over split contexts.
 
-The demand normal form is pinned against brute-force quantification over
-every postcondition, so its bind and order are trusted by construction
-before anything is built on them.  The assembled exception carrier is then
+The pure lift's payloads are one-point WrelPure specs.  Their demand normal
+form, bind and order are pinned against brute-force quantification over
+every postcondition, so they are trusted by construction before anything
+is built on them.  The assembled exception carrier is then
 compared extensionally with a hand-written single-shot version of the same
 transformer, the run-both observation is checked to map unit and sequencing
 to unit and sequencing exactly, and each rule's conclusion is re-decided by
@@ -23,7 +24,10 @@ from relwp import programs as P
 from relwp import rules as R
 from relwp import specmonads as sm
 from relwp import whilelang as W
-from relwp.domains import BOOL, UNIT, UNIT_VAL, Value, domain, product_domain, sum_domain
+from relwp.domains import (BOOL, UNIT, UNIT_VAL, Value, case_index, domain, product_domain,
+                           sum_domain)
+
+from relwp.genprog import random_program
 
 import reference
 
@@ -40,7 +44,17 @@ TH = G.theta_exc_triple(EL, ER)
 
 SUM1 = sum_domain(Z2, EL)
 SUM2 = sum_domain(Z2, ER)
-PAIR = product_domain(SUM1, SUM2)
+PAIR = sm.pure_space(SUM1, SUM2)
+LP = G.lift_pure()
+
+
+def PT(d):
+    """The one-point pure space over d beside a unit: outcome o is (o, ())."""
+    return sm.pure_space(d, UNIT)
+
+
+def ret_at(d, o):
+    return sm.spec_ret(PT(d), d.value(o), UNIT_VAL)
 
 
 def all_phis(dom):
@@ -48,8 +62,8 @@ def all_phis(dom):
             for mask in range(1 << dom.size)]
 
 
-def assert_wp_equiv(w1, w2):
-    fwd, back = G.wp_leq(w1, w2), G.wp_leq(w2, w1)
+def assert_equiv(w1, w2):
+    fwd, back = sm.spec_leq(w1, w2), sm.spec_leq(w2, w1)
     assert fwd.holds and back.holds, (fwd, back, w1, w2)
 
 
@@ -74,49 +88,51 @@ def assert_triple_theta_equal(j):
 
 def test_wp_normalizes_to_a_minimal_antichain():
     d = domain("D", 4)
-    w = G.wp(d, [{0, 1}, {0}, {2, 3}, {0, 2, 3}])
-    assert w.demands == frozenset({0b0001, 0b1100})
+    w = sm.demand_spec(PT(d), [[0b0011, 0b0001, 0b1100, 0b1101]])
+    assert w.fams == (frozenset({0b0001, 0b1100}),)
 
 
 def test_wp_accepts_callables_masks_and_iterables():
     d = domain("D", 4)
-    w = G.wp(d, [{0}, {2, 3}])
-    assert w.at({0})
+    w = sm.demand_spec(PT(d), [[0b0001, 0b1100]])
+    assert w.at(frozenset({0}))
     assert w.at(lambda o: o >= 2)
     assert w.at(0b1101)
-    assert not w.at({1, 2})
+    assert not w.at(frozenset({1, 2}))
     assert not w.at(0)
 
 
 def test_wp_rejects_out_of_range_outcomes():
     d = domain("D", 2)
-    with pytest.raises(ValueError, match="out of range"):
-        G.wp(d, [{3}])
-    with pytest.raises(ValueError, match="out of range"):
-        G.wp_ret(d, 2)
+    with pytest.raises(ValueError, match="outside space"):
+        sm.demand_spec(PT(d), [[1 << 3]])
+    with pytest.raises(ValueError, match="outside space"):
+        sm.demonic_spec(PT(d), [{2}])
+    with pytest.raises(ValueError, match="expected 'D'"):
+        sm.spec_ret(PT(d), Z3.value(2), UNIT_VAL)
 
 
 def test_order_extremes():
     d = domain("D", 3)
-    mid = G.wp_ret(d, 1)
-    assert G.wp_leq(mid, G.wp_unsat(d)).holds
-    assert G.wp_leq(G.wp_weakest(d), mid).holds
-    assert not G.wp_leq(G.wp_unsat(d), mid).holds
-    assert not G.wp_leq(mid, G.wp_weakest(d)).holds
+    mid = ret_at(d, 1)
+    assert sm.spec_leq(mid, sm.unsatisfiable(PT(d))).holds
+    assert sm.spec_leq(sm.weakest(PT(d)), mid).holds
+    assert not sm.spec_leq(sm.unsatisfiable(PT(d)), mid).holds
+    assert not sm.spec_leq(mid, sm.weakest(PT(d))).holds
 
 
 def test_order_failure_carries_a_separating_postcondition():
     d = domain("D", 3)
-    v = G.wp_leq(G.wp_ret(d, 2), G.wp_ret(d, 0))
+    v = sm.spec_leq(ret_at(d, 2), ret_at(d, 0))
     assert not v.holds
-    assert v.phi == frozenset({0})
+    assert v.phi == frozenset({0}) and v.where == ("point", 0)
     # the witness is a postcondition the right accepts and the left does not
-    assert G.wp_ret(d, 0).at(v.phi) and not G.wp_ret(d, 2).at(v.phi)
+    assert ret_at(d, 0).at(v.phi) and not ret_at(d, 2).at(v.phi)
 
 
 def test_comparing_different_domains_is_an_error():
     with pytest.raises(ValueError, match="cannot compare"):
-        G.wp_leq(G.wp_weakest(Z2), G.wp_weakest(Z3))
+        sm.spec_leq(sm.weakest(PT(Z2)), sm.weakest(PT(Z3)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -124,9 +140,9 @@ def test_comparing_different_domains_is_an_error():
 def test_order_agrees_with_quantification_over_postconditions(seed):
     rng = random.Random(seed)
     d = domain("D", 5)
-    w, w2 = G.random_wp(rng, d), G.random_wp(rng, d)
+    w, w2 = G.random_spec(rng, PT(d)), G.random_spec(rng, PT(d))
     brute = all(w.at(phi) for phi in all_phis(d) if w2.at(phi))
-    assert G.wp_leq(w, w2).holds == brute
+    assert sm.spec_leq(w, w2).holds == brute
 
 
 @settings(deadline=None, max_examples=60)
@@ -134,12 +150,14 @@ def test_order_agrees_with_quantification_over_postconditions(seed):
 def test_bind_agrees_with_the_pointwise_composite(seed):
     rng = random.Random(seed)
     d, r = domain("D", 4), domain("R", 3)
-    w = G.random_wp(rng, d)
-    table = [G.random_wp(rng, r) for _ in range(d.size)]
-    got = G.wp_bind(w, table)
+    w = G.random_spec(rng, PT(d))
+    table = [G.random_spec(rng, PT(r)) for _ in range(d.size)]
+    got = LP.bind1(w, table, r)
     for phi in all_phis(r):
-        want = w.at({o for o in range(d.size) if table[o].at(phi)})
+        want = w.at(frozenset(o for o in range(d.size) if table[o].at(phi)))
         assert got.at(phi) == want, (phi, got)
+    # the core bind of the same one-point specs builds the same family
+    assert sm.spec_bind(w, table).fams == got.fams
 
 
 @settings(deadline=None, max_examples=40)
@@ -147,29 +165,29 @@ def test_bind_agrees_with_the_pointwise_composite(seed):
 def test_bind_is_associative(seed):
     rng = random.Random(seed)
     a, b, c = domain("A", 3), domain("B", 3), domain("C", 3)
-    w = G.random_wp(rng, a)
-    f = [G.random_wp(rng, b) for _ in range(a.size)]
-    g = [G.random_wp(rng, c) for _ in range(b.size)]
-    assert_wp_equiv(G.wp_bind(G.wp_bind(w, f), g),
-                    G.wp_bind(w, [G.wp_bind(x, g) for x in f]))
+    w = G.random_spec(rng, PT(a))
+    f = [G.random_spec(rng, PT(b)) for _ in range(a.size)]
+    g = [G.random_spec(rng, PT(c)) for _ in range(b.size)]
+    assert_equiv(LP.bind1(LP.bind1(w, f, b), g, c),
+                 LP.bind1(w, [LP.bind1(x, g, c) for x in f], c))
 
 
 def test_bind_unit_laws():
     d = domain("D", 4)
     rng = random.Random(3)
-    table = [G.random_wp(rng, d) for _ in range(d.size)]
+    table = [G.random_spec(rng, PT(d)) for _ in range(d.size)]
     for o in range(d.size):
-        assert_wp_equiv(G.wp_bind(G.wp_ret(d, o), table), table[o])
-    w = G.random_wp(rng, d)
-    assert_wp_equiv(G.wp_bind(w, [G.wp_ret(d, o) for o in range(d.size)]), w)
+        assert_equiv(LP.bind1(ret_at(d, o), table, d), table[o])
+    w = G.random_spec(rng, PT(d))
+    assert_equiv(LP.bind1(w, [ret_at(d, o) for o in range(d.size)], d), w)
 
 
 def test_bind_through_an_unsatisfiable_continuation_demands_avoidance():
     # the only surviving demands steer around the dead outcome
     d = domain("D", 2)
-    w = G.wp(d, [{0}, {0, 1}])
-    got = G.wp_bind(w, [G.wp_ret(d, 1), G.wp_unsat(d)])
-    assert got.demands == frozenset({0b10})
+    w = sm.demand_spec(PT(d), [[0b01, 0b11]])
+    got = LP.bind1(w, [ret_at(d, 1), sm.unsatisfiable(PT(d))], d)
+    assert got.fams == (frozenset({0b10}),)
 
 
 @settings(deadline=None, max_examples=40)
@@ -177,9 +195,9 @@ def test_bind_through_an_unsatisfiable_continuation_demands_avoidance():
 def test_map_agrees_with_postcondition_composition(seed):
     rng = random.Random(seed)
     d, r = domain("D", 4), domain("R", 6)
-    w = G.random_wp(rng, d)
+    w = G.random_spec(rng, PT(d))
     f = lambda o: (2 * o + 1) % r.size
-    got = G.wp_map(w, r, f)
+    got = sm.reindex_outcomes(w, PT(r), f)
     for phi in all_phis(r):
         assert got.at(phi) == w.at(lambda o: f(o) in phi)
 
@@ -187,11 +205,11 @@ def test_map_agrees_with_postcondition_composition(seed):
 def test_bind_rejects_short_tables_and_mixed_domains():
     d = domain("D", 3)
     # a deterministic middle spec takes the same checks before its shortcut
-    for w in (G.wp_weakest(d), G.wp_ret(d, 0)):
+    for w in (sm.weakest(PT(d)), ret_at(d, 0)):
         with pytest.raises(ValueError, match="must cover"):
-            G.wp_bind(w, [G.wp_weakest(d)])
+            LP.bind1(w, [sm.weakest(PT(d))], d)
         with pytest.raises(ValueError, match="mixes"):
-            G.wp_bind(w, [G.wp_weakest(d), G.wp_weakest(Z2), G.wp_weakest(d)])
+            LP.bind1(w, [sm.weakest(PT(d)), sm.weakest(PT(Z2)), sm.weakest(PT(d))], d)
 
 
 def test_deterministic_bind_matches_the_pruning_path():
@@ -200,12 +218,13 @@ def test_deterministic_bind_matches_the_pruning_path():
     rng = random.Random(2024)
     d, r = domain("D", 4), domain("R", 5)
     for _ in range(200):
-        table = [G.random_wp(rng, r) for _ in range(d.size)]
+        table = [G.random_spec(rng, PT(r)) for _ in range(d.size)]
         o, p = rng.sample(range(d.size), 2)
-        got = G.wp_bind(G.wp_ret(d, o), table)
-        slow = G.wp_bind(G.Wp(d, frozenset({1 << o, 1 << o | 1 << p})), table)
+        got = LP.bind1(ret_at(d, o), table, r)
+        unpruned = sm.RelSpec("WrelPure", PT(d), fams=(frozenset({1 << o, 1 << o | 1 << p}),))
+        slow = LP.bind1(unpruned, table, r)
         assert got is table[o]
-        assert got == slow, (o, table)
+        assert got.fams == slow.fams, (o, table)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +281,8 @@ def _swapped(x, d1, d2):
     entry."""
     if isinstance(x, tuple):
         return tuple(_swapped(w, d1, d2) for w in x)
-    return G.wp_map(x, product_domain(d2, d1),
-                    lambda o: (o % d2.size) * d1.size + o // d2.size)
+    return sm.reindex_outcomes(x, sm.pure_space(d2, d1),
+                               lambda o: (o % d2.size) * d1.size + o // d2.size)
 
 
 def _assert_same(x, y):
@@ -272,7 +291,7 @@ def _assert_same(x, y):
         for a, b in zip(x, y):
             _assert_same(a, b)
     else:
-        assert_wp_equiv(x, y)
+        assert_equiv(x, y)
 
 
 # each transformer over the pure lift, with the result domain it gives the
@@ -336,7 +355,7 @@ def test_transformer_rejects_unknown_side():
 
 def test_tau_is_the_identity_on_lifts():
     lp = G.lift_pure()
-    w = G.random_wp(random.Random(19), product_domain(Z2, UNIT))
+    w = G.random_spec(random.Random(19), PT(Z2))
     assert lp.tau1(w, Z2) is w
     ls = G.lift_state(Z2, Z2)
     m = ls.gen2(random.Random(20), Z3)
@@ -348,10 +367,10 @@ def test_state_transformer_unit_is_the_per_state_table():
     st_ = G.stt_rel_transform(G.lift_pure(), Z3, "left")
     a1, a2 = Z2.value(1), Z2.value(0)
     got = st_.ret_rel(a1, a2)
-    paired = product_domain(product_domain(Z2, Z3), Z2)
+    paired = sm.pure_space(product_domain(Z2, Z3), Z2)
     for si in range(Z3.size):
-        want = G.wp_ret(paired, (a1.index * Z3.size + si) * Z2.size + a2.index)
-        assert_wp_equiv(got[si], want)
+        want = sm.demand_spec(paired, [(1 << ((a1.index * Z3.size + si) * Z2.size + a2.index),)])
+        assert_equiv(got[si], want)
 
 
 def test_state_lift_bind_is_plain_spec_bind():
@@ -376,40 +395,32 @@ def test_state_lift_bind_is_plain_spec_bind():
 def test_exception_units_agree_with_the_hand_written_carrier():
     for a1 in Z2.values():
         for a2 in Z2.values():
-            assert_wp_equiv(MONAD.ret_rel(a1, a2), reference.wrelexc_ret(a1, EL, a2, ER))
-
-
-def _pad1(w):
-    return G.Wp(product_domain(w.dom, UNIT), w.demands)
-
-
-def _pad2(w):
-    return G.Wp(product_domain(UNIT, w.dom), w.demands)
+            assert_equiv(MONAD.ret_rel(a1, a2), reference.wrelexc_ret(a1, EL, a2, ER))
 
 
 def test_exception_binds_agree_with_the_hand_written_carrier():
-    s1b = sum_domain(Z3, EL)
-    s2b = sum_domain(Z3, ER)
-    pairb = product_domain(s1b, s2b)
+    s1b = sm.pure_space(sum_domain(Z3, EL), UNIT)
+    s2b = sm.pure_space(UNIT, sum_domain(Z3, ER))
+    pairb = sm.pure_space(sum_domain(Z3, EL), sum_domain(Z3, ER))
     for seed in range(60):
         rng = random.Random(seed)
-        wm = G.random_wp(rng, PAIR)
-        f1 = [G.random_wp(rng, s1b) for _ in range(Z2.size)]
-        f2 = [G.random_wp(rng, s2b) for _ in range(Z2.size)]
-        frel = [[G.random_wp(rng, pairb) for _ in range(Z2.size)]
+        wm = G.random_spec(rng, PAIR)
+        f1 = [G.random_spec(rng, s1b) for _ in range(Z2.size)]
+        f2 = [G.random_spec(rng, s2b) for _ in range(Z2.size)]
+        frel = [[G.random_spec(rng, pairb) for _ in range(Z2.size)]
                 for _ in range(Z2.size)]
         hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, Z3, Z3)
         built = MONAD.bind_rel(MONAD.gen1(rng, Z2), MONAD.gen2(rng, Z2), wm,
-                               [_pad1(x) for x in f1], [_pad2(x) for x in f2],
-                               frel, Z3, Z3)
-        assert_wp_equiv(hand, built)
+                               f1, f2, frel, Z3, Z3)
+        assert_equiv(hand, built)
 
 
-def _wide_wp(rng, dom):
-    """A random transformer whose demands all name two outcomes or more, so
-    no bind through it takes the deterministic shortcut."""
-    return G.wp(dom, [rng.sample(range(dom.size), rng.randint(2, dom.size))
-                      for _ in range(rng.randint(1, 3))])
+def _wide_spec(rng, space):
+    """A random one-point spec whose demands all name two outcomes or more,
+    so no bind through it takes the deterministic shortcut."""
+    return sm.demand_spec(space, [[sum(1 << o for o in rng.sample(range(space.size),
+                                                                  rng.randint(2, space.size)))
+                                   for _ in range(rng.randint(1, 3))]])
 
 
 def test_one_carrier_serves_continuations_over_several_domains():
@@ -420,26 +431,24 @@ def test_one_carrier_serves_continuations_over_several_domains():
     for _ in range(3):
         for a1d, a2d, b1d, b2d in product((Z2, Z3), repeat=4):
             s1b, s2b = sum_domain(b1d, EL), sum_domain(b2d, ER)
-            wm = _wide_wp(rng, product_domain(sum_domain(a1d, EL), sum_domain(a2d, ER)))
-            f1 = [_wide_wp(rng, s1b) for _ in range(a1d.size)]
-            f2 = [_wide_wp(rng, s2b) for _ in range(a2d.size)]
-            frel = [[_wide_wp(rng, product_domain(s1b, s2b)) for _ in range(a2d.size)]
+            wm = _wide_spec(rng, sm.pure_space(sum_domain(a1d, EL), sum_domain(a2d, ER)))
+            f1 = [_wide_spec(rng, PT(s1b)) for _ in range(a1d.size)]
+            f2 = [_wide_spec(rng, sm.pure_space(UNIT, s2b)) for _ in range(a2d.size)]
+            frel = [[_wide_spec(rng, sm.pure_space(s1b, s2b)) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
             hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
             built = monad.bind_rel(monad.gen1(rng, a1d), monad.gen2(rng, a2d), wm,
-                                   [_pad1(x) for x in f1], [_pad2(x) for x in f2],
-                                   frel, b1d, b2d)
-            assert_wp_equiv(hand, built)
+                                   f1, f2, frel, b1d, b2d)
+            assert_equiv(hand, built)
             # unary: raised exceptions pass through as units of the new domain
-            m1 = _wide_wp(rng, product_domain(sum_domain(a1d, EL), UNIT))
-            raises = [G.wp_ret(product_domain(s1b, UNIT), b1d.size + j)
-                      for j in range(EL.size)]
-            assert_wp_equiv(monad.bind1(m1, [_pad1(x) for x in f1], b1d),
-                            G.wp_bind(m1, [_pad1(x) for x in f1] + raises))
+            m1 = _wide_spec(rng, PT(sum_domain(a1d, EL)))
+            raises = [ret_at(s1b, b1d.size + j) for j in range(EL.size)]
+            assert_equiv(monad.bind1(m1, f1, b1d), sm.spec_bind(m1, f1 + raises))
 
 
-# Exception carriers built fresh: pins memoise `Wp` payloads in the canonical
-# carrier and tuple payloads where the other side threads state.
+# Exception carriers built fresh: pins memoise spec payloads by their exact
+# form in the canonical carrier, and tuple payloads where the other side
+# threads state.
 EXC_CARRIERS = {
     "wrelexc": lambda: G.wrelexc_monad(EL, ER),
     "exct-right over stt-left": lambda: G.exct_rel_transform(
@@ -447,6 +456,13 @@ EXC_CARRIERS = {
     "exct-left over stt-right": lambda: G.exct_rel_transform(
         G.stt_rel_transform(G.lift_pure(), Z2, "right"), EL, "left"),
 }
+
+
+def _form(x):
+    """A payload's exact form: a spec's space and families, a table's entries'."""
+    if isinstance(x, tuple):
+        return tuple(map(_form, x))
+    return x.space, x.fams
 
 
 @pytest.mark.parametrize("name", sorted(EXC_CARRIERS))
@@ -468,42 +484,41 @@ def test_pins_kept_across_calls_match_a_fresh_carrier(name):
             frel = [[monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
             got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
-            assert got == build().bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
+            assert _form(got) == _form(build().bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d))
             if name == "wrelexc":
-                hand = reference.wrelexc_bind(mrel, [G.Wp(sum_domain(b1d, EL), w.demands) for w in f1],
-                                      [G.Wp(sum_domain(b2d, ER), w.demands) for w in f2],
-                                      frel, EL, ER, b1d, b2d)
-                assert_wp_equiv(hand, got)
+                hand = reference.wrelexc_bind(mrel, f1, f2, frel, EL, ER, b1d, b2d)
+                assert_equiv(hand, got)
     for d, told in ((Z2, Z2), (Z2, BOOL), (Z3, Z3)):
         for w1, w2 in zip(pool1[d], pool2[d]):
-            assert monad.tau1(w1, told) == build().tau1(w1, told)
-            assert monad.tau2(w2, told) == build().tau2(w2, told)
+            assert _form(monad.tau1(w1, told)) == _form(build().tau1(w1, told))
+            assert _form(monad.tau2(w2, told)) == _form(build().tau2(w2, told))
 
 
 def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
     # left already raised e0, right still runs: the raise is pinned while
     # the right continuation picks its result
-    wm = G.wp(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 1}])
-    f2 = [G.wp_ret(SUM2, 1 - a) for a in range(Z2.size)]
-    got = reference.wrelexc_bind(wm, [G.wp_weakest(SUM1)] * 2, f2,
-                         [[G.wp_weakest(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
-    want = G.wp(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 0}])
-    assert_wp_equiv(got, want)
+    wm = sm.demonic_spec(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 1}])
+    f2 = [sm.demand_spec(sm.pure_space(UNIT, SUM2), [(1 << (1 - a),)]) for a in range(Z2.size)]
+    got = reference.wrelexc_bind(wm, [sm.weakest(PT(SUM1))] * 2, f2,
+                                 [[sm.weakest(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
+    want = sm.demonic_spec(PAIR, [{G.inr_index(Z2, EL, 0) * SUM2.size + 0}])
+    assert_equiv(got, want)
 
 
 def test_exception_bind_pins_double_raises():
     k = G.inr_index(Z2, EL, 1) * SUM2.size + G.inr_index(Z2, ER, 0)
-    wm = G.wp(PAIR, [{k}])
-    got = reference.wrelexc_bind(wm, [G.wp_unsat(SUM1)] * 2, [G.wp_unsat(SUM2)] * 2,
-                         [[G.wp_unsat(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
-    assert_wp_equiv(got, G.wp(PAIR, [{k}]))
+    wm = sm.demonic_spec(PAIR, [{k}])
+    got = reference.wrelexc_bind(wm, [sm.unsatisfiable(PT(SUM1))] * 2,
+                                 [sm.unsatisfiable(sm.pure_space(UNIT, SUM2))] * 2,
+                                 [[sm.unsatisfiable(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
+    assert_equiv(got, sm.demonic_spec(PAIR, [{k}]))
 
 
 def test_exception_bind_checks_the_middle_domain():
     with pytest.raises(ValueError, match="outcome pairs"):
-        reference.wrelexc_bind(G.wp_weakest(SUM1), [G.wp_weakest(SUM1)] * 2,
-                       [G.wp_weakest(SUM2)] * 2, [[G.wp_weakest(PAIR)] * 2] * 2,
-                       EL, ER, Z2, Z2)
+        reference.wrelexc_bind(sm.weakest(PT(SUM1)), [sm.weakest(PT(SUM1))] * 2,
+                               [sm.weakest(sm.pure_space(UNIT, SUM2))] * 2,
+                               [[sm.weakest(PAIR)] * 2] * 2, EL, ER, Z2, Z2)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +527,7 @@ def test_exception_bind_checks_the_middle_domain():
 
 def test_simulation_spec_excludes_exactly_the_left_only_raises():
     w = G.simulation_spec(Z2, EL, Z2, ER)
-    (demand,) = w.demands
+    ((demand,),) = w.fams
     for o1 in range(SUM1.size):
         for o2 in range(SUM2.size):
             excluded = o1 >= Z2.size and o2 < Z2.size
@@ -523,21 +538,21 @@ def test_simulation_spec_is_closed_under_sequencing():
     simA = G.simulation_spec(Z2, EL, Z2, ER)
     simB = G.simulation_spec(Z3, EL, Z3, ER)
     rng = random.Random(22)
-    f2 = [G.random_wp(rng, sum_domain(Z3, ER)) for _ in range(Z2.size)]
-    got = reference.wrelexc_bind(simA, [G.wp_weakest(sum_domain(Z3, EL))] * Z2.size, f2,
-                         [[simB] * Z2.size for _ in range(Z2.size)],
-                         EL, ER, Z3, Z3)
-    assert_wp_equiv(got, simB)
+    f2 = [G.random_spec(rng, sm.pure_space(UNIT, sum_domain(Z3, ER))) for _ in range(Z2.size)]
+    got = reference.wrelexc_bind(simA, [sm.weakest(PT(sum_domain(Z3, EL)))] * Z2.size, f2,
+                                 [[simB] * Z2.size for _ in range(Z2.size)],
+                                 EL, ER, Z3, Z3)
+    assert_equiv(got, simB)
 
 
 def test_simulation_spec_program_instances():
     sim = G.simulation_spec(Z2, EL, Z2, ER)
     both = TH.theta_rel(P.throw(XSIG, EL.value(1), Z2), P.throw(YSIG, ER.value(0), Z2))
-    assert G.wp_leq(both, sim).holds
+    assert sm.spec_leq(both, sim).holds
     rets = TH.theta_rel(P.ret(XSIG, Z2.value(0)), P.ret(YSIG, Z2.value(1)))
-    assert G.wp_leq(rets, sim).holds
+    assert sm.spec_leq(rets, sim).holds
     leaky = TH.theta_rel(P.throw(XSIG, EL.value(0), Z2), P.ret(YSIG, Z2.value(0)))
-    v = G.wp_leq(leaky, sim)
+    v = sm.spec_leq(leaky, sim)
     assert not v.holds
     # the separating postcondition is the simulation demand itself
     assert not leaky.at(v.phi) and sim.at(v.phi)
@@ -555,10 +570,11 @@ def test_observation_is_strict_for_unit_and_sequencing():
 
 def test_strictness_builds_each_unit_once(monkeypatch):
     # units come from per-carrier tables and each program is observed once
-    # (852,752 wp_ret calls before either)
+    # (852,752 unit builds before either)
     calls = []
-    real = G.wp_ret
-    monkeypatch.setattr(G, "wp_ret", lambda *a: calls.append(a) or real(*a))
+    for name in ("spec_ret", "demand_spec"):
+        real = getattr(sm, name)
+        monkeypatch.setattr(sm, name, lambda *a, _real=real: calls.append(a) or _real(*a))
     rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
     assert rep.ok and rep.checked == 4232
     assert len(calls) <= 5538
@@ -585,6 +601,64 @@ def test_strictness_pins_each_payload_once(monkeypatch):
     assert calls[0] <= 4112
 
 
+def test_equal_payloads_built_apart_share_one_pin(monkeypatch):
+    # pins are keyed by a payload's exact form: a second spec equal to the
+    # first but built apart finds the first one's pins
+    calls = [0]
+    real = G.lift_pure
+
+    def counted():
+        m = real()
+
+        def bind_rel(*a):
+            calls[0] += 1
+            return m.bind_rel(*a)
+        return dataclasses.replace(m, bind_rel=bind_rel)
+
+    monkeypatch.setattr(G, "lift_pure", counted)
+    monad = G.wrelexc_monad(EL, ER)
+    left = [sm.demand_spec(PT(SUM1), [[0b0011, 0b0100]]) for _ in range(2)]
+    right = [sm.demand_spec(sm.pure_space(UNIT, SUM2), [[0b1001]]) for _ in range(2)]
+    assert left[0] is not left[1] and right[0] is not right[1]
+    frel = ((sm.weakest(PAIR),) * Z2.size,) * Z2.size
+    seen = []
+    for w1, w2 in zip(left, right):
+        monad.tau1(w1, Z2)
+        monad.tau2(w2, Z2)
+        monad.bind_rel(MONAD.ret1(Z2.value(0)), MONAD.ret2(Z2.value(0)), sm.weakest(PAIR),
+                       (w1,) * Z2.size, (w2,) * Z2.size, frel, Z2, Z2)
+        seen.append(calls[0])
+    # the second round binds once, for the bind itself, and pins nothing
+    assert seen[0] > 1 and seen[1] == seen[0] + 1, seen
+
+
+def test_the_run_both_observation_collapses_to_theta_err():
+    # theta_exc_triple and observations.theta_err build their specs apart
+    # from the same runs: sending each tagged pair to its value pair when
+    # both sides returned, and to the one raised outcome otherwise, turns
+    # the first into the second
+    rng = random.Random(2026)
+    kinds = set()
+    for _ in range(200):
+        a1, a2 = rng.choice((Z2, Z3)), rng.choice((Z2, Z3))
+        c1 = random_program(rng, XSIG, a1, rng.randint(1, 4))
+        c2 = random_program(rng, YSIG, a2, rng.randint(1, 4))
+        w = TH.theta_rel(c1, c2)
+        err = sm.err_space(a1, a2)
+
+        def collapse(o):
+            (ok1, i1), (ok2, i2) = (case_index(a1, EL, o // w.space.a2.size),
+                                    case_index(a2, ER, o % w.space.a2.size))
+            return err.err_ok(i1, i2) if ok1 and ok2 else err.err_bad()
+
+        got = frozenset(sum(1 << collapse(o) for o in w.space.outcomes() if d >> o & 1)
+                        for d in w.fams[0])
+        want = O.theta_err(c1, c2)
+        assert got == want.fams[0], (c1, c2)
+        kinds.add(want.fams[0] == frozenset({1 << err.err_bad()}))
+    assert kinds == {True, False}
+
+
 def test_observation_rejects_foreign_signatures():
     with pytest.raises(ValueError, match="exceptions over"):
         TH.theta1(P.ret(P.exc_sig(Z3), Z2.value(0)))
@@ -597,7 +671,7 @@ def test_observation_demands_exactly_the_joint_outcome():
     c2 = P.throw(YSIG, ER.value(0), Z2)
     w = TH.theta_rel(c1, c2)
     k = G.inl_index(Z2, EL, 1) * SUM2.size + G.inr_index(Z2, ER, 0)
-    assert w.demands == frozenset({1 << k})
+    assert w.fams == (frozenset({1 << k}),)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +686,7 @@ def _ret_judgment(a1, a2):
 def test_judgments_probe_their_families():
     with pytest.raises(ValueError, match="Program families"):
         G.full_judgment(MONAD, TH, lambda g: 42, lambda g: P.ret(YSIG, Z2.value(0)),
-                        G.wp_weakest(PAIR), G.wp_weakest(PAIR), G.wp_weakest(PAIR))
+                        sm.weakest(PAIR), sm.weakest(PAIR), sm.weakest(PAIR))
 
 
 def test_oracle_reports_the_failing_clause_and_valuation():
@@ -623,7 +697,7 @@ def test_oracle_reports_the_failing_clause_and_valuation():
         lambda g2: P.ret(YSIG, g2[0]),
         lambda g1: TH.theta1(P.ret(XSIG, Z2.value(0))),
         lambda g2: TH.theta2(P.ret(YSIG, Z2.value(0))),  # wrong at y=1
-        lambda g1, g2: G.wp_unsat(PAIR),
+        lambda g1, g2: sm.unsatisfiable(PAIR),
         ctx,
     )
     v = R.oracle_check(j)
@@ -643,9 +717,9 @@ def test_oracle_passes_exact_specs():
 def test_parts_and_observed_agree_on_axioms():
     j = _ret_judgment(1, 1)
     parts, seen = j.parts(), j.observed()
-    assert_wp_equiv(parts.w1, seen.w1)
-    assert_wp_equiv(parts.w2, seen.w2)
-    assert_wp_equiv(parts.wrel, seen.wrel)
+    assert_equiv(parts.w1, seen.w1)
+    assert_equiv(parts.w2, seen.w2)
+    assert_equiv(parts.wrel, seen.wrel)
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +787,9 @@ def test_throw_rules_need_the_canonical_carrier():
 def test_weaken_raises_all_three_components():
     j = _ret_judgment(0, 0)
     jw = G.apply_full_rule("Weaken", (j,),
-                           w1=G.wp_unsat(product_domain(SUM1, UNIT)),
-                           w2=G.wp_unsat(product_domain(UNIT, SUM2)),
-                           wrel=G.wp_unsat(PAIR))
+                           w1=sm.unsatisfiable(PT(SUM1)),
+                           w2=sm.unsatisfiable(sm.pure_space(UNIT, SUM2)),
+                           wrel=sm.unsatisfiable(PAIR))
     v = R.oracle_check(jw)
     assert v.holds
 
@@ -736,7 +810,7 @@ def test_weaken_rejects_a_non_simulable_premise():
 def test_weaken_rejects_lowering_a_unary_component():
     j = _ret_judgment(0, 0)
     with pytest.raises(R.RuleError, match="left target"):
-        G.apply_full_rule("Weaken", (j,), w1=G.wp_weakest(product_domain(SUM1, UNIT)))
+        G.apply_full_rule("Weaken", (j,), w1=sm.weakest(PT(SUM1)))
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +839,7 @@ def test_bind_rule_after_a_left_throw():
     assert_triple_theta_equal(jb)
     # the raise skips the left continuation: outcome stays (raise 1, return 0)
     k = G.inr_index(Z2, EL, 1) * SUM2.size + G.inl_index(Z2, ER, 0)
-    assert jb.wrel((), ()).demands == frozenset({1 << k})
+    assert jb.wrel((), ()).fams == (frozenset({1 << k}),)
 
 
 def test_bind_rule_composes_rets():
@@ -774,7 +848,7 @@ def test_bind_rule_composes_rets():
     assert R.oracle_check(jb).holds
     assert_triple_theta_equal(jb)
     k = G.inl_index(Z2, EL, 1) * SUM2.size + G.inl_index(Z2, ER, 0)
-    assert jb.wrel((), ()).demands == frozenset({1 << k})
+    assert jb.wrel((), ()).fams == (frozenset({1 << k}),)
 
 
 def test_bind_requires_one_fresh_variable_per_side():
@@ -814,13 +888,13 @@ def test_left_spec_cannot_serve_two_right_continuations():
     # right-hand continuations, so the split is necessary, not cosmetic.
     borrow0 = TH.theta1(P.ret(XSIG, Z2.value(0)))
     borrow1 = TH.theta1(P.throw(XSIG, EL.value(0), Z2))
-    assert not (G.wp_leq(borrow0, borrow1).holds and G.wp_leq(borrow1, borrow0).holds)
+    assert not (sm.spec_leq(borrow0, borrow1).holds and sm.spec_leq(borrow1, borrow0).holds)
     table0 = [borrow0, borrow0]
     table1 = [borrow1, borrow1]
     m = TH.theta1(P.ret(XSIG, Z2.value(0)))
     w_using0 = MONAD.bind1(m, table0, Z2)
     w_using1 = MONAD.bind1(m, table1, Z2)
-    assert not (G.wp_leq(w_using0, w_using1).holds and G.wp_leq(w_using1, w_using0).holds)
+    assert not (sm.spec_leq(w_using0, w_using1).holds and sm.spec_leq(w_using1, w_using0).holds)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +924,7 @@ def test_catch_rule_substitutes_handlers_for_raises():
     tag, val = P.run_exc(jc.c1(()))
     assert tag == P.OK and val.index == 1
     k = G.inl_index(Z2, EL, 1) * SUM2.size + G.inl_index(Z2, ER, 0)
-    assert jc.wrel((), ()).demands == frozenset({1 << k})
+    assert jc.wrel((), ()).fams == (frozenset({1 << k}),)
 
 
 def test_catch_rule_passes_normal_results_through():
@@ -874,7 +948,7 @@ def test_catch_with_a_double_raise_pairs_both_handlers():
     assert R.oracle_check(jc).holds
     assert_triple_theta_equal(jc)
     k = G.inl_index(Z2, EL, 0) * SUM2.size + G.inl_index(Z2, ER, 0)
-    assert jc.wrel((), ()).demands == frozenset({1 << k})
+    assert jc.wrel((), ()).fams == (frozenset({1 << k}),)
 
 
 def test_catch_requires_exception_bound_handlers():
@@ -935,7 +1009,7 @@ def test_case_rule_dispatches_on_matching_tags():
     # left-tag points reproduce the left branch
     g1 = (Value(scr1, G.inl_index(Z2, Z3, 1)),)
     g2 = (Value(scr1, G.inl_index(Z2, Z3, 0)),)
-    assert_wp_equiv(jc.wrel(g1, g2), jl.wrel((Z2.value(1),), (Z2.value(0),)))
+    assert_equiv(jc.wrel(g1, g2), jl.wrel((Z2.value(1),), (Z2.value(0),)))
 
 
 def test_case_rule_claims_nothing_across_tags():
@@ -947,7 +1021,7 @@ def test_case_rule_claims_nothing_across_tags():
     scr = sum_domain(Z2, Z3)
     g1 = (Value(scr, G.inl_index(Z2, Z3, 0)),)
     g2 = (Value(scr, G.inr_index(Z2, Z3, 2)),)
-    assert_wp_equiv(jc.wrel(g1, g2), MONAD.unsat_rel(Z2, Z2))
+    assert_equiv(jc.wrel(g1, g2), MONAD.unsat_rel(Z2, Z2))
     # vacuous points cannot fail the oracle
     assert R.oracle_check(jc).holds
 
@@ -965,7 +1039,7 @@ def test_case_over_a_unit_sum_is_branch_relabeling():
     for tag in range(2):
         g = (Value(two, tag),)
         src = jl if tag == 0 else jr
-        assert_wp_equiv(jc.wrel(g, g), src.wrel((UNIT_VAL,), (UNIT_VAL,)))
+        assert_equiv(jc.wrel(g, g), src.wrel((UNIT_VAL,), (UNIT_VAL,)))
 
 
 def test_case_rejects_mismatched_branch_results():
@@ -1031,7 +1105,7 @@ def test_a_tampered_split_context_node_is_reported_at_its_path():
     d = _catch_derivation()
     body, handler = d.premises
     # the handler's stated relational spec claims nothing, which Ret does not say
-    wrong = dataclasses.replace(handler.conclusion, wrel=lambda g1, g2: G.wp_weakest(PAIR))
+    wrong = dataclasses.replace(handler.conclusion, wrel=lambda g1, g2: sm.weakest(PAIR))
     tampered = dataclasses.replace(d, premises=(body, dataclasses.replace(handler, conclusion=wrong)))
     res = R.check_derivation(tampered)
     assert (res.ok, res.path) == (False, (1,))
@@ -1085,10 +1159,10 @@ def _const_family(rng, env, dom):
     return lambda g: vals[g]
 
 
-def _relax_wp(rng, w):
-    kept = [d for d in sorted(w.demands) if rng.random() < 0.8]
-    grown = [d | 1 << rng.randrange(w.dom.size) if rng.random() < 0.5 else d for d in kept]
-    return G.wp(w.dom, [[o for o in range(w.dom.size) if d >> o & 1] for d in grown])
+def _relax_spec(rng, w):
+    kept = [d for d in sorted(w.fams[0]) if rng.random() < 0.8]
+    grown = [d | 1 << rng.randrange(w.space.size) if rng.random() < 0.5 else d for d in kept]
+    return sm.demand_spec(w.space, [grown])
 
 
 def _random_full_derivation(rng, ctx, depth):
@@ -1124,9 +1198,9 @@ def _random_full_derivation(rng, ctx, depth):
         jerr = _random_full_derivation(rng, ext, depth - 1)
         return G.apply_full_rule("Catch", (body, jerr))
     j = _random_full_derivation(rng, ctx, depth - 1)
-    w1 = {g: _relax_wp(rng, j.w1(g)) for g in ctx.left.valuations()}
-    w2 = {g: _relax_wp(rng, j.w2(g)) for g in ctx.right.valuations()}
-    wrel = {(g1, g2): _relax_wp(rng, j.wrel(g1, g2))
+    w1 = {g: _relax_spec(rng, j.w1(g)) for g in ctx.left.valuations()}
+    w2 = {g: _relax_spec(rng, j.w2(g)) for g in ctx.right.valuations()}
+    wrel = {(g1, g2): _relax_spec(rng, j.wrel(g1, g2))
             for g1 in ctx.left.valuations() for g2 in ctx.right.valuations()}
     return G.apply_full_rule("Weaken", (j,),
                              w1=lambda g: w1[g], w2=lambda g: w2[g],

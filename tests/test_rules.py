@@ -678,7 +678,8 @@ def test_do_while_rejects_a_premise_spec_that_is_not_the_obligation():
     ((True,) * 3,) * 2,                         # two levels short
     (((((True,) * 3,) * 3,) * 2,),) * 2,        # one guard slice missing
     (((((True,) * 3,) * 2,) * 2,),) * 2,        # a state row short
-], ids=["scalar", "flat", "short-guard", "short-state"])
+    lambda g: lambda b1, b2, i, j: True,        # a family of callables
+], ids=["scalar", "flat", "short-guard", "short-state", "callable-family"])
 def test_do_while_with_a_misshapen_invariant_fails_the_check(inv):
     # an empty invariant makes the body obligation vacuous, so ZeroElim
     # derives the premise

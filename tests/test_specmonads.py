@@ -1370,10 +1370,12 @@ def test_spec_too_large_fires_at_each_documented_limit():
     far = domain("Far", 130)
 
     def bind_pools(k):
-        table = [sm.wp(far, [{i} for i in range(k)]), sm.wp(far, [{65 + i} for i in range(k)])]
-        return sm.wp_bind(sm.wp(Z2, [{0, 1}]), table)
+        space = sm.pure_space(far, UNIT)
+        table = [sm.demand_spec(space, [[1 << i for i in range(k)]]),
+                 sm.demand_spec(space, [[1 << (65 + i) for i in range(k)]])]
+        return sm.spec_bind(sm.demand_spec(sm.pure_space(Z2, UNIT), [[0b11]]), table)
 
-    assert len(bind_pools(64).demands) == 4096
+    assert len(bind_pools(64).fams[0]) == 4096
     with pytest.raises(sm.SpecTooLarge, match="4225 demands"):
         bind_pools(65)
     # forall-exists has one demand per choice of partners: 4 ** 6 is fine, 4 ** 7 is not
