@@ -61,6 +61,7 @@ from .rules import (
     RuleError,
     RuleInstance,
     Valuation,
+    _family,
     _show_valuation,
 )
 
@@ -561,10 +562,6 @@ def apply_full_rule(name: str, premises: Sequence["FullJudgment"] = (), **params
     return SPLIT.apply(RuleInstance(name, params), premises)
 
 
-def _fam(x):
-    return x if callable(x) else (lambda _g, _x=x: _x)
-
-
 def _fam2(x):
     return x if callable(x) else (lambda _g1, _g2, _x=x: _x)
 
@@ -656,8 +653,8 @@ def full_judgment(monad: FullSpecMonad, theta: ThetaTriple, c1, c2, w1, w2, wrel
                   ctx: SplitContext = EMPTY_SPLIT) -> FullJudgment:
     """Build a judgment from families or plain values; programs are probed
     at the first valuations."""
-    j = FullJudgment(ctx, monad, theta, _fam(c1), _fam(c2),
-                     _fam(w1), _fam(w2), _fam2(wrel))
+    j = FullJudgment(ctx, monad, theta, _family(c1), _family(c2),
+                     _family(w1), _family(w2), _fam2(wrel))
     g1 = next(iter(ctx.left.valuations()))
     g2 = next(iter(ctx.right.valuations()))
     if not isinstance(j.c1(g1), Program) or not isinstance(j.c2(g2), Program):
@@ -689,7 +686,7 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
     monad = r.need("monad")
     theta = r.need("theta")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
-    a1f, a2f = _fam(r.need("a1")), _fam(r.need("a2"))
+    a1f, a2f = _family(r.need("a1")), _family(r.need("a2"))
     ctx = r.get("ctx", EMPTY_SPLIT)
     if monad.shape[0] == "exct":
         _exc_sigs(monad, sig1, sig2, r.rule)
@@ -707,8 +704,8 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
 @SPLIT.rule("Weaken", arity=1)
 def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     (j,) = prem
-    w1f = _fam(r.get("w1", j.w1))
-    w2f = _fam(r.get("w2", j.w2))
+    w1f = _family(r.get("w1", j.w1))
+    w2f = _family(r.get("w2", j.w2))
     wrelf = _fam2(r.get("wrel", j.wrel))
     for g1 in j.ctx.left.valuations():
         if not j.monad.leq1(j.w1(g1), w1f(g1)).holds:
@@ -779,8 +776,8 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     ctx = r.get("ctx", EMPTY_SPLIT)
     e1, e2 = _exc_sigs(monad, sig1, sig2, r.rule)
-    excf = _fam(r.need("exc"))
-    af = _fam(r.need("a2" if left else "a1"))
+    excf = _family(r.need("exc"))
+    af = _family(r.need("a2" if left else "a1"))
     result = r.need("result1" if left else "result2")
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     e, other_e = (e1, e2) if left else (e2, e1)

@@ -17,7 +17,7 @@ Seven carriers share the RelSpec container:
   WrelIO     ((A1 x A2) x histories -> Prop) -> histories -> Prop
   WrelProb   ((A1 x A2) -> [0,1]) -> [0,1]
   PPrelPure  Prop x ((A1 x A2) -> Prop)
-  PPrelSt    (S1 x S2 -> Prop) x ((S1 x A1 x S1) x (S2 x A2 x S2) -> Prop)
+  PPrelSt    (S1 x S2 -> Prop) x (S1 x S2 -> ((A1 x S1) x (A2 x S2)) -> Prop)
 
 The fixed propositional carriers (WrelPure, WrelSt, WrelErr) have one
 body, their exact normal form: per point, the antichain of minimal accepted
@@ -28,7 +28,11 @@ operations on families.  The split-context carriers of `generic` use the
 same specs: their pure payloads are one-point WrelPure specs.  No
 postcondition is enumerated or sampled for these carriers, `spec_leq`
 decides them exactly, and a family past a documented size raises
-`SpecTooLarge`.
+`SpecTooLarge`.  Pre/post pairs share that body.  A PPrel space has the
+outcomes and points of its Wrel space, and a pair holds one demand per
+point, its post row over those outcomes, beside its precondition row.
+Unit, bind and the order on the rows are the demand-family operations; the
+precondition row only adds a conjunction to each.
 
 The interactive carrier has one body too: a demonic entry per history
 point, the set of (value pair, history, history) outcomes that must all
@@ -48,12 +52,14 @@ and `demand_spec` build each spec once, in the check's table, so a replay
 that rebuilds a stated spec gets that very object and `spec_equiv` answers
 at once; the table goes with the check.
 
-Pre/post pairs become demonic specs in two ways.  `from_prepost` embeds
-a PPrelSt pair whose post may read the initial states, at the price of a
-post table over |S1|^2 |S2|^2 |A1| |A2| triples.  `from_final_post` takes
-a post over the carrier's own outcomes, which is all that noninterference,
-relational Hoare triples and loop invariants need: one satisfying set,
-shared by every point where the precondition holds.
+Pre/post pairs become demonic specs in two ways.  `embed_pp_in_wp` keeps
+a pair's post row at every point where its precondition holds and is
+VIOLATED elsewhere; `from_prepost` embeds the pair `pp_spec` builds from
+tables, whose post may read the initial states at the price of a row per
+initial state pair.  `from_final_post` takes a post over the carrier's own
+outcomes, which is all that noninterference, relational Hoare triples and
+loop invariants need: one satisfying set, shared by every point where the
+precondition holds.
 """
 
 from __future__ import annotations
@@ -65,12 +71,13 @@ from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
-from .domains import UNIT, Canonical, FiniteDomain, Value, product_domain, sum_domain
+from .domains import Canonical, FiniteDomain, Value
 from .programs import _TABLE, History
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
 _FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
 PP_TAGS = frozenset({"PPrelPure", "PPrelSt"})
+_STATE_TAGS = frozenset({"WrelSt", "PPrelSt"})
 
 DEFAULT_CAP = 2 ** 14
 _PIECE_LP_PRUNE_LIMIT = 160
@@ -123,7 +130,8 @@ class OutcomeSpace(Canonical):
 
     The value domains a1/a2 are always present.  State carriers add
     s1/s2, interactive carriers add per-side input and output alphabets.
-    For the fixed carriers `size` counts outcomes exactly.  Interactive
+    For the fixed carriers `size` counts outcomes exactly; a PPrel space
+    has the outcomes and points of its Wrel space.  Interactive
     outcomes are (value pair, history, history) triples and form no finite
     domain: each spec lists the ones it demands per history point.
     """
@@ -141,46 +149,24 @@ class OutcomeSpace(Canonical):
     def __post_init__(self):
         if self.tag not in TAGS:
             raise ValueError(f"unknown spec carrier {self.tag!r}")
-        needs_state = self.tag in ("WrelSt", "PPrelSt")
+        needs_state = self.tag in _STATE_TAGS
         if needs_state and (self.s1 is None or self.s2 is None):
             raise ValueError(f"{self.tag} needs state domains on both sides")
         if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2):
             raise ValueError("WrelIO needs input and output alphabets on both sides")
 
     @cached_property
-    def pair_values(self) -> FiniteDomain:
-        return product_domain(self.a1, self.a2)
-
-    @cached_property
-    def outcome_dom(self) -> FiniteDomain:
-        if self.tag in ("WrelPure", "WrelProb", "PPrelPure"):
-            return self.pair_values
-        if self.tag == "WrelSt":
-            return product_domain(product_domain(self.a1, self.s1), product_domain(self.a2, self.s2))
-        if self.tag == "WrelErr":
-            # The single extra outcome stands for "some side raised".
-            return sum_domain(self.pair_values, UNIT)
-        if self.tag == "PPrelSt":
-            return product_domain(self._pp_triple(self.s1, self.a1), self._pp_triple(self.s2, self.a2))
-        raise ValueError("interactive outcomes are listed per history point")
-
-    @staticmethod
-    def _pp_triple(s: FiniteDomain, a: FiniteDomain) -> FiniteDomain:
-        return product_domain(s, product_domain(a, s))
-
-    @cached_property
-    def point_dom(self) -> FiniteDomain:
-        if self.tag in ("WrelSt", "PPrelSt"):
-            return product_domain(self.s1, self.s2)
-        return UNIT
-
-    @cached_property
     def size(self) -> int:
-        return self.outcome_dom.size
+        if self.tag == "WrelIO":
+            raise ValueError("interactive outcomes are listed per history point")
+        pairs = self.a1.size * self.a2.size
+        if self.tag == "WrelErr":
+            return pairs + 1   # the single extra outcome stands for "some side raised"
+        return pairs * self.point_count
 
     @cached_property
     def point_count(self) -> int:
-        return self.point_dom.size
+        return self.s1.size * self.s2.size if self.tag in _STATE_TAGS else 1
 
     @cached_property
     def cont_points(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
@@ -219,26 +205,24 @@ class OutcomeSpace(Canonical):
         return a1i * self.a2.size + a2i
 
     def err_bad(self) -> int:
-        return self.pair_values.size
+        return self.a1.size * self.a2.size
 
     def err_split(self, o: int) -> Optional[Tuple[int, int]]:
         if o == self.err_bad():
             return None
         return divmod(o, self.a2.size)
 
-    # -- pre/post triple indexing, shared by PPrelSt and the embedding
+    # -- pre/post tables of PPrelSt pairs, and of their embedding
 
     def pp_post_index(self, si1: int, a1i: int, sf1: int, si2: int, a2i: int, sf2: int) -> int:
-        t1 = si1 * (self.a1.size * self.s1.size) + a1i * self.s1.size + sf1
-        t2 = si2 * (self.a2.size * self.s2.size) + a2i * self.s2.size + sf2
-        return t1 * (self.s2.size * self.a2.size * self.s2.size) + t2
+        """Where a post table holds (initial, value, final) on each side: one
+        row of `size` outcomes per initial state pair."""
+        return self.point(si1, si2) * self.size + self.st_outcome(a1i, sf1, a2i, sf2)
 
     def pp_post_split(self, o: int) -> Tuple[int, int, int, int, int, int]:
-        t1, t2 = divmod(o, self.s2.size * self.a2.size * self.s2.size)
-        si1, r1 = divmod(t1, self.a1.size * self.s1.size)
-        a1i, sf1 = divmod(r1, self.s1.size)
-        si2, r2 = divmod(t2, self.a2.size * self.s2.size)
-        a2i, sf2 = divmod(r2, self.s2.size)
+        pt, out = divmod(o, self.size)
+        si1, si2 = self.point_split(pt)
+        a1i, sf1, a2i, sf2 = self.st_split(out)
         return si1, a1i, sf1, si2, a2i, sf2
 
 
@@ -504,28 +488,28 @@ class RelSpec:
     """One inhabitant of a relational specification monad.
 
     Exactly one body is populated, the one its carrier has:
-      fams     fixed propositional carriers: one demand family per point
+      fams     fixed propositional carriers: one demand family per point;
+               pre/post pairs: one demand per point, the post row, beside
+               `pre`, a truth value per point
       table    interactive carrier: a demonic entry per history point, a
                function of the point whose answers are kept once read
       pieces   quantitative carrier: min-of-affine pieces (constant,
                coefficient row)
-      pre/post explicit tables for the pre-/postcondition carriers
     """
 
     __slots__ = (
         "tag", "space", "fams", "table", "pieces",
-        "pre", "post", "io_points", "_io_cache",
+        "pre", "io_points", "_io_cache",
     )
 
     def __init__(self, tag, space, fams=None, table=None, pieces=None,
-                 pre=None, post=None, io_points=None):
+                 pre=None, io_points=None):
         self.tag = tag
         self.space = space
         self.fams = fams
         self.table = table
         self.pieces = pieces
         self.pre = pre
-        self.post = post
         self.io_points = io_points
         # entries read so far; only interactive table specs have any
         self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
@@ -545,6 +529,8 @@ class RelSpec:
         """The demonic entry at a point: its one demand's outcomes, VIOLATED,
         or None for several demands (and on the quantitative and pre/post
         carriers)."""
+        if self.pre is not None:
+            return None
         if self.fams is not None:
             fam = self.fams[pt]
             if len(fam) != 1:
@@ -583,9 +569,9 @@ class RelSpec:
         return point
 
     def __repr__(self):
-        body = ("demands" if self.fams is not None else
-                "demonic" if self.table is not None else
-                "pieces" if self.pieces is not None else "pre/post")
+        body = ("pre/post" if self.pre is not None else
+                "demands" if self.fams is not None else
+                "demonic" if self.table is not None else "pieces")
         return f"<RelSpec {self.tag} {body}>"
 
 
@@ -628,8 +614,8 @@ def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
 # Constructors
 
 
-def _fixed(space: OutcomeSpace, fams) -> RelSpec:
-    return RelSpec(space.tag, space, fams=tuple(fams))
+def _fixed(space: OutcomeSpace, fams, pre=None) -> RelSpec:
+    return RelSpec(space.tag, space, fams=tuple(fams), pre=pre)
 
 
 def _entry_mask(space: OutcomeSpace, entry) -> int:
@@ -754,15 +740,22 @@ def _linear(space: OutcomeSpace, pieces, exact_prune: bool) -> RelSpec:
 
 
 def pp_spec(space: OutcomeSpace, pre, post) -> RelSpec:
+    """A pre/post pair from truth tables: `pre` over the precondition points
+    and `post` over `point_count * size` entries, at `pp_post_index` on
+    PPrelSt and at the value pair's outcome on PPrelPure.  Each point's row
+    of `post` becomes the pair's one demand there."""
     if space.tag not in PP_TAGS:
         raise ValueError(f"pre/post pairs need a PPrel carrier, not {space.tag}")
     pre_t = tuple(bool(v) for v in pre)
     post_t = tuple(bool(v) for v in post)
     if len(pre_t) != space.point_count:
         raise ValueError("precondition table must cover every point")
-    if len(post_t) != space.size:
+    n = space.size
+    if len(post_t) != space.point_count * n:
         raise ValueError("postcondition table must cover every outcome")
-    return RelSpec(space.tag, space, pre=pre_t, post=post_t)
+    rows = (frozenset({_mask(o for o, ok in enumerate(post_t[pt * n:pt * n + n]) if ok)})
+            for pt in space.points())
+    return _fixed(space, rows, pre_t)
 
 
 def prune_pieces(pieces: List[Tuple[Fraction, Tuple[Fraction, ...]]], exact: bool = True):
@@ -818,14 +811,6 @@ def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None) -> RelSpec:
 
 def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
     tag = space.tag
-    if tag == "WrelPure":
-        return _fixed(space, [frozenset({1 << (i1 * space.a2.size + i2)})])
-    if tag == "WrelSt":
-        fams = []
-        for pt in space.points():
-            s1i, s2i = space.point_split(pt)
-            fams.append(frozenset({1 << space.st_outcome(i1, s1i, i2, s2i)}))
-        return _fixed(space, fams)
     if tag == "WrelErr":
         return _fixed(space, [frozenset({1 << space.err_ok(i1, i2)})])
     if tag == "WrelIO":
@@ -836,16 +821,12 @@ def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
         coeffs = [ZERO] * space.size
         coeffs[i1 * space.a2.size + i2] = ONE
         return linear_spec(space, [(ZERO, coeffs)])
-    if tag == "PPrelPure":
-        post = [o == i1 * space.a2.size + i2 for o in space.outcomes()]
-        return pp_spec(space, [True], post)
-    if tag == "PPrelSt":
-        post = []
-        for o in space.outcomes():
-            si1, a1i, sf1, si2, a2i, sf2 = space.pp_post_split(o)
-            post.append(a1i == i1 and a2i == i2 and si1 == sf1 and si2 == sf2)
-        return pp_spec(space, [True] * space.point_count, post)
-    raise ValueError(f"unknown carrier {tag}")
+    if tag in _STATE_TAGS:
+        fams = [frozenset({1 << space.st_outcome(i1, s1i, i2, s2i)})
+                for s1i, s2i in map(space.point_split, space.points())]
+    else:
+        fams = [frozenset({1 << (i1 * space.a2.size + i2)})]
+    return _fixed(space, fams, (True,) * space.point_count if tag in PP_TAGS else None)
 
 
 def _conts(space: OutcomeSpace, wf) -> Dict[Tuple[int, int], RelSpec]:
@@ -909,12 +890,12 @@ class ContTable:
     def prepare(self, wm: RelSpec) -> tuple:
         """(conts, cspace, subs) for binds over wm's space: the entries by
         value pair, their common space, and the family each outcome leads
-        to on the fixed carriers (None on the others)."""
+        to on the carriers with demand families (None on the others)."""
         got = self._prepared.get(wm.space)
         if got is None:
             conts = _conts(wm.space, self.wf)
             cspace = _common_cont_space(wm, conts)
-            subs = _fixed_subs(wm.space, conts, cspace) if wm.tag in _FIXED_TAGS else None
+            subs = _fixed_subs(wm.space, conts, cspace) if wm.fams is not None else None
             got = self._prepared[wm.space] = (conts, cspace, subs)
         return got
 
@@ -936,23 +917,29 @@ def spec_bind(wm: RelSpec, wf) -> RelSpec:
 def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
     tag = wm.tag
     if subs is not None:
-        return _fixed(cspace, [_fam_bind(fam, subs) for fam in wm.fams])
+        fams = [_fam_bind(fam, subs) for fam in wm.fams]
+        return _fixed(cspace, fams, None if wm.pre is None else _bind_pre(wm, conts))
     if tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
     if tag == "WrelProb":
         return _bind_prob(wm, conts, cspace)
-    if tag == "PPrelPure":
-        return _bind_pp_pure(wm, conts, cspace)
-    if tag == "PPrelSt":
-        return _bind_pp_state(wm, conts, cspace)
     raise ValueError(f"unknown carrier {tag}")
 
 
+def _bind_pre(wm: RelSpec, conts) -> Tuple[bool, ...]:
+    """A bound pair's precondition: wm's own, and the continuation's at the
+    point each outcome of wm's post row continues from."""
+    cps = wm.space.cont_points
+    return tuple(ok and all(conts[cps[o][0]].pre[cps[o][1]] for o in _bits(d))
+                 for ok, (d,) in zip(wm.pre, wm.fams))
+
+
 def _cont_point(space: OutcomeSpace, tspace: OutcomeSpace, o: int):
-    """Value pair and continuation point carried by an intermediate outcome."""
-    if space.tag == "WrelPure":
+    """Value pair and continuation point carried by an intermediate outcome;
+    a PPrel space reads as its Wrel space."""
+    if space.tag in ("WrelPure", "PPrelPure"):
         return divmod(o, space.a2.size), 0
-    if space.tag == "WrelSt":
+    if space.tag in _STATE_TAGS:
         a1i, s1i, a2i, s2i = space.st_split(o)
         return (a1i, a2i), tspace.point(s1i, s2i)
     raise AssertionError(space.tag)
@@ -1038,46 +1025,6 @@ def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
     return linear_spec(cspace, pieces, exact_prune=False)
 
 
-def _bind_pp_pure(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
-    space = wm.space
-    pre_ok = wm.pre[0] and all(
-        not wm.post[i1 * space.a2.size + i2] or conts[(i1, i2)].pre[0]
-        for i1 in range(space.a1.size) for i2 in range(space.a2.size)
-    )
-    post = []
-    for b in cspace.outcomes():
-        post.append(any(
-            wm.post[i1 * space.a2.size + i2] and conts[(i1, i2)].post[b]
-            for i1 in range(space.a1.size) for i2 in range(space.a2.size)
-        ))
-    return pp_spec(cspace, [pre_ok], post)
-
-
-def _bind_pp_state(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
-    space = wm.space
-    mids = [(a1i, a2i, sm1, sm2)
-            for a1i in range(space.a1.size) for a2i in range(space.a2.size)
-            for sm1 in range(space.s1.size) for sm2 in range(space.s2.size)]
-    pre = []
-    for pt in space.points():
-        si1, si2 = space.point_split(pt)
-        ok = wm.pre[pt] and all(
-            not wm.post[space.pp_post_index(si1, a1i, sm1, si2, a2i, sm2)]
-            or conts[(a1i, a2i)].pre[space.point(sm1, sm2)]
-            for a1i, a2i, sm1, sm2 in mids
-        )
-        pre.append(ok)
-    post = []
-    for o in cspace.outcomes():
-        si1, b1i, sf1, si2, b2i, sf2 = cspace.pp_post_split(o)
-        post.append(any(
-            wm.post[space.pp_post_index(si1, a1i, sm1, si2, a2i, sm2)]
-            and conts[(a1i, a2i)].post[cspace.pp_post_index(sm1, b1i, sf1, sm2, b2i, sf2)]
-            for a1i, a2i, sm1, sm2 in mids
-        ))
-    return pp_spec(cspace, pre, post)
-
-
 # ---------------------------------------------------------------------------
 # Pre/post embeddings
 
@@ -1100,47 +1047,31 @@ def from_final_post(space: OutcomeSpace, pre, post) -> RelSpec:
 
 
 def from_prepost(space: OutcomeSpace, pre, post) -> RelSpec:
-    """Backward transformer of a pre/post pair.
-
-    For the stateful carrier, `pre` indexes initial state pairs and
-    `post` indexes (initial, value, final) triples per side via
-    pp_post_index; at precondition-violating points the spec is marked
-    VIOLATED rather than silently weakened.  The pure carrier has no
-    initial states, so its post reads value pairs only.
-    """
-    if space.tag == "WrelPure":
-        return from_final_post(space, pre, post)
-    if space.tag != "WrelSt":
+    """Backward transformer of a pre/post pair: `embed_pp_in_wp` of the pair
+    `pp_spec` builds from these tables over the matching PPrel space.  On
+    the stateful carrier `post` holds a row per initial state pair (see
+    `pp_post_index`); on the pure carrier it reads value pairs only.  Points
+    where `pre` fails are VIOLATED rather than silently weakened."""
+    if space.tag == "WrelSt":
+        pp = pp_state_space(space.a1, space.s1, space.a2, space.s2)
+    elif space.tag == "WrelPure":
+        pp = pp_pure_space(space.a1, space.a2)
+    else:
         raise ValueError("pre/post embeddings target the pure or stateful carrier")
-    pre_t = tuple(bool(v) for v in pre)
-    if len(pre_t) != space.point_count:
-        raise ValueError("precondition table must cover every initial state pair")
-    fams = []
-    for pt in space.points():
-        if not pre_t[pt]:
-            fams.append(_NONE)
-            continue
-        si1, si2 = space.point_split(pt)
-        sat = 0
-        for a1i in range(space.a1.size):
-            for sf1 in range(space.s1.size):
-                for a2i in range(space.a2.size):
-                    for sf2 in range(space.s2.size):
-                        if post[space.pp_post_index(si1, a1i, sf1, si2, a2i, sf2)]:
-                            sat |= 1 << space.st_outcome(a1i, sf1, a2i, sf2)
-        fams.append(frozenset({sat}))
-    return _fixed(space, fams)
+    return embed_pp_in_wp(pp_spec(pp, pre, post))
 
 
 def embed_pp_in_wp(w: RelSpec) -> RelSpec:
-    """View a pre/post pair as a backward predicate transformer."""
+    """View a pre/post pair as a backward predicate transformer: its post row
+    at every point where its precondition holds, VIOLATED elsewhere."""
+    sp = w.space
     if w.tag == "PPrelSt":
-        target = state_space(w.space.a1, w.space.s1, w.space.a2, w.space.s2)
-        return from_prepost(target, w.pre, w.post)
-    if w.tag == "PPrelPure":
-        target = pure_space(w.space.a1, w.space.a2)
-        return from_prepost(target, w.pre, w.post)
-    raise ValueError("only pre/post pairs embed into transformers")
+        target = state_space(sp.a1, sp.s1, sp.a2, sp.s2)
+    elif w.tag == "PPrelPure":
+        target = pure_space(sp.a1, sp.a2)
+    else:
+        raise ValueError("only pre/post pairs embed into transformers")
+    return _fixed(target, (fam if ok else _NONE for fam, ok in zip(w.fams, w.pre)))
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1087,8 @@ def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
     if tag == "WrelProb":
         return linear_spec(space, [(ONE, [ZERO] * space.size)])
     if tag in PP_TAGS:
-        return pp_spec(space, [False] * space.point_count, [True] * space.size)
+        every = frozenset({(1 << space.size) - 1})
+        return _fixed(space, [every] * space.point_count, (False,) * space.point_count)
     return _fixed(space, [_NONE] * space.point_count)
 
 
@@ -1168,9 +1100,8 @@ def weakest(space: OutcomeSpace, points=None) -> RelSpec:
         return io_demonic_spec(space, lambda pt: frozenset(), pts)
     if tag == "WrelProb":
         return linear_spec(space, [(ZERO, [ZERO] * space.size)])
-    if tag in PP_TAGS:
-        return pp_spec(space, [True] * space.point_count, [False] * space.size)
-    return _fixed(space, [_ANY] * space.point_count)
+    pre = (True,) * space.point_count if tag in PP_TAGS else None
+    return _fixed(space, [_ANY] * space.point_count, pre)
 
 
 def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
@@ -1208,7 +1139,10 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     names the first failing point and its least uncovered demand, as a
     frozenset `phi` of outcomes: the first failing postcondition a numeric
     enumeration would meet.  Families are minimal antichains, so equal
-    families are equal specs and hold at once.
+    families are equal specs and hold at once.  Pre/post pairs compare
+    componentwise: w2's precondition row must imply w's, and then each
+    point's post row of w must lie inside w2's, by the same cover loop
+    (one demand per point).
 
     Interactive specs have one body, a demonic entry per history point, and
     compare exactly by set inclusion at every declared point: w <= w2 fails
@@ -1226,12 +1160,14 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
     if w.space is not w2.space:
         raise ValueError("cannot compare specs over different outcome spaces")
-    if w.tag in PP_TAGS:
-        return _leq_pp(w, w2)
     if w.tag == "WrelProb":
         return _leq_prob(w, w2)
     if w.tag == "WrelIO":
         return _leq_io(w, w2)
+    if w.pre is not None:
+        for pt, (ok, ok2) in enumerate(zip(w.pre, w2.pre)):
+            if ok2 and not ok:
+                return _fails(None, point=pt, note="right precondition not covered by left")
     if w.fams == w2.fams:
         return HOLDS
     for pt, (fam, fam2) in enumerate(zip(w.fams, w2.fams)):
@@ -1266,16 +1202,6 @@ def order_kind(leq, lhs, rhs):
     if not back.holds:
         return "strictly-less", back
     return "equal", None
-
-
-def _leq_pp(w: RelSpec, w2: RelSpec) -> LeqVerdict:
-    for pt in range(w.space.point_count):
-        if w2.pre[pt] and not w.pre[pt]:
-            return _fails(None, point=pt, note="right precondition not covered by left")
-    for o in range(w.space.size):
-        if w.post[o] and not w2.post[o]:
-            return _fails(o, note="left postcondition not covered by right")
-    return HOLDS
 
 
 def _leq_prob(w: RelSpec, w2: RelSpec) -> LeqVerdict:

@@ -114,10 +114,14 @@ def store_domain(sig: StoreSignature) -> FiniteDomain:
 
 
 def _digits(sig: StoreSignature, idx: int) -> Tuple[int, ...]:
+    """A store's location values, first location first; raises off the domain."""
     out = []
+    rest = idx
     for _ in sig.locations:
-        out.append(idx % sig.values.size)
-        idx //= sig.values.size
+        out.append(rest % sig.values.size)
+        rest //= sig.values.size
+    if rest:
+        raise ValueError(f"store index {idx} outside the {sig.values.size ** len(sig.locations)} stores")
     return tuple(reversed(out))
 
 
@@ -709,6 +713,7 @@ def run_stmt(sig: StoreSignature, ast: Stmt, store: int) -> Optional[int]:
     exactly when a store repeats while its guard still holds; this decides
     termination without fuel.
     """
+    _digits(sig, store)   # rejects a store outside the domain, read or not
     # statements still to run, the next one last; a running loop is
     # (loop, stores seen at its head)
     todo = [ast]

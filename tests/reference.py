@@ -22,7 +22,9 @@ search of value tables on a grid for one that separates two specs.
 one instance at a time, with nothing shared between instances.
 `wrelexc_ret` and `wrelexc_bind` write the exception carrier of `generic`
 out by hand over `specmonads` alone, as one four-way case split, to pin the
-assembled carrier down.
+assembled carrier down.  The `pp_*` functions are the pre/post pair algebra
+written over explicit tables and nothing of `relwp`: unit, bind as a
+relational composition, the componentwise order and the embedding.
 """
 
 from fractions import Fraction
@@ -472,3 +474,72 @@ def wrelexc_bind(wm: RelSpec, f1: Sequence[RelSpec], f2: Sequence[RelSpec], frel
             t = demand_spec(rspace, [(1 << (err1 * s2.size + err2),)])
         table.append(t)
     return spec_bind(wm, table)
+
+
+# ---------------------------------------------------------------------------
+# Pre/post pairs over explicit tables
+#
+# A pair over the shape (|A1|, |S1|, |A2|, |S2|) is (pre, post): pre maps
+# each initial state pair (si1, si2) to a truth value, and post is the set
+# of ((si1, a1, sf1), (si2, a2, sf2)) triples it accepts, the initial,
+# value and final state on each side.  PPrelPure is the shape with one
+# state per side.
+
+
+def pp_points(shape) -> list:
+    _, n1, _, n2 = shape
+    return [(s1, s2) for s1 in range(n1) for s2 in range(n2)]
+
+
+def pp_triples(shape) -> list:
+    a1, n1, a2, n2 = shape
+    return [((si1, v1, sf1), (si2, v2, sf2))
+            for si1, v1, sf1, si2, v2, sf2 in product(range(n1), range(a1), range(n1),
+                                                      range(n2), range(a2), range(n2))]
+
+
+def pp_ret(shape, i1: int, i2: int):
+    """Every precondition holds; the post returns (i1, i2) and keeps each
+    side's state."""
+    return ({pt: True for pt in pp_points(shape)},
+            frozenset(((s1, i1, s1), (s2, i2, s2)) for s1, s2 in pp_points(shape)))
+
+
+def pp_unsatisfiable(shape):
+    return {pt: False for pt in pp_points(shape)}, frozenset(pp_triples(shape))
+
+
+def pp_weakest(shape):
+    return {pt: True for pt in pp_points(shape)}, frozenset()
+
+
+def pp_bind(m, conts):
+    """m then conts[(a1, a2)].  The precondition holds at an initial pair
+    when m's does and every triple m accepts from there ends where its
+    continuation's precondition holds; the post composes m's post with the
+    continuations' through the middle values and states."""
+    pre, post = m
+    bound_pre = dict(pre)
+    for t1, t2 in post:
+        if not conts[(t1[1], t2[1])][0][(t1[2], t2[2])]:
+            bound_pre[(t1[0], t2[0])] = False
+    bound_post = frozenset(
+        ((t1[0], u1[1], u1[2]), (t2[0], u2[1], u2[2]))
+        for t1, t2 in post for u1, u2 in conts[(t1[1], t2[1])][1]
+        if (u1[0], u2[0]) == (t1[2], t2[2]))
+    return bound_pre, bound_post
+
+
+def pp_leq(w, w2) -> bool:
+    """w <= w2: w2's precondition implies w's, and w's post lies in w2's."""
+    return all(w[0][pt] for pt, ok in w2[0].items() if ok) and w[1] <= w2[1]
+
+
+def pp_embed(w) -> dict:
+    """The backward transformer's entry per initial pair: None where the
+    precondition fails (VIOLATED), else the (a1, sf1, a2, sf2) final
+    outcomes the post accepts from there."""
+    pre, post = w
+    return {pt: frozenset((t1[1], t1[2], t2[1], t2[2]) for t1, t2 in post
+                          if (t1[0], t2[0]) == pt) if ok else None
+            for pt, ok in pre.items()}

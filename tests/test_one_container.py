@@ -1,7 +1,9 @@
 """One container for demand families: the split-context carriers of
 `generic` hold the same `RelSpec`s as the core judgments.  `specmonads`
 keeps no second payload type or verdict type, and `generic` names none of
-the wrappers that once converted between them."""
+the wrappers that once converted between them.  Pre/post pairs hold
+demand families too, one demand per point beside the precondition row,
+with no post table, outcome domains or binds of their own."""
 
 import ast
 import os
@@ -15,6 +17,8 @@ from relwp import specmonads as sm
 from relwp.domains import domain
 
 SECOND_CONTAINER = frozenset({"Wp", "OrderVerdict", "wp"})
+PAIR_BODY = frozenset({"_bind_pp_pure", "_bind_pp_state", "_pp_triple",
+                       "outcome_dom", "point_dom", "pair_values"})
 WRAPPERS = frozenset({"random_wp", "SimpleMonadOps", "pure_ops", "state_ops"})
 
 Z2 = domain("Z2", 2)
@@ -76,3 +80,32 @@ def test_every_payload_is_a_spec(name):
              m.bind_rel(m1, m2, mrel, f1, f2, frel, Z2, Z2),
              m.unsat_rel(Z2, Z2)]
     assert all(isinstance(w, sm.RelSpec) for w in built), [type(w).__name__ for w in built]
+
+
+def test_pairs_keep_no_body_of_their_own():
+    assert "post" not in sm.RelSpec.__slots__
+    assert sorted(PAIR_BODY & set(_names("specmonads"))) == []
+    assert sorted(PAIR_BODY & set(vars(sm))) == []
+
+
+Z3 = domain("Z3", 3)
+PAIR_SPACES = {
+    "pure": sm.pp_pure_space(Z2, Z3),
+    "state": sm.pp_state_space(Z2, Z3, Z3, Z2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SPACES))
+def test_every_pair_is_one_demand_per_point_beside_a_precondition_row(name):
+    space = PAIR_SPACES[name]
+    rng = random.Random(5)
+    n = space.point_count
+    built = [sm.pp_spec(space, [rng.random() < 0.7 for _ in range(n)],
+                        [rng.random() < 0.3 for _ in range(n * space.size)])
+             for _ in range(4)]
+    built += [sm.spec_ret(space, Z2.value(1), Z3.value(2)),
+              sm.unsatisfiable(space), sm.weakest(space)]
+    built.append(sm.spec_bind(built[0], lambda i1, i2: built[(i1 + i2) % 4]))
+    for w in built:
+        assert len(w.fams) == n and all(len(fam) == 1 for fam in w.fams), w
+        assert isinstance(w.pre, tuple) and len(w.pre) == n, w

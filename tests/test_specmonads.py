@@ -43,7 +43,9 @@ def test_space_size_arithmetic():
     assert sm.state_space(Z3, Z2, Z3, Z2).point_count == 4
     assert sm.err_space(Z2, Z3).size == 7  # 6 value pairs + the raised outcome
     assert sm.prob_space(Z2, Z2).size == 4
-    assert sm.pp_state_space(Z2, Z2, Z2, Z2).size == 64  # (2*2*2) squared
+    pps = sm.pp_state_space(Z2, Z2, Z2, Z2)
+    assert pps.size == 16  # the WrelSt outcomes: (2*2) squared
+    assert pps.point_count * pps.size == 64  # post table entries: (2*2*2) squared
 
 
 def test_state_outcome_roundtrip():
@@ -89,22 +91,29 @@ def test_ret_state_matches_display():
             assert w.at(phi, pt) == reference(lambda o: o in phi, pt)
 
 
+def _post(w):
+    """A pair's post table in `pp_spec`'s layout: each point's row in turn."""
+    return tuple(bool(d >> o & 1) for (d,) in w.fams for o in w.space.outcomes())
+
+
 def test_ret_pp_pure_matches_display():
     space = sm.pp_pure_space(Z3, Z3)
     w = sm.spec_ret(space, Z3.value(1), Z3.value(2))
     assert w.pre == (True,)
     hit = 1 * 3 + 2
-    assert all(w.post[o] == (o == hit) for o in space.outcomes())
+    assert _post(w) == tuple(o == hit for o in space.outcomes())
 
 
 def test_ret_pp_state_keeps_state_fixed():
     space = sm.pp_state_space(Z2, Z2, Z2, Z2)
     w = sm.spec_ret(space, Z2.value(1), Z2.value(0))
     assert all(w.pre)
-    for o in space.outcomes():
+    post = _post(w)
+    assert len(post) == space.point_count * space.size
+    for o, got in enumerate(post):
         si1, a1, sf1, si2, a2, sf2 = space.pp_post_split(o)
         expected = a1 == 1 and a2 == 0 and si1 == sf1 and si2 == sf2
-        assert w.post[o] == expected
+        assert got == expected
 
 
 def test_ret_prob_is_point_mass():
@@ -186,7 +195,7 @@ def test_bind_pp_pure_matches_display():
     # pre' = pre and (forall pairs in post, pre of the continuation);
     # the pair (1,0) lands in a continuation with a false precondition.
     assert out.pre == (False,)
-    assert tuple(out.post) == tuple(post)
+    assert _post(out) == tuple(post)
 
 
 def test_bind_err_routes_raises_past_the_continuation():
@@ -235,7 +244,7 @@ def _random_demonic(rng, space):
 
 def _random_pp(rng, space):
     pre = [rng.random() < 0.8 for _ in range(space.point_count)]
-    post = [rng.random() < 0.5 for _ in space.outcomes()]
+    post = [rng.random() < 0.5 for _ in range(space.point_count * space.size)]
     return sm.pp_spec(space, pre, post)
 
 
@@ -563,7 +572,8 @@ def test_from_prepost_low_equivalence_table():
     space = sm.state_space(UNIT, s, UNIT, s)
     pre = [lo(s1) == lo(s2) for s1 in range(4) for s2 in range(4)]
     post = []
-    for o in range(sm.pp_state_space(UNIT, s, UNIT, s).size):
+    pps = sm.pp_state_space(UNIT, s, UNIT, s)
+    for o in range(pps.point_count * pps.size):
         si1, a1, sf1, si2, a2, sf2 = space.pp_post_split(o)
         post.append(lo(sf1) == lo(sf2))
     w = sm.from_prepost(space, pre, post)
@@ -581,7 +591,8 @@ def test_from_prepost_low_equivalence_table():
 
 def test_from_prepost_trivial_and_vacuous():
     space = sm.state_space(Z2, Z2, Z2, Z2)
-    n_post = sm.pp_state_space(Z2, Z2, Z2, Z2).size
+    pps = sm.pp_state_space(Z2, Z2, Z2, Z2)
+    n_post = pps.point_count * pps.size
     # An always-true pair demands phi of every outcome: the transformer
     # collapses to "forall o. phi o", which only the all-true table meets.
     top_true = sm.from_prepost(space, [True] * 4, [True] * n_post)
@@ -611,7 +622,7 @@ def test_embed_all_true_pair_demands_every_outcome():
     # Same collapse as from_prepost(True, True): the embedding display
     # turns an always-true pair into "forall o. phi o".
     pps = sm.pp_state_space(Z2, Z2, Z2, Z2)
-    pair = sm.pp_spec(pps, [True] * 4, [True] * pps.size)
+    pair = sm.pp_spec(pps, [True] * 4, [True] * (pps.point_count * pps.size))
     emb = sm.embed_pp_in_wp(pair)
     ws = sm.state_space(Z2, Z2, Z2, Z2)
     for pt in ws.points():
@@ -637,6 +648,120 @@ def test_pp_order_is_componentwise():
     assert sm.spec_leq(loose, tight).failed
     with pytest.raises(TypeError):
         loose.at(frozenset(), 0)
+
+
+def test_a_pair_has_no_demonic_entry():
+    # a pair is not a transformer: its post rows are no entries until embedded
+    pps = sm.pp_state_space(Z2, Z2, Z2, Z2)
+    for w in (sm.spec_ret(pps, Z2.value(0), Z2.value(1)), sm.weakest(pps), sm.unsatisfiable(pps)):
+        assert all(w.demonic_at(pt) is None for pt in pps.points())
+        assert sm.embed_pp_in_wp(w).demonic_at(0) is not None
+
+
+# -- pre/post pairs against the explicit-table reference
+
+
+def _pp_shape(space):
+    if space.tag == "PPrelPure":
+        return space.a1.size, 1, space.a2.size, 1
+    return space.a1.size, space.s1.size, space.a2.size, space.s2.size
+
+
+def _pp_index(space, t1, t2):
+    if space.tag == "PPrelPure":
+        return t1[1] * space.a2.size + t2[1]
+    return space.pp_post_index(*t1, *t2)
+
+
+def _pp_point(space, pt):
+    return 0 if space.tag == "PPrelPure" else space.point(*pt)
+
+
+def _pp_tables(space, ref):
+    """The reference pair as the pre and post tables `pp_spec` reads."""
+    pre_d, post_s = ref
+    pre = [None] * space.point_count
+    for pt, ok in pre_d.items():
+        pre[_pp_point(space, pt)] = ok
+    post = [False] * (space.point_count * space.size)
+    for t1, t2 in post_s:
+        post[_pp_index(space, t1, t2)] = True
+    return pre, post
+
+
+def _pp_build(space, ref):
+    return sm.pp_spec(space, *_pp_tables(space, ref))
+
+
+def _pp_read(w):
+    """A pair back as reference tables, through `pp_post_split`."""
+    space = w.space
+    pts = reference.pp_points(_pp_shape(space))
+    pre = {pt: w.pre[_pp_point(space, pt)] for pt in pts}
+    post = set()
+    for pt, (d,) in enumerate(w.fams):
+        for o in space.outcomes():
+            if d >> o & 1:
+                if space.tag == "PPrelPure":
+                    a1, a2 = divmod(o, space.a2.size)
+                    post.add(((0, a1, 0), (0, a2, 0)))
+                else:
+                    si1, a1, sf1, si2, a2, sf2 = space.pp_post_split(pt * space.size + o)
+                    post.add(((si1, a1, sf1), (si2, a2, sf2)))
+    return pre, frozenset(post)
+
+
+def _pp_random(rng, shape):
+    pre = {pt: rng.random() < 0.8 for pt in reference.pp_points(shape)}
+    return pre, frozenset(t for t in reference.pp_triples(shape) if rng.random() < 0.3)
+
+
+@pytest.mark.parametrize("carrier", ["PPrelPure", "PPrelSt"])
+def test_pairs_match_the_explicit_table_reference(carrier):
+    rng = random.Random(carrier)
+    doms = (Z2, Z3)
+    for case in range(200):
+        a1, a2, b1, b2, s1, s2 = (rng.choice(doms) for _ in range(6))
+        if carrier == "PPrelPure":
+            space, cspace = sm.pp_pure_space(a1, a2), sm.pp_pure_space(b1, b2)
+        else:
+            space, cspace = sm.pp_state_space(a1, s1, a2, s2), sm.pp_state_space(b1, s1, b2, s2)
+        shape, cshape = _pp_shape(space), _pp_shape(cspace)
+        m = _pp_random(rng, shape)
+        conts = {(i1, i2): _pp_random(rng, cshape)
+                 for i1 in range(a1.size) for i2 in range(a2.size)}
+        wm = _pp_build(space, m)
+        assert _pp_read(wm) == m
+        i1, i2 = rng.randrange(a1.size), rng.randrange(a2.size)
+        assert _pp_read(sm.spec_ret(space, a1.value(i1), a2.value(i2))) == \
+            reference.pp_ret(shape, i1, i2)
+        built = {pair: _pp_build(cspace, c) for pair, c in conts.items()}
+        bound = sm.spec_bind(wm, lambda j1, j2: built[(j1, j2)])
+        assert _pp_read(bound) == reference.pp_bind(m, conts), case
+        top, bottom = sm.unsatisfiable(space), sm.weakest(space)
+        assert _pp_read(top) == reference.pp_unsatisfiable(shape)
+        assert _pp_read(bottom) == reference.pp_weakest(shape)
+        # four verdicts: against a random pair and against one above m
+        pre, post = m
+        above = ({pt: ok and rng.random() < 0.7 for pt, ok in pre.items()},
+                 post | frozenset(t for t in reference.pp_triples(shape) if rng.random() < 0.1))
+        for other in (_pp_random(rng, shape), above):
+            for x, y in ((m, other), (other, m)):
+                got = sm.spec_leq(_pp_build(space, x), _pp_build(space, y)).holds
+                assert got == reference.pp_leq(x, y), case
+        for x, y in ((m, reference.pp_unsatisfiable(shape)), (reference.pp_weakest(shape), m)):
+            assert sm.spec_leq(_pp_build(space, x), _pp_build(space, y)).holds == \
+                reference.pp_leq(x, y)
+        emb = sm.embed_pp_in_wp(wm)
+        assert sm.from_prepost(emb.space, *_pp_tables(space, m)).fams == emb.fams
+        split = emb.space.st_split if carrier == "PPrelSt" else (
+            lambda o: (o // a2.size, 0, o % a2.size, 0))
+        for pt, entry in reference.pp_embed(m).items():
+            got = emb.demonic_at(_pp_point(space, pt))
+            if entry is None:
+                assert got is sm.VIOLATED
+            else:
+                assert frozenset(split(o) for o in got) == entry
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def reference_table(space, pre, post6):
     every (initial, value, final) pair of triples, then each point where pre
     holds collects the outcomes its row of the table accepts."""
     pp = sm.pp_state_space(space.a1, space.s1, space.a2, space.s2)
-    quad = [False] * pp.size
+    quad = [False] * (pp.point_count * pp.size)
     for si1, a1, sf1, si2, a2, sf2 in product(
             range(space.s1.size), range(space.a1.size), range(space.s1.size),
             range(space.s2.size), range(space.a2.size), range(space.s2.size)):
@@ -245,7 +245,7 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
 
     def recording_init(self, *args, **kw):
         init(self, *args, **kw)
-        sizes.extend(len(t) for t in (self.fams, self.pre, self.post) if isinstance(t, tuple))
+        sizes.extend(len(t) for t in (self.fams, self.pre) if isinstance(t, tuple))
 
     post_init = D.FiniteDomain.__post_init__
 
@@ -272,6 +272,26 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
         assert R.oracle_check(W.ni_judgment(W.parse_while(text), sig)).holds == secure
     assert sizes and max(sizes) <= n * n
     assert seen["runs"] == n * len(NI_CORPUS)
+
+
+def test_ni_check_builds_no_domain_past_the_store(monkeypatch):
+    # Outcome spaces count their outcomes and points by arithmetic, so no
+    # product of store domains is built, labels and all.  Domains are
+    # canonical and live for the process: locations no other test uses
+    # keep the store pairs' spaces fresh.
+    sig = _store(("m", "h"), 3)     # 9 stores
+    store = W.store_domain(sig)
+    built = []
+    post_init = D.FiniteDomain.__post_init__
+
+    def recording_post_init(self):
+        post_init(self)
+        built.append(self.size)
+
+    monkeypatch.setattr(D.FiniteDomain, "__post_init__", recording_post_init)
+    judgment = W.ni_judgment(W.parse_while("while h do (h := h - 1; m := m + 1)"), sig)
+    assert not R.oracle_check(judgment).holds
+    assert max(built, default=0) <= store.size, sorted(built)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +414,28 @@ def test_run_stmt_matches_the_translated_program(values):
             assert (None if got is None else got[1].index) == want, (text, store)
             outcomes.add(want is None)
     assert outcomes == {True, False}    # both divergence and termination occur
+
+
+@pytest.mark.parametrize("bad", [99, 4, -1])
+def test_store_helpers_reject_indices_outside_the_store_domain(bad):
+    sig = _store(("l", "h"), 2)   # 4 stores
+    reads_l = _expr("l + 1")
+    with pytest.raises(ValueError, match="outside"):
+        W.store_read(sig, bad, "l")
+    with pytest.raises(ValueError, match="outside"):
+        W.store_write(sig, bad, "l", 0)
+    with pytest.raises(ValueError, match="outside"):
+        W.eval_expr(sig, reads_l, bad)
+    with pytest.raises(ValueError, match="outside"):
+        W.run_stmt(sig, W.parse_while("skip"), bad)
+    # in range, each helper reads and writes the digits as before
+    for store in range(4):
+        l, h = _digits(sig, store)
+        assert W.store_read(sig, store, "l") == l and W.store_read(sig, store, "h") == h
+        assert W.store_write(sig, store, "l", 1 - l) == (1 - l) * 2 + h
+        assert W.eval_expr(sig, reads_l, store) == (l + 1) % 2
+        assert W.run_stmt(sig, W.parse_while("skip"), store) == store
+        assert W.run_stmt(sig, W.parse_while("l := h"), store) == h * 2 + h
 
 
 # ---------------------------------------------------------------------------
