@@ -14,14 +14,15 @@ Imp is state plus an iteration construct; do_while(body, k) repeats body while
 it returns true, then continues with k.  Divergence is decidable here because
 the state space is finite and execution is deterministic.
 
-Within one check (`_EvaluationScope`, opened by `rules.check_derivation`
-and `rules.oracle_check`), every program node is built once: `_mk` looks
-each node up in the check's table by its signature, result domain, node
+Within one check or derivation build (`_EvaluationScope`, opened by
+`rules.check_derivation`, `rules.oracle_check` and
+`rules.random_derivation`), every program node is built once: `_mk` looks
+each node up in the scope's table by its signature, result domain, node
 type and head by value, and its children by identity, so two equal
 constructions return the very same object and `programs_equal` answers
 them at once.  Specs share the same table (`specmonads`), and so do the
 judgment families of `rules`.  The table and all it holds go when the
-outermost check returns, so nothing shared outlives it; outside a check
+outermost scope closes, so nothing shared outlives it; outside a scope
 every constructor builds a new object.
 
 Only the table `_SHAPES` knows where each node keeps its subtrees:
@@ -300,10 +301,10 @@ class Program:
     getattr(Program, name).__set__ for name in Program.__slots__)
 
 
-# -- the construction table of a check ---------------------------------------
+# -- the construction table of a check or build ------------------------------
 
-# The table of the check in progress, None while no check runs.  One dict
-# holds, under keys that cannot collide:
+# The table of the check or derivation build in progress, None while
+# neither runs.  One dict holds, under keys that cannot collide:
 #   (family, valuation)               judgment families read by `rules._read`
 #   ("program", sig, result, ...)     program nodes built by `_mk`
 #   ("spec-...", ...)                 specs built by the `specmonads`
@@ -312,13 +313,15 @@ _TABLE: ContextVar[Optional[dict]] = ContextVar("relwp_check_table", default=Non
 
 
 class _EvaluationScope:
-    """While open, a check shares what it builds: every judgment family is
-    evaluated once per valuation, and every program node (`_mk`) and every
-    spec from `spec_ret`, `spec_bind`, `linear_spec` and `demand_spec` is
-    built once per distinct construction, so an honest replay recomputes
-    the very objects that were stated.  A nested scope reuses the open one,
+    """While open, a check or a derivation build shares what it builds:
+    every judgment family is evaluated once per valuation, and every
+    program node (`_mk`) and every spec from `spec_ret`, `spec_bind`,
+    `linear_spec` and `demand_spec` is built once per distinct
+    construction, so an honest replay recomputes the very objects that
+    were stated, and a rule reads its premises' families without
+    rebuilding them from the leaves.  A nested scope reuses the open one,
     and the table goes when the outermost scope closes, with everything it
-    holds: nothing outlives the check."""
+    holds: nothing outlives the check or the build."""
 
     __slots__ = ("token",)
 

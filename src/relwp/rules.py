@@ -24,7 +24,10 @@ one-sided binds, and per-effect axioms whose conclusion specs are written
 out explicitly; tests confirm the axiom specs coincide with the observation
 applied to the axiom programs.  `random_derivation` builds seeded well-formed
 trees for the soundness differential: if some rule were unsound, a random
-conclusion would eventually flunk its oracle.
+conclusion would eventually flunk its oracle.  Since a conclusion is
+computed from its premises' families, building a tree is the same work as
+replaying it, and a build shares one table as a check does
+(`programs._EvaluationScope`).
 """
 
 from __future__ import annotations
@@ -480,7 +483,7 @@ def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
     wf = _family(r.need("w"))
     for g in j.env.valuations():
-        v = spec_leq(j.w(g), wf(g))
+        v = spec_leq(j.w(g), _read(wf, g))
         if v.failed:
             raise RuleError(f"Weaken: target spec is not above the premise spec "
                             f"at {_show_valuation(j.env, g)}: {v.note}")
@@ -515,7 +518,7 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     c1f, c2f, wf = _family(r.need("c1")), _family(r.need("c2")), _family(r.need("w"))
     for g in env.valuations():
-        w0 = wf(g)
+        w0 = _read(wf, g)
         if not spec_leq(_unsat_like(w0), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
                             f"(the vacuous claim) but is not at {_show_valuation(env, g)}")
@@ -1435,6 +1438,15 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     Alongside each context the sampler tracks which side may read each
     variable ("b" both, "l" left, "r" right), mirroring how the bind and
     handler rules split their bound values between the two programs.
+
+    The build runs in one `_EvaluationScope`, as `check_derivation` does:
+    each family is read once per valuation and each program and spec is
+    built once across the whole tree, and the table goes when the call
+    returns (a build inside an open scope uses that scope's table).  The
+    rng never reads the table, so the same trees are drawn.  The Weaken,
+    DoWhileInv and Catch targets keep their own per-tree caches, which do
+    outlive the build: every later check, each with its own table, then
+    reads the same stated objects, and the targets are grown once.
     """
     mode = None
     if effect in (P.STATE, P.IMP):
@@ -1736,7 +1748,8 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     env, sides = EMPTY_ENV, ()
     if rng.random() < 0.35:
         env, sides = env.extend(("k", rng.choice(pool[1:]))), ("b",)
-    return gen(env, sides, depth, None, None)
+    with _EvaluationScope():
+        return gen(env, sides, depth, None, None)
 
 
 def _union_demands(specs: Sequence[RelSpec]) -> RelSpec:

@@ -1092,3 +1092,94 @@ def test_a_tampered_coupling_fails_where_it_did(monkeypatch):
     assert _outcome(R.check_derivation(tampered)) == want
     _forget_constructions(monkeypatch)
     assert _outcome(R.check_derivation(tampered)) == want
+
+
+def test_weaken_and_zero_elim_read_their_target_once_per_valuation():
+    root, _ = _depth3_with_counted_leaves()
+    bind = root.premises[0]
+    target = _Counted(bind.conclusion.w)
+    weak = R.derive("Weaken", (bind,), w=target)
+    target.calls.clear()
+    assert R.check_derivation(weak).ok
+    assert target.calls == {(): 1}
+
+    env = R.EMPTY_ENV.extend(("b", BOOL))
+    top = _Counted(lambda g: sm.unsatisfiable(sm.state_space(Z2, Z2, Z2, Z2)))
+    zero = R.derive("ZeroElim", observation=O.observation_st(), env=env,
+                    c1=P.ret(SSIG, Z2.value(0)), c2=P.ret(SSIG, Z2.value(1)), w=top)
+    top.calls.clear()
+    assert R.check_derivation(zero).ok
+    assert top.calls == {(boolv(False),): 1, (boolv(True),): 1}
+
+
+# ---------------------------------------------------------------------------
+# One construction table per derivation build
+
+
+def _shape(d):
+    return d.rule.rule, tuple(map(_shape, d.premises))
+
+
+def _nodes(d):
+    yield d
+    for sub in d.premises:
+        yield from _nodes(sub)
+
+
+@pytest.mark.parametrize("effect", ALL_EFFECTS)
+def test_a_build_inside_the_table_draws_the_same_derivations(monkeypatch, effect):
+    def build():
+        rng = random.Random(f"build-{effect}")
+        return [R.random_derivation(rng, effect, depth=3) for _ in range(100)]
+
+    shared = build()
+    with monkeypatch.context() as m:
+        m.setattr(P._EvaluationScope, "__enter__", lambda scope: setattr(scope, "token", None))
+        free = build()
+    assert P._TABLE.get() is None
+    assert list(map(_shape, shared)) == list(map(_shape, free))
+    for a, b in zip(shared, free):
+        for na, nb in zip(_nodes(a), _nodes(b)):
+            ja, jb = na.conclusion, nb.conclusion
+            assert ja.env == jb.env
+            for g in ja.env.valuations():
+                assert P.programs_equal(ja.c1(g), jb.c1(g))
+                assert P.programs_equal(ja.c2(g), jb.c2(g))
+                assert sm.spec_equiv(ja.w(g), jb.w(g)).holds
+        assert _outcome(R.check_derivation(a)) == _outcome(R.check_derivation(b))
+        assert _outcome(R.oracle_check(a.conclusion)) == _outcome(R.oracle_check(b.conclusion))
+
+
+def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
+    made = []
+    mk = P._mk
+    monkeypatch.setattr(P, "_mk", lambda *a: made.append(1) or mk(*a))
+    rng = random.Random(0)
+    for _ in range(50):
+        R.random_derivation(rng, P.PROB, depth=3)
+    # 4,680 calls when every derive re-evaluated its premises from the leaves
+    assert len(made) <= 2000
+    assert P._TABLE.get() is None
+
+    # a build inside an open scope builds into that scope's table
+    with R._EvaluationScope():
+        table = P._TABLE.get()
+        R.random_derivation(random.Random(1), P.STATE, depth=3)
+        assert P._TABLE.get() is table and table
+    assert P._TABLE.get() is None
+
+    # a build that raises partway drops its table too
+    derive, tables = R.derive, []
+
+    def failing(*a, **kw):
+        tables.append(P._TABLE.get())
+        if len(tables) == 3:
+            raise RuntimeError("third derive")
+        return derive(*a, **kw)
+
+    monkeypatch.setattr(R, "derive", failing)
+    rng = random.Random(0)
+    with pytest.raises(RuntimeError, match="third derive"):
+        for _ in range(10):
+            R.random_derivation(rng, P.PROB, depth=3)
+    assert tables[-1] is not None and P._TABLE.get() is None

@@ -10,6 +10,7 @@ point.
 
 import dataclasses
 import random
+import re
 from itertools import product
 
 import pytest
@@ -238,9 +239,11 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
     # Every table and domain built while judging stays within |S|^2 entries
     # (points and outcomes are store pairs).  Both sides are one program,
     # which runs once per initial store: its runs are kept on the program.
-    sig = _store(("l", "h"), 2, name="Vcost")   # a fresh domain: no memoised products
+    # Domains are canonical and live for the process: a high location no
+    # other test uses keeps the store domain and its spaces fresh
+    sig = _store(("l", "hq"), 2, name="Vcost")
     n = 4
-    sizes = []
+    sizes, domains = [], []
     init = sm.RelSpec.__init__
 
     def recording_init(self, *args, **kw):
@@ -252,6 +255,7 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
     def recording_post_init(self):
         post_init(self)
         sizes.append(self.size)
+        domains.append((self.name, self.size))
 
     monkeypatch.setattr(sm.RelSpec, "__init__", recording_init)
     monkeypatch.setattr(D.FiniteDomain, "__post_init__", recording_post_init)
@@ -269,8 +273,11 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
 
     monkeypatch.setattr(P, "run_imp", counted)
     for text, secure in NI_CORPUS:
-        assert R.oracle_check(W.ni_judgment(W.parse_while(text), sig)).holds == secure
-    assert sizes and max(sizes) <= n * n
+        ast = W.parse_while(re.sub(r"\bh\b", "hq", text))
+        assert R.oracle_check(W.ni_judgment(ast, sig)).holds == secure
+    store = W.store_domain(sig)
+    assert store.size == n and (store.name, n) in domains, domains
+    assert max(sizes) <= n * n
     assert seen["runs"] == n * len(NI_CORPUS)
 
 
