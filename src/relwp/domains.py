@@ -41,15 +41,18 @@ class Canonical(metaclass=_Pooled):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._pool = {}
+        cls._defaults = None   # (name, default) per field, taken by the first such call
 
     @classmethod
     def _full_args(cls, args: tuple, kwargs: dict) -> tuple:
         """Every field in order, keywords placed and defaults filled in."""
-        fs = fields(cls)
-        cls._arity = len(fs)
-        rest = tuple(kwargs.pop(f.name, f.default) for f in fs[len(args):])
+        fs = cls._defaults
+        if fs is None:
+            fs = cls._defaults = tuple((f.name, f.default) for f in fields(cls))
+            cls._arity = len(fs)
+        rest = tuple(kwargs.pop(name, default) for name, default in fs[len(args):])
         if kwargs or len(args) > len(fs) or any(v is MISSING for v in rest):
-            raise TypeError(f"{cls.__name__} takes the fields {[f.name for f in fs]}, "
+            raise TypeError(f"{cls.__name__} takes the fields {[name for name, _ in fs]}, "
                             f"got {len(args)} positional and the keywords {sorted(kwargs)}")
         return args + rest
 

@@ -22,7 +22,9 @@ Every observation here factors through the reference evaluators in
 battery builders rely on that to dedupe enumerated programs.  None walks a
 program tree: the state and loop observations, paired and one-sided, read
 each program's runs from the one table `programs._runs` keeps, and a
-diverging run makes a point trivial (partial) or unsatisfiable (total).
+diverging run makes a point trivial (partial) or unsatisfiable (total);
+θ_ndet reads each side's outcome set there and θ_prob its distribution, as
+ints over one denominator, so a program met many times is run once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -44,12 +47,12 @@ from .specmonads import (
     OutcomeSpace,
     RelSpec,
     _fixed,
+    _linear,
     closure_spec,
     demand_spec,
     err_space,
     io_demonic_spec,
     io_space,
-    linear_spec,
     order_kind,
     outcome_space,
     prob_space,
@@ -67,8 +70,6 @@ NDET_MODES = (FORALL, EXISTS, FORALL_EXISTS)
 STRICT, LAX = "strict", "lax"
 
 IO_ROOT = (((), ()),)
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,7 @@ def theta_ndet(mode: str, c1: Program, c2: Program) -> RelSpec:
     if mode not in NDET_MODES:
         raise ValueError(f"mode must be one of {NDET_MODES}, got {mode!r}")
     space = pure_space(c1.result, c2.result)
-    r1 = {v.index for v in P.run_ndet(c1)}
-    r2 = {v.index for v in P.run_ndet(c2)}
+    r1, r2 = P._runs(c1), P._runs(c2)
 
     def pairs(i1):
         return [1 << (i1 * space.a2.size + i2) for i2 in r2]
@@ -351,19 +351,19 @@ def unary_theta_part(side: int, s1: FiniteDomain, s2: FiniteDomain,
 
 
 @lru_cache(maxsize=4096)
-def _coupling_pieces(w1: tuple, w2: tuple, width: int):
-    sup1 = [i for i, w in enumerate(w1) if w > 0]
-    sup2 = [j for j, w in enumerate(w2) if w > 0]
-    p = [w1[i] for i in sup1]
-    q = [w2[j] for j in sup2]
-    size = len(w1) * width
+def _coupling_pieces(p: tuple, q: tuple, width: int):
+    """One piece per vertex of the couplings of the int weights p and q,
+    over their common denominator."""
+    sup1 = [i for i, w in enumerate(p) if w > 0]
+    sup2 = [j for j, w in enumerate(q) if w > 0]
+    size = len(p) * width
     pieces = []
-    for vert in lp.coupling_vertices(p, q):
-        coeffs = [ZERO] * size
+    for vert in lp.coupling_vertices([p[i] for i in sup1], [q[j] for j in sup2]):
+        coeffs = [0] * size
         for r, i in enumerate(sup1):
             for s, j in enumerate(sup2):
                 coeffs[i * width + j] = vert[r * len(sup2) + s]
-        pieces.append((ZERO, tuple(coeffs)))
+        pieces.append((0, tuple(coeffs)))
     return tuple(pieces)
 
 
@@ -372,17 +372,22 @@ def theta_prob(c1: Program, c2: Program) -> RelSpec:
 
     The infimum of a linear objective over the coupling polytope is attained
     at a vertex, so the spec is exactly the minimum over the polytope's
-    vertices, each contributing one affine piece.  Exact rationals
-    throughout.
+    vertices, each contributing one affine piece.  Exact throughout: each
+    program's run is int weights over one denominator, and the vertices are
+    found over the two runs' common one.
     """
     _expect_effect(c1, P.PROB, "theta_prob")
     _expect_effect(c2, P.PROB, "theta_prob")
     space = prob_space(c1.result, c2.result)
-    d1, d2 = P.run_prob(c1), P.run_prob(c2)
-    if d1.mass() != d2.mass():
-        raise ValueError(f"no coupling exists: masses {d1.mass()} and {d2.mass()} differ")
-    pieces = _coupling_pieces(d1.weights, d2.weights, space.a2.size)
-    return linear_spec(space, pieces, exact_prune=False)
+    (d1, w1), (d2, w2) = P._runs(c1), P._runs(c2)
+    if sum(w1) * d2 != sum(w2) * d1:
+        raise ValueError(f"no coupling exists: masses {P.run_prob(c1).mass()} "
+                         f"and {P.run_prob(c2).mass()} differ")
+    den = lcm(d1, d2)
+    f1, f2 = den // d1, den // d2
+    pieces = _coupling_pieces(tuple(w * f1 for w in w1), tuple(w * f2 for w in w2),
+                              space.a2.size)
+    return _linear(space, den, pieces, exact_prune=False)
 
 
 # ---------------------------------------------------------------------------

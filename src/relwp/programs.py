@@ -32,12 +32,14 @@ Through it, `_postorder`, `normalize`, `_graft`, `_throws`, `count_loops`,
 once, so long programs never raise RecursionError.  The evaluators loop over
 their own effect's nodes instead.  `run_imp` serves state and imp alike (a
 state program is an imp program without loops), and `_runs` keeps each
-program's runs from every initial state on the program, the one table every
-state and loop observation reads.  One fold with a per-node callback would
-serve them all, but replaying the 368,684 outermost evaluator calls of one
-`laws` bench pass took 6.6 s that way, against 0.93-1.09 s with recursive
-evaluators and 0.83-0.94 s with per-effect continuation-stack loops
-(CPython 3.11).
+program's runs on the program, the one table its observation reads: the
+runs from every initial state of a state or imp program, the outcome set
+of an ndet program, and the output distribution of a prob program as ints
+over one denominator, built from its subtrees' runs.  One fold with a
+per-node callback would serve the evaluators, but replaying the 368,684
+outermost evaluator calls of one `laws` bench pass took 6.6 s that way,
+against 0.93-1.09 s with recursive evaluators and 0.83-0.94 s with
+per-effect continuation-stack loops (CPython 3.11).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .domains import BOOL, Canonical, FiniteDomain, Value, boolv
@@ -196,7 +199,7 @@ _SHAPES = {
     PickFin: (lambda n: n.cont, lambda n, k: PickFin(k), lambda n: None, 0),
     Input: (lambda n: n.cont, lambda n, k: Input(k), lambda n: None, 0),
     Output: (lambda n: (n.then,), lambda n, k: Output(n.value, k[0]), lambda n: n.value, 0),
-    Flip: (lambda n: n.cont, lambda n, k: Flip(n.p, k), lambda n: n.p, 0),
+    Flip: (lambda n: n.cont, lambda n, k: Flip(n.p, k), lambda n: (n.p.numerator, n.p.denominator), 0),
     DoWhile: (lambda n: (n.body, n.then), lambda n, k: DoWhile(k[0], k[1]), lambda n: None, 1),
 }
 
@@ -247,8 +250,9 @@ class Program:
         # Whether the tree holds no bind, and so is its own normal form; `_mk`
         # finds that out, and a program made another way is not assumed to.
         _set_bind_free(self, False)
-        # The run from each initial state, taken once by `_runs`: programs
-        # never change and the evaluators are pure.  Never pickled.
+        # The runs, taken once by `_runs` (from each initial state, or the
+        # output distribution, or the outcome set): programs never change
+        # and the evaluators are pure.  Never pickled.
         _set_runs(self, None)
 
     def __setattr__(self, name, value):
@@ -721,27 +725,40 @@ def dirac(v: Value) -> Distribution:
 
 
 def run_prob(p: Program) -> Distribution:
-    dist, diracs = {}, {}  # weight tables by subtree and by returned value
-    for q in _postorder(p):
-        n = q.node
-        t = type(n)
-        if t is Ret:
-            w = diracs.get(n.value) or diracs.setdefault(n.value, dirac(n.value).weights)
-        elif t is Flip:
-            pf, pt = 1 - n.p, n.p
-            w = tuple(pf * wf + pt * wt
-                      for wf, wt in zip(dist[id(n.cont[0])], dist[id(n.cont[1])]))
-        elif t is Bind:
-            acc = [Fraction(0)] * q.result.size
-            for a, wa in enumerate(dist[id(n.inner)]):
-                if wa:
-                    for j, wj in enumerate(dist[id(n.cont[a])]):
-                        acc[j] += wa * wj
-            w = tuple(acc)
-        else:
-            raise TypeError(f"{t.__name__} under prob")
-        dist[id(q)] = w
-    return Distribution(p.result, dist[id(p)])
+    """p's output distribution: the `Distribution` view of its run."""
+    den, weights = _runs(p)
+    return Distribution(p.result, tuple(Fraction(w, den) for w in weights))
+
+
+def _prob_run(q: Program) -> tuple:
+    """q's run as integer weights over one positive denominator, in lowest
+    terms, from the runs of its children."""
+    n = q.node
+    t = type(n)
+    if t is Ret:
+        w = [0] * q.result.size
+        w[n.value.index] = 1
+        return 1, tuple(w)
+    if t is Flip:
+        (d0, w0), (d1, w1) = n.cont[0]._runs, n.cont[1]._runs
+        b, a = n.p.denominator, n.p.numerator
+        m = lcm(d0, d1)
+        f0, f1 = (b - a) * (m // d0), a * (m // d1)
+        den, w = b * m, [f0 * x + f1 * y for x, y in zip(w0, w1)]
+    elif t is Bind:
+        d, inner = n.inner._runs
+        used = [(x, n.cont[i]._runs) for i, x in enumerate(inner) if x]
+        m = lcm(*(dc for _, (dc, _) in used))
+        den, w = d * m, [0] * q.result.size
+        for x, (dc, wc) in used:
+            f = x * (m // dc)
+            for j, y in enumerate(wc):
+                if y:
+                    w[j] += f * y
+    else:
+        raise TypeError(f"{t.__name__} under prob")
+    g = gcd(den, *w)
+    return (den // g, tuple(v // g for v in w)) if g > 1 else (den, tuple(w))
 
 
 def run_imp(p: Program, s: Value) -> Optional[Tuple[Value, Value]]:
@@ -781,16 +798,30 @@ def run_imp(p: Program, s: Value) -> Optional[Tuple[Value, Value]]:
             raise TypeError(f"{t.__name__} under imp")
 
 
-def _runs(p: Program) -> tuple:
-    """p's run from each initial state, as its local outcome index
-    a * |S| + t (value a, final state t), or None where it diverges.  Taken
-    by `run_imp` once and kept on the program, so every state and loop
-    observation reads one table."""
+def _runs(p: Program):
+    """p's runs, taken once and kept on the program, so every observation
+    of it reads one table:
+      state, imp  the run from each initial state, as its local outcome
+                  index a * |S| + t (value a, final state t), or None where
+                  it diverges (`run_imp`)
+      prob        (den, weights): the probability of each value, as ints
+                  over one positive denominator in lowest terms, built from
+                  the runs of the subtrees not yet run, in postorder
+      ndet        the frozenset of the indices of the values it may return
+    """
     t = p._runs
     if t is None:
-        n = p.sig.state.size
-        t = tuple(None if r is None else r[0].index * n + r[1].index
-                  for r in (run_imp(p, s) for s in p.sig.state.values()))
+        eff = p.sig.effect
+        if eff == PROB:
+            for q in _postorder(p, lambda n: [k for k in _kids(n) if k._runs is None]):
+                _set_runs(q, _prob_run(q))
+            return p._runs
+        if eff == NDET:
+            t = frozenset(v.index for v in run_ndet(p))
+        else:
+            n = p.sig.state.size
+            t = tuple(None if r is None else r[0].index * n + r[1].index
+                      for r in (run_imp(p, s) for s in p.sig.state.values()))
         _set_runs(p, t)
     return t
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import lcm
 from operator import or_
 from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -63,13 +64,14 @@ from .specmonads import (
     OutcomeSpace,
     RelSpec,
     _fam_bind,
+    _int_pieces,
+    _linear,
     demand_spec,
     demonic_spec,
     err_space,
     from_final_post,
     io_demonic_spec,
     io_space,
-    linear_spec,
     prob_space,
     pure_space,
     spec_bind,
@@ -81,7 +83,7 @@ from .specmonads import (
     weakest,
 )
 
-ZERO, ONE = Fraction(0), Fraction(1)
+ZERO = Fraction(0)
 
 
 class RuleError(ValueError):
@@ -1159,7 +1161,8 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     sig = P.prob_sig()
 
     def coupling_at(g):
-        """d at g, checked, as coefficients over the outcomes (b1, b2)."""
+        """d at g, checked, as one piece of int coefficients over the
+        outcomes (b1, b2), with their least common denominator."""
         p, q = P._fraction(pf(g)), P._fraction(qf(g))
         d = tuple(tuple(map(P._fraction, row)) for row in df(g))
         if len(d) != 2 or any(len(row) != 2 for row in d):
@@ -1170,15 +1173,16 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
            (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
             raise RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
                             f"at {_show_valuation(env, g)}")
-        return d[0] + d[1]
+        return _int_pieces(space, [(0, d[0] + d[1])])
 
     # each valuation's table is checked once, here, and read by every w(g);
     # valuations that state equal tables share one coefficient tuple
+    space = prob_space(BOOL, BOOL)
     shared: Dict[tuple, tuple] = {}
-    coeffs = {g: shared.setdefault(t := coupling_at(g), t) for g in env.valuations()}
+    pieces = {g: shared.setdefault(t := coupling_at(g), t) for g in env.valuations()}
 
     def w(g):
-        return linear_spec(prob_space(BOOL, BOOL), [(ZERO, coeffs[g])])
+        return _linear(space, *pieces[g])
 
     return judgment(obs, lambda g: P.flip_bool(sig, pf(g)),
                     lambda g: P.flip_bool(sig, qf(g)), w, env)
@@ -1405,14 +1409,17 @@ def _grow_io(rng: random.Random, w: RelSpec) -> RelSpec:
 
 
 def _raise_prob(rng: random.Random, w: RelSpec) -> RelSpec:
-    if w.pieces is None:
+    # every piece raised by delta eighths, under a new piece at the constant 1
+    if w.rows is None:
         return w
-    delta = Fraction(rng.randrange(0, 3), 8)
+    delta = rng.randrange(0, 3)
     if delta == 0:
         return w
-    pieces = [(k + delta, cs) for k, cs in w.pieces]
-    pieces.append((ONE, (ZERO,) * w.space.size))
-    return linear_spec(w.space, pieces)
+    den = lcm(w.den, 8)
+    f = den // w.den
+    pieces = [(k * f + delta * (den // 8), tuple(c * f for c in cs)) for k, cs in w.rows]
+    pieces.append((den, (0,) * w.space.size))
+    return _linear(w.space, den, pieces)
 
 
 def _random_coupling(rng: random.Random):

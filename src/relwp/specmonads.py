@@ -39,9 +39,12 @@ point, the set of (value pair, history, history) outcomes that must all
 satisfy the postcondition, or VIOLATED.  Entries are computed lazily and
 kept once read; bind threads histories through them and `spec_leq`
 compares them by set inclusion at every declared point.  The quantitative
-carrier's one body is a minimum of affine pieces with rational
-coefficients: bind expands the pieces exactly, pruning as it goes, and
-past a documented size raises `SpecTooLarge`; `spec_leq` compares pieces
+carrier's one body is a minimum of affine pieces, held as rows of ints
+over one positive denominator per spec, in lowest terms after pruning, so
+equal specs have equal rows; `pieces` is the rational view.  Bind scales
+its continuations to one denominator and expands the pieces exactly,
+pruning as it goes, and past a documented size raises `SpecTooLarge`;
+`spec_leq` scales both sides to one denominator and compares pieces
 exactly by linear programming.
 
 Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
@@ -67,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd, lcm
 from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -89,9 +93,6 @@ _PIECE_DOMINANCE_LIMIT = 48
 # observation is such a bind, with one demand per choice function.
 _CLOSURE_OUTCOME_LIMIT = 16
 _DEMAND_LIMIT = 4096
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class _Violated:
@@ -493,12 +494,14 @@ class RelSpec:
                `pre`, a truth value per point
       table    interactive carrier: a demonic entry per history point, a
                function of the point whose answers are kept once read
-      pieces   quantitative carrier: min-of-affine pieces (constant,
-               coefficient row)
+      rows     quantitative carrier: min-of-affine pieces (constant,
+               coefficient row) as ints over the positive denominator
+               `den`; a piece reads (k + <cs, phi>) / den.  `pieces` given
+               here, as rationals, are stored so.
     """
 
     __slots__ = (
-        "tag", "space", "fams", "table", "pieces",
+        "tag", "space", "fams", "table", "rows", "den",
         "pre", "io_points", "_io_cache",
     )
 
@@ -508,7 +511,7 @@ class RelSpec:
         self.space = space
         self.fams = fams
         self.table = table
-        self.pieces = pieces
+        self.den, self.rows = (None, None) if pieces is None else _int_pieces(space, pieces)
         self.pre = pre
         self.io_points = io_points
         # entries read so far; only interactive table specs have any
@@ -516,6 +519,16 @@ class RelSpec:
             {} if table is not None else None)
 
     # -- basic queries
+
+    @property
+    def pieces(self):
+        """The quantitative body as rationals: (constant, coefficient row)
+        per piece; None on the other carriers."""
+        if self.rows is None:
+            return None
+        den = self.den
+        return tuple((Fraction(k, den), tuple(Fraction(c, den) for c in cs))
+                     for k, cs in self.rows)
 
     @property
     def is_demonic(self) -> bool:
@@ -549,7 +562,8 @@ class RelSpec:
             raise TypeError("pre/post pairs are not transformers; embed them first")
         if self.tag == "WrelProb":
             vec = _phi_vector(self, phi)
-            return min(k + sum(c * v for c, v in zip(cs, vec) if c) for k, cs in self.pieces)
+            return Fraction(min(k + sum(c * v for c, v in zip(cs, vec) if c)
+                                for k, cs in self.rows), self.den)
         pt = self._norm_point(point)
         if self.fams is not None:
             return _accepts(self.fams[pt], phi)
@@ -707,7 +721,8 @@ def _norm_io_entry(entry):
 
 def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpec:
     """Quantitative spec as a minimum of affine pieces (const, coeffs), the
-    one body of the quantitative carrier.
+    one body of the quantitative carrier.  The rationals are brought to one
+    denominator once, here.
 
     Redundant pieces never change the minimum, so `exact_prune=False` is a
     pure speed knob for callers that mass-produce large piece families: it
@@ -716,27 +731,52 @@ def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpe
     """
     if space.tag != "WrelProb":
         raise ValueError("linear specs live in the quantitative carrier")
+    den, rows = _int_pieces(space, pieces)
+    return _linear(space, den, rows, exact_prune)
+
+
+def _int_pieces(space: OutcomeSpace, pieces) -> Tuple[int, tuple]:
+    """Rational pieces, checked, as (den, rows): ints over their least
+    common denominator, which is in lowest terms."""
+    pieces = [(k, tuple(coeffs)) for k, coeffs in pieces]
+    if not pieces:
+        raise ValueError("need at least one piece")
+    if any(len(cs) != space.size for _, cs in pieces):
+        raise ValueError("piece coefficients must cover every outcome")
+    den, flat = lp._ints([v for k, cs in pieces for v in (k, *cs)])
+    width = space.size + 1
+    rows = tuple((flat[i], tuple(flat[i + 1:i + width])) for i in range(0, len(flat), width))
+    if any(c < 0 for _, cs in rows for c in cs):
+        raise ValueError("piece coefficients must be nonnegative to stay monotone")
+    return den, rows
+
+
+def _lowest(den: int, rows) -> Tuple[int, tuple]:
+    """(den, rows) divided by their greatest common divisor."""
+    g = den
+    for k, cs in rows:
+        g = gcd(g, k, *cs)
+        if g == 1:
+            return den, tuple(rows)
+    return den // g, tuple((k // g, tuple(c // g for c in cs)) for k, cs in rows)
+
+
+def _linear(space: OutcomeSpace, den: int, rows, exact_prune: bool = True) -> RelSpec:
+    """The quantitative spec of int pieces over `den`, as `linear_spec`
+    builds it from rationals: the constructor of the kernel's own producers.
+    Within a check, equal pieces over one space give one spec."""
+    den, rows = _lowest(den, rows)
     table = _TABLE.get()
     if table is None:
-        return _linear(space, pieces, exact_prune)
-    pieces = tuple((k, tuple(coeffs)) for k, coeffs in pieces)
-    return _once(table, ("spec-linear", space, exact_prune, pieces), _linear, space, pieces, exact_prune)
+        return _prob_spec(space, den, rows, exact_prune)
+    return _once(table, ("spec-linear", space, exact_prune, den, rows),
+                 _prob_spec, space, den, rows, exact_prune)
 
 
-def _linear(space: OutcomeSpace, pieces, exact_prune: bool) -> RelSpec:
-    norm = []
-    for k, coeffs in pieces:
-        cs = tuple(coeffs)
-        if not all(type(c) is Fraction for c in cs):
-            cs = tuple(map(Fraction, cs))
-        if len(cs) != space.size:
-            raise ValueError("piece coefficients must cover every outcome")
-        if any(c < 0 for c in cs):
-            raise ValueError("piece coefficients must be nonnegative to stay monotone")
-        norm.append((k if type(k) is Fraction else Fraction(k), cs))
-    if not norm:
-        raise ValueError("need at least one piece")
-    return RelSpec("WrelProb", space, pieces=prune_pieces(norm, exact=exact_prune))
+def _prob_spec(space: OutcomeSpace, den: int, rows: tuple, exact_prune: bool) -> RelSpec:
+    w = RelSpec("WrelProb", space)
+    w.den, w.rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
+    return w
 
 
 def pp_spec(space: OutcomeSpace, pre, post) -> RelSpec:
@@ -759,7 +799,9 @@ def pp_spec(space: OutcomeSpace, pre, post) -> RelSpec:
 
 
 def prune_pieces(pieces: List[Tuple[Fraction, Tuple[Fraction, ...]]], exact: bool = True):
-    """Drop duplicate and never-minimal pieces from a min-of-affine form."""
+    """Drop duplicate and never-minimal pieces from a min-of-affine form.
+    Only order and signs are read, so pieces scaled by one positive number,
+    such as a spec's int rows, keep the same pieces in the same order."""
     uniq = sorted(set((k, cs) for k, cs in pieces))
     if len(uniq) > _PIECE_DOMINANCE_LIMIT:
         return tuple(uniq)
@@ -818,9 +860,9 @@ def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
         v = i1 * space.a2.size + i2
         return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])}, pts)
     if tag == "WrelProb":
-        coeffs = [ZERO] * space.size
-        coeffs[i1 * space.a2.size + i2] = ONE
-        return linear_spec(space, [(ZERO, coeffs)])
+        coeffs = [0] * space.size
+        coeffs[i1 * space.a2.size + i2] = 1
+        return _linear(space, 1, ((0, tuple(coeffs)),))
     if tag in _STATE_TAGS:
         fams = [frozenset({1 << space.st_outcome(i1, s1i, i2, s2i)})
                 for s1i, s2i in map(space.point_split, space.points())]
@@ -988,7 +1030,8 @@ def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
 def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
     """Per piece of wm, a bound piece picks one piece of the continuation
     of every weighted outcome and adds them in at that weight, as
-    `_fam_bind` unions demands.
+    `_fam_bind` unions demands.  The continuations are scaled to the lcm m
+    of their denominators, so every sum is of ints over wm's den times m.
 
     Outcomes whose continuation has one piece are added in directly; only
     the others make a product, pruned of duplicate and dominated sums as it
@@ -997,10 +1040,18 @@ def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
     raises SpecTooLarge.
     """
     width = wm.space.a2.size
-    subs = [conts[divmod(o, width)].pieces for o in wm.space.outcomes()]
+    m = lcm(*(w.den for w in conts.values()))
+    over_m = {}   # each continuation's rows over m, by identity
+    subs = []
+    for o in wm.space.outcomes():
+        w = conts[divmod(o, width)]
+        rows = over_m.get(id(w))
+        if rows is None:
+            rows = over_m[id(w)] = _scale_rows(w.rows, m // w.den)
+        subs.append(rows)
     pieces = []
-    for k, coeffs in wm.pieces:
-        acc, partial = [k] + [ZERO] * cspace.size, None
+    for k, coeffs in wm.rows:
+        acc, partial = [k * m] + [0] * cspace.size, None
         for o, c in enumerate(coeffs):
             if not c:
                 continue
@@ -1022,7 +1073,7 @@ def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
         base = tuple(acc[1:])
         pieces += [(acc[0], base)] if partial is None else [
             (acc[0] + pk, tuple(a + b for a, b in zip(base, pcs))) for pk, pcs in partial]
-    return linear_spec(cspace, pieces, exact_prune=False)
+    return _linear(cspace, wm.den * m, pieces, exact_prune=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1136,7 @@ def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
         pts = tuple(points) if points is not None else (((), ()),)
         return io_demonic_spec(space, lambda pt: VIOLATED, pts)
     if tag == "WrelProb":
-        return linear_spec(space, [(ONE, [ZERO] * space.size)])
+        return _linear(space, 1, ((1, (0,) * space.size),))
     if tag in PP_TAGS:
         every = frozenset({(1 << space.size) - 1})
         return _fixed(space, [every] * space.point_count, (False,) * space.point_count)
@@ -1099,7 +1150,7 @@ def weakest(space: OutcomeSpace, points=None) -> RelSpec:
         pts = tuple(points) if points is not None else (((), ()),)
         return io_demonic_spec(space, lambda pt: frozenset(), pts)
     if tag == "WrelProb":
-        return linear_spec(space, [(ZERO, [ZERO] * space.size)])
+        return _linear(space, 1, ((0, (0,) * space.size),))
     pre = (True,) * space.point_count if tag in PP_TAGS else None
     return _fixed(space, [_ANY] * space.point_count, pre)
 
@@ -1116,13 +1167,13 @@ def reindex_outcomes(w: RelSpec, target: OutcomeSpace, fn) -> RelSpec:
         raise ValueError("outcome translation must preserve precondition points")
     if w.tag == "WrelProb":
         pieces = []
-        for k, cs in w.pieces:
-            acc = [ZERO] * target.size
+        for k, cs in w.rows:
+            acc = [0] * target.size
             for o, c in enumerate(cs):
                 if c:
                     acc[fn(o)] += c
             pieces.append((k, tuple(acc)))
-        return linear_spec(target, pieces)
+        return _linear(target, w.den, pieces)
     return demand_spec(target, [_fam_map(fam, fn) for fam in w.fams])
 
 
@@ -1149,9 +1200,9 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     at the first point where w2's entry is satisfiable and w's is VIOLATED
     or not inside it, with w2's entry, listed in index order, as the
     witness `phi`.  Quantitative
-    specs are pieces on both sides and compare exactly: per piece of w2, a
-    box bound settles the difference family when it is already <= 0, and
-    linear programming decides the rest.
+    specs are pieces on both sides and compare exactly over one common
+    denominator: per piece of w2, a box bound settles the difference family
+    when it is already <= 0, and linear programming decides the rest.
 
     `cap` is read by nothing.  It stays only because the bench's tracer
     binds it to label each comparison, and it goes when that tracer does.
@@ -1205,17 +1256,26 @@ def order_kind(leq, lhs, rhs):
 
 
 def _leq_prob(w: RelSpec, w2: RelSpec) -> LeqVerdict:
-    if w.pieces == w2.pieces:
+    """Both sides over one denominator, then per piece of w2 the box bound
+    and, where it fails, the LP.  A common positive scale changes no sign
+    and no LP vertex, so the witness is the one rationals would give."""
+    if w.den == w2.den and w.rows == w2.rows:
         return HOLDS
+    m = lcm(w.den, w2.den)
+    rows, rows2 = _scale_rows(w.rows, m // w.den), _scale_rows(w2.rows, m // w2.den)
     n = w.space.size
-    for k2, c2 in w2.pieces:
-        diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]
+    for k2, c2 in rows2:
+        diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in rows]
         if lp.box_upper_bound(diff) <= 0:
             continue
         val, phi = lp.max_min_affine(diff, n)
         if val > 0:
             return _fails(phi, note="left exceeds right at this table")
     return HOLDS
+
+
+def _scale_rows(rows: tuple, f: int) -> tuple:
+    return rows if f == 1 else tuple((k * f, tuple(c * f for c in cs)) for k, cs in rows)
 
 
 def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:

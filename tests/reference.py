@@ -18,7 +18,11 @@ definition.  `prob_bind_by_evaluation` and `prob_grid_refutation` do the
 same for quantitative specs: a bind evaluated from its definition, and a
 search of value tables on a grid for one that separates two specs.
 `is_coupling` and `min_coupling_value` check the coupling vertices behind
-`theta_prob`.  `morphism_laws_by_instance` spells out `check_morphism_laws`
+`theta_prob`.  `run_prob`, `simplex_max`, `max_min_affine`, `leq_prob`,
+`bind_prob` and `theta_prob_pieces` are the quantitative carrier in
+`Fraction`s, node by node and tableau row by tableau row, against which
+the integer kernel must agree exactly; `max_min_affine_by_vertices` solves
+the box LP with no simplex at all.  `morphism_laws_by_instance` spells out `check_morphism_laws`
 one instance at a time, with nothing shared between instances.
 `wrelexc_ret` and `wrelexc_bind` write the exception carrier of `generic`
 out by hand over `specmonads` alone, as one four-way case split, to pin the
@@ -28,7 +32,7 @@ relational composition, the componentwise order and the embedding.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence, Tuple
 
 from relwp import observations as O
@@ -38,9 +42,9 @@ from relwp.lp import coupling_vertices
 from relwp.observations import UnaryObservation, from_commuting_pair
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
                             Output, PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, pure_space,
-                              reindex_outcomes, spec_bind, spec_leq, spec_ret, state_space,
-                              weakest)
+from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, prune_pieces,
+                              pure_space, reindex_outcomes, spec_bind, spec_leq, spec_ret,
+                              state_space, weakest)
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -383,6 +387,189 @@ def prob_grid_refutation(w: RelSpec, w2: RelSpec) -> Optional[Tuple[Fraction, ..
         if w.at(phi) > w2.at(phi):
             return phi
     return None
+
+
+# -- the rational carrier: runs, LP, bind and order over Fraction pieces ------
+
+def run_prob(p: Program) -> Tuple[Fraction, ...]:
+    """p's output weights, evaluated node by node in Fractions."""
+    dist = {}  # weight tables by subtree
+    for q in P._postorder(p):
+        n = q.node
+        if isinstance(n, Ret):
+            w = tuple(Fraction(int(i == n.value.index)) for i in range(q.result.size))
+        elif isinstance(n, Flip):
+            pf, pt = 1 - n.p, n.p
+            w = tuple(pf * wf + pt * wt
+                      for wf, wt in zip(dist[id(n.cont[0])], dist[id(n.cont[1])]))
+        elif isinstance(n, Bind):
+            acc = [Fraction(0)] * q.result.size
+            for a, wa in enumerate(dist[id(n.inner)]):
+                if wa:
+                    for j, wj in enumerate(dist[id(n.cont[a])]):
+                        acc[j] += wa * wj
+            w = tuple(acc)
+        else:
+            raise TypeError(f"{type(n).__name__} under prob")
+        dist[id(q)] = w
+    return dist[id(p)]
+
+
+def simplex_max(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence):
+    """Maximize objective . x subject to rows . x <= rhs and x >= 0, rhs >= 0,
+    on a tableau of Fraction rows under Bland's rule."""
+    m, n = len(rows), len(objective)
+    if any(Fraction(b) < 0 for b in rhs):
+        raise ValueError("simplex_max needs a nonnegative right-hand side")
+    tab = [[Fraction(v) for v in rows[i]] + [Fraction(int(j == i)) for j in range(m)]
+           + [Fraction(rhs[i])] for i in range(m)]
+    cost = [Fraction(v) for v in objective] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+    while True:
+        col = next((j for j in range(n + m) if cost[j] > 0), None)
+        if col is None:
+            break
+        pivot, best = None, None
+        for i in range(m):
+            a = tab[i][col]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot]):
+                    best, pivot = ratio, i
+        if pivot is None:
+            raise ValueError("unbounded linear program")
+        a = tab[pivot][col]
+        prow = tab[pivot] = [v / a for v in tab[pivot]]
+        for i in range(m):
+            f = tab[i][col]
+            if i != pivot and f:
+                tab[i] = [u - f * v for u, v in zip(tab[i], prow)]
+        f = cost[col]
+        cost = [u - f * v for u, v in zip(cost, prow)]
+        basis[pivot] = col
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = tab[i][-1]
+    return -cost[-1], x
+
+
+def max_min_affine(pieces, dim: int):
+    """max over the box [0,1]^dim of min_i (k_i + <c_i, phi>), and a phi
+    attaining it, by the Fraction simplex: maximize t subject to
+    t <= k_i + <c_i, phi> and phi <= 1, with t shifted nonnegative."""
+    shift = 1 - min(Fraction(0), min(Fraction(k) for k, _ in pieces))
+    rows = [[Fraction(1)] + [-Fraction(c) for c in cs] for _, cs in pieces]
+    rows += [[Fraction(int(i == j + 1)) for i in range(dim + 1)] for j in range(dim)]
+    rhs = [Fraction(k) + shift for k, _ in pieces] + [Fraction(1)] * dim
+    value, x = simplex_max([Fraction(1)] + [Fraction(0)] * dim, rows, rhs)
+    return value - shift, tuple(x[1:])
+
+
+def _solve(a, b):
+    """The unique solution of the square system a x = b, or None."""
+    n = len(a)
+    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(a, b)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    return [row[-1] for row in m]
+
+
+def max_min_affine_by_vertices(pieces, dim: int):
+    """max over the box [0,1]^dim of min_i (k_i + <c_i, phi>), and a phi
+    attaining it, with no simplex: every choice of dim + 1 tight constraints
+    among t = k_i + <c_i, phi>, phi_j = 0 and phi_j = 1 is solved for
+    (t, phi), and the best feasible one kept."""
+    faces = [((1,) + tuple(-Fraction(c) for c in cs), Fraction(k)) for k, cs in pieces]
+    for j in range(dim):
+        unit = tuple(int(i == j + 1) for i in range(dim + 1))
+        faces += [(unit, Fraction(0)), (unit, Fraction(1))]
+    best = None
+    for tight in combinations(faces, dim + 1):
+        x = _solve([a for a, _ in tight], [b for _, b in tight])
+        if x is None:
+            continue
+        t, phi = x[0], tuple(x[1:])
+        if all(0 <= v <= 1 for v in phi) and \
+                all(t <= k + sum(c * v for c, v in zip(cs, phi)) for k, cs in pieces):
+            if best is None or t > best[0]:
+                best = (t, phi)
+    return best
+
+
+def leq_prob(w: RelSpec, w2: RelSpec):
+    """("holds", None) or ("fails", phi): w <= w2 decided on the rational
+    pieces, per piece of w2 by the box bound and then the Fraction LP."""
+    if w.pieces == w2.pieces:
+        return "holds", None
+    for k2, c2 in w2.pieces:
+        diff = [(k1 - k2, tuple(a - b for a, b in zip(c1, c2))) for k1, c1 in w.pieces]
+        if min(k + sum(c for c in cs if c > 0) for k, cs in diff) <= 0:
+            continue
+        val, phi = max_min_affine(diff, w.space.size)
+        if val > 0:
+            return "fails", phi
+    return "holds", None
+
+
+def bind_prob(wm: RelSpec, cont) -> Tuple[tuple, ...]:
+    """The pieces of wm bound to cont(i1, i2), expanded over Fraction pieces:
+    each piece of wm picks a piece of the continuation of every weighted
+    outcome and adds them in at that weight.  Single pieces are added in
+    directly and the rest multiplied out, pruned of duplicate and dominated
+    sums from the second such outcome on; the result is pruned the same way,
+    with no LP, as `spec_bind` prunes it."""
+    width = wm.space.a2.size
+    subs = [cont(*divmod(o, width)).pieces for o in wm.space.outcomes()]
+    size = cont(0, 0).space.size
+    pieces = []
+    for k, coeffs in wm.pieces:
+        acc, partial = [k] + [Fraction(0)] * size, None
+        for o, c in enumerate(coeffs):
+            if not c:
+                continue
+            pool = subs[o]
+            if len(pool) == 1:
+                ((ck, ccs),) = pool
+                acc[0] += c * ck
+                for t, v in enumerate(ccs):
+                    acc[t + 1] += c * v
+                continue
+            scaled = [(c * ck, tuple(c * v for v in ccs)) for ck, ccs in pool]
+            if partial is None:
+                partial = scaled
+                continue
+            partial = prune_pieces([(pk + sk, tuple(a + b for a, b in zip(pcs, scs)))
+                                    for pk, pcs in partial for sk, scs in scaled], exact=False)
+        base = tuple(acc[1:])
+        pieces += [(acc[0], base)] if partial is None else [
+            (acc[0] + pk, tuple(a + b for a, b in zip(base, pcs))) for pk, pcs in partial]
+    return prune_pieces(pieces, exact=False)
+
+
+def theta_prob_pieces(c1: Program, c2: Program) -> Tuple[tuple, ...]:
+    """θ_prob's pieces from the Fraction runs: one per coupling vertex of
+    the two supports, pruned as `theta_prob` prunes them."""
+    w1, w2 = run_prob(c1), run_prob(c2)
+    sup1 = [i for i, w in enumerate(w1) if w]
+    sup2 = [j for j, w in enumerate(w2) if w]
+    width = len(w2)
+    pieces = []
+    for vert in coupling_vertices([w1[i] for i in sup1], [w2[j] for j in sup2]):
+        coeffs = [Fraction(0)] * (len(w1) * width)
+        for r, i in enumerate(sup1):
+            for s, j in enumerate(sup2):
+                coeffs[i * width + j] = vert[r * len(sup2) + s]
+        pieces.append((Fraction(0), tuple(coeffs)))
+    return prune_pieces(pieces, exact=False)
 
 
 def _law_kind(lhs: RelSpec, rhs: RelSpec) -> str:

@@ -109,6 +109,14 @@ def test_a_call_that_names_no_fields_right_raises():
             call()
 
 
+def test_defaulted_fields_are_read_once_per_class(monkeypatch):
+    calls = []
+    real = D.fields
+    monkeypatch.setattr(D, "fields", lambda cls: calls.append(cls) or real(cls))
+    assert all(P.prob_sig() is P.prob_sig() for _ in range(500))
+    assert len(calls) <= 1
+
+
 def test_a_domain_makes_each_value_once():
     d = D.domain("Fresh", 4)
     direct = Value(d, 2)

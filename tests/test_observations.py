@@ -667,6 +667,20 @@ def test_ndet_law_classification_by_mode():
             assert O.recheck_witness(rep.bind_law.witness)
 
 
+def test_ndet_laws_run_each_program_once(monkeypatch):
+    bat = O.battery_ndet(Z2, depth=2, table_limit=8)
+    real, ran = P.run_ndet, []
+
+    def counted(c):
+        ran.append(c)   # keeps each program alive, so ids stay distinct
+        return real(c)
+
+    monkeypatch.setattr(P, "run_ndet", counted)
+    for mode in O.NDET_MODES:
+        _laws(O.observation_ndet(mode), bat)
+    assert ran and len(ran) == len({id(c) for c in ran})
+
+
 def test_io_laws_equal_on_shallow_battery():
     rep = _laws(O.observation_io(Z2, Z2, Z2, Z2), O.battery_io(Z2, Z2, Z2, depth=2))
     assert rep.ret_law.equal and rep.bind_law.equal

@@ -371,9 +371,11 @@ def test_flip_coupling_shares_one_coefficient_tuple_between_equal_tables():
         return ((zero, half), (half, zero))
 
     j = R.derive("FlipCoupling", env=env, p=half, q=half, d=d).conclusion
-    (c0,), (c1,), (c2,) = ([cs for _, cs in j.w(g).pieces] for g in env.valuations())
-    assert c0 is c1 and c0 == (half, zero, zero, half)
-    assert c2 is not c0 and c2 == (zero, half, half, zero)
+    specs = [j.w(g) for g in env.valuations()]
+    assert [w.den for w in specs] == [2, 2, 2]
+    (c0,), (c1,), (c2,) = ([cs for _, cs in w.rows] for w in specs)
+    assert c0 is c1 and c0 == (1, 0, 0, 1)
+    assert c2 is not c0 and c2 == (0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
