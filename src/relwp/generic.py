@@ -173,7 +173,9 @@ def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.Outc
 def _point_bind(w: sm.RelSpec, table: Sequence[sm.RelSpec]) -> sm.RelSpec:
     """Sequential composition of one-point specs against a total table, one
     entry per outcome of w.  A deterministic w, whose one demand is a single
-    outcome, yields that outcome's entry as it stands."""
+    outcome, yields that outcome's entry as it stands.  `_fam_bind` would
+    give the entry's family too, but only after the table's families are
+    listed and wrapped in a new spec: `exc_strict` ran 5-9% slower so."""
     if len(table) != w.space.size:
         raise ValueError(f"continuation table must cover {w.space.size} outcomes, "
                          f"got {len(table)}")

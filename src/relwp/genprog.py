@@ -177,5 +177,8 @@ def random_program(rng: random.Random, sig: Signature, result: FiniteDomain, dep
             return P.flip(sig, rng.choice(list(flip_params)), go(d - 1, res), go(d - 1, res))
         raise AssertionError(kind)
 
-    return go(depth, result)
+    try:
+        return go(depth, result)
+    finally:
+        go = None  # go's closure holds go: free the closures now, not at a collection
 

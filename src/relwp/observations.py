@@ -25,6 +25,14 @@ each program's runs from the one table `programs._runs` keeps, and a
 diverging run makes a point trivial (partial) or unsatisfiable (total);
 θ_ndet reads each side's outcome set there and θ_prob its distribution, as
 ints over one denominator, so a program met many times is run once.
+
+A deterministic run demands one outcome, and a run-table spec holds one
+family object per distinct outcome (the diverged ones are the shared
+`_ANY` and `_NONE`), so its size follows the outcomes reached, not the
+points.  `spec_bind` hands such a point its continuation's family itself,
+which is what makes θ(m >>= f) = θ(m) >>= θ∘f cost a lookup per point.
+The named observations other than `observation_io` are built once per
+argument tuple.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lp
 from . import programs as P
@@ -46,6 +54,8 @@ from .specmonads import (
     LeqVerdict,
     OutcomeSpace,
     RelSpec,
+    _ANY,
+    _NONE,
     _fixed,
     _linear,
     closure_spec,
@@ -121,14 +131,30 @@ def _expect_effect(c: Program, allowed, who: str):
 
 
 def _pair_runs(c1: Program, c2: Program, diverged) -> RelSpec:
-    """Pair each side's runs: a point's demand is the single joint outcome,
-    or its family is `diverged` if a side has none.  A joint outcome is the
-    left local outcome times the right side's count, plus the right one."""
+    """Pair each side's runs: a point's family is the one demand of the
+    joint outcome, or `diverged` if a side has none.  A joint outcome is the
+    left local outcome times the right side's count, plus the right one.
+    Points with equal outcomes share one family, so the spec holds a mask
+    per distinct outcome of the call rather than one per point."""
     space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
     k = c2.result.size * c2.sig.state.size
     right = P._runs(c2)
-    return _fixed(space, [diverged if l is None or r is None else frozenset({1 << (l * k + r)})
-                          for l in P._runs(c1) for r in right])
+    fams: Dict[int, FrozenSet[int]] = {}
+    table = []
+    for l in P._runs(c1):
+        if l is None:
+            table += [diverged] * len(right)
+            continue
+        base = l * k
+        for r in right:
+            if r is None:
+                table.append(diverged)
+                continue
+            fam = fams.get(base + r)
+            if fam is None:
+                fam = fams[base + r] = frozenset({1 << (base + r)})
+            table.append(fam)
+    return _fixed(space, table)
 
 
 def _refuse_loops(c: Program, who: str):
@@ -152,24 +178,29 @@ def _one_sided_runs(c: Program, s1: FiniteDomain, s2: FiniteDomain,
     """c's runs in the two-component state carrier: at each point, c runs
     from state component `comp`, its value fills the `side` slot and its
     final state replaces that component.  A diverging run demands nothing
-    (partial correctness)."""
+    (partial correctness).  As in `_pair_runs`, equal outcomes share one
+    family."""
     own = s1 if comp == 1 else s2
     if c.sig.state != own:
         raise ValueError("program state domain does not match the chosen component")
     a = c.result
     space = state_space(a if side == 1 else UNIT, s1, a if side == 2 else UNIT, s2)
     runs = P._runs(c)
+    fams: Dict[int, FrozenSet[int]] = {}
     table = []
     for pt in space.points():
         s1i, s2i = space.point_split(pt)
         r = runs[s1i if comp == 1 else s2i]
         if r is None:
-            table.append(frozenset({0}))
+            table.append(_ANY)
             continue
         v, t = divmod(r, own.size)
         s1i, s2i = (t, s2i) if comp == 1 else (s1i, t)
         o = space.st_outcome(v if side == 1 else 0, s1i, v if side == 2 else 0, s2i)
-        table.append(frozenset({1 << o}))
+        fam = fams.get(o)
+        if fam is None:
+            fam = fams[o] = frozenset({1 << o})
+        table.append(fam)
     return _fixed(space, table)
 
 
@@ -312,7 +343,7 @@ def theta_part(c1: Program, c2: Program) -> RelSpec:
     """
     _expect_effect(c1, (P.IMP, P.STATE), "theta_part")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_part")
-    return _pair_runs(c1, c2, frozenset({0}))
+    return _pair_runs(c1, c2, _ANY)
 
 
 def theta_tot(c1: Program, c2: Program) -> RelSpec:
@@ -321,7 +352,7 @@ def theta_tot(c1: Program, c2: Program) -> RelSpec:
     This variant is our reconstruction; `theta_part` is the primary one."""
     _expect_effect(c1, (P.IMP, P.STATE), "theta_tot")
     _expect_effect(c2, (P.IMP, P.STATE), "theta_tot")
-    return _pair_runs(c1, c2, frozenset())
+    return _pair_runs(c1, c2, _NONE)
 
 
 def theta_part_unary(c: Program) -> RelSpec:
@@ -506,10 +537,18 @@ def from_relator(gamma: Callable[[Callable[[Value, Value], bool], frozenset, fro
 # The named observations
 
 
+# Rules and batteries ask for their observation at every application, so
+# each named observation is built once per argument tuple.  `observation_io`
+# is built per call: its maps keep a spec per program they embed, which must
+# go with the caller's scope.
+
+
+@lru_cache(maxsize=None)
 def observation_st() -> EffectObservation:
     return EffectObservation("theta-st", P.STATE, P.STATE, "WrelSt", theta_st, STRICT)
 
 
+@lru_cache(maxsize=None)
 def observation_ndet(mode: str) -> EffectObservation:
     if mode not in NDET_MODES:
         raise ValueError(f"mode must be one of {NDET_MODES}, got {mode!r}")
@@ -518,6 +557,7 @@ def observation_ndet(mode: str) -> EffectObservation:
                              lambda c1, c2: theta_ndet(mode, c1, c2), claim)
 
 
+@lru_cache(maxsize=None)
 def observation_err() -> EffectObservation:
     return EffectObservation("theta-err", P.EXC, P.EXC, "WrelErr", theta_err, STRICT)
 
@@ -529,14 +569,17 @@ def observation_io(i1: FiniteDomain, o1: FiniteDomain,
     return from_commuting_pair(u1, u2, name="theta-io")
 
 
+@lru_cache(maxsize=None)
 def observation_part() -> EffectObservation:
     return EffectObservation("theta-part", P.IMP, P.IMP, "WrelSt", theta_part, STRICT)
 
 
+@lru_cache(maxsize=None)
 def observation_tot() -> EffectObservation:
     return EffectObservation("theta-tot", P.IMP, P.IMP, "WrelSt", theta_tot, STRICT)
 
 
+@lru_cache(maxsize=None)
 def observation_prob() -> EffectObservation:
     return EffectObservation("theta-prob", P.PROB, P.PROB, "WrelProb", theta_prob, LAX)
 
@@ -646,8 +689,12 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> Morp
     A bind instance compares theta(bind m1 f1, bind m2 f2) with spec_bind
     of theta(m1, m2) to the table of theta(f1[i], f2[j]), built as in
     `classify_bind_instance`.  What depends on one side or one table is
-    done once: each bound program per (m, f), theta per middle pair and per
-    continuation pair, and each table's checks and decoding (`ContTable`).
+    done once: each side's bound programs per continuation table, as one
+    list indexed by the middle's position among that side's distinct
+    middles; theta per middle pair and per continuation pair; and each
+    table's checks and decoding (`ContTable`).  On the deterministic
+    carriers spec_bind then hands each point its continuation's family
+    itself, so equal sides often compare by identity.
     """
     def run(instances) -> LawVerdict:
         checked = 0
@@ -671,27 +718,33 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> Morp
             rhs = spec_ret(lhs.space, a1, a2, **kw)
             yield "ret", (a1, a2), lhs, rhs
 
+    def side(ms):
+        """A side's distinct middles in order, and each middle pair's
+        position among them.  By identity, which is safe because the
+        battery keeps every middle and table alive for the whole call."""
+        at: Dict[int, int] = {}
+        pos = [at.setdefault(id(m), len(at)) for m in ms]
+        return list({id(m): m for m in ms}.values()), pos
+
+    def bound(memo, mids, f):
+        """The side's bound programs for table f, parallel to its middles."""
+        b = memo.get(id(f))
+        if b is None:
+            b = memo[id(f)] = [P.bind(m, f) for m in mids]
+        return b
+
     def bind_instances():
         wms = [obs.map(m1, m2) for m1, m2 in battery.ms]
         observed: Dict[Tuple[Program, Program], RelSpec] = {}
-        # Each side's bound program, built once per (m, f): keyed by object
-        # identity, which is safe because the battery keeps every key alive
-        # for the whole call.
-        bound1: Dict[Tuple[int, int], Program] = {}
-        bound2: Dict[Tuple[int, int], Program] = {}
-
-        def bound(memo, m, f):
-            key = (id(m), id(f))
-            b = memo.get(key)
-            if b is None:
-                b = memo[key] = P.bind(m, f)
-            return b
-
+        mids1, pos1 = side([m1 for m1, _ in battery.ms])
+        mids2, pos2 = side([m2 for _, m2 in battery.ms])
+        bound1: Dict[int, List[Program]] = {}
+        bound2: Dict[int, List[Program]] = {}
         for f1, f2 in battery.fs:
             table = _cont_table(obs, f1, f2, observed)
-            for (m1, m2), wm in zip(battery.ms, wms):
-                lhs = obs.map(bound(bound1, m1, f1), bound(bound2, m2, f2))
-                yield "bind", (m1, m2, f1, f2), lhs, spec_bind(wm, table)
+            b1, b2 = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
+            for (m1, m2), i1, i2, wm in zip(battery.ms, pos1, pos2, wms):
+                yield "bind", (m1, m2, f1, f2), obs.map(b1[i1], b2[i2]), spec_bind(wm, table)
 
     return MorphismReport(obs.name, obs.strictness, run(ret_instances()), run(bind_instances()))
 

@@ -75,28 +75,30 @@ class Signature(Canonical):
                 raise ValueError(f"effect {self.effect!r} needs a {name} domain")
 
 
+# The helpers pass every field in order, which takes `Canonical`'s fast path.
+
 def state_sig(s: FiniteDomain) -> Signature:
-    return Signature(STATE, state=s)
+    return Signature(STATE, s, None, None, None)
 
 
 def exc_sig(e: FiniteDomain) -> Signature:
-    return Signature(EXC, exc=e)
+    return Signature(EXC, None, e, None, None)
 
 
 def ndet_sig() -> Signature:
-    return Signature(NDET)
+    return Signature(NDET, None, None, None, None)
 
 
 def io_sig(i: FiniteDomain, o: FiniteDomain) -> Signature:
-    return Signature(IO, inp=i, out=o)
+    return Signature(IO, None, None, i, o)
 
 
 def prob_sig() -> Signature:
-    return Signature(PROB)
+    return Signature(PROB, None, None, None, None)
 
 
 def imp_sig(s: FiniteDomain) -> Signature:
-    return Signature(IMP, state=s)
+    return Signature(IMP, s, None, None, None)
 
 
 # -- nodes -------------------------------------------------------------------

@@ -1755,8 +1755,11 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     env, sides = EMPTY_ENV, ()
     if rng.random() < 0.35:
         env, sides = env.extend(("k", rng.choice(pool[1:]))), ("b",)
-    with _EvaluationScope():
-        return gen(env, sides, depth, None, None)
+    try:
+        with _EvaluationScope():
+            return gen(env, sides, depth, None, None)
+    finally:
+        gen = None  # gen's closure holds gen: free the build's closures now, not at a collection
 
 
 def _union_demands(specs: Sequence[RelSpec]) -> RelSpec:

@@ -384,11 +384,19 @@ def _fam_bind(fam: FrozenSet[int], subs: Sequence[FrozenSet[int]]) -> FrozenSet[
     """Sequential composition: a demand of the result picks one demand of
     subs[o] for every outcome o of one demand of `fam`, and unions them.
 
-    Outcomes whose family has one demand are ORed in; only the others make
-    a product, pruned to its minimal unions as it unrolls (a superset at
-    any stage stays a superset under every completion, so the pruning loses
-    nothing).  A demonic spec therefore binds as a plain OR of masks.
+    A deterministic point, whose family is one demand of one outcome o,
+    binds to subs[o] itself: the families are antichains, so the loop below
+    would rebuild exactly that set, empty and trivial ones included.
+    Otherwise outcomes whose family has one demand are ORed in; only the
+    others make a product, pruned to its minimal unions as it unrolls (a
+    superset at any stage stays a superset under every completion, so the
+    pruning loses nothing).  A demonic spec therefore binds as a plain OR
+    of masks.
     """
+    if len(fam) == 1:
+        (d,) = fam
+        if d and not d & (d - 1):
+            return subs[d.bit_length() - 1]
     out: List[int] = []
     for d in fam:
         acc, partial = 0, None

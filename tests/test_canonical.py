@@ -117,6 +117,21 @@ def test_defaulted_fields_are_read_once_per_class(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_signature_helpers_take_the_positional_fast_path(monkeypatch):
+    d = D.domain("SigHelp", 2)
+    helpers = [lambda: P.state_sig(d), lambda: P.exc_sig(d), P.ndet_sig,
+               lambda: P.io_sig(d, d), P.prob_sig, lambda: P.imp_sig(d)]
+    first = [h() for h in helpers]   # the first call of a class may read its fields
+    calls = []
+    real = Signature._full_args.__func__
+    monkeypatch.setattr(Signature, "_full_args",
+                        classmethod(lambda cls, a, kw: calls.append(cls) or real(cls, a, kw)))
+    for h, sig in zip(helpers, first):
+        assert all(h() is sig for _ in range(1000))
+    assert calls == []
+    assert first[3].inp is first[3].out is d and first[1].exc is d and first[0].state is d
+
+
 def test_a_domain_makes_each_value_once():
     d = D.domain("Fresh", 4)
     direct = Value(d, 2)

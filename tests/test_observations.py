@@ -497,6 +497,26 @@ def test_state_and_imp_specs_are_what_demand_spec_builds():
             assert sm.demand_spec(w.space, w.fams).fams == w.fams
 
 
+def test_run_table_specs_hold_one_family_per_distinct_outcome():
+    battery = O.battery_imp(Z2, Z2, depth=3, table_limit=4)
+    pool = sorted({c for f1, _ in battery.fs for c in f1} | {m for m, _ in battery.ms}, key=repr)
+    diverging = [c for c in pool if None in P._runs(c)]
+    assert diverging and len(diverging) < len(pool)
+    specs = [theta(c1, c2) for theta in (O.theta_part, O.theta_tot)
+             for c1 in pool for c2 in pool]
+    specs += [O.theta_part_unary(c) for c in pool]
+    for w in specs:
+        # equal families are one object, the diverged ones included
+        assert len({id(f) for f in w.fams}) == len(set(w.fams))
+        assert all(f is sm._ANY or f is sm._NONE or len(f) == 1 for f in w.fams)
+    # a left side that forgets its state gives every point of a row one outcome
+    forget = P.put(ISIG, Value(Z2, 0), P.ret(ISIG, UNIT_VAL))
+    w = O.theta_st(forget, forget)
+    assert len(set(w.fams)) == 1 and len({id(f) for f in w.fams}) == 1
+    w = O.theta_tot(diverging[0], forget)
+    assert any(f is sm._NONE for f in w.fams)
+
+
 # ---------------------------------------------------------------------------
 # Probability
 

@@ -10,7 +10,9 @@ FlipCoupling, get soundness checks plus a witness that they sit strictly
 above the observation.
 """
 
+import gc
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -1185,3 +1187,31 @@ def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
         for _ in range(10):
             R.random_derivation(rng, P.PROB, depth=3)
     assert tables[-1] is not None and P._TABLE.get() is None
+
+
+def test_builds_leave_no_cyclic_garbage_and_share_each_observation():
+    # Seeded derivation and program builds free their recursive closures on
+    # return, and ask for one observation object per argument tuple.
+    sigs = {P.STATE: P.state_sig(Z2), P.IMP: P.imp_sig(Z2), P.EXC: P.exc_sig(Z2),
+            P.NDET: P.ndet_sig(), P.IO: P.io_sig(Z2, Z2), P.PROB: P.prob_sig()}
+    observations = (O.EffectObservation, O.UnaryObservation)
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for effect, sig in sigs.items():
+            rng = random.Random(5)
+            for _ in range(4):
+                R.random_derivation(rng, effect, depth=3)
+                random_program(rng, sig, BOOL, 3)
+        gc.collect()
+        left = [o for o in gc.garbage
+                if isinstance(o, observations)
+                or (isinstance(o, types.FunctionType) and o.__module__.startswith("relwp"))]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert left == []
+    assert O.observation_prob() is O.observation_prob()
+    assert O.observation_st() is O.observation_st() is not O.observation_part()
+    assert O.observation_ndet(O.EXISTS) is O.observation_ndet(O.EXISTS)

@@ -1461,6 +1461,40 @@ def test_demand_families_match_the_references(seed):
         assert _verdict(sm.spec_leq(a, b)) == reference.leq_by_enumeration(a, b)
 
 
+def _mixed_families(rng, space):
+    """Per point one of: one demand of one outcome, several demands, the
+    trivial family {0}, or VIOLATED."""
+    def fam():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return [1 << rng.randrange(space.size)]
+        if kind == 1:
+            return [rng.getrandbits(space.size) | 1 << rng.randrange(space.size)
+                    for _ in range(rng.randrange(2, 4))]
+        return [0] if kind == 2 else sm.VIOLATED
+    return sm.demand_spec(space, [fam() for _ in space.points()])
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10 ** 9))
+def test_fam_bind_hands_a_one_outcome_demand_its_continuation_family(seed):
+    rng = random.Random(seed)
+    space, tspace = FAMILY_SPACES[rng.randrange(len(FAMILY_SPACES))]
+    w = _mixed_families(rng, space)
+    conts = {(i1, i2): _mixed_families(rng, tspace)
+             for i1 in range(space.a1.size) for i2 in range(space.a2.size)}
+    table = sm.ContTable(conts)
+    bound = sm.spec_bind(w, table)
+    _assert_is_bind(bound, w, _bind_cont(space, tspace, conts))
+    subs = table.prepare(w)[2]   # the family each outcome of w leads to
+    for o, sub in enumerate(subs):
+        assert sm._fam_bind(frozenset({1 << o}), subs) is sub
+    for fam, got in zip(w.fams, bound.fams):
+        assert got == sm._fam_bind(fam, subs)
+        if len(fam) == 1 and max(fam).bit_count() == 1:
+            assert got is subs[max(fam).bit_length() - 1]
+
+
 def test_fixed_leq_is_exact_at_cap_one_on_16_outcome_spaces():
     rng = random.Random(16)
     d4 = domain("D4", 4)

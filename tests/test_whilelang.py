@@ -11,6 +11,7 @@ point.
 import dataclasses
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -299,6 +300,23 @@ def test_ni_check_builds_no_domain_past_the_store(monkeypatch):
     judgment = W.ni_judgment(W.parse_while("while h do (h := h - 1; m := m + 1)"), sig)
     assert not R.oracle_check(judgment).holds
     assert max(built, default=0) <= store.size, sorted(built)
+
+
+def test_a_5x3_ni_check_traces_under_64_mib():
+    # θ_part's families hold one |S|^2-bit mask per distinct joint outcome,
+    # not one per store pair: 243 stores trace about 25 MiB, where a mask
+    # per point traced 190 MiB.
+    sig = W.store_signature(("l", "h0", "h1", "h2", "h3"), domain("Vtm3", 3),
+                            {"l": W.LOW, "h0": W.HIGH, "h1": W.HIGH, "h2": W.HIGH, "h3": W.HIGH})
+    judgment = W.ni_judgment(W.parse_while("while h0 do (h0 := h0 - 1; l := l + 1)"), sig)
+    tracemalloc.start()
+    try:
+        verdict = R.oracle_check(judgment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.failed
+    assert peak <= 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
