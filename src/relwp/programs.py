@@ -720,12 +720,6 @@ class Distribution:
         return tuple(v for v in self.domain.values() if self.weights[v.index] > 0)
 
 
-def dirac(v: Value) -> Distribution:
-    w = [Fraction(0)] * v.domain.size
-    w[v.index] = Fraction(1)
-    return Distribution(v.domain, tuple(w))
-
-
 def run_prob(p: Program) -> Distribution:
     """p's output distribution: the `Distribution` view of its run."""
     den, weights = _runs(p)

@@ -270,10 +270,6 @@ class Catalogue:
 CORE = Catalogue()
 
 
-def rule_names() -> Tuple[str, ...]:
-    return CORE.names()
-
-
 def apply_rule(inst: RuleInstance, premises: Sequence["Judgment"]) -> "Judgment":
     """Compute a core rule's conclusion judgment (see `Catalogue.apply`)."""
     return CORE.apply(inst, premises)

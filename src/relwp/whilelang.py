@@ -113,29 +113,74 @@ def store_domain(sig: StoreSignature) -> FiniteDomain:
     return out
 
 
+@dataclass(frozen=True)
+class _StoreTables:
+    """What every elaboration under one signature shares: each location's
+    stride in the packed index and its column (its value at every store),
+    and the leaves of the translated programs."""
+
+    strides: Dict[str, int]
+    columns: Dict[str, Tuple[int, ...]]
+    unit: P.Program                     # ret ()
+    read: P.Program                     # get_state
+    writes: Tuple[P.Program, ...]       # put s; ret (), for every store s
+    bools: Tuple[P.Program, P.Program]  # ret false, ret true
+
+    def column(self, loc: str) -> Tuple[int, ...]:
+        try:
+            return self.columns[loc]
+        except KeyError:
+            raise ValueError(f"undeclared location {loc!r}") from None
+
+
+# Built per signature, beside the store domains and for the same reason.
+_STORE_TABLES: Dict[StoreSignature, _StoreTables] = {}
+
+
+def _tables(sig: StoreSignature) -> _StoreTables:
+    out = _STORE_TABLES.get(sig)
+    if out is None:
+        sdom = store_domain(sig)
+        m = sig.values.size
+        strides = {loc: m ** k for k, loc in enumerate(reversed(sig.locations))}
+        columns = {loc: tuple(s // d % m for s in range(sdom.size)) for loc, d in strides.items()}
+        isig = P.imp_sig(sdom)
+        unit = P.ret(isig, UNIT_VAL)
+        out = _STORE_TABLES[sig] = _StoreTables(
+            strides, columns, unit, P.get_state(isig),
+            tuple(P.put(isig, st, unit) for st in sdom.values()),
+            (P.ret(isig, boolv(False)), P.ret(isig, boolv(True))))
+    return out
+
+
 def _digits(sig: StoreSignature, idx: int) -> Tuple[int, ...]:
-    """A store's location values, first location first; raises off the domain."""
+    """A store's location values, first location first."""
     out = []
-    rest = idx
     for _ in sig.locations:
-        out.append(rest % sig.values.size)
-        rest //= sig.values.size
-    if rest:
-        raise ValueError(f"store index {idx} outside the {sig.values.size ** len(sig.locations)} stores")
+        idx, d = divmod(idx, sig.values.size)
+        out.append(d)
     return tuple(reversed(out))
 
 
+def _check_store(sig: StoreSignature, idx: int) -> None:
+    n = sig.values.size ** len(sig.locations)
+    if not 0 <= idx < n:
+        raise ValueError(f"store index {idx} outside the {n} stores")
+
+
+def _stride(sig: StoreSignature, loc: str) -> int:
+    return sig.values.size ** (len(sig.locations) - 1 - sig.index(loc))
+
+
 def store_read(sig: StoreSignature, idx: int, loc: str) -> int:
-    return _digits(sig, idx)[sig.index(loc)]
+    _check_store(sig, idx)
+    return idx // _stride(sig, loc) % sig.values.size
 
 
 def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
-    ds = list(_digits(sig, idx))
-    ds[sig.index(loc)] = v % sig.values.size
-    out = 0
-    for d in ds:
-        out = out * sig.values.size + d
-    return out
+    _check_store(sig, idx)
+    m, stride = sig.values.size, _stride(sig, loc)
+    return idx + (v % m - idx // stride % m) * stride
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +705,49 @@ def truthy(v: int) -> bool:
     return v != 0
 
 
+def expr_table(sig: StoreSignature, e: Expr) -> Tuple[int, ...]:
+    """e's value at every store, by one explicit-stack walk: a location is
+    its column, a literal is the same at every store, and an operator
+    combines its operands' tables elementwise modulo the value size.
+    `eval_expr` is the same function one store at a time."""
+    t = _tables(sig)
+    m, n = sig.values.size, store_domain(sig).size
+    one = 1 % m
+    vals = []
+    todo = [e]  # expressions still to evaluate, and operators waiting for their operands
+    while todo:
+        x = todo.pop()
+        k = type(x)
+        if k is str:
+            b = vals.pop()
+            if x == "!":
+                vals.append([0 if v else one for v in b])
+            else:
+                vals.append([v % m for v in map(_OPS[x], vals.pop(), b)])
+        elif k is Lit:
+            vals.append((x.value % m,) * n)
+        elif k is Loc:
+            vals.append(t.column(x.name))
+        elif k is Not:
+            todo += ("!", x.arg)
+        elif k is BinOp and x.op in _OPS:
+            todo += (x.op, x.right, x.left)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return tuple(vals.pop())
+
+
+def assign_table(sig: StoreSignature, loc: str, e: Expr) -> Tuple[int, ...]:
+    """The store that `loc := e` steps to from every store."""
+    t = _tables(sig)
+    col, stride = t.column(loc), t.strides[loc]
+    return tuple(s + (v - c) * stride for s, (v, c) in enumerate(zip(expr_table(sig, e), col)))
+
+
+def guard_table(sig: StoreSignature, e: Expr) -> Tuple[bool, ...]:
+    return tuple(v != 0 for v in expr_table(sig, e))
+
+
 # ---------------------------------------------------------------------------
 # Elaboration into the iterative carrier
 
@@ -667,21 +755,20 @@ def truthy(v: int) -> bool:
 def translate(ast: Stmt, sig: StoreSignature) -> P.Program:
     """Call-by-value elaboration of a statement into a unit-valued program.
 
-    Reads and writes go through the store effect one at a time; a loop
-    becomes `do_while` over the combinator that reads the guard, runs the
-    body when it holds, and reports whether to go around again.  Parsing is
-    signature-free, so undeclared locations surface here.
+    An assignment reads the store and writes the update, a conditional
+    reads the store and picks a branch, and a loop becomes `do_while` over
+    the combinator that reads the guard, runs the body when it holds, and
+    reports whether to go around again.  Each expression is evaluated once
+    over all stores (`expr_table`, `assign_table`), and the leaves (the
+    read, the writes, unit and the bools) are built once per signature and
+    shared by every translation under it.  Parsing is signature-free, so
+    undeclared locations surface here.
     """
     missing = sorted(stmt_locations(ast) - set(sig.locations))
     if missing:
         raise ValueError(f"undeclared location {missing[0]!r}")
-    sdom = store_domain(sig)
-    isig = P.imp_sig(sdom)
-    # the leaves every statement shares, built once
-    unit = P.ret(isig, UNIT_VAL)
-    read = P.get_state(isig)
-    writes = [P.put_unit(isig, st, UNIT_VAL) for st in sdom.values()]
-    bools = [P.ret(isig, boolv(False)), P.ret(isig, boolv(True))]
+    t = _tables(sig)
+    unit, read, writes, bools = t.unit, t.read, t.writes, t.bools
 
     # read backwards, every statement comes after those inside it, whose
     # translations are then the last ones on `done`
@@ -690,18 +777,17 @@ def translate(ast: Stmt, sig: StoreSignature) -> P.Program:
         if isinstance(s, Skip):
             r = unit
         elif isinstance(s, Assign):
-            r = P.bind(read, lambda st: writes[
-                store_write(sig, st.index, s.loc, eval_expr(sig, s.expr, st.index))])
+            r = P.bind(read, [writes[k] for k in assign_table(sig, s.loc, s.expr)])
         elif isinstance(s, Seq):
             second, first = done.pop(), done.pop()
-            r = P.bind(first, lambda _u: second)
+            r = P.bind(first, (second,))
         elif isinstance(s, If):
             els, then = done.pop(), done.pop()
-            r = P.bind(read, lambda st: then if truthy(eval_expr(sig, s.cond, st.index)) else els)
+            r = P.bind(read, [then if g else els for g in guard_table(sig, s.cond)])
         else:
-            body = P.bind(done.pop(), lambda _u: bools[True])
-            guard = P.bind(read, lambda st: bools[truthy(eval_expr(sig, s.cond, st.index))])
-            r = P.do_while(P.bind(guard, lambda b: body if b.index else bools[False]), unit)
+            body = P.bind(done.pop(), (bools[True],))
+            guard = P.bind(read, [bools[g] for g in guard_table(sig, s.cond)])
+            r = P.do_while(P.bind(guard, (bools[False], body)), unit)
         done.append(r)
     return done.pop()
 
@@ -713,7 +799,7 @@ def run_stmt(sig: StoreSignature, ast: Stmt, store: int) -> Optional[int]:
     exactly when a store repeats while its guard still holds; this decides
     termination without fuel.
     """
-    _digits(sig, store)   # rejects a store outside the domain, read or not
+    _check_store(sig, store)   # rejects a store outside the domain, read or not
     # statements still to run, the next one last; a running loop is
     # (loop, stores seen at its head)
     todo = [ast]
@@ -755,10 +841,13 @@ def ni_judgment(ast: Stmt, sig: StoreSignature) -> R.Judgment:
     if sig.labels is None:
         raise ValueError("noninterference needs a labelled store signature")
     c = translate(ast, sig)
-    low = [k for k, loc in enumerate(sig.locations) if sig.label(loc) == LOW]
-    stores = (_digits(sig, s) for s in range(store_domain(sig).size))
-    views = [[ds[k] for k in low] for ds in stores]
-    rel = [v1 == v2 for v1 in views for v2 in views]
+    t = _tables(sig)
+    # one key per store for its low view: the low digits, read off their columns
+    keys = [0] * store_domain(sig).size
+    for loc in sig.locations:
+        if sig.label(loc) == LOW:
+            keys = [k + v * t.strides[loc] for k, v in zip(keys, t.columns[loc])]
+    rel = [k1 == k2 for k1 in keys for k2 in keys]
     return R.judgment(O.observation_part(), c, c, _store_pair_spec(sig, rel, rel))
 
 
@@ -774,11 +863,6 @@ def ni_judgment(ast: Stmt, sig: StoreSignature) -> R.Judgment:
 def rel_table(sig: StoreSignature, fn: Callable[[int, int], bool]) -> Tuple[bool, ...]:
     n = store_domain(sig).size
     return tuple(bool(fn(i, j)) for i in range(n) for j in range(n))
-
-
-def guard_table(sig: StoreSignature, e: Expr) -> Tuple[bool, ...]:
-    n = store_domain(sig).size
-    return tuple(truthy(eval_expr(sig, e, i)) for i in range(n))
 
 
 RHL = R.Catalogue()
@@ -883,14 +967,11 @@ def _guards_agree(rule: str, sig: StoreSignature, pre: Sequence[bool],
                             f"{sdom.label_of(k % n)}")
 
 
-def _assign_pre(sig: StoreSignature, upd1, upd2, post: Sequence[bool]) -> Tuple[bool, ...]:
-    # substitution through the update maps: pre = post o (upd1 x upd2)
-    n = store_domain(sig).size
-    return tuple(post[upd1(k // n) * n + upd2(k % n)] for k in range(n * n))
-
-
-def _updater(sig: StoreSignature, loc: str, e: Expr):
-    return lambda s: store_write(sig, s, loc, eval_expr(sig, e, s))
+def _assign_pre(upd1: Sequence[int], upd2: Sequence[int],
+                post: Sequence[bool]) -> Tuple[bool, ...]:
+    # substitution through the update tables: pre = post o (upd1 x upd2)
+    n = len(upd2)
+    return tuple(post[u1 * n + u2] for u1 in upd1 for u2 in upd2)
 
 
 def _assign_param(r: R.RuleInstance, sig: StoreSignature, loc_key: str, expr_key: str):
@@ -915,13 +996,13 @@ def _rhl_assign(r: R.RuleInstance, _prem) -> RHLInstance:
     sides = []
     for k, skipped in (("1", "AssignR"), ("2", "AssignL")):
         if r.rule == skipped:
-            sides.append((Skip(), lambda s: s))
+            sides.append((Skip(), range(store_domain(sig).size)))
         else:
             loc, e = _assign_param(r, sig, "loc" + k, "expr" + k)
-            sides.append((Assign(loc, e), _updater(sig, loc, e)))
+            sides.append((Assign(loc, e), assign_table(sig, loc, e)))
     (c1, upd1), (c2, upd2) = sides
     post = _table_param(r, "post", store_domain(sig).size)
-    return RHLInstance(sig, c1, c2, _assign_pre(sig, upd1, upd2, post), post)
+    return RHLInstance(sig, c1, c2, _assign_pre(upd1, upd2, post), post)
 
 
 @RHL.rule("Seq", arity=2)

@@ -29,6 +29,9 @@ out by hand over `specmonads` alone, as one four-way case split, to pin the
 assembled carrier down.  The `pp_*` functions are the pre/post pair algebra
 written over explicit tables and nothing of `relwp`: unit, bind as a
 relational composition, the componentwise order and the embedding.
+`translate_by_store` elaborates a While statement store by store through
+the scalar evaluator, building every leaf afresh, where `translate` reads
+per-signature tables.
 """
 
 from fractions import Fraction
@@ -37,7 +40,8 @@ from typing import Optional, Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
-from relwp.domains import BOOL, UNIT, FiniteDomain, Value, boolv, inl_index, sum_domain
+from relwp import whilelang as W
+from relwp.domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, Value, boolv, inl_index, sum_domain
 from relwp.lp import coupling_vertices
 from relwp.observations import UnaryObservation, from_commuting_pair
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
@@ -202,6 +206,39 @@ def run_imp_fuel(p: Program, s: Value, fuel: int):
 
     r, _ = go(p, s, fuel)
     return r
+
+
+def translate_by_store(ast, sig) -> Program:
+    """`whilelang.translate` with every expression evaluated store by store
+    (`eval_expr`, `store_write`) and every leaf built per call."""
+    missing = sorted(W.stmt_locations(ast) - set(sig.locations))
+    if missing:
+        raise ValueError(f"undeclared location {missing[0]!r}")
+    sdom = W.store_domain(sig)
+    isig = P.imp_sig(sdom)
+    unit = P.ret(isig, UNIT_VAL)
+    read = P.get_state(isig)
+    writes = [P.put_unit(isig, st, UNIT_VAL) for st in sdom.values()]
+    bools = [P.ret(isig, boolv(False)), P.ret(isig, boolv(True))]
+    done = []
+    for s in reversed(W._statements(ast)):
+        if isinstance(s, W.Skip):
+            r = unit
+        elif isinstance(s, W.Assign):
+            r = P.bind(read, lambda st: writes[
+                W.store_write(sig, st.index, s.loc, W.eval_expr(sig, s.expr, st.index))])
+        elif isinstance(s, W.Seq):
+            second, first = done.pop(), done.pop()
+            r = P.bind(first, lambda _u: second)
+        elif isinstance(s, W.If):
+            els, then = done.pop(), done.pop()
+            r = P.bind(read, lambda st: then if W.eval_expr(sig, s.cond, st.index) else els)
+        else:
+            body = P.bind(done.pop(), lambda _u: bools[True])
+            guard = P.bind(read, lambda st: bools[W.eval_expr(sig, s.cond, st.index) != 0])
+            r = P.do_while(P.bind(guard, lambda b: body if b.index else bools[False]), unit)
+        done.append(r)
+    return done.pop()
 
 
 def theta_imp_walk(c: Program, s1: FiniteDomain, s2: FiniteDomain,

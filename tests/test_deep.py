@@ -390,6 +390,7 @@ def test_long_expressions():
     assert W.show_stmt(ast) == text
     assert W.expr_locations(ast.expr) == {"h"}
     assert W.eval_expr(SIG, ast.expr, 0) == 3000 % 2
+    assert W.expr_table(SIG, ast.expr) == tuple(W.eval_expr(SIG, ast.expr, s) for s in range(4))
     assert W.show_expr(W.parse_while("l := " + "!" * 3000 + "h").expr) == "!" * 3000 + "h"
 
 

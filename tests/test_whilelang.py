@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from relwp import domains as D
 from relwp import programs as P
 from relwp import rules as R
@@ -439,6 +440,71 @@ def test_run_stmt_matches_the_translated_program(values):
             assert (None if got is None else got[1].index) == want, (text, store)
             outcomes.add(want is None)
     assert outcomes == {True, False}    # both divergence and termination occur
+
+
+@pytest.mark.parametrize("store", [(("l", "h"), 2), (("l", "h"), 3),
+                                   (("l", "h", "m"), 2), (("l", "h", "m"), 3)])
+def test_translate_equals_the_per_store_elaboration(store):
+    sig = _store(*store)
+    rng = random.Random(len(store[0]) * 10 + store[1])
+    texts = [text for text, _ in NI_CORPUS]
+    texts += [_random_statement(rng, *store) for _ in range(50)]
+    for text in texts:
+        ast = W.parse_while(text)
+        got, want = W.translate(ast, sig), reference.translate_by_store(ast, sig)
+        assert got == want and got.depth == want.depth and hash(got) == hash(want), text
+
+
+_SIGS_LHM = {m: _store(("l", "h", "m"), m) for m in (2, 3)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(_exprs, st.sampled_from((2, 3)))
+def test_expr_table_is_eval_expr_at_every_store(e, values):
+    sig = _SIGS_LHM[values]
+    table = W.expr_table(sig, e)
+    assert table == tuple(W.eval_expr(sig, e, s) for s in range(values ** 3))
+    assert W.guard_table(sig, e) == tuple(v != 0 for v in table)
+    assert W.assign_table(sig, "h", e) == tuple(
+        W.store_write(sig, s, "h", table[s]) for s in range(values ** 3))
+
+
+def test_table_evaluators_reject_undeclared_locations():
+    sig = _store(("l", "h"), 2)
+    with pytest.raises(ValueError, match="undeclared location 'm'"):
+        W.expr_table(sig, _expr("l + m"))
+    with pytest.raises(ValueError, match="undeclared location 'm'"):
+        W.assign_table(sig, "m", _expr("l"))
+    with pytest.raises(TypeError, match="not an expression"):
+        W.expr_table(sig, W.BinOp("/", W.Lit(1), W.Lit(1)))
+
+
+def test_elaboration_and_rhl_assign_never_evaluate_store_by_store(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("evaluated one store at a time")
+
+    monkeypatch.setattr(W, "eval_expr", refuse)
+    monkeypatch.setattr(W, "store_write", refuse)
+    sig = _store(("l", "h", "m"), 3)
+    for text, _ in NI_CORPUS:
+        W.ni_judgment(W.parse_while(text), sig)
+    n = W.store_domain(sig).size
+    inst = W.apply_rhl_rule("Assign", sig=sig, loc1="l", expr1=_expr("h + 1"),
+                            loc2="m", expr2=_expr("l * h"), post=(True,) * (n * n))
+    assert inst.pre == (True,) * (n * n)
+
+
+def test_a_second_translation_builds_no_leaves(monkeypatch):
+    # a value domain no other test uses keeps the signature's tables fresh
+    sig = _store(("l", "h"), 3, name="Vleaves")
+    puts = []
+    put = P.put
+    monkeypatch.setattr(P, "put", lambda *args: puts.append(args) or put(*args))
+    W.translate(W.parse_while("l := h"), sig)
+    assert len(puts) == 9       # one write per store
+    puts.clear()
+    W.translate(W.parse_while("while h do (h := h - 1; l := l + 1)"), sig)
+    assert puts == []
 
 
 @pytest.mark.parametrize("bad", [99, 4, -1])
