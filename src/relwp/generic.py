@@ -265,10 +265,15 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     of the keys because payloads need not record it.  A pin is keyed by the
     payload's exact form: a spec by its space and demand families, so equal
     specs built apart share one pin, and a table under `stt_rel_transform`
-    by itself.  Reusing an entry is sound because every `inner` operation is
-    a pure function of its arguments and payloads never change once built,
-    so an equal key always builds an equal result.  A right-side carrier keeps these tables, its pins included, in
-    the left instance built over the mirrored inner carrier.
+    by itself.  The rows bind_rel appends for raised exceptions, one pin per
+    entry of the other side's continuation table, are kept per (that table's
+    payloads, both result domains): specs hash by identity and tables by
+    their entries, so a table met again costs one lookup, not a pin per
+    entry.  Reusing an entry is sound because every `inner` operation is a
+    pure function of its arguments and payloads never change once built, so
+    an equal key always builds an equal result.  A right-side carrier keeps
+    these tables, its pins and rows included, in the left instance built
+    over the mirrored inner carrier.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -326,12 +331,16 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         key = (w2.space, w2.fams) if isinstance(w2, sm.RelSpec) else w2
         return once(("pin", key, b1val, b2dom), build)
 
+    def rethrows(f2, b1dom, b2dom):
+        # the relational rows appended for raised exceptions: each rethrow
+        # pinned against every entry of the other side's continuation table
+        return once(("rethrows", f2, b1dom, b2dom), lambda: tuple(
+            tuple(pin(w2, thrown, b2dom) for w2 in f2) for thrown in tagged(b1dom)[2]))
+
     def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-        frelx = list(frel)
-        for thrown in tagged(b1dom)[2]:
-            frelx.append(tuple(pin(w2, thrown, b2dom) for w2 in f2))
-        return inner.bind_rel(m1, m2, mrel, tuple(f1) + raises(b1dom), f2, frelx,
-                              sdom(b1dom), b2dom)
+        f2 = tuple(f2)
+        return inner.bind_rel(m1, m2, mrel, tuple(f1) + raises(b1dom), f2,
+                              tuple(frel) + rethrows(f2, b1dom, b2dom), sdom(b1dom), b2dom)
 
     def tau2(w2, a2dom):
         return pin(w2, inl(UNIT_VAL), a2dom)
@@ -503,10 +512,7 @@ def _exc_outcome(c: Program, e: FiniteDomain) -> int:
     if c.sig.effect != P.EXC or c.sig.exc != e:
         raise ValueError(f"program is {c.sig.effect!r}/{getattr(c.sig.exc, 'name', None)!r}, "
                          f"observation wants exceptions over {e.name!r}")
-    tag, v = P.run_exc(c)
-    if tag == P.OK:
-        return inl_index(c.result, e, v.index)
-    return inr_index(c.result, e, v.index)
+    return P._runs(c)
 
 
 def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
@@ -518,21 +524,32 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
     carrier forces that choice; the strictness battery is what justifies it
     after the fact, by showing it maps unit to unit and sequencing to
     sequencing on the nose.
+
+    Each program is run once (`programs._runs` keeps its tagged outcome),
+    and the triple keeps one spec per pair of result domains and joint
+    outcome, so equal observations are one object.
     """
+    specs = {}
+
+    def observed(a1, a2, o1, o2):
+        # a None result domain is the unit beside a unary part
+        key = (a1, a2, o1, o2)
+        w = specs.get(key)
+        if w is None:
+            s1 = UNIT if a1 is None else sum_domain(a1, e1)
+            s2 = UNIT if a2 is None else sum_domain(a2, e2)
+            w = specs[key] = sm.demand_spec(sm.pure_space(s1, s2),
+                                            [(1 << (o1 * s2.size + o2),)])
+        return w
 
     def theta1(c: Program) -> sm.RelSpec:
-        o = _exc_outcome(c, e1)
-        return sm.demand_spec(sm.pure_space(sum_domain(c.result, e1), UNIT), [(1 << o,)])
+        return observed(c.result, None, _exc_outcome(c, e1), 0)
 
     def theta2(c: Program) -> sm.RelSpec:
-        o = _exc_outcome(c, e2)
-        return sm.demand_spec(sm.pure_space(UNIT, sum_domain(c.result, e2)), [(1 << o,)])
+        return observed(None, c.result, 0, _exc_outcome(c, e2))
 
     def theta_rel(c1: Program, c2: Program) -> sm.RelSpec:
-        o1 = _exc_outcome(c1, e1)
-        o2 = _exc_outcome(c2, e2)
-        space = sm.pure_space(sum_domain(c1.result, e1), sum_domain(c2.result, e2))
-        return sm.demand_spec(space, [(1 << (o1 * space.a2.size + o2),)])
+        return observed(c1.result, c2.result, _exc_outcome(c1, e1), _exc_outcome(c2, e2))
 
     return ThetaTriple(f"exc-run[{e1.name},{e2.name}]", theta1, theta2, theta_rel)
 

@@ -23,8 +23,9 @@ battery builders rely on that to dedupe enumerated programs.  None walks a
 program tree: the state and loop observations, paired and one-sided, read
 each program's runs from the one table `programs._runs` keeps, and a
 diverging run makes a point trivial (partial) or unsatisfiable (total);
-θ_ndet reads each side's outcome set there and θ_prob its distribution, as
-ints over one denominator, so a program met many times is run once.
+θ_err reads each side's tagged outcome there, θ_ndet its outcome set and
+θ_prob its distribution, as ints over one denominator, so a program met
+many times is run once.
 
 A deterministic run demands one outcome, and a run-table spec holds one
 family object per distinct outcome (the diverged ones are the shared
@@ -277,10 +278,9 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
     _expect_effect(c1, P.EXC, "theta_err")
     _expect_effect(c2, P.EXC, "theta_err")
     space = err_space(c1.result, c2.result)
-    t1, v1 = P.run_exc(c1)
-    t2, v2 = P.run_exc(c2)
-    if t1 == P.OK and t2 == P.OK:
-        return demand_spec(space, [(1 << space.err_ok(v1.index, v2.index),)])
+    o1, o2 = P._runs(c1), P._runs(c2)
+    if o1 < c1.result.size and o2 < c2.result.size:
+        return demand_spec(space, [(1 << space.err_ok(o1, o2),)])
     return demand_spec(space, [(1 << space.err_bad(),)])
 
 

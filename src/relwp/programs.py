@@ -33,9 +33,10 @@ once, so long programs never raise RecursionError.  The evaluators loop over
 their own effect's nodes instead.  `run_imp` serves state and imp alike (a
 state program is an imp program without loops), and `_runs` keeps each
 program's runs on the program, the one table its observation reads: the
-runs from every initial state of a state or imp program, the outcome set
-of an ndet program, and the output distribution of a prob program as ints
-over one denominator, built from its subtrees' runs.  One fold with a
+runs from every initial state of a state or imp program, the tagged
+outcome of an exc program, the outcome set of an ndet program, and the
+output distribution of a prob program as ints over one denominator, built
+from its subtrees' runs.  One fold with a
 per-node callback would serve the evaluators, but replaying the 368,684
 outermost evaluator calls of one `laws` bench pass took 6.6 s that way,
 against 0.93-1.09 s with recursive evaluators and 0.83-0.94 s with
@@ -253,8 +254,8 @@ class Program:
         # finds that out, and a program made another way is not assumed to.
         _set_bind_free(self, False)
         # The runs, taken once by `_runs` (from each initial state, or the
-        # output distribution, or the outcome set): programs never change
-        # and the evaluators are pure.  Never pickled.
+        # output distribution, or the outcome set, or the tagged outcome):
+        # programs never change and the evaluators are pure.  Never pickled.
         _set_runs(self, None)
 
     def __setattr__(self, name, value):
@@ -804,6 +805,8 @@ def _runs(p: Program):
                   over one positive denominator in lowest terms, built from
                   the runs of the subtrees not yet run, in postorder
       ndet        the frozenset of the indices of the values it may return
+      exc         the tagged outcome index: v's index for a normal result
+                  v, |result| + e's index for a raised e (`run_exc`)
     """
     t = p._runs
     if t is None:
@@ -814,6 +817,9 @@ def _runs(p: Program):
             return p._runs
         if eff == NDET:
             t = frozenset(v.index for v in run_ndet(p))
+        elif eff == EXC:
+            tag, v = run_exc(p)
+            t = v.index if tag == OK else p.result.size + v.index
         else:
             n = p.sig.state.size
             t = tuple(None if r is None else r[0].index * n + r[1].index
@@ -839,7 +845,8 @@ def semantic_key(p: Program):
     if eff == STATE or eff == IMP:
         return tuple(run_imp(p, s) for s in p.sig.state.values())
     if eff == EXC:
-        return run_exc(p)
+        o, n = _runs(p), p.result.size
+        return (OK, p.result.value(o)) if o < n else (ERR, p.sig.exc.value(o - n))
     if eff == NDET:
         return run_ndet(p)
     if eff == IO:

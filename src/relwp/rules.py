@@ -39,7 +39,7 @@ from functools import reduce
 from itertools import product
 from math import lcm
 from operator import or_
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterator, Optional, Sequence, Tuple
 
 from . import programs as P
 from .domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, Value, boolv, domain
@@ -163,6 +163,17 @@ _EFFECT_KIN = {P.STATE: (P.STATE, P.IMP), P.IMP: (P.STATE, P.IMP)}
 
 def _effect_matches(effect: str, declared: str) -> bool:
     return effect in _EFFECT_KIN.get(declared, (declared,))
+
+
+def _axiom_sigs(r: RuleInstance, effect: str) -> Tuple[Signature, Signature]:
+    """An axiom's sig1 and sig2, each checked to be of `effect` (or its kin)
+    before anything is built from their parameter domains."""
+    sigs = r.need("sig1"), r.need("sig2")
+    for name, sig in zip(("sig1", "sig2"), sigs):
+        if not isinstance(sig, Signature) or not _effect_matches(sig.effect, effect):
+            raise RuleError(f"{r.rule}: {name} must be a {effect} signature, "
+                            f"got {getattr(sig, 'effect', sig)!r}")
+    return sigs
 
 
 _MISSING = object()
@@ -690,7 +701,7 @@ def _get_one_side(r: RuleInstance, _prem) -> Judgment:
     # GetL reads the left state beside a right return; GetR mirrors it
     left = r.rule == "GetL"
     obs = _state_obs(r, r.rule)
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     af = _family(r.need("a2" if left else "a1"))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
@@ -711,7 +722,7 @@ def _put_one_side(r: RuleInstance, _prem) -> Judgment:
     # PutL writes the left state beside a right return; PutR mirrors it
     left = r.rule == "PutL"
     obs = _state_obs(r, r.rule)
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     if left:
         sf, af = _family(r.need("s")), _family(r.need("a2"))
@@ -734,7 +745,7 @@ def _put_one_side(r: RuleInstance, _prem) -> Judgment:
 @CORE.rule("GetSync", arity=0)
 def _get_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "GetSync")
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     sp = state_space(sig1.state, sig1.state, sig2.state, sig2.state)
     w = _st_axiom(sp, lambda s1, s2: sp.st_outcome(s1, s1, s2, s2))
@@ -744,7 +755,7 @@ def _get_sync(r: RuleInstance, _prem) -> Judgment:
 @CORE.rule("PutSync", arity=0)
 def _put_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutSync")
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     s1f, s2f = _family(r.need("s1")), _family(r.need("s2"))
 
@@ -848,7 +859,7 @@ def _throw_one_side(r: RuleInstance, _prem) -> Judgment:
     # ThrowL raises on the left beside a right return; ThrowR mirrors it
     left = r.rule == "ThrowL"
     obs = observation_err()
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.EXC)
     env = r.get("env", EMPTY_ENV)
     if left:
         ef = _family(r.need("e1"))
@@ -986,7 +997,7 @@ def _one_event_spec(sig1: Signature, sig2: Signature, points, left: bool, other:
 def _input(r: RuleInstance, _prem) -> Judgment:
     # InputL reads on the left beside a right return; InputR mirrors it
     left = r.rule == "InputL"
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
     af = _family(r.need("a2" if left else "a1"))
     points = tuple(r.get("points", IO_ROOT))
@@ -1004,7 +1015,7 @@ def _input(r: RuleInstance, _prem) -> Judgment:
 def _output(r: RuleInstance, _prem) -> Judgment:
     # OutputL writes on the left beside a right return; OutputR mirrors it
     left = r.rule == "OutputL"
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
     if left:
         of, af = _family(r.need("o1")), _family(r.need("a2"))
@@ -1297,50 +1308,6 @@ def minimize_failure(d: Derivation) -> Tuple[Derivation, OracleVerdict]:
                 break
         else:
             return d, oracle_check(d.conclusion)
-
-
-@dataclass
-class SoundnessReport:
-    total: int = 0
-    holds: int = 0
-    fails: int = 0
-    failures: List[Tuple[Derivation, OracleVerdict]] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return self.fails == 0
-
-    def __repr__(self):
-        return f"SoundnessReport(total={self.total}, holds={self.holds}, fails={self.fails})"
-
-
-def soundness_differential(sampler: Callable[[random.Random], Derivation], n: int,
-                           seed: int = 0, validate: bool = False) -> SoundnessReport:
-    """Oracle-check the conclusions of n sampled derivations.
-
-    Every sampled tree is well-formed by construction (the sampler builds
-    through apply_rule), so any Fails is a soundness bug in a rule; the
-    report carries the smallest failing subderivation.  With validate=True
-    each tree is additionally replayed through check_derivation, and a
-    replay failure raises, since it means the sampler and checker disagree.
-    """
-    rng = random.Random(seed)
-    rep = SoundnessReport()
-    for _ in range(n):
-        d = sampler(rng)
-        rep.total += 1
-        if validate:
-            res = check_derivation(d)
-            if not res.ok:
-                raise RuleError(f"sampled derivation does not replay: {res.message} "
-                                f"at path {res.path}")
-        v = oracle_check(d.conclusion)
-        if v.failed:
-            rep.fails += 1
-            rep.failures.append(minimize_failure(d))
-        else:
-            rep.holds += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------

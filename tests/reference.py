@@ -31,15 +31,19 @@ written over explicit tables and nothing of `relwp`: unit, bind as a
 relational composition, the componentwise order and the embedding.
 `translate_by_store` elaborates a While statement store by store through
 the scalar evaluator, building every leaf afresh, where `translate` reads
-per-signature tables.
+per-signature tables.  `soundness_differential` oracle-checks sampled
+derivations and reports each failure minimized.
 """
 
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from relwp import observations as O
 from relwp import programs as P
+from relwp import rules as R
 from relwp import whilelang as W
 from relwp.domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, Value, boolv, inl_index, sum_domain
 from relwp.lp import coupling_vertices
@@ -767,3 +771,50 @@ def pp_embed(w) -> dict:
     return {pt: frozenset((t1[1], t1[2], t2[1], t2[2]) for t1, t2 in post
                           if (t1[0], t2[0]) == pt) if ok else None
             for pt, ok in pre.items()}
+
+
+# ---------------------------------------------------------------------------
+# The sampler differential
+
+
+@dataclass
+class SoundnessReport:
+    total: int = 0
+    holds: int = 0
+    fails: int = 0
+    failures: List[Tuple[R.Derivation, R.OracleVerdict]] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return self.fails == 0
+
+    def __repr__(self):
+        return f"SoundnessReport(total={self.total}, holds={self.holds}, fails={self.fails})"
+
+
+def soundness_differential(sampler: Callable[[random.Random], R.Derivation], n: int,
+                           seed: int = 0, validate: bool = False) -> SoundnessReport:
+    """Oracle-check the conclusions of n sampled derivations.
+
+    Every sampled tree is well-formed by construction (the sampler builds
+    through apply_rule), so any Fails is a soundness bug in a rule; the
+    report carries the smallest failing subderivation.  With validate=True
+    each tree is additionally replayed through check_derivation, and a
+    replay failure raises, since it means the sampler and checker disagree.
+    """
+    rng = random.Random(seed)
+    rep = SoundnessReport()
+    for _ in range(n):
+        d = sampler(rng)
+        rep.total += 1
+        if validate:
+            res = R.check_derivation(d)
+            if not res.ok:
+                raise R.RuleError(f"sampled derivation does not replay: {res.message} "
+                                  f"at path {res.path}")
+        if R.oracle_check(d.conclusion).failed:
+            rep.fails += 1
+            rep.failures.append(R.minimize_failure(d))
+        else:
+            rep.holds += 1
+    return rep

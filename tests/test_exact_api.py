@@ -10,11 +10,8 @@ import pkgutil
 
 import relwp
 
-# `spec_leq`'s `cap` is read by nothing but is bound by the bench's tracer;
-# the soundness differential's `seed` seeds its derivation sampler, which
-# picks what to check and decides nothing.
-ALLOWED = {("relwp.specmonads", "spec_leq", "cap"),
-           ("relwp.rules", "soundness_differential", "seed")}
+# `spec_leq`'s `cap` is read by nothing but is bound by the bench's tracer.
+ALLOWED = {("relwp.specmonads", "spec_leq", "cap")}
 
 DECIDING = ("specmonads", "observations", "lp")
 

@@ -494,6 +494,25 @@ def test_pins_kept_across_calls_match_a_fresh_carrier(name):
             assert _form(monad.tau2(w2, told)) == _form(build().tau2(w2, told))
 
 
+@pytest.mark.parametrize("name", sorted(EXC_CARRIERS))
+def test_rethrow_rows_kept_per_continuation_table(name):
+    # one pair of continuation tables meets many middle specs and relational
+    # tables, so every bind after the first reads the rows of rethrows kept
+    # for the first; each agrees with a fresh carrier's bind
+    build = EXC_CARRIERS[name]
+    monad = build()
+    rng = random.Random(47)
+    f1 = tuple(monad.gen1(rng, Z3) for _ in range(Z2.size))
+    f2 = tuple(monad.gen2(rng, Z3) for _ in range(Z2.size))
+    for _ in range(12):
+        m1, m2, mrel = monad.gen1(rng, Z2), monad.gen2(rng, Z2), monad.gen_rel(rng, Z2, Z2)
+        frel = [[monad.gen_rel(rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
+        got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, Z3, Z3)
+        assert _form(got) == _form(build().bind_rel(m1, m2, mrel, f1, f2, frel, Z3, Z3))
+        if name == "wrelexc":
+            assert_equiv(reference.wrelexc_bind(mrel, f1, f2, frel, EL, ER, Z3, Z3), got)
+
+
 def test_exception_bind_routes_a_left_raise_through_the_right_continuation():
     # left already raised e0, right still runs: the raise is pinned while
     # the right continuation picks its result
@@ -569,15 +588,42 @@ def test_observation_is_strict_for_unit_and_sequencing():
 
 
 def test_strictness_builds_each_unit_once(monkeypatch):
-    # units come from per-carrier tables and each program is observed once
-    # (852,752 unit builds before either)
+    # units come from per-carrier tables, and the observation builds one
+    # spec per pair of result domains and joint outcome (852,752 unit
+    # builds before either, 5,538 with one observed spec per program)
     calls = []
     for name in ("spec_ret", "demand_spec"):
         real = getattr(sm, name)
         monkeypatch.setattr(sm, name, lambda *a, _real=real: calls.append(a) or _real(*a))
     rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
     assert rep.ok and rep.checked == 4232
-    assert len(calls) <= 5538
+    assert len(calls) <= 66
+
+
+def test_strictness_runs_each_program_once(monkeypatch):
+    # the tagged outcome is kept on the program: enumeration runs each
+    # candidate and the observation reads it (every bound program was run
+    # 64 times before)
+    seen = []
+    real = P.run_exc
+    monkeypatch.setattr(P, "run_exc", lambda p: seen.append(p) or real(p))
+    rep = G.check_exc_strictness(EL, ER, Z2, depth=3)
+    assert rep.ok and rep.checked == 4232
+    # `seen` keeps every program run alive, so equal ids mean one program
+    assert seen and len({id(p) for p in seen}) == len(seen)
+
+
+def test_equal_joint_outcomes_share_one_spec():
+    th = G.theta_exc_triple(EL, ER)
+    raised = P.throw(XSIG, EL.value(1), Z2)
+    rethrown = P.catch(P.throw(XSIG, EL.value(0), Z2), lambda e: P.throw(XSIG, EL.value(1), Z2))
+    right = P.ret(YSIG, Z2.value(0))
+    assert raised is not rethrown
+    w = th.theta_rel(raised, right)
+    assert th.theta_rel(rethrown, P.ret(YSIG, Z2.value(0))) is w
+    assert th.theta1(rethrown) is th.theta1(raised)
+    assert th.theta_rel(raised, P.ret(YSIG, Z2.value(1))) is not w
+    assert_equiv(w, sm.demand_spec(PAIR, [(1 << (G.inr_index(Z2, EL, 1) * SUM2.size),)]))
 
 
 def test_strictness_pins_each_payload_once(monkeypatch):

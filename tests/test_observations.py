@@ -473,6 +473,22 @@ def test_a_program_runs_once_whatever_it_is_paired_with(monkeypatch):
     assert O.theta_part(copy, rights[0]).fams == O.theta_part(lefts[0], rights[0]).fams
 
 
+def test_theta_err_runs_each_program_once(monkeypatch):
+    rng = random.Random(5)
+    progs = [random_program(rng, ESIG, Z2, 3) for _ in range(6)]
+    seen = []
+    real = P.run_exc
+    monkeypatch.setattr(P, "run_exc", lambda p: seen.append(p) or real(p))
+    for c1 in progs:
+        for c2 in progs:
+            w = O.theta_err(c1, c2)
+            r1, r2 = real(c1), real(c2)
+            ok = r1[0] == r2[0] == P.OK
+            want = w.space.err_ok(r1[1].index, r2[1].index) if ok else w.space.err_bad()
+            assert w.fams == (frozenset({1 << want}),)
+    assert len(seen) == len(progs)
+
+
 def test_state_and_imp_specs_are_what_demand_spec_builds():
     # These builders skip demand_spec's checks, since they make one in-range
     # demand per point or reuse families already built; the checks must agree.

