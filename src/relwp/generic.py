@@ -30,6 +30,9 @@ The rules form `SPLIT`, a catalogue of the one rule engine in `rules`, and
 `FullJudgment` names it: `rules.check_derivation` replays split-context
 derivations and `rules.oracle_check` decides their judgments clause by
 clause.
+The law batteries `check_triple_laws` (a carrier's laws) and
+`check_exc_strictness` (the exception triple as a strict morphism) run
+through `observations.run_laws`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .domains import (
     product_domain,
     sum_domain,
 )
+from .observations import STRICT, LawReport, run_laws
 from .programs import Program
 from .rules import (
     EMPTY_ENV,
@@ -102,7 +106,7 @@ class FullSpecMonad:
     tau2 embed a unary spec as a relational one against a unit result on
     the other side; for base lifts both are the identity, and the
     transformers preserve the embedding along with its morphism laws (the
-    law battery checks them).
+    triple-law battery, `check_triple_laws`, checks them).
 
     bind1/bind2 take the middle spec, a continuation table indexed by the
     bound value, and the continuation result domain.  bind_rel takes all
@@ -973,50 +977,23 @@ def _full_case(r: RuleInstance, prem) -> FullJudgment:
 # Law batteries
 
 
-@dataclass(frozen=True)
-class TripleLawCase:
-    law: str
-    part: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class TripleLawReport:
-    subject: str
-    checked: int
-    failures: Tuple[TripleLawCase, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-class _LawRun:
-    def __init__(self, subject: str):
-        self.subject = subject
-        self.checked = 0
-        self.failures = []
-
-    def equiv(self, leq, x, y, law: str, part: str):
-        self.checked += 1
-        _kind, bad = sm.order_kind(leq, x, y)
-        if bad is not None:
-            self.failures.append(TripleLawCase(law, part,
-                                               f"phi={bad.phi!r} where={bad.where!r}"))
-
-    def report(self) -> TripleLawReport:
-        return TripleLawReport(self.subject, self.checked, tuple(self.failures))
-
-
 def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
                       doms1: Sequence[FiniteDomain], doms2: Sequence[FiniteDomain],
-                      samples: int = 2) -> TripleLawReport:
+                      samples: int = 2) -> LawReport:
     """Unit, sequencing, and associativity for all three components, plus
     the morphism laws of the tau embeddings, on sampled payloads over the
-    given result domains (three per side: argument, middle, final)."""
+    given result domains (three per side: argument, middle, final).
+
+    The laws are unit-left, unit-right, assoc, tau-unit and tau-bind, each
+    claimed with equality; an instance is the part it checks (left, right
+    or relational) followed by the values it is taken at."""
+    for name, n in (("samples", samples), ("len(doms1)", len(doms1)),
+                    ("len(doms2)", len(doms2))):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     a1d, b1d, c1d = (tuple(doms1) * 3)[:3]
     a2d, b2d, c2d = (tuple(doms2) * 3)[:3]
-    run = _LawRun(monad.name)
+    leq1, leq2, leq_rel = monad.leq1, monad.leq2, monad.leq_rel
 
     def rets1(dom):
         return tuple(monad.ret1(v) for v in dom.values())
@@ -1024,139 +1001,145 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
     def rets2(dom):
         return tuple(monad.ret2(v) for v in dom.values())
 
-    for _ in range(samples):
-        m1 = monad.gen1(rng, a1d)
-        m2 = monad.gen2(rng, a2d)
-        mrel = monad.gen_rel(rng, a1d, a2d)
-        f1 = tuple(monad.gen1(rng, b1d) for _ in range(a1d.size))
-        f2 = tuple(monad.gen2(rng, b2d) for _ in range(a2d.size))
-        frel = tuple(tuple(monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size))
-                     for _ in range(a1d.size))
-        g1 = tuple(monad.gen1(rng, c1d) for _ in range(b1d.size))
-        g2 = tuple(monad.gen2(rng, c2d) for _ in range(b2d.size))
-        grel = tuple(tuple(monad.gen_rel(rng, c1d, c2d) for _ in range(b2d.size))
-                     for _ in range(b1d.size))
+    def instances():
+        for _ in range(samples):
+            m1 = monad.gen1(rng, a1d)
+            m2 = monad.gen2(rng, a2d)
+            mrel = monad.gen_rel(rng, a1d, a2d)
+            f1 = tuple(monad.gen1(rng, b1d) for _ in range(a1d.size))
+            f2 = tuple(monad.gen2(rng, b2d) for _ in range(a2d.size))
+            frel = tuple(tuple(monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size))
+                         for _ in range(a1d.size))
+            g1 = tuple(monad.gen1(rng, c1d) for _ in range(b1d.size))
+            g2 = tuple(monad.gen2(rng, c2d) for _ in range(b2d.size))
+            grel = tuple(tuple(monad.gen_rel(rng, c1d, c2d) for _ in range(b2d.size))
+                         for _ in range(b1d.size))
 
-        for a in a1d.values():
-            run.equiv(monad.leq1, monad.bind1(monad.ret1(a), f1, b1d), f1[a.index],
-                      "unit-left", "left")
-        for a in a2d.values():
-            run.equiv(monad.leq2, monad.bind2(monad.ret2(a), f2, b2d), f2[a.index],
-                      "unit-left", "right")
-        run.equiv(monad.leq1, monad.bind1(m1, rets1(a1d), a1d), m1, "unit-right", "left")
-        run.equiv(monad.leq2, monad.bind2(m2, rets2(a2d), a2d), m2, "unit-right", "right")
-        run.equiv(monad.leq1,
-                  monad.bind1(monad.bind1(m1, f1, b1d), g1, c1d),
-                  monad.bind1(m1, tuple(monad.bind1(w, g1, c1d) for w in f1), c1d),
-                  "assoc", "left")
-        run.equiv(monad.leq2,
-                  monad.bind2(monad.bind2(m2, f2, b2d), g2, c2d),
-                  monad.bind2(m2, tuple(monad.bind2(w, g2, c2d) for w in f2), c2d),
-                  "assoc", "right")
+            for a in a1d.values():
+                yield ("unit-left", ("left", a), leq1,
+                       monad.bind1(monad.ret1(a), f1, b1d), f1[a.index])
+            for a in a2d.values():
+                yield ("unit-left", ("right", a), leq2,
+                       monad.bind2(monad.ret2(a), f2, b2d), f2[a.index])
+            yield "unit-right", ("left",), leq1, monad.bind1(m1, rets1(a1d), a1d), m1
+            yield "unit-right", ("right",), leq2, monad.bind2(m2, rets2(a2d), a2d), m2
+            yield ("assoc", ("left",), leq1,
+                   monad.bind1(monad.bind1(m1, f1, b1d), g1, c1d),
+                   monad.bind1(m1, tuple(monad.bind1(w, g1, c1d) for w in f1), c1d))
+            yield ("assoc", ("right",), leq2,
+                   monad.bind2(monad.bind2(m2, f2, b2d), g2, c2d),
+                   monad.bind2(m2, tuple(monad.bind2(w, g2, c2d) for w in f2), c2d))
 
-        for a1 in a1d.values():
-            for a2 in a2d.values():
-                run.equiv(monad.leq_rel,
-                          monad.bind_rel(monad.ret1(a1), monad.ret2(a2),
-                                         monad.ret_rel(a1, a2), f1, f2, frel, b1d, b2d),
-                          frel[a1.index][a2.index],
-                          "unit-left", "relational")
-        retrel = tuple(tuple(monad.ret_rel(v1, v2) for v2 in a2d.values())
-                       for v1 in a1d.values())
-        run.equiv(monad.leq_rel,
-                  monad.bind_rel(m1, m2, mrel, rets1(a1d), rets2(a2d), retrel, a1d, a2d),
-                  mrel, "unit-right", "relational")
-        lhs = monad.bind_rel(monad.bind1(m1, f1, b1d), monad.bind2(m2, f2, b2d),
-                             monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d),
-                             g1, g2, grel, c1d, c2d)
-        comp = tuple(tuple(monad.bind_rel(f1[i], f2[k], frel[i][k], g1, g2, grel, c1d, c2d)
-                           for k in range(a2d.size))
-                     for i in range(a1d.size))
-        rhs = monad.bind_rel(m1, m2, mrel,
-                             tuple(monad.bind1(w, g1, c1d) for w in f1),
-                             tuple(monad.bind2(w, g2, c2d) for w in f2),
-                             comp, c1d, c2d)
-        run.equiv(monad.leq_rel, lhs, rhs, "assoc", "relational")
+            for a1 in a1d.values():
+                for a2 in a2d.values():
+                    yield ("unit-left", ("relational", a1, a2), leq_rel,
+                           monad.bind_rel(monad.ret1(a1), monad.ret2(a2),
+                                          monad.ret_rel(a1, a2), f1, f2, frel, b1d, b2d),
+                           frel[a1.index][a2.index])
+            retrel = tuple(tuple(monad.ret_rel(v1, v2) for v2 in a2d.values())
+                           for v1 in a1d.values())
+            yield ("unit-right", ("relational",), leq_rel,
+                   monad.bind_rel(m1, m2, mrel, rets1(a1d), rets2(a2d), retrel, a1d, a2d),
+                   mrel)
+            lhs = monad.bind_rel(monad.bind1(m1, f1, b1d), monad.bind2(m2, f2, b2d),
+                                 monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d),
+                                 g1, g2, grel, c1d, c2d)
+            comp = tuple(tuple(monad.bind_rel(f1[i], f2[k], frel[i][k], g1, g2, grel, c1d, c2d)
+                               for k in range(a2d.size))
+                         for i in range(a1d.size))
+            rhs = monad.bind_rel(m1, m2, mrel,
+                                 tuple(monad.bind1(w, g1, c1d) for w in f1),
+                                 tuple(monad.bind2(w, g2, c2d) for w in f2),
+                                 comp, c1d, c2d)
+            yield "assoc", ("relational",), leq_rel, lhs, rhs
 
-        # tau is a morphism into the relational component
-        for a in a1d.values():
-            run.equiv(monad.leq_rel, monad.tau1(monad.ret1(a), a1d),
-                      monad.ret_rel(a, UNIT_VAL), "tau-unit", "left")
-        for a in a2d.values():
-            run.equiv(monad.leq_rel, monad.tau2(monad.ret2(a), a2d),
-                      monad.ret_rel(UNIT_VAL, a), "tau-unit", "right")
-        u2 = (monad.ret2(UNIT_VAL),)
-        run.equiv(monad.leq_rel,
-                  monad.tau1(monad.bind1(m1, f1, b1d), b1d),
-                  monad.bind_rel(m1, monad.ret2(UNIT_VAL), monad.tau1(m1, a1d),
-                                 f1, u2,
-                                 tuple((monad.tau1(w, b1d),) for w in f1),
-                                 b1d, UNIT),
-                  "tau-bind", "left")
-        u1 = (monad.ret1(UNIT_VAL),)
-        run.equiv(monad.leq_rel,
-                  monad.tau2(monad.bind2(m2, f2, b2d), b2d),
-                  monad.bind_rel(monad.ret1(UNIT_VAL), m2, monad.tau2(m2, a2d),
-                                 u1, f2,
-                                 (tuple(monad.tau2(w, b2d) for w in f2),),
-                                 UNIT, b2d),
-                  "tau-bind", "right")
-    return run.report()
+            # tau is a morphism into the relational component
+            for a in a1d.values():
+                yield ("tau-unit", ("left", a), leq_rel, monad.tau1(monad.ret1(a), a1d),
+                       monad.ret_rel(a, UNIT_VAL))
+            for a in a2d.values():
+                yield ("tau-unit", ("right", a), leq_rel, monad.tau2(monad.ret2(a), a2d),
+                       monad.ret_rel(UNIT_VAL, a))
+            u2 = (monad.ret2(UNIT_VAL),)
+            yield ("tau-bind", ("left",), leq_rel,
+                   monad.tau1(monad.bind1(m1, f1, b1d), b1d),
+                   monad.bind_rel(m1, monad.ret2(UNIT_VAL), monad.tau1(m1, a1d),
+                                  f1, u2,
+                                  tuple((monad.tau1(w, b1d),) for w in f1),
+                                  b1d, UNIT))
+            u1 = (monad.ret1(UNIT_VAL),)
+            yield ("tau-bind", ("right",), leq_rel,
+                   monad.tau2(monad.bind2(m2, f2, b2d), b2d),
+                   monad.bind_rel(monad.ret1(UNIT_VAL), m2, monad.tau2(m2, a2d),
+                                  u1, f2,
+                                  (tuple(monad.tau2(w, b2d) for w in f2),),
+                                  UNIT, b2d))
+
+    return run_laws(monad.name, STRICT, instances())
 
 
 def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
-                         depth: int = 3, table_limit: int = 16) -> TripleLawReport:
-    """Does the exception observation triple map unit to unit and sequencing
-    to sequencing exactly?  Checked over one representative per semantic
-    class of raise/handle trees up to the given depth, in all three
-    components at once."""
+                         depth: int = 3, table_limit: int = 16) -> LawReport:
+    """Is the exception observation triple a strict monad morphism: does it
+    map unit to unit (law `ret`) and sequencing to sequencing (law `bind`)
+    exactly?  Checked over one representative per semantic class of
+    raise/handle trees up to the given depth, bound to tables over the
+    classes one level shallower, in all three components at once; an
+    instance is the part it checks (left, right or relational) followed by
+    its values or programs.  `depth` must be at least 2, so that some
+    middle is bound to some table."""
     from .genprog import enumerate_classes
 
+    if depth < 2:
+        raise ValueError(f"depth must be at least 2, got {depth}")
+    if table_limit < 1:
+        raise ValueError(f"table_limit must be at least 1, got {table_limit}")
     monad = wrelexc_monad(e1, e2)
     th = theta_exc_triple(e1, e2)
     sig1, sig2 = P.exc_sig(e1), P.exc_sig(e2)
-    run = _LawRun(th.name)
+    leq1, leq2, leq_rel = monad.leq1, monad.leq2, monad.leq_rel
 
-    for v1 in a.values():
-        run.equiv(monad.leq1, th.theta1(P.ret(sig1, v1)), monad.ret1(v1), "ret", "left")
-    for v2 in a.values():
-        run.equiv(monad.leq2, th.theta2(P.ret(sig2, v2)), monad.ret2(v2), "ret", "right")
-    for v1 in a.values():
+    def instances():
+        for v1 in a.values():
+            yield "ret", ("left", v1), leq1, th.theta1(P.ret(sig1, v1)), monad.ret1(v1)
         for v2 in a.values():
-            run.equiv(monad.leq_rel, th.theta_rel(P.ret(sig1, v1), P.ret(sig2, v2)),
-                      monad.ret_rel(v1, v2), "ret", "relational")
+            yield "ret", ("right", v2), leq2, th.theta2(P.ret(sig2, v2)), monad.ret2(v2)
+        for v1 in a.values():
+            for v2 in a.values():
+                yield ("ret", ("relational", v1, v2), leq_rel,
+                       th.theta_rel(P.ret(sig1, v1), P.ret(sig2, v2)), monad.ret_rel(v1, v2))
 
-    ms1 = enumerate_classes(sig1, a, depth)
-    ms2 = enumerate_classes(sig2, a, depth)
-    pool1 = enumerate_classes(sig1, a, depth - 1)
-    pool2 = enumerate_classes(sig2, a, depth - 1)
-    tables1 = list(product(pool1, repeat=a.size))[:table_limit]
-    tables2 = list(product(pool2, repeat=a.size))[:table_limit]
+        ms1 = enumerate_classes(sig1, a, depth)
+        ms2 = enumerate_classes(sig2, a, depth)
+        pool1 = enumerate_classes(sig1, a, depth - 1)
+        pool2 = enumerate_classes(sig2, a, depth - 1)
+        tables1 = list(product(pool1, repeat=a.size))[:table_limit]
+        tables2 = list(product(pool2, repeat=a.size))[:table_limit]
 
-    # observations of table entries, of entry pairs and of bound programs
-    # do not depend on the instance that uses them: take each one once
-    thf1 = [tuple(th.theta1(p) for p in f1) for f1 in tables1]
-    thf2 = [tuple(th.theta2(p) for p in f2) for f2 in tables2]
-    thfrel = [[tuple(tuple(th.theta_rel(p1, p2) for p2 in f2) for p1 in f1)
-               for f2 in tables2] for f1 in tables1]
-    bound1 = [[P.bind(m1, tuple(f1)) for f1 in tables1] for m1 in ms1]
-    bound2 = [[P.bind(m2, tuple(f2)) for f2 in tables2] for m2 in ms2]
+        # observations of table entries, of entry pairs and of bound programs
+        # do not depend on the instance that uses them: take each one once
+        thf1 = [tuple(th.theta1(p) for p in f1) for f1 in tables1]
+        thf2 = [tuple(th.theta2(p) for p in f2) for f2 in tables2]
+        thfrel = [[tuple(tuple(th.theta_rel(p1, p2) for p2 in f2) for p1 in f1)
+                   for f2 in tables2] for f1 in tables1]
+        bound1 = [[P.bind(m1, f1) for f1 in tables1] for m1 in ms1]
+        bound2 = [[P.bind(m2, f2) for f2 in tables2] for m2 in ms2]
 
-    for m1, binds1 in zip(ms1, bound1):
-        for c1, thf in zip(binds1, thf1):
-            run.equiv(monad.leq1, th.theta1(c1), monad.bind1(th.theta1(m1), thf, a),
-                      "bind", "left")
-    for m2, binds2 in zip(ms2, bound2):
-        for c2, thf in zip(binds2, thf2):
-            run.equiv(monad.leq2, th.theta2(c2), monad.bind2(th.theta2(m2), thf, a),
-                      "bind", "right")
-    for m1, binds1 in zip(ms1, bound1):
+        for m1, binds1 in zip(ms1, bound1):
+            for f1, c1, thf in zip(tables1, binds1, thf1):
+                yield ("bind", ("left", m1, f1), leq1,
+                       th.theta1(c1), monad.bind1(th.theta1(m1), thf, a))
         for m2, binds2 in zip(ms2, bound2):
-            thm1, thm2, thmrel = th.theta1(m1), th.theta2(m2), th.theta_rel(m1, m2)
-            for c1, f1, frels in zip(binds1, thf1, thfrel):
-                for c2, f2, frel in zip(binds2, thf2, frels):
-                    run.equiv(monad.leq_rel,
-                              th.theta_rel(c1, c2),
-                              monad.bind_rel(thm1, thm2, thmrel, f1, f2, frel, a, a),
-                              "bind", "relational")
-    return run.report()
+            for f2, c2, thf in zip(tables2, binds2, thf2):
+                yield ("bind", ("right", m2, f2), leq2,
+                       th.theta2(c2), monad.bind2(th.theta2(m2), thf, a))
+        for m1, binds1 in zip(ms1, bound1):
+            for m2, binds2 in zip(ms2, bound2):
+                thm1, thm2, thmrel = th.theta1(m1), th.theta2(m2), th.theta_rel(m1, m2)
+                for f1, c1, w1, frels in zip(tables1, binds1, thf1, thfrel):
+                    for f2, c2, w2, frel in zip(tables2, binds2, thf2, frels):
+                        yield ("bind", ("relational", m1, m2, f1, f2), leq_rel,
+                               th.theta_rel(c1, c2),
+                               monad.bind_rel(thm1, thm2, thmrel, w1, w2, frel, a, a))
+
+    return run_laws(th.name, STRICT, instances())

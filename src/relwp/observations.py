@@ -14,8 +14,11 @@ Two generic constructions are provided alongside the catalog:
 `from_commuting_pair` combines two unary observations into a strict relational
 one (sound when their images commute, which `check_commute` tests), and
 `from_relator` turns a relation lifting for finite nondeterminism into a lax
-observation.  `check_morphism_laws` classifies any observation's ret and bind
-laws as equal, strictly less precise, or violated, with re-checkable witnesses.
+observation.  Law batteries share one runner: `run_laws` classifies each
+law of a stream of instances as equal, strictly less precise, or violated,
+with a re-checkable witness, in one `LawReport`.  It backs
+`check_morphism_laws` (ret and bind), `check_commute` (`commute`) and the
+carrier and strictness batteries of `generic`.
 
 Every observation here factors through the reference evaluators in
 `programs`, so two programs with equal `semantic_key` get equal specs; the
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -51,8 +54,8 @@ from .domains import UNIT, FiniteDomain, Value
 from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
+    HOLDS,
     ContTable,
-    LeqVerdict,
     OutcomeSpace,
     RelSpec,
     _ANY,
@@ -64,12 +67,10 @@ from .specmonads import (
     err_space,
     io_demonic_spec,
     io_space,
-    order_kind,
     outcome_space,
     prob_space,
     pure_space,
     spec_bind,
-    spec_equiv,
     spec_leq,
     spec_ret,
     state_space,
@@ -488,28 +489,17 @@ def from_commuting_pair(u1: UnaryObservation, u2: UnaryObservation,
     )
 
 
-@dataclass(frozen=True)
-class CommuteVerdict:
-    kind: str  # "commutes" | "fails"
-    checked: int
-    witness: Optional[Tuple[Program, Program, LeqVerdict]] = None
-
-    @property
-    def commutes(self) -> bool:
-        return self.kind == "commutes"
-
-
 def check_commute(u1: UnaryObservation, u2: UnaryObservation,
-                  pairs: Sequence[Tuple[Program, Program]]) -> CommuteVerdict:
-    """Compare both sequencing orders extensionally on the given pairs."""
-    checked = 0
-    for c1, c2 in pairs:
-        w1, w2 = u1.embed(c1), u2.embed(c2)
-        v = spec_equiv(_sequence(w1, w2), _sequence(w1, w2, left_first=False))
-        checked += 1
-        if v.failed:
-            return CommuteVerdict("fails", checked, (c1, c2, v))
-    return CommuteVerdict("commutes", checked)
+                  pairs: Sequence[Tuple[Program, Program]]) -> LawReport:
+    """Compare both sequencing orders extensionally on the given pairs: one
+    law, `commute`, claimed with equality."""
+    def instances():
+        for c1, c2 in pairs:
+            w1, w2 = u1.embed(c1), u2.embed(c2)
+            yield ("commute", (c1, c2), spec_leq,
+                   _sequence(w1, w2), _sequence(w1, w2, left_first=False))
+
+    return run_laws(f"{u1.name}*{u2.name}", STRICT, instances())
 
 
 def from_relator(gamma: Callable[[Callable[[Value, Value], bool], frozenset, frozenset], bool],
@@ -594,24 +584,25 @@ def observation_prob() -> EffectObservation:
 
 
 # ---------------------------------------------------------------------------
-# Morphism-law checking
+# Law batteries
 
 
 @dataclass(frozen=True)
 class LawWitness:
     """Everything needed to re-evaluate one discrepancy by hand."""
 
-    law: str        # "ret" | "bind"
+    law: str
     kind: str       # "strictly-less" | "violation"
-    programs: tuple
-    lhs: RelSpec
-    rhs: RelSpec
+    instance: tuple
+    lhs: object
+    rhs: object
     phi: object
     point: object = None
+    where: tuple = ()
 
 
 def recheck_witness(w: LawWitness) -> bool:
-    """Re-evaluate a witness by direct spec evaluation."""
+    """Re-evaluate a witness over `RelSpec` sides by direct spec evaluation."""
     if w.lhs.tag == "WrelProb":
         l, r = w.lhs.at(w.phi), w.rhs.at(w.phi)
         return l > r if w.kind == "violation" else l < r
@@ -622,6 +613,7 @@ def recheck_witness(w: LawWitness) -> bool:
 
 @dataclass(frozen=True)
 class LawVerdict:
+    law: str
     kind: str                      # "equal" | "strictly-less" | "violation"
     checked: int
     witness: Optional[LawWitness] = None
@@ -633,18 +625,77 @@ class LawVerdict:
 
 
 @dataclass(frozen=True)
-class MorphismReport:
-    observation: str
+class LawReport:
+    """A battery's verdicts, one per law in the order first met, and the
+    claim (strict or lax) they are read against."""
+
+    subject: str
     claimed: str
-    ret_law: LawVerdict
-    bind_law: LawVerdict
+    laws: Tuple[LawVerdict, ...]
+
+    def law(self, name: str) -> LawVerdict:
+        """The named law's verdict; a law without instances holds vacuously."""
+        return next((v for v in self.laws if v.law == name), LawVerdict(name, "equal", 0))
+
+    @property
+    def ret_law(self) -> LawVerdict:
+        return self.law("ret")
+
+    @property
+    def bind_law(self) -> LawVerdict:
+        return self.law("bind")
+
+    @property
+    def checked(self) -> int:
+        return sum(v.checked for v in self.laws)
+
+    @property
+    def failures(self) -> Tuple[LawWitness, ...]:
+        """The witness of every law that is not an equality."""
+        return tuple(v.witness for v in self.laws if not v.equal)
+
+    @property
+    def ok(self) -> bool:
+        """Does every law hold with equality?"""
+        return not self.failures
 
     @property
     def consistent(self) -> bool:
         """Does the battery outcome back the strictness claim?"""
-        if self.claimed == STRICT:
-            return self.ret_law.equal and self.bind_law.equal
-        return self.ret_law.kind != "violation" and self.bind_law.kind != "violation"
+        return self.ok or self.claimed == LAX and all(v.kind != "violation" for v in self.laws)
+
+
+def run_laws(subject: str, claimed: str, instances) -> LawReport:
+    """Classify a stream of law instances `(law, instance, leq, lhs, rhs)`.
+
+    Each instance compares lhs with rhs under `leq`: a violation when lhs
+    is not below rhs, strictly-less when only rhs is not below lhs, equal
+    otherwise.  A violation ends its law's scan (later instances of that
+    law are skipped); otherwise the first strictly-less instance is the
+    law's witness, and once it is held only violations are looked for.
+    """
+    scans: Dict[str, list] = {}     # law -> [kind, checked, witness]
+    for law, inst, leq, lhs, rhs in instances:
+        scan = scans.get(law)
+        if scan is None:
+            scan = scans[law] = ["equal", 0, None]
+        elif scan[0] == "violation":
+            continue
+        scan[1] += 1
+        # the specmonads orders hold with the one HOLDS, so identity is the cheap test
+        bad = leq(lhs, rhs)
+        if bad is HOLDS or bad.holds:
+            if scan[2] is not None:
+                continue
+            bad = leq(rhs, lhs)
+            if bad is HOLDS or bad.holds:
+                continue
+            scan[0] = "strictly-less"
+        else:
+            scan[0] = "violation"
+        scan[2] = LawWitness(law, scan[0], inst, lhs, rhs, bad.phi, bad.point, bad.where)
+    return LawReport(subject, claimed,
+                     tuple(LawVerdict(law, *scan) for law, scan in scans.items()))
 
 
 @dataclass(frozen=True)
@@ -676,56 +727,28 @@ def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Prog
     return ContTable(conts)
 
 
-def classify_bind_instance(obs: EffectObservation, m1: Program, m2: Program,
-                           f1: Sequence[Program], f2: Sequence[Program]):
-    """Classify one bind-law instance; returns (kind, LawWitness or None)."""
-    f1, f2 = tuple(f1), tuple(f2)
-    lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
-    rhs = spec_bind(obs.map(m1, m2), _cont_table(obs, f1, f2, {}))
-    kind, bad = order_kind(spec_leq, lhs, rhs)
-    if bad is not None:
-        return kind, LawWitness("bind", kind, (m1, m2, f1, f2), lhs, rhs, bad.phi, bad.point)
-    return kind, None
+def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawReport:
+    """The ret and bind laws of `obs` over a battery, through `run_laws`.
 
+    A ret instance compares theta(ret a1, ret a2) with the carrier's unit;
+    a bind instance compares theta(bind m1 f1, bind m2 f2) with spec_bind
+    of theta(m1, m2) to the table of theta(f1[i], f2[j]).  Every comparison
+    is decided exactly, so every verdict is definite.
 
-def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> MorphismReport:
-    """Classify the ret and bind laws over a battery of instances.
-
-    A violation ends the scan immediately; otherwise the strictest observed
-    relation wins (any strict instance makes the law strictly-less).  Every
-    comparison is decided exactly, so every verdict is definite.
-
-    A bind instance compares theta(bind m1 f1, bind m2 f2) with spec_bind
-    of theta(m1, m2) to the table of theta(f1[i], f2[j]), built as in
-    `classify_bind_instance`.  What depends on one side or one table is
-    done once: each side's bound programs per continuation table, as one
-    list indexed by the middle's position among that side's distinct
-    middles; theta per middle pair and per continuation pair; and each
-    table's checks and decoding (`ContTable`).  On the deterministic
-    carriers spec_bind then hands each point its continuation's family
-    itself, so equal sides often compare by identity.
+    What depends on one side or one table is done once: each side's bound
+    programs per continuation table, as one list indexed by the middle's
+    position among that side's distinct middles; theta per middle pair and
+    per continuation pair; and each table's checks and decoding
+    (`ContTable`).  On the deterministic carriers spec_bind then hands each
+    point its continuation's family itself, so equal sides often compare by
+    identity.
     """
-    def run(instances) -> LawVerdict:
-        checked = 0
-        strict_witness = None
-        for law, progs, lhs, rhs in instances:
-            checked += 1
-            kind, bad = order_kind(spec_leq, lhs, rhs)
-            if kind == "violation":
-                return LawVerdict("violation", checked,
-                                  LawWitness(law, kind, progs, lhs, rhs, bad.phi, bad.point))
-            if kind == "strictly-less" and strict_witness is None:
-                strict_witness = LawWitness(law, kind, progs, lhs, rhs, bad.phi, bad.point)
-        if strict_witness is not None:
-            return LawVerdict("strictly-less", checked, strict_witness)
-        return LawVerdict("equal", checked)
-
     def ret_instances():
         for a1, a2 in battery.rets:
             lhs = obs.map(P.ret(battery.sig1, a1), P.ret(battery.sig2, a2))
             kw = dict(points=lhs.io_points) if lhs.tag == "WrelIO" else {}
             rhs = spec_ret(lhs.space, a1, a2, **kw)
-            yield "ret", (a1, a2), lhs, rhs
+            yield "ret", (a1, a2), spec_leq, lhs, rhs
 
     def side(ms):
         """A side's distinct middles in order, and each middle pair's
@@ -753,9 +776,10 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> Morp
             table = _cont_table(obs, f1, f2, observed)
             b1, b2 = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
             for (m1, m2), i1, i2, wm in zip(battery.ms, pos1, pos2, wms):
-                yield "bind", (m1, m2, f1, f2), obs.map(b1[i1], b2[i2]), spec_bind(wm, table)
+                yield ("bind", (m1, m2, f1, f2), spec_leq,
+                       obs.map(b1[i1], b2[i2]), spec_bind(wm, table))
 
-    return MorphismReport(obs.name, obs.strictness, run(ret_instances()), run(bind_instances()))
+    return run_laws(obs.name, obs.strictness, chain(ret_instances(), bind_instances()))
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +793,8 @@ def _tables(pool: Sequence[Program], arity: int, limit: int) -> List[Tuple[Progr
     n = len(pool)
     if n == 0:
         raise ValueError("empty continuation pool")
+    if limit < 1:
+        raise ValueError(f"table_limit must be at least 1, got {limit}")
     if n ** arity <= limit:
         return list(product(pool, repeat=arity))
     out: List[Tuple[Program, ...]] = []

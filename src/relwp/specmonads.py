@@ -1249,20 +1249,6 @@ def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     return spec_leq(w2, w)
 
 
-def order_kind(leq, lhs, rhs):
-    """(kind, failing verdict) of lhs against rhs under the order `leq`:
-    ("violation", v) when lhs is not below rhs, ("strictly-less", v) when
-    only rhs is not below lhs, else ("equal", None).  The law batteries of
-    `observations` and `generic` classify their instances with it."""
-    fwd = leq(lhs, rhs)
-    if not fwd.holds:
-        return "violation", fwd
-    back = leq(rhs, lhs)
-    if not back.holds:
-        return "strictly-less", back
-    return "equal", None
-
-
 def _leq_prob(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     """Both sides over one denominator, then per piece of w2 the box bound
     and, where it fails, the LP.  A common positive scale changes no sign

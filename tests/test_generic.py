@@ -275,6 +275,32 @@ def test_transformers_stack_across_effects():
     assert rep.ok, rep.failures
 
 
+def test_a_carrier_that_keeps_the_middle_fails_unit_left_on_the_left():
+    # bind1 returns its middle unchanged, so bind1(ret1 a, f1) is ret1 a, not f1[a]
+    broken = dataclasses.replace(LP, name="middle-kept", bind1=lambda m, f, d: m)
+    rep = G.check_triple_laws(broken, random.Random(11), (Z2,), (Z2,), samples=2)
+    assert [v.law for v in rep.laws] == ["unit-left", "unit-right", "assoc", "tau-unit", "tau-bind"]
+    assert not rep.ok and not rep.consistent
+    (wit,) = rep.failures
+    assert (wit.law, wit.kind, wit.instance) == ("unit-left", "violation", ("left", Z2.value(0)))
+    assert O.recheck_witness(wit)
+    # the violation ends that law's scan; the others run to the end
+    assert rep.law("unit-left").checked == 1
+    sound = G.check_triple_laws(LP, random.Random(11), (Z2,), (Z2,), samples=2)
+    assert sound.ok
+    assert ([(v.law, v.checked) for v in rep.laws[1:]]
+            == [(v.law, v.checked) for v in sound.laws[1:]])
+
+
+def test_triple_law_arguments_are_checked():
+    with pytest.raises(ValueError, match="samples"):
+        G.check_triple_laws(LP, random.Random(1), (Z2,), (Z2,), samples=0)
+    with pytest.raises(ValueError, match="doms1"):
+        G.check_triple_laws(LP, random.Random(1), (), (Z2,))
+    with pytest.raises(ValueError, match="doms2"):
+        G.check_triple_laws(LP, random.Random(1), (Z2,), ())
+
+
 def _swapped(x, d1, d2):
     """A payload with its pair components swapped: a transformer over
     d1 x d2 becomes one over d2 x d1, and a state table is swapped entry by
@@ -585,6 +611,62 @@ def test_observation_is_strict_for_unit_and_sequencing():
     rep = G.check_exc_strictness(EL, ER, Z2, depth=3)
     assert rep.ok, rep.failures[:5]
     assert rep.checked > 4000
+
+
+def test_a_relational_part_that_ignores_raises_breaks_the_bind_law(monkeypatch):
+    real = G.theta_exc_triple
+
+    def ignoring(e1, e2):
+        th = real(e1, e2)
+
+        def returned(c):
+            # an uncaught raise read as a normal return of the first value
+            return c if P.run_exc(c)[0] == P.OK else P.ret(c.sig, c.result.value(0))
+
+        return dataclasses.replace(
+            th, theta_rel=lambda c1, c2: th.theta_rel(returned(c1), returned(c2)))
+
+    monkeypatch.setattr(G, "theta_exc_triple", ignoring)
+    rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
+    assert [v.law for v in rep.laws] == ["ret", "bind"]
+    assert rep.ret_law.equal and rep.ret_law.checked == 8
+    bind = rep.bind_law
+    assert bind.kind == "violation" and 0 < bind.checked < 4224
+    assert not rep.ok and rep.failures == (bind.witness,)
+    part, m1, m2, f1, f2 = bind.witness.instance
+    assert part == "relational" and bind.witness.law == "bind"
+    assert O.recheck_witness(bind.witness)
+    # the two triples differ only where a program raises
+    assert P.ERR in (P.run_exc(P.bind(m1, f1))[0], P.run_exc(P.bind(m2, f2))[0])
+
+
+@pytest.mark.parametrize("kw,name", [(dict(depth=1), "depth"), (dict(depth=0), "depth"),
+                                     (dict(table_limit=0), "table_limit")])
+def test_vacuous_strictness_batteries_are_refused(kw, name):
+    # each returned ok with only the 8 ret instances checked
+    with pytest.raises(ValueError, match=name):
+        G.check_exc_strictness(EL, ER, Z2, **kw)
+
+
+def test_every_law_battery_returns_one_report():
+    ssig = P.state_sig(Z2)
+    states = [P.ret(ssig, Z2.value(0)), P.get_state(ssig)]
+    reports = [
+        (O.check_morphism_laws(O.observation_st(),
+                               O.battery_state(Z2, Z2, depth=2, table_limit=2, m_limit=3)),
+         ("ret", "bind")),
+        (O.check_commute(O.unary_theta_st(1, Z2, Z2), O.unary_theta_st(2, Z2, Z2),
+                         list(product(states, repeat=2))),
+         ("commute",)),
+        (G.check_triple_laws(LP, random.Random(19), (Z2,), (Z2,), samples=1),
+         ("unit-left", "unit-right", "assoc", "tau-unit", "tau-bind")),
+        (G.check_exc_strictness(EL, ER, Z2, depth=2, table_limit=2), ("ret", "bind")),
+    ]
+    for rep, laws in reports:
+        assert type(rep) is O.LawReport
+        assert tuple(v.law for v in rep.laws) == laws
+        assert rep.ok and rep.consistent and rep.claimed == O.STRICT
+        assert rep.checked == sum(v.checked for v in rep.laws) > 0
 
 
 def test_strictness_builds_each_unit_once(monkeypatch):

@@ -5,6 +5,7 @@ pairs, each-left-finds-right, couplings, ...) using only the reference
 evaluators, never the observation code under test.
 """
 
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -137,8 +138,9 @@ def test_forall_exists_bind_law_is_genuinely_one_sided():
     f1 = (P.choice(P.ret(nz2, Value(Z2, 0)), P.ret(nz2, Value(Z2, 1))),
           P.fail(nz2, Z2))
     f2 = (P.ret(nz2, Value(Z2, 0)), P.ret(nz2, Value(Z2, 1)))
-    kind, wit = O.classify_bind_instance(obs, m1, m2, f1, f2)
-    assert kind == "strictly-less"
+    law = O.check_morphism_laws(obs, O.ProgramBattery(nz2, nz2, (), ((m1, m2),), ((f1, f2),))).bind_law
+    assert law.kind == "strictly-less" and law.checked == 1
+    wit = law.witness
     assert O.recheck_witness(wit)
     # the witnessing postcondition separates the two specs at the root
     assert wit.lhs.at(wit.phi, wit.point) is True
@@ -243,7 +245,7 @@ def test_io_unary_pair_commutes_on_enumeration():
     u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2)
     pool = enumerate_classes(IOSIG, Z2, 2)
     verdict = O.check_commute(u1, u2, list(product(pool, repeat=2)))
-    assert verdict.commutes and verdict.checked == 100
+    assert verdict.ok and verdict.checked == 100
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +607,7 @@ def test_state_components_commute_but_shared_state_does_not():
     u2 = O.unary_theta_st(2, Z2, Z2)
     classes = enumerate_classes(SSIG, Z2, 2)
     verdict = O.check_commute(u1, u2, list(product(classes, repeat=2)))
-    assert verdict.commutes
+    assert verdict.ok
 
     # both sides writing the one shared component: order becomes visible
     shared1 = O.unary_theta_st(1, Z2, Z2, component=1)
@@ -613,10 +615,10 @@ def test_state_components_commute_but_shared_state_does_not():
     put0 = P.put_unit(SSIG, Value(Z2, 0), UNIT_VAL)
     put1 = P.put_unit(SSIG, Value(Z2, 1), UNIT_VAL)
     bad = O.check_commute(shared1, shared2, [(put0, put1)])
-    assert bad.kind == "fails"
-    c1, c2, leq = bad.witness
-    assert (c1, c2) == (put0, put1)
-    assert leq.failed
+    assert not bad.ok
+    (wit,) = bad.failures
+    assert (wit.law, wit.instance) == ("commute", (put0, put1))
+    assert O.recheck_witness(wit)
 
 
 def test_commuting_state_pair_reproduces_theta_st():
@@ -786,10 +788,48 @@ def test_law_check_matches_the_per_instance_reference(obs, make, bind_kind):
     want_ret, want_bind = reference.morphism_laws_by_instance(obs, battery)
     rep = O.check_morphism_laws(obs, battery)
     for law, want in ((rep.ret_law, want_ret), (rep.bind_law, want_bind)):
-        progs = law.witness.programs if law.witness is not None else None
+        progs = law.witness.instance if law.witness is not None else None
         assert (law.kind, law.checked, progs) == want
     assert rep.ret_law.kind == "equal" and rep.bind_law.kind == bind_kind
     assert rep.bind_law.checked > 1
+
+
+def _toy_leq(x, y):
+    _toy_leq.calls += 1
+    return sm.HOLDS if x <= y else sm._fails(phi=(x, y))
+
+
+def test_run_laws_ends_a_law_at_its_violation_and_keeps_the_first_strict_witness():
+    _toy_leq.calls = 0
+    rep = O.run_laws("toy", O.LAX, [
+        ("a", 1, _toy_leq, 0, 0), ("b", 2, _toy_leq, 0, 1), ("a", 3, _toy_leq, 1, 0),
+        ("b", 4, _toy_leq, 0, 2), ("a", 5, _toy_leq, 0, 1), ("b", 6, _toy_leq, 0, 0),
+        ("c", 7, _toy_leq, 2, 2)])
+    got = [(v.law, v.kind, v.checked, v.witness and v.witness.instance) for v in rep.laws]
+    assert got == [("a", "violation", 2, 3), ("b", "strictly-less", 3, 2), ("c", "equal", 1, None)]
+    assert rep.law("b").witness.phi == (1, 0)
+    # a: 2 + 1 + skipped; b: 2, then the forward check only once a witness
+    # is held; c: 2
+    assert _toy_leq.calls == 9
+    assert rep.checked == 6 and not rep.ok and not rep.consistent
+    assert [w.law for w in rep.failures] == ["a", "b"]
+    assert rep.law("d") == O.LawVerdict("d", "equal", 0)
+    lax = O.run_laws("toy", O.LAX, [("b", 2, _toy_leq, 0, 1)])
+    assert lax.consistent and not lax.ok
+    assert not O.run_laws("toy", O.STRICT, [("b", 2, _toy_leq, 0, 1)]).consistent
+
+
+def test_a_battery_without_rets_holds_the_ret_law_vacuously():
+    battery = O.battery_state(Z2, Z2, depth=2, table_limit=2, m_limit=3)
+    rep = O.check_morphism_laws(O.observation_st(), dataclasses.replace(battery, rets=()))
+    assert [v.law for v in rep.laws] == ["bind"]
+    assert rep.ret_law == O.LawVerdict("ret", "equal", 0)
+    assert rep.bind_law.equal and rep.bind_law.checked == len(battery.ms) * len(battery.fs)
+
+
+def test_a_table_limit_below_one_is_refused():
+    with pytest.raises(ValueError, match="table_limit"):
+        O.battery_state(Z2, Z2, depth=2, table_limit=0)
 
 
 def test_pair_space_returns_the_interned_space():
