@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, ClassVar, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Iterator, Optional, Sequence, Tuple
 
 from . import programs as P
 from . import specmonads as sm
@@ -64,9 +64,11 @@ from .rules import (
     OracleVerdict,
     RuleError,
     RuleInstance,
+    Table,
     Valuation,
-    _family,
+    _rows,
     _show_valuation,
+    _tabulate,
 )
 
 
@@ -585,27 +587,41 @@ def apply_full_rule(name: str, premises: Sequence["FullJudgment"] = (), **params
     return SPLIT.apply(RuleInstance(name, params), premises)
 
 
-def _fam2(x):
-    return x if callable(x) else (lambda _g1, _g2, _x=x: _x)
-
-
 @dataclass(frozen=True)
 class FullJudgment:
     """c1 ~ c2 with a spec triple, over a split context.
 
-    c1 and w1 are families over left valuations, c2 and w2 over right
-    valuations, wrel over pairs.  The quantification is the semantics: each
-    unary claim binds only its own side's variables.
+    c1 and w1 are Tables over left valuations, c2 and w2 over right
+    valuations, wrel over pairs (the left valuation major), filled once
+    when the judgment is built; read an entry through `c1`, `c2`, `w1`,
+    `w2` and `wrel`.  The quantification is the semantics: each unary claim
+    binds only its own side's variables.
     """
 
     ctx: SplitContext
     monad: FullSpecMonad
     theta: ThetaTriple
-    c1: Callable[[Valuation], Program]
-    c2: Callable[[Valuation], Program]
-    w1: Callable[[Valuation], object]
-    w2: Callable[[Valuation], object]
-    wrel: Callable[[Valuation, Valuation], object]
+    c1_table: Table
+    c2_table: Table
+    w1_table: Table
+    w2_table: Table
+    wrel_table: Table
+
+    def c1(self, g1: Valuation = ()) -> Program:
+        return self.c1_table[self.ctx.left.rank(g1)]
+
+    def c2(self, g2: Valuation = ()) -> Program:
+        return self.c2_table[self.ctx.right.rank(g2)]
+
+    def w1(self, g1: Valuation = ()):
+        return self.w1_table[self.ctx.left.rank(g1)]
+
+    def w2(self, g2: Valuation = ()):
+        return self.w2_table[self.ctx.right.rank(g2)]
+
+    def wrel(self, g1: Valuation = (), g2: Valuation = ()):
+        right = self.ctx.right
+        return self.wrel_table[self.ctx.left.rank(g1) * right.count + right.rank(g2)]
 
     def parts(self, g1: Valuation = (), g2: Valuation = ()) -> TripleSpec:
         return TripleSpec(self.w1(g1), self.w2(g2), self.wrel(g1, g2))
@@ -626,21 +642,23 @@ class FullJudgment:
         if self.monad.shape != computed.monad.shape or self.theta.name != computed.theta.name:
             return "stated carrier or observation differs from the rule's"
         m, left, right = self.monad, self.ctx.left, self.ctx.right
-        for g1 in left.valuations():
-            if not P.programs_equal(self.c1(g1), computed.c1(g1)):
+        for g1, p, q, w, w2 in zip(left.valuations(), self.c1_table, computed.c1_table,
+                                   self.w1_table, computed.w1_table):
+            if not P.programs_equal(p, q):
                 return f"left program differs at {_show_valuation(left, g1)}"
-            if not _equal(m.leq1, self.w1(g1), computed.w1(g1)):
+            if not _equal(m.leq1, w, w2):
                 return f"left spec differs at {_show_valuation(left, g1)}"
-        for g2 in right.valuations():
-            if not P.programs_equal(self.c2(g2), computed.c2(g2)):
+        for g2, p, q, w, w2 in zip(right.valuations(), self.c2_table, computed.c2_table,
+                                   self.w2_table, computed.w2_table):
+            if not P.programs_equal(p, q):
                 return f"right program differs at {_show_valuation(right, g2)}"
-            if not _equal(m.leq2, self.w2(g2), computed.w2(g2)):
+            if not _equal(m.leq2, w, w2):
                 return f"right spec differs at {_show_valuation(right, g2)}"
-        for g1 in left.valuations():
-            for g2 in right.valuations():
-                if not _equal(m.leq_rel, self.wrel(g1, g2), computed.wrel(g1, g2)):
-                    return (f"relational spec differs at {_show_valuation(left, g1)} "
-                            f"and {_show_valuation(right, g2)}")
+        pairs = product(left.valuations(), right.valuations())
+        for (g1, g2), w, w2 in zip(pairs, self.wrel_table, computed.wrel_table):
+            if not _equal(m.leq_rel, w, w2):
+                return (f"relational spec differs at {_show_valuation(left, g1)} "
+                        f"and {_show_valuation(right, g2)}")
         return None
 
     def oracle(self) -> OracleVerdict:
@@ -648,23 +666,24 @@ class FullJudgment:
         right one over right valuations, the relational one over pairs; the
         first clause that fails names the verdict, else it holds."""
         checked = 0
-        m, th = self.monad, self.theta
-        for g1 in self.ctx.left.valuations():
+        m, th, left, right = self.monad, self.theta, self.ctx.left, self.ctx.right
+        for g1, c1, w1 in zip(left.valuations(), self.c1_table, self.w1_table):
             checked += 1
-            v = m.leq1(th.theta1(self.c1(g1)), self.w1(g1))
+            v = m.leq1(th.theta1(c1), w1)
             if not v.holds:
                 return OracleVerdict("fails", checked, (g1,), v, "left")
-        for g2 in self.ctx.right.valuations():
+        for g2, c2, w2 in zip(right.valuations(), self.c2_table, self.w2_table):
             checked += 1
-            v = m.leq2(th.theta2(self.c2(g2)), self.w2(g2))
+            v = m.leq2(th.theta2(c2), w2)
             if not v.holds:
                 return OracleVerdict("fails", checked, (g2,), v, "right")
-        for g1 in self.ctx.left.valuations():
-            for g2 in self.ctx.right.valuations():
-                checked += 1
-                v = m.leq_rel(th.theta_rel(self.c1(g1), self.c2(g2)), self.wrel(g1, g2))
-                if not v.holds:
-                    return OracleVerdict("fails", checked, (g1, g2), v, "relational")
+        pairs = product(zip(left.valuations(), self.c1_table),
+                        zip(right.valuations(), self.c2_table))
+        for ((g1, c1), (g2, c2)), wrel in zip(pairs, self.wrel_table):
+            checked += 1
+            v = m.leq_rel(th.theta_rel(c1, c2), wrel)
+            if not v.holds:
+                return OracleVerdict("fails", checked, (g1, g2), v, "relational")
         return OracleVerdict("holds", checked)
 
 
@@ -674,16 +693,32 @@ def _equal(leq, a, b) -> bool:
 
 def full_judgment(monad: FullSpecMonad, theta: ThetaTriple, c1, c2, w1, w2, wrel,
                   ctx: SplitContext = EMPTY_SPLIT) -> FullJudgment:
-    """Build a judgment from families or plain values; programs are probed
-    at the first valuations."""
-    j = FullJudgment(ctx, monad, theta, _family(c1), _family(c2),
-                     _family(w1), _family(w2), _fam2(wrel))
-    g1 = next(iter(ctx.left.valuations()))
-    g2 = next(iter(ctx.right.valuations()))
-    if not isinstance(j.c1(g1), Program) or not isinstance(j.c2(g2), Program):
+    """Build a judgment from families: each a Table, a callable of the
+    valuation (of the pair of valuations for wrel), called once per
+    valuation here, or a plain value.  Programs are probed at the first
+    valuations."""
+    left, right = ctx.left, ctx.right
+    j = FullJudgment(ctx, monad, theta, _tabulate(left, c1), _tabulate(right, c2),
+                     _tabulate(left, w1), _tabulate(right, w2), _pair_table(ctx, wrel))
+    if not isinstance(j.c1_table[0], Program) or not isinstance(j.c2_table[0], Program):
         raise ValueError("judgment sides must be Program families")
-    j.parts(g1, g2)
     return j
+
+
+def _pair_table(ctx: SplitContext, x) -> Table:
+    """A relational family as a Table over pairs of valuations, the left one
+    major: a Table is checked for its length, a callable of the pair is
+    called once per pair, anything else is a constant."""
+    left, right = ctx.left, ctx.right
+    n = left.count * right.count
+    if type(x) is Table:
+        if len(x) != n:
+            raise ValueError(f"a table over these pairs of valuations has {n} entries, "
+                             f"got {len(x)}")
+        return x
+    if callable(x):
+        return Table(x(g1, g2) for g1, g2 in product(left.valuations(), right.valuations()))
+    return Table((x,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -709,17 +744,18 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
     monad = r.need("monad")
     theta = r.need("theta")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
-    a1f, a2f = _family(r.need("a1")), _family(r.need("a2"))
+    a1f, a2f = r.need("a1"), r.need("a2")
     ctx = r.get("ctx", EMPTY_SPLIT)
     if monad.shape[0] == "exct":
         _exc_sigs(monad, sig1, sig2, r.rule)
+    a1f, a2f = _tabulate(ctx.left, a1f), _tabulate(ctx.right, a2f)
     return full_judgment(
         monad, theta,
-        lambda g1: P.ret(sig1, a1f(g1)),
-        lambda g2: P.ret(sig2, a2f(g2)),
-        lambda g1: monad.ret1(a1f(g1)),
-        lambda g2: monad.ret2(a2f(g2)),
-        lambda g1, g2: monad.ret_rel(a1f(g1), a2f(g2)),
+        Table(P.ret(sig1, a) for a in a1f),
+        Table(P.ret(sig2, a) for a in a2f),
+        Table(map(monad.ret1, a1f)),
+        Table(map(monad.ret2, a2f)),
+        Table(monad.ret_rel(a1, a2) for a1, a2 in product(a1f, a2f)),
         ctx,
     )
 
@@ -727,20 +763,30 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
 @SPLIT.rule("Weaken", arity=1)
 def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     (j,) = prem
-    w1f = _family(r.get("w1", j.w1))
-    w2f = _family(r.get("w2", j.w2))
-    wrelf = _fam2(r.get("wrel", j.wrel))
-    for g1 in j.ctx.left.valuations():
-        if not j.monad.leq1(j.w1(g1), w1f(g1)).holds:
+    w1 = _tabulate(j.ctx.left, r.get("w1", j.w1_table))
+    w2 = _tabulate(j.ctx.right, r.get("w2", j.w2_table))
+    wrel = _pair_table(j.ctx, r.get("wrel", j.wrel_table))
+    for lo, hi in zip(j.w1_table, w1):
+        if not j.monad.leq1(lo, hi).holds:
             raise RuleError(f"{r.rule}: left target is not above the premise spec")
-    for g2 in j.ctx.right.valuations():
-        if not j.monad.leq2(j.w2(g2), w2f(g2)).holds:
+    for lo, hi in zip(j.w2_table, w2):
+        if not j.monad.leq2(lo, hi).holds:
             raise RuleError(f"{r.rule}: right target is not above the premise spec")
-    for g1 in j.ctx.left.valuations():
-        for g2 in j.ctx.right.valuations():
-            if not j.monad.leq_rel(j.wrel(g1, g2), wrelf(g1, g2)).holds:
-                raise RuleError(f"{r.rule}: relational target is not above the premise spec")
-    return FullJudgment(j.ctx, j.monad, j.theta, j.c1, j.c2, w1f, w2f, wrelf)
+    for lo, hi in zip(j.wrel_table, wrel):
+        if not j.monad.leq_rel(lo, hi).holds:
+            raise RuleError(f"{r.rule}: relational target is not above the premise spec")
+    return FullJudgment(j.ctx, j.monad, j.theta, j.c1_table, j.c2_table, w1, w2, wrel)
+
+
+def _rel_rows(j: FullJudgment, n1: int, n2: int) -> Iterator[tuple]:
+    """j's relational table as one n1 x n2 table per pair of the
+    conclusion's valuations, the left one major, when j binds one more
+    variable of n1 values on the left and one of n2 on the right."""
+    width = j.ctx.right.count
+    for i1 in range(0, len(j.c1_table), n1):
+        for i2 in range(0, width, n2):
+            yield tuple(j.wrel_table[k:k + n2]
+                        for k in range(i1 * width + i2, (i1 + n1) * width, width))
 
 
 @SPLIT.rule("Bind", arity=2)
@@ -750,44 +796,30 @@ def _full_bind(r: RuleInstance, prem) -> FullJudgment:
     monad = jm.monad
     x1, d1 = _env_extension(jm.ctx.left, jf.ctx.left, r.rule, "left")
     x2, d2 = _env_extension(jm.ctx.right, jf.ctx.right, r.rule, "right")
-    for g1 in jm.ctx.left.valuations():
-        if jm.c1(g1).result != d1:
+    for p in jm.c1_table:
+        if p.result != d1:
             raise RuleError(f"{r.rule}: left results do not match the bound variable {x1!r}")
-    for g2 in jm.ctx.right.valuations():
-        if jm.c2(g2).result != d2:
+    for p in jm.c2_table:
+        if p.result != d2:
             raise RuleError(f"{r.rule}: right results do not match the bound variable {x2!r}")
-    g1x = next(iter(jf.ctx.left.valuations()))
-    g2x = next(iter(jf.ctx.right.valuations()))
-    b1dom = jf.c1(g1x).result
-    b2dom = jf.c2(g2x).result
-    for g1 in jf.ctx.left.valuations():
-        if jf.c1(g1).result != b1dom:
-            raise RuleError(f"{r.rule}: left continuation changes its result domain")
-    for g2 in jf.ctx.right.valuations():
-        if jf.c2(g2).result != b2dom:
-            raise RuleError(f"{r.rule}: right continuation changes its result domain")
-
-    def c1(g1):
-        return P.bind(jm.c1(g1), lambda v: jf.c1(g1 + (v,)))
-
-    def c2(g2):
-        return P.bind(jm.c2(g2), lambda v: jf.c2(g2 + (v,)))
-
-    def w1(g1):
-        return monad.bind1(jm.w1(g1), tuple(jf.w1(g1 + (v,)) for v in d1.values()), b1dom)
-
-    def w2(g2):
-        return monad.bind2(jm.w2(g2), tuple(jf.w2(g2 + (v,)) for v in d2.values()), b2dom)
-
-    def wrel(g1, g2):
-        f1 = tuple(jf.w1(g1 + (v,)) for v in d1.values())
-        f2 = tuple(jf.w2(g2 + (v,)) for v in d2.values())
-        frel = tuple(tuple(jf.wrel(g1 + (v1,), g2 + (v2,)) for v2 in d2.values())
-                     for v1 in d1.values())
-        return monad.bind_rel(jm.w1(g1), jm.w2(g2), jm.wrel(g1, g2),
-                              f1, f2, frel, b1dom, b2dom)
-
-    return FullJudgment(jm.ctx, monad, jm.theta, c1, c2, w1, w2, wrel)
+    b1dom = jf.c1_table[0].result
+    b2dom = jf.c2_table[0].result
+    if any(p.result != b1dom for p in jf.c1_table):
+        raise RuleError(f"{r.rule}: left continuation changes its result domain")
+    if any(p.result != b2dom for p in jf.c2_table):
+        raise RuleError(f"{r.rule}: right continuation changes its result domain")
+    n1, n2 = d1.size, d2.size
+    f1, f2 = _rows(jf.w1_table, n1), _rows(jf.w2_table, n2)
+    pairs = product(zip(jm.w1_table, f1), zip(jm.w2_table, f2))
+    return FullJudgment(
+        jm.ctx, monad, jm.theta,
+        Table(map(P.bind, jm.c1_table, _rows(jf.c1_table, n1))),
+        Table(map(P.bind, jm.c2_table, _rows(jf.c2_table, n2))),
+        Table(monad.bind1(m, f, b1dom) for m, f in zip(jm.w1_table, f1)),
+        Table(monad.bind2(m, f, b2dom) for m, f in zip(jm.w2_table, f2)),
+        Table(monad.bind_rel(m1, m2, mrel, fc1, fc2, frel, b1dom, b2dom)
+              for ((m1, fc1), (m2, fc2)), mrel, frel
+              in zip(pairs, jm.wrel_table, _rel_rows(jf, n1, n2))))
 
 
 @SPLIT.rule("ThrowL", "ThrowR", arity=0)
@@ -799,37 +831,38 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     ctx = r.get("ctx", EMPTY_SPLIT)
     e1, e2 = _exc_sigs(monad, sig1, sig2, r.rule)
-    excf = _family(r.need("exc"))
-    af = _family(r.need("a2" if left else "a1"))
+    excf = r.need("exc")
+    af = r.need("a2" if left else "a1")
     result = r.need("result1" if left else "result2")
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     e, other_e = (e1, e2) if left else (e2, e1)
-    tagged = sum_domain(result, e)
-
-    def exc(g):
-        x = excf(g)
+    own, other_env = (ctx.left, ctx.right) if left else (ctx.right, ctx.left)
+    excs, af = _tabulate(own, excf), _tabulate(other_env, af)
+    for x in excs:
         if x.domain != e:
             raise RuleError(f"{r.rule}: exception value lives in {x.domain.name!r}")
-        return x
+    tagged = sum_domain(result, e)
 
-    def w(g):
+    def w(x):
         space = sm.pure_space(tagged, UNIT) if left else sm.pure_space(UNIT, tagged)
-        return sm.demand_spec(space, [(1 << inr_index(result, e, exc(g).index),)])
+        return sm.demand_spec(space, [(1 << inr_index(result, e, x.index),)])
 
-    def wrel(g1, g2):
-        x, a = (exc(g1), af(g2)) if left else (exc(g2), af(g1))
+    def rel(x, a):
         other = sum_domain(a.domain, other_e)
         o, k = inr_index(result, e, x.index), inl_index(a.domain, other_e, a.index)
         if left:
             return sm.demand_spec(sm.pure_space(tagged, other), [(1 << (o * other.size + k),)])
         return sm.demand_spec(sm.pure_space(other, tagged), [(1 << (k * tagged.size + o),)])
 
-    throw = lambda g: P.throw(sig, exc(g), result)
-    ret = lambda g: P.ret(other_sig, af(g))
-    ret_w = lambda g: (monad.ret2 if left else monad.ret1)(af(g))
+    throw = Table(P.throw(sig, x, result) for x in excs)
+    ret = Table(P.ret(other_sig, a) for a in af)
+    ret_w = Table(map(monad.ret2 if left else monad.ret1, af))
+    # the left valuation is major in wrel, whichever side raises
+    pairs = product(excs, af) if left else ((x, a) for a, x in product(af, excs))
+    wrel = Table(rel(x, a) for x, a in pairs)
     if left:
-        return full_judgment(monad, theta, throw, ret, w, ret_w, wrel, ctx)
-    return full_judgment(monad, theta, ret, throw, ret_w, w, wrel, ctx)
+        return full_judgment(monad, theta, throw, ret, Table(map(w, excs)), ret_w, wrel, ctx)
+    return full_judgment(monad, theta, ret, throw, ret_w, Table(map(w, excs)), wrel, ctx)
 
 
 def _catch_unary(w: sm.RelSpec, normal: int, handlers: Sequence[sm.RelSpec]) -> sm.RelSpec:
@@ -871,41 +904,23 @@ def _full_catch(r: RuleInstance, prem) -> FullJudgment:
     _x2, d2 = _env_extension(j.ctx.right, jerr.ctx.right, r.rule, "right")
     if d1 != e1 or d2 != e2:
         raise RuleError(f"{r.rule}: handler premise must bind one exception per side")
-    g1x = next(iter(j.ctx.left.valuations()))
-    g2x = next(iter(j.ctx.right.valuations()))
-    a1dom = j.c1(g1x).result
-    a2dom = j.c2(g2x).result
-    for g1 in j.ctx.left.valuations():
-        for e in e1.values():
-            if jerr.c1(g1 + (e,)).result != a1dom:
-                raise RuleError(f"{r.rule}: left handler result domain differs from the body")
-    for g2 in j.ctx.right.valuations():
-        for e in e2.values():
-            if jerr.c2(g2 + (e,)).result != a2dom:
-                raise RuleError(f"{r.rule}: right handler result domain differs from the body")
-
-    def c1(g1):
-        return P.catch(j.c1(g1), lambda e: jerr.c1(g1 + (e,)))
-
-    def c2(g2):
-        return P.catch(j.c2(g2), lambda e: jerr.c2(g2 + (e,)))
-
-    def w1(g1):
-        return _catch_unary(j.w1(g1), a1dom.size,
-                            tuple(jerr.w1(g1 + (e,)) for e in e1.values()))
-
-    def w2(g2):
-        return _catch_unary(j.w2(g2), a2dom.size,
-                            tuple(jerr.w2(g2 + (e,)) for e in e2.values()))
-
-    def wrel(g1, g2):
-        h1 = tuple(jerr.w1(g1 + (e,)) for e in e1.values())
-        h2 = tuple(jerr.w2(g2 + (e,)) for e in e2.values())
-        hrel = tuple(tuple(jerr.wrel(g1 + (ea,), g2 + (eb,)) for eb in e2.values())
-                     for ea in e1.values())
-        return _catch_rel(j.wrel(g1, g2), h1, h2, hrel, a1dom.size, a2dom.size)
-
-    return FullJudgment(j.ctx, monad, j.theta, c1, c2, w1, w2, wrel)
+    a1dom = j.c1_table[0].result
+    a2dom = j.c2_table[0].result
+    if any(p.result != a1dom for p in jerr.c1_table):
+        raise RuleError(f"{r.rule}: left handler result domain differs from the body")
+    if any(p.result != a2dom for p in jerr.c2_table):
+        raise RuleError(f"{r.rule}: right handler result domain differs from the body")
+    n1, n2 = e1.size, e2.size
+    h1, h2 = _rows(jerr.w1_table, n1), _rows(jerr.w2_table, n2)
+    return FullJudgment(
+        j.ctx, monad, j.theta,
+        Table(map(P.catch, j.c1_table, _rows(jerr.c1_table, n1))),
+        Table(map(P.catch, j.c2_table, _rows(jerr.c2_table, n2))),
+        Table(_catch_unary(w, a1dom.size, h) for w, h in zip(j.w1_table, h1)),
+        Table(_catch_unary(w, a2dom.size, h) for w, h in zip(j.w2_table, h2)),
+        Table(_catch_rel(w, hc1, hc2, hrel, a1dom.size, a2dom.size)
+              for w, (hc1, hc2), hrel in zip(j.wrel_table, product(h1, h2),
+                                             _rel_rows(jerr, n1, n2))))
 
 
 @SPLIT.rule("Case", arity=2)
@@ -922,12 +937,8 @@ def _full_case(r: RuleInstance, prem) -> FullJudgment:
     _br, dbr = _env_extension(base.right, jr.ctx.right, r.rule, "right")
     sum1 = sum_domain(dal, dbl)
     sum2 = sum_domain(dar, dbr)
-    g1x = next(iter(jl.ctx.left.valuations()))
-    g2x = next(iter(jl.ctx.right.valuations()))
-    r1, r2 = jl.c1(g1x).result, jl.c2(g2x).result
-    h1x = next(iter(jr.ctx.left.valuations()))
-    h2x = next(iter(jr.ctx.right.valuations()))
-    if jr.c1(h1x).result != r1 or jr.c2(h2x).result != r2:
+    r1, r2 = jl.c1_table[0].result, jl.c2_table[0].result
+    if jr.c1_table[0].result != r1 or jr.c2_table[0].result != r2:
         raise RuleError(f"{r.rule}: branch result domains differ")
     monad = jl.monad
     names1 = {n for n, _ in base.left.vars}
@@ -936,41 +947,28 @@ def _full_case(r: RuleInstance, prem) -> FullJudgment:
         raise RuleError(f"{r.rule}: scrutinee name already bound")
     ctx = SplitContext(base.left.extend((x1, sum1)), base.right.extend((x2, sum2)))
 
-    def split1(g1):
-        body, v = g1[:-1], g1[-1]
-        is_l, i = case_index(dal, dbl, v.index)
-        return (jl, body + (dal.value(i),)) if is_l else (jr, body + (dbl.value(i),))
+    def split(count: int, da: FiniteDomain, db: FiniteDomain):
+        # per valuation of one side, the branch premise and its rank there:
+        # the scrutinee's tag picks the branch, its payload the last value
+        return [(jl, i * da.size + k) if is_l else (jr, i * db.size + k)
+                for i in range(count)
+                for is_l, k in (case_index(da, db, v) for v in range(da.size + db.size))]
 
-    def split2(g2):
-        body, v = g2[:-1], g2[-1]
-        is_l, i = case_index(dar, dbr, v.index)
-        return (jl, body + (dar.value(i),)) if is_l else (jr, body + (dbr.value(i),))
+    left = split(base.left.count, dal, dbl)
+    right = split(base.right.count, dar, dbr)
 
-    def c1(g1):
-        j, g = split1(g1)
-        return j.c1(g)
-
-    def c2(g2):
-        j, g = split2(g2)
-        return j.c2(g)
-
-    def w1(g1):
-        j, g = split1(g1)
-        return j.w1(g)
-
-    def w2(g2):
-        j, g = split2(g2)
-        return j.w2(g)
-
-    def wrel(g1, g2):
-        ja, ga = split1(g1)
-        jb, gb = split2(g2)
+    def rel(ja, ka, jb, kb):
         if ja is not jb:
             # the sum relation only relates matching tags: no claim here
             return monad.unsat_rel(r1, r2)
-        return ja.wrel(ga, gb)
+        return ja.wrel_table[ka * ja.ctx.right.count + kb]
 
-    return FullJudgment(ctx, monad, jl.theta, c1, c2, w1, w2, wrel)
+    return FullJudgment(ctx, monad, jl.theta,
+                        Table(j.c1_table[k] for j, k in left),
+                        Table(j.c2_table[k] for j, k in right),
+                        Table(j.w1_table[k] for j, k in left),
+                        Table(j.w2_table[k] for j, k in right),
+                        Table(rel(ja, ka, jb, kb) for (ja, ka), (jb, kb) in product(left, right)))
 
 
 # ---------------------------------------------------------------------------

@@ -602,13 +602,20 @@ class LawWitness:
 
 
 def recheck_witness(w: LawWitness) -> bool:
-    """Re-evaluate a witness over `RelSpec` sides by direct spec evaluation."""
-    if w.lhs.tag == "WrelProb":
-        l, r = w.lhs.at(w.phi), w.rhs.at(w.phi)
+    """Re-evaluate a witness over `RelSpec` sides by direct spec evaluation.
+    Sides that are state tables (`generic.stt_rel_transform`) are first
+    read at the entry states that lead `where`."""
+    lhs, rhs = w.lhs, w.rhs
+    for si in w.where:
+        if type(lhs) is not tuple:
+            break
+        lhs, rhs = lhs[si], rhs[si]
+    if lhs.tag == "WrelProb":
+        l, r = lhs.at(w.phi), rhs.at(w.phi)
         return l > r if w.kind == "violation" else l < r
     if w.kind == "violation":
-        return bool(w.rhs.at(w.phi, w.point)) and not w.lhs.at(w.phi, w.point)
-    return bool(w.lhs.at(w.phi, w.point)) and not w.rhs.at(w.phi, w.point)
+        return bool(rhs.at(w.phi, w.point)) and not lhs.at(w.phi, w.point)
+    return bool(lhs.at(w.phi, w.point)) and not rhs.at(w.phi, w.point)
 
 
 @dataclass(frozen=True)

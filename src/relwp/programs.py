@@ -20,10 +20,11 @@ Within one check or derivation build (`_EvaluationScope`, opened by
 each node up in the scope's table by its signature, result domain, node
 type and head by value, and its children by identity, so two equal
 constructions return the very same object and `programs_equal` answers
-them at once.  Specs share the same table (`specmonads`), and so do the
-judgment families of `rules`.  The table and all it holds go when the
-outermost scope closes, so nothing shared outlives it; outside a scope
-every constructor builds a new object.
+them at once.  Specs share the same table (`specmonads`), and the
+judgments `rules.random_derivation` builds keep the shared objects in
+their own tables.  The scope's table goes when the outermost scope closes, so
+no table outlives its check or build; outside a scope every constructor
+builds a new object.
 
 Only the table `_SHAPES` knows where each node keeps its subtrees:
 `_kids(node)` lists them and `_rebuild(node, kids)` puts new ones back.
@@ -312,7 +313,6 @@ class Program:
 
 # The table of the check or derivation build in progress, None while
 # neither runs.  One dict holds, under keys that cannot collide:
-#   (family, valuation)               judgment families read by `rules._read`
 #   ("program", sig, result, ...)     program nodes built by `_mk`
 #   ("spec-...", ...)                 specs built by the `specmonads`
 #                                     constructors that consult it
@@ -321,14 +321,12 @@ _TABLE: ContextVar[Optional[dict]] = ContextVar("relwp_check_table", default=Non
 
 class _EvaluationScope:
     """While open, a check or a derivation build shares what it builds:
-    every judgment family is evaluated once per valuation, and every
-    program node (`_mk`) and every spec from `spec_ret`, `spec_bind`,
+    every program node (`_mk`) and every spec from `spec_ret`, `spec_bind`,
     `linear_spec` and `demand_spec` is built once per distinct
-    construction, so an honest replay recomputes the very objects that
-    were stated, and a rule reads its premises' families without
-    rebuilding them from the leaves.  A nested scope reuses the open one,
-    and the table goes when the outermost scope closes, with everything it
-    holds: nothing outlives the check or the build."""
+    construction, so a build's tables share their objects and a check
+    builds each of its own once.  A nested scope reuses the open one, and
+    the table goes when the outermost scope closes: only what a judgment's
+    tables hold outlives the check or the build."""
 
     __slots__ = ("token",)
 
@@ -560,10 +558,11 @@ def normalize(p: Program) -> Program:
 
 def programs_equal(p: Program, q: Program) -> bool:
     """Structural equality modulo normalization.  The same object is equal
-    at once: within a check, equal constructions give one object, so an
-    honest replay's programs compare in O(1).  Other pairs are normalized
-    and walked."""
-    return p is q or normalize(p) == normalize(q)
+    at once, and so is an equal tree: `==` skips shared children, so a
+    replay's program, built over the stored premise programs, compares
+    with the stated one in one layer.  Other pairs are normalized and
+    walked."""
+    return p is q or p == q or normalize(p) == normalize(q)
 
 
 # -- evaluators ---------------------------------------------------------------

@@ -24,10 +24,15 @@ one-sided binds, and per-effect axioms whose conclusion specs are written
 out explicitly; tests confirm the axiom specs coincide with the observation
 applied to the axiom programs.  `random_derivation` builds seeded well-formed
 trees for the soundness differential: if some rule were unsound, a random
-conclusion would eventually flunk its oracle.  Since a conclusion is
-computed from its premises' families, building a tree is the same work as
-replaying it, and a build shares one table as a check does
-(`programs._EvaluationScope`).
+conclusion would eventually flunk its oracle.
+
+A judgment holds its programs and specs as tables (`Table`), one entry per
+valuation of its context, filled once when it is built.  A rule computes
+its conclusion's tables from its premises' tables, so replaying a node is
+one rule application over stored entries, and the oracle reads the root's
+tables without rebuilding anything.  A build, like a check, shares equal
+constructions within it (`programs._EvaluationScope`), so the stored
+entries of one tree share their programs and specs.
 """
 
 from __future__ import annotations
@@ -124,6 +129,14 @@ class Env:
     def valuations(self) -> Iterator[Valuation]:
         return product(*(d.values() for _, d in self.vars))
 
+    def rank(self, g: Valuation) -> int:
+        """g's position in `valuations()`, which varies the last variable
+        fastest: the index of g's entry in a table over this context."""
+        r = 0
+        for (_, d), v in zip(self.vars, g):
+            r = r * d.size + v.index
+        return r
+
     @property
     def count(self) -> int:
         n = 1
@@ -145,9 +158,33 @@ def fresh_name(env: Env, base: str) -> str:
     return f"{base}{k}"
 
 
-def _family(x):
-    """Constant or valuation-indexed parameter; families are callables."""
-    return x if callable(x) else (lambda _g, _x=x: _x)
+class Table(tuple):
+    """A family given by its values: one entry per valuation of its context,
+    in `Env.valuations()` order (a split context's relational family has one
+    per pair of valuations, the left one major).  Judgments hold their
+    families so, and a rule parameter that varies with the valuation may be
+    given so."""
+
+    __slots__ = ()
+
+
+def _tabulate(env: Env, x) -> Table:
+    """A family over env as a Table: a Table is checked for its length, a
+    callable is called once per valuation, anything else is a constant."""
+    if type(x) is Table:
+        if len(x) != env.count:
+            raise ValueError(f"a table over this context has {env.count} entries, got {len(x)}")
+        return x
+    if callable(x):
+        return Table(map(x, env.valuations()))
+    return Table((x,) * env.count)
+
+
+def _rows(table: Table, n: int) -> list:
+    """A premise's table cut into rows of n entries, one per valuation of
+    the conclusion's context, when the premise's context extends it by
+    variables with n valuations in all."""
+    return [table[i:i + n] for i in range(0, len(table), n)]
 
 
 def _show_valuation(env: Env, g: Valuation) -> str:
@@ -162,7 +199,7 @@ _EFFECT_KIN = {P.STATE: (P.STATE, P.IMP), P.IMP: (P.STATE, P.IMP)}
 
 
 def _effect_matches(effect: str, declared: str) -> bool:
-    return effect in _EFFECT_KIN.get(declared, (declared,))
+    return effect == declared or effect in _EFFECT_KIN.get(declared, ())
 
 
 def _axiom_sigs(r: RuleInstance, effect: str) -> Tuple[Signature, Signature]:
@@ -176,22 +213,6 @@ def _axiom_sigs(r: RuleInstance, effect: str) -> Tuple[Signature, Signature]:
     return sigs
 
 
-_MISSING = object()
-
-
-def _read(family, g: Valuation):
-    """family(g), taken once per check: the check's table (see
-    `programs._EvaluationScope`) keeps it under (family, valuation)."""
-    table = P._TABLE.get()
-    if table is None:
-        return family(g)
-    key = (family, g)
-    out = table.get(key, _MISSING)
-    if out is _MISSING:
-        out = table[key] = family(g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rule instances, catalogues and derivations
 
@@ -200,18 +221,30 @@ def _read(family, g: Valuation):
 class RuleInstance:
     rule: str
     params: Dict[str, object] = field(default_factory=dict)
-    # keys read through need/get, so Catalogue.apply can reject the others
-    _read: set = field(default_factory=set, init=False, repr=False)
 
     def need(self, key: str):
-        self._read.add(key)
         if key not in self.params:
             raise RuleError(f"{self.rule}: missing parameter {key!r}")
         return self.params[key]
 
     def get(self, key: str, default=None):
-        self._read.add(key)
         return self.params.get(key, default)
+
+
+@dataclass(frozen=True, eq=False)
+class _Reading(RuleInstance):
+    """The instance `Catalogue.apply` hands a rule body: it notes the keys
+    read through need/get, so that apply can reject the others."""
+
+    read: set = field(default_factory=set, init=False, repr=False)
+
+    def need(self, key: str):
+        self.read.add(key)
+        return super().need(key)
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
 
 def rule(name: str, **params) -> RuleInstance:
@@ -264,9 +297,9 @@ class Catalogue:
         premises = tuple(premises)
         if arity is not None and len(premises) != arity:
             raise RuleError(f"{inst.rule} takes {arity} premises, got {len(premises)}")
-        reading = RuleInstance(inst.rule, inst.params)
+        reading = _Reading(inst.rule, inst.params)
         concl = build(reading, premises)
-        unread = sorted(set(inst.params) - reading._read)
+        unread = sorted(set(inst.params) - reading.read)
         if unread:
             raise RuleError(f"{inst.rule} does not take a parameter {unread[0]!r}")
         return concl
@@ -297,27 +330,27 @@ def derive(name: str, premises: Sequence[Derivation] = (), **params) -> Derivati
 class Judgment:
     """c1 ~ c2 {w} under an observation, over a context of free variables.
 
-    The families are callables from context valuations to Program, Program,
-    and RelSpec; they must be pure, since a check evaluates each of them
-    once per valuation and reuses the result.  Read them through `c1`, `c2`
-    and `w`.  Closed judgments use the empty context, whose single
-    valuation is ().
+    The families are Tables over the context's valuations, of Program,
+    Program and RelSpec, filled once when the judgment is built
+    (`judgment`); checks and the oracle read them and rebuild nothing.
+    Read one valuation's entries through `c1`, `c2` and `w`.  Closed
+    judgments use the empty context, whose single valuation is ().
     """
 
     env: Env
-    c1_family: Callable[[Valuation], Program]
-    c2_family: Callable[[Valuation], Program]
-    w_family: Callable[[Valuation], RelSpec]
+    c1_table: Table
+    c2_table: Table
+    w_table: Table
     observation: EffectObservation
 
     def c1(self, g: Valuation = ()) -> Program:
-        return _read(self.c1_family, g)
+        return self.c1_table[self.env.rank(g)]
 
     def c2(self, g: Valuation = ()) -> Program:
-        return _read(self.c2_family, g)
+        return self.c2_table[self.env.rank(g)]
 
     def w(self, g: Valuation = ()) -> RelSpec:
-        return _read(self.w_family, g)
+        return self.w_table[self.env.rank(g)]
 
     left, right, spec = c1, c2, w
 
@@ -332,12 +365,14 @@ class Judgment:
         if not _same_observation(self.observation, computed.observation):
             return (f"stated observation {self.observation.name} differs from "
                     f"{computed.observation.name}")
-        for g in self.env.valuations():
-            if not P.programs_equal(self.c1(g), computed.c1(g)):
+        for g, p1, q1, p2, q2, w, w2 in zip(
+                self.env.valuations(), self.c1_table, computed.c1_table, self.c2_table,
+                computed.c2_table, self.w_table, computed.w_table):
+            if not P.programs_equal(p1, q1):
                 return f"left program differs at {_show_valuation(self.env, g)}"
-            if not P.programs_equal(self.c2(g), computed.c2(g)):
+            if not P.programs_equal(p2, q2):
                 return f"right program differs at {_show_valuation(self.env, g)}"
-            v = spec_equiv(self.w(g), computed.w(g))
+            v = spec_equiv(w, w2)
             if not v.holds:
                 return f"conclusion spec differs at {_show_valuation(self.env, g)} ({v.kind})"
         return None
@@ -346,33 +381,34 @@ class Judgment:
         """theta(c1, c2) <= w at every valuation: fails at the first
         valuation where it does not hold, else holds."""
         n = 0
-        for g in self.env.valuations():
+        for g, p1, p2, w in zip(self.env.valuations(), self.c1_table, self.c2_table,
+                                self.w_table):
             n += 1
-            theta = self.observation(self.c1(g), self.c2(g))
-            v = spec_leq(theta, self.w(g))
+            v = spec_leq(self.observation(p1, p2), w)
             if v.failed:
                 return OracleVerdict("fails", n, g, v)
         return OracleVerdict("holds", n)
 
 
 def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) -> Judgment:
-    """Build a judgment from families or plain values, checking shapes at the
-    first valuation: effects against the observation, spec carrier against
-    its target, value domains against the program results."""
-    j = Judgment(env, _family(c1), _family(c2), _family(w), observation)
-    g0 = next(iter(env.valuations()))
-    p1, p2, w0 = j.c1(g0), j.c2(g0), j.w(g0)
-    if not _effect_matches(p1.sig.effect, observation.left_effect):
-        raise ValueError(f"left program is {p1.sig.effect!r}, observation "
-                         f"{observation.name} wants {observation.left_effect!r}")
-    if not _effect_matches(p2.sig.effect, observation.right_effect):
-        raise ValueError(f"right program is {p2.sig.effect!r}, observation "
-                         f"{observation.name} wants {observation.right_effect!r}")
-    if w0.tag != observation.target:
-        raise ValueError(f"spec lives in {w0.tag}, observation {observation.name} "
-                         f"targets {observation.target}")
-    if (w0.space.a1, w0.space.a2) != (p1.result, p2.result):
-        raise ValueError("spec value domains do not match the program results")
+    """Build a judgment from families: each a Table over env's valuations, a
+    callable of the valuation, called once per valuation here, or a plain
+    value.  Every entry's shapes are checked: effects against the
+    observation, spec carrier against its target, value domains against
+    the program results."""
+    j = Judgment(env, _tabulate(env, c1), _tabulate(env, c2), _tabulate(env, w), observation)
+    for p1, p2, w0 in zip(j.c1_table, j.c2_table, j.w_table):
+        if not _effect_matches(p1.sig.effect, observation.left_effect):
+            raise ValueError(f"left program is {p1.sig.effect!r}, observation "
+                             f"{observation.name} wants {observation.left_effect!r}")
+        if not _effect_matches(p2.sig.effect, observation.right_effect):
+            raise ValueError(f"right program is {p2.sig.effect!r}, observation "
+                             f"{observation.name} wants {observation.right_effect!r}")
+        if w0.tag != observation.target:
+            raise ValueError(f"spec lives in {w0.tag}, observation {observation.name} "
+                             f"targets {observation.target}")
+        if (w0.space.a1, w0.space.a2) != (p1.result, p2.result):
+            raise ValueError("spec value domains do not match the program results")
     return j
 
 
@@ -441,15 +477,13 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     env = r.get("env", EMPTY_ENV)
-    a1f, a2f = _family(r.need("a1")), _family(r.need("a2"))
+    a1s, a2s = _tabulate(env, r.need("a1")), _tabulate(env, r.need("a2"))
     points = tuple(r.get("points", IO_ROOT))
-
-    def w(g):
-        a1, a2 = a1f(g), a2f(g)
-        space = _ret_space(obs.target, sig1, sig2, a1.domain, a2.domain)
-        return spec_ret(space, a1, a2, points=points)
-
-    return judgment(obs, lambda g: P.ret(sig1, a1f(g)), lambda g: P.ret(sig2, a2f(g)), w, env)
+    c1 = Table(P.ret(sig1, a) for a in a1s)
+    c2 = Table(P.ret(sig2, a) for a in a2s)
+    w = Table(spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain), a1, a2,
+                       points=points) for a1, a2 in zip(a1s, a2s))
+    return judgment(obs, c1, c2, w, env)
 
 
 @CORE.rule("Bind", arity=2)
@@ -460,43 +494,35 @@ def _bind_rule(r: RuleInstance, prem) -> Judgment:
     if len(jf.env.vars) != len(env.vars) + 2 or jf.env.vars[:len(env.vars)] != env.vars:
         raise RuleError("Bind: second premise context must bind exactly the two result values")
     (x1, dom1), (x2, dom2) = jf.env.vars[-2:]
-    for g in env.valuations():
-        if jm.c1(g).result != dom1 or jm.c2(g).result != dom2:
+    # jf's row at a valuation of env binds both values, the left one major
+    n2, k = dom2.size, dom1.size * dom2.size
+    rows1, rows2 = _rows(jf.c1_table, k), _rows(jf.c2_table, k)
+    for g, m1, m2, f1, f2 in zip(env.valuations(), jm.c1_table, jm.c2_table, rows1, rows2):
+        if m1.result != dom1 or m2.result != dom2:
             raise RuleError(f"Bind: first premise results do not match the bound "
                             f"variables at {_show_valuation(env, g)}")
-        for v1 in dom1.values():
-            base = jf.c1(g + (v1, dom2.value(0)))
-            for v2 in dom2.values():
-                if not P.programs_equal(jf.c1(g + (v1, v2)), base):
-                    raise RuleError(f"Bind: left continuation depends on {x2!r}")
-        for v2 in dom2.values():
-            base = jf.c2(g + (dom1.value(0), v2))
-            for v1 in dom1.values():
-                if not P.programs_equal(jf.c2(g + (v1, v2)), base):
-                    raise RuleError(f"Bind: right continuation depends on {x1!r}")
-
-    def c1(g):
-        return P.bind(jm.c1(g), lambda v: jf.c1(g + (v, dom2.value(0))))
-
-    def c2(g):
-        return P.bind(jm.c2(g), lambda v: jf.c2(g + (dom1.value(0), v)))
-
-    def w(g):
-        return spec_bind(jm.w(g), lambda i1, i2: jf.w(g + (dom1.value(i1), dom2.value(i2))))
-
+        for j in range(0, k, n2):
+            if not all(P.programs_equal(p, f1[j]) for p in f1[j:j + n2]):
+                raise RuleError(f"Bind: left continuation depends on {x2!r}")
+        for j in range(n2):
+            if not all(P.programs_equal(p, f2[j]) for p in f2[j::n2]):
+                raise RuleError(f"Bind: right continuation depends on {x1!r}")
+    c1 = Table(P.bind(m, f[::n2]) for m, f in zip(jm.c1_table, rows1))
+    c2 = Table(P.bind(m, f[:n2]) for m, f in zip(jm.c2_table, rows2))
+    w = Table(map(spec_bind, jm.w_table, _rows(jf.w_table, k)))
     return judgment(obs, c1, c2, w, env)
 
 
 @CORE.rule("Weaken", arity=1)
 def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
-    wf = _family(r.need("w"))
-    for g in j.env.valuations():
-        v = spec_leq(j.w(g), _read(wf, g))
+    w = _tabulate(j.env, r.need("w"))
+    for g, lo, hi in zip(j.env.valuations(), j.w_table, w):
+        v = spec_leq(lo, hi)
         if v.failed:
             raise RuleError(f"Weaken: target spec is not above the premise spec "
                             f"at {_show_valuation(j.env, g)}: {v.note}")
-    return judgment(j.observation, j.c1_family, j.c2_family, wf, j.env)
+    return judgment(j.observation, j.c1_table, j.c2_table, w, j.env)
 
 
 # ---------------------------------------------------------------------------
@@ -507,31 +533,33 @@ def _weaken_rule(r: RuleInstance, prem) -> Judgment:
 # one-sided conditional rules fall out as special cases.
 
 
+def _picked(picks: Sequence[Tuple[Judgment, int]]) -> Tuple[Table, Table, Table]:
+    """The c1, c2 and w tables whose entry at each valuation is that of the
+    (judgment, rank) pair picked for it."""
+    return (Table(j.c1_table[i] for j, i in picks), Table(j.c2_table[i] for j, i in picks),
+            Table(j.w_table[i] for j, i in picks))
+
+
 @CORE.rule("BoolElim", arity=2)
 def _bool_elim(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
-    b = _family(r.need("b"))
+    b = r.need("b")
     env = _shared_env(prem, "BoolElim")
     obs = _shared_obs(prem, "BoolElim")
-
-    def pick(g):
-        return jt if b(g) else jf
-
-    return judgment(obs, lambda g: pick(g).c1(g), lambda g: pick(g).c2(g),
-                    lambda g: pick(g).w(g), env)
+    picks = [(jt if bi else jf, i) for i, bi in enumerate(_tabulate(env, b))]
+    return judgment(obs, *_picked(picks), env)
 
 
 @CORE.rule("ZeroElim", arity=0)
 def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     env = r.get("env", EMPTY_ENV)
-    c1f, c2f, wf = _family(r.need("c1")), _family(r.need("c2")), _family(r.need("w"))
-    for g in env.valuations():
-        w0 = _read(wf, g)
+    c1, c2, w = (_tabulate(env, r.need(key)) for key in ("c1", "c2", "w"))
+    for g, w0 in zip(env.valuations(), w):
         if not spec_leq(_unsat_like(w0), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
                             f"(the vacuous claim) but is not at {_show_valuation(env, g)}")
-    return judgment(obs, c1f, c2f, wf, env)
+    return judgment(obs, c1, c2, w, env)
 
 
 @CORE.rule("NatElim", arity=None)
@@ -552,65 +580,53 @@ def _nat_elim(r: RuleInstance, prem) -> Judgment:
             raise RuleError(f"NatElim: premise {k} must live in the context "
                             f"without {var!r}")
     obs = _shared_obs(prem, "NatElim")
-
-    def strip(g):
-        return g[:pos] + g[pos + 1:]
-
-    def at(g):
-        return prem[g[pos].index]
-
-    return judgment(obs, lambda g: at(g).c1(strip(g)), lambda g: at(g).c2(strip(g)),
-                    lambda g: at(g).w(strip(g)), env)
+    # a valuation's rank is (h * |var| + v) * n + l, where h and l rank the
+    # variables before and after var; without var it is h * n + l
+    n = Env(env.vars[pos + 1:]).count
+    picks = [(prem[v], h * n + l) for h in range(inner.count // n)
+             for v in range(dom.size) for l in range(n)]
+    return judgment(obs, *_picked(picks), env)
 
 
 @CORE.rule("IfLeft", "IfRight", arity=2)
 def _if_one_side(r: RuleInstance, prem) -> Judgment:
     # IfLeft branches on the left over one right program; IfRight mirrors it
     jt, jf = prem
-    b = _family(r.need("b"))
+    b = r.need("b")
     env = _shared_env(prem, r.rule)
     obs = _shared_obs(prem, r.rule)
     left = r.rule == "IfLeft"
-    shared, kept = ("right", jt.c2_family) if left else ("left", jt.c1_family)
-    for g in env.valuations():
-        if not (P.programs_equal(jt.c2(g), jf.c2(g)) if left
-                else P.programs_equal(jt.c1(g), jf.c1(g))):
+    shared, kept, other = (("right", jt.c2_table, jf.c2_table) if left
+                           else ("left", jt.c1_table, jf.c1_table))
+    for g, p, q in zip(env.valuations(), kept, other):
+        if not P.programs_equal(p, q):
             raise RuleError(f"{r.rule}: premises must share the {shared} program, "
                             f"differ at {_show_valuation(env, g)}")
-
-    def pick(g):
-        return jt if b(g) else jf
-
-    def branch(g):
-        return pick(g).c1(g) if left else pick(g).c2(g)
-
-    c1, c2 = (branch, kept) if left else (kept, branch)
-    return judgment(obs, c1, c2, lambda g: pick(g).w(g), env)
+    c1, c2, w = _picked([(jt if bi else jf, i) for i, bi in enumerate(_tabulate(env, b))])
+    if left:
+        c2 = kept
+    else:
+        c1 = kept
+    return judgment(obs, c1, c2, w, env)
 
 
 @CORE.rule("IfSync", arity=2)
 def _if_sync(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
-    b1, b2 = _family(r.need("b1")), _family(r.need("b2"))
+    b1, b2 = r.need("b1"), r.need("b2")
     env = _shared_env(prem, "IfSync")
     obs = _shared_obs(prem, "IfSync")
-    for g in env.valuations():
-        if jt.c1(g).result != jf.c1(g).result or jt.c2(g).result != jf.c2(g).result:
+    for i in range(env.count):
+        if (jt.c1_table[i].result != jf.c1_table[i].result
+                or jt.c2_table[i].result != jf.c2_table[i].result):
             raise RuleError("IfSync: branch results must agree on both sides")
-
-    def c1(g):
-        return (jt if b1(g) else jf).c1(g)
-
-    def c2(g):
-        return (jt if b2(g) else jf).c2(g)
-
-    def w(g):
-        # Guards that disagree contradict the rule's synchronization claim,
-        # so the precondition is false there and the spec claims nothing.
-        if b1(g) != b2(g):
-            return _unsat_like(jt.w(g))
-        return (jt if b1(g) else jf).w(g)
-
+    b1, b2 = _tabulate(env, b1), _tabulate(env, b2)
+    c1 = Table((jt if b else jf).c1_table[i] for i, b in enumerate(b1))
+    c2 = Table((jt if b else jf).c2_table[i] for i, b in enumerate(b2))
+    # Guards that disagree contradict the rule's synchronization claim, so
+    # the precondition is false there and the spec claims nothing.
+    w = Table(_unsat_like(jt.w_table[i]) if x1 != x2 else (jt if x1 else jf).w_table[i]
+              for i, (x1, x2) in enumerate(zip(b1, b2)))
     return judgment(obs, c1, c2, w, env)
 
 
@@ -636,29 +652,27 @@ def _bind_one_side(r: RuleInstance, prem) -> Judgment:
     if len(jf.env.vars) != len(env.vars) + 1 or jf.env.vars[:len(env.vars)] != env.vars:
         raise RuleError(f"{r.rule}: second premise context must bind exactly the {side} result")
     x, dom = jf.env.vars[-1]
-    bound, unit = (jm.c1, jm.c2) if left else (jm.c2, jm.c1)
-    cont, kept = (jf.c1, jf.c2) if left else (jf.c2, jf.c1)
-    for g in env.valuations():
-        if not _is_unit_ret(unit(g)):
+    n = dom.size
+    bound, unit = (jm.c1_table, jm.c2_table) if left else (jm.c2_table, jm.c1_table)
+    cont, kept = (jf.c1_table, jf.c2_table) if left else (jf.c2_table, jf.c1_table)
+    for u, b, row in zip(unit, bound, _rows(kept, n)):
+        if not _is_unit_ret(u):
             raise RuleError(f"{r.rule}: first premise {other} side must be the unit return")
-        if bound(g).result != dom:
+        if b.result != dom:
             raise RuleError(f"{r.rule}: first premise {side} result does not match "
                             f"the bound variable")
-        base = kept(g + (dom.value(0),))
-        for v in dom.values():
-            if not P.programs_equal(kept(g + (v,)), base):
-                raise RuleError(f"{r.rule}: {other} program depends on {x!r}")
+        if not all(P.programs_equal(p, row[0]) for p in row):
+            raise RuleError(f"{r.rule}: {other} program depends on {x!r}")
 
-    def seq(g):
-        return P.bind(bound(g), lambda v: cont(g + (v,)))
+    def conts(wm: RelSpec, row: tuple) -> tuple:
+        # the continuation spec at each middle value pair: jf's at the bound value
+        sp = wm.space
+        return tuple(row[i1 if left else i2]
+                     for i1 in range(sp.a1.size) for i2 in range(sp.a2.size))
 
-    def rest(g):
-        return kept(g + (dom.value(0),))
-
-    def w(g):
-        return spec_bind(jm.w(g), lambda i1, i2: jf.w(g + (dom.value(i1 if left else i2),)))
-
-    c1, c2 = (seq, rest) if left else (rest, seq)
+    seq = Table(map(P.bind, bound, _rows(cont, n)))
+    w = Table(spec_bind(wm, conts(wm, row)) for wm, row in zip(jm.w_table, _rows(jf.w_table, n)))
+    c1, c2 = (seq, Table(kept[::n])) if left else (Table(kept[::n]), seq)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -670,11 +684,12 @@ def _bind_one_side(r: RuleInstance, prem) -> Judgment:
 # axiom programs, which is how the specs were found in the first place.
 
 
-def _beside_return(obs: EffectObservation, left: bool, act, other_sig: Signature, af, w,
-                   env: Env) -> Judgment:
-    """A one-sided axiom's conclusion: the family `act` on the left (on the
-    right when not `left`) beside a return of af(g) on the other side."""
-    ret = lambda g: P.ret(other_sig, af(g))
+def _beside_return(obs: EffectObservation, left: bool, act, other_sig: Signature, a: Table,
+                   w: Table, env: Env) -> Judgment:
+    """A one-sided axiom's conclusion: the program (or table) `act` on the
+    left (on the right when not `left`) beside a return of the table `a` on
+    the other side."""
+    ret = Table(P.ret(other_sig, x) for x in a)
     c1, c2 = (act, ret) if left else (ret, act)
     return judgment(obs, c1, c2, w, env)
 
@@ -703,18 +718,17 @@ def _get_one_side(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, r.rule)
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
-    af = _family(r.need("a2" if left else "a1"))
+    af = _tabulate(env, r.need("a2" if left else "a1"))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
-    def w(g):
-        a = af(g)
+    def w(a):
         if left:
             sp = state_space(sig1.state, sig1.state, a.domain, sig2.state)
             return _st_axiom(sp, lambda s1, s2, _a=a.index: sp.st_outcome(s1, s1, _a, s2))
         sp = state_space(a.domain, sig1.state, sig2.state, sig2.state)
         return _st_axiom(sp, lambda s1, s2, _a=a.index: sp.st_outcome(_a, s1, s2, s2))
 
-    return _beside_return(obs, left, lambda g: P.get_state(sig), other_sig, af, w, env)
+    return _beside_return(obs, left, P.get_state(sig), other_sig, af, Table(map(w, af)), env)
 
 
 @CORE.rule("PutL", "PutR", arity=0)
@@ -725,21 +739,20 @@ def _put_one_side(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     if left:
-        sf, af = _family(r.need("s")), _family(r.need("a2"))
+        sf, af = _tabulate(env, r.need("s")), _tabulate(env, r.need("a2"))
     else:
-        af, sf = _family(r.need("a1")), _family(r.need("s"))
+        af, sf = _tabulate(env, r.need("a1")), _tabulate(env, r.need("s"))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
-    def w(g):
-        s, a = sf(g), af(g)
+    def w(s, a):
         if left:
             sp = state_space(UNIT, sig1.state, a.domain, sig2.state)
             return _st_axiom(sp, lambda _s1, s2, _t=s.index, _a=a.index: sp.st_outcome(0, _t, _a, s2))
         sp = state_space(a.domain, sig1.state, UNIT, sig2.state)
         return _st_axiom(sp, lambda s1, _s2, _a=a.index, _t=s.index: sp.st_outcome(_a, s1, 0, _t))
 
-    put = lambda g: P.put_unit(sig, sf(g), UNIT_VAL)
-    return _beside_return(obs, left, put, other_sig, af, w, env)
+    put = Table(P.put_unit(sig, s, UNIT_VAL) for s in sf)
+    return _beside_return(obs, left, put, other_sig, af, Table(map(w, sf, af)), env)
 
 
 @CORE.rule("GetSync", arity=0)
@@ -749,7 +762,7 @@ def _get_sync(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     sp = state_space(sig1.state, sig1.state, sig2.state, sig2.state)
     w = _st_axiom(sp, lambda s1, s2: sp.st_outcome(s1, s1, s2, s2))
-    return judgment(obs, lambda g: P.get_state(sig1), lambda g: P.get_state(sig2), w, env)
+    return judgment(obs, P.get_state(sig1), P.get_state(sig2), w, env)
 
 
 @CORE.rule("PutSync", arity=0)
@@ -757,16 +770,16 @@ def _put_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutSync")
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
-    s1f, s2f = _family(r.need("s1")), _family(r.need("s2"))
+    s1f, s2f = _tabulate(env, r.need("s1")), _tabulate(env, r.need("s2"))
+    sp = state_space(UNIT, sig1.state, UNIT, sig2.state)
 
-    def w(g):
-        t1, t2 = s1f(g), s2f(g)
-        sp = state_space(UNIT, sig1.state, UNIT, sig2.state)
+    def w(t1, t2):
         return _st_axiom(sp, lambda _s1, _s2, _t1=t1.index, _t2=t2.index:
                          sp.st_outcome(0, _t1, 0, _t2))
 
-    return judgment(obs, lambda g: P.put_unit(sig1, s1f(g), UNIT_VAL),
-                    lambda g: P.put_unit(sig2, s2f(g), UNIT_VAL), w, env)
+    return judgment(obs, Table(P.put_unit(sig1, s, UNIT_VAL) for s in s1f),
+                    Table(P.put_unit(sig2, s, UNIT_VAL) for s in s2f),
+                    Table(map(w, s1f, s2f)), env)
 
 
 # ---------------------------------------------------------------------------
@@ -784,18 +797,17 @@ def _demonic_pick(r: RuleInstance, _prem) -> Judgment:
     left = r.rule == "DemonicPickLeft"
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
-    af = _family(r.need("a2" if left else "a1"))
+    af = _tabulate(env, r.need("a2" if left else "a1"))
     sig = P.ndet_sig()
 
-    def w(g):
-        a = af(g)
+    def w(a):
         if left:
             sp = pure_space(BOOL, a.domain)
             return demonic_spec(sp, [frozenset({a.index, a.domain.size + a.index})])
         sp = pure_space(a.domain, BOOL)
         return demonic_spec(sp, [frozenset({a.index * 2, a.index * 2 + 1})])
 
-    return _beside_return(obs, left, lambda g: _bool_choice(sig), sig, af, w, env)
+    return _beside_return(obs, left, _bool_choice(sig), sig, af, Table(map(w, af)), env)
 
 
 @CORE.rule("DemonicFailLeft", arity=0)
@@ -803,13 +815,10 @@ def _demonic_fail_left(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
     result: FiniteDomain = r.need("result")
-    a2f = _family(r.need("a2"))
+    a2f = _tabulate(env, r.need("a2"))
     sig = P.ndet_sig()
-
-    def w(g):
-        return weakest(pure_space(result, a2f(g).domain))
-
-    return judgment(obs, lambda g: P.fail(sig, result), lambda g: P.ret(sig, a2f(g)), w, env)
+    return judgment(obs, P.fail(sig, result), Table(P.ret(sig, a) for a in a2f),
+                    Table(weakest(pure_space(result, a.domain)) for a in a2f), env)
 
 
 @CORE.rule("Angelic", arity=0)
@@ -819,7 +828,7 @@ def _angelic(r: RuleInstance, _prem) -> Judgment:
     sig = P.ndet_sig()
     sp = pure_space(BOOL, BOOL)
     w = demand_spec(sp, [[1 << o for o in range(4)]])
-    return judgment(obs, lambda g: _bool_choice(sig), lambda g: _bool_choice(sig), w, env)
+    return judgment(obs, _bool_choice(sig), _bool_choice(sig), w, env)
 
 
 @CORE.rule("Refinement", arity=0)
@@ -831,10 +840,9 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     dom1: FiniteDomain = r.need("dom1")
     dom2: FiniteDomain = r.need("dom2")
-    hf = _family(r.need("h"))
+    hs = [tuple(h) for h in _tabulate(env, r.need("h"))]
     sig = P.ndet_sig()
-    for g in env.valuations():
-        h = tuple(hf(g))
+    for h in hs:
         if len(h) != dom1.size or any(not (0 <= k < dom2.size) for k in h):
             raise RuleError(f"Refinement: h must map {dom1.size} alternatives into "
                             f"{dom2.size}, got {h}")
@@ -842,12 +850,10 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
     def pick_all(d: FiniteDomain) -> Program:
         return P.pick_fin([P.ret(sig, v) for v in d.values()])
 
-    def w(g):
-        h = tuple(hf(g))
-        sp = pure_space(dom1, dom2)
-        return demonic_spec(sp, [frozenset(k * dom2.size + h[k] for k in range(dom1.size))])
-
-    return judgment(obs, lambda g: pick_all(dom1), lambda g: pick_all(dom2), w, env)
+    sp = pure_space(dom1, dom2)
+    w = Table(demonic_spec(sp, [frozenset(k * dom2.size + h[k] for k in range(dom1.size))])
+              for h in hs)
+    return judgment(obs, pick_all(dom1), pick_all(dom2), w, env)
 
 
 # ---------------------------------------------------------------------------
@@ -862,22 +868,21 @@ def _throw_one_side(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.EXC)
     env = r.get("env", EMPTY_ENV)
     if left:
-        ef = _family(r.need("e1"))
+        ef = _tabulate(env, r.need("e1"))
         result: FiniteDomain = r.need("result1")
-        af = _family(r.need("a2"))
+        af = _tabulate(env, r.need("a2"))
     else:
-        af = _family(r.need("a1"))
-        ef = _family(r.need("e2"))
+        af = _tabulate(env, r.need("a1"))
+        ef = _tabulate(env, r.need("e2"))
         result = r.need("result2")
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
-    def w(g):
-        a = af(g).domain
-        sp = err_space(result, a) if left else err_space(a, result)
+    def w(a):
+        sp = err_space(result, a.domain) if left else err_space(a.domain, result)
         return demonic_spec(sp, [frozenset({sp.err_bad()})])
 
-    raised = lambda g: P.throw(sig, ef(g), result)
-    return _beside_return(obs, left, raised, other_sig, af, w, env)
+    raised = Table(P.throw(sig, e, result) for e in ef)
+    return _beside_return(obs, left, raised, other_sig, af, Table(map(w, af)), env)
 
 
 def catch_spec(w: RelSpec, w_exc: RelSpec) -> RelSpec:
@@ -911,55 +916,56 @@ def _catch_rule(r: RuleInstance, prem) -> Judgment:
     if obs.target != "WrelErr":
         raise RuleError("Catch: needs the errorful carrier")
     env = jmain.env
-    g0 = next(iter(env.valuations()))
-    p1, p2 = jmain.c1(g0), jmain.c2(g0)
+    p1, p2 = jmain.c1_table[0], jmain.c2_table[0]
     e1dom, e2dom = p1.sig.exc, p2.sig.exc
     a1dom, a2dom = p1.result, p2.result
     _extension(env, jee.env, (e1dom, e2dom), "Catch (exceptional premise)")
     _extension(env, jea.env, (e1dom, a2dom), "Catch (left-raise premise)")
     _extension(env, jae.env, (a1dom, e2dom), "Catch (right-raise premise)")
-    e0, a10, a20 = e1dom.value(0), a1dom.value(0), a2dom.value(0)
+    # each premise has n1 * n2 entries per valuation of env, the first bound
+    # value major
+    ne1, ne2, na1, na2 = e1dom.size, e2dom.size, a1dom.size, a2dom.size
 
-    for g in env.valuations():
-        if jmain.c1(g).result != a1dom or jmain.c2(g).result != a2dom:
+    for i in range(env.count):
+        if jmain.c1_table[i].result != a1dom or jmain.c2_table[i].result != a2dom:
             raise RuleError("Catch: body results must not vary with the context")
-        wx0 = jee.w(g + (e0, e2dom.value(0)))
-        for e1 in e1dom.values():
-            h1 = jee.c1(g + (e1, e2dom.value(0)))
-            for e2 in e2dom.values():
-                if not P.programs_equal(jee.c1(g + (e1, e2)), h1):
+        ee, ea, ae = i * ne1 * ne2, i * ne1 * na2, i * na1 * ne2
+        wx0 = jee.w_table[ee]
+        for e1 in range(ne1):
+            h1 = jee.c1_table[ee + e1 * ne2]
+            for e2 in range(ne2):
+                if not P.programs_equal(jee.c1_table[ee + e1 * ne2 + e2], h1):
                     raise RuleError("Catch: left handler depends on the right exception")
-                if not spec_equiv(jee.w(g + (e1, e2)), wx0).holds:
+                if not spec_equiv(jee.w_table[ee + e1 * ne2 + e2], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
             for a2 in a2dom.values():
-                if not P.programs_equal(jea.c1(g + (e1, a2)), h1):
+                k = ea + e1 * na2 + a2.index
+                if not P.programs_equal(jea.c1_table[k], h1):
                     raise RuleError("Catch: left handler differs between exceptional premises")
-                if not P.programs_equal(jea.c2(g + (e1, a2)), P.ret(p2.sig, a2)):
+                if not P.programs_equal(jea.c2_table[k], P.ret(p2.sig, a2)):
                     raise RuleError("Catch: left-raise premise right side must return its value")
-                if not spec_equiv(jea.w(g + (e1, a2)), wx0).holds:
+                if not spec_equiv(jea.w_table[k], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
-        for e2 in e2dom.values():
-            h2 = jee.c2(g + (e0, e2))
-            for e1 in e1dom.values():
-                if not P.programs_equal(jee.c2(g + (e1, e2)), h2):
+        for e2 in range(ne2):
+            h2 = jee.c2_table[ee + e2]
+            for e1 in range(ne1):
+                if not P.programs_equal(jee.c2_table[ee + e1 * ne2 + e2], h2):
                     raise RuleError("Catch: right handler depends on the left exception")
             for a1 in a1dom.values():
-                if not P.programs_equal(jae.c2(g + (a1, e2)), h2):
+                k = ae + a1.index * ne2 + e2
+                if not P.programs_equal(jae.c2_table[k], h2):
                     raise RuleError("Catch: right handler differs between exceptional premises")
-                if not P.programs_equal(jae.c1(g + (a1, e2)), P.ret(p1.sig, a1)):
+                if not P.programs_equal(jae.c1_table[k], P.ret(p1.sig, a1)):
                     raise RuleError("Catch: right-raise premise left side must return its value")
-                if not spec_equiv(jae.w(g + (a1, e2)), wx0).holds:
+                if not spec_equiv(jae.w_table[k], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
 
-    def c1(g):
-        return P.catch(jmain.c1(g), lambda e: jee.c1(g + (e, e2dom.value(0))))
-
-    def c2(g):
-        return P.catch(jmain.c2(g), lambda e: jee.c2(g + (e1dom.value(0), e)))
-
-    def w(g):
-        return catch_spec(jmain.w(g), jee.w(g + (e0, e2dom.value(0))))
-
+    # the handlers at a valuation are jee's, the other side's exception at
+    # its first value
+    n = ne1 * ne2
+    c1 = Table(P.catch(p, h[::ne2]) for p, h in zip(jmain.c1_table, _rows(jee.c1_table, n)))
+    c2 = Table(P.catch(p, h[:ne2]) for p, h in zip(jmain.c2_table, _rows(jee.c2_table, n)))
+    w = Table(map(catch_spec, jmain.w_table, jee.w_table[::n]))
     return judgment(obs, c1, c2, w, env)
 
 
@@ -999,16 +1005,13 @@ def _input(r: RuleInstance, _prem) -> Judgment:
     left = r.rule == "InputL"
     sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
-    af = _family(r.need("a2" if left else "a1"))
+    af = _tabulate(env, r.need("a2" if left else "a1"))
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     steps = tuple((i, (P.IN, i)) for i in sig.inp.values())
-
-    def w(g):
-        return _one_event_spec(sig1, sig2, points, left, af(g), steps, sig.inp)
-
-    read = lambda g: P.read_input(sig)
-    return _beside_return(_io_obs(sig1, sig2, points), left, read, other_sig, af, w, env)
+    w = Table(_one_event_spec(sig1, sig2, points, left, a, steps, sig.inp) for a in af)
+    return _beside_return(_io_obs(sig1, sig2, points), left, P.read_input(sig), other_sig,
+                          af, w, env)
 
 
 @CORE.rule("OutputL", "OutputR", arity=0)
@@ -1018,17 +1021,14 @@ def _output(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
     if left:
-        of, af = _family(r.need("o1")), _family(r.need("a2"))
+        of, af = _tabulate(env, r.need("o1")), _tabulate(env, r.need("a2"))
     else:
-        af, of = _family(r.need("a1")), _family(r.need("o2"))
+        af, of = _tabulate(env, r.need("a1")), _tabulate(env, r.need("o2"))
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
-
-    def w(g):
-        return _one_event_spec(sig1, sig2, points, left, af(g),
-                               ((UNIT_VAL, (P.OUT, of(g))),), UNIT)
-
-    write = lambda g: P.output(sig, of(g), P.ret(sig, UNIT_VAL))
+    w = Table(_one_event_spec(sig1, sig2, points, left, a, ((UNIT_VAL, (P.OUT, o)),), UNIT)
+              for o, a in zip(of, af))
+    write = Table(P.output(sig, o, P.ret(sig, UNIT_VAL)) for o in of)
     return _beside_return(_io_obs(sig1, sig2, points), left, write, other_sig, af, w, env)
 
 
@@ -1083,34 +1083,22 @@ def _do_while_inv(r: RuleInstance, prem) -> Judgment:
     obs = jb.observation
     if obs.name != "theta-part":
         raise RuleError("DoWhileInv: sound for the partial-correctness observation only")
-    invf = _family(r.need("inv"))
+    inv = r.need("inv")
     env = jb.env
-    g0 = next(iter(env.valuations()))
-    b1p, b2p = jb.c1(g0), jb.c2(g0)
+    b1p, b2p = jb.c1_table[0], jb.c2_table[0]
     if b1p.result != BOOL or b2p.result != BOOL:
         raise RuleError("DoWhileInv: loop bodies must produce booleans")
     if b1p.sig.effect != P.IMP or b2p.sig.effect != P.IMP:
         raise RuleError("DoWhileInv: loop bodies must be iterative programs")
     s1dom, s2dom = b1p.sig.state, b2p.sig.state
-
-    def inv_at(g):
-        return _norm_inv(invf(g), s1dom, s2dom)
-
-    for g in env.valuations():
-        want = loop_premise_spec(inv_at(g), s1dom, s2dom)
-        if not spec_equiv(jb.w(g), want).holds:
+    invs = [_norm_inv(x, s1dom, s2dom) for x in _tabulate(env, inv)]
+    for g, w, x in zip(env.valuations(), jb.w_table, invs):
+        if not spec_equiv(w, loop_premise_spec(x, s1dom, s2dom)).holds:
             raise RuleError(f"DoWhileInv: premise spec is not the invariant "
                             f"obligation at {_show_valuation(env, g)}")
-
-    def c1(g):
-        return P.do_while(jb.c1(g), P.ret(b1p.sig, UNIT_VAL))
-
-    def c2(g):
-        return P.do_while(jb.c2(g), P.ret(b2p.sig, UNIT_VAL))
-
-    def w(g):
-        return loop_conclusion_spec(inv_at(g), s1dom, s2dom)
-
+    c1 = Table(P.do_while(p, P.ret(b1p.sig, UNIT_VAL)) for p in jb.c1_table)
+    c2 = Table(P.do_while(p, P.ret(b2p.sig, UNIT_VAL)) for p in jb.c2_table)
+    w = Table(loop_conclusion_spec(x, s1dom, s2dom) for x in invs)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -1164,14 +1152,16 @@ def loop_invariant(body1: Program, body2: Program):
 def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     obs = observation_prob()
     env = r.get("env", EMPTY_ENV)
-    pf, qf, df = _family(r.need("p")), _family(r.need("q")), _family(r.need("d"))
+    pf, qf, df = (_tabulate(env, r.need(key)) for key in ("p", "q", "d"))
     sig = P.prob_sig()
+    space = prob_space(BOOL, BOOL)
+    shared: Dict[tuple, tuple] = {}   # valuations that state equal tables share one piece
 
-    def coupling_at(g):
-        """d at g, checked, as one piece of int coefficients over the
-        outcomes (b1, b2), with their least common denominator."""
-        p, q = P._fraction(pf(g)), P._fraction(qf(g))
-        d = tuple(tuple(map(P._fraction, row)) for row in df(g))
+    def coupling(g, p, q, d):
+        """The spec of the coupling d, checked: one piece of int
+        coefficients over the outcomes (b1, b2)."""
+        p, q = P._fraction(p), P._fraction(q)
+        d = tuple(tuple(map(P._fraction, row)) for row in d)
         if len(d) != 2 or any(len(row) != 2 for row in d):
             raise RuleError("FlipCoupling: d must be a 2x2 table over (left, right) guards")
         if any(x < 0 for row in d for x in row):
@@ -1180,19 +1170,12 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
            (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
             raise RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
                             f"at {_show_valuation(env, g)}")
-        return _int_pieces(space, [(0, d[0] + d[1])])
+        piece = _int_pieces(space, [(0, d[0] + d[1])])
+        return _linear(space, *shared.setdefault(piece, piece))
 
-    # each valuation's table is checked once, here, and read by every w(g);
-    # valuations that state equal tables share one coefficient tuple
-    space = prob_space(BOOL, BOOL)
-    shared: Dict[tuple, tuple] = {}
-    pieces = {g: shared.setdefault(t := coupling_at(g), t) for g in env.valuations()}
-
-    def w(g):
-        return _linear(space, *pieces[g])
-
-    return judgment(obs, lambda g: P.flip_bool(sig, pf(g)),
-                    lambda g: P.flip_bool(sig, qf(g)), w, env)
+    w = Table(map(coupling, env.valuations(), pf, qf, df))
+    return judgment(obs, Table(P.flip_bool(sig, p) for p in pf),
+                    Table(P.flip_bool(sig, q) for q in qf), w, env)
 
 
 # ---------------------------------------------------------------------------
@@ -1221,13 +1204,15 @@ def check_derivation(d: Derivation) -> CheckResult:
     indices from the root; a node fails when its rule raises RuleError or
     its parameters build an invalid program or spec (ValueError).
 
-    The replay runs in one `_EvaluationScope`: each judgment family is read
-    once per valuation, and each program node and each spec from the
-    constructors that share (`spec_ret`, `spec_bind`, `linear_spec`,
-    `demand_spec`) is built once, so an honest node's recomputed programs
-    and specs are the stated objects themselves and compare in O(1).  Both
-    conclusions are still evaluated at every valuation.  Nothing built here
-    outlives the call."""
+    Each rule is applied once per node, to its premises' stored tables, and
+    its result is compared with the stated tables at every valuation.  The
+    replay runs in one `_EvaluationScope`, so each program node and each
+    spec from the constructors that share (`spec_ret`, `spec_bind`,
+    `linear_spec`, `demand_spec`) is built once per call, and nothing built
+    here outlives the call.  An honest node's recomputed programs wrap the
+    premises' stored programs, so they compare with the stated ones
+    structurally in one layer, and its specs have the stated demand
+    families or pieces: no program is normalized and no LP runs."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     with _EvaluationScope():
@@ -1292,9 +1277,10 @@ class OracleVerdict:
 
 def oracle_check(j) -> OracleVerdict:
     """Decide a judgment of any kind semantically, at every valuation (the
-    `oracle` of its type).  Within the call, as in `check_derivation`, each
-    family is read once per valuation and equal constructions of programs
-    and specs give one object; nothing built here outlives the call."""
+    `oracle` of its type), from the programs and specs its tables hold.
+    Within the call, as in `check_derivation`, equal constructions of
+    programs and specs give one object; nothing built here outlives the
+    call."""
     with _EvaluationScope():
         return j.oracle()
 
@@ -1320,7 +1306,8 @@ def minimize_failure(d: Derivation) -> Tuple[Derivation, OracleVerdict]:
 
 
 def _val_family(rng: random.Random, env: Env, dom: FiniteDomain, allowed):
-    """Constant, a context variable read, or a table over one variable.
+    """A constant, or a Table over env that reads one variable: its value,
+    or an entry of a random table over its domain.
 
     `allowed` lists the variable positions this parameter may depend on;
     the bind rules reject families that read across sides, so the sampler
@@ -1330,18 +1317,18 @@ def _val_family(rng: random.Random, env: Env, dom: FiniteDomain, allowed):
         i = rng.choice(allowed)
         src = env.vars[i][1]
         if src == dom and rng.random() < 0.6:
-            return lambda g, _i=i: g[_i]
+            return Table(g[i] for g in env.valuations())
         tbl = tuple(dom.value(rng.randrange(dom.size)) for _ in range(src.size))
-        return lambda g, _i=i, _t=tbl: _t[g[_i].index]
-    return _family(dom.value(rng.randrange(dom.size)))
+        return Table(tbl[g[i].index] for g in env.valuations())
+    return dom.value(rng.randrange(dom.size))
 
 
 def _bool_family(rng: random.Random, env: Env, allowed):
     if allowed and rng.random() < 0.6:
         i = rng.choice(allowed)
         k = rng.randrange(env.vars[i][1].size)
-        return lambda g, _i=i, _k=k: g[_i].index == _k
-    return _family(rng.random() < 0.5)
+        return Table(g[i].index == k for g in env.valuations())
+    return rng.random() < 0.5
 
 
 def _grow_demonic(rng: random.Random, w: RelSpec) -> RelSpec:
@@ -1409,14 +1396,13 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     variable ("b" both, "l" left, "r" right), mirroring how the bind and
     handler rules split their bound values between the two programs.
 
-    The build runs in one `_EvaluationScope`, as `check_derivation` does:
-    each family is read once per valuation and each program and spec is
-    built once across the whole tree, and the table goes when the call
-    returns (a build inside an open scope uses that scope's table).  The
-    rng never reads the table, so the same trees are drawn.  The Weaken,
-    DoWhileInv and Catch targets keep their own per-tree caches, which do
-    outlive the build: every later check, each with its own table, then
-    reads the same stated objects, and the targets are grown once.
+    Parameters that vary with the valuation are given as Tables, so a
+    derivation holds data and no closures.  The build runs in one
+    `_EvaluationScope`, as `check_derivation` does: each program and spec is
+    built once across the whole tree, so the tree's tables share them, and
+    the scope's table goes when the call returns (a build inside an open
+    scope uses that scope's table).  The rng never reads the table, so the
+    same trees are drawn.
     """
     mode = None
     if effect in (P.STATE, P.IMP):
@@ -1580,9 +1566,8 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
 
         if kind == "bind":
             m = gen(env, sides, d - 1, None, None, exact)
-            g0 = next(iter(env.valuations()))
-            a1dom = m.conclusion.c1(g0).result
-            a2dom = m.conclusion.c2(g0).result
+            a1dom = m.conclusion.c1_table[0].result
+            a2dom = m.conclusion.c2_table[0].result
             x = fresh_name(env, "x")
             mid = env.extend((x, a1dom))
             env2 = mid.extend((fresh_name(mid, "y"), a2dom))
@@ -1591,13 +1576,9 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
 
         if kind == "weaken":
             sub = gen(env, sides, d - 1, r1, r2, exact)
-            cache: Dict[Valuation, RelSpec] = {}
-
-            def target(g, _sub=sub, _cache=cache, _seed=rng.getrandbits(32)):
-                if g not in _cache:
-                    _cache[g] = grow(random.Random(f"{_seed}:{g!r}"), _sub.conclusion.w(g))
-                return _cache[g]
-
+            seed = rng.getrandbits(32)
+            target = Table(grow(random.Random(f"{seed}:{g!r}"), w)
+                           for g, w in zip(env.valuations(), sub.conclusion.w_table))
             return derive("Weaken", (sub,), w=target)
 
         if kind == "boolelim":
@@ -1640,16 +1621,10 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
 
         if kind == "dowhile":
             body = gen(env, sides, max(d - 2, 1), BOOL, BOOL, exact=True)
-            cache: Dict[Valuation, object] = {}
-
-            def inv_fam(g, _b=body.conclusion, _cache=cache):
-                if g not in _cache:
-                    _cache[g] = loop_invariant(_b.c1(g), _b.c2(g))
-                return _cache[g]
-
+            inv = Table(map(loop_invariant, body.conclusion.c1_table, body.conclusion.c2_table))
             prem = derive("Weaken", (body,),
-                          w=lambda g: loop_premise_spec(inv_fam(g), sdom, sdom))
-            return derive("DoWhileInv", (prem,), inv=inv_fam)
+                          w=Table(loop_premise_spec(x, sdom, sdom) for x in inv))
+            return derive("DoWhileInv", (prem,), inv=inv)
 
         if kind == "catch":
             a1dom = r1 if r1 is not None else rng.choice(pool)
@@ -1663,10 +1638,6 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
             h2_vals = tuple(edom.value(rng.randrange(exc_size)) if throw_side == 2
                             else a2dom.value(rng.randrange(a2dom.size))
                             for _ in range(exc_size))
-            h1f = lambda g: h1_vals[g[k].index]
-            h2f = lambda g: h2_vals[g[k + 1].index]
-            proj1 = lambda g: g[k]
-            proj2 = lambda g: g[k + 1]
             x = fresh_name(env, "e")
             mid = env.extend((x, edom))
             y = fresh_name(mid, "e")
@@ -1674,6 +1645,11 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
             env_ee = env.extend((x, edom), (y, edom))
             env_ea = env.extend((x, edom), (z, a2dom))
             env_ae = env.extend((x, a1dom), (y, edom))
+
+            def read(envx, pos, vals=None):
+                # the table over envx of the bound value at pos, or of vals at it
+                return Table(g[pos] if vals is None else vals[g[pos].index]
+                             for g in envx.valuations())
 
             def axiom(envx, left_kind, right_kind, a1fam, e1fam, a2fam, e2fam):
                 if left_kind == "throw":
@@ -1687,30 +1663,26 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
 
             k1 = "throw" if throw_side == 1 else "ret"
             k2 = "throw" if throw_side == 2 else "ret"
-            jee = axiom(env_ee, k1, k2, h1f, h1f, h2f, h2f)
-            jea = axiom(env_ea, k1, "ret", h1f, h1f, proj2, None)
-            jae = axiom(env_ae, "ret", k2, proj1, None, h2f, h2f)
+            h1, h2 = read(env_ee, k, h1_vals), read(env_ee, k + 1, h2_vals)
+            jee = axiom(env_ee, k1, k2, h1, h1, h2, h2)
+            h1 = read(env_ea, k, h1_vals)
+            jea = axiom(env_ea, k1, "ret", h1, h1, read(env_ea, k + 1), None)
+            h2 = read(env_ae, k + 1, h2_vals)
+            jae = axiom(env_ae, "ret", k2, read(env_ae, k), None, h2, h2)
 
-            wx_cache: Dict[Valuation, RelSpec] = {}
+            # one shared handler spec per valuation of env: the union of the
+            # three premises' specs over the two bound values there
+            ws = [(j.conclusion.w_table, n) for j, n in
+                  ((jee, exc_size * exc_size), (jea, exc_size * a2dom.size),
+                   (jae, a1dom.size * exc_size))]
+            wx = [_union_demands([w for t, n in ws for w in t[i * n:i * n + n]])
+                  for i in range(env.count)]
 
-            def wx(g):
-                base = g[:k]
-                if base not in wx_cache:
-                    specs = []
-                    for e1 in edom.values():
-                        for e2 in edom.values():
-                            specs.append(jee.conclusion.w(base + (e1, e2)))
-                        for a2 in a2dom.values():
-                            specs.append(jea.conclusion.w(base + (e1, a2)))
-                    for a1 in a1dom.values():
-                        for e2 in edom.values():
-                            specs.append(jae.conclusion.w(base + (a1, e2)))
-                    wx_cache[base] = _union_demands(specs)
-                return wx_cache[base]
+            def target(n):
+                return Table(w for w in wx for _ in range(n))
 
-            wee = derive("Weaken", (jee,), w=wx)
-            wea = derive("Weaken", (jea,), w=wx)
-            wae = derive("Weaken", (jae,), w=wx)
+            wee, wea, wae = (derive("Weaken", (j,), w=target(n))
+                             for j, (_, n) in zip((jee, jea, jae), ws))
             return derive("Catch", (jmain, wee, wea, wae))
 
         raise AssertionError(kind)

@@ -50,10 +50,11 @@ exactly by linear programming.
 Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
 per field tuple, however it is built, so the shape checks in bind and
 comparison are identity tests.  Within one
-check (`programs._EvaluationScope`), `spec_ret`, `spec_bind`, `linear_spec`
-and `demand_spec` build each spec once, in the check's table, so a replay
-that rebuilds a stated spec gets that very object and `spec_equiv` answers
-at once; the table goes with the check.
+check or build (`programs._EvaluationScope`), `spec_ret`, `spec_bind`,
+`linear_spec` and `demand_spec` build each spec once, in the scope's
+table, which goes with the scope.  A replay that rebuilds a stated spec
+gets one with equal demand families or pieces, which `spec_leq` compares
+by value before any cover loop or LP.
 
 Pre/post pairs become demonic specs in two ways.  `embed_pp_in_wp` keeps
 a pair's post row at every point where its precondition holds and is

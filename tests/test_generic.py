@@ -292,6 +292,21 @@ def test_a_carrier_that_keeps_the_middle_fails_unit_left_on_the_left():
             == [(v.law, v.checked) for v in sound.laws[1:]])
 
 
+def test_a_state_table_witness_rechecks_at_its_entry_state():
+    # bind_rel returns its relational middle, so the relational unit-left
+    # law fails inside the state table, at the entry state `where` leads with
+    st = G.stt_rel_transform(LP, Z2, "left")
+    broken = dataclasses.replace(st, name="rel-middle-kept",
+                                 bind_rel=lambda m1, m2, mrel, *_rest: mrel)
+    rep = G.check_triple_laws(broken, random.Random(1), (Z2,), (Z2,), samples=2)
+    wit = rep.failures[0]
+    assert (wit.law, wit.kind, wit.instance, wit.where) == (
+        "unit-left", "violation", ("relational", Z2.value(0), Z2.value(0)), (1, "point", 0))
+    assert isinstance(wit.lhs, tuple) and len(wit.lhs) == Z2.size
+    assert O.recheck_witness(wit)
+    assert not O.recheck_witness(dataclasses.replace(wit, lhs=wit.rhs, rhs=wit.lhs))
+
+
 def test_triple_law_arguments_are_checked():
     with pytest.raises(ValueError, match="samples"):
         G.check_triple_laws(LP, random.Random(1), (Z2,), (Z2,), samples=0)
@@ -1233,7 +1248,9 @@ def test_a_tampered_split_context_node_is_reported_at_its_path():
     d = _catch_derivation()
     body, handler = d.premises
     # the handler's stated relational spec claims nothing, which Ret does not say
-    wrong = dataclasses.replace(handler.conclusion, wrel=lambda g1, g2: sm.weakest(PAIR))
+    top = sm.weakest(PAIR)
+    wrong = dataclasses.replace(handler.conclusion,
+                                wrel_table=R.Table(top for _ in handler.conclusion.wrel_table))
     tampered = dataclasses.replace(d, premises=(body, dataclasses.replace(handler, conclusion=wrong)))
     res = R.check_derivation(tampered)
     assert (res.ok, res.path) == (False, (1,))
