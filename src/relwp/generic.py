@@ -688,7 +688,10 @@ class FullJudgment:
 
 
 def _equal(leq, a, b) -> bool:
-    return leq(a, b).holds and leq(b, a).holds
+    try:
+        return leq(a, b).holds and leq(b, a).holds
+    except ValueError:  # another carrier or outcome space: they differ
+        return False
 
 
 def full_judgment(monad: FullSpecMonad, theta: ThetaTriple, c1, c2, w1, w2, wrel,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 from math import lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -538,8 +538,8 @@ def from_relator(gamma: Callable[[Callable[[Value, Value], bool], frozenset, fro
 
 # Rules and batteries ask for their observation at every application, so
 # each named observation is built once per argument tuple.  `observation_io`
-# is built per call: its maps keep a spec per program they embed, which must
-# go with the caller's scope.
+# is built per call: its maps keep a spec per program they embed, and so
+# keep those programs alive, in the pool too, as long as the observation.
 
 
 @lru_cache(maxsize=None)
@@ -553,7 +553,7 @@ def observation_ndet(mode: str) -> EffectObservation:
         raise ValueError(f"mode must be one of {NDET_MODES}, got {mode!r}")
     claim = LAX if mode == FORALL_EXISTS else STRICT
     return EffectObservation(f"theta-ndet-{mode}", P.NDET, P.NDET, "WrelPure",
-                             lambda c1, c2: theta_ndet(mode, c1, c2), claim)
+                             partial(theta_ndet, mode), claim)
 
 
 @lru_cache(maxsize=None)

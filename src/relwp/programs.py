@@ -14,22 +14,20 @@ Imp is state plus an iteration construct; do_while(body, k) repeats body while
 it returns true, then continues with k.  Divergence is decidable here because
 the state space is finite and execution is deterministic.
 
-Within one check or derivation build (`_EvaluationScope`, opened by
-`rules.check_derivation`, `rules.oracle_check` and
-`rules.random_derivation`), every program node is built once: `_mk` looks
-each node up in the scope's table by its signature, result domain, node
-type and head by value, and its children by identity, so two equal
-constructions return the very same object and `programs_equal` answers
-them at once.  Specs share the same table (`specmonads`), and the
-judgments `rules.random_derivation` builds keep the shared objects in
-their own tables.  The scope's table goes when the outermost scope closes, so
-no table outlives its check or build; outside a scope every constructor
-builds a new object.
+Programs are hash-consed while alive (Filliâtre and Conchon, "Type-safe
+modular hash-consing", 2006): `_mk` looks each node up in one process-wide
+pool, `_POOL`, by its signature, result domain, node type and head by
+value, and its children by identity, so there is one live object per
+distinct tree, however and wherever it is built.  Equality is identity,
+and `programs_equal` compares normal forms by identity.  Fixed and
+quantitative specs are interned in the same pool by their bodies
+(`_intern`, `specmonads`).  The pool holds weak references: an object
+leaves it when its last user drops it.
 
 Only the table `_SHAPES` knows where each node keeps its subtrees:
 `_kids(node)` lists them and `_rebuild(node, kids)` puts new ones back.
-Through it, `_postorder`, `normalize`, `_graft`, `_throws`, `count_loops`,
-`==` and `hash` walk trees with explicit stacks and visit a shared subtree
+Through it, `_postorder`, `normalize`, `_graft`, `_throws` and
+`count_loops` walk trees with explicit stacks and visit a shared subtree
 once, so long programs never raise RecursionError.  The evaluators loop over
 their own effect's nodes instead.  `run_imp` serves state and imp alike (a
 state program is an imp program without loops), and `_runs` keeps each
@@ -46,7 +44,7 @@ per-effect continuation-stack loops (CPython 3.11).
 
 from __future__ import annotations
 
-from contextvars import ContextVar
+import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -238,19 +236,16 @@ def _postorder(p: "Program", below=_kids) -> List["Program"]:
 
 class Program:
     """A program tree: its signature, result domain, root node and depth.
-    Programs never change, so a check may share one between every place
-    that builds it (see `_mk`)."""
+    One live object stands for each distinct tree (`_mk`), so `==` and
+    `hash` are identity."""
 
-    __slots__ = ("sig", "result", "node", "depth", "_hash", "_bind_free", "_runs")
+    __slots__ = ("sig", "result", "node", "depth", "_bind_free", "_runs", "__weakref__")
 
     def __init__(self, sig: Signature, result: FiniteDomain, node: "Node", depth: int):
         _set_sig(self, sig)
         _set_result(self, result)
         _set_node(self, node)
         _set_depth(self, depth)
-        # Structural hash, taken on first use.  It is never pickled: it reads
-        # identity hashes, which differ between processes.
-        _set_hash(self, None)
         # Whether the tree holds no bind, and so is its own normal form; `_mk`
         # finds that out, and a program made another way is not assumed to.
         _set_bind_free(self, False)
@@ -269,101 +264,79 @@ class Program:
         return f"Program[{self.sig.effect}:{self.result.name}]({self.node.__class__.__name__}, d={self.depth})"
 
     def __reduce__(self):
-        return Program, (self.sig, self.result, self.node, self.depth)
-
-    def __hash__(self):
-        if self._hash is None:
-            unhashed = lambda n: [k for k in _kids(n) if k._hash is None]
-            for q in _postorder(self, unhashed):
-                n = q.node
-                h = hash((q.sig, q.result, q.depth, type(n), _SHAPES[type(n)][2](n),
-                          tuple(k._hash for k in _kids(n))))
-                _set_hash(q, h)
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Program):
-            return NotImplemented
-        todo, seen = [(self, other)], set()  # seen: pairs of inner nodes already queued
-        while todo:
-            p, q = todo.pop()
-            n, m = p.node, q.node
-            if type(n) is not type(m):
-                return False
-            kids, _, head, _ = _SHAPES[type(n)]
-            a, b = kids(n), kids(m)
-            if (p.depth, p.result, p.sig, head(n), len(a)) != (q.depth, q.result, q.sig, head(m), len(b)):
-                return False
-            if a and (id(p), id(q)) not in seen:
-                seen.add((id(p), id(q)))
-                todo += [pair for pair in zip(a, b) if pair[0] is not pair[1]]
-        return True
+        # pickle and copy rebuild through the pool, so they return the live tree
+        return _mk, (self.sig, self.result, self.node)
 
 
 # Programs refuse `__setattr__`, like frozen dataclasses; their own code sets
 # a field through its slot's descriptor, which costs less than going through
 # `object.__setattr__`.
-(_set_sig, _set_result, _set_node, _set_depth, _set_hash, _set_bind_free, _set_runs) = (
-    getattr(Program, name).__set__ for name in Program.__slots__)
+(_set_sig, _set_result, _set_node, _set_depth, _set_bind_free, _set_runs) = (
+    getattr(Program, name).__set__ for name in Program.__slots__[:-1])
 
 
-# -- the construction table of a check or build ------------------------------
+# -- the pool ----------------------------------------------------------------
 
-# The table of the check or derivation build in progress, None while
-# neither runs.  One dict holds, under keys that cannot collide:
-#   ("program", sig, result, ...)     program nodes built by `_mk`
-#   ("spec-...", ...)                 specs built by the `specmonads`
-#                                     constructors that consult it
-_TABLE: ContextVar[Optional[dict]] = ContextVar("relwp_check_table", default=None)
+class _Ref(weakref.ref):
+    """A pool entry: a weak reference to a live object, and its key."""
+
+    __slots__ = ("key",)
 
 
-class _EvaluationScope:
-    """While open, a check or a derivation build shares what it builds:
-    every program node (`_mk`) and every spec from `spec_ret`, `spec_bind`,
-    `linear_spec` and `demand_spec` is built once per distinct
-    construction, so a build's tables share their objects and a check
-    builds each of its own once.  A nested scope reuses the open one, and
-    the table goes when the outermost scope closes: only what a judgment's
-    tables hold outlives the check or the build."""
+_set_key = _Ref.key.__set__
 
-    __slots__ = ("token",)
+# One entry per live program, under the key `_mk` looks it up by, and per
+# live fixed or quantitative spec, under its body (`specmonads`).  A
+# program's key holds its children, which the program keeps alive anyway;
+# the entry goes when the program does.
+_POOL: dict = {}
 
-    def __enter__(self):
-        self.token = _TABLE.set({}) if _TABLE.get() is None else None
 
-    def __exit__(self, *exc):
-        if self.token is not None:
-            _TABLE.reset(self.token)
+def _drop(ref: _Ref, pool=_POOL):
+    # The pool is bound here, so an entry leaves the pool it entered even
+    # while `_POOL` names another (tests swap in one that keeps nothing).  A
+    # key rebuilt after its object died holds the new entry: keep that.
+    if pool.get(ref.key) is ref:
+        del pool[ref.key]
+
+
+def _intern(key, make, *args):
+    """The live object pooled under key, or else make(*args), pooled there
+    now."""
+    ref = _POOL.get(key)
+    if ref is not None:
+        obj = ref()
+        if obj is not None:
+            return obj
+    obj = make(*args)
+    ref = _POOL[key] = _Ref(obj, _drop)
+    _set_key(ref, key)
+    return obj
 
 
 def _mk(sig: Signature, result: FiniteDomain, node: Node) -> Program:
     if not isinstance(node, _ALLOWED[sig.effect]):
         raise ValueError(f"{node.__class__.__name__} node not allowed under effect {sig.effect!r}")
-    table = _TABLE.get()
-    if table is not None:
-        kids, _, head, _ = _SHAPES[type(node)]
-        # the stored program keeps its children alive, so their ids stay theirs
-        key = ("program", sig, result, type(node), head(node), tuple(map(id, kids(node))))
-        p = table.get(key)
-        if p is not None:
-            return p
+    kids, _, head, _ = _SHAPES[type(node)]
+    kids = kids(node)
+    return _intern((sig, result, type(node), head(node), kids), _program, sig, result, node, kids)
+
+
+def _program(sig: Signature, result: FiniteDomain, node: Node, kids) -> Program:
+    """A new program over node, with its depth and whether it holds no bind."""
     if type(node) is Bind:
         # a bind adds no level of its own: its depth is the longest path
         # through the inner program into a continuation
         p = Program(sig, result, node, max(node.inner.depth + max(c.depth for c in node.cont) - 1, 1))
     else:
         depth, bind_free = 1, True
-        for k in _kids(node):
+        for k in kids:
             if k.depth >= depth:
                 depth = k.depth + 1
             bind_free = bind_free and k._bind_free
         p = Program(sig, result, node, depth)
         if bind_free:
             _set_bind_free(p, True)
-    if table is not None:
-        table[key] = p
     return p
 
 
@@ -557,12 +530,10 @@ def normalize(p: Program) -> Program:
 
 
 def programs_equal(p: Program, q: Program) -> bool:
-    """Structural equality modulo normalization.  The same object is equal
-    at once, and so is an equal tree: `==` skips shared children, so a
-    replay's program, built over the stored premise programs, compares
-    with the stated one in one layer.  Other pairs are normalized and
-    walked."""
-    return p is q or p == q or normalize(p) == normalize(q)
+    """Equality modulo normalization.  Equal trees are one object, so
+    only other pairs are normalized, and their normal forms compare by
+    identity too."""
+    return p is q or normalize(p) is normalize(q)
 
 
 # -- evaluators ---------------------------------------------------------------

@@ -30,9 +30,9 @@ A judgment holds its programs and specs as tables (`Table`), one entry per
 valuation of its context, filled once when it is built.  A rule computes
 its conclusion's tables from its premises' tables, so replaying a node is
 one rule application over stored entries, and the oracle reads the root's
-tables without rebuilding anything.  A build, like a check, shares equal
-constructions within it (`programs._EvaluationScope`), so the stored
-entries of one tree share their programs and specs.
+tables without rebuilding anything.  Programs and specs are hash-consed
+(`programs._intern`), so the stored entries of one tree, and a replay's
+recomputed ones, share each distinct program and spec body.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .observations import (
     observation_prob,
     observation_st,
 )
-from .programs import Program, Signature, _EvaluationScope
+from .programs import Program, Signature
 from .specmonads import (
     VIOLATED,
     OutcomeSpace,
@@ -359,7 +359,8 @@ class Judgment:
     def mismatch(self, computed: "Judgment") -> Optional[str]:
         """How this stated conclusion differs from the rule's own: programs
         up to normalization, specs extensionally in both directions, per
-        valuation.  None when they agree."""
+        valuation; a spec that cannot be compared with the rule's (another
+        carrier or outcome space) differs.  None when they agree."""
         if self.env != computed.env:
             return "stated context differs from the rule's conclusion context"
         if not _same_observation(self.observation, computed.observation):
@@ -372,9 +373,12 @@ class Judgment:
                 return f"left program differs at {_show_valuation(self.env, g)}"
             if not P.programs_equal(p2, q2):
                 return f"right program differs at {_show_valuation(self.env, g)}"
-            v = spec_equiv(w, w2)
-            if not v.holds:
-                return f"conclusion spec differs at {_show_valuation(self.env, g)} ({v.kind})"
+            try:
+                v = spec_equiv(w, w2).kind
+            except ValueError as e:
+                v = str(e)
+            if v != "holds":
+                return f"conclusion spec differs at {_show_valuation(self.env, g)} ({v})"
         return None
 
     def oracle(self) -> "OracleVerdict":
@@ -1205,40 +1209,36 @@ def check_derivation(d: Derivation) -> CheckResult:
     its parameters build an invalid program or spec (ValueError).
 
     Each rule is applied once per node, to its premises' stored tables, and
-    its result is compared with the stated tables at every valuation.  The
-    replay runs in one `_EvaluationScope`, so each program node and each
-    spec from the constructors that share (`spec_ret`, `spec_bind`,
-    `linear_spec`, `demand_spec`) is built once per call, and nothing built
-    here outlives the call.  An honest node's recomputed programs wrap the
-    premises' stored programs, so they compare with the stated ones
-    structurally in one layer, and its specs have the stated demand
-    families or pieces: no program is normalized and no LP runs."""
+    its result is compared with the stated tables at every valuation.  An
+    honest node's recomputed programs and specs are the stated objects
+    (`programs._intern`; an interactive spec has the stated entries): no
+    program is normalized and no LP runs.  A stated spec of another
+    carrier fails its node, as any other difference does."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
-    with _EvaluationScope():
-        while stack:
-            node, i = stack[-1]
-            if i < len(node.premises):
-                stack[-1] = (node, i + 1)
-                if id(node.premises[i]) not in done:
-                    stack.append((node.premises[i], 0))
-                    path.append(i)
-                continue
-            stack.pop()
-            stated = node.conclusion
-            catalogue = type(stated).catalogue
-            # core nodes replay through apply_rule, the entry point the bench times
-            apply = apply_rule if catalogue is CORE else catalogue.apply
-            try:
-                computed = apply(node.rule, tuple(s.conclusion for s in node.premises))
-            except (RuleError, ValueError) as e:
-                return CheckResult(False, tuple(path), f"{node.rule.rule}: {e}")
-            bad = stated.mismatch(computed)
-            if bad is not None:
-                return CheckResult(False, tuple(path), f"{node.rule.rule}: {bad}")
-            done.add(id(node))
-            if path:
-                path.pop()
+    while stack:
+        node, i = stack[-1]
+        if i < len(node.premises):
+            stack[-1] = (node, i + 1)
+            if id(node.premises[i]) not in done:
+                stack.append((node.premises[i], 0))
+                path.append(i)
+            continue
+        stack.pop()
+        stated = node.conclusion
+        catalogue = type(stated).catalogue
+        # core nodes replay through apply_rule, the entry point the bench times
+        apply = apply_rule if catalogue is CORE else catalogue.apply
+        try:
+            computed = apply(node.rule, tuple(s.conclusion for s in node.premises))
+        except (RuleError, ValueError) as e:
+            return CheckResult(False, tuple(path), f"{node.rule.rule}: {e}")
+        bad = stated.mismatch(computed)
+        if bad is not None:
+            return CheckResult(False, tuple(path), f"{node.rule.rule}: {bad}")
+        done.add(id(node))
+        if path:
+            path.pop()
     return _OK
 
 
@@ -1277,12 +1277,8 @@ class OracleVerdict:
 
 def oracle_check(j) -> OracleVerdict:
     """Decide a judgment of any kind semantically, at every valuation (the
-    `oracle` of its type), from the programs and specs its tables hold.
-    Within the call, as in `check_derivation`, equal constructions of
-    programs and specs give one object; nothing built here outlives the
-    call."""
-    with _EvaluationScope():
-        return j.oracle()
+    `oracle` of its type), from the programs and specs its tables hold."""
+    return j.oracle()
 
 
 def minimize_failure(d: Derivation) -> Tuple[Derivation, OracleVerdict]:
@@ -1397,12 +1393,9 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     handler rules split their bound values between the two programs.
 
     Parameters that vary with the valuation are given as Tables, so a
-    derivation holds data and no closures.  The build runs in one
-    `_EvaluationScope`, as `check_derivation` does: each program and spec is
-    built once across the whole tree, so the tree's tables share them, and
-    the scope's table goes when the call returns (a build inside an open
-    scope uses that scope's table).  The rng never reads the table, so the
-    same trees are drawn.
+    derivation holds data and no closures.  Each distinct program and spec
+    body is one object across the whole tree (`programs._intern`), so the
+    tree's tables share them.
     """
     mode = None
     if effect in (P.STATE, P.IMP):
@@ -1691,8 +1684,7 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     if rng.random() < 0.35:
         env, sides = env.extend(("k", rng.choice(pool[1:]))), ("b",)
     try:
-        with _EvaluationScope():
-            return gen(env, sides, depth, None, None)
+        return gen(env, sides, depth, None, None)
     finally:
         gen = None  # gen's closure holds gen: free the build's closures now, not at a collection
 

@@ -49,12 +49,11 @@ exactly by linear programming.
 
 Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
 per field tuple, however it is built, so the shape checks in bind and
-comparison are identity tests.  Within one
-check or build (`programs._EvaluationScope`), `spec_ret`, `spec_bind`,
-`linear_spec` and `demand_spec` build each spec once, in the scope's
-table, which goes with the scope.  A replay that rebuilds a stated spec
-gets one with equal demand families or pieces, which `spec_leq` compares
-by value before any cover loop or LP.
+comparison are identity tests.  Specs with demand families or pieces are
+interned by their bodies, in the pool that holds the live programs
+(`programs._intern`, from `_fixed` and `_linear`): one live spec per
+space and body, so a replay that rebuilds a stated spec gets the stated
+object.  Interactive specs are built per construction.
 
 Pre/post pairs become demonic specs in two ways.  `embed_pp_in_wp` keeps
 a pair's post row at every point where its precondition holds and is
@@ -77,7 +76,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from . import lp
 from .domains import Canonical, FiniteDomain, Value
-from .programs import _TABLE, History
+from .programs import History, _intern
 
 TAGS = ("WrelPure", "WrelSt", "PPrelPure", "PPrelSt", "WrelErr", "WrelIO", "WrelProb")
 _FIXED_TAGS = frozenset({"WrelPure", "WrelSt", "WrelErr"})
@@ -511,7 +510,7 @@ class RelSpec:
 
     __slots__ = (
         "tag", "space", "fams", "table", "rows", "den",
-        "pre", "io_points", "_io_cache",
+        "pre", "io_points", "_io_cache", "__weakref__",
     )
 
     def __init__(self, tag, space, fams=None, table=None, pieces=None,
@@ -638,7 +637,8 @@ def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
 
 
 def _fixed(space: OutcomeSpace, fams, pre=None) -> RelSpec:
-    return RelSpec(space.tag, space, fams=tuple(fams), pre=pre)
+    fams = tuple(fams)
+    return _intern((space, fams, pre), RelSpec, space.tag, space, fams, None, None, pre)
 
 
 def _entry_mask(space: OutcomeSpace, entry) -> int:
@@ -656,20 +656,10 @@ def demonic_spec(space: OutcomeSpace, table) -> RelSpec:
     return demand_spec(space, [e if e is VIOLATED else (_entry_mask(space, e),) for e in table])
 
 
-def _once(table: dict, key: tuple, build: Callable, *args):
-    """build(*args), the first time `key` is asked of the check's `table`;
-    the same object every later time.  Specs never change once built."""
-    w = table.get(key)
-    if w is None:
-        w = table[key] = build(*args)
-    return w
-
-
 def demand_spec(space: OutcomeSpace, fams) -> RelSpec:
     """Spec from per-point demand families: each an iterable of int bitmasks
     (bit o for outcome o), or VIOLATED for the empty family.  The spec
-    accepts phi at a point when some demand there lies inside phi.  Within
-    a check, equal families over one space give one spec."""
+    accepts phi at a point when some demand there lies inside phi."""
     if space.tag not in _FIXED_TAGS:
         raise ValueError(f"demand families need a fixed propositional carrier, not {space.tag}")
     out = []
@@ -684,11 +674,7 @@ def demand_spec(space: OutcomeSpace, fams) -> RelSpec:
         raise ValueError(f"demand outside space of size {space.size}")
     if len(out) != space.point_count:
         raise ValueError("a spec's table must cover every precondition point")
-    table = _TABLE.get()
-    if table is None:
-        return _fixed(space, out)
-    out = tuple(out)
-    return _once(table, ("spec-demand", space, out), _fixed, space, out)
+    return _fixed(space, out)
 
 
 def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
@@ -772,19 +758,15 @@ def _lowest(den: int, rows) -> Tuple[int, tuple]:
 
 def _linear(space: OutcomeSpace, den: int, rows, exact_prune: bool = True) -> RelSpec:
     """The quantitative spec of int pieces over `den`, as `linear_spec`
-    builds it from rationals: the constructor of the kernel's own producers.
-    Within a check, equal pieces over one space give one spec."""
+    builds it from rationals: the constructor of the kernel's own producers."""
     den, rows = _lowest(den, rows)
-    table = _TABLE.get()
-    if table is None:
-        return _prob_spec(space, den, rows, exact_prune)
-    return _once(table, ("spec-linear", space, exact_prune, den, rows),
-                 _prob_spec, space, den, rows, exact_prune)
+    den, rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
+    return _intern((space, den, rows), _prob_spec, space, den, rows)
 
 
-def _prob_spec(space: OutcomeSpace, den: int, rows: tuple, exact_prune: bool) -> RelSpec:
+def _prob_spec(space: OutcomeSpace, den: int, rows: tuple) -> RelSpec:
     w = RelSpec("WrelProb", space)
-    w.den, w.rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
+    w.den, w.rows = den, rows
     return w
 
 
@@ -848,16 +830,10 @@ def _check_value(v: Value, dom: FiniteDomain, side: str):
 
 
 def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None) -> RelSpec:
-    """The unit: demand the postcondition exactly at the given value pair.
-    Within a check, equal arguments give one spec."""
+    """The unit: demand the postcondition exactly at the given value pair."""
     _check_value(a1, space.a1, "left")
     _check_value(a2, space.a2, "right")
-    table = _TABLE.get()
-    if table is None:
-        return _ret(space, a1.index, a2.index, points)
-    points = None if points is None else tuple(points)
-    return _once(table, ("spec-ret", space, a1.index, a2.index, points),
-                 _ret, space, a1.index, a2.index, points)
+    return _ret(space, a1.index, a2.index, points)
 
 
 def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
@@ -953,16 +929,9 @@ class ContTable:
 
 def spec_bind(wm: RelSpec, wf) -> RelSpec:
     """Sequential composition of specs.  `wf` is a `ContTable`, or what one
-    is built from: binding many middles to one table prepares it once.
-    Within a check, a bind of the same middle spec to the same continuation
-    specs, by identity, gives one spec."""
+    is built from: binding many middles to one table prepares it once."""
     conts, cspace, subs = (wf if isinstance(wf, ContTable) else ContTable(wf)).prepare(wm)
-    table = _TABLE.get()
-    if table is None:
-        return _bind(wm, conts, cspace, subs)
-    # the entry keeps wm and the continuations alive, so their ids stay theirs
-    key = ("spec-bind", id(wm)) + tuple(map(id, conts.values()))
-    return _once(table, key, lambda: (_bind(wm, conts, cspace, subs), wm, conts))[0]
+    return _bind(wm, conts, cspace, subs)
 
 
 def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
@@ -1240,8 +1209,7 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
 
 def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     """Both directions of spec_leq; Holds means extensional equality.  The
-    same object holds at once: within a check, equal constructions give one
-    spec, so an honest replay's specs compare in O(1)."""
+    same object holds at once."""
     if w is w2:
         return HOLDS
     fwd = spec_leq(w, w2)

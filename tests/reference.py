@@ -2,7 +2,9 @@
 
 Each is a direct transcription of its definition, kept apart from `relwp`
 on purpose: `normalize` is the structural normal form the iterative one in
-`programs` must reproduce node for node, `run_imp_fuel` cross-checks
+`programs` must reproduce node for node, built with `Program` directly,
+outside the pool, so tests compare it through `tree`, which reads a
+program as nested tuples off its nodes' dataclass fields; `run_imp_fuel` cross-checks
 `run_imp`'s divergence verdicts, `theta_imp_walk` builds the one-sided
 state and partial-correctness transformers node by node, loops by their
 fixpoint, where the observations read the program's runs, `theta_part_slow`
@@ -32,11 +34,12 @@ relational composition, the componentwise order and the embedding.
 `translate_by_store` elaborates a While statement store by store through
 the scalar evaluator, building every leaf afresh, where `translate` reads
 per-signature tables.  `soundness_differential` oracle-checks sampled
-derivations and reports each failure minimized.
+derivations and reports each failure minimized; `seeded_corpus` draws the
+seed-1 depth-3 derivations that CI's "Derivation corpus" step draws.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -57,6 +60,20 @@ from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, p
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
     return Program(sig, result, node, depth)
+
+
+def tree(p: Program) -> tuple:
+    """p as nested tuples, read off the dataclass fields of its nodes rather
+    than through the node-shape table of `programs`."""
+    def read(v):
+        if isinstance(v, Program):
+            return tree(v)
+        if isinstance(v, tuple):
+            return tuple(read(x) for x in v)
+        return v
+    n = p.node
+    return (type(n).__name__, p.sig, p.result, p.depth) + tuple(
+        read(getattr(n, f.name)) for f in fields(n))
 
 
 def _throws(p: Program) -> bool:
@@ -790,6 +807,18 @@ class SoundnessReport:
 
     def __repr__(self):
         return f"SoundnessReport(total={self.total}, holds={self.holds}, fails={self.fails})"
+
+
+CORPUS_EFFECTS = (P.STATE, P.IMP, P.EXC, P.NDET, P.IO, P.PROB)
+
+
+def seeded_corpus(per_effect: int, effects: Sequence[str] = CORPUS_EFFECTS) -> List[R.Derivation]:
+    """per_effect seeded depth-3 derivations of each effect, in this order,
+    the ndet modes taking turns."""
+    rng = random.Random(1)
+    return [R.random_derivation(rng, effect, depth=3,
+                                **({"ndet_mode": O.NDET_MODES[i % 3]} if effect == P.NDET else {}))
+            for effect in effects for i in range(per_effect)]
 
 
 def soundness_differential(sampler: Callable[[random.Random], R.Derivation], n: int,

@@ -158,9 +158,9 @@ def test_right_nested_chain(effect):
 
 @pytest.mark.parametrize("effect", ["state", "exc"])
 def test_deep_programs_built_apart_compare_and_hash_equal(effect):
+    # one live object per distinct tree, however deep
     p, twin = BUILD[effect](), BUILD[effect]()
-    assert p == twin and p is not twin
-    assert hash(p) == hash(twin)
+    assert p is twin and hash(p) == hash(twin)
 
 
 def test_one_sided_embeddings_of_long_chains():
@@ -234,7 +234,7 @@ def test_normalize_left_nested_binds():
 
 
 def test_a_program_pickled_under_another_string_hash_seed_hashes_here():
-    # the cached hash is never pickled: string hashes differ by process
+    # a program made in a process with other string hashes is the live one here
     code = ("import pickle, sys; from relwp import programs as P; "
             "from relwp.domains import domain; d = domain('A', 2, ('x', 'y')); "
             "sig = P.state_sig(d); p = P.put(sig, d.value(1), P.get_state(sig)); hash(p); "
@@ -247,8 +247,7 @@ def test_a_program_pickled_under_another_string_hash_seed_hashes_here():
     d = domain("A", 2, ("x", "y"))
     sig = P.state_sig(d)
     here = P.put(sig, d.value(1), P.get_state(sig))
-    assert there == here and hash(there) == hash(here)
-    assert {here: 1}[there] == 1
+    assert there is here
 
 
 # ---------------------------------------------------------------------------

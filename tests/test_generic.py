@@ -760,8 +760,11 @@ def test_equal_payloads_built_apart_share_one_pin(monkeypatch):
 
     monkeypatch.setattr(G, "lift_pure", counted)
     monad = G.wrelexc_monad(EL, ER)
-    left = [sm.demand_spec(PT(SUM1), [[0b0011, 0b0100]]) for _ in range(2)]
-    right = [sm.demand_spec(sm.pure_space(UNIT, SUM2), [[0b1001]]) for _ in range(2)]
+    # the second of each pair is made outside the pool, with the first's body
+    left = [sm.demand_spec(PT(SUM1), [[0b0011, 0b0100]])]
+    right = [sm.demand_spec(sm.pure_space(UNIT, SUM2), [[0b1001]])]
+    for ws in (left, right):
+        ws.append(sm.RelSpec(ws[0].tag, ws[0].space, fams=ws[0].fams))
     assert left[0] is not left[1] and right[0] is not right[1]
     frel = ((sm.weakest(PAIR),) * Z2.size,) * Z2.size
     seen = []
@@ -1255,6 +1258,15 @@ def test_a_tampered_split_context_node_is_reported_at_its_path():
     res = R.check_derivation(tampered)
     assert (res.ok, res.path) == (False, (1,))
     assert res.message == "Ret: relational spec differs at e1=0 and e2=0"
+    # a table of another carrier cannot be compared: it differs the same way
+    other = sm.weakest(sm.state_space(UNIT, Z2, UNIT, Z2))
+    for field, clause in (("wrel_table", "relational"), ("w1_table", "left")):
+        j = handler.conclusion
+        wrong = dataclasses.replace(j, **{field: R.Table(other for _ in getattr(j, field))})
+        res = R.check_derivation(dataclasses.replace(
+            d, premises=(body, dataclasses.replace(handler, conclusion=wrong))))
+        assert (res.ok, res.path) == (False, (1,))
+        assert res.message.startswith(f"Ret: {clause} spec differs at ")
 
 
 # ---------------------------------------------------------------------------

@@ -451,28 +451,35 @@ def _count_runs(monkeypatch):
 @pytest.mark.parametrize("theta,sig1,sig2", [
     (O.theta_st, SSIG, S3SIG), (O.theta_part, ISIG, I3SIG), (O.theta_tot, ISIG, I3SIG)])
 def test_pair_observations_run_each_side_once_per_initial_state(monkeypatch, theta, sig1, sig2):
-    pairs = _unequal_pairs(sig1, sig2, 13, 8)
+    # a side runs from each initial state the first time any observation
+    # meets it; a program built again is the same object, and runs no more
+    pairs = _unequal_pairs(sig1, sig2, 13, 8) + _unequal_pairs(sig1, sig2, 13, 8)
     seen = _count_runs(monkeypatch)
     for c1, c2 in pairs:
         before = seen["runs"]
+        fresh = (c1._runs is None) * 2 + (c2._runs is None) * 3
         theta(c1, c2)
-        assert seen["runs"] - before == 2 + 3
+        assert seen["runs"] - before == fresh
+    assert seen["runs"] <= 8 * (2 + 3)
 
 
 def test_a_program_runs_once_whatever_it_is_paired_with(monkeypatch):
     pairs = _unequal_pairs(ISIG, I3SIG, 14, 6)
     lefts, rights = [c1 for c1, _ in pairs], [c2 for _, c2 in pairs]
-    assert len({id(c) for c in lefts + rights}) == 12
+    # each distinct program not run yet runs once, from each initial state
+    fresh = {id(c): c for c in lefts + rights if c._runs is None}.values()
     seen = _count_runs(monkeypatch)
     for c1 in lefts:
         for c2 in rights:
             O.theta_part(c1, c2)
             O.theta_tot(c1, c2)
-    assert seen["runs"] == 2 * len(lefts) + 3 * len(rights)
-    # a copy is another program, which keeps no runs of its own
+    assert seen["runs"] == sum(c.sig.state.size for c in fresh)
+    # a copy is the program itself, with its runs
     copy = pickle.loads(pickle.dumps(lefts[0]))
-    assert copy == lefts[0] and copy._runs is None
+    assert copy is lefts[0] and copy._runs is not None
+    before = seen["runs"]
     assert O.theta_part(copy, rights[0]).fams == O.theta_part(lefts[0], rights[0]).fams
+    assert seen["runs"] == before
 
 
 def test_theta_err_runs_each_program_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Program trees and reference evaluators."""
 
+import copy
 import dataclasses
 import os
 import pickle
@@ -266,18 +267,7 @@ def _children(n):
     raise TypeError(n)
 
 
-def _tree(p):
-    """p as nested tuples, read off the dataclass fields of its nodes rather
-    than through the node-shape table under test."""
-    def field(v):
-        if isinstance(v, P.Program):
-            return _tree(v)
-        if isinstance(v, tuple):
-            return tuple(field(x) for x in v)
-        return v
-    n = p.node
-    return (type(n).__name__, p.sig, p.result, p.depth) + tuple(
-        field(getattr(n, f.name)) for f in dataclasses.fields(n))
+_tree = reference.tree
 
 
 @pytest.mark.parametrize("sig,res", SIGS, ids=[s.effect for s, _ in SIGS])
@@ -287,7 +277,9 @@ def test_normalize_matches_the_recursive_reference(sig, res):
         p = random_program(rng, sig, res, 5)
         got, want = P.normalize(p), reference.normalize(p)
         assert _tree(got) == _tree(want)
-        assert got == want and hash(got) == hash(want)
+        # the reference builds its nodes outside the pool; rebuilt
+        # through it, the reference's tree is the very normal form
+        assert P.normalize(want) is got
 
 
 def test_normalize_keeps_a_bind_over_a_catch_whose_continuation_may_throw():
@@ -348,7 +340,7 @@ def test_enumeration_counts_state_depth3():
 
 def _constructions():
     """A few programs of several shapes, built afresh (signatures too) on
-    every call."""
+    every call: the pool returns the live ones."""
     st, pr, imp = P.state_sig(Z3), P.prob_sig(), P.imp_sig(Z3)
     return [
         P.put(st, Z3.value(1), P.get_state(st)),
@@ -360,26 +352,27 @@ def _constructions():
 
 
 def test_a_check_builds_each_program_once():
-    outside = _constructions()
-    assert all(a is not b and a == b for a, b in zip(outside, _constructions()))
-    with P._EvaluationScope():
-        inside = _constructions()
-        assert all(a is b for a, b in zip(inside, _constructions()))
-        st = P.state_sig(Z3)
-        put = inside[0]
-        # another head, another signature: another program
-        assert P.put(st, Z3.value(2), put.node.then) is not put
-        assert P.put(P.state_sig(Z8), Z8.value(1), put.node.then) is not put
-        pr = P.prob_sig()
-        flip = inside[2]
-        assert P.flip(pr, Fraction(1, 4), *flip.node.cont) is not flip
-        assert P.flip(pr, Fraction(1, 3), *flip.node.cont) is flip
-        assert P.ret(P.ndet_sig(), Z3.value(0)) is not flip.node.cont[0]
-        # a rejected construction is rejected before the table is read
-        with pytest.raises(ValueError, match="not allowed"):
-            P._mk(pr, Z3, P.Put(Z3.value(1), put.node.then))
-    assert P._TABLE.get() is None
-    assert all(a is not b and a == b for a, b in zip(inside, _constructions()))
+    built = _constructions()
+    assert all(a is b for a, b in zip(built, _constructions()))
+    st = P.state_sig(Z3)
+    put = built[0]
+    # another head, another signature: another program
+    assert P.put(st, Z3.value(2), put.node.then) is not put
+    assert P.put(P.state_sig(Z8), Z8.value(1), put.node.then) is not put
+    pr = P.prob_sig()
+    flip = built[2]
+    assert P.flip(pr, Fraction(1, 4), *flip.node.cont) is not flip
+    assert P.flip(pr, Fraction(1, 3), *flip.node.cont) is flip
+    assert P.flip(pr, Fraction(2, 6), *flip.node.cont) is flip
+    assert P.ret(P.ndet_sig(), Z3.value(0)) is not flip.node.cont[0]
+    # equality is identity, and a copy or an unpickled program is the live one
+    assert P.Program.__eq__ is object.__eq__ and P.Program.__hash__ is object.__hash__
+    assert all(copy.deepcopy(p) is p and pickle.loads(pickle.dumps(p)) is p for p in built)
+    # a rejected construction is rejected before the pool is read, and pools nothing
+    pooled = len(P._POOL)
+    with pytest.raises(ValueError, match="not allowed"):
+        P._mk(pr, Z3, P.Put(Z3.value(1), put.node.then))
+    assert len(P._POOL) == pooled
 
 
 def test_programs_equal_answers_one_object_without_normalizing(monkeypatch):
@@ -408,8 +401,10 @@ def test_a_signature_pickled_under_another_string_hash_seed_hashes_here():
 
 def test_programs_keep_no_instance_dict():
     p = _constructions()[1]
-    hash(p)
     P.normalize(p)
-    assert not hasattr(p, "__dict__") and p._hash is not None
+    P._runs(p)
+    assert not hasattr(p, "__dict__") and p._runs is not None
+    # the pool holds one weak reference to it, not the program itself
+    assert [type(r) for r in P._POOL.values() if r() is p] == [P._Ref]
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.depth = 3

@@ -14,6 +14,7 @@ import gc
 import random
 import tracemalloc
 import types
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -977,31 +978,31 @@ def test_a_family_is_read_once_per_valuation_when_its_judgment_is_built():
 
 
 def test_no_memo_outlives_a_check():
+    # a replay and an oracle rebuild programs the derivation already holds,
+    # and what else they build leaves the pool when they return
     root, _ = _depth3_with_counted_leaves()
+    gc.collect()
+    pooled = len(P._POOL)
     assert R.check_derivation(root).ok
-    assert P._TABLE.get() is None
     assert R.oracle_check(root.conclusion).holds
-    assert P._TABLE.get() is None
-    # nested checks share the table that is open
-    leaf = root.premises[0].premises[0]
-    with R._EvaluationScope():
-        table = P._TABLE.get()
-        assert R.check_derivation(leaf).ok
-        R.oracle_check(leaf.conclusion)
-        assert P._TABLE.get() is table and table
-    assert P._TABLE.get() is None
+    gc.collect()
+    assert len(P._POOL) == pooled
 
-    # a check that raises drops its table too: a spec of another carrier
-    # cannot be compared with the observation or the rule's spec
+    # a spec of another carrier cannot be compared with the observation: the
+    # oracle raises, and the replay fails the node with the reason
+    leaf = root.premises[0].premises[0]
     j = leaf.conclusion
     bad = R.Judgment(j.env, j.c1_table, j.c2_table,
                      R.Table([sm.weakest(sm.pure_space(UNIT, Z2))]), j.observation)
     with pytest.raises(ValueError, match="cannot compare"):
         R.oracle_check(bad)
-    assert P._TABLE.get() is None
-    with pytest.raises(ValueError, match="cannot compare"):
-        R.check_derivation(R.Derivation(bad, leaf.rule, ()))
-    assert P._TABLE.get() is None
+    res = R.check_derivation(R.Derivation(bad, leaf.rule, ()))
+    assert (res.ok, res.path, res.message) == (
+        False, (), f"{leaf.rule.rule}: conclusion spec differs at the empty context "
+                   "(cannot compare WrelPure with WrelSt)")
+    del bad
+    gc.collect()
+    assert len(P._POOL) == pooled
 
 
 def test_corrupted_inner_conclusions_fail_where_they_did():
@@ -1028,23 +1029,22 @@ def test_corrupted_inner_conclusions_fail_where_they_did():
 
 
 # ---------------------------------------------------------------------------
-# One construction table per check
+# One pool of live programs and specs
 
 
 class _Forgetful(dict):
-    """A check table that drops every program and spec construction as soon
-    as it is stored (their keys start with a tag string) and keeps only the
-    judgment families' values: a check that shares no construction."""
+    """A pool that keeps no entry: every construction builds a new object."""
 
     def __setitem__(self, key, value):
-        if type(key[0]) is not str:
-            super().__setitem__(key, value)
+        pass
 
 
 def _forget_constructions(monkeypatch):
-    def enter(scope):
-        scope.token = P._TABLE.set(_Forgetful()) if P._TABLE.get() is None else None
-    monkeypatch.setattr(P._EvaluationScope, "__enter__", enter)
+    """Build every program afresh, and compare programs by the trees of
+    their reference normal forms instead of by identity."""
+    monkeypatch.setattr(P, "_POOL", _Forgetful())
+    monkeypatch.setattr(P, "programs_equal", lambda p, q: (
+        reference.tree(reference.normalize(p)) == reference.tree(reference.normalize(q))))
 
 
 def _outcome(res):
@@ -1070,8 +1070,9 @@ def _coupled_flips():
 
 def test_an_honest_replay_recomputes_the_stated_objects(monkeypatch):
     # the replay guard: the stated objects come from the build and the
-    # recomputed ones from the check, yet every comparison of an honest
-    # replay is decided without normalizing a program or running an LP
+    # recomputed ones from the check, yet the pool makes them one object
+    # each, so every comparison of an honest replay is decided without
+    # normalizing a program or running an LP
     seen, slow = [], []
     real_equal, real_equiv = P.programs_equal, R.spec_equiv
     monkeypatch.setattr(P, "programs_equal", lambda p, q: seen.append((p, q)) or real_equal(p, q))
@@ -1086,7 +1087,7 @@ def test_an_honest_replay_recomputes_the_stated_objects(monkeypatch):
         assert R.check_derivation(d).ok
         # at least two programs and one spec per valuation of each node
         assert len(seen) >= 3 * 4
-        assert any(a is not b for a, b in seen)
+        assert all(a is b for a, b in seen)
         assert slow == []
     rng = random.Random("honest-replay")
     trees = [R.random_derivation(rng, effect, depth=3) for effect in ALL_EFFECTS
@@ -1096,25 +1097,27 @@ def test_an_honest_replay_recomputes_the_stated_objects(monkeypatch):
     assert slow == []
 
 
-def test_constructions_are_shared_only_within_a_check():
+def test_constructions_are_shared_while_alive():
     root, _ = _depth3_with_counted_leaves()
     bind = root.premises[0]
     premises = tuple(s.conclusion for s in bind.premises)
     one, two = (R.apply_rule(bind.rule, premises) for _ in range(2))
-    assert one.c1() is not two.c1() and one.w() is not two.w()
-    with R._EvaluationScope():
-        inside = R.apply_rule(bind.rule, premises)
-        with R._EvaluationScope():
-            again = R.apply_rule(bind.rule, premises)
-            assert (again.c1(), again.w()) == (inside.c1(), inside.w())
-            assert again.c1() is inside.c1() and again.w() is inside.w()
-            assert R.check_derivation(root).ok
-    assert inside.c1() is not one.c1() and P.programs_equal(inside.c1(), one.c1())
-    assert sm.spec_equiv(inside.w(), one.w()).holds
-    # a build inside a scope shares its constructions with the stated tables
-    with R._EvaluationScope():
-        assert R.apply_rule(bind.rule, premises).c2() is R.apply_rule(bind.rule, premises).c2()
-    assert P._TABLE.get() is None
+    # every application rebuilds the stated programs and spec
+    assert one.c1() is two.c1() is bind.conclusion.c1()
+    assert one.c2() is two.c2() is bind.conclusion.c2()
+    assert one.w() is two.w() is bind.conclusion.w()
+
+    # a program lives while something holds it, and leaves the pool with
+    # its last user; built again, it is a new object
+    sig = P.state_sig(domain("alive", 3))
+    build = lambda: P.put(sig, sig.state.value(2), P.ret(sig, UNIT_VAL))
+    p = build()
+    ref, pooled = weakref.ref(p), len(P._POOL)
+    assert build() is p
+    del p
+    assert ref() is None and len(P._POOL) == pooled - 2
+    p = build()
+    assert ref() is None and len(P._POOL) == pooled
 
 
 @pytest.mark.parametrize("effect", ALL_EFFECTS)
@@ -1180,7 +1183,7 @@ def test_weaken_and_zero_elim_read_their_target_once_per_valuation():
 
 
 # ---------------------------------------------------------------------------
-# One construction table per derivation build
+# Derivation builds and the pool
 
 
 def _shape(d):
@@ -1199,48 +1202,57 @@ def test_a_build_inside_the_table_draws_the_same_derivations(monkeypatch, effect
         rng = random.Random(f"build-{effect}")
         return [R.random_derivation(rng, effect, depth=3) for _ in range(100)]
 
+    def outcomes(ds):
+        return [(_outcome(R.check_derivation(d)), _outcome(R.oracle_check(d.conclusion)))
+                for d in ds]
+
+    # the rng never reads the pool: a build that pools nothing draws the same trees
     shared = build()
     with monkeypatch.context() as m:
-        m.setattr(P._EvaluationScope, "__enter__", lambda scope: setattr(scope, "token", None))
+        _forget_constructions(m)
         free = build()
-    assert P._TABLE.get() is None
+        free_outcomes = outcomes(free)
     assert list(map(_shape, shared)) == list(map(_shape, free))
+    tree = reference.tree
     for a, b in zip(shared, free):
         for na, nb in zip(_nodes(a), _nodes(b)):
             ja, jb = na.conclusion, nb.conclusion
             assert ja.env == jb.env
             for g in ja.env.valuations():
-                assert P.programs_equal(ja.c1(g), jb.c1(g))
-                assert P.programs_equal(ja.c2(g), jb.c2(g))
+                assert tree(ja.c1(g)) == tree(jb.c1(g))
+                assert tree(ja.c2(g)) == tree(jb.c2(g))
                 assert sm.spec_equiv(ja.w(g), jb.w(g)).holds
-        assert _outcome(R.check_derivation(a)) == _outcome(R.check_derivation(b))
-        assert _outcome(R.oracle_check(a.conclusion)) == _outcome(R.oracle_check(b.conclusion))
+    assert outcomes(shared) == free_outcomes
 
 
 def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
     made = []
     mk = P._mk
     monkeypatch.setattr(P, "_mk", lambda *a: made.append(1) or mk(*a))
+    gc.collect()
+    pooled = len(P._POOL)
     rng = random.Random(0)
-    for _ in range(50):
-        R.random_derivation(rng, P.PROB, depth=3)
+    ds = [R.random_derivation(rng, P.PROB, depth=3) for _ in range(50)]
     # 4,680 calls when every derive re-evaluated its premises from the leaves
     assert len(made) <= 2000
-    assert P._TABLE.get() is None
+    # the pool holds one object per distinct tree or spec body, and each is pooled
+    progs = {id(q): q for d in ds for n in _nodes(d)
+             for p in n.conclusion.c1_table + n.conclusion.c2_table for q in P._postorder(p)}
+    specs = {id(w): w for d in ds for n in _nodes(d) for w in n.conclusion.w_table}
+    assert len({reference.tree(q) for q in progs.values()}) == len(progs)
+    assert all(mk(q.sig, q.result, q.node) is q for q in progs.values())
+    assert len({(w.space, w.den, w.rows) for w in specs.values()}) == len(specs)
+    assert pooled < len(P._POOL) <= pooled + len(progs) + len(specs)
+    del ds, progs, specs
+    gc.collect()
+    assert len(P._POOL) == pooled
 
-    # a build inside an open scope builds into that scope's table
-    with R._EvaluationScope():
-        table = P._TABLE.get()
-        R.random_derivation(random.Random(1), P.STATE, depth=3)
-        assert P._TABLE.get() is table and table
-    assert P._TABLE.get() is None
-
-    # a build that raises partway drops its table too
-    derive, tables = R.derive, []
+    # a build that raises partway leaves nothing pooled either
+    derive, calls = R.derive, []
 
     def failing(*a, **kw):
-        tables.append(P._TABLE.get())
-        if len(tables) == 3:
+        calls.append(1)
+        if len(calls) == 3:
             raise RuntimeError("third derive")
         return derive(*a, **kw)
 
@@ -1249,27 +1261,22 @@ def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
     with pytest.raises(RuntimeError, match="third derive"):
         for _ in range(10):
             R.random_derivation(rng, P.PROB, depth=3)
-    assert tables[-1] is not None and P._TABLE.get() is None
-
-
-def _seeded_corpus(per_effect):
-    rng = random.Random(1)
-    return [R.random_derivation(rng, effect, depth=3,
-                                **({"ndet_mode": O.NDET_MODES[i % 3]} if effect == P.NDET else {}))
-            for effect in ALL_EFFECTS for i in range(per_effect)]
+    gc.collect()
+    assert len(calls) == 3 and len(P._POOL) == pooled
 
 
 def test_a_seeded_corpus_with_its_tables_traces_under_7_mib():
     # 100 depth-3 derivations per effect, replayed and oracle-checked, keep
-    # 5.45 MiB alive with their tables and the runs their programs cache
-    # (CPython 3.11); with closures for families in their place they kept
-    # 6.16 MiB.  Keeping the closures beside the tables, or a memo per
-    # family, would pass the bound.
-    _seeded_corpus(100)    # the process-wide caches fill here, untraced
+    # 4.83 MiB alive with their tables, the runs their programs cache and
+    # the pool's entries (CPython 3.11; 5.69 MiB on 3.10); with closures for
+    # families in their place they kept 6.16 MiB, and with programs pooled
+    # but every spec built apart, 7.01 MiB.  Keeping the closures beside
+    # the tables, or a memo per family, would pass the bound.
+    reference.seeded_corpus(100)    # the process-wide caches fill here, untraced
     gc.collect()
     tracemalloc.start()
     try:
-        corpus = _seeded_corpus(100)
+        corpus = reference.seeded_corpus(100)
         assert all(R.check_derivation(d).ok for d in corpus)
         assert all(R.oracle_check(d.conclusion).holds for d in corpus)
         gc.collect()

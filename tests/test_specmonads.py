@@ -1489,10 +1489,11 @@ def test_fam_bind_hands_a_one_outcome_demand_its_continuation_family(seed):
     subs = table.prepare(w)[2]   # the family each outcome of w leads to
     for o, sub in enumerate(subs):
         assert sm._fam_bind(frozenset({1 << o}), subs) is sub
+    # (the bound spec may be an equal one already pooled, with equal families)
     for fam, got in zip(w.fams, bound.fams):
         assert got == sm._fam_bind(fam, subs)
         if len(fam) == 1 and max(fam).bit_count() == 1:
-            assert got is subs[max(fam).bit_length() - 1]
+            assert sm._fam_bind(fam, subs) is subs[max(fam).bit_length() - 1]
 
 
 def test_fixed_leq_is_exact_at_cap_one_on_16_outcome_spaces():
@@ -1564,7 +1565,8 @@ def test_spec_too_large_fires_at_each_documented_limit():
 
 
 def _spec_constructions():
-    """One spec of each shared constructor, built afresh on every call."""
+    """One spec of each constructor, built afresh on every call: the pool
+    returns the live ones."""
     sp, pp = sm.state_space(Z2, Z2, Z2, Z2), sm.prob_space(Z2, Z2)
     ret = sm.spec_ret(sp, Z2.value(1), Z2.value(0))
     lin = sm.linear_spec(pp, [(0, [F(1, 2), 0, 0, F(1, 2)]), (F(1, 3), (F(1, 3),) * 4)])
@@ -1578,21 +1580,19 @@ def _spec_constructions():
 
 
 def test_a_check_builds_each_spec_once():
-    outside = _spec_constructions()
-    assert not any(a is b for a, b in zip(outside, _spec_constructions()))
-    with R._EvaluationScope():
-        inside = _spec_constructions()
-        assert all(a is b for a, b in zip(inside, _spec_constructions()))
-        sp = inside[0].space
-        assert sm.spec_ret(sp, Z2.value(0), Z2.value(0)) is not inside[0]
-        assert sm.linear_spec(inside[1].space, [(0, (F(1, 2),) * 4)]) is not inside[1]
-        assert sm.linear_spec(inside[1].space, inside[1].pieces, exact_prune=False) is not inside[1]
-    for a, b in zip(inside, outside):
-        assert a is not b and sm.spec_equiv(a, b).holds
+    built = _spec_constructions()
+    assert all(a is b for a, b in zip(built, _spec_constructions()))
+    sp = built[0].space
+    assert sm.spec_ret(sp, Z2.value(0), Z2.value(0)) is not built[0]
+    assert sm.linear_spec(built[1].space, [(0, (F(1, 2),) * 4)]) is not built[1]
+    # one body, one spec, however it was built
+    assert sm.linear_spec(built[1].space, built[1].pieces, exact_prune=False) is built[1]
+    assert sm.demand_spec(sp, built[0].fams) is built[0]
 
 
 def test_equal_specs_compare_without_an_lp(monkeypatch):
-    w, w2 = _spec_constructions()[1], _spec_constructions()[1]
+    w = _spec_constructions()[1]
+    w2 = sm.RelSpec(w.tag, w.space, pieces=w.pieces)   # made outside the pool
     assert w is not w2 and all(type(c) is F for _, cs in w.pieces for c in cs)
     monkeypatch.setattr(lp, "max_min_affine", lambda *a: pytest.fail("ran an LP"))
     monkeypatch.setattr(lp, "box_upper_bound", lambda *a: pytest.fail("bounded a box"))
