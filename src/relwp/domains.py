@@ -34,7 +34,9 @@ class Canonical(metaclass=_Pooled):
     validation pools nothing.  Equality and hashing are identity, so every
     memo key made of these objects hashes and compares in C.  Subclasses
     are `@dataclass(frozen=True, eq=False)`; as with `_PRODUCTS`, the pools
-    live for the whole process."""
+    live for the whole process.  Store signatures (`whilelang`) are
+    canonical too; While syntax takes these construction rules but a
+    metaclass of its own, which pools it weakly in `programs._POOL`."""
 
     _arity = -1   # field count, set by the first call that names the fields
 

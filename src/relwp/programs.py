@@ -21,8 +21,9 @@ value, and its children by identity, so there is one live object per
 distinct tree, however and wherever it is built.  Equality is identity,
 and `programs_equal` compares normal forms by identity.  Fixed and
 quantitative specs are interned in the same pool by their bodies
-(`_intern`, `specmonads`).  The pool holds weak references: an object
-leaves it when its last user drops it.
+(`_intern`, `specmonads`), and While syntax nodes by class and fields
+(`whilelang`).  The pool holds weak references: an object leaves it when
+its last user drops it.
 
 Only the table `_SHAPES` knows where each node keeps its subtrees:
 `_kids(node)` lists them and `_rebuild(node, kids)` puts new ones back.
@@ -286,7 +287,8 @@ class _Ref(weakref.ref):
 _set_key = _Ref.key.__set__
 
 # One entry per live program, under the key `_mk` looks it up by, and per
-# live fixed or quantitative spec, under its body (`specmonads`).  A
+# live fixed or quantitative spec, under its body (`specmonads`), and per
+# live While syntax node, under its class and fields (`whilelang`).  A
 # program's key holds its children, which the program keeps alive anyway;
 # the entry goes when the program does.
 _POOL: dict = {}

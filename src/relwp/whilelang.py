@@ -26,19 +26,28 @@ conditions, `rules.check_derivation` replays RHL derivations, and
 (`RHLInstance.judgment`).  Arithmetic wraps
 modulo the value-domain size, and comparisons and connectives yield 0 or 1,
 so every expression denotes a total function on stores.
+
+Syntax and signatures are canonical, so the rules compare statements,
+expressions and signatures by identity.  A syntax node is hash-consed while
+alive, like a program: its class is `Canonical`'s, but it lives in the weak
+pool `programs._POOL`, so two parses of one text are one object and a
+dropped tree leaves the pool.  A store signature is a `Canonical` proper:
+few exist, each is validated once, and each keeps its store domain and the
+tables every elaboration under it shares.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import observations as O
 from . import programs as P
 from . import rules as R
 from . import specmonads as sm
-from .domains import UNIT, UNIT_VAL, FiniteDomain, boolv, domain
+from .domains import UNIT, UNIT_VAL, Canonical, FiniteDomain, _Pooled, boolv, domain
 from .rules import RuleError
 
 LOW, HIGH = "low", "high"
@@ -48,18 +57,36 @@ LOW, HIGH = "low", "high"
 # Store signatures
 
 
-@dataclass(frozen=True)
-class StoreSignature:
+@dataclass(frozen=True, eq=False)
+class StoreSignature(Canonical):
     """Declared locations over a shared finite value domain.
 
     The first location is the most significant digit of the packed store
     index.  `labels`, when present, assigns each location a confidentiality
-    label and is required by the noninterference front end only.
+    label, in the locations' order, and is required by the noninterference
+    front end only.  A signature is canonical, so one object stands for its
+    fields and carries what every elaboration under it shares: its store
+    domain and its `_StoreTables`, each built on first use.
     """
 
     locations: Tuple[str, ...]
     values: FiniteDomain
     labels: Optional[Tuple[Tuple[str, str], ...]] = None
+
+    def __post_init__(self):
+        locs = self.locations
+        if not locs:
+            raise ValueError("need at least one location")
+        if len(set(locs)) != len(locs):
+            raise ValueError("locations must be distinct")
+        if self.labels is not None:
+            named = tuple(l for l, _ in self.labels)
+            if named != locs:
+                raise ValueError(f"labels must name the locations {list(locs)} once each, "
+                                 f"in order, not {list(named)}")
+            bad = [v for _, v in self.labels if v not in (LOW, HIGH)]
+            if bad:
+                raise ValueError(f"labels must be {LOW!r} or {HIGH!r}, not {bad[0]!r}")
 
     def index(self, loc: str) -> int:
         try:
@@ -72,45 +99,41 @@ class StoreSignature:
             raise ValueError("store signature carries no security labels")
         return dict(self.labels)[loc]
 
+    @cached_property
+    def _domain(self) -> FiniteDomain:
+        size = self.values.size ** len(self.locations)
+        name = "store[" + ",".join(self.locations) + f":{self.values.size}]"
+        labels = None
+        if size <= 64:
+            labels = tuple(",".join(f"{l}={v}" for l, v in zip(self.locations, _digits(self, i)))
+                           for i in range(size))
+        return domain(name, size, labels)
+
+    @cached_property
+    def _tables(self) -> "_StoreTables":
+        sdom, m = self._domain, self.values.size
+        strides = {loc: m ** k for k, loc in enumerate(reversed(self.locations))}
+        columns = {loc: tuple(s // d % m for s in range(sdom.size)) for loc, d in strides.items()}
+        isig = P.imp_sig(sdom)
+        unit = P.ret(isig, UNIT_VAL)
+        return _StoreTables(strides, columns, unit, P.get_state(isig),
+                            tuple(P.put(isig, st, unit) for st in sdom.values()),
+                            (P.ret(isig, boolv(False)), P.ret(isig, boolv(True))))
+
 
 def store_signature(locations: Sequence[str], values: FiniteDomain,
                     labels: Optional[Mapping[str, str]] = None) -> StoreSignature:
     locs = tuple(locations)
-    if len(set(locs)) != len(locs):
-        raise ValueError("locations must be distinct")
-    if not locs:
-        raise ValueError("need at least one location")
-    lab = None
     if labels is not None:
-        extra = sorted(set(labels) - set(locs))
-        if extra:
-            raise ValueError(f"label for undeclared location {extra[0]!r}")
-        missing = [l for l in locs if l not in labels]
-        if missing:
-            raise ValueError(f"location {missing[0]!r} has no label")
-        bad = sorted(v for v in labels.values() if v not in (LOW, HIGH))
-        if bad:
-            raise ValueError(f"labels must be {LOW!r} or {HIGH!r}, not {bad[0]!r}")
-        lab = tuple((l, labels[l]) for l in locs)
-    return StoreSignature(locs, values, lab)
-
-
-# Built store domains by signature, so labels are formatted once; a plain
-# dict keeps store_domain an ordinary function, as in `domains`.
-_STORE_DOMAINS: Dict[StoreSignature, FiniteDomain] = {}
+        # in the locations' order, so every mapping of one labelling is one
+        # signature; a label for no location goes last, and is refused
+        order = {l: k for k, l in enumerate(locs)}
+        labels = tuple(sorted(labels.items(), key=lambda kv: order.get(kv[0], len(locs))))
+    return StoreSignature(locs, values, labels)
 
 
 def store_domain(sig: StoreSignature) -> FiniteDomain:
-    out = _STORE_DOMAINS.get(sig)
-    if out is None:
-        size = sig.values.size ** len(sig.locations)
-        name = "store[" + ",".join(sig.locations) + f":{sig.values.size}]"
-        labels = None
-        if size <= 64:
-            labels = tuple(",".join(f"{l}={v}" for l, v in zip(sig.locations, _digits(sig, i)))
-                           for i in range(size))
-        out = _STORE_DOMAINS[sig] = domain(name, size, labels)
-    return out
+    return sig._domain
 
 
 @dataclass(frozen=True)
@@ -131,26 +154,6 @@ class _StoreTables:
             return self.columns[loc]
         except KeyError:
             raise ValueError(f"undeclared location {loc!r}") from None
-
-
-# Built per signature, beside the store domains and for the same reason.
-_STORE_TABLES: Dict[StoreSignature, _StoreTables] = {}
-
-
-def _tables(sig: StoreSignature) -> _StoreTables:
-    out = _STORE_TABLES.get(sig)
-    if out is None:
-        sdom = store_domain(sig)
-        m = sig.values.size
-        strides = {loc: m ** k for k, loc in enumerate(reversed(sig.locations))}
-        columns = {loc: tuple(s // d % m for s in range(sdom.size)) for loc, d in strides.items()}
-        isig = P.imp_sig(sdom)
-        unit = P.ret(isig, UNIT_VAL)
-        out = _STORE_TABLES[sig] = _StoreTables(
-            strides, columns, unit, P.get_state(isig),
-            tuple(P.put(isig, st, unit) for st in sdom.values()),
-            (P.ret(isig, boolv(False)), P.ret(isig, boolv(True))))
-    return out
 
 
 def _digits(sig: StoreSignature, idx: int) -> Tuple[int, ...]:
@@ -187,112 +190,57 @@ def store_write(sig: StoreSignature, idx: int, loc: str, v: int) -> int:
 # Syntax
 
 
-class _Tree:
-    """A statement or expression with subtrees.  These compare by one
-    pairwise walk and hash by their `_shape`, both from explicit stacks, so
-    a long `;` chain or a deep expression never recurses; the leaves keep
-    their generated methods.  A node's hash is taken on first use and kept
-    in a slot, out of the fields that `vars` lists; it is never pickled."""
+class _Interned(_Pooled):
+    """Calling a syntax class looks its node up in `programs._POOL`, by
+    class and fields, the way `Canonical` looks up its own pools."""
 
-    __slots__ = ("_hash",)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self is other:
-            return True
-        try:
-            if self._hash != other._hash:
-                return False  # both hashes taken: unequal hashes, unequal trees
-        except AttributeError:
-            pass
-        if all(a is b or (not isinstance(a, _Tree) and a == b)
-               for a, b in zip(vars(self).values(), vars(other).values())):
-            return True  # the same subtrees and equal leaves: no walk needed
-        return _same_tree(self, other)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(_shape(self))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        # string hashes differ between processes: rebuild through the
-        # constructor rather than carry the stored hash
-        return type(self), tuple(vars(self).values())
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != cls._arity:
+            args = cls._full_args(args, kwargs)
+        return P._intern((cls,) + args, type.__call__, cls, *args)
 
 
-def _kids(t: _Tree):
-    return iter([v for v in vars(t).values() if isinstance(v, _Tree)])
+class _Syntax(Canonical, metaclass=_Interned):
+    """A statement or expression.  As with programs, one live node stands
+    for each distinct tree, however it is built, so `==` and `hash` are
+    identity; the pool holds it weakly, so a dropped tree leaves it."""
 
-
-def _same_tree(t: _Tree, u: _Tree) -> bool:
-    """Whether t and u are equal, by one pairwise walk from an explicit
-    stack: identical subtrees and pairs met before are skipped, and the
-    first difference ends the walk."""
-    todo, seen = [(t, u)], set()
-    while todo:
-        a, b = todo.pop()
-        for x, y in zip(vars(a).values(), vars(b).values()):
-            if x is y:
+    def __repr__(self):
+        # the dataclass repr, from an explicit stack: a long tree never recurses
+        out, todo = [], [self]  # nodes and text still to show, the next one last
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
                 continue
-            if not isinstance(x, _Tree):
-                if x != y:
-                    return False
-            elif type(x) is not type(y):
-                return False
-            elif (id(x), id(y)) not in seen:
-                seen.add((id(x), id(y)))
-                todo.append((x, y))
-    return True
+            parts = [f"{type(x).__name__}("]
+            for k, f in enumerate(fields(x)):
+                v = getattr(x, f.name)
+                parts += [", " * (k > 0) + f"{f.name}=", v if isinstance(v, _Syntax) else repr(v)]
+            todo += reversed(parts + [")"])
+        return "".join(out)
 
 
-def _shape(t: _Tree) -> Tuple[tuple, ...]:
-    """t's distinct subtrees by structure, in the order an explicit-stack
-    postorder walk first meets them (the walk `programs._postorder` makes
-    over program trees), each as its type and fields with every subtree
-    replaced by its position here.  Equal trees, and only they, have equal
-    shapes, whatever subtrees they share."""
-    keys: Dict[tuple, int] = {}
-    pos: Dict[int, int] = {}
-    seen = {id(t)}
-    path, left = [t], [_kids(t)]  # the subtrees being walked, and the kids each has left
-    while left:
-        for k in left[-1]:
-            if id(k) not in seen:
-                seen.add(id(k))
-                path.append(k)
-                left.append(_kids(k))
-                break
-        else:
-            left.pop()
-            u = path.pop()
-            key = (type(u),) + tuple(pos[id(v)] if isinstance(v, _Tree) else v
-                                     for v in vars(u).values())
-            pos[id(u)] = keys.setdefault(key, len(keys))
-    return tuple(keys)
+_syntax = dataclass(frozen=True, eq=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Lit:
+@_syntax
+class Lit(_Syntax):
     value: int
 
 
-@dataclass(frozen=True)
-class Loc:
+@_syntax
+class Loc(_Syntax):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
-class Not(_Tree):
+@_syntax
+class Not(_Syntax):
     arg: "Expr"
 
 
-@dataclass(frozen=True, eq=False)
-class BinOp(_Tree):
+@_syntax
+class BinOp(_Syntax):
     op: str
     left: "Expr"
     right: "Expr"
@@ -301,32 +249,32 @@ class BinOp(_Tree):
 Expr = Union[Lit, Loc, Not, BinOp]
 
 
-@dataclass(frozen=True)
-class Skip:
+@_syntax
+class Skip(_Syntax):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+@_syntax
+class Assign(_Syntax):
     loc: str
     expr: Expr
 
 
-@dataclass(frozen=True, eq=False)
-class Seq(_Tree):
+@_syntax
+class Seq(_Syntax):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True, eq=False)
-class If(_Tree):
+@_syntax
+class If(_Syntax):
     cond: Expr
     then: "Stmt"
     els: "Stmt"
 
 
-@dataclass(frozen=True, eq=False)
-class While(_Tree):
+@_syntax
+class While(_Syntax):
     cond: Expr
     body: "Stmt"
 
@@ -710,7 +658,7 @@ def expr_table(sig: StoreSignature, e: Expr) -> Tuple[int, ...]:
     its column, a literal is the same at every store, and an operator
     combines its operands' tables elementwise modulo the value size.
     `eval_expr` is the same function one store at a time."""
-    t = _tables(sig)
+    t = sig._tables
     m, n = sig.values.size, store_domain(sig).size
     one = 1 % m
     vals = []
@@ -739,7 +687,7 @@ def expr_table(sig: StoreSignature, e: Expr) -> Tuple[int, ...]:
 
 def assign_table(sig: StoreSignature, loc: str, e: Expr) -> Tuple[int, ...]:
     """The store that `loc := e` steps to from every store."""
-    t = _tables(sig)
+    t = sig._tables
     col, stride = t.column(loc), t.strides[loc]
     return tuple(s + (v - c) * stride for s, (v, c) in enumerate(zip(expr_table(sig, e), col)))
 
@@ -767,7 +715,7 @@ def translate(ast: Stmt, sig: StoreSignature) -> P.Program:
     missing = sorted(stmt_locations(ast) - set(sig.locations))
     if missing:
         raise ValueError(f"undeclared location {missing[0]!r}")
-    t = _tables(sig)
+    t = sig._tables
     unit, read, writes, bools = t.unit, t.read, t.writes, t.bools
 
     # read backwards, every statement comes after those inside it, whose
@@ -841,7 +789,7 @@ def ni_judgment(ast: Stmt, sig: StoreSignature) -> R.Judgment:
     if sig.labels is None:
         raise ValueError("noninterference needs a labelled store signature")
     c = translate(ast, sig)
-    t = _tables(sig)
+    t = sig._tables
     # one key per store for its low view: the low digits, read off their columns
     keys = [0] * store_domain(sig).size
     for loc in sig.locations:

@@ -1,7 +1,9 @@
-"""Canonical domains, values, signatures and outcome spaces.
+"""Canonical domains, values, signatures, outcome spaces, store signatures
+and While syntax.
 
 Each class keeps one live object per field tuple, however it is built, so
-equality and hashing are identity.  Identity hashes follow memory addresses,
+equality and hashing are identity; syntax is pooled weakly, in
+`programs._POOL`, and the rest for the whole process.  Identity hashes follow memory addresses,
 which change from one interpreter to the next, so the last test checks that
 verdicts still read the same in every run.
 """
@@ -19,15 +21,21 @@ import pytest
 from relwp import domains as D
 from relwp import programs as P
 from relwp import specmonads as sm
+from relwp import whilelang as W
 from relwp.domains import FiniteDomain, Value
 from relwp.programs import Signature
 from relwp.specmonads import OutcomeSpace
+from relwp.whilelang import StoreSignature
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(D.__file__)))
 IMPORTS = ("from relwp.domains import FiniteDomain, Value; "
            "from relwp.programs import Signature; "
-           "from relwp.specmonads import OutcomeSpace")
-NAMES = dict(FiniteDomain=FiniteDomain, Value=Value, Signature=Signature, OutcomeSpace=OutcomeSpace)
+           "from relwp.specmonads import OutcomeSpace; "
+           "from relwp.whilelang import StoreSignature, Lit, Loc, Not, BinOp, Skip, Assign, Seq, "
+           "If, While")
+SYNTAX = (W.Lit, W.Loc, W.Not, W.BinOp, W.Skip, W.Assign, W.Seq, W.If, W.While)
+NAMES = dict(FiniteDomain=FiniteDomain, Value=Value, Signature=Signature, OutcomeSpace=OutcomeSpace,
+             StoreSignature=StoreSignature, **{cls.__name__: cls for cls in SYNTAX})
 
 A = "FiniteDomain('A', 2, ('x', 'y'))"
 S = "FiniteDomain('S', 3)"
@@ -38,8 +46,13 @@ CASES = {
     "signature": (f"Signature('io', None, None, {A}, {S})", f"Signature('io', out={S}, inp={A})"),
     "space": (f"OutcomeSpace('WrelSt', {A}, {A}, {S}, {S})",
               f"OutcomeSpace(s2={S}, s1={S}, a2={A}, a1={A}, tag='WrelSt', o2=None)"),
+    "store": (f"StoreSignature(('l', 'h'), {A}, (('l', 'low'), ('h', 'high')))",
+              f"StoreSignature(labels=(('l', 'low'), ('h', 'high')), values={A}, locations=('l', 'h'))"),
+    "statement": ("Seq(Assign('l', BinOp('+', Loc('h'), Lit(1))), While(Not(Loc('l')), Skip()))",
+                  "Seq(second=While(body=Skip(), cond=Not(arg=Loc(name='l'))), first=Assign("
+                  "expr=BinOp(right=Lit(value=1), op='+', left=Loc(name='h')), loc='l'))"),
 }
-CLASSES = (FiniteDomain, Value, Signature, OutcomeSpace)
+CLASSES = (FiniteDomain, Value, Signature, OutcomeSpace, StoreSignature) + SYNTAX
 
 
 def _env(**extra):
@@ -93,6 +106,13 @@ def test_a_failed_validation_pools_nothing():
         (Signature, lambda: Signature("loop")),
         (OutcomeSpace, lambda: OutcomeSpace("WrelSt", d, d)),
         (OutcomeSpace, lambda: sm.io_space(d, d, d, d, d, None)),
+        (StoreSignature, lambda: StoreSignature(("l", "l"), d)),
+        (StoreSignature, lambda: StoreSignature((), d)),
+        (StoreSignature, lambda: StoreSignature(("l", "h"), d, (("l", "low"),))),
+        (StoreSignature, lambda: StoreSignature(("l",), d, (("l", "low"), ("l", "low")))),
+        (StoreSignature, lambda: StoreSignature(("l",), d, (("l", "secret"),))),
+        (StoreSignature, lambda: W.store_signature(("l",), d, {"l": "low", "h": "high"})),
+        (StoreSignature, lambda: StoreSignature(("l", "h"), d, (("h", "high"), ("l", "low")))),
     ]
     for cls, build in bad:
         pooled = len(cls._pool)

@@ -7,6 +7,8 @@ the evaluators, `semantic_key`, `count_loops` and the observations.  The
 While front end gets 10^4-statement programs and long expressions.
 """
 
+import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -280,18 +282,9 @@ def test_long_while_program():
 def test_parses_of_a_long_chain_compare_and_hash_equal():
     text = "; ".join("l := l + 1" if i % 3 else "h := h + l" for i in range(N))
     a, b = W.parse_while(text), W.parse_while(text)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert {a: 1}[b] == 1
+    assert a is b and {a: 1}[b] == 1
     assert W.Seq(a.first, W.Seq(W.Skip(), a.second)) != b
-
-
-def test_a_statement_is_walked_for_its_hash_once(monkeypatch):
-    a = W.parse_while("; ".join(["l := l + 1"] * 100))
-    h = hash(a)
-    walks = []
-    real = W._shape
-    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or real(t))
-    assert hash(a) == h and not walks
+    assert type(a).__eq__ is object.__eq__ and type(a).__hash__ is object.__hash__
 
 
 def _increments_then(last, n=N):
@@ -301,22 +294,19 @@ def _increments_then(last, n=N):
     return s
 
 
-def _spy_walks(monkeypatch):
-    """The trees walked whole from here on: for a hash or for equality."""
-    walks = []
-    shape, same = W._shape, W._same_tree
-    monkeypatch.setattr(W, "_shape", lambda t: walks.append(t) or shape(t))
-    monkeypatch.setattr(W, "_same_tree", lambda t, u: walks.append(t) or same(t, u))
-    return walks
+def test_a_rebuilt_statement_is_the_parsed_node():
+    a = W.parse_while("; ".join(["l := l + 1"] * N) + "; skip")
+    assert _increments_then(W.Skip(), N + 1) is a
+    assert W.Seq(second=a.second, first=a.first) is a
+    assert dataclasses.replace(a) is a and copy.copy(a) is a
+    assert dataclasses.replace(a, first=W.Skip()) is W.Seq(W.Skip(), a.second)
 
 
-def test_unequal_chains_with_their_hashes_taken_compare_without_a_walk(monkeypatch):
+def test_unequal_chains_with_their_hashes_taken_compare_without_a_walk():
     a, b = _increments_then(W.Skip()), _increments_then(W.Assign("h", W.Loc("l")))
     assert hash(a) != hash(b)
-    twin = _increments_then(W.Skip())  # no hash taken: equality must walk
-    walks = _spy_walks(monkeypatch)
-    assert a != b and b != a and not walks
-    assert a == twin and walks
+    twin = _increments_then(W.Skip())
+    assert a != b and b != a and a == twin and twin is a
 
 
 def test_parses_that_differ_only_at_the_end_compare_unequal():
@@ -326,18 +316,17 @@ def test_parses_that_differ_only_at_the_end_compare_unequal():
     assert W.If(W.Loc("l"), a, b) != W.If(W.Loc("l"), b, a)
 
 
-def test_nodes_over_the_same_subtrees_compare_without_a_walk(monkeypatch):
+def test_nodes_over_the_same_subtrees_compare_without_a_walk():
     a = _increments_then(W.Skip(), 2000)
     cond = W.parse_while("if l then skip else skip").cond
-    walks = _spy_walks(monkeypatch)
     # built twice from the same parts, as a rule replay builds a conclusion
-    assert W.Seq(a, a.second) == W.Seq(a, a.second)
-    assert W.If(cond, a, W.Skip()) == W.If(cond, a, W.Skip()) and not walks
-    assert W.Seq(a, a.second) != W.Seq(a.second, a) and walks
+    assert W.Seq(a, a.second) is W.Seq(a, a.second)
+    assert W.If(cond, a, W.Skip()) is W.If(cond, a, W.Skip())
+    assert W.Seq(a, a.second) != W.Seq(a.second, a)
 
 
 def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
-    # the cached hash is never pickled: string hashes differ by process
+    # a statement made in a process with other string hashes is the live one here
     text = "l := h; while l < 1 do l := l + 1"
     code = ("import pickle, sys; from relwp import whilelang as W; "
             f"s = W.parse_while({text!r}); hash(s); "
@@ -348,8 +337,20 @@ def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
                          capture_output=True, text=True).stdout
     there = pickle.loads(bytes.fromhex(out))
     here = W.parse_while(text)
-    assert there == here and hash(there) == hash(here)
-    assert {here: 1}[there] == 1
+    assert there is here and {here: 1}[there] == 1
+
+
+def test_a_long_program_and_expression_show_in_their_repr():
+    text = "; ".join(["l := l + 1"] * N)
+    a = W.parse_while(text)
+    assert repr(a).startswith("Seq(first=Assign(loc='l', expr=BinOp(op='+', left=Loc(name='l'), "
+                              "right=Lit(value=1))), second=Seq(")
+    assert str(a) == repr(a) and repr(a).count("Assign(") == N
+    e = W.parse_while("l := " + " + ".join(["1"] * 3000)).expr
+    assert repr(e).count("Lit(value=1)") == 3000
+    # the repr of a small node is the dataclass one
+    assert repr(W.If(W.Not(W.Loc("h")), W.Skip(), W.Assign("l", W.Lit(0)))) == (
+        "If(cond=Not(arg=Loc(name='h')), then=Skip(), els=Assign(loc='l', expr=Lit(value=0)))")
 
 
 def test_if_left_over_long_right_programs():
@@ -366,7 +367,7 @@ def test_if_left_over_long_right_programs():
                              tuple(pre[k] and guard[k // n] == want for k in range(n * n)), post)
 
     jt, jf = premise(True), premise(False)
-    assert jt.right is not jf.right
+    assert jt.right is jf.right
     concl = W.apply_rhl_rule("IfL", (jt, jf), cond1=cond, pre=pre)
     assert concl.left == W.If(cond, W.Skip(), W.Skip()) and concl.right == jt.right
 

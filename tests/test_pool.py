@@ -1,6 +1,7 @@
-"""The pool of live programs and specs (`programs._POOL`): it keeps nothing
-alive, and derivations that hold pooled objects pickle and replay in a
-fresh interpreter, where each program comes back as the live one.
+"""The pool of live programs, specs and While syntax (`programs._POOL`):
+it keeps nothing alive, and derivations that hold pooled objects pickle
+and replay in a fresh interpreter, where each program comes back as the
+live one.
 
 The corpus checks run in fresh interpreters: other tests keep programs
 alive in their modules, so only a fresh pool can be asked to be empty.
@@ -13,6 +14,7 @@ import subprocess
 import sys
 
 from relwp import programs as P
+from relwp import whilelang as W
 from relwp.domains import UNIT_VAL, domain
 
 import reference
@@ -62,6 +64,21 @@ def test_long_chains_built_apart_are_one_object_and_leave_the_pool_when_dropped(
     # freed link by link by reference counting, with no RecursionError
     del p, twin
     assert len(P._POOL) == pooled
+
+
+def _syntax_pooled():
+    return sum(isinstance(ref(), W._Syntax) for ref in list(P._POOL.values()))
+
+
+def test_two_parses_of_a_long_program_are_one_object_and_leave_the_pool_when_dropped():
+    text = "; ".join("l := l + 1" if i % 3 else "h := h + l" for i in range(10 ** 4))
+    gc.collect()
+    pooled = _syntax_pooled()
+    a, b = W.parse_while(text), W.parse_while(text)
+    assert a is b and _syntax_pooled() > pooled + 10 ** 4
+    del a, b
+    gc.collect()
+    assert _syntax_pooled() == pooled
 
 
 def _nodes(d):

@@ -131,6 +131,14 @@ def test_ni_needs_labels():
         W.ni_judgment(W.parse_while("l := h"), sig)
 
 
+def test_a_labelling_in_any_order_is_the_directly_built_signature():
+    # a signature built directly is validated (`test_canonical`) and canonical
+    v2 = domain("V2", 2)
+    direct = W.StoreSignature(("l", "h"), v2, (("l", W.LOW), ("h", W.HIGH)))
+    assert W.store_signature(["l", "h"], v2, {"h": W.HIGH, "l": W.LOW}) is direct
+    assert W.store_domain(direct).size == 4 and direct.label("h") == W.HIGH
+
+
 def test_store_domain_is_built_once_per_signature():
     sig = _store(("l", "h"), 2)
     dom = W.store_domain(sig)
