@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from typing import Callable, ClassVar, Iterator, Optional, Sequence, Tuple
 
@@ -66,6 +67,8 @@ from .rules import (
     RuleInstance,
     Table,
     Valuation,
+    _each,
+    _firsts,
     _rows,
     _show_valuation,
     _tabulate,
@@ -635,56 +638,55 @@ class FullJudgment:
 
     def mismatch(self, computed: "FullJudgment") -> Optional[str]:
         """How this stated conclusion differs from the rule's own: programs
-        up to normalization per valuation, and each clause's spec in both
-        directions.  None when they agree."""
+        up to normalization and each clause's spec in both directions, once
+        per distinct entry, naming the first valuation that differs.  None
+        when they agree."""
         if self.ctx != computed.ctx:
             return "stated context differs from the rule's conclusion context"
         if self.monad.shape != computed.monad.shape or self.theta.name != computed.theta.name:
             return "stated carrier or observation differs from the rule's"
         m, left, right = self.monad, self.ctx.left, self.ctx.right
-        for g1, p, q, w, w2 in zip(left.valuations(), self.c1_table, computed.c1_table,
-                                   self.w1_table, computed.w1_table):
+        for i, (p, q, w, w2) in _firsts(self.c1_table, computed.c1_table, self.w1_table,
+                                        computed.w1_table):
             if not P.programs_equal(p, q):
-                return f"left program differs at {_show_valuation(left, g1)}"
+                return f"left program differs at {_show_valuation(left, i)}"
             if not _equal(m.leq1, w, w2):
-                return f"left spec differs at {_show_valuation(left, g1)}"
-        for g2, p, q, w, w2 in zip(right.valuations(), self.c2_table, computed.c2_table,
-                                   self.w2_table, computed.w2_table):
+                return f"left spec differs at {_show_valuation(left, i)}"
+        for i, (p, q, w, w2) in _firsts(self.c2_table, computed.c2_table, self.w2_table,
+                                        computed.w2_table):
             if not P.programs_equal(p, q):
-                return f"right program differs at {_show_valuation(right, g2)}"
+                return f"right program differs at {_show_valuation(right, i)}"
             if not _equal(m.leq2, w, w2):
-                return f"right spec differs at {_show_valuation(right, g2)}"
-        pairs = product(left.valuations(), right.valuations())
-        for (g1, g2), w, w2 in zip(pairs, self.wrel_table, computed.wrel_table):
+                return f"right spec differs at {_show_valuation(right, i)}"
+        for i, (w, w2) in _firsts(self.wrel_table, computed.wrel_table):
             if not _equal(m.leq_rel, w, w2):
-                return (f"relational spec differs at {_show_valuation(left, g1)} "
-                        f"and {_show_valuation(right, g2)}")
+                i1, i2 = divmod(i, right.count)
+                return (f"relational spec differs at {_show_valuation(left, i1)} "
+                        f"and {_show_valuation(right, i2)}")
         return None
 
     def oracle(self) -> OracleVerdict:
         """Clause by clause: the left unary claim over left valuations, the
-        right one over right valuations, the relational one over pairs; the
-        first clause that fails names the verdict, else it holds."""
-        checked = 0
+        right one over right valuations, the relational one over pairs, each
+        once per distinct entry; the first clause that fails names the
+        verdict, else it holds.  `checked` counts valuations and pairs."""
         m, th, left, right = self.monad, self.theta, self.ctx.left, self.ctx.right
-        for g1, c1, w1 in zip(left.valuations(), self.c1_table, self.w1_table):
-            checked += 1
+        n1, n2 = left.count, right.count
+        for i, (c1, w1) in _firsts(self.c1_table, self.w1_table):
             v = m.leq1(th.theta1(c1), w1)
             if not v.holds:
-                return OracleVerdict("fails", checked, (g1,), v, "left")
-        for g2, c2, w2 in zip(right.valuations(), self.c2_table, self.w2_table):
-            checked += 1
+                return OracleVerdict("fails", i + 1, (left.unrank(i),), v, "left")
+        for i, (c2, w2) in _firsts(self.c2_table, self.w2_table):
             v = m.leq2(th.theta2(c2), w2)
             if not v.holds:
-                return OracleVerdict("fails", checked, (g2,), v, "right")
-        pairs = product(zip(left.valuations(), self.c1_table),
-                        zip(right.valuations(), self.c2_table))
-        for ((g1, c1), (g2, c2)), wrel in zip(pairs, self.wrel_table):
-            checked += 1
+                return OracleVerdict("fails", n1 + i + 1, (right.unrank(i),), v, "right")
+        for i, (c1, c2, wrel) in _firsts(*_pairs(self.c1_table, self.c2_table), self.wrel_table):
             v = m.leq_rel(th.theta_rel(c1, c2), wrel)
             if not v.holds:
-                return OracleVerdict("fails", checked, (g1, g2), v, "relational")
-        return OracleVerdict("holds", checked)
+                i1, i2 = divmod(i, n2)
+                return OracleVerdict("fails", n1 + n2 + i + 1,
+                                     (left.unrank(i1), right.unrank(i2)), v, "relational")
+        return OracleVerdict("holds", n1 + n2 + n1 * n2)
 
 
 def _equal(leq, a, b) -> bool:
@@ -754,11 +756,11 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
     a1f, a2f = _tabulate(ctx.left, a1f), _tabulate(ctx.right, a2f)
     return full_judgment(
         monad, theta,
-        Table(P.ret(sig1, a) for a in a1f),
-        Table(P.ret(sig2, a) for a in a2f),
-        Table(map(monad.ret1, a1f)),
-        Table(map(monad.ret2, a2f)),
-        Table(monad.ret_rel(a1, a2) for a1, a2 in product(a1f, a2f)),
+        _each(partial(P.ret, sig1), a1f),
+        _each(partial(P.ret, sig2), a2f),
+        _each(monad.ret1, a1f),
+        _each(monad.ret2, a2f),
+        _each(monad.ret_rel, *_pairs(a1f, a2f)),
         ctx,
     )
 
@@ -769,16 +771,22 @@ def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     w1 = _tabulate(j.ctx.left, r.get("w1", j.w1_table))
     w2 = _tabulate(j.ctx.right, r.get("w2", j.w2_table))
     wrel = _pair_table(j.ctx, r.get("wrel", j.wrel_table))
-    for lo, hi in zip(j.w1_table, w1):
+    for _, (lo, hi) in _firsts(j.w1_table, w1):
         if not j.monad.leq1(lo, hi).holds:
             raise RuleError(f"{r.rule}: left target is not above the premise spec")
-    for lo, hi in zip(j.w2_table, w2):
+    for _, (lo, hi) in _firsts(j.w2_table, w2):
         if not j.monad.leq2(lo, hi).holds:
             raise RuleError(f"{r.rule}: right target is not above the premise spec")
-    for lo, hi in zip(j.wrel_table, wrel):
+    for _, (lo, hi) in _firsts(j.wrel_table, wrel):
         if not j.monad.leq_rel(lo, hi).holds:
             raise RuleError(f"{r.rule}: relational target is not above the premise spec")
     return FullJudgment(j.ctx, j.monad, j.theta, j.c1_table, j.c2_table, w1, w2, wrel)
+
+
+def _pairs(t1: Sequence, t2: Sequence) -> Tuple[tuple, tuple]:
+    """The columns of t1 x t2, the first major: entry k of each is that
+    side's entry at the k-th pair, as a relational family orders them."""
+    return tuple(x for x in t1 for _ in t2), tuple(t2) * len(t1)
 
 
 def _rel_rows(j: FullJudgment, n1: int, n2: int) -> Iterator[tuple]:
@@ -813,16 +821,16 @@ def _full_bind(r: RuleInstance, prem) -> FullJudgment:
         raise RuleError(f"{r.rule}: right continuation changes its result domain")
     n1, n2 = d1.size, d2.size
     f1, f2 = _rows(jf.w1_table, n1), _rows(jf.w2_table, n2)
-    pairs = product(zip(jm.w1_table, f1), zip(jm.w2_table, f2))
     return FullJudgment(
         jm.ctx, monad, jm.theta,
-        Table(map(P.bind, jm.c1_table, _rows(jf.c1_table, n1))),
-        Table(map(P.bind, jm.c2_table, _rows(jf.c2_table, n2))),
-        Table(monad.bind1(m, f, b1dom) for m, f in zip(jm.w1_table, f1)),
-        Table(monad.bind2(m, f, b2dom) for m, f in zip(jm.w2_table, f2)),
-        Table(monad.bind_rel(m1, m2, mrel, fc1, fc2, frel, b1dom, b2dom)
-              for ((m1, fc1), (m2, fc2)), mrel, frel
-              in zip(pairs, jm.wrel_table, _rel_rows(jf, n1, n2))))
+        _each(P.bind, jm.c1_table, _rows(jf.c1_table, n1)),
+        _each(P.bind, jm.c2_table, _rows(jf.c2_table, n2)),
+        _each(lambda m, f: monad.bind1(m, f, b1dom), jm.w1_table, f1),
+        _each(lambda m, f: monad.bind2(m, f, b2dom), jm.w2_table, f2),
+        _each(lambda m1, m2, mrel, fc1, fc2, frel:
+              monad.bind_rel(m1, m2, mrel, fc1, fc2, frel, b1dom, b2dom),
+              *_pairs(jm.w1_table, jm.w2_table), jm.wrel_table, *_pairs(f1, f2),
+              tuple(_rel_rows(jf, n1, n2))))
 
 
 @SPLIT.rule("ThrowL", "ThrowR", arity=0)
@@ -857,15 +865,14 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
             return sm.demand_spec(sm.pure_space(tagged, other), [(1 << (o * other.size + k),)])
         return sm.demand_spec(sm.pure_space(other, tagged), [(1 << (k * tagged.size + o),)])
 
-    throw = Table(P.throw(sig, x, result) for x in excs)
-    ret = Table(P.ret(other_sig, a) for a in af)
-    ret_w = Table(map(monad.ret2 if left else monad.ret1, af))
+    throw = _each(lambda x: P.throw(sig, x, result), excs)
+    ret = _each(partial(P.ret, other_sig), af)
+    ret_w = _each(monad.ret2 if left else monad.ret1, af)
     # the left valuation is major in wrel, whichever side raises
-    pairs = product(excs, af) if left else ((x, a) for a, x in product(af, excs))
-    wrel = Table(rel(x, a) for x, a in pairs)
+    wrel = _each(rel, *_pairs(excs, af)) if left else _each(rel, *_pairs(af, excs)[::-1])
     if left:
-        return full_judgment(monad, theta, throw, ret, Table(map(w, excs)), ret_w, wrel, ctx)
-    return full_judgment(monad, theta, ret, throw, ret_w, Table(map(w, excs)), wrel, ctx)
+        return full_judgment(monad, theta, throw, ret, _each(w, excs), ret_w, wrel, ctx)
+    return full_judgment(monad, theta, ret, throw, ret_w, _each(w, excs), wrel, ctx)
 
 
 def _catch_unary(w: sm.RelSpec, normal: int, handlers: Sequence[sm.RelSpec]) -> sm.RelSpec:
@@ -917,13 +924,12 @@ def _full_catch(r: RuleInstance, prem) -> FullJudgment:
     h1, h2 = _rows(jerr.w1_table, n1), _rows(jerr.w2_table, n2)
     return FullJudgment(
         j.ctx, monad, j.theta,
-        Table(map(P.catch, j.c1_table, _rows(jerr.c1_table, n1))),
-        Table(map(P.catch, j.c2_table, _rows(jerr.c2_table, n2))),
-        Table(_catch_unary(w, a1dom.size, h) for w, h in zip(j.w1_table, h1)),
-        Table(_catch_unary(w, a2dom.size, h) for w, h in zip(j.w2_table, h2)),
-        Table(_catch_rel(w, hc1, hc2, hrel, a1dom.size, a2dom.size)
-              for w, (hc1, hc2), hrel in zip(j.wrel_table, product(h1, h2),
-                                             _rel_rows(jerr, n1, n2))))
+        _each(P.catch, j.c1_table, _rows(jerr.c1_table, n1)),
+        _each(P.catch, j.c2_table, _rows(jerr.c2_table, n2)),
+        _each(lambda w, h: _catch_unary(w, a1dom.size, h), j.w1_table, h1),
+        _each(lambda w, h: _catch_unary(w, a2dom.size, h), j.w2_table, h2),
+        _each(lambda w, hc1, hc2, hrel: _catch_rel(w, hc1, hc2, hrel, a1dom.size, a2dom.size),
+              j.wrel_table, *_pairs(h1, h2), tuple(_rel_rows(jerr, n1, n2))))
 
 
 @SPLIT.rule("Case", arity=2)

@@ -264,9 +264,20 @@ class Program:
     def __repr__(self):
         return f"Program[{self.sig.effect}:{self.result.name}]({self.node.__class__.__name__}, d={self.depth})"
 
+    def __copy__(self):
+        return self   # one live object per tree, which never changes
+
+    def __deepcopy__(self, _memo):
+        return self
+
     def __reduce__(self):
-        # pickle and copy rebuild through the pool, so they return the live tree
-        return _mk, (self.sig, self.result, self.node)
+        # pickle rebuilds through the pool, so it returns the live tree; one
+        # flat record, each distinct subtree after the kids it names by
+        # position, so that pickling does not recurse with the depth
+        order = _postorder(self)
+        at = {id(q): i for i, q in enumerate(order)}
+        return _unflatten, (tuple((q.sig, q.result, _rebuild(q.node, tuple(
+            at[id(k)] for k in _kids(q.node)))) for q in order),)
 
 
 # Programs refuse `__setattr__`, like frozen dataclasses; their own code sets
@@ -322,6 +333,15 @@ def _mk(sig: Signature, result: FiniteDomain, node: Node) -> Program:
     kids, _, head, _ = _SHAPES[type(node)]
     kids = kids(node)
     return _intern((sig, result, type(node), head(node), kids), _program, sig, result, node, kids)
+
+
+def _unflatten(record) -> Program:
+    """The program a `Program.__reduce__` record stands for, built through
+    the pool from the leaves up."""
+    built: List[Program] = []
+    for sig, result, node in record:
+        built.append(_mk(sig, result, _rebuild(node, tuple(built[i] for i in _kids(node)))))
+    return built[-1]
 
 
 def _program(sig: Signature, result: FiniteDomain, node: Node, kids) -> Program:

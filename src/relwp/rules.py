@@ -16,7 +16,7 @@ and `oracle`, so one `Derivation` tree and three checkers serve all three:
 
     apply_rule        computes a core rule's conclusion, enforcing side conditions
     check_derivation  replays a tree bottom-up, reporting the first bad node
-    oracle_check      decides a judgment directly at every valuation
+    oracle_check      decides a judgment directly, once per distinct entry
 
 The catalog covers the generic monadic rules (Ret, Bind, Weaken), the pure
 eliminators (BoolElim, ZeroElim, NatElim, the if variants), derived
@@ -32,7 +32,10 @@ its conclusion's tables from its premises' tables, so replaying a node is
 one rule application over stored entries, and the oracle reads the root's
 tables without rebuilding anything.  Programs and specs are hash-consed
 (`programs._intern`), so the stored entries of one tree, and a replay's
-recomputed ones, share each distinct program and spec body.
+recomputed ones, share each distinct program and spec body.  Rule bodies,
+judgment checks and the oracle work once per distinct entry (`_each`,
+`_firsts`), not once per valuation: a family that ignores a variable of
+its context repeats its entries, and the repeats reuse the first result.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from functools import partial, reduce
+from itertools import islice, product
 from math import lcm
 from operator import or_
 from typing import Callable, ClassVar, Dict, Iterator, Optional, Sequence, Tuple
@@ -144,6 +147,10 @@ class Env:
             n *= d.size
         return n
 
+    def unrank(self, r: int) -> Valuation:
+        """The valuation of rank r."""
+        return next(islice(self.valuations(), r, None))
+
 
 EMPTY_ENV = Env()
 
@@ -187,10 +194,41 @@ def _rows(table: Table, n: int) -> list:
     return [table[i:i + n] for i in range(0, len(table), n)]
 
 
-def _show_valuation(env: Env, g: Valuation) -> str:
+def _each(fn, *tables) -> Table:
+    """Table(map(fn, *tables)), with fn called once per distinct tuple of
+    entries, in the order of their first valuations.  The entries are the
+    memo's keys: pooled programs and specs and canonical values hash by
+    identity, plain parameters by value.  A one-entry table, or one with
+    an unhashable entry, is mapped plainly."""
+    keys = tuple(zip(*tables))
+    if len(keys) == 1:
+        return Table(map(fn, *tables))
+    try:
+        memo = dict.fromkeys(keys)
+    except TypeError:   # a list given for a parameter, say
+        return Table(map(fn, *tables))
+    for k in memo:
+        memo[k] = fn(*k)
+    return Table(map(memo.__getitem__, keys))
+
+
+def _firsts(*tables) -> Iterator[Tuple[int, tuple]]:
+    """Each valuation's rank and tuple of entries across tables, skipping a
+    valuation whose entries an earlier one had: a check made over these
+    visits every distinct tuple once, at its first valuation."""
+    ranked = enumerate(zip(*tables))
+    if len(tables[0]) == 1:
+        return ranked
+    seen = set()
+    return ((i, k) for i, k in ranked if not (k in seen or seen.add(k)))
+
+
+def _show_valuation(env: Env, rank: int) -> str:
+    """The valuation of this rank, for a message."""
     if not env.vars:
         return "the empty context"
-    return ", ".join(f"{n}={v.domain.label_of(v.index)}" for (n, _), v in zip(env.vars, g))
+    return ", ".join(f"{n}={v.domain.label_of(v.index)}"
+                     for (n, _), v in zip(env.vars, env.unrank(rank)))
 
 
 # State programs and loop programs share the stateful carrier, so an
@@ -332,7 +370,8 @@ class Judgment:
 
     The families are Tables over the context's valuations, of Program,
     Program and RelSpec, filled once when the judgment is built
-    (`judgment`); checks and the oracle read them and rebuild nothing.
+    (`judgment`); checks and the oracle read them, once per distinct
+    entry, and rebuild nothing.
     Read one valuation's entries through `c1`, `c2` and `w`.  Closed
     judgments use the empty context, whose single valuation is ().
     """
@@ -358,50 +397,49 @@ class Judgment:
 
     def mismatch(self, computed: "Judgment") -> Optional[str]:
         """How this stated conclusion differs from the rule's own: programs
-        up to normalization, specs extensionally in both directions, per
-        valuation; a spec that cannot be compared with the rule's (another
-        carrier or outcome space) differs.  None when they agree."""
+        up to normalization, specs extensionally in both directions, once
+        per distinct entry, naming the first valuation that differs; a spec
+        that cannot be compared with the rule's (another carrier or outcome
+        space) differs.  None when they agree."""
         if self.env != computed.env:
             return "stated context differs from the rule's conclusion context"
         if not _same_observation(self.observation, computed.observation):
             return (f"stated observation {self.observation.name} differs from "
                     f"{computed.observation.name}")
-        for g, p1, q1, p2, q2, w, w2 in zip(
-                self.env.valuations(), self.c1_table, computed.c1_table, self.c2_table,
-                computed.c2_table, self.w_table, computed.w_table):
+        for i, (p1, q1, p2, q2, w, w2) in _firsts(
+                self.c1_table, computed.c1_table, self.c2_table, computed.c2_table,
+                self.w_table, computed.w_table):
             if not P.programs_equal(p1, q1):
-                return f"left program differs at {_show_valuation(self.env, g)}"
+                return f"left program differs at {_show_valuation(self.env, i)}"
             if not P.programs_equal(p2, q2):
-                return f"right program differs at {_show_valuation(self.env, g)}"
+                return f"right program differs at {_show_valuation(self.env, i)}"
             try:
                 v = spec_equiv(w, w2).kind
             except ValueError as e:
                 v = str(e)
             if v != "holds":
-                return f"conclusion spec differs at {_show_valuation(self.env, g)} ({v})"
+                return f"conclusion spec differs at {_show_valuation(self.env, i)} ({v})"
         return None
 
     def oracle(self) -> "OracleVerdict":
-        """theta(c1, c2) <= w at every valuation: fails at the first
-        valuation where it does not hold, else holds."""
-        n = 0
-        for g, p1, p2, w in zip(self.env.valuations(), self.c1_table, self.c2_table,
-                                self.w_table):
-            n += 1
+        """theta(c1, c2) <= w once per distinct entry, in valuation order:
+        fails at the first valuation where it does not hold, else holds.
+        `checked` counts valuations."""
+        for i, (p1, p2, w) in _firsts(self.c1_table, self.c2_table, self.w_table):
             v = spec_leq(self.observation(p1, p2), w)
             if v.failed:
-                return OracleVerdict("fails", n, g, v)
-        return OracleVerdict("holds", n)
+                return OracleVerdict("fails", i + 1, self.env.unrank(i), v)
+        return OracleVerdict("holds", len(self.w_table))
 
 
 def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) -> Judgment:
     """Build a judgment from families: each a Table over env's valuations, a
     callable of the valuation, called once per valuation here, or a plain
-    value.  Every entry's shapes are checked: effects against the
-    observation, spec carrier against its target, value domains against
-    the program results."""
+    value.  Every entry's shapes are checked, once per distinct entry:
+    effects against the observation, spec carrier against its target,
+    value domains against the program results."""
     j = Judgment(env, _tabulate(env, c1), _tabulate(env, c2), _tabulate(env, w), observation)
-    for p1, p2, w0 in zip(j.c1_table, j.c2_table, j.w_table):
+    for _, (p1, p2, w0) in _firsts(j.c1_table, j.c2_table, j.w_table):
         if not _effect_matches(p1.sig.effect, observation.left_effect):
             raise ValueError(f"left program is {p1.sig.effect!r}, observation "
                              f"{observation.name} wants {observation.left_effect!r}")
@@ -483,10 +521,10 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     a1s, a2s = _tabulate(env, r.need("a1")), _tabulate(env, r.need("a2"))
     points = tuple(r.get("points", IO_ROOT))
-    c1 = Table(P.ret(sig1, a) for a in a1s)
-    c2 = Table(P.ret(sig2, a) for a in a2s)
-    w = Table(spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain), a1, a2,
-                       points=points) for a1, a2 in zip(a1s, a2s))
+    c1 = _each(partial(P.ret, sig1), a1s)
+    c2 = _each(partial(P.ret, sig2), a2s)
+    w = _each(lambda a1, a2: spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain),
+                                      a1, a2, points=points), a1s, a2s)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -501,19 +539,19 @@ def _bind_rule(r: RuleInstance, prem) -> Judgment:
     # jf's row at a valuation of env binds both values, the left one major
     n2, k = dom2.size, dom1.size * dom2.size
     rows1, rows2 = _rows(jf.c1_table, k), _rows(jf.c2_table, k)
-    for g, m1, m2, f1, f2 in zip(env.valuations(), jm.c1_table, jm.c2_table, rows1, rows2):
+    for i, (m1, m2, f1, f2) in _firsts(jm.c1_table, jm.c2_table, rows1, rows2):
         if m1.result != dom1 or m2.result != dom2:
             raise RuleError(f"Bind: first premise results do not match the bound "
-                            f"variables at {_show_valuation(env, g)}")
+                            f"variables at {_show_valuation(env, i)}")
         for j in range(0, k, n2):
             if not all(P.programs_equal(p, f1[j]) for p in f1[j:j + n2]):
                 raise RuleError(f"Bind: left continuation depends on {x2!r}")
         for j in range(n2):
             if not all(P.programs_equal(p, f2[j]) for p in f2[j::n2]):
                 raise RuleError(f"Bind: right continuation depends on {x1!r}")
-    c1 = Table(P.bind(m, f[::n2]) for m, f in zip(jm.c1_table, rows1))
-    c2 = Table(P.bind(m, f[:n2]) for m, f in zip(jm.c2_table, rows2))
-    w = Table(map(spec_bind, jm.w_table, _rows(jf.w_table, k)))
+    c1 = _each(lambda m, f: P.bind(m, f[::n2]), jm.c1_table, rows1)
+    c2 = _each(lambda m, f: P.bind(m, f[:n2]), jm.c2_table, rows2)
+    w = _each(spec_bind, jm.w_table, _rows(jf.w_table, k))
     return judgment(obs, c1, c2, w, env)
 
 
@@ -521,11 +559,11 @@ def _bind_rule(r: RuleInstance, prem) -> Judgment:
 def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
     w = _tabulate(j.env, r.need("w"))
-    for g, lo, hi in zip(j.env.valuations(), j.w_table, w):
+    for i, (lo, hi) in _firsts(j.w_table, w):
         v = spec_leq(lo, hi)
         if v.failed:
             raise RuleError(f"Weaken: target spec is not above the premise spec "
-                            f"at {_show_valuation(j.env, g)}: {v.note}")
+                            f"at {_show_valuation(j.env, i)}: {v.note}")
     return judgment(j.observation, j.c1_table, j.c2_table, w, j.env)
 
 
@@ -559,10 +597,10 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     env = r.get("env", EMPTY_ENV)
     c1, c2, w = (_tabulate(env, r.need(key)) for key in ("c1", "c2", "w"))
-    for g, w0 in zip(env.valuations(), w):
+    for i, (w0,) in _firsts(w):
         if not spec_leq(_unsat_like(w0), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
-                            f"(the vacuous claim) but is not at {_show_valuation(env, g)}")
+                            f"(the vacuous claim) but is not at {_show_valuation(env, i)}")
     return judgment(obs, c1, c2, w, env)
 
 
@@ -602,10 +640,10 @@ def _if_one_side(r: RuleInstance, prem) -> Judgment:
     left = r.rule == "IfLeft"
     shared, kept, other = (("right", jt.c2_table, jf.c2_table) if left
                            else ("left", jt.c1_table, jf.c1_table))
-    for g, p, q in zip(env.valuations(), kept, other):
+    for i, (p, q) in _firsts(kept, other):
         if not P.programs_equal(p, q):
             raise RuleError(f"{r.rule}: premises must share the {shared} program, "
-                            f"differ at {_show_valuation(env, g)}")
+                            f"differ at {_show_valuation(env, i)}")
     c1, c2, w = _picked([(jt if bi else jf, i) for i, bi in enumerate(_tabulate(env, b))])
     if left:
         c2 = kept
@@ -659,7 +697,7 @@ def _bind_one_side(r: RuleInstance, prem) -> Judgment:
     n = dom.size
     bound, unit = (jm.c1_table, jm.c2_table) if left else (jm.c2_table, jm.c1_table)
     cont, kept = (jf.c1_table, jf.c2_table) if left else (jf.c2_table, jf.c1_table)
-    for u, b, row in zip(unit, bound, _rows(kept, n)):
+    for _, (u, b, row) in _firsts(unit, bound, _rows(kept, n)):
         if not _is_unit_ret(u):
             raise RuleError(f"{r.rule}: first premise {other} side must be the unit return")
         if b.result != dom:
@@ -674,8 +712,8 @@ def _bind_one_side(r: RuleInstance, prem) -> Judgment:
         return tuple(row[i1 if left else i2]
                      for i1 in range(sp.a1.size) for i2 in range(sp.a2.size))
 
-    seq = Table(map(P.bind, bound, _rows(cont, n)))
-    w = Table(spec_bind(wm, conts(wm, row)) for wm, row in zip(jm.w_table, _rows(jf.w_table, n)))
+    seq = _each(P.bind, bound, _rows(cont, n))
+    w = _each(lambda wm, row: spec_bind(wm, conts(wm, row)), jm.w_table, _rows(jf.w_table, n))
     c1, c2 = (seq, Table(kept[::n])) if left else (Table(kept[::n]), seq)
     return judgment(obs, c1, c2, w, env)
 
@@ -693,7 +731,7 @@ def _beside_return(obs: EffectObservation, left: bool, act, other_sig: Signature
     """A one-sided axiom's conclusion: the program (or table) `act` on the
     left (on the right when not `left`) beside a return of the table `a` on
     the other side."""
-    ret = Table(P.ret(other_sig, x) for x in a)
+    ret = _each(partial(P.ret, other_sig), a)
     c1, c2 = (act, ret) if left else (ret, act)
     return judgment(obs, c1, c2, w, env)
 
@@ -732,7 +770,7 @@ def _get_one_side(r: RuleInstance, _prem) -> Judgment:
         sp = state_space(a.domain, sig1.state, sig2.state, sig2.state)
         return _st_axiom(sp, lambda s1, s2, _a=a.index: sp.st_outcome(_a, s1, s2, s2))
 
-    return _beside_return(obs, left, P.get_state(sig), other_sig, af, Table(map(w, af)), env)
+    return _beside_return(obs, left, P.get_state(sig), other_sig, af, _each(w, af), env)
 
 
 @CORE.rule("PutL", "PutR", arity=0)
@@ -755,8 +793,8 @@ def _put_one_side(r: RuleInstance, _prem) -> Judgment:
         sp = state_space(a.domain, sig1.state, UNIT, sig2.state)
         return _st_axiom(sp, lambda s1, _s2, _a=a.index, _t=s.index: sp.st_outcome(_a, s1, 0, _t))
 
-    put = Table(P.put_unit(sig, s, UNIT_VAL) for s in sf)
-    return _beside_return(obs, left, put, other_sig, af, Table(map(w, sf, af)), env)
+    put = _each(lambda s: P.put_unit(sig, s, UNIT_VAL), sf)
+    return _beside_return(obs, left, put, other_sig, af, _each(w, sf, af), env)
 
 
 @CORE.rule("GetSync", arity=0)
@@ -781,9 +819,8 @@ def _put_sync(r: RuleInstance, _prem) -> Judgment:
         return _st_axiom(sp, lambda _s1, _s2, _t1=t1.index, _t2=t2.index:
                          sp.st_outcome(0, _t1, 0, _t2))
 
-    return judgment(obs, Table(P.put_unit(sig1, s, UNIT_VAL) for s in s1f),
-                    Table(P.put_unit(sig2, s, UNIT_VAL) for s in s2f),
-                    Table(map(w, s1f, s2f)), env)
+    return judgment(obs, _each(lambda s: P.put_unit(sig1, s, UNIT_VAL), s1f),
+                    _each(lambda s: P.put_unit(sig2, s, UNIT_VAL), s2f), _each(w, s1f, s2f), env)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +848,7 @@ def _demonic_pick(r: RuleInstance, _prem) -> Judgment:
         sp = pure_space(a.domain, BOOL)
         return demonic_spec(sp, [frozenset({a.index * 2, a.index * 2 + 1})])
 
-    return _beside_return(obs, left, _bool_choice(sig), sig, af, Table(map(w, af)), env)
+    return _beside_return(obs, left, _bool_choice(sig), sig, af, _each(w, af), env)
 
 
 @CORE.rule("DemonicFailLeft", arity=0)
@@ -821,8 +858,8 @@ def _demonic_fail_left(r: RuleInstance, _prem) -> Judgment:
     result: FiniteDomain = r.need("result")
     a2f = _tabulate(env, r.need("a2"))
     sig = P.ndet_sig()
-    return judgment(obs, P.fail(sig, result), Table(P.ret(sig, a) for a in a2f),
-                    Table(weakest(pure_space(result, a.domain)) for a in a2f), env)
+    return judgment(obs, P.fail(sig, result), _each(partial(P.ret, sig), a2f),
+                    _each(lambda a: weakest(pure_space(result, a.domain)), a2f), env)
 
 
 @CORE.rule("Angelic", arity=0)
@@ -844,20 +881,21 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     dom1: FiniteDomain = r.need("dom1")
     dom2: FiniteDomain = r.need("dom2")
-    hs = [tuple(h) for h in _tabulate(env, r.need("h"))]
     sig = P.ndet_sig()
-    for h in hs:
+    sp = pure_space(dom1, dom2)
+
+    def w(h) -> RelSpec:
+        h = tuple(h)
         if len(h) != dom1.size or any(not (0 <= k < dom2.size) for k in h):
             raise RuleError(f"Refinement: h must map {dom1.size} alternatives into "
                             f"{dom2.size}, got {h}")
+        return demonic_spec(sp, [frozenset(k * dom2.size + h[k] for k in range(dom1.size))])
 
     def pick_all(d: FiniteDomain) -> Program:
         return P.pick_fin([P.ret(sig, v) for v in d.values()])
 
-    sp = pure_space(dom1, dom2)
-    w = Table(demonic_spec(sp, [frozenset(k * dom2.size + h[k] for k in range(dom1.size))])
-              for h in hs)
-    return judgment(obs, pick_all(dom1), pick_all(dom2), w, env)
+    return judgment(obs, pick_all(dom1), pick_all(dom2), _each(w, _tabulate(env, r.need("h"))),
+                    env)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +923,8 @@ def _throw_one_side(r: RuleInstance, _prem) -> Judgment:
         sp = err_space(result, a.domain) if left else err_space(a.domain, result)
         return demonic_spec(sp, [frozenset({sp.err_bad()})])
 
-    raised = Table(P.throw(sig, e, result) for e in ef)
-    return _beside_return(obs, left, raised, other_sig, af, Table(map(w, af)), env)
+    raised = _each(lambda e: P.throw(sig, e, result), ef)
+    return _beside_return(obs, left, raised, other_sig, af, _each(w, af), env)
 
 
 def catch_spec(w: RelSpec, w_exc: RelSpec) -> RelSpec:
@@ -927,49 +965,51 @@ def _catch_rule(r: RuleInstance, prem) -> Judgment:
     _extension(env, jea.env, (e1dom, a2dom), "Catch (left-raise premise)")
     _extension(env, jae.env, (a1dom, e2dom), "Catch (right-raise premise)")
     # each premise has n1 * n2 entries per valuation of env, the first bound
-    # value major
+    # value major: a valuation's rows of them are checked together
     ne1, ne2, na1, na2 = e1dom.size, e2dom.size, a1dom.size, a2dom.size
+    n = ne1 * ne2
+    rows = [_rows(t, k) for j, k in ((jee, n), (jea, ne1 * na2), (jae, na1 * ne2))
+            for t in (j.c1_table, j.c2_table, j.w_table)]
 
-    for i in range(env.count):
-        if jmain.c1_table[i].result != a1dom or jmain.c2_table[i].result != a2dom:
+    for _, (m1, m2, ee1, ee2, eew, ea1, ea2, eaw, ae1, ae2, aew) in _firsts(
+            jmain.c1_table, jmain.c2_table, *rows):
+        if m1.result != a1dom or m2.result != a2dom:
             raise RuleError("Catch: body results must not vary with the context")
-        ee, ea, ae = i * ne1 * ne2, i * ne1 * na2, i * na1 * ne2
-        wx0 = jee.w_table[ee]
+        wx0 = eew[0]
         for e1 in range(ne1):
-            h1 = jee.c1_table[ee + e1 * ne2]
+            h1 = ee1[e1 * ne2]
             for e2 in range(ne2):
-                if not P.programs_equal(jee.c1_table[ee + e1 * ne2 + e2], h1):
+                if not P.programs_equal(ee1[e1 * ne2 + e2], h1):
                     raise RuleError("Catch: left handler depends on the right exception")
-                if not spec_equiv(jee.w_table[ee + e1 * ne2 + e2], wx0).holds:
+                if not spec_equiv(eew[e1 * ne2 + e2], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
             for a2 in a2dom.values():
-                k = ea + e1 * na2 + a2.index
-                if not P.programs_equal(jea.c1_table[k], h1):
+                k = e1 * na2 + a2.index
+                if not P.programs_equal(ea1[k], h1):
                     raise RuleError("Catch: left handler differs between exceptional premises")
-                if not P.programs_equal(jea.c2_table[k], P.ret(p2.sig, a2)):
+                if not P.programs_equal(ea2[k], P.ret(p2.sig, a2)):
                     raise RuleError("Catch: left-raise premise right side must return its value")
-                if not spec_equiv(jea.w_table[k], wx0).holds:
+                if not spec_equiv(eaw[k], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
         for e2 in range(ne2):
-            h2 = jee.c2_table[ee + e2]
+            h2 = ee2[e2]
             for e1 in range(ne1):
-                if not P.programs_equal(jee.c2_table[ee + e1 * ne2 + e2], h2):
+                if not P.programs_equal(ee2[e1 * ne2 + e2], h2):
                     raise RuleError("Catch: right handler depends on the left exception")
             for a1 in a1dom.values():
-                k = ae + a1.index * ne2 + e2
-                if not P.programs_equal(jae.c2_table[k], h2):
+                k = a1.index * ne2 + e2
+                if not P.programs_equal(ae2[k], h2):
                     raise RuleError("Catch: right handler differs between exceptional premises")
-                if not P.programs_equal(jae.c1_table[k], P.ret(p1.sig, a1)):
+                if not P.programs_equal(ae1[k], P.ret(p1.sig, a1)):
                     raise RuleError("Catch: right-raise premise left side must return its value")
-                if not spec_equiv(jae.w_table[k], wx0).holds:
+                if not spec_equiv(aew[k], wx0).holds:
                     raise RuleError("Catch: the exceptional premises must share one spec")
 
     # the handlers at a valuation are jee's, the other side's exception at
     # its first value
-    n = ne1 * ne2
-    c1 = Table(P.catch(p, h[::ne2]) for p, h in zip(jmain.c1_table, _rows(jee.c1_table, n)))
-    c2 = Table(P.catch(p, h[:ne2]) for p, h in zip(jmain.c2_table, _rows(jee.c2_table, n)))
-    w = Table(map(catch_spec, jmain.w_table, jee.w_table[::n]))
+    c1 = _each(lambda p, h: P.catch(p, h[::ne2]), jmain.c1_table, rows[0])
+    c2 = _each(lambda p, h: P.catch(p, h[:ne2]), jmain.c2_table, rows[1])
+    w = _each(catch_spec, jmain.w_table, jee.w_table[::n])
     return judgment(obs, c1, c2, w, env)
 
 
@@ -1013,7 +1053,7 @@ def _input(r: RuleInstance, _prem) -> Judgment:
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     steps = tuple((i, (P.IN, i)) for i in sig.inp.values())
-    w = Table(_one_event_spec(sig1, sig2, points, left, a, steps, sig.inp) for a in af)
+    w = _each(lambda a: _one_event_spec(sig1, sig2, points, left, a, steps, sig.inp), af)
     return _beside_return(_io_obs(sig1, sig2, points), left, P.read_input(sig), other_sig,
                           af, w, env)
 
@@ -1030,9 +1070,9 @@ def _output(r: RuleInstance, _prem) -> Judgment:
         af, of = _tabulate(env, r.need("a1")), _tabulate(env, r.need("o2"))
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
-    w = Table(_one_event_spec(sig1, sig2, points, left, a, ((UNIT_VAL, (P.OUT, o)),), UNIT)
-              for o, a in zip(of, af))
-    write = Table(P.output(sig, o, P.ret(sig, UNIT_VAL)) for o in of)
+    w = _each(lambda o, a: _one_event_spec(sig1, sig2, points, left, a,
+                                           ((UNIT_VAL, (P.OUT, o)),), UNIT), of, af)
+    write = _each(lambda o: P.output(sig, o, P.ret(sig, UNIT_VAL)), of)
     return _beside_return(_io_obs(sig1, sig2, points), left, write, other_sig, af, w, env)
 
 
@@ -1095,14 +1135,14 @@ def _do_while_inv(r: RuleInstance, prem) -> Judgment:
     if b1p.sig.effect != P.IMP or b2p.sig.effect != P.IMP:
         raise RuleError("DoWhileInv: loop bodies must be iterative programs")
     s1dom, s2dom = b1p.sig.state, b2p.sig.state
-    invs = [_norm_inv(x, s1dom, s2dom) for x in _tabulate(env, inv)]
-    for g, w, x in zip(env.valuations(), jb.w_table, invs):
+    invs = _each(lambda x: _norm_inv(x, s1dom, s2dom), _tabulate(env, inv))
+    for i, (w, x) in _firsts(jb.w_table, invs):
         if not spec_equiv(w, loop_premise_spec(x, s1dom, s2dom)).holds:
             raise RuleError(f"DoWhileInv: premise spec is not the invariant "
-                            f"obligation at {_show_valuation(env, g)}")
-    c1 = Table(P.do_while(p, P.ret(b1p.sig, UNIT_VAL)) for p in jb.c1_table)
-    c2 = Table(P.do_while(p, P.ret(b2p.sig, UNIT_VAL)) for p in jb.c2_table)
-    w = Table(loop_conclusion_spec(x, s1dom, s2dom) for x in invs)
+                            f"obligation at {_show_valuation(env, i)}")
+    c1 = _each(lambda p: P.do_while(p, P.ret(b1p.sig, UNIT_VAL)), jb.c1_table)
+    c2 = _each(lambda p: P.do_while(p, P.ret(b2p.sig, UNIT_VAL)), jb.c2_table)
+    w = _each(lambda x: loop_conclusion_spec(x, s1dom, s2dom), invs)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -1159,27 +1199,25 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     pf, qf, df = (_tabulate(env, r.need(key)) for key in ("p", "q", "d"))
     sig = P.prob_sig()
     space = prob_space(BOOL, BOOL)
-    shared: Dict[tuple, tuple] = {}   # valuations that state equal tables share one piece
 
-    def coupling(g, p, q, d):
+    def coupling(p0, q0, d0):
         """The spec of the coupling d, checked: one piece of int
         coefficients over the outcomes (b1, b2)."""
-        p, q = P._fraction(p), P._fraction(q)
-        d = tuple(tuple(map(P._fraction, row)) for row in d)
+        p, q = P._fraction(p0), P._fraction(q0)
+        d = tuple(tuple(map(P._fraction, row)) for row in d0)
         if len(d) != 2 or any(len(row) != 2 for row in d):
             raise RuleError("FlipCoupling: d must be a 2x2 table over (left, right) guards")
         if any(x < 0 for row in d for x in row):
             raise RuleError("FlipCoupling: coupling weights must be nonnegative")
         if (d[0][0] + d[0][1], d[1][0] + d[1][1]) != (1 - p, p) or \
            (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
+            first = next(i for i, k in enumerate(zip(pf, qf, df)) if k == (p0, q0, d0))
             raise RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
-                            f"at {_show_valuation(env, g)}")
-        piece = _int_pieces(space, [(0, d[0] + d[1])])
-        return _linear(space, *shared.setdefault(piece, piece))
+                            f"at {_show_valuation(env, first)}")
+        return _linear(space, *_int_pieces(space, [(0, d[0] + d[1])]))
 
-    w = Table(map(coupling, env.valuations(), pf, qf, df))
-    return judgment(obs, Table(P.flip_bool(sig, p) for p in pf),
-                    Table(P.flip_bool(sig, q) for q in qf), w, env)
+    return judgment(obs, _each(partial(P.flip_bool, sig), pf),
+                    _each(partial(P.flip_bool, sig), qf), _each(coupling, pf, qf, df), env)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,12 +1246,13 @@ def check_derivation(d: Derivation) -> CheckResult:
     indices from the root; a node fails when its rule raises RuleError or
     its parameters build an invalid program or spec (ValueError).
 
-    Each rule is applied once per node, to its premises' stored tables, and
-    its result is compared with the stated tables at every valuation.  An
-    honest node's recomputed programs and specs are the stated objects
-    (`programs._intern`; an interactive spec has the stated entries): no
-    program is normalized and no LP runs.  A stated spec of another
-    carrier fails its node, as any other difference does."""
+    Each rule is applied once per node, to its premises' stored tables,
+    working once per distinct entry, and its result is compared with the
+    stated tables once per distinct entry.  An honest node's recomputed
+    programs and specs are the stated objects (`programs._intern`; an
+    interactive spec has the stated entries): no program is normalized and
+    no LP runs.  A stated spec of another carrier fails its node, as any
+    other difference does."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     while stack:
@@ -1276,8 +1315,9 @@ class OracleVerdict:
 
 
 def oracle_check(j) -> OracleVerdict:
-    """Decide a judgment of any kind semantically, at every valuation (the
-    `oracle` of its type), from the programs and specs its tables hold."""
+    """Decide a judgment of any kind semantically, once per distinct entry
+    (the `oracle` of its type), from the programs and specs its tables
+    hold."""
     return j.oracle()
 
 

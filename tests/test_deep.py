@@ -252,6 +252,17 @@ def test_a_program_pickled_under_another_string_hash_seed_hashes_here():
     assert there is here
 
 
+def test_a_program_10_to_the_5_deep_pickles_and_copies_to_itself():
+    # one flat record per program: neither pickle nor deepcopy descends the chain
+    sig = P.state_sig(Z2)
+    p = P.get_state(sig)
+    for i in range(10 ** 5):
+        p = P.put(sig, Z2.value(i % 2), p)
+    assert p.depth == 10 ** 5 + 2
+    assert pickle.loads(pickle.dumps(p)) is p
+    assert copy.deepcopy(p) is p
+
+
 # ---------------------------------------------------------------------------
 # While programs
 

@@ -1312,8 +1312,7 @@ def test_rule_names_are_stable():
 
 
 def _const_family(rng, env, dom):
-    vals = {g: dom.value(rng.randrange(dom.size)) for g in env.valuations()}
-    return lambda g: vals[g]
+    return R.Table(dom.value(rng.randrange(dom.size)) for _ in env.valuations())
 
 
 def _relax_spec(rng, w):
@@ -1323,19 +1322,23 @@ def _relax_spec(rng, w):
 
 
 def _random_full_derivation(rng, ctx, depth):
+    """A seeded split-context derivation over the exception carrier whose
+    parameters are Tables: leaves return or raise, inner nodes bind, catch
+    or weaken."""
+    derive = G.SPLIT.derive
     if depth == 0:
         kind = rng.choice(("ret", "ret", "throwl", "throwr"))
         if kind == "ret":
-            return G.apply_full_rule(
+            return derive(
                 "Ret", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                 a1=_const_family(rng, ctx.left, Z2),
                 a2=_const_family(rng, ctx.right, Z2), ctx=ctx)
         if kind == "throwl":
-            return G.apply_full_rule(
+            return derive(
                 "ThrowL", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
                 exc=_const_family(rng, ctx.left, EL),
                 a2=_const_family(rng, ctx.right, Z2), result1=Z2, ctx=ctx)
-        return G.apply_full_rule(
+        return derive(
             "ThrowR", monad=MONAD, theta=TH, sig1=XSIG, sig2=YSIG,
             exc=_const_family(rng, ctx.right, ER),
             a1=_const_family(rng, ctx.left, Z2), result2=Z2, ctx=ctx)
@@ -1346,28 +1349,26 @@ def _random_full_derivation(rng, ctx, depth):
         ext = G.SplitContext(ctx.left.extend((f"x{n}", Z2)),
                              ctx.right.extend((f"y{n}", Z2)))
         jf = _random_full_derivation(rng, ext, depth - 1)
-        return G.apply_full_rule("Bind", (jm, jf))
+        return derive("Bind", (jm, jf))
     if kind == "catch":
         body = _random_full_derivation(rng, ctx, depth - 1)
         n = sum(len(e.vars) for e in (ctx.left, ctx.right))
         ext = G.SplitContext(ctx.left.extend((f"e{n}", EL)),
                              ctx.right.extend((f"f{n}", ER)))
         jerr = _random_full_derivation(rng, ext, depth - 1)
-        return G.apply_full_rule("Catch", (body, jerr))
-    j = _random_full_derivation(rng, ctx, depth - 1)
-    w1 = {g: _relax_spec(rng, j.w1(g)) for g in ctx.left.valuations()}
-    w2 = {g: _relax_spec(rng, j.w2(g)) for g in ctx.right.valuations()}
-    wrel = {(g1, g2): _relax_spec(rng, j.wrel(g1, g2))
-            for g1 in ctx.left.valuations() for g2 in ctx.right.valuations()}
-    return G.apply_full_rule("Weaken", (j,),
-                             w1=lambda g: w1[g], w2=lambda g: w2[g],
-                             wrel=lambda g1, g2: wrel[(g1, g2)])
+        return derive("Catch", (body, jerr))
+    d = _random_full_derivation(rng, ctx, depth - 1)
+    j = d.conclusion
+    return derive("Weaken", (d,),
+                  w1=R.Table(_relax_spec(rng, w) for w in j.w1_table),
+                  w2=R.Table(_relax_spec(rng, w) for w in j.w2_table),
+                  wrel=R.Table(_relax_spec(rng, w) for w in j.wrel_table))
 
 
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10 ** 9))
 def test_random_derivations_are_sound(seed):
     rng = random.Random(seed)
-    j = _random_full_derivation(rng, G.EMPTY_SPLIT, rng.choice((1, 2, 2)))
+    j = _random_full_derivation(rng, G.EMPTY_SPLIT, rng.choice((1, 2, 2))).conclusion
     v = R.oracle_check(j)
     assert v.holds, (seed, v)

@@ -1,21 +1,30 @@
 """Mutation harness: a malformed derivation fails with a reason, never with
 an exception, and a mutant that still replays is sound.
 
-Seeded core derivations of all six effects are mutated one node at a
-time, in five ways: one parameter taken from another node, all parameters
-taken from another node, the premises replaced by other nodes, the stated
-conclusion replaced by another node's, and the stated spec table swapped
-for one of another carrier.  The ancestors of the mutated node keep their
+Seeded core derivations of all six effects, and seeded split-context
+derivations over the exception carrier, are mutated one node at a time, in
+five ways: one parameter taken from another node, all parameters taken
+from another node, the premises replaced by other nodes, the stated
+conclusion replaced by another node's, and a stated spec table swapped for
+one of another carrier.  The ancestors of the mutated node keep their
 stated conclusions.  Every mutant must give a `CheckResult`, and every one
 that replays must have a conclusion the oracle holds: soundness on
 adversarial trees, not only on generated ones.
 """
 
+import dataclasses
 import random
 
+from relwp import generic as G
 from relwp import rules as R
+from relwp import specmonads as sm
+from relwp.domains import UNIT, domain
 
 import reference
+import test_generic
+
+# a spec of the stateful carrier, which no split-context clause compares with
+OTHER = sm.weakest(sm.state_space(UNIT, domain("Z2", 2), UNIT, domain("Z2", 2)))
 
 
 def _paths(d, path=()):
@@ -63,6 +72,10 @@ def _mutate(rng, kind, node, nodes):
         return R.Derivation(donor.conclusion, node.rule, node.premises)
     if kind == "spec carrier":
         j = node.conclusion
+        if isinstance(j, G.FullJudgment):
+            key = rng.choice(("w1_table", "w2_table", "wrel_table"))
+            wrong = dataclasses.replace(j, **{key: R.Table(OTHER for _ in getattr(j, key))})
+            return R.Derivation(wrong, node.rule, node.premises)
         others = [n for n in nodes if n.conclusion.w_table[0].tag != j.w_table[0].tag]
         w_table = rng.choice(others).conclusion.w_table
         return R.Derivation(R.Judgment(j.env, j.c1_table, j.c2_table, w_table, j.observation),
@@ -73,13 +86,13 @@ def _mutate(rng, kind, node, nodes):
 KINDS = ("one parameter", "all parameters", "premises", "conclusion", "spec carrier")
 
 
-def test_every_mutant_fails_with_a_reason_or_replays_soundly():
-    roots = reference.seeded_corpus(10)
-    nodes = [n for d in roots for _, n in _paths(d)]
-    rng = random.Random(13)
-    counts = {kind: [0, 0] for kind in KINDS}  # per kind: replayed, failed
+def mutants(roots, n, seed):
+    """n seeded mutants of the roots, each with its kind and the path of its
+    mutated node, the kinds taking turns."""
+    nodes = [node for d in roots for _, node in _paths(d)]
+    rng = random.Random(seed)
     made = 0
-    while made < 1250:
+    while made < n:
         root = rng.choice(roots)
         path, node = rng.choice(list(_paths(root)))
         kind = KINDS[made % len(KINDS)]
@@ -87,7 +100,19 @@ def test_every_mutant_fails_with_a_reason_or_replays_soundly():
         if mutant is None:
             continue
         made += 1
-        d = _replace(root, path, mutant)
+        yield kind, path, _replace(root, path, mutant)
+
+
+def split_corpus(n):
+    """n seeded split-context derivations of depth 1 to 3."""
+    rng = random.Random(7)
+    return [test_generic._random_full_derivation(rng, G.EMPTY_SPLIT, rng.choice((1, 2, 3)))
+            for _ in range(n)]
+
+
+def _check_mutants(roots, n, seed):
+    counts = {kind: [0, 0] for kind in KINDS}  # per kind: replayed, failed
+    for kind, path, d in mutants(roots, n, seed):
         res = R.check_derivation(d)
         assert type(res) is R.CheckResult, (kind, path, res)
         if res.ok:
@@ -101,3 +126,11 @@ def test_every_mutant_fails_with_a_reason_or_replays_soundly():
     assert sum(replayed for replayed, _ in counts.values()) >= 20, counts
     # a stated spec of another carrier never replays
     assert counts["spec carrier"][0] == 0, counts
+
+
+def test_every_mutant_fails_with_a_reason_or_replays_soundly():
+    _check_mutants(reference.seeded_corpus(10), 1250, 13)
+
+
+def test_every_split_context_mutant_fails_with_a_reason_or_replays_soundly():
+    _check_mutants(split_corpus(60), 1000, 17)
