@@ -22,19 +22,25 @@ carrier and strictness batteries of `generic`.
 
 Every observation here factors through the reference evaluators in
 `programs`, so two programs with equal `semantic_key` get equal specs; the
-battery builders rely on that to dedupe enumerated programs.  None walks a
-program tree: the state and loop observations, paired and one-sided, read
-each program's runs from the one table `programs._runs` keeps, and a
-diverging run makes a point trivial (partial) or unsatisfiable (total);
-θ_err reads each side's tagged outcome there, θ_ndet its outcome set and
-θ_prob its distribution, as ints over one denominator, so a program met
-many times is run once.
+battery builders rely on that to dedupe enumerated programs.  Each named
+observation states what it reads as its `key`: a program's signature,
+result domain and runs (`_run_key`; θ_st also whether an imp program has
+a loop), or, for `observation_io`, whose embeds read `io_outcomes`, the
+program itself.  `check_morphism_laws` applies θ once per distinct pair
+of keys, so a battery is observed once per pair of behaviours, not per
+pair of programs.  None walks a program tree: the state and loop
+observations, paired and one-sided, read each program's runs from the one
+table `programs._runs` keeps, and a diverging run makes a point trivial
+(partial) or unsatisfiable (total); θ_err reads each side's tagged outcome
+there, θ_ndet its outcome set and θ_prob its distribution, as ints over
+one denominator, so a program met many times is run once.
 
 A deterministic run demands one outcome, and a run-table spec holds one
 family object per distinct outcome (the diverged ones are the shared
 `_ANY` and `_NONE`), so its size follows the outcomes reached, not the
 points.  `spec_bind` hands such a point its continuation's family itself,
-which is what makes θ(m >>= f) = θ(m) >>= θ∘f cost a lookup per point.
+reading each spec's outcomes once, which is what makes
+θ(m >>= f) = θ(m) >>= θ∘f cost a lookup per point.
 The named observations other than `observation_io` are built once per
 argument tuple.
 """
@@ -84,13 +90,21 @@ STRICT, LAX = "strict", "lax"
 IO_ROOT = (((), ()),)
 
 
+def _itself(c: Program) -> Program:
+    return c
+
+
 @dataclass(frozen=True)
 class EffectObservation:
     """A named map from program pairs to specs, with a strictness claim.
 
     `map` must be total on well-formed pairs of the declared effects; the
     claim records whether the ret and bind laws are expected to hold with
-    equality (strict) or only as inequalities (lax).
+    equality (strict) or only as inequalities (lax).  `key` says what `map`
+    reads of a program: pairs whose keys are equal side by side must map
+    to equal specs, or be refused alike.  It defaults to the program itself,
+    which any map obeys; `check_morphism_laws` applies `map` once per
+    distinct pair of keys.
     """
 
     name: str
@@ -99,6 +113,7 @@ class EffectObservation:
     target: str
     map: Callable[[Program, Program], RelSpec]
     strictness: str
+    key: Callable[[Program], object] = _itself
 
     def __call__(self, c1: Program, c2: Program) -> RelSpec:
         return self.map(c1, c2)
@@ -163,6 +178,23 @@ def _pair_runs(c1: Program, c2: Program, diverged) -> RelSpec:
                 fam = fams[base + r] = frozenset({1 << (base + r)})
             table.append(fam)
     return _fixed(space, table)
+
+
+def _run_key(c: Program):
+    """What a run-table observation reads of c: its signature, so its
+    effect, its result domain and its runs.  An io program has no run
+    table; it keys as itself, and the map refuses it."""
+    if c.sig.effect == P.IO:
+        return c
+    return c.sig, c.result, P._runs(c)
+
+
+def _st_key(c: Program):
+    """θ_st's key: as `_run_key`, but an imp program with a loop, which
+    runs cannot tell from one without, keys as itself and is refused."""
+    if c.sig.effect == P.IMP and P.count_loops(c):
+        return c
+    return _run_key(c)
 
 
 def _refuse_loops(c: Program, who: str):
@@ -544,7 +576,7 @@ def from_relator(gamma: Callable[[Callable[[Value, Value], bool], frozenset, fro
 
 @lru_cache(maxsize=None)
 def observation_st() -> EffectObservation:
-    return EffectObservation("theta-st", P.STATE, P.STATE, "WrelSt", theta_st, STRICT)
+    return EffectObservation("theta-st", P.STATE, P.STATE, "WrelSt", theta_st, STRICT, _st_key)
 
 
 @lru_cache(maxsize=None)
@@ -553,12 +585,12 @@ def observation_ndet(mode: str) -> EffectObservation:
         raise ValueError(f"mode must be one of {NDET_MODES}, got {mode!r}")
     claim = LAX if mode == FORALL_EXISTS else STRICT
     return EffectObservation(f"theta-ndet-{mode}", P.NDET, P.NDET, "WrelPure",
-                             partial(theta_ndet, mode), claim)
+                             partial(theta_ndet, mode), claim, _run_key)
 
 
 @lru_cache(maxsize=None)
 def observation_err() -> EffectObservation:
-    return EffectObservation("theta-err", P.EXC, P.EXC, "WrelErr", theta_err, STRICT)
+    return EffectObservation("theta-err", P.EXC, P.EXC, "WrelErr", theta_err, STRICT, _run_key)
 
 
 def observation_io(i1: FiniteDomain, o1: FiniteDomain,
@@ -570,17 +602,17 @@ def observation_io(i1: FiniteDomain, o1: FiniteDomain,
 
 @lru_cache(maxsize=None)
 def observation_part() -> EffectObservation:
-    return EffectObservation("theta-part", P.IMP, P.IMP, "WrelSt", theta_part, STRICT)
+    return EffectObservation("theta-part", P.IMP, P.IMP, "WrelSt", theta_part, STRICT, _run_key)
 
 
 @lru_cache(maxsize=None)
 def observation_tot() -> EffectObservation:
-    return EffectObservation("theta-tot", P.IMP, P.IMP, "WrelSt", theta_tot, STRICT)
+    return EffectObservation("theta-tot", P.IMP, P.IMP, "WrelSt", theta_tot, STRICT, _run_key)
 
 
 @lru_cache(maxsize=None)
 def observation_prob() -> EffectObservation:
-    return EffectObservation("theta-prob", P.PROB, P.PROB, "WrelProb", theta_prob, LAX)
+    return EffectObservation("theta-prob", P.PROB, P.PROB, "WrelProb", theta_prob, LAX, _run_key)
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +752,6 @@ class ProgramBattery:
     fs: Tuple[Tuple[Tuple[Program, ...], Tuple[Program, ...]], ...]
 
 
-def _cont_table(obs: EffectObservation, f1: Sequence[Program], f2: Sequence[Program],
-                observed: Dict[Tuple[Program, Program], RelSpec]) -> ContTable:
-    """The bind law's continuation table for (f1, f2), each entry observed
-    once per program pair through `observed`."""
-    conts = {}
-    for i, c1 in enumerate(f1):
-        for j, c2 in enumerate(f2):
-            w = observed.get((c1, c2))
-            if w is None:
-                w = observed[(c1, c2)] = obs.map(c1, c2)
-            conts[(i, j)] = w
-    return ContTable(conts)
-
-
 def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawReport:
     """The ret and bind laws of `obs` over a battery, through `run_laws`.
 
@@ -744,15 +762,33 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
 
     What depends on one side or one table is done once: each side's bound
     programs per continuation table, as one list indexed by the middle's
-    position among that side's distinct middles; theta per middle pair and
-    per continuation pair; and each table's checks and decoding
-    (`ContTable`).  On the deterministic carriers spec_bind then hands each
-    point its continuation's family itself, so equal sides often compare by
-    identity.
+    position among that side's distinct middles, and each table's checks
+    and decoding (`ContTable`).  theta itself is applied once per distinct
+    pair of keys (`EffectObservation.key`), for middles, continuation
+    entries and bound pairs alike, through a memo that lives for the call.
+    On the deterministic carriers spec_bind then hands each point its
+    continuation's family itself, so equal sides often compare by identity.
     """
+    numbers: Dict[object, int] = {}         # a key -> its number in this call
+    keyed: Dict[Program, int] = {}          # a program -> its key's number
+    observed: Dict[Tuple[int, int], RelSpec] = {}
+
+    def key(c: Program) -> int:
+        k = keyed.get(c)
+        if k is None:
+            k = keyed[c] = numbers.setdefault(obs.key(c), len(numbers))
+        return k
+
+    def theta(c1: Program, c2: Program, k1: int, k2: int) -> RelSpec:
+        w = observed.get((k1, k2))
+        if w is None:
+            w = observed[(k1, k2)] = obs.map(c1, c2)
+        return w
+
     def ret_instances():
         for a1, a2 in battery.rets:
-            lhs = obs.map(P.ret(battery.sig1, a1), P.ret(battery.sig2, a2))
+            c1, c2 = P.ret(battery.sig1, a1), P.ret(battery.sig2, a2)
+            lhs = theta(c1, c2, key(c1), key(c2))
             kw = dict(points=lhs.io_points) if lhs.tag == "WrelIO" else {}
             rhs = spec_ret(lhs.space, a1, a2, **kw)
             yield "ret", (a1, a2), spec_leq, lhs, rhs
@@ -766,25 +802,27 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
         return list({id(m): m for m in ms}.values()), pos
 
     def bound(memo, mids, f):
-        """The side's bound programs for table f, parallel to its middles."""
+        """The side's bound programs for table f, parallel to its middles,
+        and their keys' numbers."""
         b = memo.get(id(f))
         if b is None:
-            b = memo[id(f)] = [P.bind(m, f) for m in mids]
+            progs = [P.bind(m, f) for m in mids]
+            b = memo[id(f)] = progs, [key(c) for c in progs]
         return b
 
     def bind_instances():
-        wms = [obs.map(m1, m2) for m1, m2 in battery.ms]
-        observed: Dict[Tuple[Program, Program], RelSpec] = {}
+        wms = [theta(m1, m2, key(m1), key(m2)) for m1, m2 in battery.ms]
         mids1, pos1 = side([m1 for m1, _ in battery.ms])
         mids2, pos2 = side([m2 for _, m2 in battery.ms])
-        bound1: Dict[int, List[Program]] = {}
-        bound2: Dict[int, List[Program]] = {}
+        bound1: Dict[int, tuple] = {}
+        bound2: Dict[int, tuple] = {}
         for f1, f2 in battery.fs:
-            table = _cont_table(obs, f1, f2, observed)
-            b1, b2 = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
+            table = ContTable({(i, j): theta(c1, c2, key(c1), key(c2))
+                               for i, c1 in enumerate(f1) for j, c2 in enumerate(f2)})
+            (b1, k1), (b2, k2) = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
             for (m1, m2), i1, i2, wm in zip(battery.ms, pos1, pos2, wms):
                 yield ("bind", (m1, m2, f1, f2), spec_leq,
-                       obs.map(b1[i1], b2[i2]), spec_bind(wm, table))
+                       theta(b1[i1], b2[i2], k1[i1], k2[i2]), spec_bind(wm, table))
 
     return run_laws(obs.name, obs.strictness, chain(ret_instances(), bind_instances()))
 

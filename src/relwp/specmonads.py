@@ -510,7 +510,7 @@ class RelSpec:
 
     __slots__ = (
         "tag", "space", "fams", "table", "rows", "den",
-        "pre", "io_points", "_io_cache", "__weakref__",
+        "pre", "io_points", "_io_cache", "_outs", "__weakref__",
     )
 
     def __init__(self, tag, space, fams=None, table=None, pieces=None,
@@ -525,6 +525,8 @@ class RelSpec:
         # entries read so far; only interactive table specs have any
         self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
             {} if table is not None else None)
+        # each point's one outcome, or False, once `_bind` has asked
+        self._outs = None
 
     # -- basic queries
 
@@ -937,13 +939,32 @@ def spec_bind(wm: RelSpec, wf) -> RelSpec:
 def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
     tag = wm.tag
     if subs is not None:
-        fams = [_fam_bind(fam, subs) for fam in wm.fams]
+        outs = wm._outs
+        if outs is None:
+            outs = wm._outs = _one_outcomes(wm.fams)
+        fams = ([subs[o] for o in outs] if outs else
+                [_fam_bind(fam, subs) for fam in wm.fams])
         return _fixed(cspace, fams, None if wm.pre is None else _bind_pre(wm, conts))
     if tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
     if tag == "WrelProb":
         return _bind_prob(wm, conts, cspace)
     raise ValueError(f"unknown carrier {tag}")
+
+
+def _one_outcomes(fams):
+    """Each point's outcome when every point's family is one demand of one
+    outcome, which binds to that outcome's family itself (`_fam_bind`);
+    otherwise False."""
+    outs = []
+    for fam in fams:
+        if len(fam) != 1:
+            return False
+        (d,) = fam
+        if not d or d & (d - 1):
+            return False
+        outs.append(d.bit_length() - 1)
+    return tuple(outs)
 
 
 def _bind_pre(wm: RelSpec, conts) -> Tuple[bool, ...]:

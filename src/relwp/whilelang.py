@@ -220,6 +220,48 @@ class _Syntax(Canonical, metaclass=_Interned):
             todo += reversed(parts + [")"])
         return "".join(out)
 
+    def __copy__(self):
+        return self   # one live node per tree, which never changes
+
+    def __deepcopy__(self, _memo):
+        return self
+
+    def __reduce__(self):
+        # pickle rebuilds through the pool, so it returns the live tree; one
+        # flat record, as `Program.__reduce__` writes: each distinct node
+        # after the nodes its `kids` fields name by position, so that
+        # pickling does not recurse with the depth
+        at: Dict[int, int] = {}
+        record = []
+        todo = [(self, False)]
+        while todo:
+            x, ready = todo.pop()
+            if id(x) in at:
+                continue
+            args = _fields(x)
+            kids = tuple(k for k, v in enumerate(args) if isinstance(v, _Syntax))
+            if not ready:
+                todo += [(x, True)] + [(args[k], False) for k in kids]
+                continue
+            at[id(x)] = len(record)
+            record.append((type(x), tuple(at[id(v)] if k in kids else v
+                                          for k, v in enumerate(args)), kids))
+        return _unflatten_syntax, (tuple(record),)
+
+
+def _fields(x: _Syntax) -> tuple:
+    return tuple(getattr(x, f.name) for f in fields(x))
+
+
+def _unflatten_syntax(record) -> _Syntax:
+    """The node a `_Syntax.__reduce__` record stands for, built through the
+    pool from the leaves up: `kids` lists the fields that name an earlier
+    node by its position."""
+    built: List[_Syntax] = []
+    for cls, args, kids in record:
+        built.append(cls(*(built[v] if k in kids else v for k, v in enumerate(args))))
+    return built[-1]
+
 
 _syntax = dataclass(frozen=True, eq=False, repr=False)
 

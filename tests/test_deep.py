@@ -351,6 +351,26 @@ def test_a_statement_pickled_under_another_string_hash_seed_hashes_here():
     assert there is here and {here: 1}[there] == 1
 
 
+def test_a_long_statement_pickles_and_copies_to_itself():
+    # one flat record per tree: neither pickle nor deepcopy descends the chain,
+    # here or in a process with other string hashes
+    text = "; ".join("l := l + 1" if i % 3 else "h := h + l" for i in range(N))
+    code = ("import pickle, sys; from relwp import whilelang as W; "
+            f"s = W.parse_while({text!r}); hash(s); "
+            "sys.stdout.write(pickle.dumps(s).hex())")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    here = W.parse_while(text)
+    assert pickle.loads(bytes.fromhex(out)) is here
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(here, protocol)) is here
+    assert copy.deepcopy(here) is here and copy.copy(here) is here
+    cond = W.parse_while("while !(l = 0) && h < 1 do skip").cond
+    assert pickle.loads(pickle.dumps(cond)) is cond
+
+
 def test_a_long_program_and_expression_show_in_their_repr():
     text = "; ".join(["l := l + 1"] * N)
     a = W.parse_while(text)

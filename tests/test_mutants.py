@@ -1,15 +1,17 @@
 """Mutation harness: a malformed derivation fails with a reason, never with
 an exception, and a mutant that still replays is sound.
 
-Seeded core derivations of all six effects, and seeded split-context
-derivations over the exception carrier, are mutated one node at a time, in
-five ways: one parameter taken from another node, all parameters taken
-from another node, the premises replaced by other nodes, the stated
-conclusion replaced by another node's, and a stated spec table swapped for
-one of another carrier.  The ancestors of the mutated node keep their
-stated conclusions.  Every mutant must give a `CheckResult`, and every one
-that replays must have a conclusion the oracle holds: soundness on
-adversarial trees, not only on generated ones.
+Seeded core derivations of all six effects, seeded split-context
+derivations over the exception carrier, and seeded RHL derivations are
+mutated one node at a time, in five ways: one parameter taken from another
+node, all parameters taken from another node, the premises replaced by
+other nodes, the stated conclusion replaced by another node's, and a
+stated spec table swapped for one of another carrier (for RHL, the stated
+judgment moved to another store signature of the same size).  The
+ancestors of the mutated node keep their stated conclusions.  Every mutant
+must give a `CheckResult`, and every one that replays must have a
+conclusion the oracle holds: soundness on adversarial trees, not only on
+generated ones.
 """
 
 import dataclasses
@@ -18,13 +20,18 @@ import random
 from relwp import generic as G
 from relwp import rules as R
 from relwp import specmonads as sm
+from relwp import whilelang as W
 from relwp.domains import UNIT, domain
 
 import reference
 import test_generic
+import test_whilelang
 
 # a spec of the stateful carrier, which no split-context clause compares with
 OTHER = sm.weakest(sm.state_space(UNIT, domain("Z2", 2), UNIT, domain("Z2", 2)))
+# a store signature with as many stores as the RHL corpus's, over other
+# locations
+OTHER_SIG = W.store_signature(("a", "b"), domain("V", 2), {"a": W.LOW, "b": W.HIGH})
 
 
 def _paths(d, path=()):
@@ -72,6 +79,8 @@ def _mutate(rng, kind, node, nodes):
         return R.Derivation(donor.conclusion, node.rule, node.premises)
     if kind == "spec carrier":
         j = node.conclusion
+        if isinstance(j, W.RHLInstance):
+            return R.Derivation(dataclasses.replace(j, sig=OTHER_SIG), node.rule, node.premises)
         if isinstance(j, G.FullJudgment):
             key = rng.choice(("w1_table", "w2_table", "wrel_table"))
             wrong = dataclasses.replace(j, **{key: R.Table(OTHER for _ in getattr(j, key))})
@@ -110,6 +119,29 @@ def split_corpus(n):
             for _ in range(n)]
 
 
+def rhl_corpus(n):
+    """n seeded RHL derivations: each rule of the catalogue in turn, over
+    hypotheses the oracle accepts (the cases of `test_whilelang`), then
+    up to two steps more, each a Consequence that narrows the precondition
+    and widens the postcondition, or a Seq into a Skip."""
+    rng = random.Random(2019)
+    names = W.rhl_rule_names()
+    out = []
+    for k in range(n):
+        name = names[k % len(names)]
+        premises, params = test_whilelang._rhl_case(name, rng)
+        d = W.RHL.derive(name, [test_whilelang._hypothesis(p) for p in premises], **params)
+        for _ in range(rng.randrange(3)):
+            j = d.conclusion
+            if rng.random() < 0.5:
+                d = W.RHL.derive("Consequence", (d,), pre=test_whilelang._narrow(rng, j.pre),
+                                 post=test_whilelang._widen(rng, j.post))
+            else:
+                d = W.RHL.derive("Seq", (d, W.RHL.derive("Skip", sig=j.sig, pre=j.post)))
+        out.append(d)
+    return out
+
+
 def _check_mutants(roots, n, seed):
     counts = {kind: [0, 0] for kind in KINDS}  # per kind: replayed, failed
     for kind, path, d in mutants(roots, n, seed):
@@ -134,3 +166,7 @@ def test_every_mutant_fails_with_a_reason_or_replays_soundly():
 
 def test_every_split_context_mutant_fails_with_a_reason_or_replays_soundly():
     _check_mutants(split_corpus(60), 1000, 17)
+
+
+def test_every_rhl_mutant_fails_with_a_reason_or_replays_soundly():
+    _check_mutants(rhl_corpus(60), 1000, 19)

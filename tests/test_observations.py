@@ -834,6 +834,75 @@ def test_a_battery_without_rets_holds_the_ret_law_vacuously():
     assert rep.bind_law.equal and rep.bind_law.checked == len(battery.ms) * len(battery.fs)
 
 
+def test_a_law_check_observes_each_distinct_pair_of_run_tables_once():
+    obs = O.observation_st()
+    battery = O.battery_state(Z2, Z2, depth=2)
+    met = []
+
+    def counted(c1, c2):
+        met.append(tuple((c.sig, c.result, P._runs(c)) for c in (c1, c2)))
+        return O.theta_st(c1, c2)
+
+    rep = O.check_morphism_laws(dataclasses.replace(obs, map=counted), battery)
+    assert rep == O.check_morphism_laws(obs, battery)
+    assert len(met) == len(set(met))
+    assert len(met) * 10 < rep.checked
+
+
+def test_an_observation_keyed_by_program_is_applied_once_per_program_pair():
+    battery = O.battery_state(Z2, Z2, depth=2, table_limit=4, m_limit=5)
+    met = []
+
+    def counted(c1, c2):
+        met.append((c1, c2))   # keeps each program alive, so ids stay distinct
+        return O.theta_st(c1, c2)
+
+    obs = O.EffectObservation("theta-st-by-program", P.STATE, P.STATE, "WrelSt",
+                              counted, O.STRICT)
+    rep = O.check_morphism_laws(obs, battery)
+    assert rep.ok
+    rets = {(P.ret(SSIG, a1), P.ret(SSIG, a2)) for a1, a2 in battery.rets}
+    conts = {(c1, c2) for f1, f2 in battery.fs for c1 in f1 for c2 in f2}
+    bound = {(P.bind(m1, f1), P.bind(m2, f2))
+             for f1, f2 in battery.fs for m1, m2 in battery.ms}
+    assert len(met) == len(set(met))
+    assert set(met) == rets | set(battery.ms) | conts | bound
+
+
+def _refusal(fn):
+    with pytest.raises(ValueError) as e:
+        fn()
+    return str(e.value)
+
+
+def test_a_law_check_meets_every_refusal_of_a_named_observation():
+    # a pair met after one with equal runs is refused still: an imp program
+    # with a loop under theta_st, and a program of another effect
+    plain = P.ret(ISIG, Z2.value(0))
+    looping = P.do_while(P.ret(ISIG, boolv(False)), plain)
+    assert P._runs(looping) == P._runs(plain)
+    f = (plain, P.ret(ISIG, Z2.value(1)))
+    io = P.ret(IOSIG, Z2.value(0))
+    exc = P.ret(ESIG, Z2.value(0))
+    state = P.ret(SSIG, Z2.value(0))
+    cases = [
+        (O.observation_st(), ISIG, (plain, plain), (looping, plain)),
+        (O.observation_st(), ISIG, (plain, plain), (plain, looping)),
+        (O.observation_st(), SSIG, (state, state), (state, io)),
+        (O.observation_err(), ESIG, (exc, exc), (exc, state)),
+        (O.observation_part(), ISIG, (plain, plain), (io, plain)),
+    ]
+    for obs, sig, fine, bad in cases:
+        ft = tuple(P.ret(sig, v) for v in Z2.values())
+        battery = O.ProgramBattery(sig, sig, (), (fine, bad), ((ft, ft),))
+        assert _refusal(lambda: O.check_morphism_laws(obs, battery)) == _refusal(
+            lambda: obs.map(*bad)), (obs.name, bad)
+    with_loop = O.ProgramBattery(ISIG, ISIG, (), ((plain, plain),),
+                                 ((f, f), ((looping, plain), f)))
+    assert "observe loops" in _refusal(
+        lambda: O.check_morphism_laws(O.observation_st(), with_loop))
+
+
 def test_a_table_limit_below_one_is_refused():
     with pytest.raises(ValueError, match="table_limit"):
         O.battery_state(Z2, Z2, depth=2, table_limit=0)
