@@ -709,9 +709,11 @@ def run_laws(subject: str, claimed: str, instances) -> LawReport:
 
     Each instance compares lhs with rhs under `leq`: a violation when lhs
     is not below rhs, strictly-less when only rhs is not below lhs, equal
-    otherwise.  A violation ends its law's scan (later instances of that
-    law are skipped); otherwise the first strictly-less instance is the
-    law's witness, and once it is held only violations are looked for.
+    otherwise.  Identical sides hold at once: every order is reflexive, so
+    such an instance is counted and equal without calling `leq`.  A
+    violation ends its law's scan (later instances of that law are
+    skipped); otherwise the first strictly-less instance is the law's
+    witness, and once it is held only violations are looked for.
     """
     scans: Dict[str, list] = {}     # law -> [kind, checked, witness]
     for law, inst, leq, lhs, rhs in instances:
@@ -721,6 +723,8 @@ def run_laws(subject: str, claimed: str, instances) -> LawReport:
         elif scan[0] == "violation":
             continue
         scan[1] += 1
+        if lhs is rhs:
+            continue
         # the specmonads orders hold with the one HOLDS, so identity is the cheap test
         bad = leq(lhs, rhs)
         if bad is HOLDS or bad.holds:
@@ -766,8 +770,11 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
     and decoding (`ContTable`).  theta itself is applied once per distinct
     pair of keys (`EffectObservation.key`), for middles, continuation
     entries and bound pairs alike, through a memo that lives for the call.
-    On the deterministic carriers spec_bind then hands each point its
-    continuation's family itself, so equal sides often compare by identity.
+    A bound pair is run after its middle and table entries, so a bind
+    whose parts have run composes their runs (`programs._runs`).  On the
+    deterministic carriers spec_bind then hands each point its
+    continuation's family itself, and identical sides hold at once
+    (`run_laws`).
     """
     numbers: Dict[object, int] = {}         # a key -> its number in this call
     keyed: Dict[Program, int] = {}          # a program -> its key's number
@@ -821,8 +828,11 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
                                for i, c1 in enumerate(f1) for j, c2 in enumerate(f2)})
             (b1, k1), (b2, k2) = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
             for (m1, m2), i1, i2, wm in zip(battery.ms, pos1, pos2, wms):
-                yield ("bind", (m1, m2, f1, f2), spec_leq,
-                       theta(b1[i1], b2[i2], k1[i1], k2[i2]), spec_bind(wm, table))
+                k = k1[i1], k2[i2]
+                lhs = observed.get(k)
+                if lhs is None:
+                    lhs = observed[k] = obs.map(b1[i1], b2[i2])
+                yield "bind", (m1, m2, f1, f2), spec_leq, lhs, spec_bind(wm, table)
 
     return run_laws(obs.name, obs.strictness, chain(ret_instances(), bind_instances()))
 

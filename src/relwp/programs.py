@@ -33,7 +33,8 @@ once, so long programs never raise RecursionError.  The evaluators loop over
 their own effect's nodes instead.  `run_imp` serves state and imp alike (a
 state program is an imp program without loops), and `_runs` keeps each
 program's runs on the program, the one table its observation reads: the
-runs from every initial state of a state or imp program, the tagged
+runs from every initial state of a state or imp program (a bind whose
+parts have run composes their runs), the tagged
 outcome of an exc program, the outcome set of an ndet program, and the
 output distribution of a prob program as ints over one denominator, built
 from its subtrees' runs.  One fold with a
@@ -792,7 +793,8 @@ def _runs(p: Program):
     of it reads one table:
       state, imp  the run from each initial state, as its local outcome
                   index a * |S| + t (value a, final state t), or None where
-                  it diverges (`run_imp`)
+                  it diverges (`run_imp`); a bind whose parts have run
+                  composes their runs, cont[a]'s run from t
       prob        (den, weights): the probability of each value, as ints
                   over one positive denominator in lowest terms, built from
                   the runs of the subtrees not yet run, in postorder
@@ -813,9 +815,15 @@ def _runs(p: Program):
             tag, v = run_exc(p)
             t = v.index if tag == OK else p.result.size + v.index
         else:
-            n = p.sig.state.size
-            t = tuple(None if r is None else r[0].index * n + r[1].index
-                      for r in (run_imp(p, s) for s in p.sig.state.values()))
+            n, node = p.sig.state.size, p.node
+            if (type(node) is Bind and node.inner._runs is not None
+                    and all(c._runs is not None for c in node.cont)):
+                cont = node.cont
+                t = tuple(None if r is None else cont[r // n]._runs[r % n]
+                          for r in node.inner._runs)
+            else:
+                t = tuple(None if r is None else r[0].index * n + r[1].index
+                          for r in (run_imp(p, s) for s in p.sig.state.values()))
         _set_runs(p, t)
     return t
 

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -525,7 +525,7 @@ class RelSpec:
         # entries read so far; only interactive table specs have any
         self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
             {} if table is not None else None)
-        # each point's one outcome, or False, once `_bind` has asked
+        # a gather of each point's one outcome, or False, once `_bind` has asked
         self._outs = None
 
     # -- basic queries
@@ -932,8 +932,9 @@ class ContTable:
 def spec_bind(wm: RelSpec, wf) -> RelSpec:
     """Sequential composition of specs.  `wf` is a `ContTable`, or what one
     is built from: binding many middles to one table prepares it once."""
-    conts, cspace, subs = (wf if isinstance(wf, ContTable) else ContTable(wf)).prepare(wm)
-    return _bind(wm, conts, cspace, subs)
+    if type(wf) is not ContTable:
+        wf = ContTable(wf)
+    return _bind(wm, *(wf._prepared.get(wm.space) or wf.prepare(wm)))
 
 
 def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
@@ -942,8 +943,7 @@ def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
         outs = wm._outs
         if outs is None:
             outs = wm._outs = _one_outcomes(wm.fams)
-        fams = ([subs[o] for o in outs] if outs else
-                [_fam_bind(fam, subs) for fam in wm.fams])
+        fams = outs(subs) if outs else [_fam_bind(fam, subs) for fam in wm.fams]
         return _fixed(cspace, fams, None if wm.pre is None else _bind_pre(wm, conts))
     if tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
@@ -953,9 +953,12 @@ def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
 
 
 def _one_outcomes(fams):
-    """Each point's outcome when every point's family is one demand of one
-    outcome, which binds to that outcome's family itself (`_fam_bind`);
-    otherwise False."""
+    """When every point's family is one demand of one outcome, which binds
+    to that outcome's family itself (`_fam_bind`), a gather of those
+    families from the outcomes' `subs`, in point order; otherwise False.
+    An `itemgetter`, so a spec that has served as a middle still pickles;
+    a one-point space, whose gather would not return a tuple, keeps the
+    plain path."""
     outs = []
     for fam in fams:
         if len(fam) != 1:
@@ -964,7 +967,7 @@ def _one_outcomes(fams):
         if not d or d & (d - 1):
             return False
         outs.append(d.bit_length() - 1)
-    return tuple(outs)
+    return itemgetter(*outs) if len(outs) > 1 else False
 
 
 def _bind_pre(wm: RelSpec, conts) -> Tuple[bool, ...]:
@@ -1205,7 +1208,10 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
 
     `cap` is read by nothing.  It stays only because the bench's tracer
     binds it to label each comparison, and it goes when that tracer does.
+    The same object holds at once, as every order is reflexive.
     """
+    if w is w2:
+        return HOLDS
     if w.tag != w2.tag:
         raise ValueError(f"cannot compare {w.tag} with {w2.tag}")
     if w.space is not w2.space:
@@ -1231,8 +1237,6 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
 def spec_equiv(w: RelSpec, w2: RelSpec) -> LeqVerdict:
     """Both directions of spec_leq; Holds means extensional equality.  The
     same object holds at once."""
-    if w is w2:
-        return HOLDS
     fwd = spec_leq(w, w2)
     if not fwd.holds:
         return fwd

@@ -815,15 +815,32 @@ def test_run_laws_ends_a_law_at_its_violation_and_keeps_the_first_strict_witness
     got = [(v.law, v.kind, v.checked, v.witness and v.witness.instance) for v in rep.laws]
     assert got == [("a", "violation", 2, 3), ("b", "strictly-less", 3, 2), ("c", "equal", 1, None)]
     assert rep.law("b").witness.phi == (1, 0)
-    # a: 2 + 1 + skipped; b: 2, then the forward check only once a witness
-    # is held; c: 2
-    assert _toy_leq.calls == 9
+    # a: none for its identical sides, 1, then skipped; b: 2, then the
+    # forward check only once a witness is held, and none for identical
+    # sides; c: none
+    assert _toy_leq.calls == 4
     assert rep.checked == 6 and not rep.ok and not rep.consistent
     assert [w.law for w in rep.failures] == ["a", "b"]
     assert rep.law("d") == O.LawVerdict("d", "equal", 0)
     lax = O.run_laws("toy", O.LAX, [("b", 2, _toy_leq, 0, 1)])
     assert lax.consistent and not lax.ok
     assert not O.run_laws("toy", O.STRICT, [("b", 2, _toy_leq, 0, 1)]).consistent
+
+
+def test_run_laws_holds_identical_sides_without_comparing_them():
+    def never(*_):
+        raise AssertionError("identical sides were compared")
+
+    w = sm.weakest(sm.pure_space(Z2, Z2))
+    rep = O.run_laws("same", O.STRICT, [("ret", 1, never, w, w), ("bind", 2, never, 7, 7),
+                                        ("bind", 3, never, w, w)])
+    assert [(v.law, v.kind, v.checked, v.witness) for v in rep.laws] == [
+        ("ret", "equal", 1, None), ("bind", "equal", 2, None)]
+    assert rep.checked == 3 and rep.ok and rep.consistent
+    # after a strict witness, identical sides still count and still hold
+    _toy_leq.calls = 0
+    rep = O.run_laws("toy", O.LAX, [("b", 1, _toy_leq, 0, 1), ("b", 2, never, 5, 5)])
+    assert (rep.law("b").kind, rep.law("b").checked, _toy_leq.calls) == ("strictly-less", 2, 2)
 
 
 def test_a_battery_without_rets_holds_the_ret_law_vacuously():

@@ -319,6 +319,39 @@ def test_divergence_agrees_with_fueled_reference(seed):
             assert r == ref
 
 
+def _imp_runs(p):
+    """p's runs as `P._runs` encodes them, from `run_imp` alone."""
+    n = p.sig.state.size
+    return tuple(None if r is None else r[0].index * n + r[1].index
+                 for r in (P.run_imp(p, s) for s in p.sig.state.values()))
+
+
+def test_a_bind_whose_parts_have_run_composes_their_runs():
+    # seeded state and imp middles and tables over Z2 and Z3 states, loops
+    # and divergence among them; the parts are run first in half the cases,
+    # so the bound runs are composed, and not run in the other half
+    rng = random.Random(30)
+    composed = fresh = diverged = 0
+    for i in range(600):
+        states = (domain("Z2", 2), Z3)[i % 2]
+        sig = (P.state_sig, P.imp_sig)[i // 2 % 2](states)
+        mid, res = rng.choice((BOOL, Z3)), rng.choice((BOOL, Z3))
+        m = random_program(rng, sig, mid, rng.randint(1, 4))
+        f = tuple(random_program(rng, sig, res, rng.randint(1, 3)) for _ in mid.values())
+        if i // 4 % 2:
+            for q in (m, *f):
+                P._runs(q)
+            composed += 1
+        else:
+            fresh += m._runs is None
+        b = P.bind(m, f)
+        assert b._runs is None
+        assert P._runs(b) == _imp_runs(b)
+        diverged += None in b._runs
+        del m, f, b
+    assert composed == 300 and fresh > 250 and diverged > 30
+
+
 def test_do_while_unrolling_under_evaluation():
     # do_while(body, k) behaves like bind(body, b -> b ? do_while(body, k) : k)
     rng = random.Random(7)

@@ -421,6 +421,21 @@ def test_leq_reflexive_on_handmade_specs():
         assert sm.spec_leq(w, w).holds
 
 
+def test_a_spec_compared_with_itself_holds_at_once(monkeypatch):
+    def compared(*_):
+        raise AssertionError("a spec was compared with itself")
+
+    for name in ("_leq_prob", "_leq_io", "_uncovered"):
+        monkeypatch.setattr(sm, name, compared)
+    pts = (((), ()),)
+    io = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
+    for w in (sm.demonic_spec(sm.state_space(Z2, Z2, UNIT, Z2), [{1}, {0, 3}, {2}, {5}]),
+              sm.from_prepost(sm.state_space(UNIT, Z2, UNIT, Z2), [True, False] * 2, [True] * 16),
+              sm.linear_spec(sm.prob_space(Z2, Z2), [(0, [F(1, 4)] * 4), (F(1, 8), [0, 1, 0, 0])]),
+              sm.io_demonic_spec(io, lambda pt: {(3, ((OUT, Z2.value(1)),), ())}, pts)):
+        assert sm.spec_leq(w, w) is sm.HOLDS
+
+
 def test_leq_demonic_subset_example():
     space = sm.pure_space(Z2, Z2)
     w1 = sm.demonic_spec(space, [frozenset({3})])
@@ -1494,6 +1509,32 @@ def test_fam_bind_hands_a_one_outcome_demand_its_continuation_family(seed):
         assert got == sm._fam_bind(fam, subs)
         if len(fam) == 1 and max(fam).bit_count() == 1:
             assert sm._fam_bind(fam, subs) is subs[max(fam).bit_length() - 1]
+
+
+def test_a_spec_that_served_as_a_middle_pickles_and_binds_alike():
+    # every point one outcome: the middle keeps a gather of its outcomes'
+    # families, which must pickle with it and bind alike afterwards
+    for space, cont in (
+            (sm.state_space(Z2, Z2, Z2, Z2),
+             lambda i1, i2: sm.demonic_spec(sm.state_space(Z2, Z2, UNIT, Z2),
+                                            [{(i1 + i2 + pt) % 8} for pt in range(4)])),
+            (sm.pp_state_space(Z2, Z2, UNIT, Z2),
+             lambda i1, i2: sm.spec_ret(sm.pp_state_space(Z3, Z2, UNIT, Z2),
+                                        Z3.value(i1 + i2), UNIT.value(0)))):
+        w = sm.spec_ret(space, Z2.value(1), Value(space.a2, 0))
+        table = sm.ContTable(cont)
+        bound = sm.spec_bind(w, table)
+        assert callable(w._outs)
+        for again in (pickle.loads(pickle.dumps(w, protocol)) for protocol in (2, 5)):
+            assert again.fams == w.fams and again.pre == w.pre
+            assert again._outs(table.prepare(w)[2]) == bound.fams
+            rebound = sm.spec_bind(again, table)
+            assert rebound.fams == bound.fams and rebound.pre == bound.pre
+    # a one-point space keeps the plain path
+    pure = sm.pure_space(Z2, Z2)
+    one_point = sm.demonic_spec(pure, [{3}])
+    sm.spec_bind(one_point, lambda i1, i2: sm.spec_ret(pure, Z2.value(i2), Z2.value(i1)))
+    assert one_point._outs is False
 
 
 def test_fixed_leq_is_exact_at_cap_one_on_16_outcome_spaces():
