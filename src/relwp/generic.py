@@ -114,9 +114,12 @@ class FullSpecMonad:
     triple-law battery, `check_triple_laws`, checks them).
 
     bind1/bind2 take the middle spec, a continuation table indexed by the
-    bound value, and the continuation result domain.  bind_rel takes all
-    three middle specs and all three tables; the relational table is indexed
-    [left value][right value].
+    bound value, and the continuation result domain.  bind_rel is staged by
+    its tables: bind_rel(f1, f2, frel, b1dom, b2dom) takes all three tables
+    and both continuation result domains, the relational table indexed
+    [left value][right value], does the work that depends on them alone,
+    and returns a binder (m1, m2, mrel) -> payload that binds any three
+    middle specs to them.
     """
 
     name: str
@@ -126,7 +129,7 @@ class FullSpecMonad:
     ret_rel: Callable[[Value, Value], object]
     bind1: Callable[[object, Sequence, FiniteDomain], object]
     bind2: Callable[[object, Sequence, FiniteDomain], object]
-    bind_rel: Callable[..., object]
+    bind_rel: Callable[..., Callable[[object, object, object], object]]
     leq1: Callable[[object, object], sm.LeqVerdict]
     leq2: Callable[[object, object], sm.LeqVerdict]
     leq_rel: Callable[[object, object], sm.LeqVerdict]
@@ -139,21 +142,24 @@ class FullSpecMonad:
 
 
 def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.OutcomeSpace],
-                bind: Callable[[sm.RelSpec, Sequence[sm.RelSpec]], sm.RelSpec]) -> FullSpecMonad:
+                binder: Callable[[Sequence[sm.RelSpec]], Callable[[sm.RelSpec], sm.RelSpec]]
+                ) -> FullSpecMonad:
     """Triple over a simple carrier, given by its outcome space per pair of
-    result domains and its bind against a continuation table (one spec per
-    value pair, left index major).  The unary parts are the carrier at a
-    unit result on the opposite side, and every operation simply ignores
-    the pieces the simple carrier has no use for."""
+    result domains and its binder: prepared once for a continuation table
+    (one spec per value pair, left index major), it binds middle specs to
+    it.  The unary parts are the carrier at a unit result on the opposite
+    side, and every operation simply ignores the pieces the simple carrier
+    has no use for."""
 
     def ret(a1: Value, a2: Value) -> sm.RelSpec:
         return sm.spec_ret(space(a1.domain, a2.domain), a1, a2)
 
     def bind_unary(w, table, _bdom):
-        return bind(w, tuple(table))
+        return binder(tuple(table))(w)
 
-    def bind_rel(_m1, _m2, mrel, _f1, _f2, frel, _b1dom, _b2dom):
-        return bind(mrel, [w for row in frel for w in row])
+    def bind_rel(_f1, _f2, frel, _b1dom, _b2dom):
+        bind = binder(tuple(w for row in frel for w in row))
+        return lambda _m1, _m2, mrel: bind(mrel)
 
     def gen(rng: random.Random, d1: FiniteDomain, d2: FiniteDomain) -> sm.RelSpec:
         return random_spec(rng, space(d1, d2))
@@ -179,36 +185,43 @@ def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.Outc
     )
 
 
-def _point_bind(w: sm.RelSpec, table: Sequence[sm.RelSpec]) -> sm.RelSpec:
+def _point_binder(table: Sequence[sm.RelSpec]) -> Callable[[sm.RelSpec], sm.RelSpec]:
     """Sequential composition of one-point specs against a total table, one
-    entry per outcome of w.  A deterministic w, whose one demand is a single
-    outcome, yields that outcome's entry as it stands.  `_fam_bind` would
-    give the entry's family too, but only after the table's families are
-    listed and wrapped in a new spec: `exc_strict` ran 5-9% slower so."""
-    if len(table) != w.space.size:
-        raise ValueError(f"continuation table must cover {w.space.size} outcomes, "
-                         f"got {len(table)}")
-    space = table[0].space
+    entry per outcome of the middle w.  The table's space check and its
+    entries' families are taken once, when the binder is made.  A
+    deterministic w, whose one demand is a single outcome, yields that
+    outcome's entry as it stands."""
+    space = table[0].space if table else None
     for t in table:
         if t.space is not space:
             raise ValueError("continuation table mixes outcome spaces")
-    (fam,) = w.fams
-    if len(fam) == 1:
-        (d,) = fam
-        if d and not d & (d - 1):
-            return table[d.bit_length() - 1]
-    return sm._fixed(space, (sm._fam_bind(fam, [t.fams[0] for t in table]),))
+    subs = [t.fams[0] for t in table]
+
+    def bind(w: sm.RelSpec) -> sm.RelSpec:
+        if len(table) != w.space.size:
+            raise ValueError(f"continuation table must cover {w.space.size} outcomes, "
+                             f"got {len(table)}")
+        (fam,) = w.fams
+        if len(fam) == 1:
+            (d,) = fam
+            if d and not d & (d - 1):
+                return table[d.bit_length() - 1]
+        return sm._fixed(space, (sm._fam_bind(fam, subs),))
+    return bind
 
 
 def lift_pure() -> FullSpecMonad:
     """The base lift of one-point WrelPure specs."""
-    return lift_simple("pure", sm.pure_space, _point_bind)
+    return lift_simple("pure", sm.pure_space, _point_binder)
 
 
 def lift_state(s1: FiniteDomain, s2: FiniteDomain) -> FullSpecMonad:
     """The base lift of WrelSt specs over the states s1 and s2."""
+    def binder(table):
+        cont = sm.ContTable(table)
+        return lambda w: sm.spec_bind(w, cont)
     return lift_simple(f"state[{s1.name},{s2.name}]",
-                       lambda d1, d2: sm.state_space(d1, s1, d2, s2), sm.spec_bind)
+                       lambda d1, d2: sm.state_space(d1, s1, d2, s2), binder)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +244,9 @@ def _mirror(m: FullSpecMonad, name: Optional[str] = None,
     relational continuation table transposed).  Payloads are m's own, so
     mirroring twice gives m's operations back."""
 
-    def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-        return m.bind_rel(m2, m1, mrel, f2, f1, tuple(zip(*frel)), b2dom, b1dom)
+    def bind_rel(f1, f2, frel, b1dom, b2dom):
+        bind = m.bind_rel(f2, f1, tuple(zip(*frel)), b2dom, b1dom)
+        return lambda m1, m2, mrel: bind(m2, m1, mrel)
 
     return FullSpecMonad(
         name=name or f"mirror({m.name})",
@@ -268,21 +282,23 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     The carrier keeps one table of what it has built.  Per result domain it
     holds the tagged sum domain with its normal and raised values, and the
     units appended for raised exceptions.  Per fixed result and other side's
-    domain it holds the unit tables of a pin, and per (other side's payload,
-    fixed result, other side's domain) the pinned bind itself.  Rethrows in
-    bind_rel and both tau embeddings go through the pin.  The domain is part
-    of the keys because payloads need not record it.  A pin is keyed by the
-    payload's exact form: a spec by its space and demand families, so equal
-    specs built apart share one pin, and a table under `stt_rel_transform`
-    by itself.  The rows bind_rel appends for raised exceptions, one pin per
-    entry of the other side's continuation table, are kept per (that table's
-    payloads, both result domains): specs hash by identity and tables by
-    their entries, so a table met again costs one lookup, not a pin per
-    entry.  Reusing an entry is sound because every `inner` operation is a
-    pure function of its arguments and payloads never change once built, so
-    an equal key always builds an equal result.  A right-side carrier keeps
-    these tables, its pins and rows included, in the left instance built
-    over the mirrored inner carrier.
+    domain it holds the inner binder prepared for the unit tables of a pin,
+    and per (other side's payload, fixed result, other side's domain) the
+    pinned bind itself.  Rethrows in bind_rel and both tau embeddings go
+    through the pin.  The domain is part of the keys because payloads need
+    not record it.  A pin is keyed by the payload's exact form: a spec by
+    its space and demand families, so equal specs built apart share one
+    pin, and a table under `stt_rel_transform` by itself.  The rows
+    bind_rel appends for raised exceptions, one pin per entry of the other
+    side's continuation table, are looked up once per prepared table and
+    kept per (that table's payloads, both result domains): specs hash by
+    identity and tables by their entries, so a table prepared again costs
+    one lookup, not a pin per entry, and each middle bound to a prepared
+    table costs none.  Reusing an entry is sound because every `inner`
+    operation is a pure function of its arguments and payloads never change
+    once built, so an equal key always builds an equal result.  A
+    right-side carrier keeps these tables, its pins and rows included, in
+    the left instance built over the mirrored inner carrier.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -330,13 +346,12 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         # pair a fixed left result with whatever the right continuation
         # produces, keeping its effect on the right spec
         def build():
-            f1t, f2t, frelt = once(("units", b1val, b2dom), lambda: (
+            bind = once(("units", b1val, b2dom), lambda: inner.bind_rel(
                 (inner.ret1(b1val),),
                 tuple(inner.ret2(v) for v in b2dom.values()),
                 (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
-            ))
-            return inner.bind_rel(unit1, w2, inner.tau2(w2, b2dom), f1t, f2t, frelt,
-                                  b1val.domain, b2dom)
+                b1val.domain, b2dom))
+            return bind(unit1, w2, inner.tau2(w2, b2dom))
         key = (w2.space, w2.fams) if isinstance(w2, sm.RelSpec) else w2
         return once(("pin", key, b1val, b2dom), build)
 
@@ -346,9 +361,9 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         return once(("rethrows", f2, b1dom, b2dom), lambda: tuple(
             tuple(pin(w2, thrown, b2dom) for w2 in f2) for thrown in tagged(b1dom)[2]))
 
-    def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
+    def bind_rel(f1, f2, frel, b1dom, b2dom):
         f2 = tuple(f2)
-        return inner.bind_rel(m1, m2, mrel, tuple(f1) + raises(b1dom), f2,
+        return inner.bind_rel(tuple(f1) + raises(b1dom), f2,
                               tuple(frel) + rethrows(f2, b1dom, b2dom), sdom(b1dom), b2dom)
 
     def tau2(w2, a2dom):
@@ -415,29 +430,27 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
             return inner.bind1(w[si], inner_table, pdom(bdom))
         return tuple(entry(si) for si in range(s.size))
 
-    def bind_rel(m1, m2, mrel, f1, f2, frel, b1dom, b2dom):
-        f1 = tuple(f1)
+    def bind_rel(f1, f2, frel, b1dom, b2dom):
+        # the wrapped side's tables flattened over (value, exit state); the
+        # same inner binder serves every entry state
         f2 = tuple(f2)
-        def entry(si):
-            f1t = tuple(f1[k // s.size][k % s.size]
-                        for k in range(len(f1) * s.size))
-            frelt = tuple(tuple(frel[k // s.size][a2][k % s.size]
-                                for a2 in range(len(f2)))
-                          for k in range(len(f1) * s.size))
-            return inner.bind_rel(m1[si], m2, mrel[si], f1t, f2, frelt,
-                                  pdom(b1dom), b2dom)
-        return tuple(entry(si) for si in range(s.size))
+        n = len(f1) * s.size
+        bind = inner.bind_rel(tuple(f1[k // s.size][k % s.size] for k in range(n)), f2,
+                              tuple(tuple(frel[k // s.size][a2][k % s.size]
+                                          for a2 in range(len(f2)))
+                                    for k in range(n)),
+                              pdom(b1dom), b2dom)
+        return lambda m1, m2, mrel: tuple(bind(m1[si], m2, mrel[si]) for si in range(s.size))
 
     def tau2(w2, a2dom):
         udom = pdom(UNIT)
         def entry(si):
-            f1t = (inner.ret1(Value(udom, si)),)
-            f2t = tuple(inner.ret2(v) for v in a2dom.values())
-            frelt = (tuple(inner.ret_rel(Value(udom, si), v)
-                           for v in a2dom.values()),)
-            return inner.bind_rel(inner.ret1(UNIT_VAL), w2,
-                                  inner.tau2(w2, a2dom),
-                                  f1t, f2t, frelt, udom, a2dom)
+            bind = inner.bind_rel((inner.ret1(Value(udom, si)),),
+                                  tuple(inner.ret2(v) for v in a2dom.values()),
+                                  (tuple(inner.ret_rel(Value(udom, si), v)
+                                         for v in a2dom.values()),),
+                                  udom, a2dom)
+            return bind(inner.ret1(UNIT_VAL), w2, inner.tau2(w2, a2dom))
         return tuple(entry(si) for si in range(s.size))
 
     return FullSpecMonad(
@@ -821,16 +834,17 @@ def _full_bind(r: RuleInstance, prem) -> FullJudgment:
         raise RuleError(f"{r.rule}: right continuation changes its result domain")
     n1, n2 = d1.size, d2.size
     f1, f2 = _rows(jf.w1_table, n1), _rows(jf.w2_table, n2)
+    # one relational binder per distinct triple of continuation tables
+    binders = _each(lambda fc1, fc2, frel: monad.bind_rel(fc1, fc2, frel, b1dom, b2dom),
+                    *_pairs(f1, f2), tuple(_rel_rows(jf, n1, n2)))
     return FullJudgment(
         jm.ctx, monad, jm.theta,
         _each(P.bind, jm.c1_table, _rows(jf.c1_table, n1)),
         _each(P.bind, jm.c2_table, _rows(jf.c2_table, n2)),
         _each(lambda m, f: monad.bind1(m, f, b1dom), jm.w1_table, f1),
         _each(lambda m, f: monad.bind2(m, f, b2dom), jm.w2_table, f2),
-        _each(lambda m1, m2, mrel, fc1, fc2, frel:
-              monad.bind_rel(m1, m2, mrel, fc1, fc2, frel, b1dom, b2dom),
-              *_pairs(jm.w1_table, jm.w2_table), jm.wrel_table, *_pairs(f1, f2),
-              tuple(_rel_rows(jf, n1, n2))))
+        _each(lambda m1, m2, mrel, bind: bind(m1, m2, mrel),
+              *_pairs(jm.w1_table, jm.w2_table), jm.wrel_table, binders))
 
 
 @SPLIT.rule("ThrowL", "ThrowR", arity=0)
@@ -879,7 +893,7 @@ def _catch_unary(w: sm.RelSpec, normal: int, handlers: Sequence[sm.RelSpec]) -> 
     # normal outcomes pass through; exceptional ones defer to their handler
     table = [sm.demand_spec(w.space, [(1 << k,)]) for k in range(normal)]
     table += list(handlers)
-    return _point_bind(w, table)
+    return _point_binder(table)(w)
 
 
 def _catch_rel(wrel: sm.RelSpec, h1: Sequence[sm.RelSpec], h2: Sequence[sm.RelSpec], hrel,
@@ -901,7 +915,7 @@ def _catch_rel(wrel: sm.RelSpec, h1: Sequence[sm.RelSpec], h2: Sequence[sm.RelSp
         else:
             table.append(sm.reindex_outcomes(h2[ae2 - a2n], space,
                                              lambda o2, i=ae1: i * s2n + o2))
-    return _point_bind(wrel, table)
+    return _point_binder(table)(wrel)
 
 
 @SPLIT.rule("Catch", arity=2)
@@ -1037,27 +1051,25 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
                    monad.bind2(monad.bind2(m2, f2, b2d), g2, c2d),
                    monad.bind2(m2, tuple(monad.bind2(w, g2, c2d) for w in f2), c2d))
 
+            bind_f = monad.bind_rel(f1, f2, frel, b1d, b2d)
+            bind_g = monad.bind_rel(g1, g2, grel, c1d, c2d)
             for a1 in a1d.values():
                 for a2 in a2d.values():
                     yield ("unit-left", ("relational", a1, a2), leq_rel,
-                           monad.bind_rel(monad.ret1(a1), monad.ret2(a2),
-                                          monad.ret_rel(a1, a2), f1, f2, frel, b1d, b2d),
+                           bind_f(monad.ret1(a1), monad.ret2(a2), monad.ret_rel(a1, a2)),
                            frel[a1.index][a2.index])
             retrel = tuple(tuple(monad.ret_rel(v1, v2) for v2 in a2d.values())
                            for v1 in a1d.values())
             yield ("unit-right", ("relational",), leq_rel,
-                   monad.bind_rel(m1, m2, mrel, rets1(a1d), rets2(a2d), retrel, a1d, a2d),
+                   monad.bind_rel(rets1(a1d), rets2(a2d), retrel, a1d, a2d)(m1, m2, mrel),
                    mrel)
-            lhs = monad.bind_rel(monad.bind1(m1, f1, b1d), monad.bind2(m2, f2, b2d),
-                                 monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d),
-                                 g1, g2, grel, c1d, c2d)
-            comp = tuple(tuple(monad.bind_rel(f1[i], f2[k], frel[i][k], g1, g2, grel, c1d, c2d)
-                               for k in range(a2d.size))
+            lhs = bind_g(monad.bind1(m1, f1, b1d), monad.bind2(m2, f2, b2d),
+                         bind_f(m1, m2, mrel))
+            comp = tuple(tuple(bind_g(f1[i], f2[k], frel[i][k]) for k in range(a2d.size))
                          for i in range(a1d.size))
-            rhs = monad.bind_rel(m1, m2, mrel,
-                                 tuple(monad.bind1(w, g1, c1d) for w in f1),
+            rhs = monad.bind_rel(tuple(monad.bind1(w, g1, c1d) for w in f1),
                                  tuple(monad.bind2(w, g2, c2d) for w in f2),
-                                 comp, c1d, c2d)
+                                 comp, c1d, c2d)(m1, m2, mrel)
             yield "assoc", ("relational",), leq_rel, lhs, rhs
 
             # tau is a morphism into the relational component
@@ -1070,17 +1082,13 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
             u2 = (monad.ret2(UNIT_VAL),)
             yield ("tau-bind", ("left",), leq_rel,
                    monad.tau1(monad.bind1(m1, f1, b1d), b1d),
-                   monad.bind_rel(m1, monad.ret2(UNIT_VAL), monad.tau1(m1, a1d),
-                                  f1, u2,
-                                  tuple((monad.tau1(w, b1d),) for w in f1),
-                                  b1d, UNIT))
+                   monad.bind_rel(f1, u2, tuple((monad.tau1(w, b1d),) for w in f1),
+                                  b1d, UNIT)(m1, monad.ret2(UNIT_VAL), monad.tau1(m1, a1d)))
             u1 = (monad.ret1(UNIT_VAL),)
             yield ("tau-bind", ("right",), leq_rel,
                    monad.tau2(monad.bind2(m2, f2, b2d), b2d),
-                   monad.bind_rel(monad.ret1(UNIT_VAL), m2, monad.tau2(m2, a2d),
-                                  u1, f2,
-                                  (tuple(monad.tau2(w, b2d) for w in f2),),
-                                  UNIT, b2d))
+                   monad.bind_rel(u1, f2, (tuple(monad.tau2(w, b2d) for w in f2),),
+                                  UNIT, b2d)(monad.ret1(UNIT_VAL), m2, monad.tau2(m2, a2d)))
 
     return run_laws(monad.name, STRICT, instances())
 
@@ -1123,12 +1131,14 @@ def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
         tables1 = list(product(pool1, repeat=a.size))[:table_limit]
         tables2 = list(product(pool2, repeat=a.size))[:table_limit]
 
-        # observations of table entries, of entry pairs and of bound programs
-        # do not depend on the instance that uses them: take each one once
+        # observations of table entries, the relational binder of each pair
+        # of tables and bound programs do not depend on the instance that
+        # uses them: take each one once
         thf1 = [tuple(th.theta1(p) for p in f1) for f1 in tables1]
         thf2 = [tuple(th.theta2(p) for p in f2) for f2 in tables2]
-        thfrel = [[tuple(tuple(th.theta_rel(p1, p2) for p2 in f2) for p1 in f1)
-                   for f2 in tables2] for f1 in tables1]
+        binders = [[monad.bind_rel(w1, w2, tuple(tuple(th.theta_rel(p1, p2) for p2 in f2)
+                                                  for p1 in f1), a, a)
+                    for f2, w2 in zip(tables2, thf2)] for f1, w1 in zip(tables1, thf1)]
         bound1 = [[P.bind(m1, f1) for f1 in tables1] for m1 in ms1]
         bound2 = [[P.bind(m2, f2) for f2 in tables2] for m2 in ms2]
 
@@ -1143,10 +1153,9 @@ def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
         for m1, binds1 in zip(ms1, bound1):
             for m2, binds2 in zip(ms2, bound2):
                 thm1, thm2, thmrel = th.theta1(m1), th.theta2(m2), th.theta_rel(m1, m2)
-                for f1, c1, w1, frels in zip(tables1, binds1, thf1, thfrel):
-                    for f2, c2, w2, frel in zip(tables2, binds2, thf2, frels):
+                for f1, c1, row in zip(tables1, binds1, binders):
+                    for f2, c2, bind in zip(tables2, binds2, row):
                         yield ("bind", ("relational", m1, m2, f1, f2), leq_rel,
-                               th.theta_rel(c1, c2),
-                               monad.bind_rel(thm1, thm2, thmrel, w1, w2, frel, a, a))
+                               th.theta_rel(c1, c2), bind(thm1, thm2, thmrel))
 
     return run_laws(th.name, STRICT, instances())

@@ -766,10 +766,12 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
 
     What depends on one side or one table is done once: each side's bound
     programs per continuation table, as one list indexed by the middle's
-    position among that side's distinct middles, and each table's checks
-    and decoding (`ContTable`).  theta itself is applied once per distinct
-    pair of keys (`EffectObservation.key`), for middles, continuation
-    entries and bound pairs alike, through a memo that lives for the call.
+    position among that side's distinct middles, each table's checks and
+    decoding (`ContTable`), and the bind of each distinct middle spec to
+    each table, which every middle pair observed as that spec shares.
+    theta itself is applied once per distinct pair of keys
+    (`EffectObservation.key`), for middles, continuation entries and bound
+    pairs alike, through a memo that lives for the call.
     A bound pair is run after its middle and table entries, so a bind
     whose parts have run composes their runs (`programs._runs`).  On the
     deterministic carriers spec_bind then hands each point its
@@ -800,13 +802,14 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
             rhs = spec_ret(lhs.space, a1, a2, **kw)
             yield "ret", (a1, a2), spec_leq, lhs, rhs
 
-    def side(ms):
-        """A side's distinct middles in order, and each middle pair's
+    def distinct(xs):
+        """The distinct objects among xs in order, and each entry's
         position among them.  By identity, which is safe because the
-        battery keeps every middle and table alive for the whole call."""
+        battery and the theta memo keep every middle, table and observed
+        spec alive for the whole call."""
         at: Dict[int, int] = {}
-        pos = [at.setdefault(id(m), len(at)) for m in ms]
-        return list({id(m): m for m in ms}.values()), pos
+        pos = [at.setdefault(id(x), len(at)) for x in xs]
+        return list({id(x): x for x in xs}.values()), pos
 
     def bound(memo, mids, f):
         """The side's bound programs for table f, parallel to its middles,
@@ -818,21 +821,22 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
         return b
 
     def bind_instances():
-        wms = [theta(m1, m2, key(m1), key(m2)) for m1, m2 in battery.ms]
-        mids1, pos1 = side([m1 for m1, _ in battery.ms])
-        mids2, pos2 = side([m2 for _, m2 in battery.ms])
+        wms, wpos = distinct([theta(m1, m2, key(m1), key(m2)) for m1, m2 in battery.ms])
+        mids1, pos1 = distinct([m1 for m1, _ in battery.ms])
+        mids2, pos2 = distinct([m2 for _, m2 in battery.ms])
         bound1: Dict[int, tuple] = {}
         bound2: Dict[int, tuple] = {}
         for f1, f2 in battery.fs:
             table = ContTable({(i, j): theta(c1, c2, key(c1), key(c2))
                                for i, c1 in enumerate(f1) for j, c2 in enumerate(f2)})
+            rhss = [spec_bind(wm, table) for wm in wms]
             (b1, k1), (b2, k2) = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
-            for (m1, m2), i1, i2, wm in zip(battery.ms, pos1, pos2, wms):
+            for (m1, m2), i1, i2, iw in zip(battery.ms, pos1, pos2, wpos):
                 k = k1[i1], k2[i2]
                 lhs = observed.get(k)
                 if lhs is None:
                     lhs = observed[k] = obs.map(b1[i1], b2[i2])
-                yield "bind", (m1, m2, f1, f2), spec_leq, lhs, spec_bind(wm, table)
+                yield "bind", (m1, m2, f1, f2), spec_leq, lhs, rhss[iw]
 
     return run_laws(obs.name, obs.strictness, chain(ret_instances(), bind_instances()))
 

@@ -102,3 +102,39 @@ TAMPERED = [
 def test_a_tampered_derivation_fails_alike_when_every_entry_is_worked(monkeypatch, test):
     _plain(monkeypatch)
     test(*[monkeypatch] * ("monkeypatch" in inspect.signature(test).parameters))
+
+
+def test_the_split_bind_prepares_each_distinct_continuation_triple_once(monkeypatch):
+    # the Bind rule prepares the carrier's relational binder once per
+    # distinct (left row, right row, relational table) of its continuation
+    # premise, and binds once per distinct middle triple and binder; worked
+    # at every valuation, it prepares once per pair and gives the same table
+    nodes = [n for d in test_mutants.split_corpus(40) for _, n in test_mutants._paths(d)
+             if n.rule.rule == "Bind"]
+    shared = 0
+    for node in nodes:
+        jm, jf = (p.conclusion for p in node.premises)
+        n1, n2 = jf.ctx.left.vars[-1][1].size, jf.ctx.right.vars[-1][1].size
+        width = jf.ctx.right.count
+        pairs = [(i1, i2) for i1 in range(jm.ctx.left.count) for i2 in range(jm.ctx.right.count)]
+        triples = [(jf.w1_table[i1 * n1:(i1 + 1) * n1], jf.w2_table[i2 * n2:(i2 + 1) * n2],
+                    tuple(tuple(jf.wrel_table[(i1 * n1 + a) * width + i2 * n2 + b]
+                                for b in range(n2)) for a in range(n1)))
+                   for i1, i2 in pairs]
+        middles = [(jm.w1_table[i1], jm.w2_table[i2], jm.wrel_table[k], triples[k])
+                   for k, (i1, i2) in enumerate(pairs)]
+        for plain in (False, True):
+            calls = {"prepare": 0, "bind": 0}
+            counted = test_generic._counting(jm.monad, calls)
+            with monkeypatch.context() as m:
+                if plain:
+                    _plain(m)
+                got = G.SPLIT.apply(node.rule, [dataclasses.replace(p.conclusion, monad=counted)
+                                                for p in node.premises])
+            assert got.wrel_table == node.conclusion.wrel_table
+            if plain:
+                assert calls == {"prepare": len(pairs), "bind": len(pairs)}
+            else:
+                assert calls == {"prepare": len(set(triples)), "bind": len(set(middles))}
+        shared += len(set(triples)) < len(pairs)
+    assert len(nodes) > 10 and shared > 3, (len(nodes), shared)

@@ -297,7 +297,7 @@ def test_a_state_table_witness_rechecks_at_its_entry_state():
     # law fails inside the state table, at the entry state `where` leads with
     st = G.stt_rel_transform(LP, Z2, "left")
     broken = dataclasses.replace(st, name="rel-middle-kept",
-                                 bind_rel=lambda m1, m2, mrel, *_rest: mrel)
+                                 bind_rel=lambda *_tables: lambda m1, m2, mrel: mrel)
     rep = G.check_triple_laws(broken, random.Random(1), (Z2,), (Z2,), samples=2)
     wit = rep.failures[0]
     assert (wit.law, wit.kind, wit.instance, wit.where) == (
@@ -379,10 +379,10 @@ def test_a_right_transformer_is_the_left_one_on_the_swapped_problem(name):
                      left.bind1(m2, f2, b2d))
         _assert_same(_swapped(right.bind1(r_m1, r_f1, b1d), b1d, UNIT),
                      left.bind2(m1, f1, b1d))
-        got = right.bind_rel(r_m1, r_m2, _swapped(mrel, wrap(a2d), a1d),
-                             r_f1, r_f2, r_frel, b1d, b2d)
+        got = right.bind_rel(r_f1, r_f2, r_frel, b1d, b2d)(r_m1, r_m2,
+                                                           _swapped(mrel, wrap(a2d), a1d))
         _assert_same(_swapped(got, b1d, wrap(b2d)),
-                     left.bind_rel(m2, m1, mrel, f2, f1, frel, b2d, b1d))
+                     left.bind_rel(f2, f1, frel, b2d, b1d)(m2, m1, mrel))
         _assert_same(_swapped(right.tau2(r_m2, a2d), UNIT, wrap(a2d)), left.tau1(m2, a2d))
         _assert_same(_swapped(right.tau1(r_m1, a1d), a1d, wrap(UNIT)), left.tau2(m1, a1d))
 
@@ -421,9 +421,8 @@ def test_state_lift_bind_is_plain_spec_bind():
     space = sm.state_space(Z2, Z2, Z2, Z2)
     m = ls.gen_rel(rng, Z2, Z2)
     frel = [[ls.gen_rel(rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
-    got = ls.bind_rel(ls.gen1(rng, Z2), ls.gen2(rng, Z2), m,
-                      [ls.gen1(rng, Z3)] * Z2.size, [ls.gen2(rng, Z3)] * Z2.size,
-                      frel, Z3, Z3)
+    got = ls.bind_rel([ls.gen1(rng, Z3)] * Z2.size, [ls.gen2(rng, Z3)] * Z2.size,
+                      frel, Z3, Z3)(ls.gen1(rng, Z2), ls.gen2(rng, Z2), m)
     want = sm.spec_bind(m, lambda i1, i2: frel[i1][i2])
     assert sm.spec_leq(got, want).holds and sm.spec_leq(want, got).holds
     assert space.tag == m.space.tag
@@ -451,8 +450,8 @@ def test_exception_binds_agree_with_the_hand_written_carrier():
         frel = [[G.random_spec(rng, pairb) for _ in range(Z2.size)]
                 for _ in range(Z2.size)]
         hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, Z3, Z3)
-        built = MONAD.bind_rel(MONAD.gen1(rng, Z2), MONAD.gen2(rng, Z2), wm,
-                               f1, f2, frel, Z3, Z3)
+        built = MONAD.bind_rel(f1, f2, frel, Z3, Z3)(MONAD.gen1(rng, Z2),
+                                                     MONAD.gen2(rng, Z2), wm)
         assert_equiv(hand, built)
 
 
@@ -478,8 +477,8 @@ def test_one_carrier_serves_continuations_over_several_domains():
             frel = [[_wide_spec(rng, sm.pure_space(s1b, s2b)) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
             hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
-            built = monad.bind_rel(monad.gen1(rng, a1d), monad.gen2(rng, a2d), wm,
-                                   f1, f2, frel, b1d, b2d)
+            built = monad.bind_rel(f1, f2, frel, b1d, b2d)(monad.gen1(rng, a1d),
+                                                           monad.gen2(rng, a2d), wm)
             assert_equiv(hand, built)
             # unary: raised exceptions pass through as units of the new domain
             m1 = _wide_spec(rng, PT(sum_domain(a1d, EL)))
@@ -524,8 +523,8 @@ def test_pins_kept_across_calls_match_a_fresh_carrier(name):
             f2 = [rng.choice(pool2[b2d]) for _ in range(a2d.size)]
             frel = [[monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
-            got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d)
-            assert _form(got) == _form(build().bind_rel(m1, m2, mrel, f1, f2, frel, b1d, b2d))
+            got = monad.bind_rel(f1, f2, frel, b1d, b2d)(m1, m2, mrel)
+            assert _form(got) == _form(build().bind_rel(f1, f2, frel, b1d, b2d)(m1, m2, mrel))
             if name == "wrelexc":
                 hand = reference.wrelexc_bind(mrel, f1, f2, frel, EL, ER, b1d, b2d)
                 assert_equiv(hand, got)
@@ -548,8 +547,8 @@ def test_rethrow_rows_kept_per_continuation_table(name):
     for _ in range(12):
         m1, m2, mrel = monad.gen1(rng, Z2), monad.gen2(rng, Z2), monad.gen_rel(rng, Z2, Z2)
         frel = [[monad.gen_rel(rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
-        got = monad.bind_rel(m1, m2, mrel, f1, f2, frel, Z3, Z3)
-        assert _form(got) == _form(build().bind_rel(m1, m2, mrel, f1, f2, frel, Z3, Z3))
+        got = monad.bind_rel(f1, f2, frel, Z3, Z3)(m1, m2, mrel)
+        assert _form(got) == _form(build().bind_rel(f1, f2, frel, Z3, Z3)(m1, m2, mrel))
         if name == "wrelexc":
             assert_equiv(reference.wrelexc_bind(mrel, f1, f2, frel, EL, ER, Z3, Z3), got)
 
@@ -723,42 +722,45 @@ def test_equal_joint_outcomes_share_one_spec():
     assert_equiv(w, sm.demand_spec(PAIR, [(1 << (G.inr_index(Z2, EL, 1) * SUM2.size),)]))
 
 
+def _counting(m, calls):
+    """m with its relational tables prepared (`bind_rel`) and its binds
+    through them counted in `calls`."""
+    def bind_rel(*tables):
+        calls["prepare"] += 1
+        bind = m.bind_rel(*tables)
+
+        def counted(*mids):
+            calls["bind"] += 1
+            return bind(*mids)
+        return counted
+    return dataclasses.replace(m, bind_rel=bind_rel)
+
+
 def test_strictness_pins_each_payload_once(monkeypatch):
     # pins are kept per (payload, fixed result, domain), so the pure carrier
     # under both exception layers binds 4,112 times (86,016 with every pin
-    # rebuilt)
-    calls = [0]
-    real = G.lift_pure
-
-    def counted():
-        m = real()
-
-        def bind_rel(*a):
-            calls[0] += 1
-            return m.bind_rel(*a)
-        return dataclasses.replace(m, bind_rel=bind_rel)
-
-    monkeypatch.setattr(G, "lift_pure", counted)
-    rep = G.check_exc_strictness(EL, ER, Z2, depth=2)
-    assert rep.ok and rep.checked == 4232
-    assert calls[0] <= 4112
+    # rebuilt); the outer carrier prepares one relational binder per pair
+    # of its 16 x 16 tables and binds each of the 4,096 relational
+    # instances through one, and the pure carrier prepares four unit tables
+    # besides
+    real_pure, real_exc = G.lift_pure, G.wrelexc_monad
+    for depth in (2, 3):
+        pure, outer = {"prepare": 0, "bind": 0}, {"prepare": 0, "bind": 0}
+        monkeypatch.setattr(G, "lift_pure", lambda: _counting(real_pure(), pure))
+        monkeypatch.setattr(G, "wrelexc_monad",
+                            lambda e1, e2: _counting(real_exc(e1, e2), outer))
+        rep = G.check_exc_strictness(EL, ER, Z2, depth, 16)
+        assert rep.ok and rep.checked == 4232
+        assert pure["bind"] <= 4112 and pure["prepare"] <= 260
+        assert outer == {"prepare": 256, "bind": 4096}
 
 
 def test_equal_payloads_built_apart_share_one_pin(monkeypatch):
     # pins are keyed by a payload's exact form: a second spec equal to the
     # first but built apart finds the first one's pins
-    calls = [0]
+    calls = {"prepare": 0, "bind": 0}
     real = G.lift_pure
-
-    def counted():
-        m = real()
-
-        def bind_rel(*a):
-            calls[0] += 1
-            return m.bind_rel(*a)
-        return dataclasses.replace(m, bind_rel=bind_rel)
-
-    monkeypatch.setattr(G, "lift_pure", counted)
+    monkeypatch.setattr(G, "lift_pure", lambda: _counting(real(), calls))
     monad = G.wrelexc_monad(EL, ER)
     # the second of each pair is made outside the pool, with the first's body
     left = [sm.demand_spec(PT(SUM1), [[0b0011, 0b0100]])]
@@ -771,9 +773,9 @@ def test_equal_payloads_built_apart_share_one_pin(monkeypatch):
     for w1, w2 in zip(left, right):
         monad.tau1(w1, Z2)
         monad.tau2(w2, Z2)
-        monad.bind_rel(MONAD.ret1(Z2.value(0)), MONAD.ret2(Z2.value(0)), sm.weakest(PAIR),
-                       (w1,) * Z2.size, (w2,) * Z2.size, frel, Z2, Z2)
-        seen.append(calls[0])
+        monad.bind_rel((w1,) * Z2.size, (w2,) * Z2.size, frel, Z2, Z2)(
+            MONAD.ret1(Z2.value(0)), MONAD.ret2(Z2.value(0)), sm.weakest(PAIR))
+        seen.append(calls["bind"])
     # the second round binds once, for the bind itself, and pins nothing
     assert seen[0] > 1 and seen[1] == seen[0] + 1, seen
 

@@ -866,6 +866,31 @@ def test_a_law_check_observes_each_distinct_pair_of_run_tables_once():
     assert len(met) * 10 < rep.checked
 
 
+@pytest.mark.parametrize("obs,battery,n_middles", [
+    # every middle pair of the state battery observes a spec of its own; 16
+    # of the 81 of the imp battery observe one that another observed first
+    (O.observation_st(), lambda: O.battery_state(Z2, Z2, depth=2), 64),
+    (O.observation_part(), lambda: O.battery_imp(Z2, Z2, depth=2), 65),
+], ids=["state", "imp"])
+def test_a_law_check_binds_each_distinct_middle_spec_once_per_table(monkeypatch, obs, battery,
+                                                                      n_middles):
+    battery = battery()
+    bound = []
+
+    def spec_bind(wm, table):
+        bound.append((wm, table))   # keeps each one alive, so ids stay distinct
+        return sm.spec_bind(wm, table)
+
+    with monkeypatch.context() as m:
+        m.setattr(O, "spec_bind", spec_bind)
+        rep = O.check_morphism_laws(obs, battery)
+    assert rep == O.check_morphism_laws(obs, battery) and rep.ok
+    middles = {(w.space, w.fams) for w in (obs.map(m1, m2) for m1, m2 in battery.ms)}
+    assert len(middles) == n_middles
+    assert len({(id(w), id(t)) for w, t in bound}) == len(bound)
+    assert len(bound) == n_middles * len(battery.fs)
+
+
 def test_an_observation_keyed_by_program_is_applied_once_per_program_pair():
     battery = O.battery_state(Z2, Z2, depth=2, table_limit=4, m_limit=5)
     met = []

@@ -77,7 +77,7 @@ def test_every_payload_is_a_spec(name):
     built = [m1, m2, mrel, *f1, *f2, *frel[0], *frel[1],
              m.ret1(v), m.ret2(v), m.ret_rel(v, v),
              m.bind1(m1, f1, Z2), m.bind2(m2, f2, Z2),
-             m.bind_rel(m1, m2, mrel, f1, f2, frel, Z2, Z2),
+             m.bind_rel(f1, f2, frel, Z2, Z2)(m1, m2, mrel),
              m.unsat_rel(Z2, Z2)]
     assert all(isinstance(w, sm.RelSpec) for w in built), [type(w).__name__ for w in built]
 
