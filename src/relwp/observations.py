@@ -62,10 +62,13 @@ from .programs import Program, Signature, semantic_key
 from .specmonads import (
     HOLDS,
     ContTable,
+    KernelSpec,
+    LeqVerdict,
     OutcomeSpace,
     RelSpec,
     _ANY,
     _NONE,
+    _fails,
     _fixed,
     _linear,
     closure_spec,
@@ -385,6 +388,56 @@ def theta_part(c1: Program, c2: Program) -> RelSpec:
         _expect_effect(c1, (P.IMP, P.STATE), "theta_part")
         _expect_effect(c2, (P.IMP, P.STATE), "theta_part")
     return _pair_runs(c1, c2, _ANY)
+
+
+def _part_kernel_leq(c1: Program, c2: Program, w: KernelSpec) -> LeqVerdict:
+    """θ_part(c1, c2) <= w by classes: in each pre class, every terminating
+    run on the left must end with the post key of every one on the right.
+    Each store is read and hashed once.  A failure names the point that
+    `spec_leq` would, without the satisfying set, which may not fit."""
+    space = state_space(c1.result, c1.sig.state, c2.result, c2.sig.state)
+    if space is not w.space:
+        raise ValueError("cannot compare specs over different outcome spaces")
+    pre1, pre2, post1, post2 = w.keys
+    # per pre class on the right: its first terminating store, that run's
+    # post key, and the first later store of the class ending with another
+    right: Dict[object, list] = {}
+    for s2, (k, r) in enumerate(zip(pre2, P._runs(c2))):
+        if r is not None:
+            got = right.get(k)
+            if got is None:
+                right[k] = [s2, post2[r], None]
+            elif got[2] is None and post2[r] != got[1]:
+                got[2] = s2
+    for s1, (k, r) in enumerate(zip(pre1, P._runs(c1))):
+        got = None if r is None else right.get(k)
+        if got is not None:
+            s2 = got[0] if post1[r] != got[1] else got[2]
+            if s2 is not None:
+                ends = _side_outcome(c1, r), _side_outcome(c2, P._runs(c2)[s2])
+                return _fails(None, point=space.point(s1, s2), note=(
+                    f"left store {space.s1.label_of(s1)} ends in {ends[0]} and right store "
+                    f"{space.s2.label_of(s2)} in {ends[1]}: their pre keys agree, "
+                    f"their post keys differ"))
+    return HOLDS
+
+
+def _side_outcome(c: Program, r: int) -> str:
+    """A one-side outcome a * |S| + t by its labels, t alone for one value."""
+    a, t = divmod(r, c.sig.state.size)
+    final = c.sig.state.label_of(t)
+    return final if c.result.size == 1 else f"{c.result.label_of(a)} with {final}"
+
+
+def theta_leq(obs: EffectObservation, c1: Program, c2: Program, w: RelSpec) -> LeqVerdict:
+    """obs(c1, c2) <= w.  θ_part against a `kernel_spec`, such as
+    noninterference, is decided by classes (`_part_kernel_leq`); every other
+    pair builds θ(c1, c2) and compares it point by point (`spec_leq`), and
+    so does a program θ_part refuses, which it refuses there."""
+    if (type(w) is KernelSpec and obs is observation_part()
+            and c1.sig.effect in _STATEFUL and c2.sig.effect in _STATEFUL):
+        return _part_kernel_leq(c1, c2, w)
+    return spec_leq(obs(c1, c2), w)
 
 
 def theta_tot(c1: Program, c2: Program) -> RelSpec:

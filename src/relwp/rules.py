@@ -65,6 +65,7 @@ from .observations import (
     observation_part,
     observation_prob,
     observation_st,
+    theta_leq,
 )
 from .programs import Program, Signature
 from .specmonads import (
@@ -422,11 +423,11 @@ class Judgment:
         return None
 
     def oracle(self) -> "OracleVerdict":
-        """theta(c1, c2) <= w once per distinct entry, in valuation order:
-        fails at the first valuation where it does not hold, else holds.
-        `checked` counts valuations."""
+        """theta(c1, c2) <= w once per distinct entry, in valuation order, as
+        `observations.theta_leq` decides it: fails at the first valuation
+        where it does not hold, else holds.  `checked` counts valuations."""
         for i, (p1, p2, w) in _firsts(self.c1_table, self.c2_table, self.w_table):
-            v = spec_leq(self.observation(p1, p2), w)
+            v = theta_leq(self.observation, p1, p2, w)
             if v.failed:
                 return OracleVerdict("fails", i + 1, self.env.unrank(i), v)
         return OracleVerdict("holds", len(self.w_table))

@@ -53,16 +53,19 @@ comparison are identity tests.  Specs with demand families or pieces are
 interned by their bodies, in the pool that holds the live programs
 (`programs._intern`, from `_fixed` and `_linear`): one live spec per
 space and body, so a replay that rebuilds a stated spec gets the stated
-object.  Interactive specs are built per construction.
+object, and so does unpickling, as a spec pickles as its body alone.
+Interactive specs are built per construction and do not pickle.
 
 Pre/post pairs become demonic specs in two ways.  `embed_pp_in_wp` keeps
 a pair's post row at every point where its precondition holds and is
 VIOLATED elsewhere; `from_prepost` embeds the pair `pp_spec` builds from
 tables, whose post may read the initial states at the price of a row per
 initial state pair.  `from_final_post` takes a post over the carrier's own
-outcomes, which is all that noninterference, relational Hoare triples and
-loop invariants need: one satisfying set, shared by every point where the
-precondition holds.
+outcomes, which is all that relational Hoare triples and loop invariants
+need: one satisfying set, shared by every point where the precondition
+holds.  When pre and post are both kernels, as in noninterference,
+`kernel_spec` holds them as key tuples and builds the families only when
+read; `observations.theta_leq` decides θ_part against it by classes.
 """
 
 from __future__ import annotations
@@ -592,6 +595,17 @@ class RelSpec:
             raise ValueError(f"point {point} outside {self.space.point_count} points")
         return point
 
+    def __reduce__(self):
+        # pickle and copy rebuild the body through the pool, so an unpickled
+        # spec is the live one, and no cache travels with it
+        if self.table is not None:
+            raise TypeError("an interactive spec reads its entries through a function "
+                            "and does not pickle")
+        if self.rows is not None:
+            return _intern, ((self.space, self.den, self.rows), _prob_spec,
+                             self.space, self.den, self.rows)
+        return _fixed, (self.space, self.fams, self.pre)
+
     def __repr__(self):
         body = ("pre/post" if self.pre is not None else
                 "demands" if self.fams is not None else
@@ -1097,6 +1111,52 @@ def from_final_post(space: OutcomeSpace, pre, post) -> RelSpec:
         raise ValueError("pre/post tables must cover every point and every outcome")
     sat = frozenset({_mask(o for o, ok in enumerate(post_t) if ok)})
     return _fixed(space, (sat if ok else _NONE for ok in pre_t))
+
+
+def kernel_spec(space: OutcomeSpace, pre1, pre2, post1, post2) -> RelSpec:
+    """`from_final_post` of two kernels, held as their keys: pre holds at
+    (s1, s2) when pre1[s1] == pre2[s2], and post at a pair of one-side
+    outcomes (a * |S| + t) when their post1 and post2 keys are equal.  The
+    body is |S| keys per tuple, not |S|^2 entries; the families are built
+    when something first reads `fams`."""
+    if space.tag != "WrelSt":
+        raise ValueError("kernel specs target the stateful carrier")
+    keys = (tuple(pre1), tuple(pre2), tuple(post1), tuple(post2))
+    if tuple(map(len, keys)) != (space.s1.size, space.s2.size, space.a1.size * space.s1.size,
+                                 space.a2.size * space.s2.size):
+        raise ValueError("kernel keys must cover every state and every one-side outcome")
+    return _intern((space, keys), KernelSpec, space, keys)
+
+
+_fams_slot = RelSpec.fams
+
+
+class KernelSpec(RelSpec):
+    """A `kernel_spec`: `keys` is its body, and `fams` is built from them on
+    first read, as `from_final_post` builds it from the two kernels' tables."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, space: OutcomeSpace, keys):
+        super().__init__("WrelSt", space)
+        self.keys = keys
+
+    @property
+    def fams(self):
+        fams = _fams_slot.__get__(self)
+        if fams is None:
+            pre1, pre2, post1, post2 = self.keys
+            fams = from_final_post(self.space, [k1 == k2 for k1 in pre1 for k2 in pre2],
+                                   [k1 == k2 for k1 in post1 for k2 in post2]).fams
+            _fams_slot.__set__(self, fams)
+        return fams
+
+    @fams.setter
+    def fams(self, fams):
+        _fams_slot.__set__(self, fams)
+
+    def __reduce__(self):
+        return kernel_spec, (self.space, *self.keys)
 
 
 def from_prepost(space: OutcomeSpace, pre, post) -> RelSpec:

@@ -17,7 +17,9 @@ so divergence is owned by the program carrier, not by the translator.
 On top of the translation sit two relational front ends.  `ni_judgment`
 states noninterference of a command against itself: stores that agree on the
 low-labelled locations lead to final stores that again agree on them, under
-the partial-correctness observation.  `RHL` is a syntax-directed proof
+the partial-correctness observation.  Its spec is keyed by low views, and
+the oracle decides it by low classes, not by store pairs (self-composition
+read by classes).  `RHL` is a syntax-directed proof
 system whose judgments `{pre} c1 ~ c2 {post}` speak only about store pairs.
 It is a catalogue of the one rule engine in `rules`: `apply_rhl_rule` and
 `RHL.derive` build conclusions, enforcing each rule's shape and side
@@ -823,22 +825,23 @@ def ni_judgment(ast: Stmt, sig: StoreSignature) -> R.Judgment:
     """The command against itself: low-equivalent runs stay low-equivalent.
 
     Stated under the partial-correctness observation, so diverging runs
-    satisfy the claim vacuously.  Low equivalence is one relation on store
-    pairs, read as the precondition on initial stores and as the
-    postcondition on final stores, so the spec is one shared set of
-    low-equal final pairs at every low-equal initial pair.
+    satisfy the claim vacuously.  Low equivalence is the kernel of each
+    store's low view, read on initial and on final stores, so the spec is a
+    `kernel_spec` keyed by the low views, |S| keys, and the oracle decides
+    it class by class: every terminating run from one low class of initial
+    stores must end in one low class.
     """
     if sig.labels is None:
         raise ValueError("noninterference needs a labelled store signature")
     c = translate(ast, sig)
-    t = sig._tables
+    t, sdom = sig._tables, store_domain(sig)
     # one key per store for its low view: the low digits, read off their columns
-    keys = [0] * store_domain(sig).size
+    keys = [0] * sdom.size
     for loc in sig.locations:
         if sig.label(loc) == LOW:
             keys = [k + v * t.strides[loc] for k, v in zip(keys, t.columns[loc])]
-    rel = [k1 == k2 for k1 in keys for k2 in keys]
-    return R.judgment(O.observation_part(), c, c, _store_pair_spec(sig, rel, rel))
+    return R.judgment(O.observation_part(), c, c,
+                      sm.kernel_spec(sm.state_space(UNIT, sdom, UNIT, sdom), keys, keys, keys, keys))
 
 
 # ---------------------------------------------------------------------------

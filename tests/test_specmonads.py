@@ -5,6 +5,8 @@ formulas, independently of the library's fast forms, so every check
 pins behaviour rather than echoing the implementation.
 """
 
+import copy
+import gc
 import os
 import pickle
 import random
@@ -1535,6 +1537,63 @@ def test_a_spec_that_served_as_a_middle_pickles_and_binds_alike():
     one_point = sm.demonic_spec(pure, [{3}])
     sm.spec_bind(one_point, lambda i1, i2: sm.spec_ret(pure, Z2.value(i2), Z2.value(i1)))
     assert one_point._outs is False
+
+
+def test_a_spec_pickles_as_its_body_and_comes_back_as_the_live_spec():
+    sp = sm.state_space(Z2, Z2, Z2, Z2)
+    middle = sm.spec_ret(sp, Z2.value(1), Z2.value(0))
+    sm.spec_bind(middle, lambda i1, i2: sm.spec_ret(sp, Z2.value(i2), Z2.value(i1)))
+    assert callable(middle._outs)
+    specs = [middle, *_spec_constructions()]
+    for w in specs:
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(w, protocol)
+            # the body alone: no cache is written, and the pool hands back w
+            assert b"itemgetter" not in data and b"_outs" not in data
+            assert pickle.loads(data) is w
+        assert copy.copy(w) is w and copy.deepcopy(w) is w
+    # once the spec is gone, unpickling builds it afresh from its body
+    data = [pickle.dumps(w) for w in specs]
+    bodies = [(w.fams, w.pre, w.den, w.rows) for w in specs]
+    del specs, w, middle
+    gc.collect()
+    for d, body in zip(data, bodies):
+        again = pickle.loads(d)
+        assert (again.fams, again.pre, again.den, again.rows) == body and again._outs is None
+    io = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
+    with pytest.raises(TypeError, match="interactive spec"):
+        pickle.dumps(sm.spec_ret(io, Z2.value(0), Z2.value(1)))
+
+
+def test_a_kernel_spec_pickles_as_its_keys_without_building_families():
+    s3 = domain("S3", 3)
+    sp = sm.state_space(BOOL, s3, UNIT, s3)
+    keys = ([0, 1, 0], [1, 1, 0], [0, 1, 2, 0, 1, 2], [2, 1, 0])
+    w = sm.kernel_spec(sp, *keys)
+    assert sm.kernel_spec(sp, *map(tuple, keys)) is w and w.keys == tuple(map(tuple, keys))
+    data = pickle.dumps(w)
+    assert pickle.loads(data) is w and copy.deepcopy(w) is w
+    assert sm.RelSpec.fams.__get__(w) is None
+    del w
+    gc.collect()
+    again = pickle.loads(data)
+    assert again.keys == tuple(map(tuple, keys)) and sm.RelSpec.fams.__get__(again) is None
+    # read at last, the families are the final-post embedding's
+    ref = sm.from_final_post(sp, [k1 == k2 for k1 in keys[0] for k2 in keys[1]],
+                             [k1 == k2 for k1 in keys[2] for k2 in keys[3]])
+    assert again.fams == ref.fams and sm.spec_equiv(again, ref).holds
+    assert len({id(f) for f in again.fams if f}) == 1
+
+
+def test_kernel_spec_checks_its_keys():
+    s2 = domain("S2", 2)
+    sp = sm.state_space(UNIT, s2, BOOL, s2)
+    assert sm.kernel_spec(sp, [0, 1], [0, 1], [0, 1], [0, 1, 2, 3]).tag == "WrelSt"
+    for keys in (([0], [0, 1], [0, 1], [0, 1, 2, 3]), ([0, 1], [0, 1], [0, 1], [0, 1])):
+        with pytest.raises(ValueError, match="every state and every one-side outcome"):
+            sm.kernel_spec(sp, *keys)
+    with pytest.raises(ValueError, match="stateful carrier"):
+        sm.kernel_spec(sm.pure_space(UNIT, UNIT), [0], [0], [0], [0])
 
 
 def test_fixed_leq_is_exact_at_cap_one_on_16_outcome_spaces():

@@ -19,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from relwp import domains as D
+from relwp import observations as O
 from relwp import programs as P
 from relwp import rules as R
 from relwp import specmonads as sm
 from relwp import whilelang as W
 from relwp.domains import BOOL, UNIT, domain
+from relwp.genprog import random_program
 
 LOW_LOCATIONS = ("l", "m")
 
@@ -67,15 +69,15 @@ def _low_view(sig, store):
 
 
 def ni_brute_force(sig, ast) -> bool:
-    """Every pair of low-equal stores whose runs both end ends low-equal."""
+    """Every pair of low-equal stores whose runs both end ends low-equal.
+    Each store's run and low views are taken once, so that the pairs of 729
+    stores are visited in a second."""
     n = sig.values.size ** len(sig.locations)
-    finals = [W.run_stmt(sig, ast, s) for s in range(n)]
-    for s1, s2 in product(range(n), repeat=2):
-        f1, f2 = finals[s1], finals[s2]
-        if (_low_view(sig, s1) == _low_view(sig, s2) and f1 is not None and f2 is not None
-                and _low_view(sig, f1) != _low_view(sig, f2)):
-            return False
-    return True
+    views = [_low_view(sig, s) for s in range(n)]
+    ends = [None if f is None else _low_view(sig, f)
+            for f in (W.run_stmt(sig, ast, s) for s in range(n))]
+    return all(views[s1] != views[s2] or None in (ends[s1], ends[s2]) or ends[s1] == ends[s2]
+               for s1, s2 in product(range(n), repeat=2))
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +248,26 @@ def test_final_post_checks_its_tables():
 
 
 def test_ni_judgment_builds_nothing_quartic(monkeypatch):
-    # Every table and domain built while judging stays within |S|^2 entries
-    # (points and outcomes are store pairs).  Both sides are one program,
-    # which runs once per initial store: its runs are kept on the program.
-    # Domains are canonical and live for the process: a high location no
-    # other test uses keeps the store domain and its spaces fresh
+    # Every table and domain built while judging stays within |S| entries:
+    # the spec is four key tuples, one key per store, and the oracle reads
+    # the runs class by class, so no table over store pairs is built.  Both
+    # sides are one program, which runs once per initial store: its runs are
+    # kept on the program.  Domains are canonical and live for the process:
+    # a high location no other test uses keeps the store domain fresh
     sig = _store(("l", "hq"), 2, name="Vcost")
     n = 4
     sizes, domains = [], []
-    init = sm.RelSpec.__init__
+    init, kernel_init = sm.RelSpec.__init__, sm.KernelSpec.__init__
 
     def recording_init(self, *args, **kw):
         init(self, *args, **kw)
-        sizes.extend(len(t) for t in (self.fams, self.pre) if isinstance(t, tuple))
+        # the slot itself: reading a kernel spec's `fams` would build them
+        sizes.extend(len(t) for t in (sm.RelSpec.fams.__get__(self), self.pre)
+                     if isinstance(t, tuple))
+
+    def recording_kernel_init(self, space, keys):
+        kernel_init(self, space, keys)
+        sizes.extend(map(len, keys))
 
     post_init = D.FiniteDomain.__post_init__
 
@@ -268,6 +277,7 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
         domains.append((self.name, self.size))
 
     monkeypatch.setattr(sm.RelSpec, "__init__", recording_init)
+    monkeypatch.setattr(sm.KernelSpec, "__init__", recording_kernel_init)
     monkeypatch.setattr(D.FiniteDomain, "__post_init__", recording_post_init)
     seen = {"runs": 0, "depth": 0}
     run_imp = P.run_imp
@@ -284,10 +294,12 @@ def test_ni_judgment_builds_nothing_quartic(monkeypatch):
     monkeypatch.setattr(P, "run_imp", counted)
     for text, secure in NI_CORPUS:
         ast = W.parse_while(re.sub(r"\bh\b", "hq", text))
-        assert R.oracle_check(W.ni_judgment(ast, sig)).holds == secure
+        j = W.ni_judgment(ast, sig)
+        assert R.oracle_check(j).holds == secure
+        assert sm.RelSpec.fams.__get__(j.spec()) is None
     store = W.store_domain(sig)
     assert store.size == n and (store.name, n) in domains, domains
-    assert max(sizes) <= n * n
+    assert sizes and max(sizes) <= n, sizes
     assert seen["runs"] == n * len(NI_CORPUS)
 
 
@@ -311,13 +323,25 @@ def test_ni_check_builds_no_domain_past_the_store(monkeypatch):
     assert max(built, default=0) <= store.size, sorted(built)
 
 
+def _pointwise_ni(ast, sig):
+    """NI through the point-wise path: θ_part built over every store pair and
+    compared by `spec_leq` with the |S|^2 tables of `_store_pair_spec`, low
+    views decoded here."""
+    c = W.translate(ast, sig)
+    n = W.store_domain(sig).size
+    views = [_low_view(sig, s) for s in range(n)]
+    rel = [v1 == v2 for v1 in views for v2 in views]
+    return R.judgment(O.observation_part(), c, c, W._store_pair_spec(sig, rel, rel))
+
+
 def test_a_5x3_ni_check_traces_under_64_mib():
-    # θ_part's families hold one |S|^2-bit mask per distinct joint outcome,
-    # not one per store pair: 243 stores trace about 25 MiB, where a mask
-    # per point traced 190 MiB.
+    # The point-wise path, which RHL tables take and which the kernel path is
+    # checked against: θ_part's families hold one |S|^2-bit mask per distinct
+    # joint outcome, not one per store pair, so 243 stores trace about
+    # 25 MiB, where a mask per point traced 190 MiB.
     sig = W.store_signature(("l", "h0", "h1", "h2", "h3"), domain("Vtm3", 3),
                             {"l": W.LOW, "h0": W.HIGH, "h1": W.HIGH, "h2": W.HIGH, "h3": W.HIGH})
-    judgment = W.ni_judgment(W.parse_while("while h0 do (h0 := h0 - 1; l := l + 1)"), sig)
+    judgment = _pointwise_ni(W.parse_while("while h0 do (h0 := h0 - 1; l := l + 1)"), sig)
     tracemalloc.start()
     try:
         verdict = R.oracle_check(judgment)
@@ -326,6 +350,148 @@ def test_a_5x3_ni_check_traces_under_64_mib():
         tracemalloc.stop()
     assert verdict.failed
     assert peak <= 64 * 2 ** 20, f"{peak / 2 ** 20:.0f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# The kernel path against the point-wise path and the brute force
+
+DIFF_STORES = {
+    "2x2": (("l", "h"), 2),
+    "2x3": (("l", "h"), 3),
+    "3x2": (("l", "h", "m"), 2),
+    "3x3": (("l", "h", "m"), 3),
+    "3x3-two-high": (("l", "h", "k"), 3),
+    "4x3": (("l", "h", "m", "k"), 3),
+}
+
+
+def _failing_point(v):
+    return v.inner.point if v.failed else None
+
+
+def _same_verdicts(j, ref):
+    v, v_ref = R.oracle_check(j), R.oracle_check(ref)
+    assert (v.kind, v.checked, _failing_point(v)) == \
+        (v_ref.kind, v_ref.checked, _failing_point(v_ref))
+    # read after the verdict, the kernel spec builds the point-wise families
+    assert j.spec().fams == ref.spec().fams
+    return v
+
+
+def _named_stores(sig, note):
+    """The initial and final stores a kernel failure's note names, as
+    indices: labels on a labelled store domain, indices past it."""
+    names = re.fullmatch(r"left store (\S+) ends in (\S+) and right store (\S+) in (\S+): "
+                         r"their pre keys agree, their post keys differ", note).groups()
+    labels = W.store_domain(sig).labels
+    return [labels.index(x) if labels else int(x) for x in names]
+
+
+def _check_failure_note(sig, ast, v):
+    s1, f1, s2, f2 = _named_stores(sig, v.inner.note)
+    assert v.inner.phi is None
+    assert v.inner.point == s1 * W.store_domain(sig).size + s2
+    assert (W.run_stmt(sig, ast, s1), W.run_stmt(sig, ast, s2)) == (f1, f2)
+    assert _low_view(sig, s1) == _low_view(sig, s2)
+    assert _low_view(sig, f1) != _low_view(sig, f2)
+
+
+@pytest.mark.parametrize("store", sorted(DIFF_STORES))
+def test_ni_kernel_path_matches_the_point_wise_path_and_the_brute_force(store):
+    locations, values = DIFF_STORES[store]
+    sig = _store(locations, values)
+    rng = random.Random(f"kernel-{store}")
+    texts = [text for text, _ in NI_CORPUS] + [
+        _random_statement(rng, locations, values) for _ in range(12)]
+    kinds = set()
+    for text in texts:
+        ast = W.parse_while(text)
+        v = _same_verdicts(W.ni_judgment(ast, sig), _pointwise_ni(ast, sig))
+        assert v.holds == ni_brute_force(sig, ast)
+        if v.failed:
+            _check_failure_note(sig, ast, v)
+        kinds.add(v.kind)
+    assert kinds == {"holds", "fails"}
+
+
+@pytest.mark.parametrize("result", [UNIT, BOOL])
+def test_kernel_spec_on_two_programs_is_the_final_post_embedding(result):
+    # c1 ~ c2 with pre keys other than the post keys, on unit-valued
+    # translations and on bool-valued random imp programs, whose one-side
+    # outcomes carry the value as well as the final state
+    rng = random.Random(f"two-programs-{result.name}")
+    sig = _store(("l", "h"), 3)
+    sdom = W.store_domain(sig)
+    n, width = sdom.size, result.size * sdom.size
+    space = sm.state_space(result, sdom, result, sdom)
+    kinds = set()
+    for _ in range(16):
+        if result is UNIT:
+            c1, c2 = (W.translate(W.parse_while(_random_statement(rng, ("l", "h"), 3)), sig)
+                      for _ in range(2))
+        else:
+            c1, c2 = (random_program(rng, P.imp_sig(sdom), result, 3) for _ in range(2))
+        pre1, pre2 = ([rng.randrange(2) for _ in range(n)] for _ in range(2))
+        post1, post2 = ([rng.randrange(3) for _ in range(width)] for _ in range(2))
+        w = sm.kernel_spec(space, pre1, pre2, post1, post2)
+        ref = sm.from_final_post(space, [k1 == k2 for k1 in pre1 for k2 in pre2],
+                                 [k1 == k2 for k1 in post1 for k2 in post2])
+        obs = O.observation_part()
+        v = _same_verdicts(R.judgment(obs, c1, c2, w), R.judgment(obs, c1, c2, ref))
+        kinds.add(v.kind)
+    assert kinds == {"holds", "fails"}
+
+
+def test_the_kernel_path_refuses_what_the_point_wise_path_refuses():
+    sig = _store(("l", "h"), 2)
+    sdom = W.store_domain(sig)
+    w = sm.kernel_spec(sm.state_space(UNIT, sdom, UNIT, sdom), *[[0, 0, 1, 1]] * 4)
+    obs = O.observation_part()
+    c = W.translate(W.parse_while("l := h"), sig)
+    other = W.translate(W.parse_while("l := h"), _store(("l", "h", "m"), 2))
+    with pytest.raises(ValueError, match="different outcome spaces"):
+        O.theta_leq(obs, c, other, w)
+    raises = P.throw(P.exc_sig(UNIT), UNIT.value(0), UNIT)
+    with pytest.raises(ValueError, match="theta_part expects"):
+        O.theta_leq(obs, raises, c, w)
+
+
+@pytest.mark.parametrize("text,secure", [
+    ("while h0 do (h0 := h0 - 1; l := l + 1)", False),
+    ("while h0 do h0 := h0 - 1", True),
+    ("if h3 then h1 := l else h2 := l + 1", True),
+    ("if h3 < h1 then l := 2 else skip", False),
+])
+def test_a_6x3_ni_check_matches_the_brute_force(text, secure):
+    names = ("l", "h0", "h1", "h2", "h3", "h4")
+    sig = W.store_signature(names, domain("V3", 3),
+                            {n: W.LOW if n == "l" else W.HIGH for n in names})
+    ast = W.parse_while(text)
+    assert ni_brute_force(sig, ast) == secure
+    v = R.oracle_check(W.ni_judgment(ast, sig))
+    assert (v.kind, v.checked) == ("holds" if secure else "fails", 1)
+    if v.failed:
+        _check_failure_note(sig, ast, v)
+
+
+def test_a_7x3_kernel_check_traces_under_16_mib_and_builds_no_families():
+    # 2,187 stores: the families would hold 4.8 M points, and the point-wise
+    # θ_part one mask per distinct joint outcome of 4.8 M bits each
+    names = ("l", "h0", "h1", "h2", "h3", "h4", "h5")
+    sig = W.store_signature(names, domain("V3", 3),
+                            {n: W.LOW if n == "l" else W.HIGH for n in names})
+    ast = W.parse_while("while h0 do (h0 := h0 - 1; l := l + 1)")
+    tracemalloc.start()
+    try:
+        judgment = W.ni_judgment(ast, sig)
+        verdict = R.oracle_check(judgment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.failed
+    _check_failure_note(sig, ast, verdict)
+    assert sm.RelSpec.fams.__get__(judgment.spec()) is None
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.0f} MiB"
 
 
 # ---------------------------------------------------------------------------
