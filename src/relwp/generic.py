@@ -20,9 +20,12 @@ the tests pin it against a hand-written version of the same carrier.
 
 Payloads are `specmonads.RelSpec`s, or tables of them under the state
 transformer: the pure lift's are one-point WrelPure specs over the pair of
-result domains, the state lift's WrelSt specs.  Unit, reindexing and the
-order are those of `specmonads`, so a split-context judgment and a core one
-compare the same objects with the same `spec_leq`.  The pure lift binds one
+result domains, the state lift's WrelSt specs.  A carrier is its unit, bind
+and tau embeddings; the order is one for all carriers, `leq`: `spec_leq` on
+a spec and entry by entry on a table, so a split-context judgment and a
+core one compare the same objects with the same `spec_leq`.  The top of a
+relational component and the payloads the law battery draws are read off
+the unit's shape.  The pure lift binds one
 demand family against a table of families with the core bind's step; this
 module defines no demand-set algorithm of its own.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, ClassVar, Iterator, Optional, Sequence, Tuple
 
@@ -91,13 +94,28 @@ def random_spec(rng: random.Random, space: sm.OutcomeSpace) -> sm.RelSpec:
 # Spec triples
 
 
-@dataclass(frozen=True)
-class TripleSpec:
-    """One judgment's specs at a fixed pair of valuations."""
+def leq(w, w2) -> sm.LeqVerdict:
+    """The order of every split-context carrier: `spec_leq` on specs, and
+    entry by entry on state tables (tuples of payloads), the failing entry's
+    state leading `where`, outermost first."""
+    if type(w) is not tuple and type(w2) is not tuple:
+        return sm.spec_leq(w, w2)
+    if type(w) is not tuple or type(w2) is not tuple:
+        raise ValueError("cannot compare a spec with a state table")
+    if len(w) != len(w2):
+        raise ValueError("state tables of different size")
+    for si, (x, y) in enumerate(zip(w, w2)):
+        v = leq(x, y)
+        if not v.holds:
+            return replace(v, where=(si,) + v.where)
+    return sm.HOLDS
 
-    w1: object
-    w2: object
-    wrel: object
+
+def _each_spec(x, f: Callable[[sm.RelSpec], object]):
+    """x with every spec in it replaced by f(spec), in tuple order."""
+    if type(x) is tuple:
+        return tuple(_each_spec(w, f) for w in x)
+    return f(x)
 
 
 @dataclass(frozen=True)
@@ -105,13 +123,16 @@ class FullSpecMonad:
     """A specification carrier in three parts, with componentwise unit and
     sequencing.
 
-    Payload values are opaque; the operations that build them also know how
-    to compare them, and `shape` records how the carrier was assembled so
-    rule builders can insist on the structure they understand.  tau1 and
-    tau2 embed a unary spec as a relational one against a unit result on
-    the other side; for base lifts both are the identity, and the
-    transformers preserve the embedding along with its morphism laws (the
-    triple-law battery, `check_triple_laws`, checks them).
+    A payload is a `specmonads.RelSpec` or a state table, a tuple of
+    payloads; the unit's payload at a domain has the shape of every payload
+    there.  Each operation builds its payloads from the inner carrier's, and
+    one order serves them all (`leq`), so a carrier is its unit, bind and
+    tau embeddings; `shape` records how it was assembled so rule builders
+    can insist on the structure they understand.  tau1 and tau2 embed a
+    unary spec as a relational one against a unit result on the other side;
+    for base lifts both are the identity, and the transformers preserve the
+    embedding along with its morphism laws (the triple-law battery,
+    `check_triple_laws`, checks them).
 
     bind1/bind2 take the middle spec, a continuation table indexed by the
     bound value, and the continuation result domain.  bind_rel is staged by
@@ -130,15 +151,14 @@ class FullSpecMonad:
     bind1: Callable[[object, Sequence, FiniteDomain], object]
     bind2: Callable[[object, Sequence, FiniteDomain], object]
     bind_rel: Callable[..., Callable[[object, object, object], object]]
-    leq1: Callable[[object, object], sm.LeqVerdict]
-    leq2: Callable[[object, object], sm.LeqVerdict]
-    leq_rel: Callable[[object, object], sm.LeqVerdict]
-    unsat_rel: Callable[[FiniteDomain, FiniteDomain], object]
     tau1: Callable[[object, FiniteDomain], object]
     tau2: Callable[[object, FiniteDomain], object]
-    gen1: Callable[[random.Random, FiniteDomain], object]
-    gen2: Callable[[random.Random, FiniteDomain], object]
-    gen_rel: Callable[[random.Random, FiniteDomain, FiniteDomain], object]
+
+    def unsat_rel(self, d1: FiniteDomain, d2: FiniteDomain):
+        """The top of the relational component at result domains d1 and d2:
+        the unit's shape with every spec unsatisfiable."""
+        return _each_spec(self.ret_rel(d1.value(0), d2.value(0)),
+                          lambda w: sm.unsatisfiable(w.space))
 
 
 def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.OutcomeSpace],
@@ -161,9 +181,6 @@ def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.Outc
         bind = binder(tuple(w for row in frel for w in row))
         return lambda _m1, _m2, mrel: bind(mrel)
 
-    def gen(rng: random.Random, d1: FiniteDomain, d2: FiniteDomain) -> sm.RelSpec:
-        return random_spec(rng, space(d1, d2))
-
     return FullSpecMonad(
         name=f"lift({name})",
         shape=("lift", name),
@@ -173,15 +190,8 @@ def lift_simple(name: str, space: Callable[[FiniteDomain, FiniteDomain], sm.Outc
         bind1=bind_unary,
         bind2=bind_unary,
         bind_rel=bind_rel,
-        leq1=sm.spec_leq,
-        leq2=sm.spec_leq,
-        leq_rel=sm.spec_leq,
-        unsat_rel=lambda d1, d2: sm.unsatisfiable(space(d1, d2)),
         tau1=lambda w1, _adom: w1,
         tau2=lambda w2, _adom: w2,
-        gen1=lambda rng, a: gen(rng, a, UNIT),
-        gen2=lambda rng, a: gen(rng, UNIT, a),
-        gen_rel=gen,
     )
 
 
@@ -257,15 +267,8 @@ def _mirror(m: FullSpecMonad, name: Optional[str] = None,
         bind1=m.bind2,
         bind2=m.bind1,
         bind_rel=bind_rel,
-        leq1=m.leq2,
-        leq2=m.leq1,
-        leq_rel=m.leq_rel,
-        unsat_rel=lambda d1, d2: m.unsat_rel(d2, d1),
         tau1=m.tau2,
         tau2=m.tau1,
-        gen1=m.gen2,
-        gen2=m.gen1,
-        gen_rel=lambda rng, d1, d2: m.gen_rel(rng, d2, d1),
     )
 
 
@@ -279,26 +282,17 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     side's continuation via its tau embedding, then pins the pair of a
     rethrown exception with that continuation's result.
 
-    The carrier keeps one table of what it has built.  Per result domain it
-    holds the tagged sum domain with its normal and raised values, and the
-    units appended for raised exceptions.  Per fixed result and other side's
-    domain it holds the inner binder prepared for the unit tables of a pin,
-    and per (other side's payload, fixed result, other side's domain) the
-    pinned bind itself.  Rethrows in bind_rel and both tau embeddings go
-    through the pin.  The domain is part of the keys because payloads need
-    not record it.  A pin is keyed by the payload's exact form: a spec by
-    its space and demand families, so equal specs built apart share one
-    pin, and a table under `stt_rel_transform` by itself.  The rows
-    bind_rel appends for raised exceptions, one pin per entry of the other
-    side's continuation table, are looked up once per prepared table and
-    kept per (that table's payloads, both result domains): specs hash by
-    identity and tables by their entries, so a table prepared again costs
-    one lookup, not a pin per entry, and each middle bound to a prepared
-    table costs none.  Reusing an entry is sound because every `inner`
-    operation is a pure function of its arguments and payloads never change
-    once built, so an equal key always builds an equal result.  A
-    right-side carrier keeps these tables, its pins and rows included, in
-    the left instance built over the mirrored inner carrier.
+    What the carrier builds is cached per argument tuple: the tagged sum
+    domains, the units appended for raised exceptions, the inner binders a
+    pin prepares, the pins and the rows of rethrows that bind_rel appends
+    per table of the other side.  Result domains are in the keys because
+    payloads need not record them.  A pin is keyed by the payload's exact
+    form: a spec by its pooled spec of the same space and demand families,
+    so equal specs built apart share one pin, and a table by its entries.
+    Reuse is sound because every `inner` operation is a pure function of
+    its arguments and payloads never change once built.  A right-side
+    carrier keeps these caches in the left instance built over the mirrored
+    inner carrier.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -306,22 +300,13 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         return _mirror(exct_rel_transform(_mirror(inner), e, "left"),
                        f"exct-right[{e.name}]({inner.name})", ("exct", "right", e, inner.shape))
 
-    tables = {}
-
-    def once(key, build):
-        out = tables.get(key)
-        if out is None:
-            out = tables[key] = build()
-        return out
-
+    @cache
     def tagged(adom: FiniteDomain):
         # the sum domain over adom, its normal values by index, its raised values
-        def build():
-            s = sum_domain(adom, e)
-            return (s,
-                    tuple(Value(s, inl_index(adom, e, i)) for i in range(adom.size)),
-                    tuple(Value(s, inr_index(adom, e, j)) for j in range(e.size)))
-        return once(("tagged", adom), build)
+        s = sum_domain(adom, e)
+        return (s,
+                tuple(Value(s, inl_index(adom, e, i)) for i in range(adom.size)),
+                tuple(Value(s, inr_index(adom, e, j)) for j in range(e.size)))
 
     def sdom(a: FiniteDomain) -> FiniteDomain:
         return tagged(a)[0]
@@ -334,32 +319,38 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
     def ret1(a: Value):
         return inner.ret1(inl(a))
 
+    @cache
     def raises(bdom):
         # the unit at each exception, appended to a continuation table
-        return once(("raises", bdom),
-                    lambda: tuple(inner.ret1(v) for v in tagged(bdom)[2]))
+        return tuple(inner.ret1(v) for v in tagged(bdom)[2])
 
     def bind1(w, table, bdom):
         return inner.bind1(w, tuple(table) + raises(bdom), sdom(bdom))
 
-    def pin(w2, b1val, b2dom):
+    @cache
+    def units(b1val, b2dom):
+        # the inner binder of a pin: its unit tables, prepared once
+        return inner.bind_rel((inner.ret1(b1val),),
+                              tuple(inner.ret2(v) for v in b2dom.values()),
+                              (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
+                              b1val.domain, b2dom)
+
+    @cache
+    def pinned(w2, b1val, b2dom):
         # pair a fixed left result with whatever the right continuation
         # produces, keeping its effect on the right spec
-        def build():
-            bind = once(("units", b1val, b2dom), lambda: inner.bind_rel(
-                (inner.ret1(b1val),),
-                tuple(inner.ret2(v) for v in b2dom.values()),
-                (tuple(inner.ret_rel(b1val, v) for v in b2dom.values()),),
-                b1val.domain, b2dom))
-            return bind(unit1, w2, inner.tau2(w2, b2dom))
-        key = (w2.space, w2.fams) if isinstance(w2, sm.RelSpec) else w2
-        return once(("pin", key, b1val, b2dom), build)
+        return units(b1val, b2dom)(unit1, w2, inner.tau2(w2, b2dom))
 
+    def pin(w2, b1val, b2dom):
+        if type(w2) is not tuple:
+            w2 = sm._fixed(w2.space, w2.fams)
+        return pinned(w2, b1val, b2dom)
+
+    @cache
     def rethrows(f2, b1dom, b2dom):
         # the relational rows appended for raised exceptions: each rethrow
         # pinned against every entry of the other side's continuation table
-        return once(("rethrows", f2, b1dom, b2dom), lambda: tuple(
-            tuple(pin(w2, thrown, b2dom) for w2 in f2) for thrown in tagged(b1dom)[2]))
+        return tuple(tuple(pin(w2, thrown, b2dom) for w2 in f2) for thrown in tagged(b1dom)[2])
 
     def bind_rel(f1, f2, frel, b1dom, b2dom):
         f2 = tuple(f2)
@@ -378,15 +369,8 @@ def exct_rel_transform(inner: FullSpecMonad, e: FiniteDomain, side: str) -> Full
         bind1=bind1,
         bind2=inner.bind2,
         bind_rel=bind_rel,
-        leq1=inner.leq1,
-        leq2=inner.leq2,
-        leq_rel=inner.leq_rel,
-        unsat_rel=lambda d1, d2: inner.unsat_rel(sdom(d1), d2),
         tau1=lambda w1, adom: inner.tau1(w1, sdom(adom)),
         tau2=tau2,
-        gen1=lambda rng, a: inner.gen1(rng, sdom(a)),
-        gen2=inner.gen2,
-        gen_rel=lambda rng, a1, a2: inner.gen_rel(rng, sdom(a1), a2),
     )
 
 
@@ -410,17 +394,6 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
 
     def paired(a: Value, si: int) -> Value:
         return Value(pdom(a.domain), a.index * s.size + si)
-
-    def leq_table(leq):
-        def go(w, w2):
-            if len(w) != len(w2):
-                raise ValueError("state tables of different size")
-            for si, (x, y) in enumerate(zip(w, w2)):
-                v = leq(x, y)
-                if not v.holds:
-                    return replace(v, where=(si,) + v.where)
-            return sm.HOLDS
-        return go
 
     def bind1(w, table, bdom):
         table = tuple(table)
@@ -463,18 +436,9 @@ def stt_rel_transform(inner: FullSpecMonad, s: FiniteDomain, side: str) -> FullS
         bind1=bind1,
         bind2=inner.bind2,
         bind_rel=bind_rel,
-        leq1=leq_table(inner.leq1),
-        leq2=inner.leq2,
-        leq_rel=leq_table(inner.leq_rel),
-        unsat_rel=lambda d1, d2: tuple(inner.unsat_rel(pdom(d1), d2)
-                                       for _ in range(s.size)),
         tau1=lambda w1, adom: tuple(inner.tau1(w1[si], pdom(adom))
                                     for si in range(s.size)),
         tau2=tau2,
-        gen1=lambda rng, a: tuple(inner.gen1(rng, pdom(a)) for _ in range(s.size)),
-        gen2=inner.gen2,
-        gen_rel=lambda rng, a1, a2: tuple(inner.gen_rel(rng, pdom(a1), a2)
-                                          for _ in range(s.size)),
     )
 
 
@@ -551,18 +515,12 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
     and the triple keeps one spec per pair of result domains and joint
     outcome, so equal observations are one object.
     """
-    specs = {}
-
+    @cache
     def observed(a1, a2, o1, o2):
         # a None result domain is the unit beside a unary part
-        key = (a1, a2, o1, o2)
-        w = specs.get(key)
-        if w is None:
-            s1 = UNIT if a1 is None else sum_domain(a1, e1)
-            s2 = UNIT if a2 is None else sum_domain(a2, e2)
-            w = specs[key] = sm.demand_spec(sm.pure_space(s1, s2),
-                                            [(1 << (o1 * s2.size + o2),)])
-        return w
+        s1 = UNIT if a1 is None else sum_domain(a1, e1)
+        s2 = UNIT if a2 is None else sum_domain(a2, e2)
+        return sm.demand_spec(sm.pure_space(s1, s2), [(1 << (o1 * s2.size + o2),)])
 
     def theta1(c: Program) -> sm.RelSpec:
         return observed(c.result, None, _exc_outcome(c, e1), 0)
@@ -639,14 +597,6 @@ class FullJudgment:
         right = self.ctx.right
         return self.wrel_table[self.ctx.left.rank(g1) * right.count + right.rank(g2)]
 
-    def parts(self, g1: Valuation = (), g2: Valuation = ()) -> TripleSpec:
-        return TripleSpec(self.w1(g1), self.w2(g2), self.wrel(g1, g2))
-
-    def observed(self, g1: Valuation = (), g2: Valuation = ()) -> TripleSpec:
-        return TripleSpec(self.theta.theta1(self.c1(g1)),
-                          self.theta.theta2(self.c2(g2)),
-                          self.theta.theta_rel(self.c1(g1), self.c2(g2)))
-
     catalogue: ClassVar[Catalogue] = SPLIT
 
     def mismatch(self, computed: "FullJudgment") -> Optional[str]:
@@ -658,21 +608,21 @@ class FullJudgment:
             return "stated context differs from the rule's conclusion context"
         if self.monad.shape != computed.monad.shape or self.theta.name != computed.theta.name:
             return "stated carrier or observation differs from the rule's"
-        m, left, right = self.monad, self.ctx.left, self.ctx.right
+        left, right = self.ctx.left, self.ctx.right
         for i, (p, q, w, w2) in _firsts(self.c1_table, computed.c1_table, self.w1_table,
                                         computed.w1_table):
             if not P.programs_equal(p, q):
                 return f"left program differs at {_show_valuation(left, i)}"
-            if not _equal(m.leq1, w, w2):
+            if not _equal(w, w2):
                 return f"left spec differs at {_show_valuation(left, i)}"
         for i, (p, q, w, w2) in _firsts(self.c2_table, computed.c2_table, self.w2_table,
                                         computed.w2_table):
             if not P.programs_equal(p, q):
                 return f"right program differs at {_show_valuation(right, i)}"
-            if not _equal(m.leq2, w, w2):
+            if not _equal(w, w2):
                 return f"right spec differs at {_show_valuation(right, i)}"
         for i, (w, w2) in _firsts(self.wrel_table, computed.wrel_table):
-            if not _equal(m.leq_rel, w, w2):
+            if not _equal(w, w2):
                 i1, i2 = divmod(i, right.count)
                 return (f"relational spec differs at {_show_valuation(left, i1)} "
                         f"and {_show_valuation(right, i2)}")
@@ -683,18 +633,18 @@ class FullJudgment:
         right one over right valuations, the relational one over pairs, each
         once per distinct entry; the first clause that fails names the
         verdict, else it holds.  `checked` counts valuations and pairs."""
-        m, th, left, right = self.monad, self.theta, self.ctx.left, self.ctx.right
+        th, left, right = self.theta, self.ctx.left, self.ctx.right
         n1, n2 = left.count, right.count
         for i, (c1, w1) in _firsts(self.c1_table, self.w1_table):
-            v = m.leq1(th.theta1(c1), w1)
+            v = leq(th.theta1(c1), w1)
             if not v.holds:
                 return OracleVerdict("fails", i + 1, (left.unrank(i),), v, "left")
         for i, (c2, w2) in _firsts(self.c2_table, self.w2_table):
-            v = m.leq2(th.theta2(c2), w2)
+            v = leq(th.theta2(c2), w2)
             if not v.holds:
                 return OracleVerdict("fails", n1 + i + 1, (right.unrank(i),), v, "right")
         for i, (c1, c2, wrel) in _firsts(*_pairs(self.c1_table, self.c2_table), self.wrel_table):
-            v = m.leq_rel(th.theta_rel(c1, c2), wrel)
+            v = leq(th.theta_rel(c1, c2), wrel)
             if not v.holds:
                 i1, i2 = divmod(i, n2)
                 return OracleVerdict("fails", n1 + n2 + i + 1,
@@ -702,7 +652,7 @@ class FullJudgment:
         return OracleVerdict("holds", n1 + n2 + n1 * n2)
 
 
-def _equal(leq, a, b) -> bool:
+def _equal(a, b) -> bool:
     try:
         return leq(a, b).holds and leq(b, a).holds
     except ValueError:  # another carrier or outcome space: they differ
@@ -784,15 +734,11 @@ def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     w1 = _tabulate(j.ctx.left, r.get("w1", j.w1_table))
     w2 = _tabulate(j.ctx.right, r.get("w2", j.w2_table))
     wrel = _pair_table(j.ctx, r.get("wrel", j.wrel_table))
-    for _, (lo, hi) in _firsts(j.w1_table, w1):
-        if not j.monad.leq1(lo, hi).holds:
-            raise RuleError(f"{r.rule}: left target is not above the premise spec")
-    for _, (lo, hi) in _firsts(j.w2_table, w2):
-        if not j.monad.leq2(lo, hi).holds:
-            raise RuleError(f"{r.rule}: right target is not above the premise spec")
-    for _, (lo, hi) in _firsts(j.wrel_table, wrel):
-        if not j.monad.leq_rel(lo, hi).holds:
-            raise RuleError(f"{r.rule}: relational target is not above the premise spec")
+    for part, lows, highs in (("left", j.w1_table, w1), ("right", j.w2_table, w2),
+                              ("relational", j.wrel_table, wrel)):
+        for _, (lo, hi) in _firsts(lows, highs):
+            if not leq(lo, hi).holds:
+                raise RuleError(f"{r.rule}: {part} target is not above the premise spec")
     return FullJudgment(j.ctx, j.monad, j.theta, j.c1_table, j.c2_table, w1, w2, wrel)
 
 
@@ -963,7 +909,6 @@ def _full_case(r: RuleInstance, prem) -> FullJudgment:
     r1, r2 = jl.c1_table[0].result, jl.c2_table[0].result
     if jr.c1_table[0].result != r1 or jr.c2_table[0].result != r2:
         raise RuleError(f"{r.rule}: branch result domains differ")
-    monad = jl.monad
     names1 = {n for n, _ in base.left.vars}
     names2 = {n for n, _ in base.right.vars}
     if x1 in names1 or x2 in names2:
@@ -979,14 +924,15 @@ def _full_case(r: RuleInstance, prem) -> FullJudgment:
 
     left = split(base.left.count, dal, dbl)
     right = split(base.right.count, dar, dbr)
+    top = jl.monad.unsat_rel(r1, r2)
 
     def rel(ja, ka, jb, kb):
         if ja is not jb:
             # the sum relation only relates matching tags: no claim here
-            return monad.unsat_rel(r1, r2)
+            return top
         return ja.wrel_table[ka * ja.ctx.right.count + kb]
 
-    return FullJudgment(ctx, monad, jl.theta,
+    return FullJudgment(ctx, jl.monad, jl.theta,
                         Table(j.c1_table[k] for j, k in left),
                         Table(j.c2_table[k] for j, k in right),
                         Table(j.w1_table[k] for j, k in left),
@@ -1003,18 +949,25 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
                       samples: int = 2) -> LawReport:
     """Unit, sequencing, and associativity for all three components, plus
     the morphism laws of the tau embeddings, on sampled payloads over the
-    given result domains (three per side: argument, middle, final).
+    given result domains (three per side: argument, middle, final).  A
+    payload is drawn in the shape of the unit at its domain: a
+    `random_spec` over the space of each spec in it, in tuple order.
 
     The laws are unit-left, unit-right, assoc, tau-unit and tau-bind, each
-    claimed with equality; an instance is the part it checks (left, right
-    or relational) followed by the values it is taken at."""
+    claimed with equality under `leq`; an instance is the part it checks
+    (left, right or relational) followed by the values it is taken at."""
     for name, n in (("samples", samples), ("len(doms1)", len(doms1)),
                     ("len(doms2)", len(doms2))):
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
     a1d, b1d, c1d = (tuple(doms1) * 3)[:3]
     a2d, b2d, c2d = (tuple(doms2) * 3)[:3]
-    leq1, leq2, leq_rel = monad.leq1, monad.leq2, monad.leq_rel
+
+    def gen(ret, *doms):
+        # a payload in the shape of the unit `ret` gives at these domains
+        return _each_spec(ret(*(d.value(0) for d in doms)), lambda w: random_spec(rng, w.space))
+
+    ret1, ret2, ret_rel = monad.ret1, monad.ret2, monad.ret_rel
 
     def rets1(dom):
         return tuple(monad.ret1(v) for v in dom.values())
@@ -1024,30 +977,28 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
 
     def instances():
         for _ in range(samples):
-            m1 = monad.gen1(rng, a1d)
-            m2 = monad.gen2(rng, a2d)
-            mrel = monad.gen_rel(rng, a1d, a2d)
-            f1 = tuple(monad.gen1(rng, b1d) for _ in range(a1d.size))
-            f2 = tuple(monad.gen2(rng, b2d) for _ in range(a2d.size))
-            frel = tuple(tuple(monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size))
+            m1, m2, mrel = gen(ret1, a1d), gen(ret2, a2d), gen(ret_rel, a1d, a2d)
+            f1 = tuple(gen(ret1, b1d) for _ in range(a1d.size))
+            f2 = tuple(gen(ret2, b2d) for _ in range(a2d.size))
+            frel = tuple(tuple(gen(ret_rel, b1d, b2d) for _ in range(a2d.size))
                          for _ in range(a1d.size))
-            g1 = tuple(monad.gen1(rng, c1d) for _ in range(b1d.size))
-            g2 = tuple(monad.gen2(rng, c2d) for _ in range(b2d.size))
-            grel = tuple(tuple(monad.gen_rel(rng, c1d, c2d) for _ in range(b2d.size))
+            g1 = tuple(gen(ret1, c1d) for _ in range(b1d.size))
+            g2 = tuple(gen(ret2, c2d) for _ in range(b2d.size))
+            grel = tuple(tuple(gen(ret_rel, c1d, c2d) for _ in range(b2d.size))
                          for _ in range(b1d.size))
 
             for a in a1d.values():
-                yield ("unit-left", ("left", a), leq1,
+                yield ("unit-left", ("left", a), leq,
                        monad.bind1(monad.ret1(a), f1, b1d), f1[a.index])
             for a in a2d.values():
-                yield ("unit-left", ("right", a), leq2,
+                yield ("unit-left", ("right", a), leq,
                        monad.bind2(monad.ret2(a), f2, b2d), f2[a.index])
-            yield "unit-right", ("left",), leq1, monad.bind1(m1, rets1(a1d), a1d), m1
-            yield "unit-right", ("right",), leq2, monad.bind2(m2, rets2(a2d), a2d), m2
-            yield ("assoc", ("left",), leq1,
+            yield "unit-right", ("left",), leq, monad.bind1(m1, rets1(a1d), a1d), m1
+            yield "unit-right", ("right",), leq, monad.bind2(m2, rets2(a2d), a2d), m2
+            yield ("assoc", ("left",), leq,
                    monad.bind1(monad.bind1(m1, f1, b1d), g1, c1d),
                    monad.bind1(m1, tuple(monad.bind1(w, g1, c1d) for w in f1), c1d))
-            yield ("assoc", ("right",), leq2,
+            yield ("assoc", ("right",), leq,
                    monad.bind2(monad.bind2(m2, f2, b2d), g2, c2d),
                    monad.bind2(m2, tuple(monad.bind2(w, g2, c2d) for w in f2), c2d))
 
@@ -1055,12 +1006,12 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
             bind_g = monad.bind_rel(g1, g2, grel, c1d, c2d)
             for a1 in a1d.values():
                 for a2 in a2d.values():
-                    yield ("unit-left", ("relational", a1, a2), leq_rel,
+                    yield ("unit-left", ("relational", a1, a2), leq,
                            bind_f(monad.ret1(a1), monad.ret2(a2), monad.ret_rel(a1, a2)),
                            frel[a1.index][a2.index])
             retrel = tuple(tuple(monad.ret_rel(v1, v2) for v2 in a2d.values())
                            for v1 in a1d.values())
-            yield ("unit-right", ("relational",), leq_rel,
+            yield ("unit-right", ("relational",), leq,
                    monad.bind_rel(rets1(a1d), rets2(a2d), retrel, a1d, a2d)(m1, m2, mrel),
                    mrel)
             lhs = bind_g(monad.bind1(m1, f1, b1d), monad.bind2(m2, f2, b2d),
@@ -1070,22 +1021,22 @@ def check_triple_laws(monad: FullSpecMonad, rng: random.Random,
             rhs = monad.bind_rel(tuple(monad.bind1(w, g1, c1d) for w in f1),
                                  tuple(monad.bind2(w, g2, c2d) for w in f2),
                                  comp, c1d, c2d)(m1, m2, mrel)
-            yield "assoc", ("relational",), leq_rel, lhs, rhs
+            yield "assoc", ("relational",), leq, lhs, rhs
 
             # tau is a morphism into the relational component
             for a in a1d.values():
-                yield ("tau-unit", ("left", a), leq_rel, monad.tau1(monad.ret1(a), a1d),
+                yield ("tau-unit", ("left", a), leq, monad.tau1(monad.ret1(a), a1d),
                        monad.ret_rel(a, UNIT_VAL))
             for a in a2d.values():
-                yield ("tau-unit", ("right", a), leq_rel, monad.tau2(monad.ret2(a), a2d),
+                yield ("tau-unit", ("right", a), leq, monad.tau2(monad.ret2(a), a2d),
                        monad.ret_rel(UNIT_VAL, a))
             u2 = (monad.ret2(UNIT_VAL),)
-            yield ("tau-bind", ("left",), leq_rel,
+            yield ("tau-bind", ("left",), leq,
                    monad.tau1(monad.bind1(m1, f1, b1d), b1d),
                    monad.bind_rel(f1, u2, tuple((monad.tau1(w, b1d),) for w in f1),
                                   b1d, UNIT)(m1, monad.ret2(UNIT_VAL), monad.tau1(m1, a1d)))
             u1 = (monad.ret1(UNIT_VAL),)
-            yield ("tau-bind", ("right",), leq_rel,
+            yield ("tau-bind", ("right",), leq,
                    monad.tau2(monad.bind2(m2, f2, b2d), b2d),
                    monad.bind_rel(u1, f2, (tuple(monad.tau2(w, b2d) for w in f2),),
                                   UNIT, b2d)(monad.ret1(UNIT_VAL), m2, monad.tau2(m2, a2d)))
@@ -1112,16 +1063,15 @@ def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
     monad = wrelexc_monad(e1, e2)
     th = theta_exc_triple(e1, e2)
     sig1, sig2 = P.exc_sig(e1), P.exc_sig(e2)
-    leq1, leq2, leq_rel = monad.leq1, monad.leq2, monad.leq_rel
 
     def instances():
         for v1 in a.values():
-            yield "ret", ("left", v1), leq1, th.theta1(P.ret(sig1, v1)), monad.ret1(v1)
+            yield "ret", ("left", v1), leq, th.theta1(P.ret(sig1, v1)), monad.ret1(v1)
         for v2 in a.values():
-            yield "ret", ("right", v2), leq2, th.theta2(P.ret(sig2, v2)), monad.ret2(v2)
+            yield "ret", ("right", v2), leq, th.theta2(P.ret(sig2, v2)), monad.ret2(v2)
         for v1 in a.values():
             for v2 in a.values():
-                yield ("ret", ("relational", v1, v2), leq_rel,
+                yield ("ret", ("relational", v1, v2), leq,
                        th.theta_rel(P.ret(sig1, v1), P.ret(sig2, v2)), monad.ret_rel(v1, v2))
 
         ms1 = enumerate_classes(sig1, a, depth)
@@ -1144,18 +1094,18 @@ def check_exc_strictness(e1: FiniteDomain, e2: FiniteDomain, a: FiniteDomain,
 
         for m1, binds1 in zip(ms1, bound1):
             for f1, c1, thf in zip(tables1, binds1, thf1):
-                yield ("bind", ("left", m1, f1), leq1,
+                yield ("bind", ("left", m1, f1), leq,
                        th.theta1(c1), monad.bind1(th.theta1(m1), thf, a))
         for m2, binds2 in zip(ms2, bound2):
             for f2, c2, thf in zip(tables2, binds2, thf2):
-                yield ("bind", ("right", m2, f2), leq2,
+                yield ("bind", ("right", m2, f2), leq,
                        th.theta2(c2), monad.bind2(th.theta2(m2), thf, a))
         for m1, binds1 in zip(ms1, bound1):
             for m2, binds2 in zip(ms2, bound2):
                 thm1, thm2, thmrel = th.theta1(m1), th.theta2(m2), th.theta_rel(m1, m2)
                 for f1, c1, row in zip(tables1, binds1, binders):
                     for f2, c2, bind in zip(tables2, binds2, row):
-                        yield ("bind", ("relational", m1, m2, f1, f2), leq_rel,
+                        yield ("bind", ("relational", m1, m2, f1, f2), leq,
                                th.theta_rel(c1, c2), bind(thm1, thm2, thmrel))
 
     return run_laws(th.name, STRICT, instances())

@@ -25,9 +25,9 @@ Every observation here factors through the reference evaluators in
 battery builders rely on that to dedupe enumerated programs.  Each named
 observation states what it reads as its `key`: a program's signature,
 result domain and runs (`_run_key`; θ_st also whether an imp program has
-a loop), or, for `observation_io`, whose embeds read `io_outcomes`, the
-program itself.  `check_morphism_laws` applies θ once per distinct pair
-of keys, so a battery is observed once per pair of behaviours, not per
+a loop), or for an io program its root `io_outcomes`, from which the
+outcomes at every history follow.  `check_morphism_laws` applies θ once
+per distinct pair of keys, so a battery is observed once per pair of behaviours, not per
 pair of programs.  None walks a program tree: the state and loop
 observations, paired and one-sided, read each program's runs from the one
 table `programs._runs` keeps, and a diverging run makes a point trivial
@@ -47,7 +47,7 @@ argument tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -184,11 +184,12 @@ def _pair_runs(c1: Program, c2: Program, diverged) -> RelSpec:
 
 
 def _run_key(c: Program):
-    """What a run-table observation reads of c: its signature, so its
-    effect, its result domain and its runs.  An io program has no run
-    table; it keys as itself, and the map refuses it."""
+    """What an observation reads of c: its signature, so its effect, its
+    result domain and its runs.  An io program has no run table; it keys by
+    its root outcomes, since `io_outcomes(c, h)` is `io_outcomes(c)` with
+    h appended to every history, and every map but θ_io refuses it."""
     if c.sig.effect == P.IO:
-        return c
+        return c.sig, c.result, P.io_outcomes(c)
     return c.sig, c.result, P._runs(c)
 
 
@@ -650,7 +651,7 @@ def observation_io(i1: FiniteDomain, o1: FiniteDomain,
                    i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> EffectObservation:
     u1 = unary_theta_io(1, i1, o1, i2, o2, points)
     u2 = unary_theta_io(2, i1, o1, i2, o2, points)
-    return from_commuting_pair(u1, u2, name="theta-io")
+    return replace(from_commuting_pair(u1, u2, name="theta-io"), key=_run_key)
 
 
 @lru_cache(maxsize=None)

@@ -87,7 +87,6 @@ PP_TAGS = frozenset({"PPrelPure", "PPrelSt"})
 _STATE_TAGS = frozenset({"WrelSt", "PPrelSt"})
 
 DEFAULT_CAP = 2 ** 14
-_PIECE_LP_PRUNE_LIMIT = 160
 _PIECE_DOMINANCE_LIMIT = 48
 
 # `closure_spec` tabulates a predicate over at most this many outcomes, and
@@ -730,20 +729,16 @@ def _norm_io_entry(entry):
     return VIOLATED if entry is VIOLATED else frozenset(entry)
 
 
-def linear_spec(space: OutcomeSpace, pieces, exact_prune: bool = True) -> RelSpec:
+def linear_spec(space: OutcomeSpace, pieces) -> RelSpec:
     """Quantitative spec as a minimum of affine pieces (const, coeffs), the
     one body of the quantitative carrier.  The rationals are brought to one
-    denominator once, here.
-
-    Redundant pieces never change the minimum, so `exact_prune=False` is a
-    pure speed knob for callers that mass-produce large piece families: it
-    drops duplicate and dominated pieces but skips the LP filter.  Within a
-    check, pieces equal by value over one space give one spec, pruned once.
+    denominator once, here.  Within a check, pieces equal by value over one
+    space give one spec, pruned once.
     """
     if space.tag != "WrelProb":
         raise ValueError("linear specs live in the quantitative carrier")
     den, rows = _int_pieces(space, pieces)
-    return _linear(space, den, rows, exact_prune)
+    return _linear(space, den, rows)
 
 
 def _int_pieces(space: OutcomeSpace, pieces) -> Tuple[int, tuple]:
@@ -774,7 +769,10 @@ def _lowest(den: int, rows) -> Tuple[int, tuple]:
 
 def _linear(space: OutcomeSpace, den: int, rows, exact_prune: bool = True) -> RelSpec:
     """The quantitative spec of int pieces over `den`, as `linear_spec`
-    builds it from rationals: the constructor of the kernel's own producers."""
+    builds it from rationals: the constructor of the kernel's own producers.
+    Redundant pieces never change the minimum, so `exact_prune=False`, for
+    producers of large piece families, drops duplicate and dominated pieces
+    but skips the LP filter."""
     den, rows = _lowest(den, rows)
     den, rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
     return _intern((space, den, rows), _prob_spec, space, den, rows)
@@ -818,7 +816,7 @@ def prune_pieces(pieces: List[Tuple[Fraction, Tuple[Fraction, ...]]], exact: boo
                for k2, cs2 in uniq):
             continue
         kept.append((k, cs))
-    if len(kept) <= 1 or not exact or len(kept) > _PIECE_LP_PRUNE_LIMIT:
+    if len(kept) <= 1 or not exact:
         return tuple(kept)
     # Exact filter: a piece is redundant when the others stay at or below
     # it over the whole box.

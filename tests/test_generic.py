@@ -70,16 +70,36 @@ def assert_equiv(w1, w2):
 def assert_triple_theta_equal(j):
     """The conclusion spec IS the observation of the conclusion programs."""
     for g1 in j.ctx.left.valuations():
-        assert j.monad.leq1(j.w1(g1), j.theta.theta1(j.c1(g1))).holds
-        assert j.monad.leq1(j.theta.theta1(j.c1(g1)), j.w1(g1)).holds
+        assert G.leq(j.w1(g1), j.theta.theta1(j.c1(g1))).holds
+        assert G.leq(j.theta.theta1(j.c1(g1)), j.w1(g1)).holds
     for g2 in j.ctx.right.valuations():
-        assert j.monad.leq2(j.w2(g2), j.theta.theta2(j.c2(g2))).holds
-        assert j.monad.leq2(j.theta.theta2(j.c2(g2)), j.w2(g2)).holds
+        assert G.leq(j.w2(g2), j.theta.theta2(j.c2(g2))).holds
+        assert G.leq(j.theta.theta2(j.c2(g2)), j.w2(g2)).holds
     for g1 in j.ctx.left.valuations():
         for g2 in j.ctx.right.valuations():
             seen = j.theta.theta_rel(j.c1(g1), j.c2(g2))
-            assert j.monad.leq_rel(j.wrel(g1, g2), seen).holds
-            assert j.monad.leq_rel(seen, j.wrel(g1, g2)).holds
+            assert G.leq(j.wrel(g1, g2), seen).holds
+            assert G.leq(seen, j.wrel(g1, g2)).holds
+
+
+def draw(rng, unit):
+    """A random payload in the shape of `unit`, as `check_triple_laws`
+    draws one: a random spec over each spec's space, in tuple order."""
+    if isinstance(unit, tuple):
+        return tuple(draw(rng, w) for w in unit)
+    return G.random_spec(rng, unit.space)
+
+
+def gen1(m, rng, d):
+    return draw(rng, m.ret1(d.value(0)))
+
+
+def gen2(m, rng, d):
+    return draw(rng, m.ret2(d.value(0)))
+
+
+def gen_rel(m, rng, d1, d2):
+    return draw(rng, m.ret_rel(d1.value(0), d2.value(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,49 +250,87 @@ def test_deterministic_bind_matches_the_pruning_path():
 # ---------------------------------------------------------------------------
 # Carrier law batteries
 
+TRIPLE_LAWS = ("unit-left", "unit-right", "assoc", "tau-unit", "tau-bind")
+
+
+def assert_laws_equal(rep, *checked):
+    """Every law of a triple-law report is equal, with these checked counts
+    in law order: payloads drawn in the unit's shape consume the seed as
+    each carrier's own draws once did, so the counts are pinned."""
+    assert rep.ok, rep.failures
+    assert ([(v.law, v.kind, v.checked) for v in rep.laws]
+            == [(law, "equal", n) for law, n in zip(TRIPLE_LAWS, checked)])
+
 
 def test_pure_lift_satisfies_the_triple_laws():
     rep = G.check_triple_laws(G.lift_pure(), random.Random(11), (Z2, Z3), (Z3, Z2),
                               samples=3)
-    assert rep.ok, rep.failures
-    assert rep.checked > 50
+    assert_laws_equal(rep, 33, 9, 9, 15, 6)
 
 
 def test_state_lift_satisfies_the_triple_laws():
     rep = G.check_triple_laws(G.lift_state(Z2, Z3), random.Random(12), (Z2,), (Z2,),
                               samples=2)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 16, 6, 6, 8, 4)
 
 
 def test_state_transformer_satisfies_the_triple_laws():
     left = G.stt_rel_transform(G.lift_pure(), Z2, "left")
     rep = G.check_triple_laws(left, random.Random(13), (Z2, Z3), (Z2,), samples=2)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 16, 6, 6, 8, 4)
     right = G.stt_rel_transform(G.lift_pure(), Z3, "right")
     rep = G.check_triple_laws(right, random.Random(14), (Z2,), (Z2, Z3), samples=2)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 16, 6, 6, 8, 4)
 
 
 def test_exception_transformer_satisfies_the_triple_laws():
     left = G.exct_rel_transform(G.lift_pure(), EL, "left")
     rep = G.check_triple_laws(left, random.Random(15), (Z2, Z3), (Z2,), samples=2)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 16, 6, 6, 8, 4)
     right = G.exct_rel_transform(G.lift_pure(), ER, "right")
     rep = G.check_triple_laws(right, random.Random(16), (Z2,), (Z2, Z3), samples=2)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 16, 6, 6, 8, 4)
 
 
 def test_double_exception_carrier_satisfies_the_triple_laws():
     rep = G.check_triple_laws(MONAD, random.Random(17), (Z2, Z2), (Z2, Z2), samples=3)
-    assert rep.ok, rep.failures
-    assert rep.checked > 50
+    assert_laws_equal(rep, 24, 9, 9, 12, 6)
 
 
 def test_transformers_stack_across_effects():
     mixed = G.exct_rel_transform(G.stt_rel_transform(G.lift_pure(), Z2, "left"),
                                  ER, "right")
     rep = G.check_triple_laws(mixed, random.Random(18), (Z2,), (Z2,), samples=1)
-    assert rep.ok, rep.failures
+    assert_laws_equal(rep, 8, 3, 3, 4, 2)
+
+
+# per seed, each law's (kind, checked) and each failing law's witness
+# instance, for the pure lift whose bind1 keeps its middle
+MIDDLE_KEPT = {
+    5: ([("violation", 10), ("equal", 4)], [("unit-left", ("left", 1))]),
+    6: ([("violation", 1), ("equal", 4)], [("unit-left", ("left", 0))]),
+    7: ([("violation", 2), ("violation", 1)], [("unit-left", ("left", 1)),
+                                              ("tau-bind", ("left",))]),
+    8: ([("violation", 1), ("strictly-less", 4)], [("unit-left", ("left", 0)),
+                                                  ("tau-bind", ("left",))]),
+    9: ([("violation", 9), ("strictly-less", 4)], [("unit-left", ("left", 0)),
+                                                  ("tau-bind", ("left",))]),
+    **{seed: ([("violation", 1), ("equal", 4)], [("unit-left", ("left", 0))])
+       for seed in range(10, 14)},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MIDDLE_KEPT))
+def test_a_carrier_that_keeps_the_middle_reports_the_same_at_each_seed(seed):
+    broken = dataclasses.replace(LP, name="middle-kept", bind1=lambda m, f, d: m)
+    rep = G.check_triple_laws(broken, random.Random(seed), (Z2,), (Z2,), samples=2)
+    (unit_left, tau_bind), witnesses = MIDDLE_KEPT[seed]
+    assert ([(v.law, v.kind, v.checked) for v in rep.laws]
+            == [("unit-left", *unit_left), ("unit-right", "equal", 6), ("assoc", "equal", 6),
+                ("tau-unit", "equal", 8), ("tau-bind", *tau_bind)])
+    assert [(w.law, w.instance) for w in rep.failures] == [
+        (law, inst[:1] + tuple(Z2.value(i) for i in inst[1:])) for law, inst in witnesses]
+    assert all(O.recheck_witness(w) for w in rep.failures)
 
 
 def test_a_carrier_that_keeps_the_middle_fails_unit_left_on_the_left():
@@ -305,6 +363,43 @@ def test_a_state_table_witness_rechecks_at_its_entry_state():
     assert isinstance(wit.lhs, tuple) and len(wit.lhs) == Z2.size
     assert O.recheck_witness(wit)
     assert not O.recheck_witness(dataclasses.replace(wit, lhs=wit.rhs, rhs=wit.lhs))
+
+
+NESTED = {
+    # relational payloads: the outer table by the outer transformer's entry
+    # state (Z3), each entry a table by the inner one's (Z2)
+    "stt over stt": G.stt_rel_transform(G.stt_rel_transform(LP, Z2, "left"), Z3, "left"),
+    "mirrored": G.stt_rel_transform(G.stt_rel_transform(LP, Z2, "left"), Z3, "right"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_leq_names_nested_entry_states_outermost_first(name):
+    m = NESTED[name]
+    w = m.ret_rel(Z2.value(1), Z2.value(0))
+    assert len(w) == Z3.size and all(len(row) == Z2.size for row in w)
+    # unsatisfiable at outer state 2, inner state 1 only: above w, and not below it
+    hi = tuple(tuple(sm.unsatisfiable(x.space) if (i, k) == (2, 1) else x
+                     for k, x in enumerate(row)) for i, row in enumerate(w))
+    assert G.leq(w, w) is sm.HOLDS and G.leq(w, hi).holds
+    v = G.leq(hi, w)
+    assert not v.holds and v.where[:2] == (2, 1)
+    wit = O.LawWitness("unit-left", "violation", (name,), hi, w, v.phi, v.point, v.where)
+    assert O.recheck_witness(wit)
+    assert not O.recheck_witness(dataclasses.replace(wit, lhs=w, rhs=hi))
+    top = m.unsat_rel(Z2, Z2)
+    assert G.leq(hi, top).holds and not G.leq(top, w).holds
+
+
+def test_leq_refuses_payloads_of_different_shapes():
+    m = NESTED["stt over stt"]
+    table = m.ret_rel(Z2.value(0), Z2.value(0))
+    with pytest.raises(ValueError, match="spec with a state table"):
+        G.leq(table[0][0], table)
+    with pytest.raises(ValueError, match="spec with a state table"):
+        G.leq(table, table[0][0])
+    with pytest.raises(ValueError, match="different size"):
+        G.leq(table, table[:2])
 
 
 def test_triple_law_arguments_are_checked():
@@ -364,11 +459,11 @@ def test_a_right_transformer_is_the_left_one_on_the_swapped_problem(name):
         _assert_same(_swapped(right.unsat_rel(d1, d2), d1, wrap(d2)), left.unsat_rel(d2, d1))
     for _ in range(3):
         # drawn for the left carrier, swapped for the right one
-        m2, m1 = left.gen1(rng, a2d), left.gen2(rng, a1d)
-        mrel = left.gen_rel(rng, a2d, a1d)
-        f2 = tuple(left.gen1(rng, b2d) for _ in range(a2d.size))
-        f1 = tuple(left.gen2(rng, b1d) for _ in range(a1d.size))
-        frel = tuple(tuple(left.gen_rel(rng, b2d, b1d) for _ in range(a1d.size))
+        m2, m1 = gen1(left, rng, a2d), gen2(left, rng, a1d)
+        mrel = gen_rel(left, rng, a2d, a1d)
+        f2 = tuple(gen1(left, rng, b2d) for _ in range(a2d.size))
+        f1 = tuple(gen2(left, rng, b1d) for _ in range(a1d.size))
+        frel = tuple(tuple(gen_rel(left, rng, b2d, b1d) for _ in range(a1d.size))
                      for _ in range(a2d.size))
         r_m1, r_m2 = _swapped(m1, UNIT, a1d), _swapped(m2, wrap(a2d), UNIT)
         r_f1 = tuple(_swapped(w, UNIT, b1d) for w in f1)
@@ -399,7 +494,7 @@ def test_tau_is_the_identity_on_lifts():
     w = G.random_spec(random.Random(19), PT(Z2))
     assert lp.tau1(w, Z2) is w
     ls = G.lift_state(Z2, Z2)
-    m = ls.gen2(random.Random(20), Z3)
+    m = gen2(ls, random.Random(20), Z3)
     assert ls.tau2(m, Z3) is m
 
 
@@ -419,10 +514,10 @@ def test_state_lift_bind_is_plain_spec_bind():
     ls = G.lift_state(Z2, Z2)
     rng = random.Random(21)
     space = sm.state_space(Z2, Z2, Z2, Z2)
-    m = ls.gen_rel(rng, Z2, Z2)
-    frel = [[ls.gen_rel(rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
-    got = ls.bind_rel([ls.gen1(rng, Z3)] * Z2.size, [ls.gen2(rng, Z3)] * Z2.size,
-                      frel, Z3, Z3)(ls.gen1(rng, Z2), ls.gen2(rng, Z2), m)
+    m = gen_rel(ls, rng, Z2, Z2)
+    frel = [[gen_rel(ls, rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
+    got = ls.bind_rel([gen1(ls, rng, Z3)] * Z2.size, [gen2(ls, rng, Z3)] * Z2.size,
+                      frel, Z3, Z3)(gen1(ls, rng, Z2), gen2(ls, rng, Z2), m)
     want = sm.spec_bind(m, lambda i1, i2: frel[i1][i2])
     assert sm.spec_leq(got, want).holds and sm.spec_leq(want, got).holds
     assert space.tag == m.space.tag
@@ -450,8 +545,8 @@ def test_exception_binds_agree_with_the_hand_written_carrier():
         frel = [[G.random_spec(rng, pairb) for _ in range(Z2.size)]
                 for _ in range(Z2.size)]
         hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, Z3, Z3)
-        built = MONAD.bind_rel(f1, f2, frel, Z3, Z3)(MONAD.gen1(rng, Z2),
-                                                     MONAD.gen2(rng, Z2), wm)
+        built = MONAD.bind_rel(f1, f2, frel, Z3, Z3)(gen1(MONAD, rng, Z2),
+                                                     gen2(MONAD, rng, Z2), wm)
         assert_equiv(hand, built)
 
 
@@ -477,8 +572,8 @@ def test_one_carrier_serves_continuations_over_several_domains():
             frel = [[_wide_spec(rng, sm.pure_space(s1b, s2b)) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
             hand = reference.wrelexc_bind(wm, f1, f2, frel, EL, ER, b1d, b2d)
-            built = monad.bind_rel(f1, f2, frel, b1d, b2d)(monad.gen1(rng, a1d),
-                                                           monad.gen2(rng, a2d), wm)
+            built = monad.bind_rel(f1, f2, frel, b1d, b2d)(gen1(monad, rng, a1d),
+                                                           gen2(monad, rng, a2d), wm)
             assert_equiv(hand, built)
             # unary: raised exceptions pass through as units of the new domain
             m1 = _wide_spec(rng, PT(sum_domain(a1d, EL)))
@@ -513,15 +608,15 @@ def test_pins_kept_across_calls_match_a_fresh_carrier(name):
     build = EXC_CARRIERS[name]
     monad = build()
     rng = random.Random(31)
-    pool1 = {d: [monad.gen1(rng, d) for _ in range(2)] for d in (Z2, Z3)}
-    pool2 = {d: [monad.gen2(rng, d) for _ in range(2)] for d in (Z2, Z3)}
+    pool1 = {d: [gen1(monad, rng, d) for _ in range(2)] for d in (Z2, Z3)}
+    pool2 = {d: [gen2(monad, rng, d) for _ in range(2)] for d in (Z2, Z3)}
     for _ in range(2):
         for a1d, a2d, b1d, b2d in product((Z2, Z3), repeat=4):
-            m1, m2 = monad.gen1(rng, a1d), monad.gen2(rng, a2d)
-            mrel = monad.gen_rel(rng, a1d, a2d)
+            m1, m2 = gen1(monad, rng, a1d), gen2(monad, rng, a2d)
+            mrel = gen_rel(monad, rng, a1d, a2d)
             f1 = [rng.choice(pool1[b1d]) for _ in range(a1d.size)]
             f2 = [rng.choice(pool2[b2d]) for _ in range(a2d.size)]
-            frel = [[monad.gen_rel(rng, b1d, b2d) for _ in range(a2d.size)]
+            frel = [[gen_rel(monad, rng, b1d, b2d) for _ in range(a2d.size)]
                     for _ in range(a1d.size)]
             got = monad.bind_rel(f1, f2, frel, b1d, b2d)(m1, m2, mrel)
             assert _form(got) == _form(build().bind_rel(f1, f2, frel, b1d, b2d)(m1, m2, mrel))
@@ -542,11 +637,11 @@ def test_rethrow_rows_kept_per_continuation_table(name):
     build = EXC_CARRIERS[name]
     monad = build()
     rng = random.Random(47)
-    f1 = tuple(monad.gen1(rng, Z3) for _ in range(Z2.size))
-    f2 = tuple(monad.gen2(rng, Z3) for _ in range(Z2.size))
+    f1 = tuple(gen1(monad, rng, Z3) for _ in range(Z2.size))
+    f2 = tuple(gen2(monad, rng, Z3) for _ in range(Z2.size))
     for _ in range(12):
-        m1, m2, mrel = monad.gen1(rng, Z2), monad.gen2(rng, Z2), monad.gen_rel(rng, Z2, Z2)
-        frel = [[monad.gen_rel(rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
+        m1, m2, mrel = gen1(monad, rng, Z2), gen2(monad, rng, Z2), gen_rel(monad, rng, Z2, Z2)
+        frel = [[gen_rel(monad, rng, Z3, Z3) for _ in range(Z2.size)] for _ in range(Z2.size)]
         got = monad.bind_rel(f1, f2, frel, Z3, Z3)(m1, m2, mrel)
         assert _form(got) == _form(build().bind_rel(f1, f2, frel, Z3, Z3)(m1, m2, mrel))
         if name == "wrelexc":
@@ -624,7 +719,8 @@ def test_simulation_spec_program_instances():
 def test_observation_is_strict_for_unit_and_sequencing():
     rep = G.check_exc_strictness(EL, ER, Z2, depth=3)
     assert rep.ok, rep.failures[:5]
-    assert rep.checked > 4000
+    assert [(v.law, v.kind, v.checked) for v in rep.laws] == [("ret", "equal", 8),
+                                                               ("bind", "equal", 4224)]
 
 
 def test_a_relational_part_that_ignores_raises_breaks_the_bind_law(monkeypatch):
@@ -645,10 +741,12 @@ def test_a_relational_part_that_ignores_raises_breaks_the_bind_law(monkeypatch):
     assert [v.law for v in rep.laws] == ["ret", "bind"]
     assert rep.ret_law.equal and rep.ret_law.checked == 8
     bind = rep.bind_law
-    assert bind.kind == "violation" and 0 < bind.checked < 4224
+    assert bind.kind == "violation" and bind.checked == 645
     assert not rep.ok and rep.failures == (bind.witness,)
     part, m1, m2, f1, f2 = bind.witness.instance
     assert part == "relational" and bind.witness.law == "bind"
+    assert (bind.witness.phi, bind.witness.point, bind.witness.where) == (
+        frozenset({1}), 0, ("point", 0))
     assert O.recheck_witness(bind.witness)
     # the two triples differ only where a program raises
     assert P.ERR in (P.run_exc(P.bind(m1, f1))[0], P.run_exc(P.bind(m2, f2))[0])
@@ -864,10 +962,10 @@ def test_oracle_passes_exact_specs():
 
 def test_parts_and_observed_agree_on_axioms():
     j = _ret_judgment(1, 1)
-    parts, seen = j.parts(), j.observed()
-    assert_equiv(parts.w1, seen.w1)
-    assert_equiv(parts.w2, seen.w2)
-    assert_equiv(parts.wrel, seen.wrel)
+    c1, c2 = j.c1(), j.c2()
+    assert_equiv(j.w1(), j.theta.theta1(c1))
+    assert_equiv(j.w2(), j.theta.theta2(c2))
+    assert_equiv(j.wrel(), j.theta.theta_rel(c1, c2))
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,31 @@ def test_io_laws_equal_on_shallow_battery():
     assert rep.ret_law.equal and rep.bind_law.equal
 
 
+def test_io_laws_observe_each_pair_of_root_outcome_sets_once():
+    # θ_io keys a program by its root outcomes: the outcomes from any
+    # history are the root ones with that history appended
+    battery = O.battery_io(Z2, Z2, Z2, depth=2)
+    progs = sorted({c for pair in battery.ms for c in pair}, key=repr)
+    for c in progs:
+        for h in (((P.IN, Z2.value(1)),), ((P.OUT, Z2.value(0)), (P.IN, Z2.value(1)))):
+            assert P.io_outcomes(c, h) == {(v, hist + h) for v, hist in P.io_outcomes(c)}
+    obs = O.observation_io(Z2, Z2, Z2, Z2)
+    reports, calls = [], []
+    for key in (obs.key, O._itself):
+        n = [0]
+
+        def counted(c1, c2, n=n):
+            n[0] += 1
+            return obs.map(c1, c2)
+
+        reports.append(_laws(dataclasses.replace(obs, map=counted, key=key), battery))
+        calls.append(n[0])
+    # keyed by program, the map ran once per pair of programs
+    assert calls == [225, 1700]
+    keyed, by_program = ([(v.law, v.kind, v.checked) for v in rep.laws] for rep in reports)
+    assert keyed == by_program == [("ret", "equal", 4), ("bind", "equal", 1600)]
+
+
 def test_prob_laws_never_violated_on_shallow_battery():
     rep = _laws(O.observation_prob(), O.battery_prob(Z2, depth=2, m_limit=None))
     assert rep.ret_law.equal

@@ -6,6 +6,7 @@ demand families too, one demand per point beside the precondition row,
 with no post table, outcome domains or binds of their own."""
 
 import ast
+import dataclasses
 import os
 import random
 
@@ -69,17 +70,33 @@ CARRIERS = {
 def test_every_payload_is_a_spec(name):
     m = CARRIERS[name]()
     rng = random.Random(3)
-    m1, m2, mrel = m.gen1(rng, Z2), m.gen2(rng, Z2), m.gen_rel(rng, Z2, Z2)
-    f1 = tuple(m.gen1(rng, Z2) for _ in range(Z2.size))
-    f2 = tuple(m.gen2(rng, Z2) for _ in range(Z2.size))
-    frel = tuple(tuple(m.gen_rel(rng, Z2, Z2) for _ in range(Z2.size)) for _ in range(Z2.size))
     v = Z2.value(1)
+
+    def draw(unit):
+        return G.random_spec(rng, unit.space)
+
+    m1, m2, mrel = draw(m.ret1(v)), draw(m.ret2(v)), draw(m.ret_rel(v, v))
+    f1 = tuple(draw(m.ret1(v)) for _ in range(Z2.size))
+    f2 = tuple(draw(m.ret2(v)) for _ in range(Z2.size))
+    frel = tuple(tuple(draw(m.ret_rel(v, v)) for _ in range(Z2.size)) for _ in range(Z2.size))
     built = [m1, m2, mrel, *f1, *f2, *frel[0], *frel[1],
              m.ret1(v), m.ret2(v), m.ret_rel(v, v),
              m.bind1(m1, f1, Z2), m.bind2(m2, f2, Z2),
              m.bind_rel(f1, f2, frel, Z2, Z2)(m1, m2, mrel),
              m.unsat_rel(Z2, Z2)]
     assert all(isinstance(w, sm.RelSpec) for w in built), [type(w).__name__ for w in built]
+
+
+CARRIER_OPS = ("name", "shape", "ret1", "ret2", "ret_rel", "bind1", "bind2", "bind_rel",
+               "tau1", "tau2")
+
+
+def test_a_carrier_is_its_unit_bind_and_tau():
+    # the order is `generic.leq` for every carrier, and the top and the
+    # sampled payloads follow the unit's shape
+    assert tuple(f.name for f in dataclasses.fields(G.FullSpecMonad)) == CARRIER_OPS
+    assert sorted({"leq_table", "TripleSpec"} & set(_names("generic"))) == []
+    assert not hasattr(G, "leq_table") and callable(G.leq)
 
 
 def test_pairs_keep_no_body_of_their_own():

@@ -966,7 +966,7 @@ def _prune_reference(pieces):
     kept = [(k, cs) for k, cs in uniq
             if not any(k2 <= k and all(a <= b for a, b in zip(cs2, cs)) and (k2, cs2) != (k, cs)
                        for k2, cs2 in uniq)]
-    if len(kept) <= 1 or len(kept) > sm._PIECE_LP_PRUNE_LIMIT:
+    if len(kept) <= 1:
         return tuple(kept)
     work, i = list(kept), 0
     while i < len(work) and len(work) > 1:
@@ -1686,7 +1686,7 @@ def test_a_check_builds_each_spec_once():
     assert sm.spec_ret(sp, Z2.value(0), Z2.value(0)) is not built[0]
     assert sm.linear_spec(built[1].space, [(0, (F(1, 2),) * 4)]) is not built[1]
     # one body, one spec, however it was built
-    assert sm.linear_spec(built[1].space, built[1].pieces, exact_prune=False) is built[1]
+    assert sm._linear(built[1].space, built[1].den, built[1].rows, exact_prune=False) is built[1]
     assert sm.demand_spec(sp, built[0].fams) is built[0]
 
 
