@@ -513,8 +513,12 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
 
     Each program is run once (`programs._runs` keeps its tagged outcome),
     and the triple keeps one spec per pair of result domains and joint
-    outcome, so equal observations are one object.
+    outcome, so equal observations are one object.  A program over the
+    carrier's (canonical) signature is known by identity; any other is
+    checked, and refused.
     """
+    sig1, sig2, runs = P.exc_sig(e1), P.exc_sig(e2), P._runs
+
     @cache
     def observed(a1, a2, o1, o2):
         # a None result domain is the unit beside a unary part
@@ -523,13 +527,15 @@ def theta_exc_triple(e1: FiniteDomain, e2: FiniteDomain) -> ThetaTriple:
         return sm.demand_spec(sm.pure_space(s1, s2), [(1 << (o1 * s2.size + o2),)])
 
     def theta1(c: Program) -> sm.RelSpec:
-        return observed(c.result, None, _exc_outcome(c, e1), 0)
+        return observed(c.result, None, runs(c) if c.sig is sig1 else _exc_outcome(c, e1), 0)
 
     def theta2(c: Program) -> sm.RelSpec:
-        return observed(None, c.result, 0, _exc_outcome(c, e2))
+        return observed(None, c.result, 0, runs(c) if c.sig is sig2 else _exc_outcome(c, e2))
 
     def theta_rel(c1: Program, c2: Program) -> sm.RelSpec:
-        return observed(c1.result, c2.result, _exc_outcome(c1, e1), _exc_outcome(c2, e2))
+        return observed(c1.result, c2.result,
+                        runs(c1) if c1.sig is sig1 else _exc_outcome(c1, e1),
+                        runs(c2) if c2.sig is sig2 else _exc_outcome(c2, e2))
 
     return ThetaTriple(f"exc-run[{e1.name},{e2.name}]", theta1, theta2, theta_rel)
 

@@ -52,6 +52,7 @@ from typing import Callable, ClassVar, Dict, Iterator, Optional, Sequence, Tuple
 from . import programs as P
 from .domains import BOOL, UNIT, UNIT_VAL, FiniteDomain, Value, boolv, domain
 from .genprog import random_program
+from .lp import _ints
 from .observations import (
     EXISTS,
     FORALL,
@@ -73,7 +74,6 @@ from .specmonads import (
     OutcomeSpace,
     RelSpec,
     _fam_bind,
-    _int_pieces,
     _linear,
     demand_spec,
     demonic_spec,
@@ -197,13 +197,16 @@ def _rows(table: Table, n: int) -> list:
 
 def _each(fn, *tables) -> Table:
     """Table(map(fn, *tables)), with fn called once per distinct tuple of
-    entries, in the order of their first valuations.  The entries are the
-    memo's keys: pooled programs and specs and canonical values hash by
-    identity, plain parameters by value.  A one-entry table, or one with
-    an unhashable entry, is mapped plainly."""
+    entries, in the order of their first valuations.  A constant family,
+    such as `_tabulate` makes of a constant parameter, is found by
+    comparison, which meets identical objects first, and takes one call
+    and no hashing.  Otherwise the entries are the memo's keys: pooled
+    programs and specs and canonical values hash by identity, plain
+    parameters by value.  A table with an unhashable entry is mapped
+    plainly."""
     keys = tuple(zip(*tables))
-    if len(keys) == 1:
-        return Table(map(fn, *tables))
+    if keys.count(keys[0]) == len(keys):
+        return Table((fn(*keys[0]),) * len(keys))
     try:
         memo = dict.fromkeys(keys)
     except TypeError:   # a list given for a parameter, say
@@ -1202,20 +1205,20 @@ def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     space = prob_space(BOOL, BOOL)
 
     def coupling(p0, q0, d0):
-        """The spec of the coupling d, checked: one piece of int
-        coefficients over the outcomes (b1, b2)."""
-        p, q = P._fraction(p0), P._fraction(q0)
-        d = tuple(tuple(map(P._fraction, row)) for row in d0)
-        if len(d) != 2 or any(len(row) != 2 for row in d):
+        """The spec of the coupling d, checked in integers: p, q and the
+        weights over one denominator, and one piece of int coefficients
+        over the outcomes (b1, b2)."""
+        den, (p, q, *ws) = _ints((p0, q0, *(x for row in d0 for x in row)))
+        if len(d0) != 2 or any(len(row) != 2 for row in d0):
             raise RuleError("FlipCoupling: d must be a 2x2 table over (left, right) guards")
-        if any(x < 0 for row in d for x in row):
+        if any(x < 0 for x in ws):
             raise RuleError("FlipCoupling: coupling weights must be nonnegative")
-        if (d[0][0] + d[0][1], d[1][0] + d[1][1]) != (1 - p, p) or \
-           (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
+        a, b, c, e = ws
+        if (a + b, c + e) != (den - p, p) or (a + c, b + e) != (den - q, q):
             first = next(i for i, k in enumerate(zip(pf, qf, df)) if k == (p0, q0, d0))
-            raise RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
-                            f"at {_show_valuation(env, first)}")
-        return _linear(space, *_int_pieces(space, [(0, d[0] + d[1])]))
+            raise RuleError(f"FlipCoupling: d is not a coupling of the {P._fraction(p0)} and "
+                            f"{P._fraction(q0)} draws at {_show_valuation(env, first)}")
+        return _linear(space, den, ((0, (a, b, c, e)),))
 
     return judgment(obs, _each(partial(P.flip_bool, sig), pf),
                     _each(partial(P.flip_bool, sig), qf), _each(coupling, pf, qf, df), env)

@@ -772,9 +772,11 @@ def _linear(space: OutcomeSpace, den: int, rows, exact_prune: bool = True) -> Re
     builds it from rationals: the constructor of the kernel's own producers.
     Redundant pieces never change the minimum, so `exact_prune=False`, for
     producers of large piece families, drops duplicate and dominated pieces
-    but skips the LP filter."""
+    but skips the LP filter.  One piece is its own minimum and is not
+    pruned."""
     den, rows = _lowest(den, rows)
-    den, rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
+    if len(rows) > 1:
+        den, rows = _lowest(den, prune_pieces(rows, exact=exact_prune))
     return _intern((space, den, rows), _prob_spec, space, den, rows)
 
 

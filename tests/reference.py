@@ -20,7 +20,8 @@ definition.  `prob_bind_by_evaluation` and `prob_grid_refutation` do the
 same for quantitative specs: a bind evaluated from its definition, and a
 search of value tables on a grid for one that separates two specs.
 `is_coupling` and `min_coupling_value` check the coupling vertices behind
-`theta_prob`.  `run_prob`, `simplex_max`, `max_min_affine`, `leq_prob`,
+`theta_prob`, and `flip_coupling_by_fractions` is FlipCoupling's coupling
+check in `Fraction`s, which the rule makes in integers.  `run_prob`, `simplex_max`, `max_min_affine`, `leq_prob`,
 `bind_prob` and `theta_prob_pieces` are the quantitative carrier in
 `Fraction`s, node by node and tableau row by tableau row, against which
 the integer kernel must agree exactly; `max_min_affine_by_vertices` solves
@@ -53,9 +54,9 @@ from relwp.lp import coupling_vertices
 from relwp.observations import UnaryObservation, from_commuting_pair
 from relwp.programs import (IN, OUT, Bind, Catch, Choice, DoWhile, Fail, Flip, Get, Input,
                             Output, PickFin, Program, Put, Ret, Throw)
-from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, prune_pieces,
-                              pure_space, reindex_outcomes, spec_bind, spec_leq, spec_ret,
-                              state_space, weakest)
+from relwp.specmonads import (RelSpec, demand_spec, io_demonic_spec, io_space, linear_spec,
+                              prob_space, prune_pieces, pure_space, reindex_outcomes, spec_bind,
+                              spec_leq, spec_ret, state_space, weakest)
 
 
 def _mk(sig, result: FiniteDomain, node, depth: int) -> Program:
@@ -402,6 +403,25 @@ def min_coupling_value(p: Sequence, q: Sequence, phi: Sequence) -> Fraction:
     if best is None:
         raise ValueError("empty transportation polytope")
     return best
+
+
+def flip_coupling_by_fractions(p0, q0, d0, where: str = "the empty context") -> RelSpec:
+    """FlipCoupling's coupling spec in `Fraction` arithmetic: d checked as a
+    2x2 table of nonnegative weights whose rows sum to the left draw's
+    (1 - p, p) and whose columns sum to the right draw's (1 - q, q), then
+    read off as one piece over the outcomes (b1, b2).  A refusal raises the
+    rule's `RuleError`, naming the valuation `where`."""
+    p, q = Fraction(p0), Fraction(q0)
+    d = tuple(tuple(map(Fraction, row)) for row in d0)
+    if len(d) != 2 or any(len(row) != 2 for row in d):
+        raise R.RuleError("FlipCoupling: d must be a 2x2 table over (left, right) guards")
+    if any(x < 0 for row in d for x in row):
+        raise R.RuleError("FlipCoupling: coupling weights must be nonnegative")
+    if (d[0][0] + d[0][1], d[1][0] + d[1][1]) != (1 - p, p) or \
+       (d[0][0] + d[1][0], d[0][1] + d[1][1]) != (1 - q, q):
+        raise R.RuleError(f"FlipCoupling: d is not a coupling of the {p} and {q} draws "
+                          f"at {where}")
+    return linear_spec(prob_space(BOOL, BOOL), [(0, d[0] + d[1])])
 
 
 def leq_by_enumeration(w: RelSpec, w2: RelSpec):

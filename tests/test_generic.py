@@ -820,6 +820,26 @@ def test_equal_joint_outcomes_share_one_spec():
     assert_equiv(w, sm.demand_spec(PAIR, [(1 << (G.inr_index(Z2, EL, 1) * SUM2.size),)]))
 
 
+def test_theta_exc_refuses_programs_over_other_signatures():
+    th = G.theta_exc_triple(EL, ER)
+    ez = domain("EZ", 3)
+    left, right = P.ret(XSIG, Z2.value(0)), P.ret(YSIG, Z2.value(0))
+    state = P.ret(P.state_sig(Z2), Z2.value(0))
+    other = P.throw(P.exc_sig(ez), ez.value(2), Z2)
+    for bad, shown in ((state, "'state'/None"), (other, "'exc'/'EZ'")):
+        for call, wanted in ((lambda: th.theta1(bad), "EL"), (lambda: th.theta2(bad), "ER"),
+                             (lambda: th.theta_rel(bad, right), "EL"),
+                             (lambda: th.theta_rel(left, bad), "ER")):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (f"program is {shown}, observation wants exceptions "
+                                      f"over '{wanted}'")
+    # each side wants its own domain: the right signature is refused on the left
+    with pytest.raises(ValueError, match="program is 'exc'/'ER', observation wants "
+                                         "exceptions over 'EL'"):
+        th.theta_rel(right, right)
+
+
 def _counting(m, calls):
     """m with its relational tables prepared (`bind_rel`) and its binds
     through them counted in `calls`."""

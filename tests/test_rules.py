@@ -396,6 +396,87 @@ def test_flip_coupling_shares_one_coefficient_tuple_between_equal_tables():
     assert c2 is not c0 and c2 == (0, 1, 1, 0)
 
 
+def test_each_works_a_constant_family_once():
+    env = R.EMPTY_ENV.extend(*((f"b{i}", BOOL) for i in range(5)))
+    calls = []
+
+    def fn(p, d):
+        calls.append((p, d))
+        return (p, d)
+
+    half, d = F(1, 2), ((F(1, 2), F(0)), (F(0), F(1, 2)))
+    tables = R._tabulate(env, half), R._tabulate(env, d)
+    got = R._each(fn, *tables)
+    assert calls == [(half, d)]
+    assert type(got) is R.Table and got == R.Table(map(fn, *tables))
+    # entries equal by value are one family too; distinct ones keep the memo
+    calls.clear()
+    assert R._each(fn, R.Table(F(1, 2) for _ in range(4)), R.Table((d,) * 4)) == ((half, d),) * 4
+    assert calls == [(half, d)]
+    calls.clear()
+    varying = R.Table((half, F(0), half, F(0)))
+    assert R._each(fn, varying, R.Table((d,) * 4)) == R.Table(map(fn, varying, (d,) * 4))
+    assert calls[:2] == [(half, d), (F(0), d)] and len(calls) == 6
+
+
+def test_a_constant_flip_coupling_hashes_no_fraction(monkeypatch):
+    """A FlipCoupling node over 32 valuations with constant parameters is
+    derived, replayed and oracle-checked without hashing a Fraction."""
+    env = R.EMPTY_ENV.extend(*((f"b{i}", BOOL) for i in range(5)))
+    half, zero = F(1, 2), F(0)
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or real(x))
+    assert hash(F(1, 3)) == real(F(1, 3)) and hashed
+    hashed.clear()
+    dd = R.derive("FlipCoupling", env=env, p=half, q=half, d=((half, zero), (zero, half)))
+    assert len(dd.conclusion.w_table) == 32
+    assert R.check_derivation(dd).ok
+    assert R.oracle_check(dd.conclusion).holds
+    assert hashed == []
+
+
+def _coupling_grid():
+    """(p, q, d) over p, q in {0, 1/4, 1/3, 1/2, 1}: each coupling vertex,
+    one moved off the marginals, one with negative weights on the
+    marginals, a 2x3 and a 3x2 table; each also with its whole numbers
+    given as ints."""
+    grid = (F(0), F(1, 4), F(1, 3), F(1, 2), F(1))
+    whole = lambda v: int(v) if v.denominator == 1 else v
+    for p, q in product(grid, repeat=2):
+        lo, hi = max(F(0), p + q - 1), min(p, q)
+        for t in sorted({lo, hi}):
+            (a, b), (c, e) = d = ((1 - p - q + t, q - t), (p - t, t))
+            x = a + F(1, 5)
+            for dd in (d, ((a + F(1, 12), b), (c, e - F(1, 12))), ((a, b + F(1, 7)), (c, e)),
+                       ((a - x, b + x), (c + x, e - x)), ((a, b, F(0)), (c, e, F(0))),
+                       ((a, b), (c, e), (F(0), F(0)))):
+                yield p, q, dd
+                yield whole(p), whole(q), tuple(tuple(map(whole, row)) for row in dd)
+
+
+def test_flip_coupling_checks_in_integers_as_in_fractions():
+    space = sm.prob_space(BOOL, BOOL)
+    seen = set()
+    for p, q, d in _coupling_grid():
+        try:
+            want = reference.flip_coupling_by_fractions(p, q, d)
+        except R.RuleError as e:
+            want = str(e)
+        try:
+            got = R.derive("FlipCoupling", p=p, q=q, d=d).conclusion.w_table[0]
+        except R.RuleError as e:
+            got = str(e)
+        if isinstance(want, str):
+            assert got == want, (p, q, d)
+            seen.add(next(k for k in ("2x2", "nonnegative", "not a coupling") if k in want))
+        else:
+            (d00, d01), (d10, d11) = d
+            assert got is want is sm.linear_spec(space, [(0, (d00, d01, d10, d11))]), (p, q, d)
+            seen.add("accepted")
+    assert seen == {"accepted", "2x2", "nonnegative", "not a coupling"}
+
+
 # ---------------------------------------------------------------------------
 # Eliminators and conditionals
 

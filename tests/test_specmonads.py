@@ -1035,6 +1035,38 @@ def test_prob_bind_matches_evaluation_through_its_definition(seed):
         assert bound.at(phi) == reference.prob_bind_by_evaluation(wm, cont, phi)
 
 
+def _linear_pruned(space, den, rows, exact_prune=True):
+    """`specmonads._linear` pruning every form, a one-piece one too."""
+    den, rows = sm._lowest(den, rows)
+    den, rows = sm._lowest(den, sm.prune_pieces(rows, exact=exact_prune))
+    return sm._intern((space, den, rows), sm._prob_spec, space, den, rows)
+
+
+def _one_piece_specs():
+    """Units, FlipCoupling specs and binds of those, each one piece."""
+    space, target = sm.prob_space(BOOL, BOOL), sm.prob_space(BOOL, Z3)
+    rets = [sm.spec_ret(space, BOOL.value(i), BOOL.value(j)) for i in range(2) for j in range(2)]
+    couplings = [R.derive("FlipCoupling", p=p, q=q, d=d).conclusion.w_table[0]
+                 for p, q, d in ((F(1, 2), F(1, 2), ((F(1, 2), 0), (0, F(1, 2)))),
+                                 (F(1, 4), F(1, 3), ((F(2, 3), F(1, 12)), (0, F(1, 4)))),
+                                 (1, 0, ((0, 0), (1, 0))))]
+    conts = {(i, j): sm.spec_ret(target, BOOL.value(i), Z3.value((i + 2 * j) % 3))
+             for i in range(2) for j in range(2)}
+    binds = [sm.spec_bind(w, lambda i1, i2: conts[(i1, i2)]) for w in rets + couplings]
+    return rets + couplings + binds + [sm.linear_spec(target, [(F(1, 6), [F(1, 3)] * 6)])]
+
+
+def test_a_one_piece_spec_is_the_pooled_object_pruning_makes(monkeypatch):
+    kept = _one_piece_specs()
+    assert all(len(w.rows) == 1 for w in kept)
+    with monkeypatch.context() as m:
+        for module in (sm, R):
+            m.setattr(module, "_linear", _linear_pruned)
+        pruned = _one_piece_specs()
+    assert len(pruned) == len(kept) == 15
+    assert all(a is b for a, b in zip(pruned, kept))
+
+
 def test_a_bind_of_65536_piece_selections_is_decided_both_ways():
     # the uniform average over 16 outcomes of min(phi0, phi1): one piece
     # per selection would be 2 ** 16, but the sums collapse to 17
