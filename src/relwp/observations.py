@@ -5,7 +5,7 @@ Each observation maps two programs of a fixed effect into one carrier:
     theta_st    state pairs        -> WrelSt    (runs both sides, singleton demand)
     theta_ndet  nondeterminism     -> WrelPure  (forall / exists / forall-exists)
     theta_err   exceptions         -> WrelErr   (collapse every raise to one outcome)
-    theta_io    interactive pairs  -> WrelIO    (runs each side from its history)
+    theta_io    interactive pairs  -> WrelIO    (pairs each side's runs, after its history)
     theta_part  loops, partial     -> WrelSt    (divergence satisfies everything)
     theta_tot   loops, total       -> WrelSt    (divergence satisfies nothing)
     theta_prob  probabilistic      -> WrelProb  (infimum over couplings, exact LP)
@@ -25,15 +25,15 @@ Every observation here factors through the reference evaluators in
 battery builders rely on that to dedupe enumerated programs.  Each named
 observation states what it reads as its `key`: a program's signature,
 result domain and runs (`_run_key`; θ_st also whether an imp program has
-a loop), or for an io program its root `io_outcomes`, from which the
-outcomes at every history follow.  `check_morphism_laws` applies θ once
-per distinct pair of keys, so a battery is observed once per pair of behaviours, not per
-pair of programs.  None walks a program tree: the state and loop
+a loop).  `check_morphism_laws` applies θ once per distinct pair of keys,
+so a battery is observed once per pair of behaviours, not per pair of
+programs.  None walks a program tree: the state and loop
 observations, paired and one-sided, read each program's runs from the one
 table `programs._runs` keeps, and a diverging run makes a point trivial
 (partial) or unsatisfiable (total); θ_err reads each side's tagged outcome
-there, θ_ndet its outcome set and θ_prob its distribution, as ints over
-one denominator, so a program met many times is run once.
+there, θ_ndet its outcome set, θ_prob its distribution, as ints over
+one denominator, and θ_io its root outcomes, which hold at every history
+with that history appended; so a program met many times is run once.
 
 A deterministic run demands one outcome, and a run-table spec holds one
 family object per distinct outcome (the diverged ones are the shared
@@ -41,13 +41,12 @@ family object per distinct outcome (the diverged ones are the shared
 points.  `spec_bind` hands such a point its continuation's family itself,
 reading each spec's outcomes once, which is what makes
 θ(m >>= f) = θ(m) >>= θ∘f cost a lookup per point.
-The named observations other than `observation_io` are built once per
-argument tuple.
+The named observations are built once per argument tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -61,6 +60,7 @@ from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
     HOLDS,
+    IO_ROOT,
     ContTable,
     KernelSpec,
     LeqVerdict,
@@ -89,8 +89,6 @@ FORALL, EXISTS, FORALL_EXISTS = "forall", "exists", "forall-exists"
 NDET_MODES = (FORALL, EXISTS, FORALL_EXISTS)
 
 STRICT, LAX = "strict", "lax"
-
-IO_ROOT = (((), ()),)
 
 
 def _itself(c: Program) -> Program:
@@ -185,11 +183,7 @@ def _pair_runs(c1: Program, c2: Program, diverged) -> RelSpec:
 
 def _run_key(c: Program):
     """What an observation reads of c: its signature, so its effect, its
-    result domain and its runs.  An io program has no run table; it keys by
-    its root outcomes, since `io_outcomes(c, h)` is `io_outcomes(c)` with
-    h appended to every history, and every map but θ_io refuses it."""
-    if c.sig.effect == P.IO:
-        return c.sig, c.result, P.io_outcomes(c)
+    result domain and its runs."""
     return c.sig, c.result, P._runs(c)
 
 
@@ -325,53 +319,45 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
 # Interaction
 
 
-def _theta_io_spec(c: Program, space: OutcomeSpace, side: int, points) -> RelSpec:
-    """Run the program from its side's history at each point: the entry
-    holds every (result, final history) an input choice reaches, beside the
-    other side's history."""
+def _io_runs_spec(space: OutcomeSpace, r1, r2) -> RelSpec:
+    """Pair two sets of root io outcomes: at (h1, h2), each pair's value
+    pair with each side's events put before its history."""
+    width = space.a2.size
+
     def entry(pt):
         h1, h2 = pt
-        if side == 1:
-            return {(v.index, h, h2) for v, h in P.io_outcomes(c, h1)}
-        return {(v.index, h1, h) for v, h in P.io_outcomes(c, h2)}
+        return {(v1.index * width + v2.index, e1 + h1, e2 + h2)
+                for v1, e1 in r1 for v2, e2 in r2}
 
-    return io_demonic_spec(space, entry, points)
+    return io_demonic_spec(space, entry)
+
+
+_UNIT_RUNS = frozenset({(UNIT.value(0), ())})
 
 
 def unary_theta_io(side: int, i1: FiniteDomain, o1: FiniteDomain,
                    i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> UnaryObservation:
-    pts = tuple(points)
-    cache: Dict[Program, RelSpec] = {}
-
+    """One side's runs beside a unit return on the other, for `check_commute`."""
     def embed(c: Program) -> RelSpec:
-        w = cache.get(c)
-        if w is not None:
-            return w
         _expect_effect(c, P.IO, "unary_theta_io")
-        own_i, own_o = (i1, o1) if side == 1 else (i2, o2)
-        if c.sig.inp != own_i or c.sig.out != own_o:
+        if (c.sig.inp, c.sig.out) != ((i1, o1) if side == 1 else (i2, o2)):
             raise ValueError("program alphabets do not match the declared carrier")
         space = io_space(c.result if side == 1 else UNIT, i1, o1,
-                         c.result if side == 2 else UNIT, i2, o2)
-        w = _theta_io_spec(c, space, side, pts)
-        cache[c] = w
-        return w
+                         c.result if side == 2 else UNIT, i2, o2, points)
+        runs = P._runs(c)
+        return _io_runs_spec(space, *((runs, _UNIT_RUNS) if side == 1 else (_UNIT_RUNS, runs)))
 
-    return UnaryObservation(
-        name=f"theta-io/{side}",
-        effect=P.IO,
-        side=side,
-        target="WrelIO",
-        embed=embed,
-    )
+    return UnaryObservation(f"theta-io/{side}", P.IO, side, "WrelIO", embed)
 
 
 def theta_io(c1: Program, c2: Program, points=IO_ROOT) -> RelSpec:
-    """Pairing of the two one-sided interactive observations."""
+    """The product of the two sides' runs (`_io_runs_spec`), compared at
+    `points`: the sides do not interact, so neither constrains the other."""
     _expect_effect(c1, P.IO, "theta_io")
     _expect_effect(c2, P.IO, "theta_io")
-    obs = observation_io(c1.sig.inp, c1.sig.out, c2.sig.inp, c2.sig.out, points)
-    return obs.map(c1, c2)
+    space = io_space(c1.result, c1.sig.inp, c1.sig.out, c2.result, c2.sig.inp, c2.sig.out,
+                     points)
+    return _io_runs_spec(space, P._runs(c1), P._runs(c2))
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +512,11 @@ def _pair_space(sp1: OutcomeSpace, sp2: OutcomeSpace) -> OutcomeSpace:
         raise ValueError(f"cannot pair {sp1.tag} with {sp2.tag}")
     if sp1.a2 != UNIT or sp2.a1 != UNIT:
         raise ValueError("one-sided specs must keep the unit domain on the off side")
-    for f in ("s1", "s2", "i1", "o1", "i2", "o2"):
+    for f in ("s1", "s2", "i1", "o1", "i2", "o2", "histories"):
         if getattr(sp1, f) != getattr(sp2, f):
             raise ValueError("one-sided specs disagree on the ambient carrier")
     return outcome_space(sp1.tag, sp1.a1, sp2.a2, sp1.s1, sp1.s2,
-                         sp1.i1, sp1.o1, sp1.i2, sp1.o2)
+                         sp1.i1, sp1.o1, sp1.i2, sp1.o2, sp1.histories)
 
 
 def _sequence(w1: RelSpec, w2: RelSpec, left_first: bool = True) -> RelSpec:
@@ -538,12 +524,9 @@ def _sequence(w1: RelSpec, w2: RelSpec, left_first: bool = True) -> RelSpec:
     first when not `left_first`."""
     tspace = _pair_space(w1.space, w2.space)
     a1d, a2d = tspace.a1, tspace.a2
-    kw = {}
-    if tspace.tag == "WrelIO":
-        kw = dict(points=(w1 if left_first else w2).io_points)
 
     def ret(i1, i2):
-        return spec_ret(tspace, Value(a1d, i1), Value(a2d, i2), **kw)
+        return spec_ret(tspace, Value(a1d, i1), Value(a2d, i2))
 
     if left_first:
         return spec_bind(w1, lambda i1, _u: spec_bind(w2, lambda _v, i2: ret(i1, i2)))
@@ -623,9 +606,7 @@ def from_relator(gamma: Callable[[Callable[[Value, Value], bool], frozenset, fro
 
 
 # Rules and batteries ask for their observation at every application, so
-# each named observation is built once per argument tuple.  `observation_io`
-# is built per call: its maps keep a spec per program they embed, and so
-# keep those programs alive, in the pool too, as long as the observation.
+# each named observation is built once per argument tuple.
 
 
 @lru_cache(maxsize=None)
@@ -647,11 +628,20 @@ def observation_err() -> EffectObservation:
     return EffectObservation("theta-err", P.EXC, P.EXC, "WrelErr", theta_err, STRICT, _run_key)
 
 
+@lru_cache(maxsize=None)
 def observation_io(i1: FiniteDomain, o1: FiniteDomain,
                    i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> EffectObservation:
-    u1 = unary_theta_io(1, i1, o1, i2, o2, points)
-    u2 = unary_theta_io(2, i1, o1, i2, o2, points)
-    return replace(from_commuting_pair(u1, u2, name="theta-io"), key=_run_key)
+    """θ_io at `points`, for programs over these alphabets alone."""
+    sigs = P.io_sig(i1, o1), P.io_sig(i2, o2)
+
+    def map_fn(c1: Program, c2: Program) -> RelSpec:
+        if (c1.sig, c2.sig) != sigs:
+            _expect_effect(c1, P.IO, "theta_io")
+            _expect_effect(c2, P.IO, "theta_io")
+            raise ValueError("program alphabets do not match the declared carrier")
+        return theta_io(c1, c2, points)
+
+    return EffectObservation("theta-io", P.IO, P.IO, "WrelIO", map_fn, STRICT, _run_key)
 
 
 @lru_cache(maxsize=None)
@@ -852,9 +842,7 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
         for a1, a2 in battery.rets:
             c1, c2 = P.ret(battery.sig1, a1), P.ret(battery.sig2, a2)
             lhs = theta(c1, c2, key(c1), key(c2))
-            kw = dict(points=lhs.io_points) if lhs.tag == "WrelIO" else {}
-            rhs = spec_ret(lhs.space, a1, a2, **kw)
-            yield "ret", (a1, a2), spec_leq, lhs, rhs
+            yield "ret", (a1, a2), spec_leq, lhs, spec_ret(lhs.space, a1, a2)
 
     def distinct(xs):
         """The distinct objects among xs in order, and each entry's

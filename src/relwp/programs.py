@@ -35,9 +35,9 @@ state program is an imp program without loops), and `_runs` keeps each
 program's runs on the program, the one table its observation reads: the
 runs from every initial state of a state or imp program (a bind whose
 parts have run composes their runs), the tagged
-outcome of an exc program, the outcome set of an ndet program, and the
-output distribution of a prob program as ints over one denominator, built
-from its subtrees' runs.  One fold with a
+outcome of an exc program, the outcome set of an ndet program, the root
+outcomes of an io program, and the output distribution of a prob program
+as ints over one denominator, built from its subtrees' runs.  One fold with a
 per-node callback would serve the evaluators, but replaying the 368,684
 outermost evaluator calls of one `laws` bench pass took 6.6 s that way,
 against 0.93-1.09 s with recursive evaluators and 0.83-0.94 s with
@@ -660,7 +660,14 @@ def run_io(p: Program, inputs: Sequence[Value]) -> Tuple[Value, History]:
 
 
 def io_outcomes(p: Program, h: History = ()) -> FrozenSet[Tuple[Value, History]]:
-    """All (result, final history) pairs over every possible input choice."""
+    """All (result, final history) pairs over every possible input choice,
+    from history h: p's root outcomes (`_runs`) with h appended."""
+    runs = _runs(p)
+    return frozenset((v, e + h) for v, e in runs) if h else runs
+
+
+def _io_walk(p: Program) -> FrozenSet[Tuple[Value, History]]:
+    """p's root outcomes: (result, events newest first) per input choice."""
     out = set()
     # one run per entry: its program, the tables of its open binds and its
     # events so far, both as linked pairs (newest, rest) shared between runs
@@ -675,7 +682,7 @@ def io_outcomes(p: Program, h: History = ()) -> FrozenSet[Tuple[Value, History]]
                 while ev is not None:
                     e, ev = ev
                     hist.append(e)
-                out.add((n.value, tuple(hist) + h))
+                out.add((n.value, tuple(hist)))
             else:
                 table, conts = conts
                 todo.append((table[n.value.index], conts, ev))
@@ -801,6 +808,8 @@ def _runs(p: Program):
       ndet        the frozenset of the indices of the values it may return
       exc         the tagged outcome index: v's index for a normal result
                   v, |result| + e's index for a raised e (`run_exc`)
+      io          the frozenset of its root outcomes (`io_outcomes`), one
+                  (value, history) per input choice, walked once
     """
     t = p._runs
     if t is None:
@@ -814,6 +823,8 @@ def _runs(p: Program):
         elif eff == EXC:
             tag, v = run_exc(p)
             t = v.index if tag == OK else p.result.size + v.index
+        elif eff == IO:
+            t = _io_walk(p)
         else:
             n, node = p.sig.state.size, p.node
             if (type(node) is Bind and node.inner._runs is not None

@@ -493,18 +493,12 @@ def _extension(base: Env, ext: Env, doms: Tuple[FiniteDomain, ...], who: str) ->
                             f"{d.name!r}, expected {want.name!r}")
 
 
-def _unsat_like(w: RelSpec) -> RelSpec:
-    if w.tag == "WrelIO":
-        return unsatisfiable(w.space, points=w.io_points)
-    return unsatisfiable(w.space)
-
-
 # ---------------------------------------------------------------------------
 # Generic monadic rules
 
 
 def _ret_space(target: str, sig1: Signature, sig2: Signature,
-               a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
+               a1: FiniteDomain, a2: FiniteDomain, points=IO_ROOT) -> OutcomeSpace:
     if target == "WrelSt":
         return state_space(a1, sig1.state, a2, sig2.state)
     if target == "WrelPure":
@@ -512,7 +506,7 @@ def _ret_space(target: str, sig1: Signature, sig2: Signature,
     if target == "WrelErr":
         return err_space(a1, a2)
     if target == "WrelIO":
-        return io_space(a1, sig1.inp, sig1.out, a2, sig2.inp, sig2.out)
+        return io_space(a1, sig1.inp, sig1.out, a2, sig2.inp, sig2.out, points)
     if target == "WrelProb":
         return prob_space(a1, a2)
     raise RuleError(f"no unit spec for carrier {target!r}")
@@ -527,8 +521,8 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     points = tuple(r.get("points", IO_ROOT))
     c1 = _each(partial(P.ret, sig1), a1s)
     c2 = _each(partial(P.ret, sig2), a2s)
-    w = _each(lambda a1, a2: spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain),
-                                      a1, a2, points=points), a1s, a2s)
+    w = _each(lambda a1, a2: spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain,
+                                                 points), a1, a2), a1s, a2s)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -602,7 +596,7 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     env = r.get("env", EMPTY_ENV)
     c1, c2, w = (_tabulate(env, r.need(key)) for key in ("c1", "c2", "w"))
     for i, (w0,) in _firsts(w):
-        if not spec_leq(_unsat_like(w0), w0).holds:
+        if not spec_leq(unsatisfiable(w0.space), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
                             f"(the vacuous claim) but is not at {_show_valuation(env, i)}")
     return judgment(obs, c1, c2, w, env)
@@ -671,7 +665,7 @@ def _if_sync(r: RuleInstance, prem) -> Judgment:
     c2 = Table((jt if b else jf).c2_table[i] for i, b in enumerate(b2))
     # Guards that disagree contradict the rule's synchronization claim, so
     # the precondition is false there and the spec claims nothing.
-    w = Table(_unsat_like(jt.w_table[i]) if x1 != x2 else (jt if x1 else jf).w_table[i]
+    w = Table(unsatisfiable(jt.w_table[i].space) if x1 != x2 else (jt if x1 else jf).w_table[i]
               for i, (x1, x2) in enumerate(zip(b1, b2)))
     return judgment(obs, c1, c2, w, env)
 
@@ -1031,20 +1025,20 @@ def _one_event_spec(sig1: Signature, sig2: Signature, points, left: bool, other:
     return of `other` on the other side: the event goes on the acting
     side's history."""
     if left:
-        sp = io_space(rdom, sig1.inp, sig1.out, other.domain, sig2.inp, sig2.out)
+        sp = io_space(rdom, sig1.inp, sig1.out, other.domain, sig2.inp, sig2.out, points)
 
         def fn(pt):
             h1, h2 = pt
             return {(x.index * other.domain.size + other.index, (ev,) + h1, h2)
                     for x, ev in steps}
     else:
-        sp = io_space(other.domain, sig1.inp, sig1.out, rdom, sig2.inp, sig2.out)
+        sp = io_space(other.domain, sig1.inp, sig1.out, rdom, sig2.inp, sig2.out, points)
 
         def fn(pt):
             h1, h2 = pt
             return {(other.index * rdom.size + x.index, h1, (ev,) + h2) for x, ev in steps}
 
-    return io_demonic_spec(sp, fn, points)
+    return io_demonic_spec(sp, fn)
 
 
 @CORE.rule("InputL", "InputR", arity=0)
@@ -1254,9 +1248,10 @@ def check_derivation(d: Derivation) -> CheckResult:
     working once per distinct entry, and its result is compared with the
     stated tables once per distinct entry.  An honest node's recomputed
     programs and specs are the stated objects (`programs._intern`; an
-    interactive spec has the stated entries): no program is normalized and
-    no LP runs.  A stated spec of another carrier fails its node, as any
-    other difference does."""
+    interactive spec, which is not pooled, has the stated entries): no
+    program is normalized and no LP runs.  A stated spec of another space
+    fails its node, as any other difference does: another carrier, or an
+    interactive spec declared at other history points."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     while stack:
@@ -1391,11 +1386,11 @@ def _grow_demonic(rng: random.Random, w: RelSpec) -> RelSpec:
 
 
 def _grow_io(rng: random.Random, w: RelSpec) -> RelSpec:
-    doomed = frozenset(pt for pt in w.io_points if rng.random() < 0.2)
+    doomed = frozenset(pt for pt in w.space.histories if rng.random() < 0.2)
     if not doomed:
         return w
     return io_demonic_spec(w.space, lambda pt, _w=w: VIOLATED if pt in doomed
-                           else _w.demonic_at(pt), w.io_points)
+                           else _w.demonic_at(pt))
 
 
 def _raise_prob(rng: random.Random, w: RelSpec) -> RelSpec:
@@ -1649,11 +1644,7 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
             rr2 = r2 if r2 is not None else rng.choice(pool)
             p1 = random_program(rng, sig1, rr1, min(d, 3))
             p2 = random_program(rng, sig2, rr2, min(d, 3))
-            if obs.target == "WrelIO":
-                top = unsatisfiable(io_space(rr1, idom, odom, rr2, idom, odom),
-                                    points=IO_ROOT)
-            else:
-                top = unsatisfiable(_ret_space(obs.target, sig1, sig2, rr1, rr2))
+            top = unsatisfiable(_ret_space(obs.target, sig1, sig2, rr1, rr2))
             return derive("ZeroElim", observation=obs, env=env, c1=p1, c2=p2, w=top)
 
         if kind == "dowhile":

@@ -37,15 +37,16 @@ precondition row only adds a conjunction to each.
 The interactive carrier has one body too: a demonic entry per history
 point, the set of (value pair, history, history) outcomes that must all
 satisfy the postcondition, or VIOLATED.  Entries are computed lazily and
-kept once read; bind threads histories through them and `spec_leq`
-compares them by set inclusion at every declared point.  The quantitative
-carrier's one body is a minimum of affine pieces, held as rows of ints
-over one positive denominator per spec, in lowest terms after pruning, so
-equal specs have equal rows; `pieces` is the rational view.  Bind scales
-its continuations to one denominator and expands the pieces exactly,
-pruning as it goes, and past a documented size raises `SpecTooLarge`;
-`spec_leq` scales both sides to one denominator and compares pieces
-exactly by linear programming.
+kept once read; bind threads histories through them.  The space declares
+the history points where `spec_leq` compares entries, by set inclusion
+(`io_space`'s `histories`).  The quantitative carrier's one body is a
+minimum of affine pieces, held as rows of ints over one positive
+denominator per spec, in lowest terms after pruning, so equal specs have
+equal rows; `pieces` is the rational view.  Bind scales its continuations
+to one denominator and expands the pieces exactly, pruning as it goes,
+and past a documented size raises `SpecTooLarge`; `spec_leq` scales both
+sides to one denominator and compares pieces exactly by linear
+programming.
 
 Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
 per field tuple, however it is built, so the shape checks in bind and
@@ -132,11 +133,13 @@ class OutcomeSpace(Canonical):
     """Carrier shape of a spec: which outcomes postconditions range over.
 
     The value domains a1/a2 are always present.  State carriers add
-    s1/s2, interactive carriers add per-side input and output alphabets.
-    For the fixed carriers `size` counts outcomes exactly; a PPrel space
-    has the outcomes and points of its Wrel space.  Interactive
-    outcomes are (value pair, history, history) triples and form no finite
-    domain: each spec lists the ones it demands per history point.
+    s1/s2, interactive carriers add per-side input and output alphabets
+    and the history points where their specs are compared (`histories`,
+    None on every other carrier).  For the fixed carriers `size` counts
+    outcomes exactly; a PPrel space has the outcomes and points of its Wrel
+    space.  Interactive outcomes are (value pair, history, history) triples
+    and form no finite domain: each spec lists the ones it demands per
+    history point.
     """
 
     tag: str
@@ -148,6 +151,7 @@ class OutcomeSpace(Canonical):
     o1: Optional[FiniteDomain] = None
     i2: Optional[FiniteDomain] = None
     o2: Optional[FiniteDomain] = None
+    histories: Optional[tuple] = None
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -155,8 +159,9 @@ class OutcomeSpace(Canonical):
         needs_state = self.tag in _STATE_TAGS
         if needs_state and (self.s1 is None or self.s2 is None):
             raise ValueError(f"{self.tag} needs state domains on both sides")
-        if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2):
-            raise ValueError("WrelIO needs input and output alphabets on both sides")
+        if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2, self.histories):
+            raise ValueError("WrelIO needs input and output alphabets on both sides "
+                             "and its history points")
 
     @cached_property
     def size(self) -> int:
@@ -235,32 +240,39 @@ outcome_space = OutcomeSpace
 
 
 def pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelPure", a1, a2, None, None, None, None, None, None)
+    return OutcomeSpace("WrelPure", a1, a2, None, None, None, None, None, None, None)
 
 
 def state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelSt", a1, a2, s1, s2, None, None, None, None)
+    return OutcomeSpace("WrelSt", a1, a2, s1, s2, None, None, None, None, None)
 
 
 def err_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelErr", a1, a2, None, None, None, None, None, None)
+    return OutcomeSpace("WrelErr", a1, a2, None, None, None, None, None, None, None)
+
+
+# the one history point of two runs that have done nothing yet
+IO_ROOT = (((), ()),)
 
 
 def io_space(a1: FiniteDomain, i1: FiniteDomain, o1: FiniteDomain,
-             a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelIO", a1, a2, None, None, i1, o1, i2, o2)
+             a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain,
+             points=IO_ROOT) -> OutcomeSpace:
+    """The interactive space whose specs are compared at `points`, history
+    pairs (h1, h2), each history newest event first."""
+    return OutcomeSpace("WrelIO", a1, a2, None, None, i1, o1, i2, o2, tuple(points))
 
 
 def prob_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelProb", a1, a2, None, None, None, None, None, None)
+    return OutcomeSpace("WrelProb", a1, a2, None, None, None, None, None, None, None)
 
 
 def pp_pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelPure", a1, a2, None, None, None, None, None, None)
+    return OutcomeSpace("PPrelPure", a1, a2, None, None, None, None, None, None, None)
 
 
 def pp_state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelSt", a1, a2, s1, s2, None, None, None, None)
+    return OutcomeSpace("PPrelSt", a1, a2, s1, s2, None, None, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +524,16 @@ class RelSpec:
 
     __slots__ = (
         "tag", "space", "fams", "table", "rows", "den",
-        "pre", "io_points", "_io_cache", "_outs", "__weakref__",
+        "pre", "_io_cache", "_outs", "__weakref__",
     )
 
-    def __init__(self, tag, space, fams=None, table=None, pieces=None,
-                 pre=None, io_points=None):
+    def __init__(self, tag, space, fams=None, table=None, pieces=None, pre=None):
         self.tag = tag
         self.space = space
         self.fams = fams
         self.table = table
         self.den, self.rows = (None, None) if pieces is None else _int_pieces(space, pieces)
         self.pre = pre
-        self.io_points = io_points
         # entries read so far; only interactive table specs have any
         self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
             {} if table is not None else None)
@@ -711,18 +721,17 @@ def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
     return _fixed(space, fams)
 
 
-def io_demonic_spec(space: OutcomeSpace, fn, points) -> RelSpec:
+def io_demonic_spec(space: OutcomeSpace, fn) -> RelSpec:
     """Interactive spec from its demonic entries, the one body of the
     interactive carrier.
 
     `fn` maps a history pair to VIOLATED or a set of (value, h1, h2)
     outcomes, where value indexes the value pair; it is called at most once
-    per point.  `points` declares where comparisons happen.
+    per point.
     """
     if space.tag != "WrelIO":
         raise ValueError("io_demonic_spec needs the interactive carrier")
-    pts = tuple(points)
-    return RelSpec("WrelIO", space, table=lambda pt: _norm_io_entry(fn(pt)), io_points=pts)
+    return RelSpec("WrelIO", space, table=lambda pt: _norm_io_entry(fn(pt)))
 
 
 def _norm_io_entry(entry):
@@ -845,21 +854,20 @@ def _check_value(v: Value, dom: FiniteDomain, side: str):
         raise ValueError(f"{side} value from domain {v.domain.name!r}, expected {dom.name!r}")
 
 
-def spec_ret(space: OutcomeSpace, a1: Value, a2: Value, points=None) -> RelSpec:
+def spec_ret(space: OutcomeSpace, a1: Value, a2: Value) -> RelSpec:
     """The unit: demand the postcondition exactly at the given value pair."""
     _check_value(a1, space.a1, "left")
     _check_value(a2, space.a2, "right")
-    return _ret(space, a1.index, a2.index, points)
+    return _ret(space, a1.index, a2.index)
 
 
-def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
+def _ret(space: OutcomeSpace, i1: int, i2: int) -> RelSpec:
     tag = space.tag
     if tag == "WrelErr":
         return _fixed(space, [frozenset({1 << space.err_ok(i1, i2)})])
     if tag == "WrelIO":
-        pts = tuple(points) if points is not None else (((), ()),)
         v = i1 * space.a2.size + i2
-        return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])}, pts)
+        return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])})
     if tag == "WrelProb":
         coeffs = [0] * space.size
         coeffs[i1 * space.a2.size + i2] = 1
@@ -873,19 +881,23 @@ def _ret(space: OutcomeSpace, i1: int, i2: int, points) -> RelSpec:
 
 
 def _conts(space: OutcomeSpace, wf) -> Dict[Tuple[int, int], RelSpec]:
+    pairs = [(i1, i2) for i1 in range(space.a1.size) for i2 in range(space.a2.size)]
     if callable(wf):
-        get = wf
+        ws = [wf(i1, i2) for i1, i2 in pairs]
     elif isinstance(wf, dict):
-        get = lambda i1, i2: wf[(i1, i2)]
+        try:
+            ws = [wf[pair] for pair in pairs]
+        except KeyError as e:
+            raise ValueError("continuation table has no entry for the value pair "
+                             f"{e.args[0]}") from None
+    elif len(wf) != len(pairs):
+        raise ValueError(f"continuation table has {len(wf)} entries, expected {len(pairs)}")
     else:
-        get = lambda i1, i2: wf[i1 * space.a2.size + i2]
-    out = {}
-    for i1 in range(space.a1.size):
-        for i2 in range(space.a2.size):
-            w = get(i1, i2)
-            if not isinstance(w, RelSpec):
-                raise ValueError("continuation table must yield specs")
-            out[(i1, i2)] = w
+        ws = wf
+    out = dict(zip(pairs, ws))
+    for w in out.values():
+        if not isinstance(w, RelSpec):
+            raise ValueError("continuation table must yield specs")
     return out
 
 
@@ -893,9 +905,10 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
     """The continuations' common space.
 
     Every continuation must carry wm's tag, the first continuation's value
-    domains, and wm's ambient fields (states, alphabets).  A space equal to
-    the first is that very object and needs only its tag checked; the
-    errors and their order are those of checking each continuation in turn.
+    domains, and wm's ambient fields (states, alphabets, history points).
+    A space equal to the first is that very object and needs only its tag
+    checked; the errors and their order are those of checking each
+    continuation in turn.
     """
     first = None
     for w in conts.values():
@@ -909,8 +922,8 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
         elif (sp.a1, sp.a2) != (first.a1, first.a2):
             raise ValueError("continuations disagree on their value domains")
         amb = wm.space
-        if (sp.s1, sp.s2, sp.i1, sp.o1, sp.i2, sp.o2) != (
-                amb.s1, amb.s2, amb.i1, amb.o1, amb.i2, amb.o2):
+        if (sp.s1, sp.s2, sp.i1, sp.o1, sp.i2, sp.o2, sp.histories) != (
+                amb.s1, amb.s2, amb.i1, amb.o1, amb.i2, amb.o2, amb.histories):
             raise ValueError("continuations must keep the ambient carrier shape")
     return first
 
@@ -1040,7 +1053,7 @@ def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
             acc |= sub
         return frozenset(acc)
 
-    return RelSpec("WrelIO", cspace, table=entry, io_points=wm.io_points)
+    return RelSpec("WrelIO", cspace, table=entry)
 
 
 def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -1191,12 +1204,11 @@ def embed_pp_in_wp(w: RelSpec) -> RelSpec:
 # Distinguished elements
 
 
-def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
+def unsatisfiable(space: OutcomeSpace) -> RelSpec:
     """The top claim: no postcondition is guaranteed anywhere."""
     tag = space.tag
     if tag == "WrelIO":
-        pts = tuple(points) if points is not None else (((), ()),)
-        return io_demonic_spec(space, lambda pt: VIOLATED, pts)
+        return io_demonic_spec(space, lambda pt: VIOLATED)
     if tag == "WrelProb":
         return _linear(space, 1, ((1, (0,) * space.size),))
     if tag in PP_TAGS:
@@ -1205,12 +1217,11 @@ def unsatisfiable(space: OutcomeSpace, points=None) -> RelSpec:
     return _fixed(space, [_NONE] * space.point_count)
 
 
-def weakest(space: OutcomeSpace, points=None) -> RelSpec:
+def weakest(space: OutcomeSpace) -> RelSpec:
     """The least claim: trivially satisfied by every observation."""
     tag = space.tag
     if tag == "WrelIO":
-        pts = tuple(points) if points is not None else (((), ()),)
-        return io_demonic_spec(space, lambda pt: frozenset(), pts)
+        return io_demonic_spec(space, lambda pt: frozenset())
     if tag == "WrelProb":
         return _linear(space, 1, ((0, (0,) * space.size),))
     pre = (True,) * space.point_count if tag in PP_TAGS else None
@@ -1258,10 +1269,10 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     (one demand per point).
 
     Interactive specs have one body, a demonic entry per history point, and
-    compare exactly by set inclusion at every declared point: w <= w2 fails
-    at the first point where w2's entry is satisfiable and w's is VIOLATED
-    or not inside it, with w2's entry, listed in index order, as the
-    witness `phi`.  Quantitative
+    compare exactly by set inclusion at every point their space declares:
+    w <= w2 fails at the first point where w2's entry is satisfiable and
+    w's is VIOLATED or not inside it, with w2's entry, listed in index
+    order, as the witness `phi`.  Quantitative
     specs are pieces on both sides and compare exactly over one common
     denominator: per piece of w2, a box bound settles the difference family
     when it is already <= 0, and linear programming decides the rest.
@@ -1327,9 +1338,7 @@ def _scale_rows(rows: tuple, f: int) -> tuple:
 
 
 def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:
-    if set(w.io_points) != set(w2.io_points):
-        raise ValueError("cannot compare interactive specs with different declared points")
-    for pt in w.io_points:
+    for pt in w.space.histories:
         r2 = w2.demonic_at(pt)
         if r2 is VIOLATED:
             continue

@@ -342,7 +342,8 @@ def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
     i1, o1, i2, o2 = alph
 
     def space(dom):
-        return io_space(dom if side == 1 else UNIT, i1, o1, dom if side == 2 else UNIT, i2, o2)
+        return io_space(dom if side == 1 else UNIT, i1, o1, dom if side == 2 else UNIT, i2, o2,
+                        points)
 
     def push(ev, pt):
         h1, h2 = pt
@@ -357,15 +358,14 @@ def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
         if isinstance(n, Ret):
             u = Value(UNIT, 0)
             pair = (n.value, u) if side == 1 else (u, n.value)
-            return spec_ret(space(q.result), *pair, points=points)
+            return spec_ret(space(q.result), *pair)
         if isinstance(n, Output):
             ev = (OUT, n.value)
-            return then(io_demonic_spec(space(UNIT), lambda pt: {(0,) + push(ev, pt)}, points),
-                        [n.then])
+            return then(io_demonic_spec(space(UNIT), lambda pt: {(0,) + push(ev, pt)}), [n.then])
         if isinstance(n, Input):
             d = q.sig.inp
             read = lambda pt: {(v.index,) + push((IN, v), pt) for v in d.values()}
-            return then(io_demonic_spec(space(d), read, points), n.cont)
+            return then(io_demonic_spec(space(d), read), n.cont)
         if isinstance(n, Bind):
             return then(walk(n.inner), n.cont)
         raise TypeError(f"{n.__class__.__name__} under io")
@@ -681,8 +681,7 @@ def morphism_laws_by_instance(obs, battery):
     def rets():
         for a1, a2 in battery.rets:
             lhs = obs.map(P.ret(battery.sig1, a1), P.ret(battery.sig2, a2))
-            kw = dict(points=lhs.io_points) if lhs.tag == "WrelIO" else {}
-            yield (a1, a2), lhs, spec_ret(lhs.space, a1, a2, **kw)
+            yield (a1, a2), lhs, spec_ret(lhs.space, a1, a2)
 
     def binds():
         for f1, f2 in battery.fs:

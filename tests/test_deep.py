@@ -20,8 +20,9 @@ import pytest
 from relwp import observations as O
 from relwp import programs as P
 from relwp import rules as R
+from relwp import specmonads as sm
 from relwp import whilelang as W
-from relwp.domains import UNIT_VAL, boolv, domain
+from relwp.domains import UNIT, UNIT_VAL, boolv, domain
 
 N = 10 ** 4
 
@@ -182,6 +183,19 @@ def test_one_sided_embeddings_of_long_chains():
     assert w.demonic_at(((), ())) == frozenset({(0, history, ())})
     # the pair reads the left entry, then the right one from its end point
     assert O.theta_io(q, q).demonic_at(((), ())) == frozenset({(0, history, history)})
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_deep_io_bind_chains_read_without_recursion(nesting):
+    # reading a bind fills the entries it needs from an explicit stack
+    n = sys.getrecursionlimit() + 1000
+    space = sm.io_space(UNIT, Z2, Z2, UNIT, Z2, Z2)
+    ev = (P.OUT, Z2.value(1))
+    out = sm.io_demonic_spec(space, lambda pt: {(0, (ev,) + pt[0], pt[1])})
+    chain = out
+    for _ in range(n - 1):
+        chain = sm.spec_bind(chain, [out]) if nesting == "left" else sm.spec_bind(out, [chain])
+    assert chain.demonic_at(((), ())) == frozenset({(0, (ev,) * n, ())})
 
 
 def _left_chain(first, table, n=N):

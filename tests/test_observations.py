@@ -194,7 +194,7 @@ def test_theta_io_output_left():
 
 def test_theta_io_ret_is_unit():
     w = O.theta_io(P.ret(IOSIG, Value(Z2, 1)), P.ret(IOSIG, Value(Z2, 0)))
-    assert_equiv(w, sm.spec_ret(w.space, Value(Z2, 1), Value(Z2, 0), points=w.io_points))
+    assert_equiv(w, sm.spec_ret(w.space, Value(Z2, 1), Value(Z2, 0)))
 
 
 def test_theta_io_matches_outcome_product():
@@ -238,6 +238,73 @@ def test_theta_io_matches_the_reference_walk():
     for c1, c2 in list(battery.ms[::61]) + list(zip(pool[::7], pool[::-5])):
         w, ref = O.theta_io(c1, c2, points=pts), reference.theta_io_by_walks(c1, c2, pts)
         assert all(w.demonic_at(pt) == ref.demonic_at(pt) for pt in pts), (c1, c2)
+
+
+# the declared points of `test_theta_io_matches_the_reference_walk`
+_THREE_POINTS = (ROOT, (((P.OUT, Z2.value(0)),), ()),
+                 (((P.IN, Z2.value(1)),), ((P.OUT, Z2.value(1)), (P.IN, Z2.value(0)))))
+
+
+def test_io_observations_refuse_programs_over_other_alphabets():
+    ok = P.ret(IOSIG, Z2.value(0))
+    obs = O.observation_io(Z2, Z2, Z2, Z2)
+    refused = "program alphabets do not match the declared carrier"
+    for other in (P.io_sig(Z3, Z2), P.io_sig(Z2, Z3)):
+        c = P.output(other, other.out.value(0), P.ret(other, Z2.value(1)))
+        for c1, c2 in ((c, ok), (ok, c)):
+            with pytest.raises(ValueError, match=refused):
+                obs.map(c1, c2)
+        for side in (1, 2):
+            with pytest.raises(ValueError, match=refused):
+                O.unary_theta_io(side, Z2, Z2, Z2, Z2).embed(c)
+    with pytest.raises(ValueError, match="theta_io expects io programs"):
+        obs.map(P.ret(P.ndet_sig(), Z2.value(0)), ok)
+
+
+def test_observation_io_is_built_once_per_argument_tuple():
+    assert O.observation_io(Z2, Z2, Z2, Z2) is O.observation_io(Z2, Z2, Z2, Z2)
+    at = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
+    assert at is O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
+    assert at is not O.observation_io(Z2, Z2, Z2, Z2)
+    c = P.read_input(IOSIG)
+    assert at.map(c, c).space is sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2, _THREE_POINTS)
+
+
+def test_theta_io_binds_no_spec(monkeypatch):
+    def bound(*_):
+        raise AssertionError("θ_io bound specs")
+
+    monkeypatch.setattr(sm, "spec_bind", bound)
+    monkeypatch.setattr(O, "spec_bind", bound)
+    pool = enumerate_classes(IOSIG, Z2, 2)
+    for c1, c2 in product(pool, repeat=2):
+        w = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS).map(c1, c2)
+        assert all(w.demonic_at(pt) for pt in _THREE_POINTS)
+
+
+def test_an_io_program_is_walked_once_whatever_reads_it(monkeypatch):
+    # fresh programs over their own alphabet, so no earlier run is kept
+    d = domain("walked-once", 3)
+    sig = P.io_sig(d, d)
+    c1 = P.inp(sig, lambda i: P.output(sig, i, P.ret(sig, i)))
+    c2 = P.output(sig, d.value(1), P.read_input(sig))
+    assert c1._runs is None and c2._runs is None
+    walked, walk = [], P._io_walk
+
+    def counted(p):
+        walked.append(p)
+        return walk(p)
+
+    monkeypatch.setattr(P, "_io_walk", counted)
+    h = ((P.IN, d.value(2)),)
+    for pts in (O.IO_ROOT, (ROOT, (h, ()), ((), h))):
+        for w in (O.theta_io(c1, c2, pts), O.observation_io(d, d, d, d, pts).map(c2, c1),
+                  O.unary_theta_io(1, d, d, d, d, pts).embed(c1),
+                  O.unary_theta_io(2, d, d, d, d, pts).embed(c2)):
+            assert all(w.demonic_at(pt) for pt in pts)
+    assert P.io_outcomes(c1, h) == {(v, e + h) for v, e in P.io_outcomes(c1)}
+    assert P.semantic_key(c2) == O._run_key(c2)[2] == P.io_outcomes(c2)
+    assert walked == [c1, c2]
 
 
 def test_io_unary_pair_commutes_on_enumeration():
@@ -640,12 +707,16 @@ def test_commuting_state_pair_reproduces_theta_st():
 
 
 def test_commuting_io_pair_is_theta_io():
-    u1 = O.unary_theta_io(1, Z2, Z2, Z2, Z2)
-    u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2)
-    obs = O.from_commuting_pair(u1, u2)
+    # the one-sided specs sequenced by binds against θ_io's product of runs
     pool = enumerate_classes(IOSIG, Z2, 2)
-    for c1, c2 in product(pool[:6], pool[:6]):
-        assert_equiv(obs.map(c1, c2), O.theta_io(c1, c2))
+    for pts in (O.IO_ROOT, _THREE_POINTS):
+        u1 = O.unary_theta_io(1, Z2, Z2, Z2, Z2, pts)
+        u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2, pts)
+        obs = O.from_commuting_pair(u1, u2)
+        for c1, c2 in product(pool[:6], pool[:6]):
+            w = O.theta_io(c1, c2, pts)
+            assert w.space.histories == pts
+            assert_equiv(obs.map(c1, c2), w)
 
 
 def test_from_commuting_pair_validates_sides():

@@ -285,6 +285,10 @@ def test_io_axioms_at_a_nonempty_history_point():
     assert_theta_equal(d)
     entry = d.conclusion.spec().demonic_at(pt)
     assert entry == frozenset({(1, ((P.OUT, Z2.value(0)), (P.OUT, Z2.value(1))), ())})
+    # the points are part of the space: replayed at the root, the claim differs
+    at_root = R.rule("OutputL", sig1=IOSIG, sig2=IOSIG, o1=Z2.value(0), a2=Z2.value(1))
+    res = R.check_derivation(R.Derivation(d.conclusion, at_root))
+    assert not res.ok and "over different outcome spaces" in res.message, res
 
 
 # ---------------------------------------------------------------------------

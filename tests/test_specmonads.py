@@ -212,12 +212,29 @@ def test_bind_err_routes_raises_past_the_continuation():
 
 def test_bind_io_threads_histories():
     space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
-    pts = (((), ()),)
     ev = (OUT, Z2.value(1))
-    wm = sm.io_demonic_spec(space, lambda pt: {(3, (ev,) + pt[0], pt[1])}, pts)
-    wf = lambda i1, i2: sm.spec_ret(space, Z2.value(1 - i1), Z2.value(i2), points=pts)
+    wm = sm.io_demonic_spec(space, lambda pt: {(3, (ev,) + pt[0], pt[1])})
+    wf = lambda i1, i2: sm.spec_ret(space, Z2.value(1 - i1), Z2.value(i2))
     out = sm.spec_bind(wm, wf)
     assert out.demonic_at(((), ())) == frozenset({(0 * 2 + 1, (ev,), ())})
+
+
+@pytest.mark.parametrize("space", [sm.pure_space(Z2, Z2), sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)],
+                         ids=["pure", "io"])
+def test_bind_refuses_malformed_continuation_tables(space):
+    wm = sm.spec_ret(space, Z2.value(0), Z2.value(1))
+    conts = [sm.spec_ret(space, Z2.value(i1), Z2.value(i2)) for i1 in range(2) for i2 in range(2)]
+    for wf in (conts[:3], tuple(conts + conts[:1])):
+        with pytest.raises(ValueError, match=f"^continuation table has {len(wf)} entries, "
+                                             "expected 4$"):
+            sm.spec_bind(wm, wf)
+    table = {divmod(k, 2): w for k, w in enumerate(conts)}
+    del table[(1, 1)]
+    with pytest.raises(ValueError, match=r"no entry for the value pair \(1, 1\)$"):
+        sm.spec_bind(wm, table)
+    table[(1, 1)] = conts[3]
+    for wf in (conts, table):
+        assert sm.spec_equiv(sm.spec_bind(wm, wf), conts[1]).holds
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +295,14 @@ def _io_outcomes_near(space, pt):
             for e1 in steps(space.i1, space.o1, h1) for e2 in steps(space.i2, space.o2, h2)]
 
 
-def _random_io(rng, space, points):
+def _random_io(rng, space):
     seed = rng.randrange(10 ** 9)
     def fn(pt):
         local = random.Random(f"{seed}:{pt!r}")
         if local.random() < 0.1:
             return sm.VIOLATED
         return frozenset(o for o in _io_outcomes_near(space, pt) if local.random() < 0.3)
-    return sm.io_demonic_spec(space, fn, points)
+    return sm.io_demonic_spec(space, fn)
 
 
 def _spaces_for_laws():
@@ -329,20 +346,20 @@ def test_monad_laws_fixed_carriers(seed):
 @given(seed=st.integers(0, 10 ** 9))
 def test_monad_laws_io(seed):
     rng = random.Random(seed)
-    space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     pts = (((), ()), (((IN, Z2.value(0)),), ((OUT, Z2.value(1)),)))
+    space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2, pts)
     a1, a2 = Z2.value(rng.randrange(2)), Z2.value(rng.randrange(2))
-    wm = _random_io(rng, space, pts)
-    f_table = {(i1, i2): _random_io(rng, space, pts) for i1 in range(2) for i2 in range(2)}
+    wm = _random_io(rng, space)
+    f_table = {(i1, i2): _random_io(rng, space) for i1 in range(2) for i2 in range(2)}
     f = lambda i1, i2: f_table[(i1, i2)]
 
-    left = sm.spec_bind(sm.spec_ret(space, a1, a2, points=pts), f)
+    left = sm.spec_bind(sm.spec_ret(space, a1, a2), f)
     assert sm.spec_equiv(left, f(a1.index, a2.index)).holds
 
-    unit = lambda i1, i2: sm.spec_ret(space, Z2.value(i1), Z2.value(i2), points=pts)
+    unit = lambda i1, i2: sm.spec_ret(space, Z2.value(i1), Z2.value(i2))
     assert sm.spec_equiv(sm.spec_bind(wm, unit), wm).holds
 
-    g_table = {(i1, i2): _random_io(rng, space, pts) for i1 in range(2) for i2 in range(2)}
+    g_table = {(i1, i2): _random_io(rng, space) for i1 in range(2) for i2 in range(2)}
     g = lambda i1, i2: g_table[(i1, i2)]
     lhs = sm.spec_bind(sm.spec_bind(wm, f), g)
     rhs = sm.spec_bind(wm, lambda i1, i2: sm.spec_bind(f(i1, i2), g))
@@ -352,7 +369,7 @@ def test_monad_laws_io(seed):
 def _io_leq_by_enumeration(w, w2) -> bool:
     """w <= w2 by trying, at every declared point, each postcondition over
     the outcomes the two entries name; the others change neither side."""
-    for pt in w.io_points:
+    for pt in w.space.histories:
         named = set()
         for e in (w.demonic_at(pt), w2.demonic_at(pt)):
             named |= set() if e is sm.VIOLATED else e
@@ -370,17 +387,17 @@ def test_io_comparison_is_always_decided(seed):
     # random interactive specs and one above the first, each compared with
     # each in both directions: only holds or fails, as enumeration says
     rng = random.Random(seed)
-    space = sm.io_space(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT)
     u = Value(UNIT, 0)
     pts = (((), ()), (((IN, u),), ((OUT, u), (IN, u))))
-    w = _random_io(rng, space, pts)
+    space = sm.io_space(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT, pts)
+    w = _random_io(rng, space)
     above = {}
     for pt in pts:
         e = w.demonic_at(pt)
         grow = frozenset(o for o in _io_outcomes_near(space, pt) if rng.random() < 0.2)
         above[pt] = sm.VIOLATED if e is sm.VIOLATED or rng.random() < 0.2 else e | grow
-    specs = [w, sm.io_demonic_spec(space, above.__getitem__, pts),
-             _random_io(rng, space, pts), sm.weakest(space, pts), sm.unsatisfiable(space, pts)]
+    specs = [w, sm.io_demonic_spec(space, above.__getitem__),
+             _random_io(rng, space), sm.weakest(space), sm.unsatisfiable(space)]
     assert sm.spec_leq(w, specs[1]).holds
     for a in specs:
         for b in specs:
@@ -429,12 +446,11 @@ def test_a_spec_compared_with_itself_holds_at_once(monkeypatch):
 
     for name in ("_leq_prob", "_leq_io", "_uncovered"):
         monkeypatch.setattr(sm, name, compared)
-    pts = (((), ()),)
     io = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     for w in (sm.demonic_spec(sm.state_space(Z2, Z2, UNIT, Z2), [{1}, {0, 3}, {2}, {5}]),
               sm.from_prepost(sm.state_space(UNIT, Z2, UNIT, Z2), [True, False] * 2, [True] * 16),
               sm.linear_spec(sm.prob_space(Z2, Z2), [(0, [F(1, 4)] * 4), (F(1, 8), [0, 1, 0, 0])]),
-              sm.io_demonic_spec(io, lambda pt: {(3, ((OUT, Z2.value(1)),), ())}, pts)):
+              sm.io_demonic_spec(io, lambda pt: {(3, ((OUT, Z2.value(1)),), ())})):
         assert sm.spec_leq(w, w) is sm.HOLDS
 
 
@@ -1177,7 +1193,7 @@ SPACE_BUILDERS = {
 
 def _fields(space):
     return (space.tag, space.a1, space.a2, space.s1, space.s2,
-            space.i1, space.o1, space.i2, space.o2)
+            space.i1, space.o1, space.i2, space.o2, space.histories)
 
 
 def _twin_direct(space):
