@@ -15,10 +15,10 @@ Two generic constructions are provided alongside the catalog:
 one (sound when their images commute, which `check_commute` tests), and
 `from_relator` turns a relation lifting for finite nondeterminism into a lax
 observation.  Law batteries share one runner: `run_laws` classifies each
-law of a stream of instances as equal, strictly less precise, or violated,
-with a re-checkable witness, in one `LawReport`.  It backs
-`check_morphism_laws` (ret and bind), `check_commute` (`commute`) and the
-carrier and strictness batteries of `generic`.
+law of a stream of instances (or runs of identical-sided ones) as equal,
+strictly less precise, or violated, with a re-checkable witness, in one
+`LawReport`.  It backs `check_morphism_laws` (ret and bind), `check_commute`
+(`commute`) and the carrier and strictness batteries of `generic`.
 
 Every observation here factors through the reference evaluators in
 `programs`, so two programs with equal `semantic_key` get equal specs; the
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import chain, groupby, product
 from math import lcm
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -68,6 +68,7 @@ from .specmonads import (
     RelSpec,
     _ANY,
     _NONE,
+    _bind_body,
     _fails,
     _fixed,
     _linear,
@@ -628,10 +629,14 @@ def observation_err() -> EffectObservation:
     return EffectObservation("theta-err", P.EXC, P.EXC, "WrelErr", theta_err, STRICT, _run_key)
 
 
-@lru_cache(maxsize=None)
 def observation_io(i1: FiniteDomain, o1: FiniteDomain,
                    i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> EffectObservation:
-    """θ_io at `points`, for programs over these alphabets alone."""
+    """θ_io at `points`, any sequence of them, for these alphabets alone."""
+    return _observation_io(i1, o1, i2, o2, tuple(points))
+
+
+@lru_cache(maxsize=None)
+def _observation_io(i1, o1, i2, o2, points: tuple) -> EffectObservation:
     sigs = P.io_sig(i1, o1), P.io_sig(i2, o2)
 
     def map_fn(c1: Program, c2: Program) -> RelSpec:
@@ -754,10 +759,11 @@ def run_laws(subject: str, claimed: str, instances) -> LawReport:
     Each instance compares lhs with rhs under `leq`: a violation when lhs
     is not below rhs, strictly-less when only rhs is not below lhs, equal
     otherwise.  Identical sides hold at once: every order is reflexive, so
-    such an instance is counted and equal without calling `leq`.  A
-    violation ends its law's scan (later instances of that law are
-    skipped); otherwise the first strictly-less instance is the law's
-    witness, and once it is held only violations are looked for.
+    such an instance is counted and equal without calling `leq`, and an
+    item `(law, n, None, None, None)` counts a run of n such instances.  A
+    violation ends its law's scan (later items of that law are skipped);
+    otherwise the first strictly-less instance is the law's witness, and
+    once it is held only violations are looked for.
     """
     scans: Dict[str, list] = {}     # law -> [kind, checked, witness]
     for law, inst, leq, lhs, rhs in instances:
@@ -766,7 +772,7 @@ def run_laws(subject: str, claimed: str, instances) -> LawReport:
             scan = scans[law] = ["equal", 0, None]
         elif scan[0] == "violation":
             continue
-        scan[1] += 1
+        scan[1] += 1 if leq else inst
         if lhs is rhs:
             continue
         # the specmonads orders hold with the one HOLDS, so identity is the cheap test
@@ -811,16 +817,17 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
     What depends on one side or one table is done once: each side's bound
     programs per continuation table, as one list indexed by the middle's
     position among that side's distinct middles, each table's checks and
-    decoding (`ContTable`), and the bind of each distinct middle spec to
-    each table, which every middle pair observed as that spec shares.
+    decoding (`ContTable`), and the right side of each distinct middle
+    spec and table, which every middle pair observed as that spec shares.
     theta itself is applied once per distinct pair of keys
     (`EffectObservation.key`), for middles, continuation entries and bound
     pairs alike, through a memo that lives for the call.
     A bound pair is run after its middle and table entries, so a bind
-    whose parts have run composes their runs (`programs._runs`).  On the
-    deterministic carriers spec_bind then hands each point its
-    continuation's family itself, and identical sides hold at once
-    (`run_laws`).
+    whose parts have run composes their runs (`programs._runs`).  A right
+    side with demand families is its pool key (`specmonads._bind_body`); a
+    left side with that key is the pooled spec and holds at once.  Only
+    differing sides are pooled and compared; the instances held between
+    them reach `run_laws` as one run.
     """
     numbers: Dict[object, int] = {}         # a key -> its number in this call
     keyed: Dict[Program, int] = {}          # a program -> its key's number
@@ -862,23 +869,47 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
             b = memo[id(f)] = progs, [key(c) for c in progs]
         return b
 
+    def right_sides(wms, table: ContTable) -> list:
+        """spec_bind(wm, table) per middle spec, as its pool key where it has
+        one (`_bind_body`); the table is prepared once per run of one space."""
+        out = []
+        for _, group in groupby(wms, lambda w: w.space):
+            group = list(group)
+            prep = table.prepare(group[0])
+            out += ([spec_bind(wm, table) for wm in group] if prep[2] is None
+                    else [_bind_body(wm, *prep) for wm in group])
+        return out
+
     def bind_instances():
         wms, wpos = distinct([theta(m1, m2, key(m1), key(m2)) for m1, m2 in battery.ms])
         mids1, pos1 = distinct([m1 for m1, _ in battery.ms])
         mids2, pos2 = distinct([m2 for _, m2 in battery.ms])
         bound1: Dict[int, tuple] = {}
         bound2: Dict[int, tuple] = {}
+        held = 0    # identical-sided instances not yet passed on, as one run
         for f1, f2 in battery.fs:
             table = ContTable({(i, j): theta(c1, c2, key(c1), key(c2))
                                for i, c1 in enumerate(f1) for j, c2 in enumerate(f2)})
-            rhss = [spec_bind(wm, table) for wm in wms]
+            rhss = right_sides(wms, table)
             (b1, k1), (b2, k2) = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
-            for (m1, m2), i1, i2, iw in zip(battery.ms, pos1, pos2, wpos):
+            for m, i1, i2, iw in zip(battery.ms, pos1, pos2, wpos):
                 k = k1[i1], k2[i2]
                 lhs = observed.get(k)
                 if lhs is None:
                     lhs = observed[k] = obs.map(b1[i1], b2[i2])
-                yield "bind", (m1, m2, f1, f2), spec_leq, lhs, rhss[iw]
+                rhs = rhss[iw]
+                # a pooled lhs with the right side's key is the spec it pools to
+                if lhs is rhs or (lhs.space, lhs.fams, lhs.pre) == rhs:
+                    held += 1
+                    continue
+                if held:
+                    yield "bind", held, None, None, None
+                    held = 0
+                if type(rhs) is tuple:
+                    rhs = rhss[iw] = spec_bind(wms[iw], table)
+                yield "bind", (*m, f1, f2), spec_leq, lhs, rhs
+        if held:
+            yield "bind", held, None, None, None
 
     return run_laws(obs.name, obs.strictness, chain(ret_instances(), bind_instances()))
 

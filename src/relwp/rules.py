@@ -530,6 +530,9 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
 def _bind_rule(r: RuleInstance, prem) -> Judgment:
     jm, jf = prem
     obs = _shared_obs(prem, "Bind")
+    pm, pf = (j.w_table[0].space.histories for j in prem)   # None off io
+    if pm != pf:
+        raise RuleError(f"Bind: premises are declared at different history points: {pm} and {pf}")
     env = jm.env
     if len(jf.env.vars) != len(env.vars) + 2 or jf.env.vars[:len(env.vars)] != env.vars:
         raise RuleError("Bind: second premise context must bind exactly the two result values")

@@ -965,18 +965,23 @@ def spec_bind(wm: RelSpec, wf) -> RelSpec:
 
 
 def _bind(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> RelSpec:
-    tag = wm.tag
     if subs is not None:
-        outs = wm._outs
-        if outs is None:
-            outs = wm._outs = _one_outcomes(wm.fams)
-        fams = outs(subs) if outs else [_fam_bind(fam, subs) for fam in wm.fams]
-        return _fixed(cspace, fams, None if wm.pre is None else _bind_pre(wm, conts))
-    if tag == "WrelIO":
+        return _fixed(*_bind_body(wm, conts, cspace, subs))
+    if wm.tag == "WrelIO":
         return _bind_io(wm, conts, cspace)
-    if tag == "WrelProb":
+    if wm.tag == "WrelProb":
         return _bind_prob(wm, conts, cspace)
-    raise ValueError(f"unknown carrier {tag}")
+    raise ValueError(f"unknown carrier {wm.tag}")
+
+
+def _bind_body(wm: RelSpec, conts, cspace: OutcomeSpace, subs) -> tuple:
+    """wm bound to a prepared table on the carriers with demand families, as
+    the key (space, fams, pre) that `_fixed` pools the bound spec under."""
+    outs = wm._outs
+    if outs is None:
+        outs = wm._outs = _one_outcomes(wm.fams)
+    fams = outs(subs) if outs else tuple([_fam_bind(fam, subs) for fam in wm.fams])
+    return cspace, fams, None if wm.pre is None else _bind_pre(wm, conts)
 
 
 def _one_outcomes(fams):

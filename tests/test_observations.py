@@ -270,6 +270,17 @@ def test_observation_io_is_built_once_per_argument_tuple():
     assert at.map(c, c).space is sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2, _THREE_POINTS)
 
 
+def test_observation_io_is_one_object_however_its_points_are_passed():
+    root = O.observation_io(Z2, Z2, Z2, Z2)
+    assert root is O.observation_io(Z2, Z2, Z2, Z2, O.IO_ROOT)
+    assert root is O.observation_io(Z2, Z2, Z2, Z2, points=O.IO_ROOT)
+    assert root is O.observation_io(Z2, Z2, Z2, Z2, points=list(O.IO_ROOT))
+    at = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
+    assert at is O.observation_io(Z2, Z2, Z2, Z2, points=list(_THREE_POINTS))
+    c = P.read_input(IOSIG)
+    assert at.map(c, c).space.histories == tuple(_THREE_POINTS)
+
+
 def test_theta_io_binds_no_spec(monkeypatch):
     def bound(*_):
         raise AssertionError("θ_io bound specs")
@@ -923,6 +934,56 @@ def test_run_laws_ends_a_law_at_its_violation_and_keeps_the_first_strict_witness
     assert not O.run_laws("toy", O.STRICT, [("b", 2, _toy_leq, 0, 1)]).consistent
 
 
+def test_run_laws_counts_a_run_of_identical_sides_in_one_step_up_to_a_violation():
+    _toy_leq.calls = 0
+    rep = O.run_laws("toy", O.LAX, [
+        ("a", 3, None, None, None), ("b", 1, _toy_leq, 0, 1), ("b", 2, None, None, None),
+        ("a", 4, _toy_leq, 1, 0), ("a", 5, None, None, None), ("a", 6, _toy_leq, 0, 0),
+        ("c", 2, None, None, None)])
+    got = [(v.law, v.kind, v.checked, v.witness and v.witness.instance) for v in rep.laws]
+    # a: the run of three before its violation counts, the run after it does not
+    assert got == [("a", "violation", 4, 4), ("b", "strictly-less", 3, 1), ("c", "equal", 2, None)]
+    # b: forward and back for its witness; a: forward once; no run is compared
+    assert _toy_leq.calls == 3
+    assert rep.checked == 9
+
+
+def _swap_first_points(bind_body):
+    """A broken bind body: the families of points 0 and 1 trade places
+    when the continuation table observes more than one spec."""
+
+    def broken(wm, conts, cspace, subs):
+        space, fams, pre = bind_body(wm, conts, cspace, subs)
+        if len({id(w) for w in conts.values()}) > 1:
+            fams = (fams[1], fams[0], *fams[2:])
+        return space, fams, pre
+
+    return broken
+
+
+@pytest.mark.parametrize("obs,make", [
+    (O.observation_st(), lambda: O.battery_state(Z2, Z2, depth=2, table_limit=6, m_limit=9)),
+    (O.observation_part(), lambda: O.battery_imp(Z2, Z2, depth=2, table_limit=6, m_limit=9)),
+], ids=["state", "imp"])
+def test_a_broken_bind_body_is_found_as_the_per_instance_reference_finds_it(monkeypatch, obs,
+                                                                            make):
+    battery = make()
+    broken = _swap_first_points(sm._bind_body)
+    monkeypatch.setattr(sm, "_bind_body", broken)   # spec_bind, as the reference binds
+    monkeypatch.setattr(O, "_bind_body", broken)    # the law loop's right sides
+    _, (kind, checked, progs) = reference.morphism_laws_by_instance(obs, battery)
+    law = O.check_morphism_laws(obs, battery).bind_law
+    assert kind == "violation" and 1 < checked < len(battery.ms) * len(battery.fs)
+    assert (law.kind, law.checked, law.witness.instance) == (kind, checked, progs)
+    m1, m2, f1, f2 = progs
+    lhs = obs.map(P.bind(m1, f1), P.bind(m2, f2))
+    rhs = sm.spec_bind(obs.map(m1, m2), lambda i, j: obs.map(f1[i], f2[j]))
+    bad = sm.spec_leq(lhs, rhs)
+    assert (law.witness.phi, law.witness.point, law.witness.where) == (bad.phi, bad.point,
+                                                                       bad.where)
+    assert O.recheck_witness(law.witness)
+
+
 def test_run_laws_holds_identical_sides_without_comparing_them():
     def never(*_):
         raise AssertionError("identical sides were compared")
@@ -971,20 +1032,30 @@ def test_a_law_check_observes_each_distinct_pair_of_run_tables_once():
 def test_a_law_check_binds_each_distinct_middle_spec_once_per_table(monkeypatch, obs, battery,
                                                                       n_middles):
     battery = battery()
-    bound = []
+    bodies, pooled = [], []
+
+    def bind_body(wm, conts, *prep):
+        bodies.append((wm, conts))   # keeps each one alive, so ids stay distinct
+        return sm._bind_body(wm, conts, *prep)
 
     def spec_bind(wm, table):
-        bound.append((wm, table))   # keeps each one alive, so ids stay distinct
+        pooled.append((wm, table))
         return sm.spec_bind(wm, table)
 
     with monkeypatch.context() as m:
+        m.setattr(O, "_bind_body", bind_body)
         m.setattr(O, "spec_bind", spec_bind)
         rep = O.check_morphism_laws(obs, battery)
     assert rep == O.check_morphism_laws(obs, battery) and rep.ok
     middles = {(w.space, w.fams) for w in (obs.map(m1, m2) for m1, m2 in battery.ms)}
     assert len(middles) == n_middles
-    assert len({(id(w), id(t)) for w, t in bound}) == len(bound)
-    assert len(bound) == n_middles * len(battery.fs)
+    # one body per distinct middle spec per table (each table's entries are
+    # decoded into one `conts` of its own) ...
+    assert len({(id(w), id(conts)) for w, conts in bodies}) == len(bodies)
+    assert len(bodies) == n_middles * len(battery.fs)
+    # ... and every bound pair's spec is the one its body pools to, so the
+    # law loop pools no right side
+    assert pooled == []
 
 
 def test_an_observation_keyed_by_program_is_applied_once_per_program_pair():

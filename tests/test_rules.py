@@ -291,6 +291,17 @@ def test_io_axioms_at_a_nonempty_history_point():
     assert not res.ok and "over different outcome spaces" in res.message, res
 
 
+def test_bind_refuses_io_premises_declared_at_different_history_points():
+    pt = (((P.OUT, Z2.value(1)),), ())
+    m = R.derive("OutputL", sig1=IOSIG, sig2=IOSIG, o1=Z2.value(0), a2=UNIT_VAL, points=(pt,))
+    f = R.derive("Ret", observation=O.observation_io(Z2, Z2, Z2, Z2), sig1=IOSIG, sig2=IOSIG,
+                 env=R.EMPTY_ENV.extend(("x", UNIT), ("y", UNIT)), a1=UNIT_VAL, a2=UNIT_VAL)
+    with pytest.raises(R.RuleError) as e:
+        R.derive("Bind", (m, f))
+    msg = str(e.value)
+    assert msg.startswith("Bind: ") and repr((pt,)) in msg and repr(O.IO_ROOT) in msg
+
+
 # ---------------------------------------------------------------------------
 # Parameterized rules: sound but strictly above the observation
 
