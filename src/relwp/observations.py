@@ -106,7 +106,9 @@ class EffectObservation:
     reads of a program: pairs whose keys are equal side by side must map
     to equal specs, or be refused alike.  It defaults to the program itself,
     which any map obeys; `check_morphism_laws` applies `map` once per
-    distinct pair of keys.
+    distinct pair of keys.  A run key (`_run_key`; `_st_key` off loops)
+    promises the map reads only (signature, result domain, runs), so a bind
+    over parts with run keys is keyed by `programs.bind_runs`, unbuilt.
     """
 
     name: str
@@ -814,16 +816,15 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
     of theta(m1, m2) to the table of theta(f1[i], f2[j]).  Every comparison
     is decided exactly, so every verdict is definite.
 
-    What depends on one side or one table is done once: each side's bound
-    programs per continuation table, as one list indexed by the middle's
-    position among that side's distinct middles, each table's checks and
-    decoding (`ContTable`), and the right side of each distinct middle
-    spec and table, which every middle pair observed as that spec shares.
-    theta itself is applied once per distinct pair of keys
-    (`EffectObservation.key`), for middles, continuation entries and bound
-    pairs alike, through a memo that lives for the call.
-    A bound pair is run after its middle and table entries, so a bind
-    whose parts have run composes their runs (`programs._runs`).  A right
+    What depends on one side or one table is done once: the keys of each
+    side's bound programs per continuation table, as one list indexed by
+    the middle's position among that side's distinct middles, each table's
+    checks (`P.bind`'s) and decoding (`ContTable`), and the right side of
+    each distinct middle spec and table.  theta itself is applied once per
+    distinct pair of keys (`EffectObservation.key`) through a memo that
+    lives for the call.  A run key of a bound program is composed from its
+    parts' runs (`programs.bind_runs`), and the program built only when
+    theta meets its pair of keys first; under other keys each is built.  A right
     side with demand families is its pool key (`specmonads._bind_body`); a
     left side with that key is the pooled spec and holds at once.  Only
     differing sides are pooled and compared; the instances held between
@@ -860,14 +861,28 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
         pos = [at.setdefault(id(x), len(at)) for x in xs]
         return list({id(x): x for x in xs}.values()), pos
 
+    def runs_keyed(c: Program) -> bool:
+        # a bind over parts keyed by runs is keyed as `_run_key` keys it built
+        return (obs.key is _run_key or obs.key is _st_key) and type(obs.key(c)) is tuple
+
     def bound(memo, mids, f):
-        """The side's bound programs for table f, parallel to its middles,
-        and their keys' numbers."""
+        """The side's bound programs for table f, parallel to its middles:
+        a list to build them into (`build`), and their keys' numbers."""
         b = memo.get(id(f))
         if b is None:
-            progs = [P.bind(m, f) for m in mids]
-            b = memo[id(f)] = progs, [key(c) for c in progs]
+            for m in {(m.sig, m.result): m for m in mids}.values():
+                P._bind_cont(m, f)    # bind's refusals, once per table and shape
+            composed, progs = all(map(runs_keyed, f)), [None] * len(mids)
+            b = memo[id(f)] = progs, [
+                numbers.setdefault((m.sig, f[0].result, P.bind_runs(m, f)), len(numbers))
+                if composed and runs_keyed(m) else key(build(progs, i, m, f))
+                for i, m in enumerate(mids)]
         return b
+
+    def build(progs, i, m, f):
+        if progs[i] is None:
+            progs[i] = P.bind(m, f)
+        return progs[i]
 
     def right_sides(wms, table: ContTable) -> list:
         """spec_bind(wm, table) per middle spec, as its pool key where it has
@@ -896,7 +911,8 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
                 k = k1[i1], k2[i2]
                 lhs = observed.get(k)
                 if lhs is None:
-                    lhs = observed[k] = obs.map(b1[i1], b2[i2])
+                    lhs = observed[k] = obs.map(build(b1, i1, mids1[i1], f1),
+                                                build(b2, i2, mids2[i2], f2))
                 rhs = rhss[iw]
                 # a pooled lhs with the right side's key is the spec it pools to
                 if lhs is rhs or (lhs.space, lhs.fams, lhs.pre) == rhs:

@@ -33,15 +33,14 @@ once, so long programs never raise RecursionError.  The evaluators loop over
 their own effect's nodes instead.  `run_imp` serves state and imp alike (a
 state program is an imp program without loops), and `_runs` keeps each
 program's runs on the program, the one table its observation reads: the
-runs from every initial state of a state or imp program (a bind whose
-parts have run composes their runs), the tagged
+runs from every initial state of a state or imp program, the tagged
 outcome of an exc program, the outcome set of an ndet program, the root
 outcomes of an io program, and the output distribution of a prob program
-as ints over one denominator, built from its subtrees' runs.  One fold with a
-per-node callback would serve the evaluators, but replaying the 368,684
-outermost evaluator calls of one `laws` bench pass took 6.6 s that way,
-against 0.93-1.09 s with recursive evaluators and 0.83-0.94 s with
-per-effect continuation-stack loops (CPython 3.11).
+as ints over one denominator; a bind's come from its parts' (`bind_runs`).
+One fold with a per-node callback would serve the evaluators, but replaying
+the 368,684 outermost evaluator calls of one `laws` bench pass took 6.6 s
+that way, against 0.93-1.09 s with recursive evaluators and 0.83-0.94 s
+with per-effect continuation-stack loops (CPython 3.11).
 """
 
 from __future__ import annotations
@@ -378,8 +377,8 @@ def ret(sig: Signature, value: Value) -> Program:
     return _mk(sig, value.domain, Ret(value))
 
 
-def bind(m: Program, f) -> Program:
-    """Explicit bind node; f is a table (callable or sequence) over m.result."""
+def _bind_cont(m: Program, f) -> Tuple[Program, ...]:
+    """The table `bind(m, f)` takes, or its refusal; reads m's shape only."""
     cont = _table(m.result, f)
     if not cont:
         raise ValueError("bind needs a nonempty continuation table")
@@ -387,7 +386,13 @@ def bind(m: Program, f) -> Program:
     for c in cont:
         if c.sig != m.sig or c.result != res:
             raise ValueError("bind continuation entries disagree on signature or result domain")
-    return _mk(m.sig, res, Bind(m, cont))
+    return cont
+
+
+def bind(m: Program, f) -> Program:
+    """Explicit bind node; f is a table (callable or sequence) over m.result."""
+    cont = _bind_cont(m, f)
+    return _mk(m.sig, cont[0].result, Bind(m, cont))
 
 
 def get(sig: Signature, f) -> Program:
@@ -727,35 +732,33 @@ def run_prob(p: Program) -> Distribution:
     return Distribution(p.result, tuple(Fraction(w, den) for w in weights))
 
 
+def _mixed(d: int, weights, cont: Sequence[Program], size: int) -> tuple:
+    """cont's prob runs mixed by weights over d, in lowest terms."""
+    used = [(x, _runs(cont[i])) for i, x in enumerate(weights) if x]
+    k = lcm(*(dc for _, (dc, _) in used))
+    den, w = d * k, [0] * size
+    for x, (dc, wc) in used:
+        f = x * (k // dc)
+        for j, y in enumerate(wc):
+            if y:
+                w[j] += f * y
+    g = gcd(den, *w)
+    return (den // g, tuple(v // g for v in w)) if g > 1 else (den, tuple(w))
+
+
 def _prob_run(q: Program) -> tuple:
     """q's run as integer weights over one positive denominator, in lowest
     terms, from the runs of its children."""
     n = q.node
     t = type(n)
     if t is Ret:
-        w = [0] * q.result.size
-        w[n.value.index] = 1
-        return 1, tuple(w)
+        return 1, tuple(int(i == n.value.index) for i in range(q.result.size))
     if t is Flip:
-        (d0, w0), (d1, w1) = n.cont[0]._runs, n.cont[1]._runs
         b, a = n.p.denominator, n.p.numerator
-        m = lcm(d0, d1)
-        f0, f1 = (b - a) * (m // d0), a * (m // d1)
-        den, w = b * m, [f0 * x + f1 * y for x, y in zip(w0, w1)]
-    elif t is Bind:
-        d, inner = n.inner._runs
-        used = [(x, n.cont[i]._runs) for i, x in enumerate(inner) if x]
-        m = lcm(*(dc for _, (dc, _) in used))
-        den, w = d * m, [0] * q.result.size
-        for x, (dc, wc) in used:
-            f = x * (m // dc)
-            for j, y in enumerate(wc):
-                if y:
-                    w[j] += f * y
-    else:
-        raise TypeError(f"{t.__name__} under prob")
-    g = gcd(den, *w)
-    return (den // g, tuple(v // g for v in w)) if g > 1 else (den, tuple(w))
+        return _mixed(b, (b - a, a), n.cont, q.result.size)
+    if t is Bind:
+        return bind_runs(n.inner, n.cont)
+    raise TypeError(f"{t.__name__} under prob")
 
 
 def run_imp(p: Program, s: Value) -> Optional[Tuple[Value, Value]]:
@@ -800,8 +803,7 @@ def _runs(p: Program):
     of it reads one table:
       state, imp  the run from each initial state, as its local outcome
                   index a * |S| + t (value a, final state t), or None where
-                  it diverges (`run_imp`); a bind whose parts have run
-                  composes their runs, cont[a]'s run from t
+                  it diverges (`run_imp`)
       prob        (den, weights): the probability of each value, as ints
                   over one positive denominator in lowest terms, built from
                   the runs of the subtrees not yet run, in postorder
@@ -810,15 +812,19 @@ def _runs(p: Program):
                   v, |result| + e's index for a raised e (`run_exc`)
       io          the frozenset of its root outcomes (`io_outcomes`), one
                   (value, history) per input choice, walked once
+    A bind whose parts have run composes their runs (`bind_runs`).
     """
     t = p._runs
     if t is None:
-        eff = p.sig.effect
-        if eff == PROB:
+        node, eff = p.node, p.sig.effect
+        if (type(node) is Bind and node.inner._runs is not None
+                and all(c._runs is not None for c in node.cont)):
+            t = bind_runs(node.inner, node.cont)
+        elif eff == PROB:
             for q in _postorder(p, lambda n: [k for k in _kids(n) if k._runs is None]):
                 _set_runs(q, _prob_run(q))
             return p._runs
-        if eff == NDET:
+        elif eff == NDET:
             t = frozenset(v.index for v in run_ndet(p))
         elif eff == EXC:
             tag, v = run_exc(p)
@@ -826,17 +832,29 @@ def _runs(p: Program):
         elif eff == IO:
             t = _io_walk(p)
         else:
-            n, node = p.sig.state.size, p.node
-            if (type(node) is Bind and node.inner._runs is not None
-                    and all(c._runs is not None for c in node.cont)):
-                cont = node.cont
-                t = tuple(None if r is None else cont[r // n]._runs[r % n]
-                          for r in node.inner._runs)
-            else:
-                t = tuple(None if r is None else r[0].index * n + r[1].index
-                          for r in (run_imp(p, s) for s in p.sig.state.values()))
+            t = tuple(None if r is None else r[0].index * p.sig.state.size + r[1].index
+                      for r in (run_imp(p, s) for s in p.sig.state.values()))
         _set_runs(p, t)
     return t
+
+
+def bind_runs(m: Program, cont: Sequence[Program]):
+    """The runs (`_runs`) of `bind(m, cont)`, built from m's and its entries'
+    alone: cont[a]'s run from t where m's ends in (a, t), the entries mixed
+    by m's weights, the union of the outcome sets m reaches, a raise of e
+    passed as |B| + e (B the entries' result), cont[a]'s outcomes from h."""
+    r, eff = _runs(m), m.sig.effect
+    if eff == NDET:
+        return frozenset().union(*[_runs(cont[i]) for i in r])
+    if eff == EXC:
+        n = m.result.size
+        return _runs(cont[r]) if r < n else cont[0].result.size + r - n
+    if eff == IO:
+        return frozenset().union(*[io_outcomes(cont[a.index], h) for a, h in r])
+    if eff == PROB:
+        return _mixed(*r, cont, cont[0].result.size)
+    n = m.sig.state.size
+    return tuple(None if x is None else _runs(cont[x // n])[x % n] for x in r)
 
 
 def count_loops(p: Program) -> int:

@@ -244,11 +244,11 @@ def _effect_matches(effect: str, declared: str) -> bool:
     return effect == declared or effect in _EFFECT_KIN.get(declared, ())
 
 
-def _axiom_sigs(r: RuleInstance, effect: str) -> Tuple[Signature, Signature]:
-    """An axiom's sig1 and sig2, each checked to be of `effect` (or its kin)
-    before anything is built from their parameter domains."""
+def _axiom_sigs(r: RuleInstance, effect: str, right: str = "") -> Tuple[Signature, Signature]:
+    """An axiom's sig1 and sig2, checked to be of `effect` and `right` (or
+    `effect`), or their kin, before anything is built from their domains."""
     sigs = r.need("sig1"), r.need("sig2")
-    for name, sig in zip(("sig1", "sig2"), sigs):
+    for name, sig, effect in zip(("sig1", "sig2"), sigs, (effect, right or effect)):
         if not isinstance(sig, Signature) or not _effect_matches(sig.effect, effect):
             raise RuleError(f"{r.rule}: {name} must be a {effect} signature, "
                             f"got {getattr(sig, 'effect', sig)!r}")
@@ -268,6 +268,14 @@ class RuleInstance:
         if key not in self.params:
             raise RuleError(f"{self.rule}: missing parameter {key!r}")
         return self.params[key]
+
+    def table(self, key: str, env: Env) -> Table:
+        """Parameter key tabulated over env; a Table of another length fails."""
+        x = self.need(key)
+        if type(x) is Table and len(x) != env.count:
+            raise RuleError(f"{self.rule}: parameter {key!r} is a table of {len(x)} entries, "
+                            f"its context has {env.count} valuations")
+        return _tabulate(env, x)
 
     def get(self, key: str, default=None):
         return self.params.get(key, default)
@@ -515,9 +523,9 @@ def _ret_space(target: str, sig1: Signature, sig2: Signature,
 @CORE.rule("Ret", arity=0)
 def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
-    sig1, sig2 = r.need("sig1"), r.need("sig2")
+    sig1, sig2 = _axiom_sigs(r, obs.left_effect, obs.right_effect)
     env = r.get("env", EMPTY_ENV)
-    a1s, a2s = _tabulate(env, r.need("a1")), _tabulate(env, r.need("a2"))
+    a1s, a2s = r.table("a1", env), r.table("a2", env)
     points = tuple(r.get("points", IO_ROOT))
     c1 = _each(partial(P.ret, sig1), a1s)
     c2 = _each(partial(P.ret, sig2), a2s)
@@ -559,7 +567,7 @@ def _bind_rule(r: RuleInstance, prem) -> Judgment:
 @CORE.rule("Weaken", arity=1)
 def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
-    w = _tabulate(j.env, r.need("w"))
+    w = r.table("w", j.env)
     for i, (lo, hi) in _firsts(j.w_table, w):
         v = spec_leq(lo, hi)
         if v.failed:
@@ -586,10 +594,9 @@ def _picked(picks: Sequence[Tuple[Judgment, int]]) -> Tuple[Table, Table, Table]
 @CORE.rule("BoolElim", arity=2)
 def _bool_elim(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
-    b = r.need("b")
     env = _shared_env(prem, "BoolElim")
     obs = _shared_obs(prem, "BoolElim")
-    picks = [(jt if bi else jf, i) for i, bi in enumerate(_tabulate(env, b))]
+    picks = [(jt if bi else jf, i) for i, bi in enumerate(r.table("b", env))]
     return judgment(obs, *_picked(picks), env)
 
 
@@ -597,7 +604,7 @@ def _bool_elim(r: RuleInstance, prem) -> Judgment:
 def _zero_elim(r: RuleInstance, _prem) -> Judgment:
     obs = r.need("observation")
     env = r.get("env", EMPTY_ENV)
-    c1, c2, w = (_tabulate(env, r.need(key)) for key in ("c1", "c2", "w"))
+    c1, c2, w = (r.table(key, env) for key in ("c1", "c2", "w"))
     for i, (w0,) in _firsts(w):
         if not spec_leq(unsatisfiable(w0.space), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
@@ -635,7 +642,6 @@ def _nat_elim(r: RuleInstance, prem) -> Judgment:
 def _if_one_side(r: RuleInstance, prem) -> Judgment:
     # IfLeft branches on the left over one right program; IfRight mirrors it
     jt, jf = prem
-    b = r.need("b")
     env = _shared_env(prem, r.rule)
     obs = _shared_obs(prem, r.rule)
     left = r.rule == "IfLeft"
@@ -645,7 +651,7 @@ def _if_one_side(r: RuleInstance, prem) -> Judgment:
         if not P.programs_equal(p, q):
             raise RuleError(f"{r.rule}: premises must share the {shared} program, "
                             f"differ at {_show_valuation(env, i)}")
-    c1, c2, w = _picked([(jt if bi else jf, i) for i, bi in enumerate(_tabulate(env, b))])
+    c1, c2, w = _picked([(jt if bi else jf, i) for i, bi in enumerate(r.table("b", env))])
     if left:
         c2 = kept
     else:
@@ -656,14 +662,13 @@ def _if_one_side(r: RuleInstance, prem) -> Judgment:
 @CORE.rule("IfSync", arity=2)
 def _if_sync(r: RuleInstance, prem) -> Judgment:
     jt, jf = prem
-    b1, b2 = r.need("b1"), r.need("b2")
     env = _shared_env(prem, "IfSync")
     obs = _shared_obs(prem, "IfSync")
     for i in range(env.count):
         if (jt.c1_table[i].result != jf.c1_table[i].result
                 or jt.c2_table[i].result != jf.c2_table[i].result):
             raise RuleError("IfSync: branch results must agree on both sides")
-    b1, b2 = _tabulate(env, b1), _tabulate(env, b2)
+    b1, b2 = r.table("b1", env), r.table("b2", env)
     c1 = Table((jt if b else jf).c1_table[i] for i, b in enumerate(b1))
     c2 = Table((jt if b else jf).c2_table[i] for i, b in enumerate(b2))
     # Guards that disagree contradict the rule's synchronization claim, so
@@ -761,7 +766,7 @@ def _get_one_side(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, r.rule)
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
-    af = _tabulate(env, r.need("a2" if left else "a1"))
+    af = r.table("a2" if left else "a1", env)
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(a):
@@ -782,9 +787,9 @@ def _put_one_side(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
     if left:
-        sf, af = _tabulate(env, r.need("s")), _tabulate(env, r.need("a2"))
+        sf, af = r.table("s", env), r.table("a2", env)
     else:
-        af, sf = _tabulate(env, r.need("a1")), _tabulate(env, r.need("s"))
+        af, sf = r.table("a1", env), r.table("s", env)
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
     def w(s, a):
@@ -813,7 +818,7 @@ def _put_sync(r: RuleInstance, _prem) -> Judgment:
     obs = _state_obs(r, "PutSync")
     sig1, sig2 = _axiom_sigs(r, P.STATE)
     env = r.get("env", EMPTY_ENV)
-    s1f, s2f = _tabulate(env, r.need("s1")), _tabulate(env, r.need("s2"))
+    s1f, s2f = r.table("s1", env), r.table("s2", env)
     sp = state_space(UNIT, sig1.state, UNIT, sig2.state)
 
     def w(t1, t2):
@@ -839,7 +844,7 @@ def _demonic_pick(r: RuleInstance, _prem) -> Judgment:
     left = r.rule == "DemonicPickLeft"
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
-    af = _tabulate(env, r.need("a2" if left else "a1"))
+    af = r.table("a2" if left else "a1", env)
     sig = P.ndet_sig()
 
     def w(a):
@@ -857,7 +862,7 @@ def _demonic_fail_left(r: RuleInstance, _prem) -> Judgment:
     obs = observation_ndet(FORALL)
     env = r.get("env", EMPTY_ENV)
     result: FiniteDomain = r.need("result")
-    a2f = _tabulate(env, r.need("a2"))
+    a2f = r.table("a2", env)
     sig = P.ndet_sig()
     return judgment(obs, P.fail(sig, result), _each(partial(P.ret, sig), a2f),
                     _each(lambda a: weakest(pure_space(result, a.domain)), a2f), env)
@@ -895,7 +900,7 @@ def _refinement(r: RuleInstance, _prem) -> Judgment:
     def pick_all(d: FiniteDomain) -> Program:
         return P.pick_fin([P.ret(sig, v) for v in d.values()])
 
-    return judgment(obs, pick_all(dom1), pick_all(dom2), _each(w, _tabulate(env, r.need("h"))),
+    return judgment(obs, pick_all(dom1), pick_all(dom2), _each(w, r.table("h", env)),
                     env)
 
 
@@ -911,12 +916,12 @@ def _throw_one_side(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.EXC)
     env = r.get("env", EMPTY_ENV)
     if left:
-        ef = _tabulate(env, r.need("e1"))
+        ef = r.table("e1", env)
         result: FiniteDomain = r.need("result1")
-        af = _tabulate(env, r.need("a2"))
+        af = r.table("a2", env)
     else:
-        af = _tabulate(env, r.need("a1"))
-        ef = _tabulate(env, r.need("e2"))
+        af = r.table("a1", env)
+        ef = r.table("e2", env)
         result = r.need("result2")
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
 
@@ -1050,7 +1055,7 @@ def _input(r: RuleInstance, _prem) -> Judgment:
     left = r.rule == "InputL"
     sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
-    af = _tabulate(env, r.need("a2" if left else "a1"))
+    af = r.table("a2" if left else "a1", env)
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     steps = tuple((i, (P.IN, i)) for i in sig.inp.values())
@@ -1066,9 +1071,9 @@ def _output(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
     if left:
-        of, af = _tabulate(env, r.need("o1")), _tabulate(env, r.need("a2"))
+        of, af = r.table("o1", env), r.table("a2", env)
     else:
-        af, of = _tabulate(env, r.need("a1")), _tabulate(env, r.need("o2"))
+        af, of = r.table("a1", env), r.table("o2", env)
     points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     w = _each(lambda o, a: _one_event_spec(sig1, sig2, points, left, a,
@@ -1128,7 +1133,6 @@ def _do_while_inv(r: RuleInstance, prem) -> Judgment:
     obs = jb.observation
     if obs.name != "theta-part":
         raise RuleError("DoWhileInv: sound for the partial-correctness observation only")
-    inv = r.need("inv")
     env = jb.env
     b1p, b2p = jb.c1_table[0], jb.c2_table[0]
     if b1p.result != BOOL or b2p.result != BOOL:
@@ -1136,7 +1140,7 @@ def _do_while_inv(r: RuleInstance, prem) -> Judgment:
     if b1p.sig.effect != P.IMP or b2p.sig.effect != P.IMP:
         raise RuleError("DoWhileInv: loop bodies must be iterative programs")
     s1dom, s2dom = b1p.sig.state, b2p.sig.state
-    invs = _each(lambda x: _norm_inv(x, s1dom, s2dom), _tabulate(env, inv))
+    invs = _each(lambda x: _norm_inv(x, s1dom, s2dom), r.table("inv", env))
     for i, (w, x) in _firsts(jb.w_table, invs):
         if not spec_equiv(w, loop_premise_spec(x, s1dom, s2dom)).holds:
             raise RuleError(f"DoWhileInv: premise spec is not the invariant "
@@ -1197,7 +1201,7 @@ def loop_invariant(body1: Program, body2: Program):
 def _flip_coupling(r: RuleInstance, _prem) -> Judgment:
     obs = observation_prob()
     env = r.get("env", EMPTY_ENV)
-    pf, qf, df = (_tabulate(env, r.need(key)) for key in ("p", "q", "d"))
+    pf, qf, df = (r.table(key, env) for key in ("p", "q", "d"))
     sig = P.prob_sig()
     space = prob_space(BOOL, BOOL)
 

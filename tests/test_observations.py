@@ -1112,6 +1112,19 @@ def test_a_law_check_meets_every_refusal_of_a_named_observation():
         lambda: O.check_morphism_laws(O.observation_st(), with_loop))
 
 
+def test_a_law_check_refuses_a_table_of_the_wrong_length_as_bind_does():
+    m = P.ret(SSIG, Z2.value(0))
+    good = tuple(P.ret(SSIG, v) for v in Z2.values())
+    long = good + good[:1]
+    want = _refusal(lambda: P.bind(m, long))
+    assert want == "continuation table has 3 entries for domain of size 2"
+    for key in (O._st_key, O._itself):
+        obs = dataclasses.replace(O.observation_st(), key=key)
+        for fs in ((long, good), (good, long)):
+            battery = O.ProgramBattery(SSIG, SSIG, (), ((m, m),), (fs,))
+            assert _refusal(lambda: O.check_morphism_laws(obs, battery)) == want
+
+
 def test_a_table_limit_below_one_is_refused():
     with pytest.raises(ValueError, match="table_limit"):
         O.battery_state(Z2, Z2, depth=2, table_limit=0)
@@ -1128,23 +1141,40 @@ def test_pair_space_returns_the_interned_space():
         O._pair_space(left, sm.state_space(UNIT, Z3, Z3, Z3))
 
 
-def test_law_check_binds_each_side_once_per_middle_and_table(monkeypatch):
-    battery = O.battery_state(Z2, Z2, depth=2, table_limit=4)
-    calls = []
+def test_law_check_builds_bound_programs_only_for_key_pairs_theta_has_not_seen(monkeypatch):
+    battery = O.battery_state(Z2, Z2, depth=2, table_limit=12)
+    built, met = [], []
     bind = P.bind
 
     def counted(m, f):
-        calls.append((id(m), id(f)))
-        return bind(m, f)
+        built.append((m, f, bind(m, f)))   # keeps each one alive, so ids stay distinct
+        return built[-1][2]
+
+    def observed(c1, c2):
+        met.append((c1, c2))
+        return O.theta_st(c1, c2)
 
     monkeypatch.setattr(P, "bind", counted)
-    rep = O.check_morphism_laws(O.observation_st(), battery)
+    obs = dataclasses.replace(O.observation_st(), map=observed)
+    rep = O.check_morphism_laws(obs, battery)
     assert rep.bind_law.equal
+    # keyed by runs: a bound pair is keyed by its composed runs, and a
+    # program is built only to be observed, for a key pair met the first time
+    assert built and {c for _, _, c in built} <= {c for pair in met for c in pair}
+    assert len({(id(m), id(f)) for m, f, _ in built}) == len(built)
+    keys = [(O._st_key(c1), O._st_key(c2)) for c1, c2 in met]
+    assert len(keys) == len(set(keys))
     left = {(id(m1), id(f1)) for m1, _ in battery.ms for f1, _ in battery.fs}
     right = {(id(m2), id(f2)) for _, m2 in battery.ms for _, f2 in battery.fs}
+    assert len(built) * 10 < len(left) + len(right)
+    # keyed by program, each side's (m, f) is built once
+    built.clear()
+    rep = O.check_morphism_laws(dataclasses.replace(obs, key=O._itself), battery)
+    assert rep.bind_law.equal
+    calls = [(id(m), id(f)) for m, f, _ in built]
     assert set(calls) == left | right
-    # one build per distinct (m, f) on each side; a pair used on both sides
-    # (the two signatures are equal here) is built once for each
+    # a pair used on both sides (the two signatures are equal here) is
+    # built once for each
     assert len(calls) == len(left) + len(right)
     assert rep.bind_law.checked == len(battery.ms) * len(battery.fs) > len(calls)
 

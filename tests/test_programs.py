@@ -352,6 +352,68 @@ def test_a_bind_whose_parts_have_run_composes_their_runs():
     assert composed == 300 and fresh > 250 and diverged > 30
 
 
+def _fuel_runs(p):
+    """p's state or imp runs as `P._runs` encodes them, from the fuelled
+    reference evaluator: out of fuel is divergence."""
+    n = p.sig.state.size
+    rs = (reference.run_imp_fuel(p, s, 200) for s in p.sig.state.values())
+    return tuple(None if r == "fuel" else r[0].index * n + r[1].index for r in rs)
+
+
+def _io_replayed(p, outcomes):
+    """Each (value, history) outcome, replayed by `run_io` on its inputs."""
+    for v, hist in outcomes:
+        inputs = [x for tag, x in reversed(hist) if tag == P.IN]
+        assert P.run_io(p, inputs) == (v, hist)
+    return outcomes
+
+
+# per effect: its signature, the runs of a bound program by the evaluators
+# (each a walk of the whole tree, never `_runs`), and what a run shows
+# that the battery must meet: divergence, an empty outcome set, a raise
+# passing the bind, a flip at 0, 1/4 and 1/2, or a history of two events
+_BIND_RUNS_CASES = {
+    P.STATE: (P.state_sig(domain("Z2", 2)), lambda b: {_imp_runs(b), _fuel_runs(b)},
+              lambda r: True),
+    P.IMP: (P.imp_sig(domain("Z2", 2)), lambda b: {_imp_runs(b), _fuel_runs(b)},
+            lambda r: None in r),
+    P.NDET: (P.ndet_sig(), lambda b: {frozenset(v.index for v in P.run_ndet(b))},
+             lambda r: not r),
+    P.EXC: (P.exc_sig(E2), lambda b: {(lambda tag, v: v.index + (tag == P.ERR) * Z3.size)(
+        *P.run_exc(b))}, lambda r: r >= Z3.size),
+    P.PROB: (P.prob_sig(), lambda b: {tuple(reference.run_prob(b))}, lambda r: True),
+    P.IO: (P.io_sig(domain("Z2", 2), domain("Z2", 2)), lambda b: {_io_replayed(b, P._io_walk(b))},
+           lambda r: any(len(h) > 1 for _, h in r)),
+}
+
+
+@pytest.mark.parametrize("effect", sorted(_BIND_RUNS_CASES))
+def test_bind_runs_agree_with_the_evaluators_on_the_bound_program(effect):
+    # seeded middles over Z2 and tables into Z3, so an exception's tag moves
+    # by |Z3|, not |Z2|; the bound program is built only to be evaluated
+    sig, evaluated, shows = _BIND_RUNS_CASES[effect]
+    rng = random.Random(37)
+    Z2 = domain("Z2", 2)
+    seen, flips = 0, set()
+    for _ in range(120):
+        m = random_program(rng, sig, Z2, rng.randint(1, 3))
+        f = tuple(random_program(rng, sig, Z3, rng.randint(1, 3)) for _ in Z2.values())
+        b = P.bind(m, f)
+        want = evaluated(b)
+        got = P.bind_runs(m, f)
+        if effect == P.PROB:
+            den, weights = got
+            got = tuple(Fraction(w, den) for w in weights)
+        assert want == {got}
+        # the parts have run now, so the bound program's runs are composed
+        assert P._runs(b) == P.bind_runs(m, f)
+        seen += shows(got)
+        flips |= {q.node.p for q in P._postorder(b) if type(q.node) is P.Flip}
+        del m, f, b
+    assert seen > 10
+    assert flips == ({Fraction(0), Fraction(1, 4), Fraction(1, 2)} if effect == P.PROB else set())
+
+
 def test_do_while_unrolling_under_evaluation():
     # do_while(body, k) behaves like bind(body, b -> b ? do_while(body, k) : k)
     rng = random.Random(7)

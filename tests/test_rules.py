@@ -592,6 +592,25 @@ def test_an_axiom_over_a_foreign_signature_fails_the_check(name, effect, which):
     assert f"{which} must be a {sig.effect} signature" in res.message, res.message
 
 
+@pytest.mark.parametrize("which", ["sig1", "sig2"])
+def test_ret_over_a_signature_its_observation_does_not_take_is_a_rule_error(which):
+    sigs = {"sig1": SSIG, "sig2": SSIG, which: NSIG}
+    with pytest.raises(R.RuleError, match=f"^Ret: {which} must be a state signature, "
+                                          "got 'ndet'$"):
+        R.derive("Ret", observation=O.observation_st(), a1=Z2.value(0), a2=Z2.value(1), **sigs)
+
+
+def test_a_table_parameter_of_the_wrong_length_is_a_rule_error_naming_it():
+    premise = _state_ret(Z2.value(0), Z2.value(0))
+    w0 = premise.conclusion.w_table[0]
+    with pytest.raises(R.RuleError, match="^Weaken: parameter 'w' is a table of 2 entries, "
+                                          "its context has 1 valuations$"):
+        R.derive("Weaken", (premise,), w=R.Table((w0, w0)))
+    env = R.Env((("b", BOOL),))
+    with pytest.raises(R.RuleError, match="^GetL: parameter 'a2' is a table of 3 entries"):
+        R.derive("GetL", sig1=SSIG, sig2=SSIG, env=env, a2=R.Table((Z2.value(0),) * 3))
+
+
 def test_if_left_requires_a_shared_right_program():
     jt = _state_ret(Z2.value(1), Z2.value(0))
     jf = _state_ret(Z2.value(0), Z2.value(1))
