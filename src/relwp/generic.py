@@ -718,11 +718,10 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
     monad = r.need("monad")
     theta = r.need("theta")
     sig1, sig2 = r.need("sig1"), r.need("sig2")
-    a1f, a2f = r.need("a1"), r.need("a2")
     ctx = r.get("ctx", EMPTY_SPLIT)
+    a1f, a2f = r.table("a1", ctx.left), r.table("a2", ctx.right)
     if monad.shape[0] == "exct":
         _exc_sigs(monad, sig1, sig2, r.rule)
-    a1f, a2f = _tabulate(ctx.left, a1f), _tabulate(ctx.right, a2f)
     return full_judgment(
         monad, theta,
         _each(partial(P.ret, sig1), a1f),
@@ -737,9 +736,11 @@ def _full_ret(r: RuleInstance, _prem) -> FullJudgment:
 @SPLIT.rule("Weaken", arity=1)
 def _full_weaken(r: RuleInstance, prem) -> FullJudgment:
     (j,) = prem
-    w1 = _tabulate(j.ctx.left, r.get("w1", j.w1_table))
-    w2 = _tabulate(j.ctx.right, r.get("w2", j.w2_table))
-    wrel = _pair_table(j.ctx, r.get("wrel", j.wrel_table))
+    w1 = r.table("w1", j.ctx.left, j.w1_table)
+    w2 = r.table("w2", j.ctx.right, j.w2_table)
+    wrel = r.get("wrel", j.wrel_table)
+    r.check_length("wrel", wrel, len(j.wrel_table), "pairs of valuations")
+    wrel = _pair_table(j.ctx, wrel)
     for part, lows, highs in (("left", j.w1_table, w1), ("right", j.w2_table, w2),
                               ("relational", j.wrel_table, wrel)):
         for _, (lo, hi) in _firsts(lows, highs):
@@ -808,13 +809,11 @@ def _full_throw(r: RuleInstance, _prem) -> FullJudgment:
     sig1, sig2 = r.need("sig1"), r.need("sig2")
     ctx = r.get("ctx", EMPTY_SPLIT)
     e1, e2 = _exc_sigs(monad, sig1, sig2, r.rule)
-    excf = r.need("exc")
-    af = r.need("a2" if left else "a1")
+    own, other_env = (ctx.left, ctx.right) if left else (ctx.right, ctx.left)
+    excs, af = r.table("exc", own), r.table("a2" if left else "a1", other_env)
     result = r.need("result1" if left else "result2")
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     e, other_e = (e1, e2) if left else (e2, e1)
-    own, other_env = (ctx.left, ctx.right) if left else (ctx.right, ctx.left)
-    excs, af = _tabulate(own, excf), _tabulate(other_env, af)
     for x in excs:
         if x.domain != e:
             raise RuleError(f"{r.rule}: exception value lives in {x.domain.name!r}")

@@ -5,7 +5,7 @@ Each observation maps two programs of a fixed effect into one carrier:
     theta_st    state pairs        -> WrelSt    (runs both sides, singleton demand)
     theta_ndet  nondeterminism     -> WrelPure  (forall / exists / forall-exists)
     theta_err   exceptions         -> WrelErr   (collapse every raise to one outcome)
-    theta_io    interactive pairs  -> WrelIO    (pairs each side's runs, after its history)
+    theta_io    interactive pairs  -> WrelIO    (the product of both sides' root runs)
     theta_part  loops, partial     -> WrelSt    (divergence satisfies everything)
     theta_tot   loops, total       -> WrelSt    (divergence satisfies nothing)
     theta_prob  probabilistic      -> WrelProb  (infimum over couplings, exact LP)
@@ -60,7 +60,6 @@ from .genprog import enumerate_classes
 from .programs import Program, Signature, semantic_key
 from .specmonads import (
     HOLDS,
-    IO_ROOT,
     ContTable,
     KernelSpec,
     LeqVerdict,
@@ -71,11 +70,11 @@ from .specmonads import (
     _bind_body,
     _fails,
     _fixed,
+    _io,
     _linear,
     closure_spec,
     demand_spec,
     err_space,
-    io_demonic_spec,
     io_space,
     outcome_space,
     prob_space,
@@ -323,43 +322,37 @@ def theta_err(c1: Program, c2: Program) -> RelSpec:
 
 
 def _io_runs_spec(space: OutcomeSpace, r1, r2) -> RelSpec:
-    """Pair two sets of root io outcomes: at (h1, h2), each pair's value
-    pair with each side's events put before its history."""
+    """Pair two sets of root io outcomes: the root entry holds each pair's
+    value pair with each side's events as its history."""
     width = space.a2.size
-
-    def entry(pt):
-        h1, h2 = pt
-        return {(v1.index * width + v2.index, e1 + h1, e2 + h2)
-                for v1, e1 in r1 for v2, e2 in r2}
-
-    return io_demonic_spec(space, entry)
+    return _io(space, frozenset([(v1.index * width + v2.index, e1, e2)
+                                 for v1, e1 in r1 for v2, e2 in r2]))
 
 
 _UNIT_RUNS = frozenset({(UNIT.value(0), ())})
 
 
 def unary_theta_io(side: int, i1: FiniteDomain, o1: FiniteDomain,
-                   i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> UnaryObservation:
+                   i2: FiniteDomain, o2: FiniteDomain) -> UnaryObservation:
     """One side's runs beside a unit return on the other, for `check_commute`."""
     def embed(c: Program) -> RelSpec:
         _expect_effect(c, P.IO, "unary_theta_io")
         if (c.sig.inp, c.sig.out) != ((i1, o1) if side == 1 else (i2, o2)):
             raise ValueError("program alphabets do not match the declared carrier")
         space = io_space(c.result if side == 1 else UNIT, i1, o1,
-                         c.result if side == 2 else UNIT, i2, o2, points)
+                         c.result if side == 2 else UNIT, i2, o2)
         runs = P._runs(c)
         return _io_runs_spec(space, *((runs, _UNIT_RUNS) if side == 1 else (_UNIT_RUNS, runs)))
 
     return UnaryObservation(f"theta-io/{side}", P.IO, side, "WrelIO", embed)
 
 
-def theta_io(c1: Program, c2: Program, points=IO_ROOT) -> RelSpec:
-    """The product of the two sides' runs (`_io_runs_spec`), compared at
-    `points`: the sides do not interact, so neither constrains the other."""
+def theta_io(c1: Program, c2: Program) -> RelSpec:
+    """The product of the two sides' runs (`_io_runs_spec`): the sides do
+    not interact, so neither constrains the other."""
     _expect_effect(c1, P.IO, "theta_io")
     _expect_effect(c2, P.IO, "theta_io")
-    space = io_space(c1.result, c1.sig.inp, c1.sig.out, c2.result, c2.sig.inp, c2.sig.out,
-                     points)
+    space = io_space(c1.result, c1.sig.inp, c1.sig.out, c2.result, c2.sig.inp, c2.sig.out)
     return _io_runs_spec(space, P._runs(c1), P._runs(c2))
 
 
@@ -515,11 +508,11 @@ def _pair_space(sp1: OutcomeSpace, sp2: OutcomeSpace) -> OutcomeSpace:
         raise ValueError(f"cannot pair {sp1.tag} with {sp2.tag}")
     if sp1.a2 != UNIT or sp2.a1 != UNIT:
         raise ValueError("one-sided specs must keep the unit domain on the off side")
-    for f in ("s1", "s2", "i1", "o1", "i2", "o2", "histories"):
+    for f in ("s1", "s2", "i1", "o1", "i2", "o2"):
         if getattr(sp1, f) != getattr(sp2, f):
             raise ValueError("one-sided specs disagree on the ambient carrier")
     return outcome_space(sp1.tag, sp1.a1, sp2.a2, sp1.s1, sp1.s2,
-                         sp1.i1, sp1.o1, sp1.i2, sp1.o2, sp1.histories)
+                         sp1.i1, sp1.o1, sp1.i2, sp1.o2)
 
 
 def _sequence(w1: RelSpec, w2: RelSpec, left_first: bool = True) -> RelSpec:
@@ -632,23 +625,24 @@ def observation_err() -> EffectObservation:
 
 
 def observation_io(i1: FiniteDomain, o1: FiniteDomain,
-                   i2: FiniteDomain, o2: FiniteDomain, points=IO_ROOT) -> EffectObservation:
-    """θ_io at `points`, any sequence of them, for these alphabets alone."""
-    return _observation_io(i1, o1, i2, o2, tuple(points))
+                   i2: FiniteDomain, o2: FiniteDomain) -> EffectObservation:
+    """θ_io for these alphabets alone: one object, however they are passed."""
+    return _observation_io(i1, o1, i2, o2)
 
 
 @lru_cache(maxsize=None)
-def _observation_io(i1, o1, i2, o2, points: tuple) -> EffectObservation:
-    sigs = P.io_sig(i1, o1), P.io_sig(i2, o2)
+def _observation_io(i1, o1, i2, o2) -> EffectObservation:
+    return EffectObservation("theta-io", P.IO, P.IO, "WrelIO",
+                             partial(_theta_io_over, (P.io_sig(i1, o1), P.io_sig(i2, o2))),
+                             STRICT, _run_key)
 
-    def map_fn(c1: Program, c2: Program) -> RelSpec:
-        if (c1.sig, c2.sig) != sigs:
-            _expect_effect(c1, P.IO, "theta_io")
-            _expect_effect(c2, P.IO, "theta_io")
-            raise ValueError("program alphabets do not match the declared carrier")
-        return theta_io(c1, c2, points)
 
-    return EffectObservation("theta-io", P.IO, P.IO, "WrelIO", map_fn, STRICT, _run_key)
+def _theta_io_over(sigs, c1: Program, c2: Program) -> RelSpec:
+    if (c1.sig, c2.sig) != sigs:
+        _expect_effect(c1, P.IO, "theta_io")
+        _expect_effect(c2, P.IO, "theta_io")
+        raise ValueError("program alphabets do not match the declared carrier")
+    return theta_io(c1, c2)
 
 
 @lru_cache(maxsize=None)
@@ -905,8 +899,9 @@ def check_morphism_laws(obs: EffectObservation, battery: ProgramBattery) -> LawR
         for f1, f2 in battery.fs:
             table = ContTable({(i, j): theta(c1, c2, key(c1), key(c2))
                                for i, c1 in enumerate(f1) for j, c2 in enumerate(f2)})
-            rhss = right_sides(wms, table)
+            # bind's refusals of a table come before the spec layer's
             (b1, k1), (b2, k2) = bound(bound1, mids1, f1), bound(bound2, mids2, f2)
+            rhss = right_sides(wms, table)
             for m, i1, i2, iw in zip(battery.ms, pos1, pos2, wpos):
                 k = k1[i1], k2[i2]
                 lhs = observed.get(k)

@@ -57,7 +57,6 @@ from .observations import (
     EXISTS,
     FORALL,
     FORALL_EXISTS,
-    IO_ROOT,
     NDET_MODES,
     EffectObservation,
     observation_err,
@@ -269,13 +268,19 @@ class RuleInstance:
             raise RuleError(f"{self.rule}: missing parameter {key!r}")
         return self.params[key]
 
-    def table(self, key: str, env: Env) -> Table:
-        """Parameter key tabulated over env; a Table of another length fails."""
-        x = self.need(key)
-        if type(x) is Table and len(x) != env.count:
-            raise RuleError(f"{self.rule}: parameter {key!r} is a table of {len(x)} entries, "
-                            f"its context has {env.count} valuations")
+    def table(self, key: str, env: Env, default=None) -> Table:
+        """Parameter key tabulated over env, or `default`, where one is
+        given, in its absence; a Table of another length fails."""
+        x = self.need(key) if default is None else self.get(key, default)
+        self.check_length(key, x, env.count, "valuations")
         return _tabulate(env, x)
+
+    def check_length(self, key: str, x, count: int, what: str) -> None:
+        """Refuse a Table x for parameter key unless it has count entries,
+        one per valuation (`what`) of its context."""
+        if type(x) is Table and len(x) != count:
+            raise RuleError(f"{self.rule}: parameter {key!r} is a table of {len(x)} entries, "
+                            f"its context has {count} {what}")
 
     def get(self, key: str, default=None):
         return self.params.get(key, default)
@@ -506,7 +511,7 @@ def _extension(base: Env, ext: Env, doms: Tuple[FiniteDomain, ...], who: str) ->
 
 
 def _ret_space(target: str, sig1: Signature, sig2: Signature,
-               a1: FiniteDomain, a2: FiniteDomain, points=IO_ROOT) -> OutcomeSpace:
+               a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
     if target == "WrelSt":
         return state_space(a1, sig1.state, a2, sig2.state)
     if target == "WrelPure":
@@ -514,7 +519,7 @@ def _ret_space(target: str, sig1: Signature, sig2: Signature,
     if target == "WrelErr":
         return err_space(a1, a2)
     if target == "WrelIO":
-        return io_space(a1, sig1.inp, sig1.out, a2, sig2.inp, sig2.out, points)
+        return io_space(a1, sig1.inp, sig1.out, a2, sig2.inp, sig2.out)
     if target == "WrelProb":
         return prob_space(a1, a2)
     raise RuleError(f"no unit spec for carrier {target!r}")
@@ -526,11 +531,10 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, obs.left_effect, obs.right_effect)
     env = r.get("env", EMPTY_ENV)
     a1s, a2s = r.table("a1", env), r.table("a2", env)
-    points = tuple(r.get("points", IO_ROOT))
     c1 = _each(partial(P.ret, sig1), a1s)
     c2 = _each(partial(P.ret, sig2), a2s)
-    w = _each(lambda a1, a2: spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain,
-                                                 points), a1, a2), a1s, a2s)
+    w = _each(lambda a1, a2: spec_ret(_ret_space(obs.target, sig1, sig2, a1.domain, a2.domain),
+                                      a1, a2), a1s, a2s)
     return judgment(obs, c1, c2, w, env)
 
 
@@ -538,9 +542,6 @@ def _ret_rule(r: RuleInstance, _prem) -> Judgment:
 def _bind_rule(r: RuleInstance, prem) -> Judgment:
     jm, jf = prem
     obs = _shared_obs(prem, "Bind")
-    pm, pf = (j.w_table[0].space.histories for j in prem)   # None off io
-    if pm != pf:
-        raise RuleError(f"Bind: premises are declared at different history points: {pm} and {pf}")
     env = jm.env
     if len(jf.env.vars) != len(env.vars) + 2 or jf.env.vars[:len(env.vars)] != env.vars:
         raise RuleError("Bind: second premise context must bind exactly the two result values")
@@ -1023,30 +1024,22 @@ def _catch_rule(r: RuleInstance, prem) -> Judgment:
 # Interactive axioms
 
 
-def _io_obs(sig1: Signature, sig2: Signature, points) -> EffectObservation:
-    return observation_io(sig1.inp, sig1.out, sig2.inp, sig2.out, points)
+def _io_obs(sig1: Signature, sig2: Signature) -> EffectObservation:
+    return observation_io(sig1.inp, sig1.out, sig2.inp, sig2.out)
 
 
-def _one_event_spec(sig1: Signature, sig2: Signature, points, left: bool, other: Value,
+def _one_event_spec(sig1: Signature, sig2: Signature, left: bool, other: Value,
                     steps, rdom: FiniteDomain) -> RelSpec:
     """One side takes one of `steps`, (result, event) pairs, beside a
-    return of `other` on the other side: the event goes on the acting
-    side's history."""
+    return of `other` on the other side: the event is the acting side's
+    history in the root entry."""
     if left:
-        sp = io_space(rdom, sig1.inp, sig1.out, other.domain, sig2.inp, sig2.out, points)
-
-        def fn(pt):
-            h1, h2 = pt
-            return {(x.index * other.domain.size + other.index, (ev,) + h1, h2)
-                    for x, ev in steps}
+        sp = io_space(rdom, sig1.inp, sig1.out, other.domain, sig2.inp, sig2.out)
+        entry = {(x.index * other.domain.size + other.index, (ev,), ()) for x, ev in steps}
     else:
-        sp = io_space(other.domain, sig1.inp, sig1.out, rdom, sig2.inp, sig2.out, points)
-
-        def fn(pt):
-            h1, h2 = pt
-            return {(other.index * rdom.size + x.index, h1, (ev,) + h2) for x, ev in steps}
-
-    return io_demonic_spec(sp, fn)
+        sp = io_space(other.domain, sig1.inp, sig1.out, rdom, sig2.inp, sig2.out)
+        entry = {(other.index * rdom.size + x.index, (), (ev,)) for x, ev in steps}
+    return io_demonic_spec(sp, entry)
 
 
 @CORE.rule("InputL", "InputR", arity=0)
@@ -1056,12 +1049,10 @@ def _input(r: RuleInstance, _prem) -> Judgment:
     sig1, sig2 = _axiom_sigs(r, P.IO)
     env = r.get("env", EMPTY_ENV)
     af = r.table("a2" if left else "a1", env)
-    points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
     steps = tuple((i, (P.IN, i)) for i in sig.inp.values())
-    w = _each(lambda a: _one_event_spec(sig1, sig2, points, left, a, steps, sig.inp), af)
-    return _beside_return(_io_obs(sig1, sig2, points), left, P.read_input(sig), other_sig,
-                          af, w, env)
+    w = _each(lambda a: _one_event_spec(sig1, sig2, left, a, steps, sig.inp), af)
+    return _beside_return(_io_obs(sig1, sig2), left, P.read_input(sig), other_sig, af, w, env)
 
 
 @CORE.rule("OutputL", "OutputR", arity=0)
@@ -1074,12 +1065,11 @@ def _output(r: RuleInstance, _prem) -> Judgment:
         of, af = r.table("o1", env), r.table("a2", env)
     else:
         af, of = r.table("a1", env), r.table("o2", env)
-    points = tuple(r.get("points", IO_ROOT))
     sig, other_sig = (sig1, sig2) if left else (sig2, sig1)
-    w = _each(lambda o, a: _one_event_spec(sig1, sig2, points, left, a,
-                                           ((UNIT_VAL, (P.OUT, o)),), UNIT), of, af)
+    w = _each(lambda o, a: _one_event_spec(sig1, sig2, left, a, ((UNIT_VAL, (P.OUT, o)),), UNIT),
+              of, af)
     write = _each(lambda o: P.output(sig, o, P.ret(sig, UNIT_VAL)), of)
-    return _beside_return(_io_obs(sig1, sig2, points), left, write, other_sig, af, w, env)
+    return _beside_return(_io_obs(sig1, sig2), left, write, other_sig, af, w, env)
 
 
 # ---------------------------------------------------------------------------
@@ -1254,11 +1244,9 @@ def check_derivation(d: Derivation) -> CheckResult:
     Each rule is applied once per node, to its premises' stored tables,
     working once per distinct entry, and its result is compared with the
     stated tables once per distinct entry.  An honest node's recomputed
-    programs and specs are the stated objects (`programs._intern`; an
-    interactive spec, which is not pooled, has the stated entries): no
+    programs and specs are the stated objects (`programs._intern`): no
     program is normalized and no LP runs.  A stated spec of another space
-    fails its node, as any other difference does: another carrier, or an
-    interactive spec declared at other history points."""
+    fails its node, as any other difference does."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     while stack:
@@ -1393,11 +1381,8 @@ def _grow_demonic(rng: random.Random, w: RelSpec) -> RelSpec:
 
 
 def _grow_io(rng: random.Random, w: RelSpec) -> RelSpec:
-    doomed = frozenset(pt for pt in w.space.histories if rng.random() < 0.2)
-    if not doomed:
-        return w
-    return io_demonic_spec(w.space, lambda pt, _w=w: VIOLATED if pt in doomed
-                           else _w.demonic_at(pt))
+    # a spec above w: w itself, or the unsatisfiable spec at one draw in five
+    return unsatisfiable(w.space) if rng.random() < 0.2 else w
 
 
 def _raise_prob(rng: random.Random, w: RelSpec) -> RelSpec:
@@ -1462,7 +1447,7 @@ def random_derivation(rng: random.Random, effect: str, depth: int = 4,
     elif effect == P.IO:
         idom, odom = domain(f"in{io_sizes[0]}", io_sizes[0]), domain(f"out{io_sizes[1]}", io_sizes[1])
         sig = P.io_sig(idom, odom)
-        obs = observation_io(idom, odom, idom, odom, IO_ROOT)
+        obs = observation_io(idom, odom, idom, odom)
         pool = [UNIT, BOOL, idom]
     elif effect == P.PROB:
         sig = P.prob_sig()

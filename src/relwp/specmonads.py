@@ -34,28 +34,29 @@ point, its post row over those outcomes, beside its precondition row.
 Unit, bind and the order on the rows are the demand-family operations; the
 precondition row only adds a conjunction to each.
 
-The interactive carrier has one body too: a demonic entry per history
-point, the set of (value pair, history, history) outcomes that must all
-satisfy the postcondition, or VIOLATED.  Entries are computed lazily and
-kept once read; bind threads histories through them.  The space declares
-the history points where `spec_leq` compares entries, by set inclusion
-(`io_space`'s `histories`).  The quantitative carrier's one body is a
-minimum of affine pieces, held as rows of ints over one positive
-denominator per spec, in lowest terms after pruning, so equal specs have
-equal rows; `pieces` is the rational view.  Bind scales its continuations
-to one denominator and expands the pieces exactly, pruning as it goes,
-and past a documented size raises `SpecTooLarge`; `spec_leq` scales both
-sides to one denominator and compares pieces exactly by linear
-programming.
+The interactive carrier has one body too: its root entry, the set of
+(value pair, history, history) outcomes that must all satisfy the
+postcondition when both runs start from empty histories, or VIOLATED.
+Every interactive spec is history-uniform: its entry at (h1, h2) is the
+root entry with h1 and h2 appended to each outcome's histories, so the
+root entry decides the spec at every history, and bind and the order
+(inclusion of root entries) are exact everywhere.
+
+The quantitative carrier's one body is a minimum of affine pieces, held
+as rows of ints over one positive denominator per spec, in lowest terms
+after pruning, so equal specs have equal rows; `pieces` is the rational
+view.  Bind scales its continuations to one denominator and expands the
+pieces exactly, pruning as it goes, and past a documented size raises
+`SpecTooLarge`; `spec_leq` scales both sides to one denominator and
+compares pieces exactly by linear programming.
 
 Outcome spaces are canonical (`domains.Canonical`): one `OutcomeSpace`
 per field tuple, however it is built, so the shape checks in bind and
-comparison are identity tests.  Specs with demand families or pieces are
-interned by their bodies, in the pool that holds the live programs
-(`programs._intern`, from `_fixed` and `_linear`): one live spec per
-space and body, so a replay that rebuilds a stated spec gets the stated
-object, and so does unpickling, as a spec pickles as its body alone.
-Interactive specs are built per construction and do not pickle.
+comparison are identity tests.  Every spec is interned by its body, in
+the pool that holds the live programs (`programs._intern`, from `_fixed`,
+`_linear` and `_io`): one live spec per space and body, so a replay that
+rebuilds a stated spec gets the stated object, and so does unpickling, as
+a spec pickles as its body alone.
 
 Pre/post pairs become demonic specs in two ways.  `embed_pp_in_wp` keeps
 a pair's post row at every point where its precondition holds and is
@@ -133,13 +134,11 @@ class OutcomeSpace(Canonical):
     """Carrier shape of a spec: which outcomes postconditions range over.
 
     The value domains a1/a2 are always present.  State carriers add
-    s1/s2, interactive carriers add per-side input and output alphabets
-    and the history points where their specs are compared (`histories`,
-    None on every other carrier).  For the fixed carriers `size` counts
-    outcomes exactly; a PPrel space has the outcomes and points of its Wrel
-    space.  Interactive outcomes are (value pair, history, history) triples
-    and form no finite domain: each spec lists the ones it demands per
-    history point.
+    s1/s2, interactive carriers add per-side input and output alphabets.
+    For the fixed carriers `size` counts outcomes exactly; a PPrel space
+    has the outcomes and points of its Wrel space.  Interactive outcomes
+    are (value pair, history, history) triples and form no finite domain:
+    each spec lists the ones its root entry demands.
     """
 
     tag: str
@@ -151,7 +150,6 @@ class OutcomeSpace(Canonical):
     o1: Optional[FiniteDomain] = None
     i2: Optional[FiniteDomain] = None
     o2: Optional[FiniteDomain] = None
-    histories: Optional[tuple] = None
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -159,14 +157,13 @@ class OutcomeSpace(Canonical):
         needs_state = self.tag in _STATE_TAGS
         if needs_state and (self.s1 is None or self.s2 is None):
             raise ValueError(f"{self.tag} needs state domains on both sides")
-        if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2, self.histories):
-            raise ValueError("WrelIO needs input and output alphabets on both sides "
-                             "and its history points")
+        if self.tag == "WrelIO" and None in (self.i1, self.o1, self.i2, self.o2):
+            raise ValueError("WrelIO needs input and output alphabets on both sides")
 
     @cached_property
     def size(self) -> int:
         if self.tag == "WrelIO":
-            raise ValueError("interactive outcomes are listed per history point")
+            raise ValueError("interactive outcomes are listed by each spec's root entry")
         pairs = self.a1.size * self.a2.size
         if self.tag == "WrelErr":
             return pairs + 1   # the single extra outcome stands for "some side raised"
@@ -240,39 +237,34 @@ outcome_space = OutcomeSpace
 
 
 def pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelPure", a1, a2, None, None, None, None, None, None, None)
+    return OutcomeSpace("WrelPure", a1, a2, None, None, None, None, None, None)
 
 
 def state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelSt", a1, a2, s1, s2, None, None, None, None, None)
+    return OutcomeSpace("WrelSt", a1, a2, s1, s2, None, None, None, None)
 
 
 def err_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelErr", a1, a2, None, None, None, None, None, None, None)
-
-
-# the one history point of two runs that have done nothing yet
-IO_ROOT = (((), ()),)
+    return OutcomeSpace("WrelErr", a1, a2, None, None, None, None, None, None)
 
 
 def io_space(a1: FiniteDomain, i1: FiniteDomain, o1: FiniteDomain,
-             a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain,
-             points=IO_ROOT) -> OutcomeSpace:
-    """The interactive space whose specs are compared at `points`, history
-    pairs (h1, h2), each history newest event first."""
-    return OutcomeSpace("WrelIO", a1, a2, None, None, i1, o1, i2, o2, tuple(points))
+             a2: FiniteDomain, i2: FiniteDomain, o2: FiniteDomain) -> OutcomeSpace:
+    """The interactive space over these value domains and alphabets.  Its
+    specs read at history pairs (h1, h2), each history newest event first."""
+    return OutcomeSpace("WrelIO", a1, a2, None, None, i1, o1, i2, o2)
 
 
 def prob_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("WrelProb", a1, a2, None, None, None, None, None, None, None)
+    return OutcomeSpace("WrelProb", a1, a2, None, None, None, None, None, None)
 
 
 def pp_pure_space(a1: FiniteDomain, a2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelPure", a1, a2, None, None, None, None, None, None, None)
+    return OutcomeSpace("PPrelPure", a1, a2, None, None, None, None, None, None)
 
 
 def pp_state_space(a1: FiniteDomain, s1: FiniteDomain, a2: FiniteDomain, s2: FiniteDomain) -> OutcomeSpace:
-    return OutcomeSpace("PPrelSt", a1, a2, s1, s2, None, None, None, None, None)
+    return OutcomeSpace("PPrelSt", a1, a2, s1, s2, None, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +506,9 @@ class RelSpec:
       fams     fixed propositional carriers: one demand family per point;
                pre/post pairs: one demand per point, the post row, beside
                `pre`, a truth value per point
-      table    interactive carrier: a demonic entry per history point, a
-               function of the point whose answers are kept once read
+      root     interactive carrier: the root entry, VIOLATED or a frozenset
+               of (value pair, history, history) outcomes; the entry at
+               (h1, h2) appends h1 and h2 to each outcome's histories
       rows     quantitative carrier: min-of-affine pieces (constant,
                coefficient row) as ints over the positive denominator
                `den`; a piece reads (k + <cs, phi>) / den.  `pieces` given
@@ -523,20 +516,17 @@ class RelSpec:
     """
 
     __slots__ = (
-        "tag", "space", "fams", "table", "rows", "den",
-        "pre", "_io_cache", "_outs", "__weakref__",
+        "tag", "space", "fams", "root", "rows", "den",
+        "pre", "_outs", "__weakref__",
     )
 
-    def __init__(self, tag, space, fams=None, table=None, pieces=None, pre=None):
+    def __init__(self, tag, space, fams=None, root=None, pieces=None, pre=None):
         self.tag = tag
         self.space = space
         self.fams = fams
-        self.table = table
+        self.root = root
         self.den, self.rows = (None, None) if pieces is None else _int_pieces(space, pieces)
         self.pre = pre
-        # entries read so far; only interactive table specs have any
-        self._io_cache: Optional[Dict[Tuple[History, History], object]] = (
-            {} if table is not None else None)
         # a gather of each point's one outcome, or False, once `_bind` has asked
         self._outs = None
 
@@ -555,15 +545,15 @@ class RelSpec:
     @property
     def is_demonic(self) -> bool:
         """At most one demand per point.  Interactive specs always are: their
-        one body is a demonic entry per history point."""
+        one body is a demonic entry, the root entry."""
         if self.fams is not None:
             return all(len(f) <= 1 for f in self.fams)
-        return self.table is not None
+        return self.root is not None
 
     def demonic_at(self, pt):
         """The demonic entry at a point: its one demand's outcomes, VIOLATED,
         or None for several demands (and on the quantitative and pre/post
-        carriers)."""
+        carriers).  An interactive point is a history pair (h1, h2)."""
         if self.pre is not None:
             return None
         if self.fams is not None:
@@ -572,11 +562,9 @@ class RelSpec:
                 return None if fam else VIOLATED
             (d,) = fam
             return frozenset(_bits(d))
-        if self.table is None:
+        if self.root is None:
             return None
-        if pt not in self._io_cache:
-            _fill_io_entries(self, pt)
-        return self._io_cache[pt]
+        return _shift(self.root, *pt)
 
     def at(self, phi, point=None) -> object:
         """Evaluate the transformer at one postcondition and point."""
@@ -607,9 +595,8 @@ class RelSpec:
     def __reduce__(self):
         # pickle and copy rebuild the body through the pool, so an unpickled
         # spec is the live one, and no cache travels with it
-        if self.table is not None:
-            raise TypeError("an interactive spec reads its entries through a function "
-                            "and does not pickle")
+        if self.root is not None:
+            return _io, (self.space, self.root)
         if self.rows is not None:
             return _intern, ((self.space, self.den, self.rows), _prob_spec,
                              self.space, self.den, self.rows)
@@ -618,29 +605,16 @@ class RelSpec:
     def __repr__(self):
         body = ("pre/post" if self.pre is not None else
                 "demands" if self.fams is not None else
-                "demonic" if self.table is not None else "pieces")
+                "root entry" if self.root is not None else "pieces")
         return f"<RelSpec {self.tag} {body}>"
 
 
-def _fill_io_entries(w: RelSpec, pt) -> None:
-    """Cache w's demonic entry at pt and every entry it depends on.
-
-    A table returns an entry, or a (spec, point) pair whose entry it needs
-    first: binds of demonic interactive specs do.  The needed entries are
-    filled from an explicit stack rather than by recursion, so reading a
-    chain of binds of any length takes constant Python stack depth.  A pair
-    is pushed only when its entry is missing, and each push fills it before
-    the table that asked is called again.
-    """
-    stack = [(w, pt)]
-    while stack:
-        s, p = stack[-1]
-        got = s.table(p)
-        if type(got) is tuple:
-            stack.append(got)
-        else:
-            s._io_cache[p] = got
-            stack.pop()
+def _shift(entry, h1: History, h2: History):
+    """An interactive entry read at (h1, h2): each outcome's histories with
+    h1 and h2 appended (histories are newest event first)."""
+    if entry is VIOLATED or not (h1 or h2):
+        return entry
+    return frozenset([(v, e1 + h1, e2 + h2) for v, e1, e2 in entry])
 
 
 def _phi_vector(w: RelSpec, phi) -> Tuple[Fraction, ...]:
@@ -721,21 +695,28 @@ def closure_spec(space: OutcomeSpace, fn) -> RelSpec:
     return _fixed(space, fams)
 
 
-def io_demonic_spec(space: OutcomeSpace, fn) -> RelSpec:
-    """Interactive spec from its demonic entries, the one body of the
-    interactive carrier.
-
-    `fn` maps a history pair to VIOLATED or a set of (value, h1, h2)
-    outcomes, where value indexes the value pair; it is called at most once
-    per point.
+def io_demonic_spec(space: OutcomeSpace, entry) -> RelSpec:
+    """Interactive spec from its root entry, the one body of the
+    interactive carrier: VIOLATED, or the (value, h1, h2) outcomes that
+    must all satisfy the postcondition when both runs start from empty
+    histories, where value indexes the value pair i1 * |a2| + i2.
     """
     if space.tag != "WrelIO":
         raise ValueError("io_demonic_spec needs the interactive carrier")
-    return RelSpec("WrelIO", space, table=lambda pt: _norm_io_entry(fn(pt)))
+    if entry is not VIOLATED:
+        entry = frozenset(entry)
+        pairs = space.a1.size * space.a2.size
+        for o in entry:
+            if not (isinstance(o, tuple) and len(o) == 3 and 0 <= o[0] < pairs
+                    and isinstance(o[1], tuple) and isinstance(o[2], tuple)):
+                raise ValueError(f"interactive outcome {o!r} is not a (value pair, history, "
+                                 f"history) triple over {pairs} value pairs")
+    return _io(space, entry)
 
 
-def _norm_io_entry(entry):
-    return VIOLATED if entry is VIOLATED else frozenset(entry)
+def _io(space: OutcomeSpace, entry) -> RelSpec:
+    """The interactive spec of a checked root entry, pooled by it."""
+    return _intern((space, entry), RelSpec, "WrelIO", space, None, entry)
 
 
 def linear_spec(space: OutcomeSpace, pieces) -> RelSpec:
@@ -867,7 +848,7 @@ def _ret(space: OutcomeSpace, i1: int, i2: int) -> RelSpec:
         return _fixed(space, [frozenset({1 << space.err_ok(i1, i2)})])
     if tag == "WrelIO":
         v = i1 * space.a2.size + i2
-        return io_demonic_spec(space, lambda pt: {(v, pt[0], pt[1])})
+        return _io(space, frozenset({(v, (), ())}))
     if tag == "WrelProb":
         coeffs = [0] * space.size
         coeffs[i1 * space.a2.size + i2] = 1
@@ -890,6 +871,11 @@ def _conts(space: OutcomeSpace, wf) -> Dict[Tuple[int, int], RelSpec]:
         except KeyError as e:
             raise ValueError("continuation table has no entry for the value pair "
                              f"{e.args[0]}") from None
+        if len(wf) != len(pairs):
+            known = set(pairs)
+            extra = next(k for k in wf if k not in known)
+            raise ValueError(f"continuation table has an entry for {extra!r}, which is not "
+                             f"a value pair of the middle")
     elif len(wf) != len(pairs):
         raise ValueError(f"continuation table has {len(wf)} entries, expected {len(pairs)}")
     else:
@@ -905,7 +891,7 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
     """The continuations' common space.
 
     Every continuation must carry wm's tag, the first continuation's value
-    domains, and wm's ambient fields (states, alphabets, history points).
+    domains, and wm's ambient fields (states, alphabets).
     A space equal to the first is that very object and needs only its tag
     checked; the errors and their order are those of checking each
     continuation in turn.
@@ -922,8 +908,8 @@ def _common_cont_space(wm: RelSpec, conts: Dict[Tuple[int, int], RelSpec]) -> Ou
         elif (sp.a1, sp.a2) != (first.a1, first.a2):
             raise ValueError("continuations disagree on their value domains")
         amb = wm.space
-        if (sp.s1, sp.s2, sp.i1, sp.o1, sp.i2, sp.o2, sp.histories) != (
-                amb.s1, amb.s2, amb.i1, amb.o1, amb.i2, amb.o2, amb.histories):
+        if (sp.s1, sp.s2, sp.i1, sp.o1, sp.i2, sp.o2) != (
+                amb.s1, amb.s2, amb.i1, amb.o1, amb.i2, amb.o2):
             raise ValueError("continuations must keep the ambient carrier shape")
     return first
 
@@ -1035,30 +1021,20 @@ def _fixed_subs(space: OutcomeSpace, conts, tspace: OutcomeSpace) -> List[Frozen
 
 
 def _bind_io(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
-    """Each outcome of wm's entry continues from the histories it carries;
-    the bound entry is the union of the continuations' entries there."""
+    """Each outcome of wm's root entry continues from the histories it
+    carries: the bound root entry is the union of the continuations' root
+    entries read there, and VIOLATED when wm's or any of those is."""
+    root = wm.root
+    if root is VIOLATED:
+        return _io(cspace, VIOLATED)
     width = wm.space.a2.size
-
-    def entry(pt):
-        # the entry, or the first part entry still missing: parts are
-        # read in order and the first VIOLATED one ends the reading
-        r = wm._io_cache.get(pt)
-        if r is None:
-            return (wm, pt)
-        if r is VIOLATED:
-            return VIOLATED
-        acc = set()
-        for (v, h1, h2) in r:
-            sw, spt = conts[divmod(v, width)], (h1, h2)
-            sub = sw._io_cache.get(spt)
-            if sub is None:
-                return (sw, spt)
-            if sub is VIOLATED:
-                return VIOLATED
-            acc |= sub
-        return frozenset(acc)
-
-    return RelSpec("WrelIO", cspace, table=entry)
+    acc = set()
+    for v, h1, h2 in root:
+        sub = conts[divmod(v, width)].root
+        if sub is VIOLATED:
+            return _io(cspace, VIOLATED)
+        acc.update(_shift(sub, h1, h2))
+    return _io(cspace, frozenset(acc))
 
 
 def _bind_prob(wm: RelSpec, conts, cspace: OutcomeSpace) -> RelSpec:
@@ -1213,7 +1189,7 @@ def unsatisfiable(space: OutcomeSpace) -> RelSpec:
     """The top claim: no postcondition is guaranteed anywhere."""
     tag = space.tag
     if tag == "WrelIO":
-        return io_demonic_spec(space, lambda pt: VIOLATED)
+        return _io(space, VIOLATED)
     if tag == "WrelProb":
         return _linear(space, 1, ((1, (0,) * space.size),))
     if tag in PP_TAGS:
@@ -1226,7 +1202,7 @@ def weakest(space: OutcomeSpace) -> RelSpec:
     """The least claim: trivially satisfied by every observation."""
     tag = space.tag
     if tag == "WrelIO":
-        return io_demonic_spec(space, lambda pt: frozenset())
+        return _io(space, frozenset())
     if tag == "WrelProb":
         return _linear(space, 1, ((0, (0,) * space.size),))
     pre = (True,) * space.point_count if tag in PP_TAGS else None
@@ -1273,12 +1249,12 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     point's post row of w must lie inside w2's, by the same cover loop
     (one demand per point).
 
-    Interactive specs have one body, a demonic entry per history point, and
-    compare exactly by set inclusion at every point their space declares:
-    w <= w2 fails at the first point where w2's entry is satisfiable and
-    w's is VIOLATED or not inside it, with w2's entry, listed in index
-    order, as the witness `phi`.  Quantitative
-    specs are pieces on both sides and compare exactly over one common
+    Interactive specs have one body, their root entry, and compare by set
+    inclusion of root entries, which is exact at every history point, as
+    every entry is its root entry shifted by the point: w <= w2 fails when
+    w2's root entry is satisfiable and w's is VIOLATED or not inside it,
+    with w2's root entry, listed in index order, as the witness `phi` at
+    the root point ((), ()).  Quantitative specs are pieces on both sides and compare exactly over one common
     denominator: per piece of w2, a box bound settles the difference family
     when it is already <= 0, and linear programming decides the rest.
 
@@ -1295,7 +1271,8 @@ def spec_leq(w: RelSpec, w2: RelSpec, cap: int = DEFAULT_CAP) -> LeqVerdict:
     if w.tag == "WrelProb":
         return _leq_prob(w, w2)
     if w.tag == "WrelIO":
-        return _leq_io(w, w2)
+        # every spec lies below the unsatisfiable one
+        return HOLDS if w2.root is VIOLATED else _leq_io(w, w2)
     if w.pre is not None:
         for pt, (ok, ok2) in enumerate(zip(w.pre, w2.pre)):
             if ok2 and not ok:
@@ -1343,15 +1320,11 @@ def _scale_rows(rows: tuple, f: int) -> tuple:
 
 
 def _leq_io(w: RelSpec, w2: RelSpec) -> LeqVerdict:
-    for pt in w.space.histories:
-        r2 = w2.demonic_at(pt)
-        if r2 is VIOLATED:
-            continue
-        r = w.demonic_at(pt)
-        if r is VIOLATED or not r <= r2:
-            # listed in index order: a set of Values iterates in address order
-            return _fails(tuple(sorted(r2, key=_io_outcome_key)), point=pt,
-                          note="right holds but left does not at this point")
+    r, r2 = w.root, w2.root
+    if r is VIOLATED or not r <= r2:
+        # listed in index order: a set of Values iterates in address order
+        return _fails(tuple(sorted(r2, key=_io_outcome_key)), point=((), ()),
+                      note="right holds but left does not at the root")
     return HOLDS
 
 

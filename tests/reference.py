@@ -334,7 +334,7 @@ def theta_part_slow(c1: Program, c2: Program) -> RelSpec:
     return from_commuting_pair(u1, u2, name="theta-part").map(c1, c2)
 
 
-def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
+def theta_io_walk(c: Program, side: int, alph) -> RelSpec:
     """One-sided θ_io on the given side, built on the tree: a return is the
     unit, an output the one outcome with its event put on the side's
     history, an input one outcome per value read; event nodes and binds
@@ -342,12 +342,11 @@ def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
     i1, o1, i2, o2 = alph
 
     def space(dom):
-        return io_space(dom if side == 1 else UNIT, i1, o1, dom if side == 2 else UNIT, i2, o2,
-                        points)
+        return io_space(dom if side == 1 else UNIT, i1, o1, dom if side == 2 else UNIT, i2, o2)
 
-    def push(ev, pt):
-        h1, h2 = pt
-        return ((ev,) + h1, h2) if side == 1 else (h1, (ev,) + h2)
+    def event(ev):
+        # the root histories of one event on this side
+        return ((ev,), ()) if side == 1 else ((), (ev,))
 
     def then(prim, kids):
         specs = [walk(k) for k in kids]
@@ -361,10 +360,10 @@ def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
             return spec_ret(space(q.result), *pair)
         if isinstance(n, Output):
             ev = (OUT, n.value)
-            return then(io_demonic_spec(space(UNIT), lambda pt: {(0,) + push(ev, pt)}), [n.then])
+            return then(io_demonic_spec(space(UNIT), {(0,) + event(ev)}), [n.then])
         if isinstance(n, Input):
             d = q.sig.inp
-            read = lambda pt: {(v.index,) + push((IN, v), pt) for v in d.values()}
+            read = {(v.index,) + event((IN, v)) for v in d.values()}
             return then(io_demonic_spec(space(d), read), n.cont)
         if isinstance(n, Bind):
             return then(walk(n.inner), n.cont)
@@ -373,11 +372,11 @@ def theta_io_walk(c: Program, side: int, alph, points) -> RelSpec:
     return walk(c)
 
 
-def theta_io_by_walks(c1: Program, c2: Program, points) -> RelSpec:
+def theta_io_by_walks(c1: Program, c2: Program) -> RelSpec:
     """θ_io paired from the two one-sided walks."""
     alph = (c1.sig.inp, c1.sig.out, c2.sig.inp, c2.sig.out)
     u1, u2 = (UnaryObservation(f"theta-io-walk/{side}", P.IO, side, "WrelIO",
-                               lambda c, _s=side: theta_io_walk(c, _s, alph, points))
+                               lambda c, _s=side: theta_io_walk(c, _s, alph))
               for side in (1, 2))
     return from_commuting_pair(u1, u2, name="theta-io").map(c1, c2)
 

@@ -187,11 +187,11 @@ def test_one_sided_embeddings_of_long_chains():
 
 @pytest.mark.parametrize("nesting", ["left", "right"])
 def test_deep_io_bind_chains_read_without_recursion(nesting):
-    # reading a bind fills the entries it needs from an explicit stack
+    # each bind computes its root entry from its parts' root entries
     n = sys.getrecursionlimit() + 1000
     space = sm.io_space(UNIT, Z2, Z2, UNIT, Z2, Z2)
     ev = (P.OUT, Z2.value(1))
-    out = sm.io_demonic_spec(space, lambda pt: {(0, (ev,) + pt[0], pt[1])})
+    out = sm.io_demonic_spec(space, {(0, (ev,), ())})
     chain = out
     for _ in range(n - 1):
         chain = sm.spec_bind(chain, [out]) if nesting == "left" else sm.spec_bind(out, [chain])

@@ -215,10 +215,12 @@ def test_theta_io_prepend_equivariance():
     c2 = P.output(IOSIG, Value(Z2, 1), P.read_input(IOSIG))
     h1 = ((P.OUT, Value(Z2, 0)),)
     h2 = ((P.IN, Value(Z2, 1)), (P.OUT, Value(Z2, 1)))
-    w0 = O.theta_io(c1, c2)
-    w = O.theta_io(c1, c2, points=((h1, h2),))
-    shifted = frozenset({(v, e1 + h1, e2 + h2) for v, e1, e2 in w0.demonic_at(ROOT)})
+    w = O.theta_io(c1, c2)
+    shifted = frozenset({(v, e1 + h1, e2 + h2) for v, e1, e2 in w.demonic_at(ROOT)})
     assert w.demonic_at((h1, h2)) == shifted
+    # the runs from (h1, h2), by the evaluator
+    assert shifted == {(v1.index * 2 + v2.index, e1, e2)
+                       for v1, e1 in P.io_outcomes(c1, h1) for v2, e2 in P.io_outcomes(c2, h2)}
 
 
 def test_theta_io_matches_the_reference_walk():
@@ -231,16 +233,16 @@ def test_theta_io_matches_the_reference_walk():
     pts = (ROOT, (((P.OUT, v0),), ()), (((P.IN, v1),), ((P.OUT, v1), (P.IN, v0))))
     alph = (Z2, Z2, Z2, Z2)
     for side in (1, 2):
-        embed = O.unary_theta_io(side, *alph, points=pts).embed
+        embed = O.unary_theta_io(side, *alph).embed
         for c in pool:
-            w, ref = embed(c), reference.theta_io_walk(c, side, alph, pts)
+            w, ref = embed(c), reference.theta_io_walk(c, side, alph)
             assert all(w.demonic_at(pt) == ref.demonic_at(pt) for pt in pts), (side, c)
     for c1, c2 in list(battery.ms[::61]) + list(zip(pool[::7], pool[::-5])):
-        w, ref = O.theta_io(c1, c2, points=pts), reference.theta_io_by_walks(c1, c2, pts)
+        w, ref = O.theta_io(c1, c2), reference.theta_io_by_walks(c1, c2)
         assert all(w.demonic_at(pt) == ref.demonic_at(pt) for pt in pts), (c1, c2)
 
 
-# the declared points of `test_theta_io_matches_the_reference_walk`
+# the points `test_theta_io_matches_the_reference_walk` reads
 _THREE_POINTS = (ROOT, (((P.OUT, Z2.value(0)),), ()),
                  (((P.IN, Z2.value(1)),), ((P.OUT, Z2.value(1)), (P.IN, Z2.value(0)))))
 
@@ -262,23 +264,12 @@ def test_io_observations_refuse_programs_over_other_alphabets():
 
 
 def test_observation_io_is_built_once_per_argument_tuple():
-    assert O.observation_io(Z2, Z2, Z2, Z2) is O.observation_io(Z2, Z2, Z2, Z2)
-    at = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
-    assert at is O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
-    assert at is not O.observation_io(Z2, Z2, Z2, Z2)
+    obs = O.observation_io(Z2, Z2, Z2, Z2)
+    assert obs is O.observation_io(Z2, Z2, Z2, Z2)
+    assert obs is O.observation_io(Z2, Z2, i2=Z2, o2=Z2)
+    assert obs is not O.observation_io(Z2, Z2, Z2, Z3)
     c = P.read_input(IOSIG)
-    assert at.map(c, c).space is sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2, _THREE_POINTS)
-
-
-def test_observation_io_is_one_object_however_its_points_are_passed():
-    root = O.observation_io(Z2, Z2, Z2, Z2)
-    assert root is O.observation_io(Z2, Z2, Z2, Z2, O.IO_ROOT)
-    assert root is O.observation_io(Z2, Z2, Z2, Z2, points=O.IO_ROOT)
-    assert root is O.observation_io(Z2, Z2, Z2, Z2, points=list(O.IO_ROOT))
-    at = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS)
-    assert at is O.observation_io(Z2, Z2, Z2, Z2, points=list(_THREE_POINTS))
-    c = P.read_input(IOSIG)
-    assert at.map(c, c).space.histories == tuple(_THREE_POINTS)
+    assert obs.map(c, c).space is sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
 
 
 def test_theta_io_binds_no_spec(monkeypatch):
@@ -289,7 +280,7 @@ def test_theta_io_binds_no_spec(monkeypatch):
     monkeypatch.setattr(O, "spec_bind", bound)
     pool = enumerate_classes(IOSIG, Z2, 2)
     for c1, c2 in product(pool, repeat=2):
-        w = O.observation_io(Z2, Z2, Z2, Z2, _THREE_POINTS).map(c1, c2)
+        w = O.observation_io(Z2, Z2, Z2, Z2).map(c1, c2)
         assert all(w.demonic_at(pt) for pt in _THREE_POINTS)
 
 
@@ -308,10 +299,11 @@ def test_an_io_program_is_walked_once_whatever_reads_it(monkeypatch):
 
     monkeypatch.setattr(P, "_io_walk", counted)
     h = ((P.IN, d.value(2)),)
-    for pts in (O.IO_ROOT, (ROOT, (h, ()), ((), h))):
-        for w in (O.theta_io(c1, c2, pts), O.observation_io(d, d, d, d, pts).map(c2, c1),
-                  O.unary_theta_io(1, d, d, d, d, pts).embed(c1),
-                  O.unary_theta_io(2, d, d, d, d, pts).embed(c2)):
+    pts = (ROOT, (h, ()), ((), h))
+    for _ in range(2):
+        for w in (O.theta_io(c1, c2), O.observation_io(d, d, d, d).map(c2, c1),
+                  O.unary_theta_io(1, d, d, d, d).embed(c1),
+                  O.unary_theta_io(2, d, d, d, d).embed(c2)):
             assert all(w.demonic_at(pt) for pt in pts)
     assert P.io_outcomes(c1, h) == {(v, e + h) for v, e in P.io_outcomes(c1)}
     assert P.semantic_key(c2) == O._run_key(c2)[2] == P.io_outcomes(c2)
@@ -720,14 +712,16 @@ def test_commuting_state_pair_reproduces_theta_st():
 def test_commuting_io_pair_is_theta_io():
     # the one-sided specs sequenced by binds against θ_io's product of runs
     pool = enumerate_classes(IOSIG, Z2, 2)
-    for pts in (O.IO_ROOT, _THREE_POINTS):
-        u1 = O.unary_theta_io(1, Z2, Z2, Z2, Z2, pts)
-        u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2, pts)
-        obs = O.from_commuting_pair(u1, u2)
-        for c1, c2 in product(pool[:6], pool[:6]):
-            w = O.theta_io(c1, c2, pts)
-            assert w.space.histories == pts
-            assert_equiv(obs.map(c1, c2), w)
+    u1 = O.unary_theta_io(1, Z2, Z2, Z2, Z2)
+    u2 = O.unary_theta_io(2, Z2, Z2, Z2, Z2)
+    obs = O.from_commuting_pair(u1, u2)
+    for c1, c2 in product(pool[:6], pool[:6]):
+        w = O.theta_io(c1, c2)
+        # pooled: the bound specs are θ_io's own objects
+        assert obs.map(c1, c2) is w
+        assert all(w.demonic_at(pt) == frozenset(
+            (v, e1 + pt[0], e2 + pt[1]) for v, e1, e2 in w.demonic_at(ROOT))
+            for pt in _THREE_POINTS)
 
 
 def test_from_commuting_pair_validates_sides():

@@ -3,7 +3,9 @@
 keeps no second payload type or verdict type, and `generic` names none of
 the wrappers that once converted between them.  Pre/post pairs hold
 demand families too, one demand per point beside the precondition row,
-with no post table, outcome domains or binds of their own."""
+with no post table, outcome domains or binds of their own.  Interactive
+specs are their root entry: finite data, with no entry cache, no function
+of the history point and no declared points."""
 
 import ast
 import dataclasses
@@ -17,10 +19,15 @@ from relwp import generic as G
 from relwp import specmonads as sm
 from relwp.domains import domain
 
+import reference
+
 SECOND_CONTAINER = frozenset({"Wp", "OrderVerdict", "wp"})
 PAIR_BODY = frozenset({"_bind_pp_pure", "_bind_pp_state", "_pp_triple",
                        "outcome_dom", "point_dom", "pair_values"})
 WRAPPERS = frozenset({"random_wp", "SimpleMonadOps", "pure_ops", "state_ops"})
+IO_CLOSURE = frozenset({"_io_cache", "_fill_io_entries", "histories"})
+# a spec's body slots; the others are its carrier, its space and caches
+BODY = ("fams", "root", "rows", "den", "pre")
 
 Z2 = domain("Z2", 2)
 EL = domain("EL", 2)
@@ -126,3 +133,27 @@ def test_every_pair_is_one_demand_per_point_beside_a_precondition_row(name):
     for w in built:
         assert len(w.fams) == n and all(len(fam) == 1 for fam in w.fams), w
         assert isinstance(w.pre, tuple) and len(w.pre) == n, w
+
+
+def test_interactive_specs_keep_no_entry_cache_or_declared_points():
+    assert sorted(IO_CLOSURE & set(_names("specmonads"))) == []
+    assert sorted(IO_CLOSURE & set(vars(sm))) == []
+
+
+def _specs(d):
+    """Every spec of every judgment of a derivation."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        stack += node.premises
+        yield from node.conclusion.w_table
+
+
+def test_no_spec_of_a_seeded_corpus_holds_a_callable_body():
+    assert set(sm.RelSpec.__slots__) == set(BODY) | {"tag", "space", "_outs", "__weakref__"}
+    seen = set()
+    for d in reference.seeded_corpus(10):
+        for w in _specs(d):
+            seen.add(w.tag)
+            assert not [b for b in BODY if callable(getattr(w, b))], (w, BODY)
+    assert {"WrelSt", "WrelErr", "WrelPure", "WrelIO", "WrelProb"} <= seen

@@ -88,15 +88,14 @@ def _nodes(d):
 
 
 def test_derivations_pickle_and_replay_in_a_fresh_interpreter(tmp_path):
-    # io derivations do not pickle yet: an interactive spec holds its entries
-    # in a closure (`_bind_io.<locals>.entry`, `io_demonic_spec.<locals>.<lambda>`)
-    ds = reference.seeded_corpus(20, (P.STATE, P.IMP, P.EXC, P.PROB, P.NDET))
+    ds = reference.seeded_corpus(20, (P.STATE, P.IMP, P.EXC, P.PROB, P.NDET, P.IO))
     data = pickle.dumps(ds)
-    # here, every program comes back as the live one
+    # here, every program and every spec comes back as the live one
     for a, b in zip(ds, pickle.loads(data)):
         for na, nb in zip(_nodes(a), _nodes(b)):
             ja, jb = na.conclusion, nb.conclusion
-            assert all(p is q for p, q in zip(ja.c1_table + ja.c2_table, jb.c1_table + jb.c2_table))
+            assert all(p is q for p, q in zip(ja.c1_table + ja.c2_table + ja.w_table,
+                                              jb.c1_table + jb.c2_table + jb.w_table))
     path = tmp_path / "corpus.pickle"
     path.write_bytes(data)
     out = _run("""
@@ -105,4 +104,4 @@ from relwp import rules as R
 ds = pickle.loads(open(sys.argv[1], "rb").read())
 print(len(ds), sum(R.check_derivation(d).ok and R.oracle_check(d.conclusion).holds for d in ds))
 """, str(path))
-    assert out == ["100", "100"]
+    assert out == ["120", "120"]

@@ -10,6 +10,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -212,11 +213,13 @@ def test_bind_err_routes_raises_past_the_continuation():
 
 def test_bind_io_threads_histories():
     space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
-    ev = (OUT, Z2.value(1))
-    wm = sm.io_demonic_spec(space, lambda pt: {(3, (ev,) + pt[0], pt[1])})
-    wf = lambda i1, i2: sm.spec_ret(space, Z2.value(1 - i1), Z2.value(i2))
+    ev, ev2 = (OUT, Z2.value(1)), (IN, Z2.value(0))
+    wm = sm.io_demonic_spec(space, {(3, (ev,), ())})
+    wf = lambda i1, i2: sm.io_demonic_spec(space, {((1 - i1) * 2 + i2, (ev2,), (ev2,))})
     out = sm.spec_bind(wm, wf)
-    assert out.demonic_at(((), ())) == frozenset({(0 * 2 + 1, (ev,), ())})
+    # the continuation's events go after the middle's, newest first
+    assert out.root == frozenset({(0 * 2 + 1, (ev2, ev), (ev2,))})
+    assert out.demonic_at(((ev,), ())) == frozenset({(1, (ev2, ev, ev), (ev2,))})
 
 
 @pytest.mark.parametrize("space", [sm.pure_space(Z2, Z2), sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)],
@@ -235,6 +238,12 @@ def test_bind_refuses_malformed_continuation_tables(space):
     table[(1, 1)] = conts[3]
     for wf in (conts, table):
         assert sm.spec_equiv(sm.spec_bind(wm, wf), conts[1]).holds
+    # a key outside the middle's value pairs is named, not ignored
+    for extra in ((2, 0), "x"):
+        with pytest.raises(ValueError, match=f"^continuation table has an entry for "
+                                             f"{re.escape(repr(extra))}, which is not a value "
+                                             "pair of the middle$"):
+            sm.spec_bind(wm, {**table, extra: conts[0]})
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +295,19 @@ def _random_pieces(rng, space):
     return sm.linear_spec(space, pieces)
 
 
-def _io_outcomes_near(space, pt):
-    """The outcomes that extend each history of pt by at most one event."""
-    def steps(i, o, h):
-        return [h] + [((IN, v),) + h for v in i.values()] + [((OUT, v),) + h for v in o.values()]
-    h1, h2 = pt
+def _io_outcomes_near(space):
+    """The root outcomes of at most one event on each side."""
+    def steps(i, o):
+        return [()] + [((IN, v),) for v in i.values()] + [((OUT, v),) for v in o.values()]
     return [(v, e1, e2) for v in range(space.a1.size * space.a2.size)
-            for e1 in steps(space.i1, space.o1, h1) for e2 in steps(space.i2, space.o2, h2)]
+            for e1 in steps(space.i1, space.o1) for e2 in steps(space.i2, space.o2)]
 
 
 def _random_io(rng, space):
-    seed = rng.randrange(10 ** 9)
-    def fn(pt):
-        local = random.Random(f"{seed}:{pt!r}")
-        if local.random() < 0.1:
-            return sm.VIOLATED
-        return frozenset(o for o in _io_outcomes_near(space, pt) if local.random() < 0.3)
-    return sm.io_demonic_spec(space, fn)
+    """A random interactive spec: its root entry, drawn."""
+    if rng.random() < 0.1:
+        return sm.io_demonic_spec(space, sm.VIOLATED)
+    return sm.io_demonic_spec(space, (o for o in _io_outcomes_near(space) if rng.random() < 0.3))
 
 
 def _spaces_for_laws():
@@ -346,8 +351,7 @@ def test_monad_laws_fixed_carriers(seed):
 @given(seed=st.integers(0, 10 ** 9))
 def test_monad_laws_io(seed):
     rng = random.Random(seed)
-    pts = (((), ()), (((IN, Z2.value(0)),), ((OUT, Z2.value(1)),)))
-    space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2, pts)
+    space = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     a1, a2 = Z2.value(rng.randrange(2)), Z2.value(rng.randrange(2))
     wm = _random_io(rng, space)
     f_table = {(i1, i2): _random_io(rng, space) for i1 in range(2) for i2 in range(2)}
@@ -366,18 +370,18 @@ def test_monad_laws_io(seed):
     assert sm.spec_equiv(lhs, rhs).holds
 
 
-def _io_leq_by_enumeration(w, w2) -> bool:
-    """w <= w2 by trying, at every declared point, each postcondition over
-    the outcomes the two entries name; the others change neither side."""
-    for pt in w.space.histories:
-        named = set()
-        for e in (w.demonic_at(pt), w2.demonic_at(pt)):
-            named |= set() if e is sm.VIOLATED else e
-        named = sorted(named, key=repr)
-        for mask in range(2 ** len(named)):
-            phi = frozenset(o for k, o in enumerate(named) if mask >> k & 1)
-            if w2.at(phi, pt) and not w.at(phi, pt):
-                return False
+def _io_leq_by_enumeration(w, w2, pt) -> bool:
+    """w <= w2 at the history point pt, by trying each postcondition over
+    the outcomes the two entries there name; the others change neither
+    side."""
+    named = set()
+    for e in (w.demonic_at(pt), w2.demonic_at(pt)):
+        named |= set() if e is sm.VIOLATED else e
+    named = sorted(named, key=repr)
+    for mask in range(2 ** len(named)):
+        phi = frozenset(o for k, o in enumerate(named) if mask >> k & 1)
+        if w2.at(phi, pt) and not w.at(phi, pt):
+            return False
     return True
 
 
@@ -385,25 +389,23 @@ def _io_leq_by_enumeration(w, w2) -> bool:
 @given(seed=st.integers(0, 10 ** 9))
 def test_io_comparison_is_always_decided(seed):
     # random interactive specs and one above the first, each compared with
-    # each in both directions: only holds or fails, as enumeration says
+    # each in both directions: only holds or fails, as enumeration says at
+    # the root and at two other history points
     rng = random.Random(seed)
     u = Value(UNIT, 0)
-    pts = (((), ()), (((IN, u),), ((OUT, u), (IN, u))))
-    space = sm.io_space(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT, pts)
+    pts = (((), ()), (((IN, u),), ()), (((IN, u),), ((OUT, u), (IN, u))))
+    space = sm.io_space(UNIT, UNIT, UNIT, UNIT, UNIT, UNIT)
     w = _random_io(rng, space)
-    above = {}
-    for pt in pts:
-        e = w.demonic_at(pt)
-        grow = frozenset(o for o in _io_outcomes_near(space, pt) if rng.random() < 0.2)
-        above[pt] = sm.VIOLATED if e is sm.VIOLATED or rng.random() < 0.2 else e | grow
-    specs = [w, sm.io_demonic_spec(space, above.__getitem__),
+    grow = frozenset(o for o in _io_outcomes_near(space) if rng.random() < 0.2)
+    above = sm.VIOLATED if w.root is sm.VIOLATED or rng.random() < 0.2 else w.root | grow
+    specs = [w, sm.io_demonic_spec(space, above),
              _random_io(rng, space), sm.weakest(space), sm.unsatisfiable(space)]
     assert sm.spec_leq(w, specs[1]).holds
     for a in specs:
         for b in specs:
             v = sm.spec_leq(a, b)
             assert v.kind in ("holds", "fails")
-            assert v.holds == _io_leq_by_enumeration(a, b)
+            assert [_io_leq_by_enumeration(a, b, pt) for pt in pts] == [v.holds] * len(pts)
             if v.failed:
                 assert b.at(v.phi, v.point) and not a.at(v.phi, v.point)
 
@@ -450,7 +452,7 @@ def test_a_spec_compared_with_itself_holds_at_once(monkeypatch):
     for w in (sm.demonic_spec(sm.state_space(Z2, Z2, UNIT, Z2), [{1}, {0, 3}, {2}, {5}]),
               sm.from_prepost(sm.state_space(UNIT, Z2, UNIT, Z2), [True, False] * 2, [True] * 16),
               sm.linear_spec(sm.prob_space(Z2, Z2), [(0, [F(1, 4)] * 4), (F(1, 8), [0, 1, 0, 0])]),
-              sm.io_demonic_spec(io, lambda pt: {(3, ((OUT, Z2.value(1)),), ())})):
+              sm.io_demonic_spec(io, {(3, ((OUT, Z2.value(1)),), ())})):
         assert sm.spec_leq(w, w) is sm.HOLDS
 
 
@@ -1193,7 +1195,7 @@ SPACE_BUILDERS = {
 
 def _fields(space):
     return (space.tag, space.a1, space.a2, space.s1, space.s2,
-            space.i1, space.o1, space.i2, space.o2, space.histories)
+            space.i1, space.o1, space.i2, space.o2)
 
 
 def _twin_direct(space):
@@ -1602,15 +1604,13 @@ def test_a_spec_pickles_as_its_body_and_comes_back_as_the_live_spec():
         assert copy.copy(w) is w and copy.deepcopy(w) is w
     # once the spec is gone, unpickling builds it afresh from its body
     data = [pickle.dumps(w) for w in specs]
-    bodies = [(w.fams, w.pre, w.den, w.rows) for w in specs]
+    bodies = [(w.fams, w.pre, w.den, w.rows, w.root) for w in specs]
     del specs, w, middle
     gc.collect()
     for d, body in zip(data, bodies):
         again = pickle.loads(d)
-        assert (again.fams, again.pre, again.den, again.rows) == body and again._outs is None
-    io = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
-    with pytest.raises(TypeError, match="interactive spec"):
-        pickle.dumps(sm.spec_ret(io, Z2.value(0), Z2.value(1)))
+        assert (again.fams, again.pre, again.den, again.rows, again.root) == body
+        assert again._outs is None
 
 
 def test_a_kernel_spec_pickles_as_its_keys_without_building_families():
@@ -1716,14 +1716,20 @@ def _spec_constructions():
     """One spec of each constructor, built afresh on every call: the pool
     returns the live ones."""
     sp, pp = sm.state_space(Z2, Z2, Z2, Z2), sm.prob_space(Z2, Z2)
+    io = sm.io_space(Z2, Z2, Z2, Z2, Z2, Z2)
     ret = sm.spec_ret(sp, Z2.value(1), Z2.value(0))
     lin = sm.linear_spec(pp, [(0, [F(1, 2), 0, 0, F(1, 2)]), (F(1, 3), (F(1, 3),) * 4)])
+    out = sm.io_demonic_spec(io, {(1, ((OUT, Z2.value(1)),), ()), (2, (), ((IN, Z2.value(0)),))})
     return [
         ret,
         lin,
         sm.demand_spec(sp, [[1, 2], [3], [4], [5, 6]]),
         sm.spec_bind(ret, lambda i1, i2: sm.spec_ret(sp, Z2.value(i2), Z2.value(i1))),
         sm.spec_bind(lin, [sm.spec_ret(pp, Z2.value(i % 2), Z2.value(0)) for i in range(4)]),
+        out,
+        sm.spec_bind(out, lambda i1, i2: out),
+        sm.spec_ret(io, Z2.value(0), Z2.value(1)),
+        sm.unsatisfiable(io),
     ]
 
 
@@ -1736,6 +1742,11 @@ def test_a_check_builds_each_spec_once():
     # one body, one spec, however it was built
     assert sm._linear(built[1].space, built[1].den, built[1].rows, exact_prune=False) is built[1]
     assert sm.demand_spec(sp, built[0].fams) is built[0]
+    io = built[5].space
+    assert sm.io_demonic_spec(io, list(built[5].root)) is built[5]
+    assert sm.io_demonic_spec(io, built[6].root) is built[6]
+    assert sm.io_demonic_spec(io, {(1, (), ())}) is built[7]
+    assert sm.io_demonic_spec(io, sm.VIOLATED) is built[8]
 
 
 def test_equal_specs_compare_without_an_lp(monkeypatch):
