@@ -95,7 +95,7 @@ def _itself(c: Program) -> Program:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectObservation:
     """A named map from program pairs to specs, with a strictness claim.
 
@@ -108,6 +108,7 @@ class EffectObservation:
     distinct pair of keys.  A run key (`_run_key`; `_st_key` off loops)
     promises the map reads only (signature, result domain, runs), so a bind
     over parts with run keys is keyed by `programs.bind_runs`, unbuilt.
+    Observations compare and hash by identity: their maps are closures.
     """
 
     name: str

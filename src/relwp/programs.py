@@ -298,8 +298,9 @@ class _Ref(weakref.ref):
 _set_key = _Ref.key.__set__
 
 # One entry per live program, under the key `_mk` looks it up by, and per
-# live fixed or quantitative spec, under its body (`specmonads`), and per
-# live While syntax node, under its class and fields (`whilelang`).  A
+# live fixed or quantitative spec, under its body (`specmonads`), per live
+# core judgment, under its observation, context and tables (`rules`), and
+# per live While syntax node, under its class and fields (`whilelang`).  A
 # program's key holds its children, which the program keeps alive anyway;
 # the entry goes when the program does.
 _POOL: dict = {}

@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import islice, product
 from math import lcm
 from operator import or_
@@ -140,7 +140,7 @@ class Env:
             r = r * d.size + v.index
         return r
 
-    @property
+    @cached_property
     def count(self) -> int:
         n = 1
         for _, d in self.vars:
@@ -391,6 +391,9 @@ class Judgment:
     entry, and rebuild nothing.
     Read one valuation's entries through `c1`, `c2` and `w`.  Closed
     judgments use the empty context, whose single valuation is ().
+    Judgments are pooled (`judgment`): one live judgment per observation,
+    context and tables, so a rule that recomputes a stated conclusion
+    returns that object.
     """
 
     env: Env
@@ -417,7 +420,9 @@ class Judgment:
         up to normalization, specs extensionally in both directions, once
         per distinct entry, naming the first valuation that differs; a spec
         that cannot be compared with the rule's (another carrier or outcome
-        space) differs.  None when they agree."""
+        space) differs.  None when they agree.  A pooled conclusion that is
+        the rule's own object agrees without this; it decides the others,
+        such as a hand-built, tampered or unpickled one."""
         if self.env != computed.env:
             return "stated context differs from the rule's conclusion context"
         if not _same_observation(self.observation, computed.observation):
@@ -452,11 +457,19 @@ class Judgment:
 def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) -> Judgment:
     """Build a judgment from families: each a Table over env's valuations, a
     callable of the valuation, called once per valuation here, or a plain
-    value.  Every entry's shapes are checked, once per distinct entry:
-    effects against the observation, spec carrier against its target,
-    value domains against the program results."""
-    j = Judgment(env, _tabulate(env, c1), _tabulate(env, c2), _tabulate(env, w), observation)
-    for _, (p1, p2, w0) in _firsts(j.c1_table, j.c2_table, j.w_table):
+    value.  The judgment is pooled (`programs._intern`) under its
+    observation, context and tables: built again, it is the live one, whose
+    shapes were checked when it was first built.  Else every entry's shapes
+    are checked, once per distinct entry: effects against the observation,
+    spec carrier against its target, value domains against the program
+    results; a judgment they refuse is not pooled."""
+    t1, t2, tw = _tabulate(env, c1), _tabulate(env, c2), _tabulate(env, w)
+    return P._intern((Judgment, observation, env, t1, t2, tw),
+                     _checked, observation, env, t1, t2, tw)
+
+
+def _checked(observation: EffectObservation, env: Env, c1: Table, c2: Table, w: Table) -> Judgment:
+    for _, (p1, p2, w0) in _firsts(c1, c2, w):
         if not _effect_matches(p1.sig.effect, observation.left_effect):
             raise ValueError(f"left program is {p1.sig.effect!r}, observation "
                              f"{observation.name} wants {observation.left_effect!r}")
@@ -468,14 +481,14 @@ def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) ->
                              f"targets {observation.target}")
         if (w0.space.a1, w0.space.a2) != (p1.result, p2.result):
             raise ValueError("spec value domains do not match the program results")
-    return j
+    return Judgment(env, c1, c2, w, observation)
 
 
 def _same_observation(o1: EffectObservation, o2: EffectObservation) -> bool:
     # Observations built by different constructor calls close over fresh
-    # lambdas, so dataclass equality is useless here; the identifying fields
-    # are enough, and deeper mismatches surface as carrier errors later.
-    return (o1.name, o1.left_effect, o1.right_effect, o1.target, o1.strictness) == \
+    # lambdas, so they compare by identity; the identifying fields are
+    # enough, and deeper mismatches surface as carrier errors later.
+    return o1 is o2 or (o1.name, o1.left_effect, o1.right_effect, o1.target, o1.strictness) == \
            (o2.name, o2.left_effect, o2.right_effect, o2.target, o2.strictness)
 
 
@@ -1242,11 +1255,13 @@ def check_derivation(d: Derivation) -> CheckResult:
     its parameters build an invalid program or spec (ValueError).
 
     Each rule is applied once per node, to its premises' stored tables,
-    working once per distinct entry, and its result is compared with the
-    stated tables once per distinct entry.  An honest node's recomputed
-    programs and specs are the stated objects (`programs._intern`): no
-    program is normalized and no LP runs.  A stated spec of another space
-    fails its node, as any other difference does."""
+    working once per distinct entry.  Core judgments are pooled like their
+    programs and specs (`programs._intern`), so an honest node's recomputed
+    conclusion is the stated object, decided by identity: nothing is
+    compared, no program is normalized and no LP runs.  Any other
+    conclusion is compared with the stated one once per distinct entry
+    (`mismatch`).  A stated spec of another space fails its node, as any
+    other difference does."""
     stack, path = [(d, 0)], []     # nodes with the next premise to visit; child indices
     done = set()                   # ids of the nodes replayed so far
     while stack:
@@ -1266,7 +1281,7 @@ def check_derivation(d: Derivation) -> CheckResult:
             computed = apply(node.rule, tuple(s.conclusion for s in node.premises))
         except (RuleError, ValueError) as e:
             return CheckResult(False, tuple(path), f"{node.rule.rule}: {e}")
-        bad = stated.mismatch(computed)
+        bad = None if computed is stated else stated.mismatch(computed)
         if bad is not None:
             return CheckResult(False, tuple(path), f"{node.rule.rule}: {bad}")
         done.add(id(node))

@@ -1,7 +1,8 @@
-"""The pool of live programs, specs and While syntax (`programs._POOL`):
-it keeps nothing alive, and derivations that hold pooled objects pickle
-and replay in a fresh interpreter, where each program comes back as the
-live one.
+"""The pool of live programs, specs, core judgments and While syntax
+(`programs._POOL`): it keeps nothing alive, an honest replay recomputes
+each stated conclusion as the pooled object and so is decided by
+identity, and derivations that hold pooled objects pickle and replay in a
+fresh interpreter, where each program comes back as the live one.
 
 The corpus checks run in fresh interpreters: other tests keep programs
 alive in their modules, so only a fresh pool can be asked to be empty.

@@ -10,6 +10,7 @@ FlipCoupling, get soundness checks plus a witness that they sit strictly
 above the observation.
 """
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -1251,33 +1252,98 @@ def _coupled_flips():
     return R.derive("Bind", (first, second))
 
 
+def _replay_order(d, seen):
+    """d's distinct nodes in the order `check_derivation` replays them:
+    premises first, a shared node at its first occurrence."""
+    for sub in d.premises:
+        if id(sub) not in seen:
+            yield from _replay_order(sub, seen)
+    seen.add(id(d))
+    yield d
+
+
 def test_an_honest_replay_recomputes_the_stated_objects(monkeypatch):
-    # the replay guard: the stated objects come from the build and the
+    # the replay guard: the stated conclusions come from the build and the
     # recomputed ones from the check, yet the pool makes them one object
-    # each, so every comparison of an honest replay is decided without
+    # each, so an honest replay is decided without comparing an entry,
     # normalizing a program or running an LP
-    seen, slow = [], []
-    real_equal, real_equiv = P.programs_equal, R.spec_equiv
-    monkeypatch.setattr(P, "programs_equal", lambda p, q: seen.append((p, q)) or real_equal(p, q))
-    monkeypatch.setattr(R, "spec_equiv", lambda w, w2: seen.append((w, w2)) or real_equiv(w, w2))
+    computed, slow = [], []
+    apply = R.apply_rule
+    monkeypatch.setattr(R, "apply_rule",
+                        lambda inst, prem: computed.append(apply(inst, prem)) or computed[-1])
     for module, name in ((P, "normalize"), (lp, "max_min_affine")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _real=real, _name=name: slow.append(_name) or _real(*a))
+
+    def replays_to_itself(d):
+        computed.clear()
+        nodes = list(_replay_order(d, set()))
+        return (R.check_derivation(d).ok and len(computed) == len(nodes)
+                and all(c is n.conclusion for c, n in zip(computed, nodes)))
+
     root, _ = _depth3_with_counted_leaves()
     for d in (root, _coupled_flips()):
-        seen.clear()
-        assert R.check_derivation(d).ok
-        # at least two programs and one spec per valuation of each node
-        assert len(seen) >= 3 * 4
-        assert all(a is b for a, b in seen)
+        assert replays_to_itself(d)
+        assert len(computed) >= 3
         assert slow == []
     rng = random.Random("honest-replay")
     trees = [R.random_derivation(rng, effect, depth=3) for effect in ALL_EFFECTS
              for _ in range(30)]
     slow.clear()
-    assert all(R.check_derivation(d).ok for d in trees)
+    assert all(replays_to_itself(d) for d in trees)
     assert slow == []
+
+
+def test_a_seeded_corpus_replays_without_comparing_a_conclusion(monkeypatch):
+    # built here, in this interpreter: every conclusion is pooled, so no
+    # honest node reaches the entry-by-entry comparison
+    corpus = reference.seeded_corpus(20)
+    assert {d.conclusion.c1().sig.effect for d in corpus} == set(ALL_EFFECTS)
+
+    def refused(stated, computed):
+        raise AssertionError("an honest conclusion was compared entry by entry")
+
+    monkeypatch.setattr(R.Judgment, "mismatch", refused)
+    assert all(R.check_derivation(d).ok for d in corpus)
+
+
+def test_a_tampered_conclusion_fails_with_its_path_and_message():
+    # a hand-built conclusion is not the pooled object: `mismatch` decides
+    # it and names what differs, as for any other stated conclusion
+    jm = R.derive("GetR", sig1=SSIG, sig2=SSIG, a1=UNIT_VAL)
+    env2 = R.EMPTY_ENV.extend(("u", UNIT), ("s2", Z2))
+    jf = R.derive("GetL", sig1=SSIG, sig2=SSIG, env=env2, a2=lambda g: g[1])
+    d = R.derive("Bind", (jm, jf))
+    j = jf.conclusion
+
+    def replay(env=j.env, w=j.w_table, obs=j.observation):
+        fake = R.Judgment(env, j.c1_table, j.c2_table, R.Table(w), obs)
+        node = R.Derivation(fake, jf.rule, ())
+        res = R.check_derivation(R.Derivation(d.conclusion, d.rule, (jm, node)))
+        return res.ok, res.path, res.message
+
+    assert j.w_table[0] is not j.w_table[1]
+    assert replay(w=j.w_table[:1] * 2) == (
+        False, (1,), "GetL: conclusion spec differs at u=(), s2=1 (fails)")
+    lax = dataclasses.replace(j.observation, strictness=O.LAX)
+    assert replay(obs=lax) == (
+        False, (1,), "GetL: stated observation theta-st differs from theta-st")
+    # a copy with the same fields, as unpickling makes, is the same observation
+    assert replay(obs=dataclasses.replace(j.observation)) == (True, (), "")
+    assert replay(env=R.EMPTY_ENV.extend(("v", UNIT), ("s2", Z2))) == (
+        False, (1,), "GetL: stated context differs from the rule's conclusion context")
+
+
+def test_a_refused_judgment_is_not_pooled():
+    c = P.ret(SSIG, Z2.value(0))
+    w = sm.spec_ret(sm.state_space(Z3, Z2, Z2, Z2), Z3.value(0), Z2.value(0))
+    gc.collect()
+    pooled = len(P._POOL)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="spec value domains do not match"):
+            R.judgment(O.observation_st(), c, c, w)
+        assert len(P._POOL) == pooled
 
 
 def test_constructions_are_shared_while_alive():
@@ -1419,14 +1485,16 @@ def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
     # 4,680 calls when every derive re-evaluated its premises from the leaves,
     # 1,780 when rule bodies built an entry per valuation, not per distinct one
     assert len(made) <= 674
-    # the pool holds one object per distinct tree or spec body, and each is pooled
+    # the pool holds one object per distinct tree, spec body or conclusion,
+    # and each is pooled
     progs = {id(q): q for d in ds for n in _nodes(d)
              for p in n.conclusion.c1_table + n.conclusion.c2_table for q in P._postorder(p)}
     specs = {id(w): w for d in ds for n in _nodes(d) for w in n.conclusion.w_table}
     assert len({reference.tree(q) for q in progs.values()}) == len(progs)
     assert all(mk(q.sig, q.result, q.node) is q for q in progs.values())
     assert len({(w.space, w.den, w.rows) for w in specs.values()}) == len(specs)
-    assert pooled < len(P._POOL) <= pooled + len(progs) + len(specs)
+    judgments = {id(n.conclusion) for d in ds for n in _nodes(d)}
+    assert pooled < len(P._POOL) <= pooled + len(progs) + len(specs) + len(judgments)
     del ds, progs, specs
     gc.collect()
     assert len(P._POOL) == pooled
