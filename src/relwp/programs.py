@@ -15,15 +15,15 @@ it returns true, then continues with k.  Divergence is decidable here because
 the state space is finite and execution is deterministic.
 
 Programs are hash-consed while alive (Filliâtre and Conchon, "Type-safe
-modular hash-consing", 2006): `_mk` looks each node up in one process-wide
-pool, `_POOL`, by its signature, result domain, node type and head by
-value, and its children by identity, so there is one live object per
-distinct tree, however and wherever it is built.  Equality is identity,
-and `programs_equal` compares normal forms by identity.  Fixed and
-quantitative specs are interned in the same pool by their bodies
-(`_intern`, `specmonads`), and While syntax nodes by class and fields
-(`whilelang`).  The pool holds weak references: an object leaves it when
-its last user drops it.
+modular hash-consing", 2006): a constructor looks its node up in one
+process-wide pool, `_POOL`, by signature, result domain, node type and head
+by value, and children by identity, before it builds or checks anything, so
+there is one live object per distinct tree, and a hit builds nothing.
+Equality is identity, and `programs_equal` compares normal forms by
+identity.  Fixed and quantitative specs are interned in the same pool by
+their bodies (`_intern`, `specmonads`), and While syntax nodes by class and
+fields (`whilelang`).  The pool holds weak references: an object leaves it
+when its last user drops it.
 
 Only the table `_SHAPES` knows where each node keeps its subtrees:
 `_kids(node)` lists them and `_rebuild(node, kids)` puts new ones back.
@@ -297,12 +297,13 @@ class _Ref(weakref.ref):
 
 _set_key = _Ref.key.__set__
 
-# One entry per live program, under the key `_mk` looks it up by, and per
+# One entry per live program, under the key `_pooled` looks up, and per
 # live fixed or quantitative spec, under its body (`specmonads`), per live
 # core judgment, under its observation, context and tables (`rules`), and
 # per live While syntax node, under its class and fields (`whilelang`).  A
 # program's key holds its children, which the program keeps alive anyway;
-# the entry goes when the program does.
+# the entry goes when the program does.  Program constructors and `_mk`
+# look the key up first: a hit builds nothing and checks nothing it fixes.
 _POOL: dict = {}
 
 
@@ -318,35 +319,28 @@ def _intern(key, make, *args):
     """The live object pooled under key, or else make(*args), pooled there
     now."""
     ref = _POOL.get(key)
-    if ref is not None:
-        obj = ref()
-        if obj is not None:
-            return obj
-    obj = make(*args)
-    ref = _POOL[key] = _Ref(obj, _drop)
-    _set_key(ref, key)
+    obj = None if ref is None else ref()
+    if obj is None:
+        obj = make(*args)
+        ref = _POOL[key] = _Ref(obj, _drop)
+        _set_key(ref, key)
     return obj
 
 
-def _mk(sig: Signature, result: FiniteDomain, node: Node) -> Program:
+def _pooled(*key):
+    """The live program pooled under key, else key for `_new`; `_mk` and each
+    constructor lay a key out as (sig, result, node class, head, kids)."""
+    ref = _POOL.get(key)
+    p = None if ref is None else ref()
+    return key if p is None else p
+
+
+def _new(key: tuple, node: Node) -> Program:
+    """A new program over node, with its depth and whether it holds no bind,
+    pooled under the key `_pooled` missed: the one way a program is pooled."""
+    sig, result, _, _, kids = key
     if not isinstance(node, _ALLOWED[sig.effect]):
         raise ValueError(f"{node.__class__.__name__} node not allowed under effect {sig.effect!r}")
-    kids, _, head, _ = _SHAPES[type(node)]
-    kids = kids(node)
-    return _intern((sig, result, type(node), head(node), kids), _program, sig, result, node, kids)
-
-
-def _unflatten(record) -> Program:
-    """The program a `Program.__reduce__` record stands for, built through
-    the pool from the leaves up."""
-    built: List[Program] = []
-    for sig, result, node in record:
-        built.append(_mk(sig, result, _rebuild(node, tuple(built[i] for i in _kids(node)))))
-    return built[-1]
-
-
-def _program(sig: Signature, result: FiniteDomain, node: Node, kids) -> Program:
-    """A new program over node, with its depth and whether it holds no bind."""
     if type(node) is Bind:
         # a bind adds no level of its own: its depth is the longest path
         # through the inner program into a continuation
@@ -360,22 +354,43 @@ def _program(sig: Signature, result: FiniteDomain, node: Node, kids) -> Program:
         p = Program(sig, result, node, depth)
         if bind_free:
             _set_bind_free(p, True)
+    ref = _POOL[key] = _Ref(p, _drop)
+    _set_key(ref, key)
     return p
+
+
+def _mk(sig: Signature, result: FiniteDomain, node: Node) -> Program:
+    kids, _, head, _ = _SHAPES[type(node)]
+    p = _pooled(sig, result, type(node), head(node), kids(node))
+    return p if type(p) is Program else _new(p, node)
+
+
+def _unflatten(record) -> Program:
+    """The program a `Program.__reduce__` record stands for, built through
+    the pool from the leaves up."""
+    built: List[Program] = []
+    for sig, result, node in record:
+        built.append(_mk(sig, result, _rebuild(node, tuple(built[i] for i in _kids(node)))))
+    return built[-1]
+
+
+def _entries(dom: FiniteDomain, f) -> tuple:
+    """f's entries over dom, unchecked (`_table` checks); f is a callable on
+    Values or a sequence."""
+    return tuple(map(f, dom.values())) if callable(f) else tuple(f)
 
 
 def _table(dom: FiniteDomain, f) -> Tuple[Program, ...]:
     """Total continuation table over dom; f is a callable on Values or a sequence."""
-    if callable(f):
-        entries = tuple(f(v) for v in dom.values())
-    else:
-        entries = tuple(f)
+    entries = f if type(f) is tuple else _entries(dom, f)
     if len(entries) != dom.size:
         raise ValueError(f"continuation table has {len(entries)} entries for domain of size {dom.size}")
     return entries
 
 
 def ret(sig: Signature, value: Value) -> Program:
-    return _mk(sig, value.domain, Ret(value))
+    p = _pooled(sig, value.domain, Ret, value, ())
+    return p if type(p) is Program else _new(p, Ret(value))
 
 
 def _bind_cont(m: Program, f) -> Tuple[Program, ...]:
@@ -392,13 +407,15 @@ def _bind_cont(m: Program, f) -> Tuple[Program, ...]:
 
 def bind(m: Program, f) -> Program:
     """Explicit bind node; f is a table (callable or sequence) over m.result."""
-    cont = _bind_cont(m, f)
-    return _mk(m.sig, cont[0].result, Bind(m, cont))
+    cont = _entries(m.result, f)
+    p = _pooled(m.sig, cont[0].result if cont else None, Bind, None, (m,) + cont)
+    return p if type(p) is Program else _new(p, Bind(m, _bind_cont(m, cont)))
 
 
 def get(sig: Signature, f) -> Program:
-    cont = _table(sig.state, f)
-    return _mk(sig, cont[0].result, Get(cont))
+    cont = _entries(sig.state, f)
+    p = _pooled(sig, cont[0].result if cont else None, Get, None, cont)
+    return p if type(p) is Program else _new(p, Get(_table(sig.state, cont)))
 
 
 def get_state(sig: Signature) -> Program:
@@ -407,9 +424,10 @@ def get_state(sig: Signature) -> Program:
 
 
 def put(sig: Signature, state: Value, then: Program) -> Program:
-    if state.domain != sig.state:
+    p = _pooled(sig, then.result, Put, state, (then,))
+    if type(p) is tuple and state.domain != sig.state:
         raise ValueError("put state outside the state domain")
-    return _mk(sig, then.result, Put(state, then))
+    return p if type(p) is Program else _new(p, Put(state, then))
 
 
 def put_unit(sig: Signature, state: Value, unit_ret: Value) -> Program:
@@ -417,42 +435,48 @@ def put_unit(sig: Signature, state: Value, unit_ret: Value) -> Program:
 
 
 def throw(sig: Signature, exc: Value, result: FiniteDomain) -> Program:
-    if exc.domain != sig.exc:
+    p = _pooled(sig, result, Throw, exc, ())
+    if type(p) is tuple and exc.domain != sig.exc:
         raise ValueError("thrown exception outside the exception domain")
-    return _mk(sig, result, Throw(exc))
+    return p if type(p) is Program else _new(p, Throw(exc))
 
 
 def catch(body: Program, f) -> Program:
-    handler = _table(body.sig.exc, f)
-    for h in handler:
-        if h.result != body.result:
-            raise ValueError("catch handler result domain must match the body")
-    return _mk(body.sig, body.result, Catch(body, handler))
+    handler = _entries(body.sig.exc, f)
+    p = _pooled(body.sig, body.result, Catch, None, (body,) + handler)
+    if type(p) is tuple:
+        for h in _table(body.sig.exc, handler):
+            if h.result != body.result:
+                raise ValueError("catch handler result domain must match the body")
+    return p if type(p) is Program else _new(p, Catch(body, handler))
 
 
 def choice(left: Program, right: Program) -> Program:
-    if left.sig != right.sig or left.result != right.result:
+    p = _pooled(left.sig, left.result, Choice, None, (left, right))
+    if type(p) is tuple and (left.sig != right.sig or left.result != right.result):
         raise ValueError("choice branches disagree")
-    return _mk(left.sig, left.result, Choice(left, right))
+    return p if type(p) is Program else _new(p, Choice(left, right))
 
 
 def fail(sig: Signature, result: FiniteDomain) -> Program:
-    return _mk(sig, result, Fail())
+    p = _pooled(sig, result, Fail, None, ())
+    return p if type(p) is Program else _new(p, Fail())
 
 
 def pick_fin(progs: Sequence[Program]) -> Program:
     progs = tuple(progs)
     if not progs:
         raise ValueError("pick_fin needs at least one alternative (use fail for none)")
-    for p in progs:
-        if p.sig != progs[0].sig or p.result != progs[0].result:
-            raise ValueError("pick_fin alternatives disagree")
-    return _mk(progs[0].sig, progs[0].result, PickFin(progs))
+    p = _pooled(progs[0].sig, progs[0].result, PickFin, None, progs)
+    if type(p) is tuple and any(q.sig != progs[0].sig or q.result != progs[0].result for q in progs):
+        raise ValueError("pick_fin alternatives disagree")
+    return p if type(p) is Program else _new(p, PickFin(progs))
 
 
 def inp(sig: Signature, f) -> Program:
-    cont = _table(sig.inp, f)
-    return _mk(sig, cont[0].result, Input(cont))
+    cont = _entries(sig.inp, f)
+    p = _pooled(sig, cont[0].result if cont else None, Input, None, cont)
+    return p if type(p) is Program else _new(p, Input(_table(sig.inp, cont)))
 
 
 def read_input(sig: Signature) -> Program:
@@ -460,9 +484,10 @@ def read_input(sig: Signature) -> Program:
 
 
 def output(sig: Signature, value: Value, then: Program) -> Program:
-    if value.domain != sig.out:
+    p = _pooled(sig, then.result, Output, value, (then,))
+    if type(p) is tuple and value.domain != sig.out:
         raise ValueError("output value outside the output domain")
-    return _mk(sig, then.result, Output(value, then))
+    return p if type(p) is Program else _new(p, Output(value, then))
 
 
 def _fraction(x) -> Fraction:
@@ -472,11 +497,12 @@ def _fraction(x) -> Fraction:
 
 def flip(sig: Signature, p, if_false: Program, if_true: Program) -> Program:
     p = _fraction(p)
-    if not 0 <= p <= 1:
+    q = _pooled(sig, if_false.result, Flip, (p.numerator, p.denominator), (if_false, if_true))
+    if type(q) is tuple and not 0 <= p <= 1:
         raise ValueError(f"flip parameter {p} outside [0,1]")
-    if if_false.result != if_true.result:
+    if type(q) is tuple and if_false.result != if_true.result:
         raise ValueError("flip branches disagree on result domain")
-    return _mk(sig, if_false.result, Flip(p, (if_false, if_true)))
+    return q if type(q) is Program else _new(q, Flip(p, (if_false, if_true)))
 
 
 def flip_bool(sig: Signature, p) -> Program:
@@ -485,11 +511,12 @@ def flip_bool(sig: Signature, p) -> Program:
 
 
 def do_while(body: Program, then: Program) -> Program:
-    if body.result != BOOL:
+    p = _pooled(body.sig, then.result, DoWhile, None, (body, then))
+    if type(p) is tuple and body.result != BOOL:
         raise ValueError("do_while body must produce a bool")
-    if body.sig != then.sig:
+    if type(p) is tuple and body.sig != then.sig:
         raise ValueError("do_while body and continuation disagree on signature")
-    return _mk(body.sig, then.result, DoWhile(body, then))
+    return p if type(p) is Program else _new(p, DoWhile(body, then))
 
 
 # -- normalization -----------------------------------------------------------

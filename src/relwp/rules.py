@@ -30,17 +30,19 @@ A judgment holds its programs and specs as tables (`Table`), one entry per
 valuation of its context, filled once when it is built.  A rule computes
 its conclusion's tables from its premises' tables, so replaying a node is
 one rule application over stored entries, and the oracle reads the root's
-tables without rebuilding anything.  Programs and specs are hash-consed
-(`programs._intern`), so the stored entries of one tree, and a replay's
-recomputed ones, share each distinct program and spec body.  Rule bodies,
-judgment checks and the oracle work once per distinct entry (`_each`,
-`_firsts`), not once per valuation: a family that ignores a variable of
-its context repeats its entries, and the repeats reuse the first result.
+tables without rebuilding anything.  Programs, specs and judgments are
+hash-consed (`programs._POOL`): a replay finds its entries by key, and a hit
+builds and checks nothing its key fixes, so an honest replay allocates no
+program node.  Rule bodies, judgment checks and the oracle work once per
+distinct entry (`_each`, `_firsts`), not once per valuation: a family that
+ignores a variable of its context repeats its entries, and the repeats
+reuse the first result.
 """
 
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -201,8 +203,10 @@ def _each(fn, *tables) -> Table:
     comparison, which meets identical objects first, and takes one call
     and no hashing.  Otherwise the entries are the memo's keys: pooled
     programs and specs and canonical values hash by identity, plain
-    parameters by value.  A table with an unhashable entry is mapped
-    plainly."""
+    parameters by value.  A table of one entry, or with an unhashable
+    one, is mapped plainly."""
+    if len(tables[0]) < 2:
+        return Table(map(fn, *tables))
     keys = tuple(zip(*tables))
     if keys.count(keys[0]) == len(keys):
         return Table((fn(*keys[0]),) * len(keys))
@@ -258,6 +262,10 @@ def _axiom_sigs(r: RuleInstance, effect: str, right: str = "") -> Tuple[Signatur
 # Rule instances, catalogues and derivations
 
 
+# Keys read by the running rule body: one set per `Catalogue.apply` call and thread.
+_read: ContextVar = ContextVar("_read", default=set())
+
+
 @dataclass(frozen=True, eq=False)
 class RuleInstance:
     rule: str
@@ -266,7 +274,7 @@ class RuleInstance:
     def need(self, key: str):
         if key not in self.params:
             raise RuleError(f"{self.rule}: missing parameter {key!r}")
-        return self.params[key]
+        return self.get(key)
 
     def table(self, key: str, env: Env, default=None) -> Table:
         """Parameter key tabulated over env, or `default`, where one is
@@ -283,23 +291,8 @@ class RuleInstance:
                             f"its context has {count} {what}")
 
     def get(self, key: str, default=None):
+        _read.get().add(key)
         return self.params.get(key, default)
-
-
-@dataclass(frozen=True, eq=False)
-class _Reading(RuleInstance):
-    """The instance `Catalogue.apply` hands a rule body: it notes the keys
-    read through need/get, so that apply can reject the others."""
-
-    read: set = field(default_factory=set, init=False, repr=False)
-
-    def need(self, key: str):
-        self.read.add(key)
-        return super().need(key)
-
-    def get(self, key: str, default=None):
-        self.read.add(key)
-        return super().get(key, default)
 
 
 def rule(name: str, **params) -> RuleInstance:
@@ -339,7 +332,10 @@ class Catalogue:
         return tuple(sorted(self._rules))
 
     def apply(self, inst: RuleInstance, premises: Sequence):
-        """Compute a rule's conclusion from premise judgments.
+        """Compute a rule's conclusion from premise judgments.  The body gets
+        inst, whose need/get note the keys read in this call's set (`_read`).
+        Side conditions always run; what the body builds that is pooled is a
+        hit, which builds and checks nothing its key fixes.
 
         Raises RuleError for an unknown rule, a wrong number of premises, a
         missing parameter or one the rule never reads, and when premise
@@ -352,11 +348,15 @@ class Catalogue:
         premises = tuple(premises)
         if arity is not None and len(premises) != arity:
             raise RuleError(f"{inst.rule} takes {arity} premises, got {len(premises)}")
-        reading = _Reading(inst.rule, inst.params)
-        concl = build(reading, premises)
-        unread = sorted(set(inst.params) - reading.read)
-        if unread:
-            raise RuleError(f"{inst.rule} does not take a parameter {unread[0]!r}")
+        read = set()
+        token = _read.set(read)
+        try:
+            concl = build(inst, premises)
+        finally:
+            _read.reset(token)
+        if not read.issuperset(inst.params):
+            raise RuleError(f"{inst.rule} does not take a parameter "
+                            f"{min(inst.params.keys() - read)!r}")
         return concl
 
     def derive(self, name: str, premises: Sequence[Derivation] = (), **params) -> Derivation:
@@ -458,17 +458,22 @@ def judgment(observation: EffectObservation, c1, c2, w, env: Env = EMPTY_ENV) ->
     """Build a judgment from families: each a Table over env's valuations, a
     callable of the valuation, called once per valuation here, or a plain
     value.  The judgment is pooled (`programs._intern`) under its
-    observation, context and tables: built again, it is the live one, whose
-    shapes were checked when it was first built.  Else every entry's shapes
-    are checked, once per distinct entry: effects against the observation,
-    spec carrier against its target, value domains against the program
-    results; a judgment they refuse is not pooled."""
-    t1, t2, tw = _tabulate(env, c1), _tabulate(env, c2), _tabulate(env, w)
+    observation, context and tables: built again, it is the live one, and
+    nothing its key fixes is checked again.  Else each Table's length and
+    every entry's shapes are checked, once per distinct entry: effects
+    against the observation, spec carrier against its target, value domains
+    against the program results; a judgment they refuse is not pooled."""
+    t1 = c1 if type(c1) is Table else _tabulate(env, c1)
+    t2 = c2 if type(c2) is Table else _tabulate(env, c2)
+    tw = w if type(w) is Table else _tabulate(env, w)
     return P._intern((Judgment, observation, env, t1, t2, tw),
                      _checked, observation, env, t1, t2, tw)
 
 
 def _checked(observation: EffectObservation, env: Env, c1: Table, c2: Table, w: Table) -> Judgment:
+    for t in (c1, c2, w):
+        if len(t) != env.count:
+            raise ValueError(f"a table over this context has {env.count} entries, got {len(t)}")
     for _, (p1, p2, w0) in _firsts(c1, c2, w):
         if not _effect_matches(p1.sig.effect, observation.left_effect):
             raise ValueError(f"left program is {p1.sig.effect!r}, observation "
@@ -583,7 +588,10 @@ def _weaken_rule(r: RuleInstance, prem) -> Judgment:
     (j,) = prem
     w = r.table("w", j.env)
     for i, (lo, hi) in _firsts(j.w_table, w):
-        v = spec_leq(lo, hi)
+        try:
+            v = spec_leq(lo, hi)
+        except ValueError as e:   # spec_leq refuses specs over other carriers or spaces
+            raise RuleError(f"Weaken: {e} at {_show_valuation(j.env, i)}") from None
         if v.failed:
             raise RuleError(f"Weaken: target spec is not above the premise spec "
                             f"at {_show_valuation(j.env, i)}: {v.note}")
@@ -623,7 +631,10 @@ def _zero_elim(r: RuleInstance, _prem) -> Judgment:
         if not spec_leq(unsatisfiable(w0.space), w0).holds:
             raise RuleError("ZeroElim: the spec must be everywhere unsatisfiable "
                             f"(the vacuous claim) but is not at {_show_valuation(env, i)}")
-    return judgment(obs, c1, c2, w, env)
+    try:
+        return judgment(obs, c1, c2, w, env)
+    except ValueError as e:   # judgment() refuses shapes the observation does not take
+        raise RuleError(f"ZeroElim: {e}") from None
 
 
 @CORE.rule("NatElim", arity=None)

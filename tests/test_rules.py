@@ -13,6 +13,7 @@ above the observation.
 import dataclasses
 import gc
 import random
+import threading
 import tracemalloc
 import types
 import weakref
@@ -216,6 +217,40 @@ def test_rules_reject_parameters_they_never_read():
     stray = R.Derivation(d.conclusion, R.rule("Ret", extra=1, **ret))
     res = R.check_derivation(stray)
     assert not res.ok and "'extra'" in res.message
+
+
+def test_rule_applications_in_two_threads_note_their_reads_apart():
+    # one application ends while another, in a second thread, is inside
+    # its body: each is checked against its own reads
+    cat = R.Catalogue()
+    inside, done = threading.Event(), threading.Event()
+    got = []
+
+    @cat.rule("Waits", arity=0)
+    def _waits(r, prem):
+        b = r.need("b")
+        inside.set()
+        assert done.wait(5)
+        return b
+
+    @cat.rule("Starts", arity=0)
+    def _starts(r, prem):
+        a = r.need("a")
+        other.start()
+        assert inside.wait(5)
+        return a
+
+    other = threading.Thread(target=lambda: got.append(cat.apply(R.rule("Waits", b=2), ())))
+    try:
+        assert cat.apply(R.rule("Starts", a=1), ()) == 1
+    finally:
+        done.set()
+        if other.ident is not None:
+            other.join()
+    assert got == [2]
+    with pytest.raises(R.RuleError, match="^Waits does not take a parameter 'c'$"):
+        done.set()
+        cat.apply(R.rule("Waits", b=2, c=3), ())
 
 
 # ---------------------------------------------------------------------------
@@ -1475,9 +1510,11 @@ def test_a_build_inside_the_table_draws_the_same_derivations(monkeypatch, effect
 
 
 def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
+    # every construction, by a constructor or by `_mk`, looks its key up
+    # through `_pooled` once
     made = []
-    mk = P._mk
-    monkeypatch.setattr(P, "_mk", lambda *a: made.append(1) or mk(*a))
+    pooled_ = P._pooled
+    monkeypatch.setattr(P, "_pooled", lambda *a: made.append(1) or pooled_(*a))
     gc.collect()
     pooled = len(P._POOL)
     rng = random.Random(0)
@@ -1491,7 +1528,7 @@ def test_a_build_shares_one_table_and_none_outlives_it(monkeypatch):
              for p in n.conclusion.c1_table + n.conclusion.c2_table for q in P._postorder(p)}
     specs = {id(w): w for d in ds for n in _nodes(d) for w in n.conclusion.w_table}
     assert len({reference.tree(q) for q in progs.values()}) == len(progs)
-    assert all(mk(q.sig, q.result, q.node) is q for q in progs.values())
+    assert all(P._mk(q.sig, q.result, q.node) is q for q in progs.values())
     assert len({(w.space, w.den, w.rows) for w in specs.values()}) == len(specs)
     judgments = {id(n.conclusion) for d in ds for n in _nodes(d)}
     assert pooled < len(P._POOL) <= pooled + len(progs) + len(specs) + len(judgments)
